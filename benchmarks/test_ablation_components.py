@@ -4,13 +4,13 @@
   (the processor's fragment dispatch);
 * lazy-DFA state footprint vs. wildcard count (XMLTK's weakness);
 * pure-Python tokenizer vs. the stdlib Expat adapter (event-source swap);
-* Theorem 4.4's operation bound checked against the instrumented counts.
+* Theorem 4.4's operation bound checked against the counting TwigM.
 """
 
 import pytest
 
 from repro.baselines.lazydfa import LazyDfaEngine
-from repro.core.instrument import InstrumentedTwigM
+from repro.bench.complexity import CountingTwigM
 from repro.core.processor import XPathStream
 from repro.stream.events import count_elements, document_depth
 from repro.stream.expat_source import expat_parse_string
@@ -86,7 +86,7 @@ def test_theorem_4_4_operation_bound(benchmark, qid_xpath, book_corpus):
     events = list(book_corpus.events())
 
     def run():
-        machine = InstrumentedTwigM(xpath)
+        machine = CountingTwigM(xpath)
         machine.feed(iter(events))
         return machine
 

@@ -16,7 +16,7 @@ import pytest
 
 from repro.baselines.enumerative import count_pattern_matches
 from repro.baselines.explicit import ExplicitMatchEngine
-from repro.core.instrument import InstrumentedTwigM
+from repro.bench.complexity import CountingTwigM
 from repro.stream.document import build_document
 from repro.stream.tokenizer import parse_string
 
@@ -36,7 +36,7 @@ def test_twigm_linear_state(benchmark, n):
     events = list(parse_string(chain(n)))
 
     def run():
-        machine = InstrumentedTwigM(QUERY)
+        machine = CountingTwigM(QUERY)
         machine.feed(iter(events))
         return machine
 
@@ -85,7 +85,7 @@ def test_state_gap_grows_with_n(benchmark):
 
     def gap(n: int) -> float:
         events = list(parse_string(chain(n)))
-        twig = InstrumentedTwigM(QUERY)
+        twig = CountingTwigM(QUERY)
         twig.feed(iter(events))
         explicit = ExplicitMatchEngine()
         explicit.run(QUERY, iter(events))

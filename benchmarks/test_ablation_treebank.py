@@ -10,7 +10,7 @@ Theorem 4.4 envelope.
 import pytest
 
 from benchmarks._grid import ENGINES
-from repro.core.instrument import InstrumentedTwigM
+from repro.bench.complexity import CountingTwigM
 from repro.datasets.stats import collect_stats
 from repro.datasets.treebank import treebank_events
 
@@ -53,7 +53,7 @@ def test_treebank_stack_bound(benchmark, corpus_events, corpus_stats):
     query = QUERIES["twig"]
 
     def run():
-        machine = InstrumentedTwigM(query)
+        machine = CountingTwigM(query)
         machine.feed(iter(corpus_events))
         return machine
 

@@ -18,10 +18,12 @@ Gates the acceptance properties of the ``repro.obs`` layer:
    report exactly what an uninterrupted run reports.
 5. **Exposition round-trips** — the Prometheus text parses back into
    the same samples the snapshot reports, and the JSON rendering loads.
-6. **Compiled tiers report in** — a ``compiled=True`` run with metrics
-   populates the ``repro_compile_*`` families (DFA cache size, hit
-   ratio, fallbacks), returns unchanged solution ids, and a compiled
-   run *without* metrics must not touch the obs layer at all.
+6. **The DFA tier reports in** — a ``compiled=True`` run of a
+   predicate-free query with metrics populates the ``repro_compile_*``
+   families (DFA cache size, hit ratio, fallbacks) and returns unchanged
+   solution ids; a predicated query under ``compiled=True`` runs the
+   observed interpreted machine and populates ``repro_machine_*``; and
+   a compiled run *without* metrics must not touch the obs layer at all.
 
 Run from the repo root::
 
@@ -216,7 +218,7 @@ def check_exposition(corpus) -> list[str]:
 
 
 def check_compiled_metrics(corpus) -> list[str]:
-    """Compiled runs must publish repro_compile_* — and only when asked."""
+    """``compiled=True`` runs publish their tier's families — only when asked."""
     failures = []
     query = XMARK_QUERIES[0][0]  # predicate-free: exercises the DFA tier
     plain = XPathStream(query, compiled=True).evaluate_push(corpus.path)
@@ -241,6 +243,16 @@ def check_compiled_metrics(corpus) -> list[str]:
     if not hasattr(registry, publisher_attr):
         failures.append("compiled run with metrics never bound a publisher")
 
+    # Predicated queries have no compiled tier: they run the observed
+    # interpreted machine, exactly as with compiled=False.
+    predicated = next(q for q, _ in XMARK_QUERIES if "[" in q)
+    registry = MetricsRegistry()
+    observed = XPathStream(predicated, compiled=True, metrics=registry)
+    if observed.evaluate_push(corpus.path) != XPathStream(predicated).evaluate_push(corpus.path):
+        failures.append("metrics changed compiled=True results on a predicated query")
+    if "repro_machine_events_total" not in registry.render_prometheus():
+        failures.append("predicated compiled=True run published no repro_machine_* counts")
+
     # Zero-cost-when-off: no publisher, no obs imports on the machine.
     bare = XPathStream(query, compiled=True)
     bare.evaluate_push(corpus.path)
@@ -262,7 +274,7 @@ def main() -> int:
     failures += check_checkpoint_continuity(corpus)
     print("  exposition round-trip")
     failures += check_exposition(corpus)
-    print("  compiled-tier metric families")
+    print("  compiled=True metric families")
     failures += check_compiled_metrics(corpus)
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

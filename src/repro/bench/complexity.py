@@ -10,23 +10,234 @@ family the expected exponents are sharp:
 * explicit-match (XSQ family): records ~ ``n^2``, time ≥ ``n^2``;
 * enumerative DOM (Galax family): enumerated matches ~ ``n^2``.
 
-Used by ``benchmarks/test_ablation_complexity.py`` and the
-``python -m repro.bench --figure A`` ablation table.
+:class:`CountingTwigM` is the one TwigM that counts the operations
+Theorem 4.4 bounds — parent-stack probes, flag sets and candidate
+uploads happen *inside* δs/δe, so the counting copy of the transitions
+lives here, beside the fits that consume it, rather than on the
+production metric path (:mod:`repro.obs.machines` only sees what is
+visible from outside a machine).
+
+Used by ``benchmarks/test_ablation_complexity.py``, the
+``python -m repro.bench --figure A`` ablation table, and
+``python -m repro.bench.complexity``, which prints the table and exits
+non-zero when TwigM's fitted operation exponent is not linear.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.baselines.enumerative import count_pattern_matches
 from repro.baselines.explicit import ExplicitMatchEngine
-from repro.core.instrument import InstrumentedTwigM
+from repro.core.machine import EDGE_EQ, MachineNode
+from repro.core.twigm import StackEntry, TwigM
 from repro.stream.document import build_document
 from repro.stream.events import Event
 from repro.stream.tokenizer import parse_string
+
+
+@dataclass(slots=True)
+class WorkCounts:
+    """Operation counts of one :class:`CountingTwigM` evaluation.
+
+    * ``events`` — element events (start + end) delivered;
+    * ``pushes`` / ``pops`` — stack entries created and retired;
+    * ``edge_checks`` — parent-stack probes during δs qualification;
+    * ``flag_sets`` — branch-match bits set during δe propagation;
+    * ``uploads`` — candidate-set unions;
+    * ``peak_entries`` — the maximum live entry count (figure 1's ``2n``);
+    * ``emitted`` — solution ids handed to the sink.
+    """
+
+    events: int = 0
+    pushes: int = 0
+    pops: int = 0
+    edge_checks: int = 0
+    flag_sets: int = 0
+    uploads: int = 0
+    peak_entries: int = 0
+    emitted: int = 0
+
+    def total_work(self) -> int:
+        """A single scalar: all counted operations."""
+        return (
+            self.pushes + self.pops + self.edge_checks
+            + self.flag_sets + self.uploads
+        )
+
+
+class CountingTwigM(TwigM):
+    """Production :class:`~repro.core.twigm.TwigM` with δs/δe counted.
+
+    Takes TwigM's constructor arguments and keeps its behaviour —
+    limits, candidate accounting, value tests, trackers, earliest
+    emission — while :attr:`counts` records every operation.
+    """
+
+    def __init__(self, query, sink=None, **kwargs):
+        super().__init__(query, sink, **kwargs)
+        self.counts = WorkCounts()
+        self._live_entries = 0
+
+    def reset(self) -> None:  # noqa: D102 - inherits the engine docstring
+        super().reset()
+        self._live_entries = 0
+
+    def _emit_ids(self, candidates) -> None:
+        self.counts.emitted += len(candidates)
+        super()._emit_ids(candidates)
+
+    def start_element(self, tag, level, node_id, attributes=None):
+        """δs of Algorithm 1, with counters inline."""
+        counts = self.counts
+        counts.events += 1
+        if self._limits is not None:
+            self._limits.check("max_depth", level)
+        plan = self._plans.get(tag)
+        if plan is None:
+            plan = self._miss_plan(tag)
+            if not plan:
+                return
+        if attributes is None:
+            attributes = {}
+        for node, stack, parent_stack in plan:
+            condition = node.compiled_condition
+            if condition is None:
+                if node.attribute_tests and not node.attributes_satisfied(attributes):
+                    continue
+            elif not condition.possible(attributes):
+                continue
+            if parent_stack is None:
+                counts.edge_checks += 1
+                if not node.edge_satisfied(level):
+                    continue
+            elif not self._counted_edge_exists(node, parent_stack, level):
+                continue
+            entry = StackEntry(level)
+            if node.value_tests or (condition is not None and condition.has_value_leaves):
+                entry.text_parts = []
+                self._open_value_entries += 1
+            if condition is not None:
+                entry.attr_bits = condition.attr_bits(attributes)
+            if node.is_return:
+                entry.add_candidate(node_id)
+                self._count_candidates(1)
+                if self._tracker is not None:
+                    self._tracker.created(node_id)
+            stack.append(entry)
+            counts.pushes += 1
+            self._live_entries += 1
+            if self._live_entries > counts.peak_entries:
+                counts.peak_entries = self._live_entries
+            if self._detect:
+                self._note_stable(node, entry)
+        if self._trunk_dirty:
+            self._flush_trunk()
+
+    def _counted_edge_exists(self, node: MachineNode, parent_stack, level: int) -> bool:
+        counts = self.counts
+        if not parent_stack:
+            counts.edge_checks += 1
+            return False
+        if node.edge_op == EDGE_EQ:
+            target = level - node.edge_dist
+            for entry in reversed(parent_stack):
+                counts.edge_checks += 1
+                if entry.level == target:
+                    return True
+                if entry.level < target:
+                    return False
+            return False
+        counts.edge_checks += 1
+        return parent_stack[0].level <= level - node.edge_dist
+
+    def end_element(self, tag, level):
+        """δe of Algorithm 1, with counters inline."""
+        counts = self.counts
+        counts.events += 1
+        tracker = self._tracker
+        plan = self._plans.get(tag)
+        if plan is None:
+            plan = self._miss_plan(tag)
+            if not plan:
+                return
+        for node, stack, parent_stack in plan:
+            if not stack or stack[-1].level != level:
+                continue
+            entry = stack.pop()
+            counts.pops += 1
+            self._live_entries -= 1
+            if entry.text_parts is not None:
+                self._open_value_entries -= 1
+            if entry.candidates:
+                self._candidate_count -= len(entry.candidates)
+            condition = node.compiled_condition
+            if condition is None:
+                satisfied = entry.flags == node.complete_mask
+                if satisfied and node.value_tests:
+                    satisfied = all(
+                        test.evaluate(entry.string_value()) for test in node.value_tests
+                    )
+            else:
+                satisfied = condition.satisfied(
+                    entry.flags,
+                    entry.attr_bits,
+                    entry.string_value() if condition.has_value_leaves else "",
+                )
+            if not satisfied:
+                if tracker is not None and entry.candidates:
+                    tracker.released(entry.candidates)
+                continue
+            if node.is_return and self._eager:
+                if entry.candidates:
+                    self._emit_ids(entry.candidates)
+                continue
+            if node.parent is None:
+                if entry.candidates:
+                    self._emit_ids(entry.candidates)
+                continue
+            self._counted_propagate(node, entry, level, parent_stack)
+            if tracker is not None and entry.candidates:
+                tracker.released(entry.candidates)
+        if self._trunk_dirty:
+            self._flush_trunk()
+
+    def _counted_propagate(self, node: MachineNode, entry: StackEntry,
+                           level: int, parent_stack) -> None:
+        counts = self.counts
+        bit = 1 << node.child_index
+        detect = self._detect
+        if node.edge_op == EDGE_EQ:
+            target = level - node.edge_dist
+            for parent_entry in reversed(parent_stack):
+                if parent_entry.level == target:
+                    counts.flag_sets += 1
+                    if entry.candidates:
+                        counts.uploads += 1
+                    parent_entry.flags |= bit
+                    self._upload(parent_entry, entry)
+                    if detect:
+                        self._after_propagate(node.parent, parent_entry, entry)
+                    break
+                if parent_entry.level < target:
+                    break
+        else:
+            threshold = level - node.edge_dist
+            for parent_entry in parent_stack:
+                if parent_entry.level > threshold:
+                    break
+                counts.flag_sets += 1
+                if entry.candidates:
+                    counts.uploads += 1
+                parent_entry.flags |= bit
+                self._upload(parent_entry, entry)
+                if detect:
+                    self._after_propagate(node.parent, parent_entry, entry)
+
 
 #: The figure 1 query.
 CHAIN_QUERY = "//a[d]//b[e]//c"
@@ -114,8 +325,8 @@ def chain_scaling(
     for n in sizes:
         events = events_by_n[n]
 
-        def run_twigm() -> InstrumentedTwigM:
-            machine = InstrumentedTwigM(CHAIN_QUERY)
+        def run_twigm() -> CountingTwigM:
+            machine = CountingTwigM(CHAIN_QUERY)
             machine.feed(iter(events))
             return machine
 
@@ -161,3 +372,15 @@ def render_chain_scaling(series: Sequence[ScalingSeries]) -> str:
         f"(query {CHAIN_QUERY})",
         [entry.row() for entry in series],
     )
+
+
+def main() -> int:
+    """Print the chain-scaling table; fail unless TwigM work is linear."""
+    series = chain_scaling()
+    print(render_chain_scaling(series))
+    operations = next(s for s in series if s.label == "TwigM operations")
+    return 0 if operations.exponent < 1.5 else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

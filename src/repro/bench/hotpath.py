@@ -11,9 +11,9 @@ be attributed:
 * **push pipeline** — :meth:`XPathStream.evaluate_push` (fused regex
   scan → direct machine callbacks; see :mod:`repro.perf`).
 * **compiled pipeline** — ``XPathStream(query, compiled=True)``
-  ``.evaluate_push`` (query-specialized tiers from :mod:`repro.compile`:
-  the lazy-DFA front-end plus turbo scanner for predicate-free paths,
-  generated dispatch for the rest).
+  ``.evaluate_push`` (:mod:`repro.compile`: the lazy-DFA front-end plus
+  turbo scanner for predicate-free paths; the rest run the interpreted
+  machines, so their compiled column equals push).
 
 Two corpora bracket the workload space: the XMark auction document
 (broad vocabulary, attribute-heavy, realistic text) and a synthetic
@@ -278,7 +278,7 @@ def run_benchmark(profile: str = DEFAULT_PROFILE, repeats: int = 3) -> dict:
     # Compiled-tier summary: the 10x bar applies to predicate-free XMark
     # queries (those the interpreted selector routes to PathM — exactly
     # the class the lazy-DFA front-end accepts); everywhere else the
-    # compiled tiers must at least not lose to the current push path.
+    # compiled run must at least not lose to the current push path.
     pf_vs_pull = [
         row["compiled_vs_pull"]
         for row in payload["corpora"]["xmark"]["queries"].values()

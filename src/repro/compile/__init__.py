@@ -1,25 +1,25 @@
 """Query-specialized compilation of the hot path (``repro.compile``).
 
-Three compilation tiers sit above the interpreted machines of
-:mod:`repro.core`:
+Two tiers evaluate queries:
 
-* **interpreted** — PathM/BranchM/TwigM walk per-tag dispatch plans
-  (lists of ``(node, stack, parent_stack)`` records) on every event;
-* **specialized** — :mod:`repro.compile.codegen` turns each
-  ``(query, machine)`` pair into straight-line per-tag transition
-  functions via generated source + :func:`compile`, eliminating the
-  plan-list interpretation (``CompiledPathM``/``CompiledBranchM``/
-  ``CompiledTwigM``);
-* **DFA** — :mod:`repro.compile.dfa` front-ends PathM for predicate-free
-  XP{/,//,*} queries with an XMLTK-style lazily-determinised automaton
-  (:class:`DfaPathM`): states materialise only for tag sequences that
-  occur in the data, per-event work is one dict lookup, and a
-  state-count cap falls back to interpreted PathM when wildcard blow-up
-  threatens.
+* **interpreted** — PathM/BranchM/TwigM (:mod:`repro.core`) walk per-tag
+  dispatch plans (lists of ``(node, stack, parent_stack)`` records) on
+  every event;
+* **DFA + turbo** — :mod:`repro.compile.dfa` front-ends PathM for
+  predicate-free XP{/,//,*} queries with an XMLTK-style lazily-determinised
+  automaton (:class:`DfaPathM`): states materialise only for tag
+  sequences that occur in the data, per-event work is one dict lookup,
+  and a state-count cap falls back to interpreted PathM when wildcard
+  blow-up threatens.
+
+``compiled=True`` (on :class:`~repro.core.processor.XPathStream` and
+:class:`~repro.multiq.MultiQueryEngine`) upgrades an automatically
+selected PathM to :class:`DfaPathM`; every other engine runs exactly as
+with ``compiled=False``.
 
 :mod:`repro.compile.scan` adds the query-aware turbo scanner: when the
-active handlers provably ignore attributes and character data (path
-machines), the push tokenizer skips attribute parsing, text delivery
+active handlers provably ignore attributes and character data (the DFA
+front-end), the push tokenizer skips attribute parsing, text delivery
 and cursor bookkeeping on well-shaped markup — the last factor needed
 to reach ≥10× over the pull pipeline on predicate-free XMark queries.
 
@@ -28,7 +28,6 @@ is shared with the figure-7/8 baseline (``repro.baselines.lazydfa``),
 so the stand-in and the production cache cannot drift.
 """
 
-from repro.compile.codegen import CompiledBranchM, CompiledPathM, CompiledTwigM
 from repro.compile.dfa import DEFAULT_STATE_CAP, DfaPathM
 from repro.compile.metrics import CompileMetricsPublisher, compile_publisher
 from repro.compile.nfa import LazyDfa, Step, subset_step, trunk_steps
@@ -36,9 +35,6 @@ from repro.compile.scan import turbo_eligible, turbo_feed
 
 __all__ = [
     "CompileMetricsPublisher",
-    "CompiledBranchM",
-    "CompiledPathM",
-    "CompiledTwigM",
     "DEFAULT_STATE_CAP",
     "DfaPathM",
     "LazyDfa",

@@ -7,18 +7,14 @@
 * :mod:`repro.core.processor` — fragment dispatch and the public API.
 * :mod:`repro.core.results` — incremental result sinks.
 * :mod:`repro.core.fragments` — XML-fragment output with buffer GC.
-* :mod:`repro.core.multiquery` — many standing queries, one pass.
 * :mod:`repro.core.filtering` — shared-automaton query filtering.
-* :mod:`repro.core.instrument` — operation counters (Theorem 4.4).
 * :mod:`repro.core.debug` — machine/state rendering and tracing.
 """
 
 from repro.core.branchm import BranchM, evaluate_branchm
 from repro.core.filtering import FilterSet, PathFilterSet
 from repro.core.fragments import FragmentCapture, evaluate_fragments
-from repro.core.instrument import InstrumentedTwigM, OperationCounts
 from repro.core.machine import EDGE_EQ, EDGE_GE, Machine, MachineNode, build_machine
-from repro.core.multiquery import MultiQueryStream
 from repro.core.pathm import PathM, evaluate_pathm
 from repro.core.processor import XPathStream, evaluate, select_engine_class
 from repro.core.results import CallbackSink, CollectingSink, CountingSink, ResultSink
@@ -29,9 +25,6 @@ __all__ = [
     "PathFilterSet",
     "CandidateTracker",
     "FragmentCapture",
-    "InstrumentedTwigM",
-    "MultiQueryStream",
-    "OperationCounts",
     "evaluate_fragments",
     "EDGE_EQ",
     "EDGE_GE",

@@ -86,29 +86,53 @@ def select_engine_class(query: QueryTree):
     return _FRAGMENT_ENGINES[query.fragment()]
 
 
-def select_compiled_engine_class(engine_class, explicit: bool):
-    """The compiled tier for an interpreted engine choice.
+def build_engine(query: QueryTree, sink: ResultSink, *,
+                 engine: str | None = None, compiled: bool = False,
+                 limits: ResourceLimits | None = None, metrics=None,
+                 emission: str = "default", lag_probe=None,
+                 state_cap: int | None = None, tracker=None):
+    """Construct the machine that evaluates ``query`` under these options.
 
-    Automatically-selected PathM upgrades to the lazy-DFA front-end
-    (the fastest tier; its state cap guarantees PathM behaviour in the
-    worst case).  An *explicitly* requested ``engine="pathm"`` keeps the
-    PathM machine — with generated dispatch — so its snapshot engine
-    name is honoured.
+    An explicitly named ``engine`` is always honoured.  Otherwise the
+    cheapest machine for the fragment is chosen, and under ``compiled``
+    an automatically selected PathM upgrades to the lazy-DFA front-end
+    (:class:`~repro.compile.dfa.DfaPathM`, whose state cap guarantees
+    PathM behaviour in the worst case).
+
+    Each option reaches only the engines that take it: ``emission`` and
+    ``lag_probe`` the buffering machines (TwigM/BranchM; path engines
+    already emit at the earliest point), ``state_cap`` the lazy DFA.
+    With ``metrics`` the lazy DFA publishes ``repro_compile_*`` itself
+    and the interpreted machines run as their observed subclass
+    (:func:`repro.obs.machines.observed_class`).
     """
-    from repro.compile import (
-        CompiledBranchM,
-        CompiledPathM,
-        CompiledTwigM,
-        DfaPathM,
-    )
+    if engine is not None:
+        engine_class = _engine_class_by_name(engine)
+    else:
+        engine_class = select_engine_class(query)
+        if compiled and engine_class is PathM:
+            engine_class = _engine_class_by_name("dfa")
+    name = engine_class.machine_name
+    options = {} if tracker is None else {"tracker": tracker}
+    if name in ("twigm", "branchm"):
+        if emission != "default":
+            options["emission"] = emission
+        if lag_probe is not None:
+            options["lag_probe"] = lag_probe
+            # Emissions flow through the probe so it can pair each
+            # result's provable point with its emission point.
+            sink = lag_probe.wrap_sink(sink)
+    if name == "dfa" and state_cap is not None:
+        options["state_cap"] = state_cap
+    if metrics is not None:
+        if name != "dfa":
+            # Lazy import: the obs layer sits above core and is only
+            # loaded when instrumentation is requested.
+            from repro.obs.machines import observed_class
 
-    if engine_class is DfaPathM:
-        return DfaPathM
-    if engine_class is PathM:
-        return CompiledPathM if explicit else DfaPathM
-    if engine_class is BranchM:
-        return CompiledBranchM
-    return CompiledTwigM
+            engine_class = observed_class(engine_class)
+        options["metrics"] = metrics
+    return engine_class(query, sink=sink, limits=limits, **options)
 
 
 class XPathStream:
@@ -138,21 +162,21 @@ class XPathStream:
         by both the tokenizer and the machine.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`.  When set,
-        the stream runs the *instrumented* machine subclass
-        (:mod:`repro.obs.machines`) and metric-publishing tokenizers, so
-        ``repro_machine_*`` and ``repro_tokenizer_*`` families populate.
-        When ``None`` (the default) the plain classes run — the hot
-        loops contain no metrics code at all.  Compiled engines publish
-        the ``repro_compile_*`` family instead of per-operation counts
-        (the operations they would count are exactly what compilation
-        folds away).
+        PathM/BranchM/TwigM run as their *observed* subclass
+        (:func:`repro.obs.machines.observed_class`) and the tokenizers
+        publish metrics, so the ``repro_machine_*`` and
+        ``repro_tokenizer_*`` families populate; the lazy-DFA engine
+        publishes ``repro_compile_*`` instead.  When ``None`` (the
+        default) the plain classes run — the hot loops contain no
+        metrics code at all.
     compiled:
-        Run the query-specialized compilation tier
-        (:mod:`repro.compile`): predicate-free queries evaluate on the
-        lazy-DFA front-end (``engine_name`` ``"dfa"``), everything else
-        on machines with generated straight-line dispatch.  Matches,
-        order, errors, limits and snapshots are identical to the
-        interpreted engines.
+        Upgrade an automatically selected PathM (a predicate-free query)
+        to the lazy-DFA front-end of :mod:`repro.compile`
+        (``engine_name`` ``"dfa"``), which the push pipeline drives with
+        the turbo scanner.  Every other engine — including an explicit
+        ``engine="pathm"`` — is built exactly as with ``compiled=False``.
+        Matches, order, errors, limits and snapshots are identical to
+        the interpreted engines.
     state_cap:
         Optional override for the lazy DFA's materialised-state ceiling
         (default :data:`repro.compile.DEFAULT_STATE_CAP`); past it the
@@ -163,9 +187,7 @@ class XPathStream:
         set, earlier and possibly reordered emissions; see
         docs/LATENCY.md).  Predicate-free queries on PathM/DFA engines
         already emit at the earliest point, so the mode is a no-op for
-        them.  Earliest-mode TwigM/BranchM under ``compiled=True`` run
-        the interpreted transitions (the provability analysis needs the
-        state the generated code folds away).
+        them.
     """
 
     def __init__(
@@ -200,37 +222,11 @@ class XPathStream:
             sink: ResultSink = CollectingSink()
         else:
             sink = CallbackSink(on_match)
-        if engine is None:
-            engine_class = select_engine_class(query)
-        else:
-            engine_class = _engine_class_by_name(engine)
-        # Path engines emit at the return node's start tag — already the
-        # earliest point — and take no emission parameter.
-        emission_kwargs = (
-            {"emission": emission}
-            if emission != "default"
-            and engine_class.machine_name in ("twigm", "branchm")
-            else {}
+        self.engine = build_engine(
+            query, sink, engine=engine, compiled=self._compiled,
+            limits=limits, metrics=metrics, emission=emission,
+            state_cap=state_cap,
         )
-        if self._compiled:
-            engine_class = select_compiled_engine_class(
-                engine_class, explicit=engine is not None
-            )
-            kwargs = {"metrics": metrics, **emission_kwargs}
-            if state_cap is not None and engine_class.machine_name == "dfa":
-                kwargs["state_cap"] = state_cap
-            self.engine = engine_class(query, sink=sink, limits=limits, **kwargs)
-        elif metrics is None:
-            self.engine = engine_class(query, sink=sink, limits=limits,
-                                       **emission_kwargs)
-        else:
-            # Lazy import: the obs layer sits above core and is only
-            # loaded when instrumentation is requested.
-            from repro.obs.machines import OBS_ENGINES_BY_NAME
-
-            obs_class = OBS_ENGINES_BY_NAME[engine_class.machine_name]
-            self.engine = obs_class(query, sink=sink, limits=limits,
-                                    metrics=metrics, **emission_kwargs)
         self._sink = sink
         self._tokenizer: XmlTokenizer | None = None
         self._push_handler = None
@@ -398,9 +394,7 @@ class XPathStream:
         """Prepare for a fresh document (keeps the compiled machine)."""
         self.engine.reset()
         self._tokenizer = None
-        if isinstance(self._sink, CollectingSink):
-            self._sink.results.clear()
-            self._sink._seen.clear()
+        self._sink.reset()
 
     # -- checkpoint / resume ------------------------------------------------
 

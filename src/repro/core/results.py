@@ -34,6 +34,9 @@ class ResultSink:
         for node_id in node_ids:
             self.emit(node_id)
 
+    def reset(self) -> None:
+        """Forget emission state before a fresh document (default: none)."""
+
     # -- checkpointing (see XPathStream.snapshot) ----------------------
 
     def snapshot_state(self) -> dict:
@@ -62,6 +65,10 @@ class CollectingSink(ResultSink):
     def __iter__(self):
         return iter(self.results)
 
+    def reset(self) -> None:
+        self.results.clear()
+        self._seen.clear()
+
     def snapshot_state(self) -> dict:
         # The seen-set is exactly the set of collected ids, so the
         # ordered list alone reconstructs both.
@@ -83,6 +90,9 @@ class CallbackSink(ResultSink):
         if node_id not in self._seen:
             self._seen.add(node_id)
             self._callback(node_id)
+
+    def reset(self) -> None:
+        self._seen.clear()
 
     def snapshot_state(self) -> dict:
         return {"seen": sorted(self._seen)}

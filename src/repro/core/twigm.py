@@ -565,8 +565,8 @@ class TwigM:
     def _emit_ids(self, candidates) -> None:
         """Emit a candidate set, reporting to the tracker.
 
-        Shared by the pop-time paths and the earliest flush so the
-        instrumented subclass can count emissions in one place.
+        Shared by the pop-time paths and the earliest flush so a
+        counting subclass can count emissions in one place.
         """
         self.sink.emit_all(sorted(candidates))
         tracker = self._tracker

@@ -21,8 +21,8 @@ holds the measurement side of that story:
     ``repro_latency_results_total`` counter.
 
 The optimisation side is the engines' ``emission="earliest"`` mode
-(:class:`repro.core.twigm.TwigM`, :class:`repro.core.branchm.BranchM`
-and their observed/compiled mirrors), which flushes each candidate at
+(:class:`repro.core.twigm.TwigM` and :class:`repro.core.branchm.BranchM`,
+observed or not), which flushes each candidate at
 its earliest-provable event; under it the measured decision lag
 collapses to (near) zero.  The contract — result-*set* equality with
 the default mode, where ordering may differ, how checkpoints interact —

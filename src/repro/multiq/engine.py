@@ -59,8 +59,8 @@ class DispatchStats:
     """Routing effectiveness counters for one engine.
 
     ``machine_events_broadcast`` is the counterfactual cost of the
-    broadcast dispatcher (every event × every registered query — what
-    ``repro.core.multiquery`` used to pay); ``machine_events_dispatched``
+    broadcast dispatcher (every event × every registered query);
+    ``machine_events_dispatched``
     is what the router actually delivered.
     """
 
@@ -114,20 +114,19 @@ class MultiQueryEngine:
         :meth:`add_query` instead.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`.  When set,
-        every unit runs an instrumented machine (populating the
+        every unit runs an observed machine (populating the
         ``repro_machine_*`` families), the shared tokenizer publishes
         ``repro_tokenizer_*``, and the engine registers a collector for
         the ``repro_multiq_*`` families: total/dispatched/broadcast
         event counts, query and unit gauges, the router hit ratio, and
         per-query emitted counts (labelled ``query="name"``).
     compiled:
-        Run every unit on the :mod:`repro.compile` engine tiers:
-        predicate-free path queries get the lazy-DFA front-end
+        Put predicate-free path queries on the lazy-DFA front-end
         (:class:`~repro.compile.dfa.DfaPathM` — shared across deduped
         registrations like any unit, riding the router's wants-all path
-        because the DFA's depth tracking needs every element event),
-        everything else gets generated straight-line dispatch.  Results
-        are bit-for-bit identical to the interpreted engines.  When
+        because the DFA's depth tracking needs every element event);
+        every other unit is built exactly as with ``compiled=False``.
+        Results are bit-for-bit identical to the interpreted engines.  When
         every registered unit is turbo-safe, the push path
         (:meth:`feed_text_push` / :meth:`evaluate_push`) additionally
         engages the query-aware turbo scanner
@@ -570,11 +569,7 @@ class MultiQueryEngine:
         for unit in self._registry.units():
             unit.engine.reset()
             for sink in unit.sink.sinks.values():
-                if isinstance(sink, CollectingSink):
-                    sink.results.clear()
-                    sink._seen.clear()
-                elif isinstance(sink, CallbackSink):
-                    sink._seen.clear()
+                sink.reset()
             unit.virgin = True
         self._virgin_units = set(self._registry.units())
         self._tokenizer = None

@@ -81,11 +81,7 @@ class EvalUnit:
         emission: str = "default",
         lag_probe=None,
     ):
-        from repro.core.processor import (
-            _engine_class_by_name,
-            select_compiled_engine_class,
-            select_engine_class,
-        )
+        from repro.core.processor import build_engine
         from repro.multiq.router import machine_alphabet
 
         self.tree = tree
@@ -94,49 +90,17 @@ class EvalUnit:
         self.sink = MultiplexSink()
         if tracker is not None:
             # Candidate-lifetime tracking is a TwigM capability; fragment
-            # consumers (repro.transform) force the full machine, and the
-            # tracker hooks live on the interpreted one.
+            # consumers (repro.transform) force the full machine.
             engine_name = "twigm"
-            compiled = False
-        if engine_name is None:
-            engine_class = select_engine_class(tree)
-        else:
-            engine_class = _engine_class_by_name(engine_name)
-        if compiled:
-            engine_class = select_compiled_engine_class(
-                engine_class, engine_name is not None
-            )
-        kwargs = {} if tracker is None else {"tracker": tracker}
-        engine_sink = self.sink
-        if engine_class.machine_name in ("twigm", "branchm"):
-            # Path engines already emit at the earliest point (the
-            # return node's start tag) and take no emission parameter.
-            if emission != "default":
-                kwargs["emission"] = emission
-            if lag_probe is not None:
-                kwargs["lag_probe"] = lag_probe
-                # Emissions flow through the probe so it can pair each
-                # result's provable point with its emission point.
-                engine_sink = lag_probe.wrap_sink(self.sink)
-        if compiled:
-            # Compiled engines carry their own instrumentation hooks
-            # (the ``repro_compile_*`` families) instead of the generic
-            # observed wrappers.
-            self.engine = engine_class(tree, sink=engine_sink, limits=limits,
-                                       metrics=metrics, **kwargs)
-        elif metrics is None:
-            self.engine = engine_class(tree, sink=engine_sink, limits=limits,
-                                       **kwargs)
-        else:
-            from repro.obs.machines import OBS_ENGINES_BY_NAME
-
-            obs_class = OBS_ENGINES_BY_NAME[engine_class.machine_name]
-            self.engine = obs_class(tree, sink=engine_sink, limits=limits,
-                                    metrics=metrics, **kwargs)
+        self.engine = build_engine(
+            tree, self.sink, engine=engine_name, compiled=compiled,
+            limits=limits, metrics=metrics, emission=emission,
+            lag_probe=lag_probe, tracker=tracker,
+        )
         self.interest, self.wants_all, self.wants_text = machine_alphabet(
             self.engine.machine
         )
-        if engine_class.machine_name == "dfa":
+        if self.engine.machine_name == "dfa":
             # The DFA tracks depth implicitly (one pushed state per open
             # element), which is only sound when it sees every element
             # event; filtered delivery would desynchronise it and force

@@ -10,11 +10,9 @@ every layer of the system:
 * :mod:`repro.obs.trace` — :class:`Tracer`, a lightweight span recorder
   (monotonic timestamps) dumpable as Chrome ``trace_event`` JSON for
   ``about:tracing`` / Perfetto.
-* :mod:`repro.obs.machines` — :class:`ObsPathM` / :class:`ObsBranchM` /
-  :class:`ObsTwigM`, the production engines with per-operation counters
-  (pushes, pops, edge checks, peak live stack entries — generalizing the
-  ablation-only counters that used to live in
-  :mod:`repro.core.instrument`).
+* :mod:`repro.obs.machines` — :class:`ObservedMachine`, one counting
+  mixin over the unmodified production engines (events, pushes, pops,
+  live/peak stack entries, emissions); :func:`observed_class` applies it.
 * :mod:`repro.obs.stats` — the ``python -m repro stats`` runner: one
   evaluation with every metric family populated, plus per-chunk
   parse → route+dispatch → emit trace spans.
@@ -24,7 +22,7 @@ construction, not by branching**: passing ``metrics=`` to
 :class:`~repro.core.processor.XPathStream`,
 :class:`~repro.multiq.engine.MultiQueryEngine`,
 :class:`~repro.stream.tokenizer.XmlTokenizer`, or
-:class:`~repro.perf.pipeline.PushPipeline` swaps in the instrumented
+:class:`~repro.perf.pipeline.PushPipeline` swaps in the observed
 machine subclasses; without it the plain classes run and the hot loops
 contain no metrics checks at all.  ``ci/obs_smoke.py`` gates that the
 disabled path stays within 5% of the recorded push-throughput baseline.
@@ -40,12 +38,7 @@ Example::
     print(registry.render_prometheus())
 """
 
-from repro.obs.machines import (
-    ObsBranchM,
-    ObsPathM,
-    ObsTwigM,
-    OperationCounts,
-)
+from repro.obs.machines import ObservedMachine, OperationCounts, observed_class
 from repro.obs.metrics import (
     NULL_REGISTRY,
     Counter,
@@ -63,9 +56,8 @@ __all__ = [
     "MetricsRegistry",
     "NullRegistry",
     "NULL_REGISTRY",
-    "ObsBranchM",
-    "ObsPathM",
-    "ObsTwigM",
+    "ObservedMachine",
     "OperationCounts",
     "Tracer",
+    "observed_class",
 ]

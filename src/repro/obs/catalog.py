@@ -30,9 +30,6 @@ METRIC_FAMILIES: dict[str, str] = {
     "repro_machine_events_total": "repro.obs.machines",
     "repro_machine_pushes_total": "repro.obs.machines",
     "repro_machine_pops_total": "repro.obs.machines",
-    "repro_machine_edge_checks_total": "repro.obs.machines",
-    "repro_machine_flag_sets_total": "repro.obs.machines",
-    "repro_machine_uploads_total": "repro.obs.machines",
     "repro_machine_emitted_total": "repro.obs.machines",
     "repro_machine_live_entries": "repro.obs.machines",
     "repro_machine_peak_entries": "repro.obs.machines",
@@ -79,8 +76,7 @@ METRIC_FAMILIES: dict[str, str] = {
     "repro_transform_output_events_total": "repro.transform.rewrite",
     "repro_transform_output_bytes_total": "repro.transform.rewrite",
     "repro_transform_rules_fired_total": "repro.transform.rewrite",
-    # -- compiled tiers --------------------------------------------------
-    "repro_compile_codegen_total": "repro.compile",
+    # -- lazy-DFA tier ----------------------------------------------------
     "repro_compile_fallbacks_total": "repro.compile",
     "repro_compile_hit_ratio": "repro.compile",
     "repro_compile_dfa_states": "repro.compile",

@@ -23,8 +23,9 @@ class PushPipeline:
     """One query, compiled once, evaluated push-mode per document.
 
     Parameters mirror :class:`~repro.core.processor.XPathStream`
-    (including ``compiled=``, which selects the :mod:`repro.compile`
-    tiers *and* lets eligible runs use the query-aware turbo scanner);
+    (including ``compiled=``, which puts predicate-free queries on the
+    :mod:`repro.compile` lazy DFA *and* lets eligible runs use the
+    query-aware turbo scanner);
     the extra ``chunk_size`` sets how much text each scanner call sees
     when the source is a file (bigger chunks amortise the regex scan's
     per-call overhead; the default matches the tokenizer's).

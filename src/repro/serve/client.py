@@ -380,9 +380,11 @@ class ServeClient:
         if seq > self.last_seq:
             self.last_seq = seq
         self._unracked += 1
-        if self._unracked >= self.rack_every:
+        if self._unracked >= self.rack_every and not writer.is_closing():
             self._unracked = 0
-            # RACKs ride the same socket; loss is fine (resent next time).
+            # RACKs ride the same socket and are lossy (the next one, or
+            # the next attempt's HELLO, carries the sequence again), so a
+            # transport the server already closed after DONE skips it.
             self._send(writer, encode_json(FrameType.RACK, {"seq": self.last_seq}))
 
     def _on_ack(self, offset: int) -> None:

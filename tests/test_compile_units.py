@@ -2,26 +2,25 @@
 
 Complements the differential corpus (``test_compile_equivalence.py``)
 with white-box checks: NFA/subset-construction algebra, lazy-DFA cache
-behaviour and counters, state-cap and misalignment fallbacks, codegen
-bookkeeping, turbo-scanner slow-path handling, and the
-``repro_compile_*`` metrics families.
+behaviour and counters, state-cap and misalignment fallbacks, engine
+selection under ``compiled=True``, turbo-scanner slow-path handling,
+and the ``repro_compile_*`` metrics families.
 """
 
 import pytest
 
 from repro.compile import (
     DEFAULT_STATE_CAP,
-    CompiledBranchM,
-    CompiledPathM,
-    CompiledTwigM,
     DfaPathM,
     LazyDfa,
     compile_publisher,
     subset_step,
     trunk_steps,
 )
+from repro.core.branchm import BranchM
 from repro.core.pathm import PathM
 from repro.core.processor import XPathStream
+from repro.core.twigm import TwigM
 from repro.errors import UnsupportedQueryError
 from repro.obs.metrics import MetricsRegistry
 from repro.xpath.querytree import compile_query
@@ -143,33 +142,6 @@ class TestDfaPathM:
         assert fresh.results == [2]
 
 
-# -- generated dispatch (codegen) --------------------------------------------
-
-
-class TestCodegen:
-    def test_compiled_classes_report_base_engine_names(self):
-        assert CompiledPathM.machine_name == "pathm"
-        assert CompiledBranchM.machine_name == "branchm"
-        assert CompiledTwigM.machine_name == "twigm"
-
-    def test_compiled_pathm_matches(self):
-        assert _drive(CompiledPathM("//a/b")).results == \
-            _drive(PathM("//a/b")).results
-
-    def test_tracker_rejected_on_compiled_twigm(self):
-        class Tracker:
-            pass
-
-        with pytest.raises(ValueError):
-            CompiledTwigM("//a[b]", tracker=Tracker())
-
-    def test_codegen_counter_published(self):
-        registry = MetricsRegistry()
-        CompiledPathM("//a/b", metrics=registry)
-        publisher = compile_publisher(registry)
-        assert publisher._codegen.get(engine="pathm") > 0
-
-
 # -- engine selection through XPathStream ------------------------------------
 
 
@@ -180,11 +152,20 @@ class TestSelection:
     def test_explicit_pathm_keeps_pathm_name(self):
         stream = XPathStream("//a/b", engine="pathm", compiled=True)
         assert stream.engine_name == "pathm"
-        assert type(stream.push_handler()).__name__ == "CompiledPathM"
+        assert type(stream.push_handler()) is PathM
 
-    def test_predicates_get_generated_twigm(self):
+    def test_predicates_run_interpreted_twigm(self):
         stream = XPathStream("//a[b]/c", compiled=True)
-        assert type(stream.push_handler()).__name__ == "CompiledTwigM"
+        assert type(stream.push_handler()) is TwigM
+        branch = XPathStream("/a[b]/c", compiled=True)
+        assert type(branch.push_handler()) is BranchM
+
+    def test_metrics_run_observed_engines_under_compiled(self):
+        stream = XPathStream("//a[b]/c", compiled=True,
+                             metrics=MetricsRegistry())
+        assert type(stream.engine).__name__ == "ObsTwigM"
+        assert stream.evaluate_push("<a><b/><c/></a>") == [3]
+        assert stream.engine.counts.emitted == 1
 
     def test_engine_dfa_implies_compiled(self):
         stream = XPathStream("//a/b", engine="dfa")

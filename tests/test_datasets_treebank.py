@@ -49,10 +49,10 @@ class TestTreebankCorpus:
     def test_multimatch_pressure(self):
         """A node under k nested S's participates in ~k //S//NN matches —
         the corpus really does generate heavy multi-match load."""
-        from repro.core.instrument import InstrumentedTwigM
+        from repro.bench.complexity import CountingTwigM
 
         events = list(treebank_events(60))
-        machine = InstrumentedTwigM("//S[NP]//VP//NN")
+        machine = CountingTwigM("//S[NP]//VP//NN")
         machine.feed(iter(events))
         assert machine.counts.peak_entries > 10
         assert machine.results

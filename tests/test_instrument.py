@@ -1,14 +1,14 @@
-"""Tests for the instrumented engine (repro.core.instrument) — the
+"""Tests for the counting TwigM (repro.bench.complexity) — the
 empirical side of Theorem 4.4 and the figure 1 space claim."""
 
-from repro.core.instrument import InstrumentedTwigM
+from repro.bench.complexity import CountingTwigM
 from repro.core.twigm import TwigM
 from repro.stream.tokenizer import parse_string
 from tests.conftest import chain_c1_id, chain_xml
 
 
 def run_counts(query, xml):
-    machine = InstrumentedTwigM(query)
+    machine = CountingTwigM(query)
     machine.feed(parse_string(xml))
     return machine
 

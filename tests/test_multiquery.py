@@ -1,17 +1,11 @@
-"""Tests for multi-query evaluation (repro.core.multiquery).
-
-The historical broadcast dispatcher is now a deprecated shim over
-:class:`repro.multiq.MultiQueryEngine`; these tests pin its public API
-and callback semantics through the veneer.
+"""Tests for multi-query evaluation: the basic public API and callback
+semantics of :class:`repro.multiq.MultiQueryEngine` (routing, sharing
+and live add/remove are covered by ``tests/test_multiq*.py``).
 """
 
-import pytest
-
-from repro.core.multiquery import MultiQueryStream
 from repro.core.processor import XPathStream
+from repro.multiq import MultiQueryEngine
 from repro.stream.tokenizer import parse_string
-
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 XML = (
@@ -28,34 +22,31 @@ QUERIES = {
 }
 
 
-def test_construction_warns_deprecated():
-    with pytest.warns(DeprecationWarning, match="MultiQueryEngine"):
-        MultiQueryStream({"t": "//title"})
-
-
 class TestEvaluation:
     def test_one_pass_matches_individual_runs(self):
-        combined = MultiQueryStream(QUERIES).evaluate(XML)
+        combined = MultiQueryEngine(QUERIES).evaluate(XML)
         for name, query in QUERIES.items():
             alone = XPathStream(query).evaluate(XML)
             assert sorted(combined[name]) == sorted(alone), name
 
     def test_engine_dispatch_per_query(self):
-        engines = MultiQueryStream(QUERIES).engine_names()
+        engines = MultiQueryEngine(QUERIES).engine_names()
         assert engines["titles"] == "pathm"
         assert engines["cheap"] == "twigm"
 
     def test_names(self):
-        assert MultiQueryStream(QUERIES).names == list(QUERIES)
+        assert MultiQueryEngine(QUERIES).names == list(QUERIES)
 
-    def test_empty_query_set_rejected(self):
-        with pytest.raises(ValueError):
-            MultiQueryStream({})
+    def test_empty_query_set_starts_idle(self):
+        # Queries may be added live, so an empty set is a valid start.
+        engine = MultiQueryEngine({})
+        assert engine.names == []
+        assert engine.evaluate(XML) == {}
 
 
 class TestIncremental:
     def test_feed_text_chunks(self):
-        feed = MultiQueryStream(QUERIES)
+        feed = MultiQueryEngine(QUERIES)
         for index in range(0, len(XML), 16):
             feed.feed_text(XML[index:index + 16])
         results = feed.close()
@@ -63,21 +54,21 @@ class TestIncremental:
 
     def test_callback_mode(self):
         seen = []
-        feed = MultiQueryStream(QUERIES, on_match=lambda name, i: seen.append((name, i)))
+        feed = MultiQueryEngine(QUERIES, on_match=lambda name, i: seen.append((name, i)))
         feed.feed_events(parse_string(XML))
         assert ("titles", 4) in seen
         assert ("cheap", 4) in seen
         assert ("recent", 4) in seen
-        assert feed.close() is None
+        assert feed.close() == {}
 
     def test_results_unavailable_in_callback_mode(self):
-        feed = MultiQueryStream(QUERIES, on_match=lambda n, i: None)
-        with pytest.raises(AttributeError):
-            feed.results()
+        # Callback queries deliver through their callbacks only.
+        feed = MultiQueryEngine(QUERIES, on_match=lambda n, i: None)
+        assert feed.results() == {}
         assert feed.evaluate(XML) == {}
 
     def test_reset(self):
-        feed = MultiQueryStream({"t": "//title"})
+        feed = MultiQueryEngine({"t": "//title"})
         feed.evaluate(XML)
         feed.reset()
         assert feed.evaluate("<catalog><title/></catalog>")["t"] == [2]

@@ -1,13 +1,10 @@
 """Property-based tests: multi-query and filtering ≡ individual runs."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
-
 from repro.core.filtering import FilterSet
-from repro.core.multiquery import MultiQueryStream
 from repro.core.processor import XPathStream
+from repro.multiq import MultiQueryEngine
 from repro.stream.tokenizer import parse_string
 from tests.test_equivalence_properties import xml_trees, xpath_queries
 
@@ -20,7 +17,7 @@ from tests.test_equivalence_properties import xml_trees, xpath_queries
 def test_multiquery_equals_individual_runs(xml, queries):
     named = {f"q{i}": query for i, query in enumerate(queries)}
     events = list(parse_string(xml))
-    combined = MultiQueryStream(named).evaluate(iter(events))
+    combined = MultiQueryEngine(named).evaluate(iter(events))
     for name, query in named.items():
         alone = XPathStream(query).evaluate(iter(events))
         assert sorted(combined[name]) == sorted(alone), (query, xml)

@@ -4,19 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.complexity import CountingTwigM, WorkCounts
 from repro.core.branchm import BranchM
-from repro.core.instrument import InstrumentedTwigM
 from repro.core.pathm import PathM
 from repro.core.processor import XPathStream
 from repro.core.results import CollectingSink
 from repro.core.twigm import TwigM
-from repro.obs.machines import (
-    OBS_ENGINES_BY_NAME,
-    ObsBranchM,
-    ObsPathM,
-    ObsTwigM,
-    OperationCounts,
-)
+from repro.obs.machines import OperationCounts, observed_class
 from repro.obs.metrics import MetricsRegistry
 from repro.stream.tokenizer import parse_string
 
@@ -29,7 +23,8 @@ CASES = [
      "<item><quantity>5</quantity><name>y</name></item></site>"),
 ]
 
-PAIRS = [(PathM, ObsPathM), (BranchM, ObsBranchM), (TwigM, ObsTwigM)]
+PAIRS = [(cls, observed_class(cls)) for cls in (PathM, BranchM, TwigM)]
+ObsTwigM = observed_class(TwigM)
 
 
 def feed(engine, xml):
@@ -69,8 +64,10 @@ def test_peak_entries_high_water():
 
 
 def test_total_work_is_sum_of_operations():
-    counts = OperationCounts(pushes=1, pops=2, edge_checks=3, flag_sets=4,
-                             uploads=5)
+    # The in-transition operations live on the counting TwigM of
+    # repro.bench.complexity, not on the observed engines.
+    counts = WorkCounts(pushes=1, pops=2, edge_checks=3, flag_sets=4,
+                        uploads=5)
     assert counts.total_work() == 15
 
 
@@ -84,8 +81,7 @@ def test_operation_counts_round_trip():
 def test_machine_name_shared_with_plain():
     for plain_class, obs_class in PAIRS:
         assert obs_class.machine_name == plain_class.machine_name
-    assert InstrumentedTwigM.machine_name == "twigm"
-    assert OBS_ENGINES_BY_NAME["twigm"] is ObsTwigM
+    assert observed_class(TwigM) is ObsTwigM
 
 
 def test_registry_publication():
@@ -142,7 +138,34 @@ def test_obs_snapshot_restores_onto_plain_engine():
 
 def test_instrumented_twigm_keeps_historical_constructor():
     sink = CollectingSink()
-    engine = InstrumentedTwigM("//a[b]", sink)
+    engine = CountingTwigM("//a[b]", sink)
     feed(engine, "<a><b/></a>")
     assert engine.counts.events == 4
     assert list(sink.results) == [1]
+
+
+def test_branchm_counts_slot_occupations():
+    engine = observed_class(BranchM)("/a[b]/c")
+    feed(engine, "<a><b/><c/><c/></a>")
+    # a, b and each c occupy a slot once; every occupation is released
+    assert engine.counts.pushes == engine.counts.pops == 4
+    assert engine.counts.peak_entries == 2
+    assert engine.live_entries == 0
+    assert engine.counts.emitted == 2
+
+
+def test_emissions_counted_through_callback_sink():
+    seen = []
+    stream = XPathStream("//a[b]", on_match=seen.append,
+                         metrics=MetricsRegistry())
+    stream.evaluate("<r><a><b/></a><a><b/></a></r>")
+    assert seen == [2, 4]
+    assert stream.engine.counts.emitted == 2
+
+
+def test_earliest_emission_runs_observed():
+    stream = XPathStream("//a[b]/c", emission="earliest",
+                         metrics=MetricsRegistry())
+    assert type(stream.engine).__name__ == "ObsTwigM"
+    assert stream.evaluate("<a><b/><c/><c/></a>") == [3, 4]
+    assert stream.engine.counts.emitted == 2

@@ -96,6 +96,16 @@ class TestPushStyle:
         stream.reset()
         assert stream.evaluate("<a><x/><b><c/></b></a>") == [3]
 
+    def test_reset_rearms_callback_sink(self):
+        seen = []
+        stream = XPathStream("//b[c]", on_match=seen.append)
+        doc = "<a><b><c/></b></a>"
+        for _ in range(2):
+            stream.feed_text(doc)
+            stream.close()
+            stream.reset()
+        assert seen == [2, 2]
+
     def test_close_without_feeding_is_safe(self):
         assert XPathStream("//a").close() == []
 

@@ -108,6 +108,33 @@ class TestHappyPath:
             assert client.result_ids("q") == expected
 
 
+    def test_rack_every_result_completes_in_one_attempt(self):
+        async def go():
+            server = await start_server()
+            client = ServeClient("127.0.0.1", server.port, {"q": QUERY},
+                                 rack_every=1, max_attempts=1)
+            await client.run(chunked(XML, 4096))
+            await server.stop()
+            return client
+
+        client = run(go())
+        assert client.attempts == 1
+        assert client.result_ids("q") == reference()
+
+    def test_rack_skipped_on_closing_transport(self):
+        class ClosingWriter:
+            def is_closing(self):
+                return True
+
+            def write(self, data):  # pragma: no cover - must not be called
+                raise AssertionError("wrote into a closing transport")
+
+        client = ServeClient("127.0.0.1", 1, {"q": QUERY}, rack_every=1)
+        client._on_result({"seq": 1, "query": "q", "id": 7}, ClosingWriter())
+        assert client.result_ids("q") == [7]
+        assert client.last_seq == 1
+
+
 class TestFaults:
     def test_corruption_resumes_byte_identical(self):
         rng = random.Random(11)
