@@ -1,13 +1,13 @@
 """CI smoke: the full pipeline under repair + tight resource limits.
 
 Runs seeded corruption campaigns through XPathStream with a
-deliberately tight ResourceLimits profile — through **both** text
-entrypoints:
+deliberately tight ResourceLimits profile — through **both** of:
 
-* the pull path (``feed_text``: tokenizer → event objects → machine);
-* the fused push path (``feed_text_push``: regex scanner → direct
-  machine dispatch, no event objects) — the path serving sessions and
-  the perf pipeline ride.
+* the reference path (``ReferenceTokenizer.feed``: the tokenizer with
+  its regex fast path off → event objects → ``feed_events``);
+* the fused path (``feed_text``: regex scanner → direct machine
+  dispatch, no event objects) — the path serving sessions and the perf
+  pipeline ride.
 
 Three outcomes are acceptable per seed: a clean result, a clean result
 after recovery (with diagnostics), or a ResourceLimitError.  Anything
@@ -22,6 +22,7 @@ from __future__ import annotations
 import sys
 
 from repro import ResourceLimits, XPathStream
+from repro.bench.hotpath import ReferenceTokenizer
 from repro.errors import ResourceLimitError
 from repro.stream.faults import FaultyChunks
 
@@ -53,16 +54,17 @@ _LIMITED = object()
 def _campaign(seed: int, push: bool, diagnostics: list):
     """One seeded corruption campaign; returns ids, _LIMITED, or raises."""
     wrapped = FaultyChunks(DOCUMENT, seed=seed, faults=1 + seed % 5)
-    stream = XPathStream(
-        QUERY,
-        policy="repair",
-        on_diagnostic=diagnostics.append,
-        limits=TIGHT,
-    )
-    feed = stream.feed_text_push if push else stream.feed_text
+    options = dict(policy="repair", on_diagnostic=diagnostics.append, limits=TIGHT)
+    stream = XPathStream(QUERY, **options)
     try:
-        for chunk in wrapped:
-            feed(chunk)
+        if push:
+            for chunk in wrapped:
+                stream.feed_text(chunk)
+        else:
+            tokenizer = ReferenceTokenizer(**options)
+            for chunk in wrapped:
+                stream.feed_events(tokenizer.feed(chunk))
+            stream.feed_events(tokenizer.close())
         return stream.close(), wrapped
     except ResourceLimitError:
         return _LIMITED, wrapped
@@ -75,7 +77,7 @@ def main(seeds: int) -> int:
     for seed in range(seeds):
         outcomes = {}
         for push in (False, True):
-            label = "push" if push else "pull"
+            label = "push" if push else "reference"
             diagnostics: list = []
             try:
                 ids, wrapped = _campaign(seed, push, diagnostics)
@@ -93,19 +95,19 @@ def main(seeds: int) -> int:
             assert all(isinstance(i, int) for i in ids), (seed, label)
             outcomes[label] = (ids, bool(diagnostics))
         # When neither path needed repair, they saw the same bytes and
-        # must agree exactly.  (Repairs may legitimately differ: the
-        # two tokenizer paths resynchronise at different granularity.)
+        # must agree exactly.  (Repair-path divergences are counted and
+        # reported, not failed.)
         if len(outcomes) == 2:
-            (pull_ids, pull_repaired) = outcomes["pull"]
+            (reference_ids, reference_repaired) = outcomes["reference"]
             (push_ids, push_repaired) = outcomes["push"]
-            if not pull_repaired and not push_repaired:
-                if pull_ids != push_ids:
+            if not reference_repaired and not push_repaired:
+                if reference_ids != push_ids:
                     print(
-                        f"FAIL seed={seed}: clean pull/push divergence "
-                        f"{pull_ids} != {push_ids}"
+                        f"FAIL seed={seed}: clean reference/push divergence "
+                        f"{reference_ids} != {push_ids}"
                     )
                     return 1
-            elif pull_ids != push_ids:
+            elif reference_ids != push_ids:
                 diverged += 1
     print(
         f"ok: {seeds} corruption campaigns x 2 paths "

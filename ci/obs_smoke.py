@@ -12,7 +12,8 @@ Gates the acceptance properties of the ``repro.obs`` layer:
    (best of ``REPEATS`` runs; the baseline is re-recorded by
    ``ci/perf_smoke.py`` on the same machine each commit).
 3. **Identical results either way** — enabling metrics must not change
-   any solution id, through pull, push, and multi-query dispatch.
+   any solution id, through text feeds, event feeds, and multi-query
+   dispatch.
 4. **Cumulative truth across checkpoints** — metrics carried through
    ``snapshot()``/``restore()`` must make a resumed stream's registry
    report exactly what an uninterrupted run reports.
@@ -38,7 +39,7 @@ import time
 from pathlib import Path
 
 from repro.bench.corpora import benchmark_corpus
-from repro.bench.hotpath import XMARK_QUERIES
+from repro.bench.hotpath import XMARK_QUERIES, reference_events
 from repro.core.processor import XPathStream
 from repro.multiq.engine import MultiQueryEngine
 from repro.obs.metrics import MetricsRegistry
@@ -106,11 +107,12 @@ def check_result_parity(corpus) -> list[str]:
     failures = []
     text = corpus.path.read_text(encoding="utf-8")
     for query, _why in XMARK_QUERIES:
-        plain_pull = XPathStream(query).evaluate(corpus.path)
-        plain_push = XPathStream(query).evaluate_push(corpus.path)
+        events = reference_events(corpus.path)
+        plain_pull = XPathStream(query).evaluate(events)
+        plain_push = XPathStream(query).evaluate(corpus.path)
         registry = MetricsRegistry()
-        obs_pull = XPathStream(query, metrics=registry).evaluate(corpus.path)
-        obs_push = XPathStream(query, metrics=registry).evaluate_push(corpus.path)
+        obs_pull = XPathStream(query, metrics=registry).evaluate(events)
+        obs_push = XPathStream(query, metrics=registry).evaluate(corpus.path)
         if not plain_pull == obs_pull == plain_push == obs_push:
             failures.append(f"metrics changed results for {query!r}")
     queries = {f"q{i}": q for i, (q, _why) in enumerate(XMARK_QUERIES)}

@@ -7,7 +7,8 @@ Three gates over one XMark recording, each a hard failure:
    byte boundary (and once more with a bit flip).  Reopening the store
    must recover to the last intact record, re-ingesting the remainder
    must converge, and a full replay must be byte-identical to live
-   evaluation of the whole document — for pull AND push references.
+   evaluation of the whole document — for both the reference
+   (``ReferenceTokenizer`` events) and the fused text path.
 
 2. **Checkpoint replay.**  Replay resumed from *every* embedded
    checkpoint must produce the same results as the cold replay and the
@@ -32,6 +33,7 @@ import sys
 import tempfile
 import time
 
+from repro.bench.hotpath import reference_events
 from repro.datasets.xmark import xmark_events
 from repro.multiq.engine import MultiQueryEngine
 from repro.store import EventLogReader, EventLogWriter, ReplayStats, ingest, replay
@@ -60,10 +62,9 @@ def fail(message: str) -> "int":
 
 
 def live_reference(text: str) -> "tuple[dict, dict]":
-    pull = MultiQueryEngine(dict(QUERIES))
-    pull.feed_text(text)
-    pull_results = pull.close()
-    push_results = MultiQueryEngine(dict(QUERIES)).evaluate_push(text)
+    """(reference-event results, fused text-path results)."""
+    pull_results = MultiQueryEngine(dict(QUERIES)).evaluate(reference_events(text))
+    push_results = MultiQueryEngine(dict(QUERIES)).evaluate(text)
     return pull_results, push_results
 
 
@@ -203,7 +204,7 @@ def main(scale: float) -> int:
     text = events_to_string(xmark_events(scale))
     pull_reference, push_reference = live_reference(text)
     if pull_reference != push_reference:
-        return fail("pull and push references disagree (pre-existing bug)")
+        return fail("reference and fused live evaluations disagree")
     reference = pull_reference
     bench: dict = {"scale": scale, "document_chars": len(text)}
 
@@ -243,7 +244,7 @@ def main(scale: float) -> int:
         bench["replay_events_per_s"] = round(result.events / replay_elapsed)
         print(
             f"replay gate ok: {result.events} events, cold replay matches "
-            f"live pull and push evaluation"
+            f"the reference and fused live evaluations"
         )
 
         code = checkpoint_gate(store, result.checkpoints, reference, bench)

@@ -2,10 +2,11 @@
 
 Four gates over one XMark document, each a hard failure:
 
-1. **Pull ≡ push fragments.**  Substream extraction of several queries
-   (immediate and predicate-gated) must produce byte-identical fragment
-   lists under the pull pipeline, the fused push pipeline, and a
-   chunked push feed.
+1. **Reference ≡ fused fragments.**  Substream extraction of several
+   queries (immediate and predicate-gated) must produce byte-identical
+   fragment lists from reference events (``ReferenceTokenizer``, the
+   scanner with its fast path off, into ``feed_events``), the fused
+   text path, and a chunked text feed.
 
 2. **Snapshot resume.**  An extractor snapshotted mid-document (inside
    a streaming fragment) and restored from the JSON round-trip must
@@ -37,6 +38,7 @@ import time
 from repro.datasets.xmark import xmark_events
 from repro.stream.tokenizer import XmlTokenizer
 from repro.stream.writer import events_to_string
+from repro.bench.hotpath import reference_events
 from repro.transform.combinators import tee
 from repro.transform.extract import SubstreamExtractor
 from repro.transform.rewrite import RewriteEngine, drop, rename
@@ -53,17 +55,17 @@ def fail(message: str) -> int:
 
 
 def fragment_gate(text: str, bench: dict) -> "int | None":
-    pull = SubstreamExtractor(dict(QUERIES)).evaluate(text)
+    reference = SubstreamExtractor(dict(QUERIES)).evaluate(reference_events(text))
     started = time.perf_counter()
-    push = SubstreamExtractor(dict(QUERIES)).evaluate_push(text)
+    push = SubstreamExtractor(dict(QUERIES)).evaluate(text)
     elapsed = time.perf_counter() - started
-    if pull != push:
-        return fail("pull and push fragment lists diverge")
+    if reference != push:
+        return fail("reference and fused fragment lists diverge")
     chunked = SubstreamExtractor(dict(QUERIES))
     for index in range(0, len(text), 4096):
         chunked.feed_text(text[index:index + 4096])
-    if chunked.close() != pull:
-        return fail("chunked push fragments diverge from one-shot pull")
+    if chunked.close() != reference:
+        return fail("chunked fragments diverge from the reference")
     total_bytes = sum(len(f.text) for f in push)
     bench["extract"] = {
         "fragments": len(push),
@@ -99,9 +101,8 @@ def idempotence_gate(text: str, bench: dict) -> "int | None":
     twice = RewriteEngine(rules()).evaluate_push(once)
     if twice != once:
         return fail("rewrite applied to its own output is not the identity")
-    pull = RewriteEngine(rules()).evaluate(text)
-    if pull != once:
-        return fail("pull and push rewrite outputs diverge")
+    if RewriteEngine(rules()).evaluate(reference_events(text)) != once:
+        return fail("reference and fused rewrite outputs diverge")
     bench["rewrite"] = {
         "input_chars": len(text),
         "output_chars": len(once),
@@ -144,7 +145,7 @@ def main(scale: float) -> int:
     extract = bench["extract"]
     print(
         f"fragment gate ok: {extract['fragments']} fragments byte-identical "
-        f"across pull, push, and chunked push"
+        f"across reference, fused, and chunked feeds"
     )
 
     code = snapshot_gate(text, bench)

@@ -19,9 +19,10 @@ with ``compiled=False``.
 
 :mod:`repro.compile.scan` adds the query-aware turbo scanner: when the
 active handlers provably ignore attributes and character data (the DFA
-front-end), the push tokenizer skips attribute parsing, text delivery
-and cursor bookkeeping on well-shaped markup — the last factor needed
-to reach ≥10× over the pull pipeline on predicate-free XMark queries.
+front-end), the tokenizer skips attribute parsing, text delivery and
+cursor bookkeeping on well-shaped markup — the last factor needed to
+reach ≥10× over the reference (``repro.bench.hotpath``) on
+predicate-free XMark queries.
 
 The NFA/subset-construction core lives in :mod:`repro.compile.nfa` and
 is shared with the figure-7/8 baseline (``repro.baselines.lazydfa``),

@@ -1,6 +1,6 @@
 """The query-aware turbo scanner: tag-only tokenization for path queries.
 
-The fused push path (:meth:`XmlTokenizer._scan_push`) already scans tags
+The tokenizer's scanner (:meth:`XmlTokenizer._scan_into`) already scans tags
 with compiled regexes, but it still pays — per event — for attribute
 parsing, text slicing and delivery, per-tag cursor accounting, and
 per-event limit checks.  A predicate-free path machine consumes *none*
@@ -16,7 +16,7 @@ bookkeeping is settled once per chunk instead of once per tag.
 Anything unusual — misc markup (the XML declaration, comments, CDATA,
 DOCTYPE), entity references in text, tags the fast pattern rejects,
 structural errors — drops to :func:`_slow_step`, which runs the *same*
-reference helpers the pull and push scanners use for exactly one
+slow-path helpers the tokenizer's own scanner uses for exactly one
 construct, then resumes the turbo loop.  Errors, diagnostics, node ids,
 depths, event counts, and snapshot state are therefore identical to the
 reference scanner's; only attribute dicts and text deliveries (which the
@@ -34,8 +34,6 @@ import re
 from sys import intern as _intern
 
 from repro.compile.dfa import DfaPathM
-from repro.errors import XmlSyntaxError
-from repro.stream.events import StartElement
 from repro.stream.recovery import RecoveryPolicy
 from repro.stream.tokenizer import (
     _FAST_NAME,
@@ -121,12 +119,7 @@ def turbo_feed(tokenizer: XmlTokenizer, chunk: str, handler) -> None:
     tokenizer and :meth:`~XmlTokenizer.snapshot` captures either.
     """
     t = tokenizer
-    if t._closed:
-        raise XmlSyntaxError(
-            "feed() after close()", t._cursor.line, t._cursor.column
-        )
-    t.bytes_fed += len(chunk)
-    t._pending.append(chunk)
+    t._accept(chunk)
     t._merge_pending()
     try:
         run_generic = True
@@ -392,7 +385,7 @@ def _turbo_scan_dfa(t: XmlTokenizer, dfa: DfaPathM) -> bool:
 def _slow_step(t: XmlTokenizer, handler) -> bool:
     """Handle one construct at ``t._pos`` with the reference helpers.
 
-    Mirrors one iteration of :meth:`XmlTokenizer._scan_push`'s slow
+    Mirrors one iteration of :meth:`XmlTokenizer._scan_into`'s slow
     branch — text staging, misc markup, full tag handling — and returns
     False when the buffer is exhausted or holds an incomplete construct
     (stop scanning until more input arrives).
@@ -416,12 +409,5 @@ def _slow_step(t: XmlTokenizer, handler) -> bool:
         return False
     tag_text = t._consume(gt + 1 - pos)
     t._flush_text_into(handler)
-    for event in t._handle_tag(tag_text):
-        t._note_event()
-        if event.__class__ is StartElement:
-            handler.start_element(
-                event.tag, event.level, event.node_id, event.attributes
-            )
-        else:
-            handler.end_element(event.tag, event.level)
+    t._handle_tag(tag_text, handler)
     return True

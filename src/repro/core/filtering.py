@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Mapping
 from repro.core.processor import XPathStream
 from repro.errors import UnsupportedQueryError
 from repro.stream.events import EndElement, Event, EventHandler, StartElement
-from repro.stream.tokenizer import XmlTokenizer, events_from, iter_text_chunks
+from repro.stream.tokenizer import XmlTokenizer, split_source
 from repro.xpath.querytree import DESCENDANT_EDGE, QueryTree, compile_query
 
 
@@ -231,11 +231,6 @@ class FilterSet:
             for machine in machines:
                 machine.engine.feed((event,))
 
-    def feed_text(self, chunk: str) -> None:
-        if self._tokenizer is None:
-            self._tokenizer = XmlTokenizer()
-        self.feed_events(self._tokenizer.feed(chunk))
-
     def as_handler(self) -> "_FilterHandler":
         """Push-pipeline adapter: one handler fanning out to the shared
         DFA and every dedicated machine.  Cached across calls."""
@@ -243,31 +238,35 @@ class FilterSet:
             self._handler = _FilterHandler(self)
         return self._handler
 
-    def feed_text_push(self, chunk: str) -> None:
-        """Fused-pipeline :meth:`feed_text`; may be mixed with it."""
+    def feed_text(self, chunk: str) -> None:
+        """Incrementally parse raw XML, driving :meth:`as_handler`."""
         if self._tokenizer is None:
             self._tokenizer = XmlTokenizer()
         self._tokenizer.feed_into(chunk, self.as_handler())
 
-    def evaluate_push(self, source) -> dict[str, list[int]]:
-        """One push-pipeline pass over a text-bearing ``source``."""
-        handler = self.as_handler()
-        tokenizer = XmlTokenizer()
-        for chunk in iter_text_chunks(source):
-            tokenizer.feed_into(chunk, handler)
-        tokenizer.close_into(handler)
-        return self.results()
+    #: Former name of :meth:`feed_text`, kept for callers that still use it.
+    feed_text_push = feed_text
 
     def close(self) -> dict[str, list[int]]:
         if self._tokenizer is not None:
-            self._tokenizer.close()
+            self._tokenizer.close_into(self.as_handler())
             self._tokenizer = None
         return self.results()
 
     def evaluate(self, source) -> dict[str, list[int]]:
         """One pass over ``source``; per-query solution ids."""
-        self.feed_events(events_from(source))
+        chunks, events = split_source(source)
+        if chunks is None:
+            self.feed_events(events)
+        else:
+            self._tokenizer = None
+            for chunk in chunks:
+                self.feed_text(chunk)
+            self.close()
         return self.results()
+
+    #: Former name of :meth:`evaluate`, kept for callers that still use it.
+    evaluate_push = evaluate
 
     def results(self) -> dict[str, list[int]]:
         return self._results

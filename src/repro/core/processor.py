@@ -47,7 +47,7 @@ from repro.core.twigm import TwigM
 from repro.errors import CheckpointError
 from repro.stream.events import Event
 from repro.stream.recovery import RecoveryPolicy, ResourceLimits, StreamDiagnostic
-from repro.stream.tokenizer import XmlTokenizer, events_from, iter_text_chunks
+from repro.stream.tokenizer import XmlTokenizer, split_source
 from repro.xpath.querytree import QueryTree, compile_query
 
 #: The engine classes by fragment, in dispatch order.
@@ -172,8 +172,8 @@ class XPathStream:
     compiled:
         Upgrade an automatically selected PathM (a predicate-free query)
         to the lazy-DFA front-end of :mod:`repro.compile`
-        (``engine_name`` ``"dfa"``), which the push pipeline drives with
-        the turbo scanner.  Every other engine — including an explicit
+        (``engine_name`` ``"dfa"``), whose text feeds run the turbo
+        scanner.  Every other engine — including an explicit
         ``engine="pathm"`` — is built exactly as with ``compiled=False``.
         Matches, order, errors, limits and snapshots are identical to
         the interpreted engines.
@@ -262,62 +262,24 @@ class XPathStream:
         """Evaluate the query over ``source``; return solution ids.
 
         ``source`` may be XML text, a path, a file object, chunk
-        iterables, or an event stream.
+        iterables, or an event stream.  Text is scanned straight into
+        the machine's transition callbacks (:meth:`feed_text`, then
+        :meth:`close`); pre-built events go through :meth:`feed_events`.
         """
-        self.engine.feed(
-            events_from(
-                source,
-                policy=self._policy,
-                on_diagnostic=self._on_diagnostic,
-                limits=self._limits,
-                metrics=self._metrics,
-            )
-        )
-        if isinstance(self._sink, CollectingSink):
-            return self._sink.results
-        return []
-
-    def evaluate_push(self, source) -> list[int]:
-        """Evaluate through the fused push pipeline; return solution ids.
-
-        Equivalent to :meth:`evaluate` — same matches, same order, same
-        errors, diagnostics and limit enforcement — but the tokenizer
-        drives the machine's transition callbacks directly
-        (:meth:`~repro.stream.tokenizer.XmlTokenizer.feed_into`), with no
-        event objects or generator hops on the hot path.  ``source`` may
-        be XML text, a path, a file object, or an iterable of text chunks
-        (pre-built event streams have no text to scan; use
-        :meth:`evaluate`).
-        """
-        handler = self.push_handler()
-        tokenizer = XmlTokenizer(
-            policy=self._policy,
-            on_diagnostic=self._on_diagnostic,
-            limits=self._limits,
-            metrics=self._metrics,
-        )
-        turbo = self._turbo_for(tokenizer, handler)
-        if turbo is not None:
-            for chunk in iter_text_chunks(source):
-                turbo(tokenizer, chunk, handler)
+        chunks, events = split_source(source)
+        if chunks is None:
+            self.feed_events(events)
         else:
-            for chunk in iter_text_chunks(source):
-                tokenizer.feed_into(chunk, handler)
-        tokenizer.close_into(handler)
+            self._tokenizer = None
+            for chunk in chunks:
+                self.feed_text(chunk)
+            self.close()
         if isinstance(self._sink, CollectingSink):
             return self._sink.results
         return []
 
-    def _turbo_for(self, tokenizer: XmlTokenizer, handler):
-        """:func:`repro.compile.scan.turbo_feed` when this (tokenizer,
-        handler) binding qualifies for the turbo scanner, else None."""
-        if not getattr(handler, "turbo_scan_safe", False):
-            return None
-        from repro.compile.scan import turbo_eligible, turbo_feed
-
-        if turbo_eligible(tokenizer, handler):
-            return turbo_feed
-        return None
+    #: Former name of the text path, kept for callers that still use it.
+    evaluate_push = evaluate
 
     # -- push-style ---------------------------------------------------------
 
@@ -337,22 +299,12 @@ class XPathStream:
         self.engine.feed(events)
 
     def feed_text(self, chunk: str) -> None:
-        """Push a chunk of raw XML text (incremental parsing)."""
-        if self._tokenizer is None:
-            self._tokenizer = XmlTokenizer(
-                policy=self._policy,
-                on_diagnostic=self._on_diagnostic,
-                limits=self._limits,
-                metrics=self._metrics,
-            )
-        self.engine.feed(self._tokenizer.feed(chunk))
+        """Push a chunk of raw XML text (incremental parsing).
 
-    def feed_text_push(self, chunk: str) -> None:
-        """Push-pipeline :meth:`feed_text`: fused scan → callbacks.
-
-        Shares the incremental tokenizer with :meth:`feed_text` (the two
-        may be mixed chunk-by-chunk) and is captured by :meth:`snapshot`
-        mid-document exactly the same way.
+        The tokenizer drives the machine's transition callbacks directly
+        (:meth:`~repro.stream.tokenizer.XmlTokenizer.feed_into`), through
+        the query-aware turbo scanner when the machine qualifies.  A
+        :meth:`snapshot` between chunks captures the mid-parse tokenizer.
         """
         if self._tokenizer is None:
             self._tokenizer = XmlTokenizer(
@@ -361,18 +313,25 @@ class XPathStream:
                 limits=self._limits,
                 metrics=self._metrics,
             )
+        handler = self.push_handler()
         if self._turbo is None:
             # Eligibility depends only on construction-time configuration
             # (policy/limits/metrics) and the handler, so the tri-state
             # cache (None = unknown, False = ineligible, else the feed
             # function) survives tokenizer recreation.
-            self._turbo = (
-                self._turbo_for(self._tokenizer, self.push_handler()) or False
-            )
+            self._turbo = False
+            if getattr(handler, "turbo_scan_safe", False):
+                from repro.compile.scan import turbo_eligible, turbo_feed
+
+                if turbo_eligible(self._tokenizer, handler):
+                    self._turbo = turbo_feed
         if self._turbo:
-            self._turbo(self._tokenizer, chunk, self.push_handler())
+            self._turbo(self._tokenizer, chunk, handler)
         else:
-            self._tokenizer.feed_into(chunk, self.push_handler())
+            self._tokenizer.feed_into(chunk, handler)
+
+    #: Former name of :meth:`feed_text`, kept for callers that still use it.
+    feed_text_push = feed_text
 
     def close(self) -> list[int]:
         """Finish an incremental text feed; return collected ids (if any).
@@ -382,9 +341,7 @@ class XPathStream:
         match pending only on missing end tags is still confirmed.
         """
         if self._tokenizer is not None:
-            final_events = self._tokenizer.close()
-            if final_events:
-                self.engine.feed(final_events)
+            self._tokenizer.close_into(self.push_handler())
             self._tokenizer = None
         if isinstance(self._sink, CollectingSink):
             return self._sink.results
@@ -477,10 +434,5 @@ def evaluate(query: "str | QueryTree", source) -> list[int]:
     return XPathStream(query).evaluate(source)
 
 
-def evaluate_push(query: "str | QueryTree", source) -> list[int]:
-    """One-shot convenience over the fused push pipeline.
-
-    Same results as :func:`evaluate`; ``source`` must be text-bearing
-    (XML text, a path, a file object, or text chunks).
-    """
-    return XPathStream(query).evaluate_push(source)
+#: Former name of :func:`evaluate`, kept for callers that still use it.
+evaluate_push = evaluate

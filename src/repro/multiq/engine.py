@@ -45,9 +45,9 @@ from repro.errors import CheckpointError
 from repro.multiq.canon import canonical_text
 from repro.multiq.registry import EvalUnit, QueryRegistry, Registration
 from repro.multiq.router import AlphabetRouter
-from repro.stream.events import Characters, EndElement, Event, EventHandler, StartElement
+from repro.stream.events import EndElement, Event, EventHandler, StartElement
 from repro.stream.recovery import RecoveryPolicy, ResourceLimits, StreamDiagnostic
-from repro.stream.tokenizer import XmlTokenizer, events_from, iter_text_chunks
+from repro.stream.tokenizer import XmlTokenizer, split_source
 from repro.xpath.querytree import QueryTree
 
 #: Version of the dispatcher snapshot schema.
@@ -127,9 +127,9 @@ class MultiQueryEngine:
         because the DFA's depth tracking needs every element event);
         every other unit is built exactly as with ``compiled=False``.
         Results are bit-for-bit identical to the interpreted engines.  When
-        every registered unit is turbo-safe, the push path
-        (:meth:`feed_text_push` / :meth:`evaluate_push`) additionally
-        engages the query-aware turbo scanner
+        every registered unit is turbo-safe, text feeds
+        (:meth:`feed_text` / :meth:`evaluate`) additionally
+        engage the query-aware turbo scanner
         (:mod:`repro.compile.scan`); eligibility is re-checked per
         chunk, keyed on the router's version counter.
     """
@@ -452,17 +452,6 @@ class MultiQueryEngine:
                     unit.virgin = False
                     self._virgin_units.discard(unit)
 
-    def feed_text(self, chunk: str) -> None:
-        """Incrementally parse raw XML once and dispatch its events."""
-        if self._tokenizer is None:
-            self._tokenizer = XmlTokenizer(
-                policy=self._policy,
-                on_diagnostic=self._on_diagnostic,
-                limits=self._limits,
-                metrics=self._metrics,
-            )
-        self.feed_events(self._tokenizer.feed(chunk))
-
     def as_handler(self) -> "_MultiQueryHandler":
         """Push-pipeline adapter: router dispatch as direct callbacks.
 
@@ -474,23 +463,15 @@ class MultiQueryEngine:
             self._handler = _MultiQueryHandler(self)
         return self._handler
 
-    def _feed_chunk(self, tokenizer: XmlTokenizer, chunk: str, handler) -> None:
-        """Feed one chunk, through the turbo scanner when eligible.
+    def feed_text(self, chunk: str) -> None:
+        """Incrementally parse raw XML once and dispatch its events.
 
-        Eligibility is re-checked per chunk: the handler's
+        The shared tokenizer drives the router's callbacks directly
+        (:meth:`as_handler`), through the turbo scanner when every unit
+        qualifies.  Eligibility is re-checked per chunk: the handler's
         ``turbo_scan_safe`` is a router-version-keyed cache, so live
         query adds/removes switch the path at the next chunk boundary.
         """
-        if handler.turbo_scan_safe:
-            from repro.compile.scan import turbo_eligible, turbo_feed
-
-            if turbo_eligible(tokenizer, handler):
-                turbo_feed(tokenizer, chunk, handler)
-                return
-        tokenizer.feed_into(chunk, handler)
-
-    def feed_text_push(self, chunk: str) -> None:
-        """Fused-pipeline :meth:`feed_text`; shares the tokenizer with it."""
         if self._tokenizer is None:
             self._tokenizer = XmlTokenizer(
                 policy=self._policy,
@@ -498,25 +479,17 @@ class MultiQueryEngine:
                 limits=self._limits,
                 metrics=self._metrics,
             )
-        self._feed_chunk(self._tokenizer, chunk, self.as_handler())
-
-    def evaluate_push(self, source) -> dict[str, list[int]]:
-        """One-shot :meth:`evaluate` over the fused push pipeline.
-
-        ``source`` must be text-bearing (XML text, a path, a file object,
-        or text chunks); results are identical to :meth:`evaluate`.
-        """
         handler = self.as_handler()
-        tokenizer = XmlTokenizer(
-            policy=self._policy,
-            on_diagnostic=self._on_diagnostic,
-            limits=self._limits,
-            metrics=self._metrics,
-        )
-        for chunk in iter_text_chunks(source):
-            self._feed_chunk(tokenizer, chunk, handler)
-        tokenizer.close_into(handler)
-        return self.results()
+        if handler.turbo_scan_safe:
+            from repro.compile.scan import turbo_eligible, turbo_feed
+
+            if turbo_eligible(self._tokenizer, handler):
+                turbo_feed(self._tokenizer, chunk, handler)
+                return
+        self._tokenizer.feed_into(chunk, handler)
+
+    #: Former name of :meth:`feed_text`, kept for callers that still use it.
+    feed_text_push = feed_text
 
     def close(self) -> dict[str, list[int]]:
         """Finish an incremental feed; return collected results.
@@ -525,24 +498,28 @@ class MultiQueryEngine:
         for a truncated document here; they are dispatched normally.
         """
         if self._tokenizer is not None:
-            final_events = self._tokenizer.close()
-            if final_events:
-                self.feed_events(final_events)
+            self._tokenizer.close_into(self.as_handler())
             self._tokenizer = None
         return self.results()
 
     def evaluate(self, source) -> dict[str, list[int]]:
-        """One-shot: every query over ``source`` in one pass."""
-        self.feed_events(
-            events_from(
-                source,
-                policy=self._policy,
-                on_diagnostic=self._on_diagnostic,
-                limits=self._limits,
-                metrics=self._metrics,
-            )
-        )
+        """One-shot: every query over ``source`` in one pass.
+
+        Text sources run through :meth:`feed_text` and :meth:`close`;
+        pre-built event streams through :meth:`feed_events`.
+        """
+        chunks, events = split_source(source)
+        if chunks is None:
+            self.feed_events(events)
+        else:
+            self._tokenizer = None
+            for chunk in chunks:
+                self.feed_text(chunk)
+            self.close()
         return self.results()
+
+    #: Former name of :meth:`evaluate`, kept for callers that still use it.
+    evaluate_push = evaluate
 
     # -- results --------------------------------------------------------
 

@@ -5,7 +5,7 @@ for workloads that evaluate the same query over many documents (the
 benchmark harness, long-running feed consumers): the query is compiled
 and the machine's per-tag dispatch plans are built once, then each
 :meth:`PushPipeline.run` resets the machine and streams one document
-through :meth:`~repro.stream.tokenizer.XmlTokenizer.feed_into`.
+through :meth:`PushPipeline.feed` and :meth:`PushPipeline.finish`.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Callable
 
 from repro.core.processor import XPathStream
 from repro.stream.recovery import RecoveryPolicy, ResourceLimits, StreamDiagnostic
-from repro.stream.tokenizer import DEFAULT_CHUNK_SIZE, XmlTokenizer, iter_text_chunks
+from repro.stream.tokenizer import DEFAULT_CHUNK_SIZE, iter_text_chunks
 from repro.xpath.querytree import QueryTree
 
 
@@ -36,8 +36,9 @@ class PushPipeline:
     (``repro_push_chunks_total``) and a throughput gauge
     (``repro_push_mb_per_s``, MB of text per wall second over the last
     :meth:`run`), and/or ``tracer=`` (a :class:`~repro.obs.trace.Tracer`)
-    to record one span per chunk.  When both are ``None`` :meth:`run`
-    executes the original untimed loop — the fast path pays nothing.
+    to record one span per chunk.  When both are ``None`` :meth:`feed`
+    is a plain :meth:`XPathStream.feed_text` — the fast path pays
+    nothing.
 
     Example::
 
@@ -74,15 +75,16 @@ class PushPipeline:
             state_cap=state_cap,
             emission=emission,
         )
-        self._policy = RecoveryPolicy.coerce(policy)
-        self._on_diagnostic = on_diagnostic
-        self._limits = limits
         self.chunk_size = chunk_size
         self._bind_observability(metrics, tracer)
 
     def _bind_observability(self, metrics, tracer) -> None:
         self._metrics = metrics
         self._tracer = tracer
+        # Characters fed and seconds spent in observed feeds since the
+        # last run started: the repro_push_mb_per_s numerator/denominator.
+        self._chars = 0
+        self._busy = 0.0
         if metrics is not None:
             self._m_chunk_seconds = metrics.histogram(
                 "repro_push_chunk_seconds",
@@ -111,30 +113,15 @@ class PushPipeline:
         chunks); pre-built event streams have no text to scan — use
         :meth:`XPathStream.evaluate` for those.
         """
-        stream = self.stream
-        stream.reset()
-        handler = stream.push_handler()
-        tokenizer = XmlTokenizer(
-            policy=self._policy,
-            on_diagnostic=self._on_diagnostic,
-            limits=self._limits,
-            metrics=self._metrics,
-        )
-        if self._metrics is None and self._tracer is None:
-            turbo = stream._turbo_for(tokenizer, handler)
-            if turbo is not None:
-                for chunk in iter_text_chunks(source, self.chunk_size):
-                    turbo(tokenizer, chunk, handler)
-            else:
-                for chunk in iter_text_chunks(source, self.chunk_size):
-                    tokenizer.feed_into(chunk, handler)
-            tokenizer.close_into(handler)
-        else:
-            self._run_observed(source, tokenizer, handler)
-        try:
-            return list(stream.results)
-        except AttributeError:  # on_match mode: delivered incrementally
-            return []
+        self.stream.reset()
+        self._chars, self._busy = 0, 0.0
+        for chunk in iter_text_chunks(source, self.chunk_size):
+            self.feed(chunk)
+        ids = list(self.finish())
+        if self._metrics is not None:
+            self._m_mb_per_s.set(self._chars / self._busy / 1e6 if self._busy else 0.0)
+            self._metrics.tick()
+        return ids
 
     # -- incremental (serving) API --------------------------------------
 
@@ -148,22 +135,25 @@ class PushPipeline:
         :meth:`run` mid-document (``run`` resets the machine).
         """
         if self._metrics is None and self._tracer is None:
-            self.stream.feed_text_push(chunk)
+            self.stream.feed_text(chunk)
             return
         if self._tracer is not None:
             self._tracer.begin("push_chunk", size=len(chunk))
         started = time.perf_counter()
-        self.stream.feed_text_push(chunk)
+        self.stream.feed_text(chunk)
         elapsed = time.perf_counter() - started
         if self._tracer is not None:
             self._tracer.end()
+        self._chars += len(chunk)
+        self._busy += elapsed
         if self._metrics is not None:
             self._m_chunk_seconds.observe(elapsed)
             self._m_chunks.inc()
             self._metrics.tick()
 
     def finish(self) -> list[int]:
-        """Close an incremental feed; return the collected solution ids."""
+        """Close an incremental feed; return the collected solution ids
+        (empty in ``on_match`` mode, which delivers incrementally)."""
         return self.stream.close()
 
     def snapshot(self) -> dict:
@@ -192,35 +182,6 @@ class PushPipeline:
         )
         pipeline = cls.__new__(cls)
         pipeline.stream = stream
-        pipeline._policy = stream._policy
-        pipeline._on_diagnostic = on_diagnostic
-        pipeline._limits = stream._limits
         pipeline.chunk_size = chunk_size
         pipeline._bind_observability(metrics, tracer)
         return pipeline
-
-    def _run_observed(self, source, tokenizer, handler) -> None:
-        """Timed variant of the chunk loop; only used when observing."""
-        metrics, tracer = self._metrics, self._tracer
-        chars = 0
-        busy = 0.0
-        index = 0
-        for chunk in iter_text_chunks(source, self.chunk_size):
-            if tracer is not None:
-                tracer.begin("push_chunk", index=index, size=len(chunk))
-            started = time.perf_counter()
-            tokenizer.feed_into(chunk, handler)
-            elapsed = time.perf_counter() - started
-            if tracer is not None:
-                tracer.end()
-            chars += len(chunk)
-            busy += elapsed
-            index += 1
-            if metrics is not None:
-                self._m_chunk_seconds.observe(elapsed)
-                self._m_chunks.inc()
-                metrics.tick()
-        tokenizer.close_into(handler)
-        if metrics is not None:
-            self._m_mb_per_s.set(chars / busy / 1e6 if busy else 0.0)
-            metrics.tick()

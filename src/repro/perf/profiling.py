@@ -1,11 +1,11 @@
-"""Deterministic profiling of either pipeline: ``python -m repro profile``.
+"""Deterministic profiling of one evaluation: ``python -m repro profile``.
 
 Wraps :mod:`cProfile` around one evaluation of one query over one
 document and renders the :mod:`pstats` hot-spot table, so a performance
 regression can be localised without leaving the repository tooling::
 
     python -m repro profile '//item/name' auction.xml
-    python -m repro profile --pipeline pull --top 40 '//a//b' deep.xml
+    python -m repro profile --top 40 --sort tottime '//a//b' deep.xml
 
 The same run is available programmatically as :func:`profile_pipeline`,
 which returns the rendered table alongside the solution ids (so callers
@@ -29,25 +29,17 @@ SORT_KEYS = ("cumulative", "tottime", "calls")
 def profile_pipeline(
     query: str,
     source,
-    pipeline: str = "push",
     *,
     engine: str | None = None,
     top: int = 25,
     sort: str = "cumulative",
 ) -> tuple[str, list[int]]:
-    """Profile one evaluation; return ``(stats_table, solution_ids)``.
-
-    ``pipeline`` selects the fused push pipeline (``"push"``, the
-    default) or the event-object reference pipeline (``"pull"``).
-    """
-    if pipeline not in ("push", "pull"):
-        raise ValueError(f"pipeline must be 'push' or 'pull', not {pipeline!r}")
+    """Profile one evaluation; return ``(stats_table, solution_ids)``."""
     if sort not in SORT_KEYS:
         raise ValueError(f"sort must be one of {SORT_KEYS}, not {sort!r}")
     stream = XPathStream(query, engine=engine)
-    evaluate = stream.evaluate_push if pipeline == "push" else stream.evaluate
     profiler = cProfile.Profile()
-    ids = profiler.runcall(evaluate, source)
+    ids = profiler.runcall(stream.evaluate, source)
     rendered = io.StringIO()
     stats = pstats.Stats(profiler, stream=rendered)
     stats.sort_stats(sort).print_stats(top)
@@ -57,7 +49,7 @@ def profile_pipeline(
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro profile",
-        description="cProfile one query evaluation (push or pull pipeline).",
+        description="cProfile one query evaluation.",
     )
     parser.add_argument("query", help="the XPath query")
     parser.add_argument(
@@ -65,12 +57,6 @@ def main(argv: "list[str] | None" = None) -> int:
         nargs="?",
         default="-",
         help="XML file path, or '-' for stdin (the default)",
-    )
-    parser.add_argument(
-        "--pipeline",
-        choices=("push", "pull"),
-        default="push",
-        help="which pipeline to profile (default: push)",
     )
     parser.add_argument(
         "--engine",
@@ -91,13 +77,12 @@ def main(argv: "list[str] | None" = None) -> int:
     table, ids = profile_pipeline(
         args.query,
         source,
-        args.pipeline,
         engine=engine,
         top=args.top,
         sort=args.sort,
     )
     print(table, end="")
-    print(f"{len(ids)} solutions via the {args.pipeline} pipeline")
+    print(f"{len(ids)} solutions")
     return 0
 
 

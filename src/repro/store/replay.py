@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.stream.recovery import RecoveryPolicy, ResourceLimits
-from repro.stream.tokenizer import XmlTokenizer, events_from, iter_text_chunks
+from repro.stream.tokenizer import XmlTokenizer, iter_text_chunks
 from repro.store.index import interest_for
 from repro.store.log import (
     DEFAULT_SEGMENT_EVENTS,
@@ -97,7 +97,6 @@ def ingest(
     policy: "str | RecoveryPolicy" = RecoveryPolicy.STRICT,
     limits: ResourceLimits | None = None,
     metrics=None,
-    push: bool = True,
 ) -> IngestResult:
     """Record ``source`` into the store at ``path``, evaluating as it goes.
 
@@ -109,9 +108,7 @@ def ingest(
     :class:`~repro.core.processor.XPathStream`); with neither, the log
     records events and engine-less checkpoints (replay then always
     evaluates cold).  ``limits``/``policy`` guard the *text parse*,
-    exactly as in live evaluation.  ``push=False`` drives the pull
-    pipeline instead of the fused scanner — results are identical; the
-    knob exists for differential testing.
+    exactly as in live evaluation.
 
     A final checkpoint is always written before close, so every store
     ends with a resumable position.
@@ -142,22 +139,15 @@ def ingest(
         writer.attach(engine)
     try:
         tokenizer = XmlTokenizer(policy=policy, limits=limits, metrics=metrics)
-        if push:
-            if engine is None:
-                handler = writer
-            elif isinstance(engine, MultiQueryEngine):
-                handler = _Tee(engine.as_handler(), writer)
-            else:
-                handler = _Tee(engine.push_handler(), writer)
-            for chunk in iter_text_chunks(source):
-                tokenizer.feed_into(chunk, handler)
-            tokenizer.close_into(handler)
+        if engine is None:
+            handler = writer
+        elif isinstance(engine, MultiQueryEngine):
+            handler = _Tee(engine.as_handler(), writer)
         else:
-            for event in events_from(source, policy=policy, limits=limits,
-                                     metrics=metrics):
-                if engine is not None:
-                    engine.feed_events((event,))
-                writer.append(event)
+            handler = _Tee(engine.push_handler(), writer)
+        for chunk in iter_text_chunks(source):
+            tokenizer.feed_into(chunk, handler)
+        tokenizer.close_into(handler)
         record_checkpoint()
     finally:
         writer.close()

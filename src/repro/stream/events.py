@@ -139,9 +139,11 @@ def events_to_handler(events: EventStream, handler) -> None:
 class EventCollector(EventHandler):
     """Rebuild :data:`Event` objects from push callbacks.
 
-    The inverse of :func:`events_to_handler`; differential tests use it
-    to check that the push scanner emits byte-identical streams to the
-    pull scanner.
+    The inverse of :func:`events_to_handler`: the tokenizer's pull view
+    (:meth:`~repro.stream.tokenizer.XmlTokenizer.feed`) collects each
+    batch with one, and differential tests use it to check that the
+    fast-path scanner emits byte-identical streams to the reference
+    tokenizer.
     """
 
     def __init__(self) -> None:

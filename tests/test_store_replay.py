@@ -1,7 +1,7 @@
 """Replay equivalence: recorded history must evaluate byte-identically.
 
-Mirrors ``tests/test_push_equivalence.py``: live evaluation (pull and
-push pipelines) is the reference; :func:`repro.store.replay.replay` over
+Mirrors ``tests/test_push_equivalence.py``: live evaluation is the
+reference; :func:`repro.store.replay.replay` over
 the recorded log — cold, from every embedded checkpoint, with and
 without index skipping — is the subject.  The corpus is 100+ seeded
 random documents plus XMark and the paper's recursive chain, ingested
@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from repro.bench.hotpath import reference_events
 from repro.core.processor import XPathStream
 from repro.datasets.xmark import xmark_events
 from repro.multiq.engine import MultiQueryEngine
@@ -43,13 +44,12 @@ QUERY_SET = {
 
 
 def live_pull(queries: dict, text: str) -> dict:
-    engine = MultiQueryEngine(queries)
-    engine.feed_text(text)
-    return engine.close()
+    """Reference: ReferenceTokenizer events through ``feed_events``."""
+    return MultiQueryEngine(queries).evaluate(reference_events(text))
 
 
 def live_push(queries: dict, text: str) -> dict:
-    return MultiQueryEngine(queries).evaluate_push(text)
+    return MultiQueryEngine(queries).evaluate(text)
 
 
 def ingest_seeded(tmp_path, text: str, seed: int, queries=QUERY_SET):
@@ -125,16 +125,17 @@ class TestReplayEquivalence:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_pull_mode_ingest_equivalent(self, tmp_path, seed):
+        """Ingest (one scanner, fused) ≡ the pull-mode reference: events
+        from ``ReferenceTokenizer``'s pull view, fed to ``feed_events``."""
         text = random_document(seed + 500)
-        result_push = ingest(text, str(tmp_path / "p1"), queries=dict(QUERY_SET),
-                             segment_events=32, sync="none", push=True)
-        result_pull = ingest(text, str(tmp_path / "p2"), queries=dict(QUERY_SET),
-                             segment_events=32, sync="none", push=False)
-        assert result_pull.results == result_push.results
-        assert result_pull.events == result_push.events
-        reader_a = EventLogReader(str(tmp_path / "p1"))
-        reader_b = EventLogReader(str(tmp_path / "p2"))
-        assert list(reader_a.events()) == list(reader_b.events())
+        result = ingest(text, str(tmp_path / "p"), queries=dict(QUERY_SET),
+                        segment_events=32, sync="none")
+        expected = reference_events(text)
+        engine = MultiQueryEngine(dict(QUERY_SET))
+        engine.feed_events(expected)
+        assert result.results == engine.results()
+        assert result.events == len(expected)
+        assert list(EventLogReader(str(tmp_path / "p")).events()) == expected
 
 
 class TestIndexSkipping:

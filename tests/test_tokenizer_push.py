@@ -9,13 +9,18 @@ exactly.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from repro import XPathStream
 from repro.core.branchm import BranchM
 from repro.core.twigm import TwigM
-from repro.stream.events import Characters, CountingHandler, EventCollector
+from repro.errors import ResourceLimitError, XmlSyntaxError
+from repro.stream.events import Characters, CountingHandler, EventCollector, StartElement
+from repro.stream.recovery import ResourceLimits
 from repro.stream.tokenizer import (
+    DEFAULT_CHUNK_SIZE,
     XmlTokenizer,
     iter_text_chunks,
     parse_string,
@@ -85,6 +90,65 @@ class TestBufferGrowth:
             assert len(tokenizer._buffer) <= 512
         tokenizer.close_into(handler)
         assert handler.total == expected
+
+
+class TestPullView:
+    """``feed()`` is a view over the one scanner: batched, lazy, exact."""
+
+    def test_parse_string_memory_is_batched(self):
+        """Draining a ~2M-character document holds one batch of event
+        objects at a time, not the whole document's."""
+        text = big_document(29_000)
+        assert len(text) > 1_900_000
+        tracemalloc.start()
+        try:
+            count = 0
+            for _event in parse_string(text):
+                count += 1
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count > 200_000
+        assert peak < 2 * 1024 * 1024, f"peak {peak / 1e6:.2f} MB"
+
+    def test_batches_are_yielded_before_the_chunk_is_scanned(self):
+        text = big_document(29_000)
+        tokenizer = XmlTokenizer()
+        events = tokenizer.feed(text)
+        next(events)
+        assert tokenizer._pos <= 2 * DEFAULT_CHUNK_SIZE
+        assert len(list(events)) + 1 == len(list(parse_string(text)))
+
+    def test_buffered_input_limit_checked_once_per_feed(self):
+        text = "<a><![CDATA[" + "x" * 150_000 + "]]></a>"
+        limits = ResourceLimits(max_buffered_input=100_000)
+        tokenizer = XmlTokenizer(limits=limits)
+        events = list(tokenizer.feed(text)) + tokenizer.close()
+        assert events[1] == Characters("x" * 150_000, 1)
+        pushed = EventCollector()
+        tokenizer = XmlTokenizer(limits=limits)
+        tokenizer.feed_into(text, pushed)
+        tokenizer.close_into(pushed)
+        assert pushed.events == events
+        tokenizer = XmlTokenizer(limits=limits)
+        with pytest.raises(ResourceLimitError, match="max_buffered_input"):
+            for offset in range(0, len(text), 64 * 1024):
+                list(tokenizer.feed(text[offset:offset + 64 * 1024]))
+
+    def test_mid_chunk_error_follows_preceding_events(self):
+        """An error in the second batch is raised only after every event
+        before it has been yielded, at the same position as always."""
+        body = "".join(f"<item n='{i}'>v{i}</item>\n" for i in range(4000))
+        text = "<root>\n" + body + "<bad></oops><item>after</item></root>"
+        assert len(text) > DEFAULT_CHUNK_SIZE
+        events = []
+        with pytest.raises(XmlSyntaxError) as error:
+            for event in XmlTokenizer().feed(text):
+                events.append(event)
+        assert (error.value.line, error.value.column) == (4002, 13)
+        assert "</oops> does not match open <bad>" in str(error.value)
+        assert len(events) == 12_002
+        assert events[-1] == StartElement("bad", 2, 4002, {})
 
 
 class TestCharactersFastSkip:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.bench.hotpath import reference_events
 from repro.errors import CheckpointError, TransformError
 from repro.stream.events import EventCollector
 from repro.transform.rewrite import (
@@ -174,11 +175,11 @@ class TestPullPushIdentity:
     ])
     def test_byte_identical(self, rules):
         specs = [rule.spec() for rule in rules]
-        pull = RewriteEngine(
-            [RewriteRule.from_spec(s) for s in specs]).evaluate(DOC)
+        reference = RewriteEngine(
+            [RewriteRule.from_spec(s) for s in specs]).evaluate(reference_events(DOC))
         push = RewriteEngine(
-            [RewriteRule.from_spec(s) for s in specs]).evaluate_push(DOC)
-        assert pull == push
+            [RewriteRule.from_spec(s) for s in specs]).evaluate(DOC)
+        assert push == reference
 
 
 class TestOutputHandler:
