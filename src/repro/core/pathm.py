@@ -118,6 +118,18 @@ class PathM:
         """The level stack of a machine node (read-only use)."""
         return self._stacks[id(node)]
 
+    @property
+    def root_stack(self) -> list[int]:
+        """The machine root's live level stack (read-only use).
+
+        Entries nest — a node's stack is non-empty only while its
+        parent's is — so an empty root stack means every stack is empty
+        and only a start tag of the root's label can change state.  The
+        list is the live one (reset/restore refill it in place), which
+        is what lets the multi-query router gate delivery on it.
+        """
+        return self._stacks[id(self.machine.root)]
+
     def reset(self) -> None:
         """Clear runtime state for a fresh run."""
         for stack in self._stacks.values():

@@ -280,6 +280,30 @@ class TwigM:
         """The runtime stack of a machine node (read-only use)."""
         return self._stacks[id(node)]
 
+    @property
+    def root_stack(self) -> list[StackEntry]:
+        """The machine root's live stack (read-only use).
+
+        Entries nest — a node's stack is non-empty only while its
+        parent's is — so an empty root stack means every stack is empty:
+        δe pops nothing, :meth:`characters` returns at once, and only a
+        start tag of the root's label can push.  The list is the live
+        one (reset/restore refill it in place), which is what lets the
+        multi-query router gate delivery on it.
+        """
+        return self._stacks[id(self._root)]
+
+    @property
+    def text_stack(self) -> list[StackEntry]:
+        """A live stack that is empty whenever :meth:`characters` is a no-op.
+
+        The value-tested node's stack when the machine has exactly one
+        such node (every entry of it buffers text), else the root stack.
+        """
+        if len(self._value_stacks) == 1:
+            return self._value_stacks[0]
+        return self.root_stack
+
     def total_stack_entries(self) -> int:
         """Live entries across all stacks — the compact encoding's size."""
         return sum(len(stack) for stack in self._stacks.values())

@@ -9,7 +9,10 @@ to the machines that can react to it:
   :mod:`repro.multiq.registry`);
 * events are dispatched through an inverted tag index
   (:mod:`repro.multiq.router`), so per-event work is proportional to the
-  number of *interested* machines, not the number of registered queries;
+  number of *interested* machines, not the number of registered queries,
+  and each delivery is demand-gated: a machine whose state the event
+  cannot change (its root stack is empty and the tag does not label its
+  root) is not called at all;
 * queries can be added and removed on a live stream, each admitted with
   its own :class:`~repro.stream.recovery.ResourceLimits`;
 * :meth:`snapshot` / :meth:`restore` capture the whole dispatcher —
@@ -29,9 +32,11 @@ Example::
     engine.dispatch_stats().reduction   # routing win vs broadcast
 
 Filtered dispatch is exact, not approximate: a machine only mutates
-state on events whose tag its dispatch table contains, so skipping the
-rest is provably equivalent (see :mod:`repro.multiq.router` for the
-end-tag and character-data arguments).  Results are byte-identical to
+state on events whose tag its dispatch table contains, and a PathM or
+TwigM with an empty root stack has every stack empty (entries nest), so
+it only reacts to a start tag of its root label; skipping the rest is
+provably equivalent (see :mod:`repro.multiq.router` for the end-tag,
+character-data and gate arguments).  Results are byte-identical to
 evaluating every query with its own :class:`XPathStream`.
 """
 
@@ -60,8 +65,8 @@ class DispatchStats:
 
     ``machine_events_broadcast`` is the counterfactual cost of the
     broadcast dispatcher (every event × every registered query);
-    ``machine_events_dispatched``
-    is what the router actually delivered.
+    ``machine_events_dispatched`` is what the router actually delivered
+    after tag routing and demand gating (machine calls made).
     """
 
     events: int
@@ -155,7 +160,6 @@ class MultiQueryEngine:
         self._compiled = bool(compiled)
         self._tokenizer: XmlTokenizer | None = None
         self._handler: "_MultiQueryHandler | None" = None
-        self._virgin_units: set[EvalUnit] = set()
         self._events = 0
         self._dispatched = 0
         self._broadcast = 0
@@ -242,7 +246,7 @@ class MultiQueryEngine:
         )
         self._m_dispatched = metrics.counter(
             "repro_multiq_dispatched_total",
-            "Machine-event deliveries the router actually made.",
+            "Machine-event deliveries the router actually made (after gating).",
         )
         self._m_broadcast = metrics.counter(
             "repro_multiq_broadcast_total",
@@ -332,7 +336,6 @@ class MultiQueryEngine:
         )
         if created is not None:
             self._router.add(created)
-            self._virgin_units.add(created)
         return registration
 
     def attach_warm(
@@ -391,7 +394,6 @@ class MultiQueryEngine:
         registration, unit_dropped = self._registry.remove(name)
         if unit_dropped:
             self._router.remove(registration.unit)
-            self._virgin_units.discard(registration.unit)
         return registration
 
     def _is_callback(self, per_query: "Callable[[int], None] | None") -> bool:
@@ -414,50 +416,29 @@ class MultiQueryEngine:
     # -- feeding --------------------------------------------------------
 
     def feed_events(self, events: Iterable[Event]) -> None:
-        """Dispatch a batch of modified-SAX events through the router."""
-        router = self._router
-        registry = self._registry
-        for event in events:
-            self._events += 1
-            self._broadcast += len(registry)
-            if isinstance(event, StartElement):
-                units = router.units_for_tag(event.tag)
-                for unit in units:
-                    unit.engine.start_element(
-                        event.tag, event.level, event.node_id, event.attributes
-                    )
-            elif isinstance(event, EndElement):
-                units = router.units_for_tag(event.tag)
-                for unit in units:
-                    unit.engine.end_element(event.tag, event.level)
-            else:  # Characters
-                units = router.text_units()
-                for unit in units:
-                    unit.engine.characters(event.text)
-            self._dispatched += len(units)
-            limited = router.limited_units()
-            if limited:
-                packet = (event,)
-                for unit in limited:
-                    unit.engine.feed(packet)
-                self._dispatched += len(limited)
-            if self._virgin_units:
-                self._touch(units, limited)
+        """Dispatch a batch of modified-SAX events through the router.
 
-    def _touch(self, *delivered: Iterable[EvalUnit]) -> None:
-        """Units that processed an event stop accepting new sharers."""
-        for group in delivered:
-            for unit in group:
-                if unit.virgin:
-                    unit.virgin = False
-                    self._virgin_units.discard(unit)
+        Each event drives the same callbacks as a text feed
+        (:meth:`as_handler`), so routing, gating, counters and virgin
+        retirement are one code path for both.
+        """
+        handler = self.as_handler()
+        start, characters, end = (
+            handler.start_element, handler.characters, handler.end_element
+        )
+        for event in events:
+            if isinstance(event, StartElement):
+                start(event.tag, event.level, event.node_id, event.attributes)
+            elif isinstance(event, EndElement):
+                end(event.tag, event.level)
+            else:  # Characters
+                characters(event.text, event.level)
 
     def as_handler(self) -> "_MultiQueryHandler":
-        """Push-pipeline adapter: router dispatch as direct callbacks.
+        """The dispatcher as push callbacks (cached across calls).
 
-        Equivalent to :meth:`feed_events` one event at a time — same
-        routing, counters, virgin-unit retirement, and per-unit limit
-        accounting — without building the events.  Cached across calls.
+        The tokenizer drives it directly on text feeds, and
+        :meth:`feed_events` calls it once per event.
         """
         if self._handler is None:
             self._handler = _MultiQueryHandler(self)
@@ -548,7 +529,6 @@ class MultiQueryEngine:
             for sink in unit.sink.sinks.values():
                 sink.reset()
             unit.virgin = True
-        self._virgin_units = set(self._registry.units())
         self._tokenizer = None
         self._events = self._dispatched = self._broadcast = 0
 
@@ -713,8 +693,6 @@ class MultiQueryEngine:
             self._registry.adopt(registration, new_unit)
             if new_unit:
                 self._router.add(registration.unit)
-                if registration.unit.virgin:
-                    self._virgin_units.add(registration.unit)
 
     def _restored_sink(self, name: str, callback: bool) -> ResultSink:
         if not callback:
@@ -730,13 +708,20 @@ class MultiQueryEngine:
 
 
 class _MultiQueryHandler(EventHandler):
-    """Push-mode router dispatch for :class:`MultiQueryEngine`.
+    """The dispatch loop of :class:`MultiQueryEngine`: routed, gated
+    delivery as push callbacks.
 
-    Mirrors :meth:`MultiQueryEngine.feed_events` step for step: the
-    dispatch counters, the virgin-unit retirement, and the unfiltered
-    delivery to limited units (through each unit's own counting handler,
-    so per-query ``max_total_events`` accounting matches a dedicated
-    stream) are all identical — only the event objects are gone.
+    Per event: bump the counters, deliver to each routed unit whose
+    demand gate is open (``gate is None or gate`` — see
+    :mod:`repro.multiq.router`), then to every limited unit unfiltered,
+    through the unit's own counting handler so per-query
+    ``max_total_events`` accounting matches a dedicated stream.
+
+    A unit stops being *virgin* (accepting sharers) when an event is
+    actually delivered to it, just before the call.  A unit gated out of
+    every event so far stays virgin and may still take sharers: that is
+    sound because gating it out means its stacks are empty, which is
+    exactly the state of a fresh machine.
     """
 
     __slots__ = (
@@ -752,12 +737,12 @@ class _MultiQueryHandler(EventHandler):
         self._turbo_version = -1
 
     def _limited_handlers(self) -> list:
-        """Per-unit handlers for the unfiltered path, rebuilt on
+        """``(unit, handler)`` pairs for the unfiltered path, rebuilt on
         registration changes (keyed on the router's version counter)."""
         router = self._engine._router
         if self._limited_version != router.version:
             self._limited = [
-                unit.engine.as_handler() for unit in router.limited_units()
+                (unit, unit.engine.as_handler()) for unit in router.limited_units()
             ]
             self._limited_version = router.version
         return self._limited
@@ -798,48 +783,51 @@ class _MultiQueryHandler(EventHandler):
         engine._events += 1
         engine._broadcast += len(engine._registry)
         router = engine._router
-        units = router.units_for_tag(tag)
-        for unit in units:
-            unit.engine.start_element(tag, level, node_id, attributes)
-        engine._dispatched += len(units)
-        limited = self._limited_handlers()
-        if limited:
-            for handler in limited:
+        delivered = 0
+        for gate, _end, unit in router.routes_for_tag(tag):
+            if gate is None or gate:
+                unit.virgin = False
+                unit.engine.start_element(tag, level, node_id, attributes)
+                delivered += 1
+        if router.limited_units():
+            for unit, handler in self._limited_handlers():
+                unit.virgin = False
                 handler.start_element(tag, level, node_id, attributes)
-            engine._dispatched += len(limited)
-        if engine._virgin_units:
-            engine._touch(units, router.limited_units())
+                delivered += 1
+        engine._dispatched += delivered
 
     def characters(self, text, level) -> None:
         engine = self._engine
         engine._events += 1
         engine._broadcast += len(engine._registry)
         router = engine._router
-        units = router.text_units()
-        for unit in units:
-            unit.engine.characters(text, level)
-        engine._dispatched += len(units)
-        limited = self._limited_handlers()
-        if limited:
-            for handler in limited:
+        delivered = 0
+        for gate, _end, unit in router.text_routes():
+            if gate is None or gate:
+                unit.virgin = False
+                unit.engine.characters(text, level)
+                delivered += 1
+        if router.limited_units():
+            for unit, handler in self._limited_handlers():
+                unit.virgin = False
                 handler.characters(text, level)
-            engine._dispatched += len(limited)
-        if engine._virgin_units:
-            engine._touch(units, router.limited_units())
+                delivered += 1
+        engine._dispatched += delivered
 
     def end_element(self, tag, level) -> None:
         engine = self._engine
         engine._events += 1
         engine._broadcast += len(engine._registry)
         router = engine._router
-        units = router.units_for_tag(tag)
-        for unit in units:
-            unit.engine.end_element(tag, level)
-        engine._dispatched += len(units)
-        limited = self._limited_handlers()
-        if limited:
-            for handler in limited:
+        delivered = 0
+        for _start, gate, unit in router.routes_for_tag(tag):
+            if gate is None or gate:
+                unit.virgin = False
+                unit.engine.end_element(tag, level)
+                delivered += 1
+        if router.limited_units():
+            for unit, handler in self._limited_handlers():
+                unit.virgin = False
                 handler.end_element(tag, level)
-            engine._dispatched += len(limited)
-        if engine._virgin_units:
-            engine._touch(units, router.limited_units())
+                delivered += 1
+        engine._dispatched += delivered

@@ -10,9 +10,11 @@ mapping between the two:
 * ``add`` compiles and canonicalizes the query, then either joins an
   existing unit with the same :func:`~repro.multiq.canon.dedup_key`
   (structure + limits) or creates a fresh one;
-* sharing is only offered while a unit has seen no events — a query
-  added mid-stream gets a dedicated machine, because joining a warm
-  machine would leak stream history the new query never observed;
+* sharing is only offered while no event has been delivered to a unit
+  — a query added mid-stream gets a dedicated machine, because joining
+  a warm machine would leak stream history the new query never
+  observed (a unit the router's demand gates kept every event from has
+  empty stacks, a fresh machine's state, so it stays shareable);
 * ``remove`` detaches a registration and drops its unit once the last
   sharer leaves.
 """
@@ -112,8 +114,9 @@ class EvalUnit:
         #: Tracked units never accept sharers, even while virgin: the
         #: tracker observes one consumer's candidate lifetimes.
         self.tracked = tracker is not None
-        #: True until the unit processes its first event; only virgin
-        #: units accept additional sharers (cold state ≡ fresh machine).
+        #: True until an event is first delivered to the unit; only
+        #: virgin units accept additional sharers (cold state ≡ fresh
+        #: machine).  Events the router gates away do not count.
         self.virgin = True
 
     @property
