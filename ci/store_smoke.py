@@ -1,6 +1,12 @@
-"""CI smoke: the durable ingest log under crash, replay, and skip gates.
+"""CI smoke: the durable ingest log under format, crash, replay, and skip gates.
 
-Three gates over one XMark recording, each a hard failure:
+0. **Format stability.**  Ingesting ``tests/data/golden_xmark.xml``
+   without an engine (``segment_events=512``) must reproduce the
+   committed ``tests/data/golden_store`` byte for byte — every segment
+   file and the manifest — so stores written by earlier releases replay
+   on this one and vice versa.
+
+Then three gates over one XMark recording, each a hard failure:
 
 1. **Crash recovery.**  Ingest with an engine attached, then simulate a
    SIGKILL mid-segment by truncating the active segment at an arbitrary
@@ -55,6 +61,10 @@ SELECTIVE = "//person/emailaddress"
 
 SKIP_FLOOR = 0.50
 
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests", "data")
+GOLDEN_XML = os.path.join(DATA, "golden_xmark.xml")
+GOLDEN_STORE = os.path.join(DATA, "golden_store")
+
 
 def fail(message: str) -> "int":
     print(f"FAIL: {message}")
@@ -66,6 +76,24 @@ def live_reference(text: str) -> "tuple[dict, dict]":
     pull_results = MultiQueryEngine(dict(QUERIES)).evaluate(reference_events(text))
     push_results = MultiQueryEngine(dict(QUERIES)).evaluate(text)
     return pull_results, push_results
+
+
+def format_gate(workdir: str, bench: dict) -> "int | None":
+    """Re-ingest the golden document; every store file must match."""
+    store = os.path.join(workdir, "golden")
+    with open(GOLDEN_XML, encoding="utf-8") as handle:
+        ingest(handle.read(), store, segment_events=512, sync="none")
+    expected = sorted(os.listdir(GOLDEN_STORE))
+    written = sorted(os.listdir(store))
+    if written != expected:
+        return fail(f"golden store files differ: wrote {written}, expected {expected}")
+    for name in expected:
+        with open(os.path.join(store, name), "rb") as mine, \
+                open(os.path.join(GOLDEN_STORE, name), "rb") as golden:
+            if mine.read() != golden.read():
+                return fail(f"golden store file {name} is not byte-identical")
+    bench["golden_files_identical"] = len(expected)
+    return None
 
 
 def crash_gate(workdir: str, text: str, reference: dict, bench: dict) -> "int | None":
@@ -210,6 +238,14 @@ def main(scale: float) -> int:
 
     workdir = tempfile.mkdtemp(prefix="store_smoke_")
     try:
+        code = format_gate(workdir, bench)
+        if code is not None:
+            return code
+        print(
+            f"format gate ok: {bench['golden_files_identical']} golden store "
+            "files byte-identical"
+        )
+
         code = crash_gate(workdir, text, reference, bench)
         if code is not None:
             return code

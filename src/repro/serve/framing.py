@@ -50,13 +50,21 @@ __all__ = [
     "encode_data",
     "decode_data",
     "DEFAULT_MAX_FRAME",
+    "FRAME_HEADER",
+    "CRC_SEEDS",
 ]
 
 #: Frames above this are rejected before allocation (override per config).
 DEFAULT_MAX_FRAME = 4 * 1024 * 1024
 
-_HEADER = struct.Struct("!IBI")
+#: ``length | type | crc32`` — the 9-byte header before every payload.
+FRAME_HEADER = _HEADER = struct.Struct("!IBI")
 _OFFSET = struct.Struct("!Q")
+
+#: ``CRC_SEEDS[type]`` is the CRC32 of the type byte alone, so
+#: ``zlib.crc32(payload, CRC_SEEDS[type])`` is the frame CRC over type
+#: plus payload without concatenating them.
+CRC_SEEDS = tuple(zlib.crc32(bytes((code,))) for code in range(256))
 
 
 class FrameError(ReproError):
@@ -141,7 +149,7 @@ class Frame:
 
 def encode_frame(type: int, payload: bytes = b"") -> bytes:
     """Serialize one frame (header + payload) to wire bytes."""
-    crc = zlib.crc32(bytes((type,)) + payload)
+    crc = zlib.crc32(payload, CRC_SEEDS[type])
     return _HEADER.pack(len(payload), type, crc) + payload
 
 
@@ -213,27 +221,36 @@ class FrameDecoder:
         """
         if self._failure is not None:
             raise self._failure
-        self._buffer += data
+        buffer = self._buffer
+        buffer += data
         frames: list[Frame] = []
-        while True:
-            if len(self._buffer) < _HEADER.size:
-                return frames
-            length, type_code, crc = _HEADER.unpack_from(self._buffer)
-            if length > self.max_frame:
-                return self._fail(frames, FrameError(
-                    f"declared frame length {length} exceeds limit {self.max_frame}"
-                ))
-            end = _HEADER.size + length
-            if len(self._buffer) < end:
-                return frames
-            payload = bytes(self._buffer[_HEADER.size:end])
-            if zlib.crc32(bytes((type_code,)) + payload) != crc:
-                return self._fail(frames, FrameError(
-                    f"CRC mismatch on {FrameType.NAMES.get(type_code, type_code)} "
-                    f"frame ({length}B payload)"
-                ))
-            del self._buffer[:end]
-            frames.append(Frame(type_code, payload))
+        error: "FrameError | None" = None
+        pos = 0
+        size = len(buffer)
+        with memoryview(buffer) as view:
+            while size - pos >= _HEADER.size:
+                length, type_code, crc = _HEADER.unpack_from(buffer, pos)
+                if length > self.max_frame:
+                    error = FrameError(
+                        f"declared frame length {length} exceeds limit {self.max_frame}"
+                    )
+                    break
+                end = pos + _HEADER.size + length
+                if end > size:
+                    break
+                payload = bytes(view[pos + _HEADER.size:end])
+                if zlib.crc32(payload, CRC_SEEDS[type_code]) != crc:
+                    error = FrameError(
+                        f"CRC mismatch on {FrameType.NAMES.get(type_code, type_code)} "
+                        f"frame ({length}B payload)"
+                    )
+                    break
+                frames.append(Frame(type_code, payload))
+                pos = end
+        if error is not None:
+            return self._fail(frames, error)
+        del buffer[:pos]
+        return frames
 
     def _fail(self, frames: "list[Frame]", error: FrameError) -> "list[Frame]":
         self._failure = error

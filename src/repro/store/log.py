@@ -41,13 +41,22 @@ from __future__ import annotations
 
 import json
 import os
+import sys
+import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from repro.errors import ReproError
-from repro.serve.framing import DEFAULT_MAX_FRAME, Frame, FrameDecoder, FrameError, encode_frame
-from repro.stream.codec import decode_event, encode_event
-from repro.stream.events import Characters, EndElement, Event, EventHandler, StartElement
+from repro.serve.framing import (
+    CRC_SEEDS,
+    DEFAULT_MAX_FRAME,
+    FRAME_HEADER,
+    Frame,
+    FrameError,
+    encode_frame,
+)
+from repro.stream.codec import EventEncoder, PushDecoder
+from repro.stream.events import Event, EventCollector, EventHandler, events_to_handler
 from repro.stream.recovery import ResourceLimits
 from repro.store.sync import SyncPolicy
 
@@ -138,17 +147,34 @@ class SegmentInfo:
             sealed=sealed,
         )
 
-    def note_event(self, event_payload_kind: int, tag: "str | None", level: int) -> None:
-        """Fold one appended event into the structural summary."""
+    def note_event(self, tag: "str | None", level: int) -> None:
+        """Fold one event (``tag`` None for character data) into the summary."""
         self.events += 1
         if tag is not None:
             self.tags.add(tag)
         else:
             self.has_text = True
-        if self.min_level is None or level < self.min_level:
-            self.min_level = level
-        if self.max_level is None or level > self.max_level:
-            self.max_level = level
+        self.note_levels((level,))
+
+    def note_levels(self, levels: "Iterable[int]") -> None:
+        """Widen the level range to cover ``levels`` (may be empty)."""
+        for level in levels:
+            if self.min_level is None or level < self.min_level:
+                self.min_level = level
+            if self.max_level is None or level > self.max_level:
+                self.max_level = level
+
+    # Push callbacks: a recovery scan decodes a segment straight into its
+    # summary.
+
+    def start_element(self, tag, level, node_id, attributes) -> None:
+        self.note_event(tag, level)
+
+    def characters(self, text, level) -> None:
+        self.note_event(None, level)
+
+    def end_element(self, tag, level) -> None:
+        self.note_event(tag, level)
 
 
 @dataclass(frozen=True)
@@ -196,35 +222,110 @@ class ReplayStats:
         }
 
 
-def _scan_frames(
-    path: str, max_frame: int = DEFAULT_MAX_FRAME
-) -> Iterator[tuple[Frame, int]]:
-    """Yield ``(frame, end_offset)`` for every CRC-valid frame in ``path``.
+#: Bytes read from a log file per step: with one frame (at most
+#: ``max_frame``), the bound on a walk's read buffer.
+_READ_SIZE = 1 << 16
 
-    Raises :class:`~repro.serve.framing.FrameError` at the first corrupt
-    frame; a partial (torn) trailing frame is *not* an error — iteration
-    simply ends, and the last yielded ``end_offset`` is the byte count of
-    the trustworthy prefix.
+_HEADER_SIZE = FRAME_HEADER.size
+_unpack_header = FRAME_HEADER.unpack_from
+_pack_header = FRAME_HEADER.pack
+_crc32 = zlib.crc32
+_EVENT_CRC_SEED = CRC_SEEDS[REC_EVENT]
+
+
+class _FrameWalk:
+    """Walk one log file's frames through a bounded read buffer.
+
+    Iterating yields ``(type, payload)`` for every record that is not an
+    event, and ``(None, None)`` after each read step.  Event records are
+    never yielded: the first ``skip`` are passed over undecoded, and each
+    later one goes to ``decode(payload)`` — a
+    :meth:`~repro.stream.codec.PushDecoder.decode` — in file order
+    between the yielded records.  Every frame's CRC is checked before its
+    payload is interpreted.
+
+    :attr:`offset` is the byte length of the CRC-valid prefix walked so
+    far and :attr:`events` the event records in it.  The first corrupt
+    frame (CRC mismatch, declared length above ``max_frame``) raises
+    :class:`~repro.serve.framing.FrameError` once everything before it
+    has been delivered; a torn trailing frame just ends the walk, with
+    :attr:`offset` short of the file size.
     """
-    decoder = FrameDecoder(max_frame)
-    offset = 0
-    with open(path, "rb") as handle:
-        while True:
-            chunk = handle.read(1 << 16)
-            if not chunk:
-                if decoder.failed:
-                    # The error was parked behind good frames in the last
-                    # chunk; surface it now (an empty feed re-raises).
-                    decoder.feed(b"")
-                return
-            for frame in decoder.feed(chunk):
-                offset += 9 + len(frame.payload)  # header is 4+1+4 bytes
-                yield frame, offset
+
+    __slots__ = ("path", "max_frame", "decode", "skip", "offset", "events")
+
+    def __init__(
+        self,
+        path: str,
+        max_frame: int,
+        decode: "Callable[[bytes], None] | None",
+        skip: int = 0,
+    ):
+        self.path = path
+        self.max_frame = max_frame
+        self.decode = decode
+        self.skip = skip
+        self.offset = 0
+        self.events = 0
+
+    def __iter__(self) -> "Iterator[tuple[int | None, bytes | None]]":
+        decode = self.decode
+        skip = self.skip
+        max_frame = self.max_frame
+        seeds = CRC_SEEDS
+        events = 0
+        base = 0  # file offset of buf[0]
+        buf = b""
+        pos = 0
+        want = _READ_SIZE
+        with open(self.path, "rb") as handle:
+            while True:
+                chunk = handle.read(want)
+                if not chunk:
+                    return
+                base += pos
+                buf = buf[pos:] + chunk if pos < len(buf) else chunk
+                pos = 0
+                size = len(buf)
+                want = _READ_SIZE
+                while size - pos >= _HEADER_SIZE:
+                    length, record, crc = _unpack_header(buf, pos)
+                    if length > max_frame:
+                        self.offset, self.events = base + pos, events
+                        raise FrameError(
+                            f"declared frame length {length} exceeds limit {max_frame}"
+                        )
+                    start = pos + _HEADER_SIZE
+                    end = start + length
+                    if end > size:
+                        # Read the rest of a large frame in one step.
+                        want = max(_READ_SIZE, end - size)
+                        break
+                    payload = buf[start:end]
+                    if _crc32(payload, seeds[record]) != crc:
+                        self.offset, self.events = base + pos, events
+                        raise FrameError(
+                            f"CRC mismatch on {record} frame ({length}B payload)"
+                        )
+                    pos = end
+                    if record == REC_EVENT:
+                        if events >= skip:
+                            decode(payload)
+                        events += 1
+                    else:
+                        self.offset, self.events = base + pos, events
+                        yield record, payload
+                self.offset, self.events = base + pos, events
+                yield None, None
 
 
-def _frame_json(frame: Frame, what: str) -> dict:
+#: ``skip`` for a walk that decodes no event record.
+_SKIP_ALL = sys.maxsize
+
+
+def _record_json(record: int, payload: bytes, what: str) -> dict:
     try:
-        return frame.json()
+        return Frame(record, payload).json()
     except FrameError as exc:
         raise StoreError(f"corrupt {what} record: {exc}") from exc
 
@@ -285,7 +386,8 @@ class _Manifest:
         path = os.path.join(directory, MANIFEST_NAME)
         tmp = f"{path}.tmp.{os.getpid()}"
         with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, separators=(",", ":"))
+            # One-shot dumps runs the C encoder (json.dump does not).
+            handle.write(json.dumps(self.to_dict(), separators=(",", ":")))
             if sync.kind != "none":
                 sync.sync_file(handle)
         os.replace(tmp, path)
@@ -296,9 +398,11 @@ class EventLogWriter(EventHandler):
     """Append the modified-SAX event stream durably, with checkpoints.
 
     The writer is an :class:`~repro.stream.events.EventHandler`, so it
-    tees straight off the push pipeline (no event objects), and it also
-    accepts pull-mode :class:`~repro.stream.events.Event` objects via
-    :meth:`append`.  Structure:
+    tees straight off the push pipeline: each callback encodes its
+    arguments (:class:`~repro.stream.codec.EventEncoder`) and frames them
+    with no event objects.  Pull-mode :class:`~repro.stream.events.Event`
+    objects go through the same callbacks via :meth:`append`.
+    Structure:
 
     * events land in the **active segment**; after ``segment_events``
       events the segment is sealed — its structural summary enters the
@@ -309,6 +413,11 @@ class EventLogWriter(EventHandler):
       resume evaluation there instead of from document start;
     * durability follows ``sync`` (a :class:`~repro.store.sync.SyncPolicy`
       or its string form), shared with the serving layer's spool.
+
+    Per event the writer only encodes, frames, writes, and notes the tag
+    and level; the next position at which a sync, checkpoint or rotation
+    is due is precomputed, so the rest of the bookkeeping costs one
+    comparison per event.
 
     Reopening a writer on an existing store recovers first: the active
     segment is scanned, any torn tail is truncated, and appending
@@ -336,9 +445,23 @@ class EventLogWriter(EventHandler):
         self._engine = None
         self._engine_kind: "str | None" = None
         self._file = None
+        self._write = _closed_write
         self._segment: "SegmentInfo | None" = None
-        self._writes_since_sync = 0
         self._closed = False
+        encoder = EventEncoder()
+        self._encode_start = encoder.start_element
+        self._encode_characters = encoder.characters
+        self._encode_end = encoder.end_element
+        self._encoder = encoder
+        # Active-segment summary, folded into the SegmentInfo at seal.
+        self._levels: set = set()
+        self._note_level = self._levels.add
+        self._has_text = False
+        #: Events between fsyncs (0 = never), and the position of the last.
+        self._sync_every = self.sync.every
+        self._synced_at = 0
+        #: Next position at which a sync, checkpoint or rotation is due.
+        self._boundary = 0
         #: Total events durably appended (the replay coordinate system).
         self.position = 0
         #: Bytes truncated from a torn tail during recovery (0 = clean).
@@ -417,13 +540,23 @@ class EventLogWriter(EventHandler):
             self.recovered_tail_bytes = os.path.getsize(active_path) - good_bytes
             with open(active_path, "r+b") as handle:
                 handle.truncate(good_bytes)
-        self._segment = segment
         self.position = segment.base_event + segment.events
         for checkpoint in segment.checkpoints:
             manifest.next_checkpoint = max(
                 manifest.next_checkpoint, int(checkpoint["id"]) + 1
             )
-        self._file = open(active_path, "ab")
+        self._activate(segment, open(active_path, "ab"))
+
+    def _activate(self, segment: SegmentInfo, handle) -> None:
+        """Append to ``segment`` through ``handle`` from now on."""
+        self._segment = segment
+        self._file = handle
+        self._write = handle.write
+        self._levels.clear()
+        self._note_tag = segment.tags.add
+        self._has_text = False
+        self._synced_at = self.position
+        self._plan()
 
     def _open_segment(self, reuse_name: "str | None" = None, truncate: bool = False) -> None:
         manifest = self._manifest
@@ -434,18 +567,17 @@ class EventLogWriter(EventHandler):
         else:
             name = reuse_name
             sequence = manifest.next_segment - 1
-        self._segment = SegmentInfo(
-            file=name, sequence=sequence, base_event=self.position
-        )
+        segment = SegmentInfo(file=name, sequence=sequence, base_event=self.position)
         manifest.active = name
         manifest.save(self.path, self.sync)
         mode = "wb" if truncate else "xb"
         try:
-            self._file = open(os.path.join(self.path, name), mode)
+            handle = open(os.path.join(self.path, name), mode)
         except FileExistsError:
             raise StoreError(
                 f"segment {name!r} already exists; is another writer live?"
             ) from None
+        self._activate(segment, handle)
         header = {
             "version": STORE_MANIFEST_VERSION,
             "segment": sequence,
@@ -462,14 +594,19 @@ class EventLogWriter(EventHandler):
 
     def _seal(self) -> None:
         segment = self._segment
-        self.sync.sync_file(self._file)
+        segment.events = self.position - segment.base_event
+        segment.note_levels(self._levels)
+        if self._has_text:
+            segment.has_text = True
+        if self.sync.kind != "none":
+            self.sync.sync_file(self._file)
         self._file.close()
         self._file = None
+        self._write = _closed_write
         segment.size = os.path.getsize(os.path.join(self.path, segment.file))
         segment.sealed = True
         self._manifest.segments.append(segment)
         self._segment = None
-        self._writes_since_sync = 0
 
     def close(self) -> None:
         """Seal the active segment and mark the store cleanly closed."""
@@ -494,60 +631,70 @@ class EventLogWriter(EventHandler):
             raise StoreError("append to a closed EventLogWriter")
         data = encode_frame(type_code, payload)
         self._file.write(data)
-        self._segment.size += len(data)
         if self._metrics is not None:
             self._m_bytes.inc(len(data))
 
-    def _after_write(self) -> None:
-        self._writes_since_sync += 1
-        if self.sync.should_sync(self._writes_since_sync):
+    def _plan(self) -> None:
+        """Precompute the next position at which bookkeeping is due."""
+        segment = self._segment
+        boundary = segment.base_event + self.segment_events
+        interval = self.checkpoint_interval
+        if interval:
+            boundary = min(boundary, (self.position // interval + 1) * interval)
+        if self._sync_every:
+            boundary = min(boundary, self._synced_at + self._sync_every)
+        self._boundary = boundary
+
+    def _at_boundary(self) -> None:
+        """Sync, checkpoint and rotate as due at :attr:`position`."""
+        position = self.position
+        if self._sync_every and position - self._synced_at >= self._sync_every:
             self.sync.sync_file(self._file)
-            self._writes_since_sync = 0
+            self._synced_at = position
             if self._metrics is not None:
                 self._m_syncs.inc()
-
-    def _note_appended(self, tag: "str | None", level: int) -> None:
-        self._segment.note_event(0, tag, level)
-        self.position += 1
-        if self._metrics is not None:
-            self._m_events.inc()
-        self._after_write()
-        if (
-            self.checkpoint_interval
-            and self.position % self.checkpoint_interval == 0
-        ):
+        if self.checkpoint_interval and position % self.checkpoint_interval == 0:
             self.checkpoint()
-        if self._segment.events >= self.segment_events:
+        if position - self._segment.base_event >= self.segment_events:
             self._rotate()
+        self._plan()
 
     def append(self, event: Event) -> None:
         """Append one pull-mode event object."""
-        payload = encode_event(event)
-        self._write_frame(REC_EVENT, payload)
-        if isinstance(event, Characters):
-            self._note_appended(None, event.level)
-        else:
-            self._note_appended(event.tag, event.level)
+        events_to_handler((event,), self)
 
     def extend(self, events: Iterable[Event]) -> None:
-        for event in events:
-            self.append(event)
+        events_to_handler(events, self)
 
     # Push-mode tee: the writer sits directly behind the fused scanner.
 
     def start_element(self, tag, level, node_id, attributes) -> None:
-        self._write_frame(
-            REC_EVENT, encode_event(StartElement(tag, level, node_id, attributes))
-        )
-        self._note_appended(tag, level)
+        self._append(self._encode_start(tag, level, node_id, attributes), tag, level)
 
     def characters(self, text, level) -> None:
-        self._write_frame(REC_EVENT, encode_event(Characters(text, level)))
-        self._note_appended(None, level)
+        self._append(self._encode_characters(text, level), None, level)
 
     def end_element(self, tag, level) -> None:
-        self._write_frame(REC_EVENT, encode_event(EndElement(tag, level)))
-        self._note_appended(tag, level)
+        self._append(self._encode_end(tag, level), tag, level)
+
+    def _append(self, payload: bytes, tag: "str | None", level: int) -> None:
+        """Frame and write one event record (``tag`` None for text), note
+        it in the segment summary, and do any bookkeeping now due."""
+        data = _pack_header(
+            len(payload), REC_EVENT, _crc32(payload, _EVENT_CRC_SEED)
+        ) + payload
+        self._write(data)
+        if tag is None:
+            self._has_text = True
+        else:
+            self._note_tag(tag)
+        self._note_level(level)
+        if self._metrics is not None:
+            self._m_events.inc()
+            self._m_bytes.inc(len(data))
+        self.position += 1
+        if self.position >= self._boundary:
+            self._at_boundary()
 
     # -- checkpoints ----------------------------------------------------
 
@@ -578,7 +725,8 @@ class EventLogWriter(EventHandler):
         self._file.flush()
         if self.sync.kind != "none":
             self.sync.sync_file(self._file)
-            self._writes_since_sync = 0
+            self._synced_at = self.position
+            self._plan()
         if self._metrics is not None:
             self._m_checkpoints.inc()
         return checkpoint_id
@@ -589,46 +737,45 @@ class EventLogWriter(EventHandler):
             self._file.flush()
 
 
+def _closed_write(data: bytes) -> None:
+    raise StoreError("append to a closed EventLogWriter")
+
+
 def _scan_segment(
     path: str, name: str, max_frame: int
 ) -> "tuple[SegmentInfo | None, int, bool]":
     """Scan one segment file; returns ``(info, good_bytes, torn)``.
 
     ``info`` is ``None`` when the file has no valid header frame.  A torn
-    or corrupt tail stops the scan; everything before it is summarised.
+    or corrupt tail stops the scan; everything before it is summarised
+    (events are decoded straight into the summary's push callbacks).
     """
-    segment: "SegmentInfo | None" = None
-    good = 0
+    segment = SegmentInfo(file=name, sequence=0, base_event=0)
+    walk = _FrameWalk(path, max_frame, PushDecoder(segment).decode)
+    has_header = False
     torn = False
     try:
-        for frame, offset in _scan_frames(path, max_frame):
-            if segment is None:
-                if frame.type != REC_SEGMENT:
+        for record, payload in walk:
+            if not has_header:
+                if record != REC_SEGMENT or walk.events:
                     return None, 0, True
-                header = _frame_json(frame, "segment header")
-                segment = SegmentInfo(
-                    file=name,
-                    sequence=int(header["segment"]),
-                    base_event=int(header["base_event"]),
-                )
-            elif frame.type == REC_EVENT:
-                event = decode_event(frame.payload)
-                if isinstance(event, Characters):
-                    segment.note_event(0, None, event.level)
-                else:
-                    segment.note_event(0, event.tag, event.level)
-            elif frame.type == REC_CHECKPOINT:
-                info = _frame_json(frame, "checkpoint")
+                header = _record_json(record, payload, "segment header")
+                segment.sequence = int(header["segment"])
+                segment.base_event = int(header["base_event"])
+                has_header = True
+            elif record == REC_CHECKPOINT:
+                info = _record_json(record, payload, "checkpoint")
                 segment.checkpoints.append(
                     {"id": int(info["id"]), "event": int(info["event"])}
                 )
-            good = offset
     except FrameError:
         torn = True
-    if segment is not None:
-        if good < os.path.getsize(path):
-            torn = True
-        segment.size = good
+    if not has_header:
+        return None, 0, torn
+    good = walk.offset
+    if good < os.path.getsize(path):
+        torn = True
+    segment.size = good
     return segment, good, torn
 
 
@@ -643,9 +790,10 @@ class EventLogReader:
     pre-checkpoint positioning) are never decoded at all.
 
     The reader is snapshot-consistent: it loads the manifest once at
-    construction and re-scans the active segment on each :meth:`events`
-    call, so a live writer can keep appending while readers replay
-    (catch-up readers see everything flushed before they scan).
+    construction and re-scans the active segment on each replay
+    (:meth:`events_into`, :meth:`events`), so a live writer can keep
+    appending while readers replay (catch-up readers see everything
+    flushed before they scan).
     """
 
     def __init__(
@@ -740,42 +888,54 @@ class EventLogReader:
         raise StoreError(f"no checkpoint {checkpoint_id} in store {self.path!r}")
 
     def _read_checkpoint(self, segment: SegmentInfo, checkpoint_id: int) -> dict:
-        path = os.path.join(self.path, segment.file)
-        for frame, _offset in self._segment_frames(path, segment):
-            if frame.type == REC_CHECKPOINT:
-                payload = _frame_json(frame, "checkpoint")
-                if int(payload.get("id", -1)) == checkpoint_id:
-                    return payload
+        walk = self._walk(segment, None, _SKIP_ALL)
+        for record, payload in self._records(segment, walk):
+            if record == REC_CHECKPOINT:
+                info = _record_json(record, payload, "checkpoint")
+                if int(info.get("id", -1)) == checkpoint_id:
+                    return info
         raise StoreError(
             f"checkpoint {checkpoint_id} indexed in {segment.file!r} but "
             "not present (corrupt store?)"
         )
 
-    def _segment_frames(
-        self, path: str, segment: SegmentInfo
-    ) -> Iterator[tuple[Frame, int]]:
-        """Frames of one segment; sealed corruption raises, torn tails stop."""
+    def _walk(self, segment: SegmentInfo, decode, skip: int = 0) -> _FrameWalk:
+        return _FrameWalk(
+            os.path.join(self.path, segment.file), self.max_frame, decode, skip
+        )
+
+    @staticmethod
+    def _records(segment: SegmentInfo, walk: _FrameWalk) -> Iterator[tuple]:
+        """``walk``'s records; sealed corruption raises, torn tails stop."""
         try:
-            yield from _scan_frames(path, self.max_frame)
+            yield from walk
         except FrameError as exc:
             if segment.sealed:
                 raise StoreError(
                     f"corrupt sealed segment {segment.file!r}: {exc}"
                 ) from exc
             # Active tail: stop at the torn frame (recovery semantics).
-            return
 
     # -- replay ---------------------------------------------------------
 
-    def events(
+    def events_into(
         self,
+        handler,
         start_event: int = 0,
         *,
         interest: "tuple | None" = None,
         stats: "ReplayStats | None" = None,
         on_checkpoint: "Callable[[dict], None] | None" = None,
-    ) -> Iterator[Event]:
-        """Yield events from ``start_event`` on, skipping what it can.
+    ) -> None:
+        """Drive ``handler``'s callbacks with the events from ``start_event`` on.
+
+        ``handler`` is any :class:`~repro.stream.events.EventHandler`;
+        each event record is decoded straight into its callbacks
+        (:class:`~repro.stream.codec.PushDecoder`), with no event
+        objects.  Segments are read through a bounded buffer and every
+        frame's CRC is checked before its payload is decoded.  Corruption
+        in a sealed segment raises :class:`StoreError`; a torn active
+        tail ends the replay.
 
         ``interest`` is ``(tags, wants_all, wants_text)`` — the alphabet
         analysis of :mod:`repro.store.index`.  A segment is skipped when
@@ -789,19 +949,62 @@ class EventLogReader:
         encountered at or after ``start_event`` — late-query catch-up
         uses it to observe splice positions.
         """
+        for _ in self._replay(handler, start_event, interest, stats, on_checkpoint):
+            pass
+
+    def events(
+        self,
+        start_event: int = 0,
+        *,
+        interest: "tuple | None" = None,
+        stats: "ReplayStats | None" = None,
+        on_checkpoint: "Callable[[dict], None] | None" = None,
+    ) -> Iterator[Event]:
+        """Yield events from ``start_event`` on, skipping what it can.
+
+        The pull view of :meth:`events_into` (same arguments): the push
+        decoder runs into a private
+        :class:`~repro.stream.events.EventCollector`, and each read
+        step's events are yielded before the next step is read.  An
+        error part-way through a step is raised only after the events
+        that precede it have been yielded.
+        """
+        collector = EventCollector()
+        batch = collector.events
+        steps = self._replay(collector, start_event, interest, stats, on_checkpoint)
+        while True:
+            try:
+                next(steps)
+            except StopIteration:
+                return
+            except BaseException:
+                yield from batch
+                raise
+            yield from batch
+            batch.clear()
+
+    def _replay(
+        self,
+        handler,
+        start_event: int,
+        interest: "tuple | None",
+        stats: "ReplayStats | None",
+        on_checkpoint: "Callable[[dict], None] | None",
+    ) -> Iterator[None]:
+        """Decode into ``handler``; suspend after each read step and
+        before each ``on_checkpoint`` call (the pull view's batches)."""
         if start_event < self._manifest.compacted_before_event:
             raise StoreError(
                 f"events before {self._manifest.compacted_before_event} were "
                 f"compacted away; replay from a checkpoint at or after it "
                 f"(requested start {start_event})"
             )
-        limits = self.limits
-        emitted = 0
+        decoder = PushDecoder(handler, self.limits)
+        decode = decoder.decode
         for segment in self.segments():
-            segment_end = segment.base_event + segment.events
             if stats is not None:
                 stats.segments_total += 1
-            if segment_end <= start_event:
+            if segment.base_event + segment.events <= start_event:
                 if stats is not None:
                     stats.segments_skipped += 1
                     stats.bytes_skipped += segment.size
@@ -813,30 +1016,30 @@ class EventLogReader:
                 if self._metrics is not None:
                     self._m_skipped.inc()
                 continue
-            path = os.path.join(self.path, segment.file)
             if stats is not None:
                 stats.segments_read += 1
-            index = segment.base_event
-            for frame, offset in self._segment_frames(path, segment):
-                if frame.type == REC_EVENT:
-                    if index >= start_event:
-                        event = decode_event(frame.payload, limits)
-                        emitted += 1
-                        if limits is not None:
-                            limits.check("max_total_events", emitted)
-                        if stats is not None:
-                            stats.events_emitted += 1
-                        yield event
-                    elif stats is not None:
-                        stats.events_positioned_past += 1
-                    index += 1
-                elif frame.type == REC_CHECKPOINT and on_checkpoint is not None:
-                    if index >= start_event:
-                        on_checkpoint(_frame_json(frame, "checkpoint"))
+            skip = max(0, start_event - segment.base_event)
+            walk = self._walk(segment, decode, skip)
+            emitted = decoder.count
+            try:
+                for record, payload in self._records(segment, walk):
+                    if record is None:
+                        yield
+                    elif (
+                        record == REC_CHECKPOINT
+                        and on_checkpoint is not None
+                        and walk.events >= skip
+                    ):
+                        yield
+                        on_checkpoint(_record_json(record, payload, "checkpoint"))
+            finally:
+                if stats is not None:
+                    stats.events_emitted += decoder.count - emitted
+                    stats.events_positioned_past += min(skip, walk.events)
             if stats is not None:
                 stats.bytes_read += segment.size
-        if self._metrics is not None and emitted:
-            self._m_replayed.inc(emitted)
+        if self._metrics is not None and decoder.count:
+            self._m_replayed.inc(decoder.count)
 
 
 def _segment_skippable(segment: SegmentInfo, interest: tuple) -> bool:

@@ -230,11 +230,14 @@ def replay(
     elif isinstance(engine, (str, QueryTree)):
         engine = XPathStream(engine, on_match=on_match, metrics=metrics)
     interest = interest_for(engine) if skip else None
-    events = reader.events(start_event, interest=interest, stats=stats)
     if isinstance(engine, MultiQueryEngine):
-        engine.feed_events(events)
+        reader.events_into(
+            engine.as_handler(), start_event, interest=interest, stats=stats
+        )
         return engine.results()
-    engine.feed_events(events)
+    reader.events_into(
+        engine.push_handler(), start_event, interest=interest, stats=stats
+    )
     try:
         return list(engine.results)
     except AttributeError:
@@ -275,9 +278,7 @@ def replay_into(
     if from_checkpoint is not None:
         record = reader.load_checkpoint(from_checkpoint)
         start = int(record["event"])
-    from repro.stream.events import events_to_handler
-
-    events_to_handler(reader.events(start, stats=stats), handler)
+    reader.events_into(handler, start, stats=stats)
     if close:
         close_handler = getattr(handler, "close", None)
         if close_handler is not None:
@@ -340,7 +341,7 @@ def catch_up(
     reader = EventLogReader(path, limits=replay_limits, metrics=metrics)
     stats = ReplayStats()
     interest = scratch.interest()
-    scratch.feed_events(reader.events(0, interest=interest, stats=stats))
+    reader.events_into(scratch.as_handler(), 0, interest=interest, stats=stats)
     position = reader.position
     snapshot = scratch.snapshot()
     unit_payload = None

@@ -30,8 +30,14 @@ import os
 import time
 
 from repro.errors import CheckpointError
-from repro.serve.framing import DEFAULT_MAX_FRAME, FrameError, encode_frame
-from repro.store.log import REC_SESSION, REC_SESSION_TOMB, StoreError, _scan_frames
+from repro.serve.framing import DEFAULT_MAX_FRAME, Frame, FrameError, encode_frame
+from repro.store.log import (
+    REC_EVENT,
+    REC_SESSION,
+    REC_SESSION_TOMB,
+    StoreError,
+    _FrameWalk,
+)
 from repro.store.sync import SyncPolicy
 
 __all__ = ["StoreSessionStore", "SESSIONS_LOG_NAME"]
@@ -42,6 +48,10 @@ SESSIONS_LOG_NAME = "sessions.log"
 DEFAULT_COMPACT_RATIO = 0.5
 #: Never compact below this many records (tiny logs aren't worth it).
 MIN_COMPACT_RECORDS = 64
+
+
+def _unexpected_event(payload: bytes) -> None:
+    raise StoreError(f"unexpected record type {REC_EVENT} in session log")
 
 
 class StoreSessionStore:
@@ -87,25 +97,28 @@ class StoreSessionStore:
             return
         good = 0
         now = time.monotonic()
+        walk = _FrameWalk(self._path, self.max_frame, _unexpected_event)
         try:
-            for frame, offset in _scan_frames(self._path, self.max_frame):
-                if frame.type == REC_SESSION:
-                    record = frame.json()
-                    token = str(record["token"])
-                    self._blobs[token] = record["blob"]
+            for record, payload in walk:
+                if record == REC_SESSION:
+                    entry = Frame(record, payload).json()
+                    token = str(entry["token"])
+                    self._blobs[token] = entry["blob"]
                     # Recovered entries restart their TTL at recovery
                     # time: monotonic clocks don't survive the process.
                     self._written[token] = now
-                elif frame.type == REC_SESSION_TOMB:
-                    token = str(frame.json()["token"])
+                elif record == REC_SESSION_TOMB:
+                    token = str(Frame(record, payload).json()["token"])
                     self._blobs.pop(token, None)
                     self._written.pop(token, None)
-                else:
+                elif record is not None:
                     raise StoreError(
-                        f"unexpected record type {frame.type} in session log"
+                        f"unexpected record type {record} in session log"
                     )
+                else:
+                    continue  # end of a read step
                 self._records += 1
-                good = offset
+                good = walk.offset
         except (FrameError, KeyError, TypeError):
             pass  # truncate at the last trustworthy record below
         if good < os.path.getsize(self._path):

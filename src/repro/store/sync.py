@@ -70,6 +70,15 @@ class SyncPolicy:
             return cls(kind)
         raise TypeError(f"cannot coerce {value!r} to a SyncPolicy")
 
+    @property
+    def every(self) -> int:
+        """Writes per fsync: 1 (``always``), the interval, or 0 (``none``)."""
+        if self.kind == SYNC_ALWAYS:
+            return 1
+        if self.kind == SYNC_INTERVAL:
+            return self.interval
+        return 0
+
     def should_sync(self, writes_since_sync: int) -> bool:
         """Whether a writer with this many unsynced writes must fsync now."""
         if self.kind == SYNC_ALWAYS:

@@ -128,3 +128,48 @@ class TestNames:
 
     def test_unknown_type_still_renders(self):
         assert Frame(200, b"x").name == "type-200"
+
+
+class TestWireBytes:
+    """Exact wire bytes, recorded from the release that concatenated the
+    type byte and payload to compute the CRC; the per-type CRC seed must
+    produce the same frames."""
+
+    GOLDEN = [
+        ("ping", encode_frame(FrameType.PING), "000000000cdbb4a3a6"),
+        ("ack_json", encode_json(FrameType.ACK, {"offset": 3}),
+         "0000000c05f09195807b226f6666736574223a337d"),
+        ("data", encode_data(5, "<a>é</a>"),
+         "000000110478a20e9700000000000000053c613ec3a93c2f613e"),
+        # A durable-log event record (type 33, END "a" at level 1).
+        ("log_event", encode_frame(33, bytes([3, 1, 1, ord("a")])),
+         "00000004210a5a54ff03010161"),
+    ]
+
+    @pytest.mark.parametrize("wire,expected", [
+        (wire, hex_) for _name, wire, hex_ in GOLDEN
+    ], ids=[name for name, _wire, _hex in GOLDEN])
+    def test_pinned_bytes(self, wire, expected):
+        assert wire.hex() == expected
+        (frame,) = FrameDecoder().feed(bytes.fromhex(expected))
+        assert encode_frame(frame.type, frame.payload) == wire
+
+    @pytest.mark.parametrize("name,wire", [
+        (name, wire) for name, wire, _hex in GOLDEN
+    ], ids=[name for name, _wire, _hex in GOLDEN])
+    def test_flipped_type_byte_fails_crc(self, name, wire):
+        for flip in (0x01, 0x80):
+            damaged = bytearray(wire)
+            damaged[4] ^= flip
+            with pytest.raises(FrameError, match="CRC mismatch"):
+                FrameDecoder().feed(bytes(damaged))
+
+    def test_payload_is_one_independent_copy(self):
+        wire = encode_json(FrameType.ACK, {"offset": 3}) + encode_frame(FrameType.PING)
+        decoder = FrameDecoder()
+        first, second = decoder.feed(wire)
+        assert type(first.payload) is bytes and first.payload == b'{"offset":3}'
+        assert second.payload == b"" and decoder.pending == 0
+        # Later feeds reuse the buffer without disturbing earlier payloads.
+        decoder.feed(encode_json(FrameType.ACK, {"offset": 99}))
+        assert first.payload == b'{"offset":3}'

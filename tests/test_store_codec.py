@@ -127,3 +127,185 @@ class TestLimits:
             EndElement("a", 3),
         ):
             assert decode_event(encode_event(event), limits) == event
+
+
+# -- decoder parity: decode_event and the push path ---------------------------
+
+#: ``(case, record body, limits, error match)`` — each must fail the same
+#: way whether decoded on its own or met by a replay.
+HOSTILE_RECORDS = [
+    ("empty", b"", None, "empty event record"),
+    ("unknown_kind", bytes([99, 0]), None, "unknown event record kind 99"),
+    ("unknown_kind_alone", bytes([99]), None, "unknown event record kind 99"),
+    ("truncated_level_varint", bytes([EVENT_KIND_CHARS, 0x80]), None,
+     "truncated varint"),
+    ("missing_level", bytes([EVENT_KIND_END]), None, "truncated varint"),
+    ("truncated_node_id", bytes([EVENT_KIND_START, 1, 0x81]), None,
+     "truncated varint"),
+    ("missing_attribute_count", bytes([EVENT_KIND_START, 1, 1, 1, ord("a")]), None,
+     "truncated varint"),
+    ("over_64_bit_varint", bytes([EVENT_KIND_CHARS]) + b"\xff" * 10 + b"\x01", None,
+     "64 bits"),
+    ("over_64_bit_node_id", bytes([EVENT_KIND_START, 1]) + b"\xff" * 10 + b"\x01",
+     None, "64 bits"),
+    ("truncated_text", encode_event(Characters("hello world", 1))[:-4], None,
+     "truncated string"),
+    ("truncated_tag", encode_event(EndElement("abcdef", 1))[:-2], None,
+     "truncated string"),
+    ("truncated_attribute", encode_event(
+        StartElement("a", 1, 1, {"k": "value"}))[:-2], None, "truncated string"),
+    ("trailing_bytes", encode_event(EndElement("a", 1)) + b"\x00", None,
+     "1 trailing byte"),
+    ("trailing_after_start", encode_event(StartElement("a", 1, 1, {})) + b"xy", None,
+     "2 trailing byte"),
+    ("invalid_utf8_text", bytes([EVENT_KIND_CHARS, 1, 2, 0xFF, 0xFE]), None, "UTF-8"),
+    ("invalid_utf8_tag", bytes([EVENT_KIND_END, 1, 2, 0xFF, 0xFE]), None, "UTF-8"),
+    ("invalid_utf8_attribute", bytes([EVENT_KIND_START, 1, 1, 1, ord("a"), 1, 1,
+                                      ord("k"), 1, 0xFF]), None, "UTF-8"),
+    ("depth", encode_event(StartElement("a", 5000, 1, {})),
+     ResourceLimits(max_depth=100), "max_depth"),
+    ("declared_attribute_count",
+     bytes([EVENT_KIND_START, 1, 1, 1, ord("a")]) + b"\x80\x80\x80\x80\x04",
+     ResourceLimits(max_attributes=4), "max_attributes"),
+    ("attribute_length", encode_event(StartElement("a", 1, 1, {"v": "x" * 1000})),
+     ResourceLimits(max_attribute_length=10), "max_attribute_length"),
+    ("declared_text_length", bytes([EVENT_KIND_CHARS, 1]) + b"\x80\x80\x80\x80\x04",
+     ResourceLimits(max_text_length=1 << 20), "max_text_length"),
+    ("limit_before_trailing_bytes",
+     encode_event(StartElement("a", 5000, 1, {})) + b"\x00",
+     ResourceLimits(max_depth=100), "max_depth"),
+]
+
+HOSTILE_IDS = [case for case, *_rest in HOSTILE_RECORDS]
+
+
+def decode_alone(payload, limits):
+    decode_event(payload, limits)
+
+
+def decode_in_replay(payload, limits, tmp_path):
+    """Inject ``payload`` as a CRC-valid record and replay the store."""
+    import os
+
+    from repro.serve.framing import encode_frame
+    from repro.store.log import REC_EVENT, EventLogReader, EventLogWriter
+    from repro.stream.events import CountingHandler
+
+    store = str(tmp_path / "s")
+    writer = EventLogWriter(store, sync="none")
+    writer.start_element("r", 1, 1, {})
+    writer.flush()
+    with open(os.path.join(store, writer._manifest.active), "ab") as handle:
+        handle.write(encode_frame(REC_EVENT, payload))
+    writer.close()
+    handler = CountingHandler()
+    try:
+        EventLogReader(store, limits=limits).events_into(handler)
+    finally:
+        # The good record before the bad one was delivered; the bad one
+        # never reached the handler.
+        assert handler.total == 1
+
+
+class TestDecoderParity:
+    """Every malformed or hostile record fails identically on both paths."""
+
+    @pytest.mark.parametrize("payload,limits,match", [
+        row[1:] for row in HOSTILE_RECORDS], ids=HOSTILE_IDS)
+    def test_decode_event(self, payload, limits, match):
+        from repro.errors import ResourceLimitError
+
+        expected = ResourceLimitError if limits is not None else CodecError
+        with pytest.raises(expected, match=match):
+            decode_alone(payload, limits)
+
+    @pytest.mark.parametrize("payload,limits,match", [
+        row[1:] for row in HOSTILE_RECORDS], ids=HOSTILE_IDS)
+    def test_push_replay(self, payload, limits, match, tmp_path):
+        from repro.errors import ResourceLimitError
+
+        expected = ResourceLimitError if limits is not None else CodecError
+        with pytest.raises(expected, match=match):
+            decode_in_replay(payload, limits, tmp_path)
+
+    def test_max_total_events_decoder(self):
+        from repro.stream.codec import PushDecoder
+        from repro.stream.events import CountingHandler
+
+        handler = CountingHandler()
+        decoder = PushDecoder(handler, ResourceLimits(max_total_events=2))
+        record = encode_event(EndElement("a", 1))
+        decoder.decode(record)
+        decoder.decode(record)
+        with pytest.raises(Exception, match="max_total_events"):
+            decoder.decode(record)
+        assert handler.total == 2 and decoder.count == 3
+
+    def test_max_total_events_push_replay(self, tmp_path):
+        from repro.store.log import EventLogReader, EventLogWriter
+        from repro.stream.events import CountingHandler
+
+        store = str(tmp_path / "s")
+        with EventLogWriter(store, sync="none", segment_events=4) as writer:
+            writer.extend(parse_string("<r>" + "<a>x</a>" * 20 + "</r>"))
+        handler = CountingHandler()
+        reader = EventLogReader(store, limits=ResourceLimits(max_total_events=10))
+        with pytest.raises(Exception, match="max_total_events"):
+            reader.events_into(handler)
+        assert handler.total == 10
+        assert len(list(EventLogReader(
+            store, limits=ResourceLimits(max_total_events=10**6)).events())) > 10
+
+    def test_within_limits_push_replay(self, tmp_path):
+        from repro.store.log import EventLogReader, EventLogWriter
+        from repro.stream.events import EventCollector
+
+        limits = ResourceLimits(
+            max_depth=10, max_attributes=4, max_attribute_length=16,
+            max_text_length=64, max_total_events=3,
+        )
+        events = [StartElement("a", 3, 1, {"k": "v"}), Characters("short", 3),
+                  EndElement("a", 3)]
+        store = str(tmp_path / "s")
+        with EventLogWriter(store, sync="none") as writer:
+            writer.extend(events)
+        collector = EventCollector()
+        EventLogReader(store, limits=limits).events_into(collector)
+        assert collector.events == events
+
+
+class TestTagCaches:
+    """Tag churn cannot grow the encoder's or the decoder's memo."""
+
+    def test_ten_thousand_distinct_tags(self, tmp_path):
+        from repro.store.log import EventLogReader, EventLogWriter
+        from repro.stream.codec import TAG_CACHE_LIMIT, EventEncoder, PushDecoder
+        from repro.stream.events import EventCollector
+
+        tags = [f"t{index}" for index in range(10_000)]
+        events = [StartElement("root", 1, 1, {})]
+        for index, tag in enumerate(tags):
+            events += [StartElement(tag, 2, index + 2, {}), EndElement(tag, 2)]
+        events.append(EndElement("root", 1))
+
+        store = str(tmp_path / "s")
+        with EventLogWriter(store, sync="none") as writer:
+            writer.extend(events)
+            assert 0 < len(writer._encoder._tags) <= TAG_CACHE_LIMIT
+        assert list(EventLogReader(store).events()) == events
+
+        encoder = EventEncoder()
+        collector = EventCollector()
+        decoder = PushDecoder(collector)
+        for event in events:
+            record = encode_event(event)
+            if isinstance(event, StartElement):
+                assert encoder.start_element(
+                    event.tag, event.level, event.node_id, event.attributes) == record
+            else:
+                assert encoder.end_element(event.tag, event.level) == record
+            decoder.decode(record)
+            assert len(encoder._tags) <= TAG_CACHE_LIMIT
+            assert len(decoder._tags) <= TAG_CACHE_LIMIT
+        assert collector.events == events
+        assert len(decoder._tags) > 0

@@ -305,11 +305,64 @@ class TestSyncPolicy:
             False, False, True, True,
         ]
 
+    def test_every(self):
+        assert SyncPolicy("always").every == 1
+        assert SyncPolicy("interval", 7).every == 7
+        assert SyncPolicy("none").every == 0
+
     @pytest.mark.parametrize("sync", ["always", "interval:4", "none"])
     def test_log_contents_identical_across_policies(self, tmp_path, sync):
         store = str(tmp_path / sync.replace(":", "_"))
         _, events = write_document(store, random_document(8), sync=sync)
         assert list(EventLogReader(store).events()) == events
+
+    def test_sync_none_never_fsyncs(self, tmp_path, monkeypatch):
+        """``none`` means no fsync at all: not per event, checkpoint,
+        manifest swap, or segment seal."""
+        import repro.store.sync as sync_mod
+        from repro.store import ingest
+
+        calls = []
+        monkeypatch.setattr(sync_mod.os, "fsync", lambda fd: calls.append(fd))
+        store = str(tmp_path / "s")
+        text = "<r>" + "<a><b>x</b></a>" * 50 + "</r>"
+        result = ingest(text, store, queries={"q": "//a//b"},
+                        segment_events=16, checkpoint_interval=40, sync="none")
+        assert result.segments >= 3 and len(result.checkpoints) >= 2
+        assert calls == []
+        assert list(EventLogReader(store).events()) == list(parse_string(text))
+
+    @pytest.mark.parametrize("sync,mid,total,published", [
+        # Recorded from the release before sync cadence, checkpoints and
+        # rotation were folded into one precomputed boundary; only
+        # ``none`` changed (it used to fsync every segment seal).
+        ("always", 282, 285, 252),
+        ("interval:5", 72, 75, 42),
+        ("interval:13", 41, 44, 11),
+        ("none", 0, 0, 0),
+    ])
+    def test_fsync_cadence_and_writer_metrics(self, tmp_path, monkeypatch, sync,
+                                              mid, total, published):
+        import repro.store.sync as sync_mod
+        from repro.obs.metrics import MetricsRegistry
+
+        calls = []
+        monkeypatch.setattr(sync_mod.os, "fsync", lambda fd: calls.append(fd))
+        metrics = MetricsRegistry()
+        writer = EventLogWriter(str(tmp_path / "s"), sync=sync, segment_events=37,
+                                checkpoint_interval=23, metrics=metrics)
+        writer.extend(parse_string("<r>" + "<a><b>x</b></a>" * 50 + "</r>"))
+        assert len(calls) == mid
+        writer.close()
+        assert len(calls) == total
+
+        def value(name):
+            return metrics.get(name).get()
+
+        assert value("repro_store_syncs_total") == published
+        assert value("repro_store_events_total") == 252
+        assert value("repro_store_bytes_total") == 4448
+        assert value("repro_store_checkpoints_total") == 10
 
     def test_writer_sync_counts(self, tmp_path, monkeypatch):
         import repro.store.sync as sync_mod
