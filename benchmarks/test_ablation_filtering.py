@@ -1,8 +1,9 @@
 """Ablation — shared-automaton filtering vs. per-query machines.
 
 The YFilter insight the related work cites: with N standing path
-queries, per-event work should not grow ~N.  The shared automaton pays
-one cached DFA transition per event; N separate PathM machines pay N
+queries, per-event work should not grow ~N.  The compiled multi-query
+engine's shared path unit (one lazy DFA over every path query) pays one
+cached DFA transition per event; N separate PathM machines pay N
 dispatches.  This bench measures both at growing N and asserts the
 scaling gap.
 """
@@ -12,7 +13,6 @@ import time
 
 import pytest
 
-from repro.core.filtering import PathFilterSet
 from repro.multiq import MultiQueryEngine
 from repro.stream.tokenizer import parse_string
 
@@ -40,15 +40,33 @@ def events(book_corpus):
     return list(book_corpus.events())
 
 
+def shared_engine(queries: dict[str, str]) -> MultiQueryEngine:
+    """Every query is predicate-free: one shared DFA unit holds them all."""
+    engine = MultiQueryEngine(queries, compiled=True)
+    assert engine.unit_count() == 1
+    return engine
+
+
+def run_shared(engine: MultiQueryEngine, events) -> dict[str, list[int]]:
+    """One pass; the transition cache survives ``reset`` across passes."""
+    engine.reset()
+    engine.feed_events(iter(events))
+    return engine.results()
+
+
+def state_count(engine: MultiQueryEngine) -> int:
+    (unit,) = engine._registry.units()
+    return unit.engine.dfa_state_count
+
+
 @pytest.mark.benchmark(group="ablation-filtering")
 @pytest.mark.parametrize("n_queries", [10, 50, 200])
 def test_shared_automaton(benchmark, n_queries, events):
-    queries = query_set(n_queries)
-    filters = PathFilterSet(queries)
-    results = benchmark(lambda: filters.run(iter(events)))
+    engine = shared_engine(query_set(n_queries))
+    results = benchmark(lambda: run_shared(engine, events))
     benchmark.extra_info.update(
         n_queries=n_queries,
-        dfa_states=filters.state_count,
+        dfa_states=state_count(engine),
         total_matches=sum(len(ids) for ids in results.values()),
     )
 
@@ -76,11 +94,11 @@ def test_shared_scales_sublinearly_in_query_count(benchmark, events):
     far below the 20x a per-query design pays."""
 
     def timed(n: int) -> float:
-        filters = PathFilterSet(query_set(n))
+        engine = shared_engine(query_set(n))
         best = float("inf")
         for _ in range(3):
             started = time.perf_counter()
-            filters.run(iter(events))
+            run_shared(engine, events)
             best = min(best, time.perf_counter() - started)
         return best
 
@@ -98,7 +116,7 @@ def test_shared_agrees_with_per_query(benchmark, events):
     queries = query_set(25)
 
     def compare():
-        shared = PathFilterSet(queries).run(iter(events))
+        shared = run_shared(shared_engine(queries), events)
         feed = MultiQueryEngine(queries)
         feed.feed_events(iter(events))
         return shared, feed.results()

@@ -1,6 +1,8 @@
 """CI smoke: 1000 standing queries over XMark through the multiq engine.
 
-Checks the two acceptance properties of the shared dispatch engine:
+Checks the two acceptance properties of the shared dispatch engine, once
+for the default engine and once with ``compiled=True`` (every path query
+a member of one shared lazy-DFA unit):
 
 1. **Exactness** — routed multi-query results are byte-identical to
    evaluating every query independently with its own
@@ -32,48 +34,59 @@ MIN_REDUCTION = 50.0
 REPORT = "BENCH_multiq.json"
 
 
-def main() -> int:
-    queries = multiq_workload(QUERY_COUNT)
-    events = list(xmark_events(SCALE))
-    print(f"multiq smoke: {len(queries)} queries, {len(events)} events")
-
-    engine = MultiQueryEngine(queries)
+def gate(label: str, queries: dict, events: list, expected: dict,
+         compiled: bool) -> bool:
+    """Run one engine over ``events``; True when both properties hold."""
+    engine = MultiQueryEngine(queries, compiled=compiled)
     engine.feed_events(events)
     routed = engine.results()
     stats = engine.dispatch_stats()
     print(
-        f"  {stats.units} machines, dispatched {stats.machine_events_dispatched} "
-        f"of {stats.machine_events_broadcast} broadcast machine-events "
-        f"({stats.reduction:.2f}x reduction)"
+        f"  {label}: {stats.units} machines, dispatched "
+        f"{stats.machine_events_dispatched} of {stats.machine_events_broadcast} "
+        f"broadcast machine-events ({stats.reduction:.2f}x reduction)"
     )
 
     failures = 0
     for name, query in queries.items():
-        expected = XPathStream(query).evaluate(events)
-        if routed[name] != expected:
+        if routed[name] != expected[name]:
             failures += 1
             if failures <= 5:
                 print(
-                    f"  MISMATCH {name} ({query}): "
-                    f"routed={routed[name]} expected={expected}",
+                    f"  MISMATCH {label} {name} ({query}): "
+                    f"routed={routed[name]} expected={expected[name]}",
                     file=sys.stderr,
                 )
     if failures:
         print(
-            f"FAIL: {failures}/{len(queries)} queries diverge from "
+            f"FAIL: {label}: {failures}/{len(queries)} queries diverge from "
             f"independent evaluation",
             file=sys.stderr,
         )
-        return 1
-    print(f"  all {len(queries)} query results identical to independent evaluation")
+        return False
+    print(f"  {label}: all {len(queries)} query results identical to "
+          f"independent evaluation")
 
     if stats.reduction < MIN_REDUCTION:
         print(
-            f"FAIL: dispatch reduction {stats.reduction:.2f}x is below the "
-            f"{MIN_REDUCTION:.0f}x target",
+            f"FAIL: {label}: dispatch reduction {stats.reduction:.2f}x is "
+            f"below the {MIN_REDUCTION:.0f}x target",
             file=sys.stderr,
         )
-        return 1
+        return False
+    return True
+
+
+def main() -> int:
+    queries = multiq_workload(QUERY_COUNT)
+    events = list(xmark_events(SCALE))
+    print(f"multiq smoke: {len(queries)} queries, {len(events)} events")
+    expected = {
+        name: XPathStream(query).evaluate(events) for name, query in queries.items()
+    }
+    for label, compiled in (("default", False), ("compiled", True)):
+        if not gate(label, queries, events, expected, compiled):
+            return 1
 
     payload = run_benchmark()
     write_report(payload, REPORT)

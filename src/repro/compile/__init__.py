@@ -10,12 +10,14 @@ Two tiers evaluate queries:
   automaton (:class:`DfaPathM`): states materialise only for tag
   sequences that occur in the data, per-event work is one dict lookup,
   and a state-count cap falls back to interpreted PathM when wildcard
-  blow-up threatens.
+  blow-up threatens.  One automaton may carry many queries (members):
+  its NFA lays their trunks end to end, YFilter-style.
 
-``compiled=True`` (on :class:`~repro.core.processor.XPathStream` and
-:class:`~repro.multiq.MultiQueryEngine`) upgrades an automatically
-selected PathM to :class:`DfaPathM`; every other engine runs exactly as
-with ``compiled=False``.
+``compiled=True`` on :class:`~repro.core.processor.XPathStream` upgrades
+an automatically selected PathM to a one-member :class:`DfaPathM`; on
+:class:`~repro.multiq.MultiQueryEngine` it makes every unlimited
+predicate-free query a member of one shared :class:`DfaPathM`.  Every
+other engine runs exactly as with ``compiled=False``.
 
 :mod:`repro.compile.scan` adds the query-aware turbo scanner: when the
 active handlers provably ignore attributes and character data (the DFA

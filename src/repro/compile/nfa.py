@@ -16,6 +16,11 @@ matched".  On an element with tag ``t``, from position-set ``S``::
 Reaching a set containing the accept position (= the number of trunk
 steps) means the element is a solution; output is immediate, as in
 PathM.
+
+Many queries share one NFA (YFilter's idea): :func:`layout_trunks` lays
+their trunks end to end, so an NFA state is a set of (member, position)
+pairs encoded as flat positions, and one :func:`subset_step` advances
+every member at once.
 """
 
 from __future__ import annotations
@@ -50,6 +55,27 @@ def trunk_steps(query: QueryTree) -> list[Step]:
             break
         qnode = next(child for child in qnode.children if child.on_trunk)
     return steps
+
+
+#: Fills a trunk's accept position in a laid-out NFA: it admits no tag
+#: (tags are never empty) and does not stay, so a position that reached
+#: it is dropped by the next :func:`subset_step`.
+_ACCEPTED = Step("", False)
+
+
+def layout_trunks(trunks: Iterable[list[Step]]) -> tuple[list[Step], list[int]]:
+    """Lay trunks end to end as one NFA: ``(steps, bases)``, where pair
+    ``(m, i)`` is position ``bases[m] + i`` and ``bases[m] + len(trunk)``
+    (member ``m``'s accept) holds :data:`_ACCEPTED`.  Pass ``len(steps)``
+    as :func:`subset_step`'s ``accept``; a lone trunk keeps base 0.
+    """
+    steps: list[Step] = []
+    bases: list[int] = []
+    for trunk in trunks:
+        bases.append(len(steps))
+        steps.extend(trunk)
+        steps.append(_ACCEPTED)
+    return steps, bases
 
 
 def subset_step(

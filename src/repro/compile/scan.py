@@ -261,7 +261,6 @@ def _turbo_scan_dfa(t: XmlTokenizer, dfa: DfaPathM) -> bool:
     find = buffer.find
     finditer = _LEAF_RE.finditer
     nonws = _NON_WS_RE.search
-    emit = dfa.sink.emit
     materialize = dfa._materialize
     dstack = dfa._state_stack
     while t._pos < length:
@@ -333,8 +332,9 @@ def _turbo_scan_dfa(t: XmlTokenizer, dfa: DfaPathM) -> bool:
                     seen_root = True
                     node_id = next_id
                     next_id = node_id + 1
-                    if nxt.accepting:
-                        emit(node_id)
+                    fire = nxt.fire
+                    if fire is not None:
+                        fire(node_id)
                     if li == 2:  # plain start: one open element
                         events += text_events + 1
                         stack.append(tag)

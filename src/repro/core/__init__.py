@@ -7,12 +7,10 @@
 * :mod:`repro.core.processor` — fragment dispatch and the public API.
 * :mod:`repro.core.results` — incremental result sinks.
 * :mod:`repro.core.fragments` — XML-fragment output with buffer GC.
-* :mod:`repro.core.filtering` — shared-automaton query filtering.
 * :mod:`repro.core.debug` — machine/state rendering and tracing.
 """
 
 from repro.core.branchm import BranchM, evaluate_branchm
-from repro.core.filtering import FilterSet, PathFilterSet
 from repro.core.fragments import FragmentCapture, evaluate_fragments
 from repro.core.machine import EDGE_EQ, EDGE_GE, Machine, MachineNode, build_machine
 from repro.core.pathm import PathM, evaluate_pathm
@@ -21,8 +19,6 @@ from repro.core.results import CallbackSink, CollectingSink, CountingSink, Resul
 from repro.core.twigm import CandidateTracker, StackEntry, TwigM, evaluate_twigm
 
 __all__ = [
-    "FilterSet",
-    "PathFilterSet",
     "CandidateTracker",
     "FragmentCapture",
     "evaluate_fragments",

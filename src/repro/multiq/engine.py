@@ -48,7 +48,7 @@ from typing import Callable, Iterable, Mapping
 from repro.core.results import CallbackSink, CollectingSink, ResultSink
 from repro.errors import CheckpointError
 from repro.multiq.canon import canonical_text
-from repro.multiq.registry import EvalUnit, QueryRegistry, Registration
+from repro.multiq.registry import EvalUnit, QueryRegistry, Registration, SharedPathUnit
 from repro.multiq.router import AlphabetRouter
 from repro.stream.events import EndElement, Event, EventHandler, StartElement
 from repro.stream.recovery import RecoveryPolicy, ResourceLimits, StreamDiagnostic
@@ -126,15 +126,18 @@ class MultiQueryEngine:
         event counts, query and unit gauges, the router hit ratio, and
         per-query emitted counts (labelled ``query="name"``).
     compiled:
-        Put predicate-free path queries on the lazy-DFA front-end
-        (:class:`~repro.compile.dfa.DfaPathM` — shared across deduped
-        registrations like any unit, riding the router's wants-all path
-        because the DFA's depth tracking needs every element event);
-        every other unit is built exactly as with ``compiled=False``.
-        Results are bit-for-bit identical to the interpreted engines.  When
-        every registered unit is turbo-safe, text feeds
-        (:meth:`feed_text` / :meth:`evaluate`) additionally
-        engage the query-aware turbo scanner
+        Put predicate-free path queries into one shared lazy DFA
+        (:class:`~repro.multiq.registry.SharedPathUnit`: a single
+        :class:`~repro.compile.dfa.DfaPathM` with every such query as a
+        member, so a start tag costs one transition lookup however many
+        path queries are registered; it rides the router's wants-all
+        path because the DFA's depth tracking needs every element
+        event).  Queries with per-query limits, a tracker or a lag probe
+        keep per-query units, and every other unit is built exactly as
+        with ``compiled=False``.  Results are bit-for-bit identical to
+        the interpreted engines.  When every registered unit is
+        turbo-safe, text feeds (:meth:`feed_text` / :meth:`evaluate`)
+        additionally engage the query-aware turbo scanner
         (:mod:`repro.compile.scan`); eligibility is re-checked per
         chunk, keyed on the router's version counter.
     """
@@ -162,7 +165,10 @@ class MultiQueryEngine:
         self._handler: "_MultiQueryHandler | None" = None
         self._events = 0
         self._dispatched = 0
+        # Broadcast deliveries are events × registrations, settled into
+        # ``_broadcast`` whenever the registration set changes.
         self._broadcast = 0
+        self._settled_events = 0
         if metrics is not None:
             self._bind_metrics(metrics)
         if queries:
@@ -226,8 +232,20 @@ class MultiQueryEngine:
             queries=len(self._registry),
             units=self._registry.unit_count(),
             machine_events_dispatched=self._dispatched,
-            machine_events_broadcast=self._broadcast,
+            machine_events_broadcast=self._broadcast_total(),
         )
+
+    def _broadcast_total(self) -> int:
+        """Counterfactual broadcast deliveries: settled plus every event
+        since the last settlement × the current registration count."""
+        return self._broadcast + (
+            (self._events - self._settled_events) * len(self._registry)
+        )
+
+    def _settle_broadcast(self) -> None:
+        """Fold the running broadcast count in before registrations change."""
+        self._broadcast = self._broadcast_total()
+        self._settled_events = self._events
 
     def emitted_counts(self) -> dict[str, int]:
         """Distinct solutions emitted so far, per query (any sink kind)."""
@@ -275,14 +293,13 @@ class MultiQueryEngine:
         absolute ``set`` here makes the registry report cumulative truth
         even on a checkpoint-resumed dispatcher.
         """
+        broadcast = self._broadcast_total()
         self._m_events.set(self._events)
         self._m_dispatched.set(self._dispatched)
-        self._m_broadcast.set(self._broadcast)
+        self._m_broadcast.set(broadcast)
         self._m_queries.set(len(self._registry))
         self._m_units.set(self._registry.unit_count())
-        self._m_hit_ratio.set(
-            self._dispatched / self._broadcast if self._broadcast else 0.0
-        )
+        self._m_hit_ratio.set(self._dispatched / broadcast if broadcast else 0.0)
         for name, count in self.emitted_counts().items():
             self._m_emitted.set(count, query=name)
 
@@ -322,6 +339,7 @@ class MultiQueryEngine:
         :class:`repro.latency.DecisionLagProbe` to a dedicated machine.
         """
         sink = self._make_sink(name, on_match)
+        self._settle_broadcast()
         registration, created = self._registry.add(
             name,
             query,
@@ -336,6 +354,10 @@ class MultiQueryEngine:
         )
         if created is not None:
             self._router.add(created)
+        else:
+            # Joined an existing unit: no new route, but the handler's
+            # per-version caches (turbo safety) depend on registrations.
+            self._router.invalidate()
         return registration
 
     def attach_warm(
@@ -365,6 +387,7 @@ class MultiQueryEngine:
         an exact event boundary.
         """
         sink = self._make_sink(name, on_match)
+        self._settle_broadcast()
         registration, created = self._registry.add(
             name,
             query,
@@ -391,9 +414,12 @@ class MultiQueryEngine:
     def remove_query(self, name: str) -> Registration:
         """Withdraw a standing query; its machine is dropped with the
         last sharer.  Collected results for ``name`` are discarded."""
+        self._settle_broadcast()
         registration, unit_dropped = self._registry.remove(name)
         if unit_dropped:
             self._router.remove(registration.unit)
+        else:
+            self._router.invalidate()  # as in add_query
         return registration
 
     def _is_callback(self, per_query: "Callable[[int], None] | None") -> bool:
@@ -531,6 +557,7 @@ class MultiQueryEngine:
             unit.virgin = True
         self._tokenizer = None
         self._events = self._dispatched = self._broadcast = 0
+        self._settled_events = 0
 
     # -- checkpoint / resume --------------------------------------------
 
@@ -578,7 +605,7 @@ class MultiQueryEngine:
             "stats": {
                 "events": self._events,
                 "dispatched": self._dispatched,
-                "broadcast": self._broadcast,
+                "broadcast": self._broadcast_total(),
             },
         }
 
@@ -622,7 +649,7 @@ class MultiQueryEngine:
             )
             engine._restore_queries(snapshot, trackers or {})
             stats = snapshot.get("stats", {})
-            engine._events = stats.get("events", 0)
+            engine._events = engine._settled_events = stats.get("events", 0)
             engine._dispatched = stats.get("dispatched", 0)
             engine._broadcast = stats.get("broadcast", 0)
             if snapshot.get("tokenizer") is not None:
@@ -637,53 +664,89 @@ class MultiQueryEngine:
         return engine
 
     def _restore_queries(self, snapshot: dict, trackers: Mapping) -> None:
-        """Rebuild units and registrations, preserving grouping and order."""
+        """Rebuild units and registrations, preserving grouping and order.
+
+        Under ``compiled`` an unlimited ``dfa`` unit restores as a
+        :class:`~repro.multiq.registry.SharedPathUnit`.  Captures from
+        the release that ran one DFA unit per path query have no member
+        lists; their units still on the DFA at one open tag path fold
+        into one shared unit, and fallen ones keep their PathMs.
+        """
         from repro.multiq.canon import canonicalize
         from repro.xpath.querytree import compile_query
 
         payloads = {payload["name"]: payload for payload in snapshot["queries"]}
         pending: dict[str, tuple[Registration, bool]] = {}
+        # Legacy DFA units folded together, keyed by their open tag path.
+        folded: dict[tuple[str, ...], SharedPathUnit] = {}
         for unit_payload in snapshot["units"]:
             members = unit_payload["queries"]
             if not members:
                 raise CheckpointError("multiq snapshot unit with no queries")
             first = payloads[members[0]]
             limits = ResourceLimits.from_dict(first.get("limits"))
-            tree = canonicalize(first["query"])
-            tracked = bool(first.get("tracked", False))
-            emission = first.get("emission", "default")
-            unit = EvalUnit(tree, limits, engine_name=unit_payload["engine"],
-                            metrics=self._metrics,
-                            tracker=trackers.get(members[0]) if tracked else None,
-                            compiled=self._compiled,
-                            emission=emission)
-            unit.tracked = tracked
-            unit.virgin = bool(unit_payload.get("virgin", False))
-            for index, member in enumerate(members):
+            trees = {member: canonicalize(payloads[member]["query"]) for member in members}
+            sinks = {
+                member: self._restored_sink(member, bool(payloads[member]["callback"]))
+                for member in members
+            }
+            tree = trees[members[0]]
+            machine = unit_payload["machine"]
+            shared = (self._compiled and unit_payload["engine"] == "dfa"
+                      and limits is None)
+            fold_key = None
+            if shared and "members" not in machine and not machine.get("fallen"):
+                fold_key = tuple(machine["dfa"]["tags"])
+            unit = folded.get(fold_key)
+            new_unit = unit is None
+            if unit is not None:
+                # Joining replays the open tag path for the new members.
+                for member in members:
+                    unit.join(member, trees[member], sinks[member])
+            elif shared:
+                unit = SharedPathUnit(members[0], tree, sinks[members[0]],
+                                      metrics=self._metrics)
+                for member in members[1:]:
+                    unit.join(member, trees[member], sinks[member])
+            else:
+                tracked = bool(first.get("tracked", False))
+                unit = EvalUnit(tree, limits, engine_name=unit_payload["engine"],
+                                metrics=self._metrics,
+                                tracker=trackers.get(members[0]) if tracked else None,
+                                compiled=self._compiled,
+                                emission=first.get("emission", "default"))
+                unit.tracked = tracked
+                for member in members:
+                    if member != members[0] and compile_query(
+                        payloads[member]["query"]
+                    ) != tree:
+                        raise CheckpointError(
+                            f"multiq snapshot groups {member!r} with a machine "
+                            f"for a different query"
+                        )
+                    unit.join(member, tree, sinks[member])
+            if new_unit:
+                unit.virgin = bool(unit_payload.get("virgin", False))
+                unit.engine.restore_state(machine)
+                if fold_key is not None:
+                    folded[fold_key] = unit
+            unit.sink.restore_state(unit_payload["sinks"])
+            for member in members:
                 payload = payloads[member]
-                if index and compile_query(payload["query"]) != tree:
-                    raise CheckpointError(
-                        f"multiq snapshot groups {member!r} with a machine "
-                        f"for a different query"
-                    )
-                sink = self._restored_sink(member, bool(payload["callback"]))
-                unit.sink.add(member, sink)
                 pending[member] = (
                     Registration(
                         name=member,
                         source=payload["query"],
-                        canonical=canonical_text(tree),
-                        tree=tree,
+                        canonical=canonical_text(trees[member]),
+                        tree=trees[member],
                         limits=limits,
                         unit=unit,
                         callback=bool(payload["callback"]),
                         tracked=bool(payload.get("tracked", False)),
                         emission=payload.get("emission", "default"),
                     ),
-                    member == members[0],
+                    new_unit and member == members[0],
                 )
-            unit.engine.restore_state(unit_payload["machine"])
-            unit.sink.restore_state(unit_payload["sinks"])
         if set(pending) != set(payloads):
             raise CheckpointError(
                 "multiq snapshot units do not cover the registered queries"
@@ -781,7 +844,6 @@ class _MultiQueryHandler(EventHandler):
     def start_element(self, tag, level, node_id, attributes) -> None:
         engine = self._engine
         engine._events += 1
-        engine._broadcast += len(engine._registry)
         router = engine._router
         delivered = 0
         for gate, _end, unit in router.routes_for_tag(tag):
@@ -799,7 +861,6 @@ class _MultiQueryHandler(EventHandler):
     def characters(self, text, level) -> None:
         engine = self._engine
         engine._events += 1
-        engine._broadcast += len(engine._registry)
         router = engine._router
         delivered = 0
         for gate, _end, unit in router.text_routes():
@@ -817,7 +878,6 @@ class _MultiQueryHandler(EventHandler):
     def end_element(self, tag, level) -> None:
         engine = self._engine
         engine._events += 1
-        engine._broadcast += len(engine._registry)
         router = engine._router
         delivered = 0
         for _start, gate, unit in router.routes_for_tag(tag):

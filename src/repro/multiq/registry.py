@@ -17,12 +17,19 @@ mapping between the two:
   empty stacks, a fresh machine's state, so it stays shareable);
 * ``remove`` detaches a registration and drops its unit once the last
   sharer leaves.
+
+Under ``compiled`` every predicate-free registration without limits,
+tracker or lag probe is a member of one :class:`SharedPathUnit` (one
+lazy DFA over all their trunks).  Members join only while it is virgin,
+for the same reason; a path query added later opens a fresh one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.pathm import PathM
+from repro.core.processor import select_engine_class
 from repro.core.results import ResultSink
 from repro.multiq.canon import DedupKey, canonical_text, canonicalize, dedup_key
 from repro.stream.recovery import ResourceLimits
@@ -82,6 +89,7 @@ class EvalUnit:
         compiled: bool = False,
         emission: str = "default",
         lag_probe=None,
+        engine_sink: ResultSink | None = None,
     ):
         from repro.core.processor import build_engine
         from repro.multiq.router import machine_alphabet
@@ -95,7 +103,8 @@ class EvalUnit:
             # consumers (repro.transform) force the full machine.
             engine_name = "twigm"
         self.engine = build_engine(
-            tree, self.sink, engine=engine_name, compiled=compiled,
+            tree, self.sink if engine_sink is None else engine_sink,
+            engine=engine_name, compiled=compiled,
             limits=limits, metrics=metrics, emission=emission,
             lag_probe=lag_probe, tracker=tracker,
         )
@@ -134,6 +143,43 @@ class EvalUnit:
         """Names of the registrations multiplexed onto this unit."""
         return list(self.sink.sinks)
 
+    def join(self, name: str, tree: QueryTree, sink: ResultSink) -> None:
+        """Attach a registration whose query this unit evaluates."""
+        self.sink.add(name, sink)
+
+    def leave(self, name: str) -> bool:
+        """Detach ``name``; True when it was the last registration."""
+        self.sink.remove(name)
+        return not self.sink.sinks
+
+
+class SharedPathUnit(EvalUnit):
+    """Many predicate-free queries as the members of one lazy DFA.
+
+    Each registration is a :class:`~repro.compile.dfa.DfaPathM` member
+    emitting straight into its own sink; :attr:`sink` only indexes those
+    sinks by name (results, snapshots).
+    """
+
+    __slots__ = ()
+
+    def __init__(self, name: str, tree: QueryTree, sink: ResultSink, metrics=None):
+        super().__init__(tree, metrics=metrics, compiled=True, engine_sink=sink)
+        self.sink.add(name, sink)
+
+    def join(self, name: str, tree: QueryTree, sink: ResultSink) -> None:
+        from repro.multiq.router import machine_alphabet
+
+        self.sink.add(name, sink)
+        self.interest |= machine_alphabet(self.engine.add_member(tree, sink))[0]
+
+    def leave(self, name: str) -> bool:
+        sink = self.sink.remove(name)
+        if not self.sink.sinks:
+            return True
+        self.engine.remove_member(sink)
+        return False
+
 
 @dataclass(slots=True)
 class Registration:
@@ -151,8 +197,9 @@ class Registration:
     #: True when the unit's machine runs with a candidate tracker
     #: (fragment capture); recorded so restore can re-attach one.
     tracked: bool = False
-    #: The unit's emission mode ("default"/"earliest"); part of the
-    #: sharing key — mixed-mode queries never share a machine.
+    #: The query's emission mode ("default"/"earliest"); part of the
+    #: sharing key — mixed-mode queries never share a per-query machine
+    #: (the shared path unit emits at start tags in either mode).
     emission: str = "default"
 
 
@@ -163,6 +210,9 @@ class QueryRegistry:
         self._registrations: dict[str, Registration] = {}
         # Keyed by (structural dedup key, emission mode).
         self._units: dict[tuple[DedupKey, str], list[EvalUnit]] = {}
+        #: The shared path unit new compiled path queries join while it
+        #: is virgin.
+        self._shared: SharedPathUnit | None = None
 
     # -- introspection --------------------------------------------------
 
@@ -232,7 +282,10 @@ class QueryRegistry:
         to the unit's machine (forcing TwigM and a dedicated unit — a
         tracker observes exactly one consumer's candidate lifetimes).
         ``compiled`` selects the :mod:`repro.compile` engine tiers for
-        any unit this call creates (joined units already have theirs).
+        any unit this call creates (joined units already have theirs);
+        it puts an unlimited, untracked, unprobed path query into the
+        :class:`SharedPathUnit` (any emission mode: path engines emit at
+        the start tag either way).
         """
         if name in self._registrations:
             raise ValueError(f"duplicate query name {name!r}")
@@ -240,22 +293,32 @@ class QueryRegistry:
             share = False
         tree = canonicalize(query)
         source = tree.source if isinstance(query, QueryTree) else query
-        # Emission mode joins the sharing key: a default-mode sharer must
-        # not receive a mixed-in earliest unit's early emissions.
-        key = (dedup_key(tree, limits), emission)
         unit: EvalUnit | None = None
         created: EvalUnit | None = None
-        if share:
-            for candidate in self._units.get(key, ()):
-                if candidate.virgin and not candidate.tracked:
-                    unit = candidate
-                    break
-        if unit is None:
-            unit = created = EvalUnit(tree, limits, metrics=metrics,
-                                      tracker=tracker, compiled=compiled,
-                                      emission=emission, lag_probe=lag_probe)
-            self._units.setdefault(key, []).append(unit)
-        unit.sink.add(name, sink)
+        if (compiled and limits is None and tracker is None and lag_probe is None
+                and select_engine_class(tree) is PathM):
+            if share and self._shared is not None and self._shared.virgin:
+                unit = self._shared
+                unit.join(name, tree, sink)
+            else:
+                unit = created = SharedPathUnit(name, tree, sink, metrics=metrics)
+                if share:
+                    self._shared = created
+        else:
+            # Emission mode joins the sharing key: a default-mode sharer
+            # must not receive a mixed-in earliest unit's early emissions.
+            key = (dedup_key(tree, limits), emission)
+            if share:
+                for candidate in self._units.get(key, ()):
+                    if candidate.virgin and not candidate.tracked:
+                        unit = candidate
+                        break
+            if unit is None:
+                unit = created = EvalUnit(tree, limits, metrics=metrics,
+                                          tracker=tracker, compiled=compiled,
+                                          emission=emission, lag_probe=lag_probe)
+                self._units.setdefault(key, []).append(unit)
+            unit.join(name, tree, sink)
         registration = Registration(
             name=name,
             source=source,
@@ -274,10 +337,14 @@ class QueryRegistry:
         """Install a pre-built registration (snapshot restore path)."""
         if registration.name in self._registrations:
             raise ValueError(f"duplicate query name {registration.name!r}")
-        if new_unit:
+        unit = registration.unit
+        if isinstance(unit, SharedPathUnit):
+            if unit.virgin:
+                self._shared = unit
+        elif new_unit:
             key = (dedup_key(registration.tree, registration.limits),
                    registration.emission)
-            self._units.setdefault(key, []).append(registration.unit)
+            self._units.setdefault(key, []).append(unit)
         self._registrations[registration.name] = registration
 
     def remove(self, name: str) -> tuple[Registration, bool]:
@@ -285,13 +352,14 @@ class QueryRegistry:
         registration = self.get(name)
         del self._registrations[name]
         unit = registration.unit
-        unit.sink.remove(name)
-        if not unit.sink.sinks:
-            key = (dedup_key(registration.tree, registration.limits),
-                   registration.emission)
-            peers = self._units.get(key, [])
-            peers[:] = [peer for peer in peers if peer is not unit]
-            if not peers and key in self._units:
-                del self._units[key]
-            return registration, True
-        return registration, False
+        if not unit.leave(name):
+            return registration, False
+        if unit is self._shared:
+            self._shared = None
+        key = (dedup_key(registration.tree, registration.limits),
+               registration.emission)
+        peers = self._units.get(key, [])
+        peers[:] = [peer for peer in peers if peer is not unit]
+        if not peers and key in self._units:
+            del self._units[key]
+        return registration, True

@@ -228,8 +228,12 @@ def test_multiq_compiled_matches_interpreted(seed):
     reference = MultiQueryEngine(MULTI_QUERIES).evaluate(doc)
     compiled = MultiQueryEngine(MULTI_QUERIES, compiled=True)
     assert compiled.evaluate_push(doc) == reference
-    # Dedup must share compiled units exactly as interpreted ones.
-    assert compiled.unit_count() == MultiQueryEngine(MULTI_QUERIES).unit_count()
+    # Every path query is a member of one shared DFA unit; the
+    # predicate query keeps its own machine.
+    assert compiled.unit_count() == 2
+    shared = {compiled.registration(name).unit
+              for name in ("pf1", "pf1_dup", "pf2", "wild")}
+    assert len(shared) == 1
     engines = compiled.engine_names()
     assert engines["pf1"] == engines["pf1_dup"] == "dfa"
     assert engines["pred"] == "twigm"

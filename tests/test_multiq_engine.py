@@ -108,6 +108,41 @@ class TestDispatchStats:
         assert stats.reduction > 1.0
         assert stats.to_dict()["reduction"] == stats.reduction
 
+    @pytest.mark.parametrize("compiled", [False, True])
+    def test_broadcast_matches_brute_force_across_changes(self, compiled):
+        """Broadcast is settled lazily (events × registrations at each
+        registration change); it must equal a per-event count across live
+        add/remove, a callback adding a query mid-event, and restore."""
+        events = list(parse_string(XML))
+        added = []
+
+        def on_match(name, node_id):
+            if name == "titles" and not added:
+                added.append(node_id)
+                engine.add_query("from-callback", "//price")
+
+        engine = MultiQueryEngine(QUERIES, on_match=on_match, compiled=compiled)
+        broadcast = 0
+        for index, event in enumerate(events):
+            if index == 3:
+                engine.add_query("late", "//book")
+            if index == 6:
+                engine.remove_query("dup")
+            if index == 9:
+                snapshot = engine.snapshot()
+                assert snapshot["stats"]["events"] == index
+                assert snapshot["stats"]["broadcast"] == broadcast
+                engine = MultiQueryEngine.restore(
+                    snapshot, on_match=on_match
+                )
+            broadcast += len(engine)
+            engine.feed_events([event])
+        assert added
+        stats = engine.dispatch_stats()
+        assert stats.events == len(events)
+        assert stats.machine_events_broadcast == broadcast
+        assert engine.snapshot()["stats"]["broadcast"] == broadcast
+
     def test_disjoint_alphabets_route_sharply(self):
         """Queries over disjoint tag sets only ever pay for their own."""
         engine = MultiQueryEngine({"left": "//x//y", "right": "//a//b"})

@@ -44,7 +44,6 @@ def test_top_level_readme_imports():
     assert isinstance(repro.__version__, str)
 
     from repro.core.fragments import evaluate_fragments  # noqa: F401
-    from repro.core.filtering import FilterSet  # noqa: F401
     from repro.multiq import MultiQueryEngine  # noqa: F401
     from repro.stream import resolve_namespaces  # noqa: F401
 

@@ -18,7 +18,6 @@ import pytest
 
 from repro import MultiQueryEngine, XPathStream, evaluate
 from repro.bench.hotpath import ReferenceTokenizer, reference_events
-from repro.core.filtering import FilterSet
 from repro.errors import ResourceLimitError, XmlSyntaxError
 from repro.stream.events import EventCollector
 from repro.stream.faults import byte_split_chunks, corrupt_text
@@ -292,9 +291,13 @@ class TestMultiQueryAndFilterParity:
         assert push.dispatch_stats().events == reference.dispatch_stats().events
 
     def test_filter_set(self, book_catalog_xml):
-        reference = FilterSet(self.QUERY_SET)
+        """The compiled engine: its shared path unit filters the path
+        queries, predicate queries keep their own machines."""
+        reference = MultiQueryEngine(self.QUERY_SET, compiled=True)
         reference.feed_events(reference_events(book_catalog_xml))
-        assert FilterSet(self.QUERY_SET).evaluate(book_catalog_xml) == reference.results()
+        push = MultiQueryEngine(self.QUERY_SET, compiled=True)
+        assert push.evaluate(book_catalog_xml) == reference.results()
+        assert reference.results() == self._reference_multiq(book_catalog_xml).results()
 
     @pytest.mark.parametrize("seed", range(10))
     def test_multiq_random_documents(self, seed):

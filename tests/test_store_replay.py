@@ -213,14 +213,14 @@ class TestIndexSkipping:
 
 class TestLateQueryCatchUp:
     def _run_split(self, tmp_path, text, initial, late_name, late_query, cut=0.5,
-                   limits=None):
+                   limits=None, compiled=False):
         """Ingest; pause mid-stream; splice a late query; finish."""
         from repro.store.log import EventLogWriter
         from repro.store.replay import _Tee
         from repro.stream.tokenizer import XmlTokenizer
 
         store = str(tmp_path / "s")
-        engine = MultiQueryEngine(initial)
+        engine = MultiQueryEngine(initial, compiled=compiled)
         writer = EventLogWriter(store, segment_events=24, sync="none")
         writer.attach(engine)
         tokenizer = XmlTokenizer()
@@ -270,6 +270,22 @@ class TestLateQueryCatchUp:
         assert engine.results() == reference.evaluate_push(text)
         assert result.stats.segments_skipped > 0
         assert result.events_replayed < result.position
+
+    @pytest.mark.parametrize("cut", [0.0, 0.4, 0.8])
+    def test_compiled_late_path_query_beside_shared_unit(self, tmp_path, cut):
+        """A late path query spliced into a compiled engine whose shared
+        DFA unit already holds other path queries."""
+        text = random_document(31)
+        initial = {"titles": "//title", "deep": "//a//b", "cheap": "//book[price < 30]"}
+        engine, _ = self._run_split(
+            tmp_path, text, initial, "late", "//book//title", cut=cut, compiled=True
+        )
+        shared = engine.registration("titles").unit
+        assert engine.registration("deep").unit is shared
+        assert engine.registration("late").unit is not shared
+        assert engine.engine_names()["late"] == "dfa"
+        reference = MultiQueryEngine({**initial, "late": "//book//title"})
+        assert engine.results() == reference.evaluate_push(text)
 
     def test_attach_warm_duplicate_name_rejected(self, tmp_path):
         text = random_document(5)
