@@ -6,8 +6,7 @@ deliberately tight ResourceLimits profile — through **both** of:
 * the reference path (``ReferenceTokenizer.feed``: the tokenizer with
   its regex fast path off → event objects → ``feed_events``);
 * the fused path (``feed_text``: regex scanner → direct machine
-  dispatch, no event objects) — the path serving sessions and the perf
-  pipeline ride.
+  dispatch, no event objects) — the path serving sessions ride.
 
 Three outcomes are acceptable per seed: a clean result, a clean result
 after recovery (with diagnostics), or a ResourceLimitError.  Anything

@@ -22,9 +22,9 @@ Packages:
 * :mod:`repro.multiq` — shared multi-query dispatch (one routed parse).
 * :mod:`repro.xpath` — XP{/,//,*,[]} parsing and query trees.
 * :mod:`repro.stream` — modified-SAX events, parsers, DOM, serialization.
-* :mod:`repro.perf` — the fused push fast path (:class:`PushPipeline`).
-* :mod:`repro.obs` — opt-in metrics and tracing (pass ``metrics=`` /
-  ``tracer=`` anywhere a stream is built; see ``docs/OBSERVABILITY.md``).
+* :mod:`repro.obs` — opt-in metrics and tracing (pass ``metrics=``
+  anywhere a stream is built; see ``docs/OBSERVABILITY.md``), and the
+  ``python -m repro profile`` cProfile runner.
 * :mod:`repro.serve` — fault-tolerant asyncio serving layer
   (``docs/SERVING.md``).
 * :mod:`repro.store` — durable ingest log with checkpointed replay and

@@ -16,7 +16,7 @@ regression can be attributed:
 * **pull pipeline** — reference events into
   :meth:`XPathStream.feed_events`.
 * **push pipeline** — :meth:`XPathStream.evaluate` (fused regex scan →
-  direct machine callbacks; see :mod:`repro.perf`).
+  direct machine callbacks; see :mod:`repro.core.textfeed`).
 * **compiled pipeline** — ``XPathStream(query, compiled=True)``
   ``.evaluate`` (:mod:`repro.compile`: the lazy-DFA front-end plus
   turbo scanner for predicate-free paths; the rest run the interpreted

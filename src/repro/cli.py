@@ -111,8 +111,8 @@ def main(argv: list[str] | None = None) -> int:
         return stats_main(argv[1:])
     if argv and argv[0] == "profile":
         # ``python -m repro profile QUERY FILE`` — cProfile one
-        # evaluation through either pipeline (repro.perf.profiling).
-        from repro.perf.profiling import main as profile_main
+        # evaluation (repro.obs.profiling).
+        from repro.obs.profiling import main as profile_main
 
         try:
             return profile_main(argv[1:])

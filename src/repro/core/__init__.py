@@ -5,6 +5,8 @@
 * :mod:`repro.core.branchm` — XP{/,[]} evaluation (section 3.2).
 * :mod:`repro.core.twigm` — XP{/,//,*,[]} evaluation (sections 3.3, 4).
 * :mod:`repro.core.processor` — fragment dispatch and the public API.
+* :mod:`repro.core.textfeed` — the one text front door every face feeds
+  raw XML through (tokenizer, turbo choice, close, snapshot key).
 * :mod:`repro.core.results` — incremental result sinks.
 * :mod:`repro.core.fragments` — XML-fragment output with buffer GC.
 * :mod:`repro.core.debug` — machine/state rendering and tracing.

@@ -43,11 +43,11 @@ from typing import Callable, Iterable
 from repro.core.branchm import BranchM
 from repro.core.pathm import PathM
 from repro.core.results import CallbackSink, CollectingSink, ResultSink
+from repro.core.textfeed import TextFeed
 from repro.core.twigm import TwigM
 from repro.errors import CheckpointError
 from repro.stream.events import Event
 from repro.stream.recovery import RecoveryPolicy, ResourceLimits, StreamDiagnostic
-from repro.stream.tokenizer import XmlTokenizer, split_source
 from repro.xpath.querytree import QueryTree, compile_query
 
 #: The engine classes by fragment, in dispatch order.
@@ -135,7 +135,7 @@ def build_engine(query: QueryTree, sink: ResultSink, *,
     return engine_class(query, sink=sink, limits=limits, **options)
 
 
-class XPathStream:
+class XPathStream(TextFeed):
     """A streaming XPath processor bound to one query.
 
     Parameters
@@ -204,13 +204,11 @@ class XPathStream:
         state_cap: int | None = None,
         emission: str = "default",
     ):
+        super().__init__(policy=policy, on_diagnostic=on_diagnostic,
+                         limits=limits, metrics=metrics)
         if isinstance(query, str):
             query = compile_query(query)
         self.query = query
-        self._policy = RecoveryPolicy.coerce(policy)
-        self._on_diagnostic = on_diagnostic
-        self._limits = limits
-        self._metrics = metrics
         self._compiled = bool(compiled) or engine == "dfa"
         self._state_cap = state_cap
         if emission not in ("default", "earliest"):
@@ -228,9 +226,7 @@ class XPathStream:
             state_cap=state_cap,
         )
         self._sink = sink
-        self._tokenizer: XmlTokenizer | None = None
         self._push_handler = None
-        self._turbo = None
 
     @property
     def engine_name(self) -> str:
@@ -256,31 +252,6 @@ class XPathStream:
             return []
         return self._tokenizer.diagnostics
 
-    # -- one-shot -----------------------------------------------------------
-
-    def evaluate(self, source) -> list[int]:
-        """Evaluate the query over ``source``; return solution ids.
-
-        ``source`` may be XML text, a path, a file object, chunk
-        iterables, or an event stream.  Text is scanned straight into
-        the machine's transition callbacks (:meth:`feed_text`, then
-        :meth:`close`); pre-built events go through :meth:`feed_events`.
-        """
-        chunks, events = split_source(source)
-        if chunks is None:
-            self.feed_events(events)
-        else:
-            self._tokenizer = None
-            for chunk in chunks:
-                self.feed_text(chunk)
-            self.close()
-        if isinstance(self._sink, CollectingSink):
-            return self._sink.results
-        return []
-
-    #: Former name of the text path, kept for callers that still use it.
-    evaluate_push = evaluate
-
     # -- push-style ---------------------------------------------------------
 
     def push_handler(self):
@@ -294,44 +265,11 @@ class XPathStream:
             self._push_handler = self.engine.as_handler()
         return self._push_handler
 
+    _text_handler = push_handler
+
     def feed_events(self, events: Iterable[Event]) -> None:
         """Push pre-parsed modified-SAX events through the engine."""
         self.engine.feed(events)
-
-    def feed_text(self, chunk: str) -> None:
-        """Push a chunk of raw XML text (incremental parsing).
-
-        The tokenizer drives the machine's transition callbacks directly
-        (:meth:`~repro.stream.tokenizer.XmlTokenizer.feed_into`), through
-        the query-aware turbo scanner when the machine qualifies.  A
-        :meth:`snapshot` between chunks captures the mid-parse tokenizer.
-        """
-        if self._tokenizer is None:
-            self._tokenizer = XmlTokenizer(
-                policy=self._policy,
-                on_diagnostic=self._on_diagnostic,
-                limits=self._limits,
-                metrics=self._metrics,
-            )
-        handler = self.push_handler()
-        if self._turbo is None:
-            # Eligibility depends only on construction-time configuration
-            # (policy/limits/metrics) and the handler, so the tri-state
-            # cache (None = unknown, False = ineligible, else the feed
-            # function) survives tokenizer recreation.
-            self._turbo = False
-            if getattr(handler, "turbo_scan_safe", False):
-                from repro.compile.scan import turbo_eligible, turbo_feed
-
-                if turbo_eligible(self._tokenizer, handler):
-                    self._turbo = turbo_feed
-        if self._turbo:
-            self._turbo(self._tokenizer, chunk, handler)
-        else:
-            self._tokenizer.feed_into(chunk, handler)
-
-    #: Former name of :meth:`feed_text`, kept for callers that still use it.
-    feed_text_push = feed_text
 
     def close(self) -> list[int]:
         """Finish an incremental text feed; return collected ids (if any).
@@ -340,9 +278,7 @@ class XPathStream:
         a truncated document here; they are fed through the engine so a
         match pending only on missing end tags is still confirmed.
         """
-        if self._tokenizer is not None:
-            self._tokenizer.close_into(self.push_handler())
-            self._tokenizer = None
+        self._close_text()
         if isinstance(self._sink, CollectingSink):
             return self._sink.results
         return []
@@ -372,7 +308,7 @@ class XPathStream:
             "emission": self._emission,
             "policy": self._policy.value,
             "limits": self._limits.to_dict() if self._limits is not None else None,
-            "tokenizer": self._tokenizer.snapshot() if self._tokenizer is not None else None,
+            "tokenizer": self._tokenizer_snapshot(),
             "machine": self.engine.snapshot_state(),
             "sink": self._sink.snapshot_state(),
         }
@@ -413,13 +349,7 @@ class XPathStream:
             )
             stream.engine.restore_state(snapshot["machine"])
             stream._sink.restore_state(snapshot["sink"])
-            if snapshot.get("tokenizer") is not None:
-                stream._tokenizer = XmlTokenizer.restore(
-                    snapshot["tokenizer"],
-                    on_diagnostic=on_diagnostic,
-                    limits=stream._limits,
-                    metrics=metrics,
-                )
+            stream._restore_tokenizer(snapshot.get("tokenizer"))
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"malformed snapshot: {exc}") from exc
         return stream

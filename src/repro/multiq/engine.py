@@ -46,13 +46,13 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from repro.core.results import CallbackSink, CollectingSink, ResultSink
+from repro.core.textfeed import TextFeed
 from repro.errors import CheckpointError
 from repro.multiq.canon import canonical_text
 from repro.multiq.registry import EvalUnit, QueryRegistry, Registration, SharedPathUnit
 from repro.multiq.router import AlphabetRouter
 from repro.stream.events import EndElement, Event, EventHandler, StartElement
 from repro.stream.recovery import RecoveryPolicy, ResourceLimits, StreamDiagnostic
-from repro.stream.tokenizer import XmlTokenizer, split_source
 from repro.xpath.querytree import QueryTree
 
 #: Version of the dispatcher snapshot schema.
@@ -97,7 +97,7 @@ def _noop(_node_id: int) -> None:
     """Placeholder callback for restored callback queries (see restore)."""
 
 
-class MultiQueryEngine:
+class MultiQueryEngine(TextFeed):
     """Many standing queries, one parse, alphabet-routed dispatch.
 
     Parameters
@@ -153,15 +153,12 @@ class MultiQueryEngine:
         metrics=None,
         compiled: bool = False,
     ):
+        super().__init__(policy=policy, on_diagnostic=on_diagnostic,
+                         limits=limits, metrics=metrics)
         self._registry = QueryRegistry()
         self._router = AlphabetRouter()
         self._on_match = on_match
-        self._policy = RecoveryPolicy.coerce(policy)
-        self._on_diagnostic = on_diagnostic
-        self._limits = limits
-        self._metrics = metrics
         self._compiled = bool(compiled)
-        self._tokenizer: XmlTokenizer | None = None
         self._handler: "_MultiQueryHandler | None" = None
         self._events = 0
         self._dispatched = 0
@@ -470,33 +467,7 @@ class MultiQueryEngine:
             self._handler = _MultiQueryHandler(self)
         return self._handler
 
-    def feed_text(self, chunk: str) -> None:
-        """Incrementally parse raw XML once and dispatch its events.
-
-        The shared tokenizer drives the router's callbacks directly
-        (:meth:`as_handler`), through the turbo scanner when every unit
-        qualifies.  Eligibility is re-checked per chunk: the handler's
-        ``turbo_scan_safe`` is a router-version-keyed cache, so live
-        query adds/removes switch the path at the next chunk boundary.
-        """
-        if self._tokenizer is None:
-            self._tokenizer = XmlTokenizer(
-                policy=self._policy,
-                on_diagnostic=self._on_diagnostic,
-                limits=self._limits,
-                metrics=self._metrics,
-            )
-        handler = self.as_handler()
-        if handler.turbo_scan_safe:
-            from repro.compile.scan import turbo_eligible, turbo_feed
-
-            if turbo_eligible(self._tokenizer, handler):
-                turbo_feed(self._tokenizer, chunk, handler)
-                return
-        self._tokenizer.feed_into(chunk, handler)
-
-    #: Former name of :meth:`feed_text`, kept for callers that still use it.
-    feed_text_push = feed_text
+    _text_handler = as_handler
 
     def close(self) -> dict[str, list[int]]:
         """Finish an incremental feed; return collected results.
@@ -504,29 +475,8 @@ class MultiQueryEngine:
         Under a lenient policy the tokenizer may synthesize end events
         for a truncated document here; they are dispatched normally.
         """
-        if self._tokenizer is not None:
-            self._tokenizer.close_into(self.as_handler())
-            self._tokenizer = None
+        self._close_text()
         return self.results()
-
-    def evaluate(self, source) -> dict[str, list[int]]:
-        """One-shot: every query over ``source`` in one pass.
-
-        Text sources run through :meth:`feed_text` and :meth:`close`;
-        pre-built event streams through :meth:`feed_events`.
-        """
-        chunks, events = split_source(source)
-        if chunks is None:
-            self.feed_events(events)
-        else:
-            self._tokenizer = None
-            for chunk in chunks:
-                self.feed_text(chunk)
-            self.close()
-        return self.results()
-
-    #: Former name of :meth:`evaluate`, kept for callers that still use it.
-    evaluate_push = evaluate
 
     # -- results --------------------------------------------------------
 
@@ -599,9 +549,7 @@ class MultiQueryEngine:
                 }
                 for unit in self._registry.units()
             ],
-            "tokenizer": (
-                self._tokenizer.snapshot() if self._tokenizer is not None else None
-            ),
+            "tokenizer": self._tokenizer_snapshot(),
             "stats": {
                 "events": self._events,
                 "dispatched": self._dispatched,
@@ -652,13 +600,7 @@ class MultiQueryEngine:
             engine._events = engine._settled_events = stats.get("events", 0)
             engine._dispatched = stats.get("dispatched", 0)
             engine._broadcast = stats.get("broadcast", 0)
-            if snapshot.get("tokenizer") is not None:
-                engine._tokenizer = XmlTokenizer.restore(
-                    snapshot["tokenizer"],
-                    on_diagnostic=on_diagnostic,
-                    limits=engine._limits,
-                    metrics=metrics,
-                )
+            engine._restore_tokenizer(snapshot.get("tokenizer"))
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"malformed multiq snapshot: {exc}") from exc
         return engine

@@ -16,16 +16,18 @@ every layer of the system:
 * :mod:`repro.obs.stats` — the ``python -m repro stats`` runner: one
   evaluation with every metric family populated, plus per-chunk
   parse → route+dispatch → emit trace spans.
+* :mod:`repro.obs.profiling` — the ``python -m repro profile`` runner:
+  cProfile one evaluation (:func:`profile_pipeline`).
 
 The cardinal design rule is that **instrumentation is opt-in by
 construction, not by branching**: passing ``metrics=`` to
 :class:`~repro.core.processor.XPathStream`,
-:class:`~repro.multiq.engine.MultiQueryEngine`,
-:class:`~repro.stream.tokenizer.XmlTokenizer`, or
-:class:`~repro.perf.pipeline.PushPipeline` swaps in the observed
+:class:`~repro.multiq.engine.MultiQueryEngine`, or
+:class:`~repro.stream.tokenizer.XmlTokenizer` swaps in the observed
 machine subclasses; without it the plain classes run and the hot loops
 contain no metrics checks at all.  ``ci/obs_smoke.py`` gates that the
-disabled path stays within 5% of the recorded push-throughput baseline.
+disabled path stays within 5% of the bare fused loop measured in the
+same run.
 
 Example::
 
@@ -34,7 +36,7 @@ Example::
 
     registry = MetricsRegistry()
     stream = XPathStream("//book[price < 30]//title", metrics=registry)
-    stream.evaluate_push("catalog.xml")
+    stream.evaluate("catalog.xml")
     print(registry.render_prometheus())
 """
 

@@ -33,10 +33,6 @@ METRIC_FAMILIES: dict[str, str] = {
     "repro_machine_emitted_total": "repro.obs.machines",
     "repro_machine_live_entries": "repro.obs.machines",
     "repro_machine_peak_entries": "repro.obs.machines",
-    # -- fused push pipeline ---------------------------------------------
-    "repro_push_chunk_seconds": "repro.perf.pipeline",
-    "repro_push_chunks_total": "repro.perf.pipeline",
-    "repro_push_mb_per_s": "repro.perf.pipeline",
     # -- stats runner ----------------------------------------------------
     "repro_stats_chunks_total": "repro.obs.stats",
     # -- multi-query dispatch --------------------------------------------

@@ -8,8 +8,8 @@ A single query runs as a one-entry
 tokenizer *and* dispatch metric families all populate regardless of
 workload shape — ``repro stats`` always exposes the same schema.
 
-Unlike the fused push path (which trades stage visibility for speed,
-see :mod:`repro.perf`), the stats runner deliberately splits each chunk
+Unlike the fused text path (which trades stage visibility for speed,
+see :mod:`repro.core.textfeed`), the stats runner deliberately splits each chunk
 into traceable stages:
 
 ``parse``

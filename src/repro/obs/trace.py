@@ -7,9 +7,8 @@ monotonic timestamps.  The recorded timeline serializes to the Chrome
 
 The stats runner (:mod:`repro.obs.stats`) emits one ``chunk`` span per
 fed chunk with nested ``parse`` → ``route+dispatch`` → ``emit`` stage
-spans; the push pipeline (:class:`repro.perf.pipeline.PushPipeline`)
-emits per-chunk spans when handed a tracer.  The tracer itself is
-engine-agnostic: wrap any region of interest in :meth:`span`.
+spans.  The tracer itself is engine-agnostic: wrap any region of
+interest in :meth:`span`.
 
 Example::
 

@@ -23,8 +23,9 @@ Robustness properties, in order of importance:
 
 * **Checkpoints are the unit of loss — and lose no results.**  Every
   ``checkpoint_interval`` chunks the session captures its engine
-  (:meth:`~repro.multiq.engine.MultiQueryEngine.snapshot` or
-  :meth:`~repro.perf.pipeline.PushPipeline.snapshot`) plus the input
+  (:meth:`~repro.multiq.engine.MultiQueryEngine.snapshot`,
+  :meth:`~repro.core.processor.XPathStream.snapshot` or
+  :meth:`~repro.transform.extract.SubstreamExtractor.snapshot`) plus the input
   offset and result sequence number into one JSON blob.  A session
   restored from that blob and re-fed the chunks above the checkpoint
   offset emits **byte-identical results**: evaluation is deterministic,
@@ -43,10 +44,13 @@ Robustness properties, in order of importance:
   Together the client's result stream is exactly-once in sequence
   order, no matter where the previous connection died.
 
-* **Single-query sessions skip the router.**  One query binds a
-  :class:`~repro.perf.pipeline.PushPipeline` (the leanest fused path);
+* **Single-query sessions skip the router.**  One query binds an
+  :class:`~repro.core.processor.XPathStream` (the leanest fused path);
   more bind a shared :class:`~repro.multiq.engine.MultiQueryEngine`.
-  Both checkpoint the same way; the blob records which.
+  Both feed, close and checkpoint through the same methods; the blob
+  records which.  A single-query session enforces exactly what the same
+  query enforces beside others: ``limits`` bound the input stream and
+  ``query_limits`` the query's machine (:func:`_single_query_limits`).
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ import json
 import os
 import secrets
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Callable
 
 from repro.errors import (
@@ -64,8 +68,8 @@ from repro.errors import (
     ResourceLimitError,
     XPathSyntaxError,
 )
+from repro.core.processor import XPathStream
 from repro.multiq.engine import MultiQueryEngine
-from repro.perf.pipeline import PushPipeline
 from repro.serve.framing import DEFAULT_MAX_FRAME
 from repro.stream.recovery import RecoveryPolicy, ResourceLimits
 from repro.xpath.querytree import compile_query
@@ -320,11 +324,11 @@ class Session:
             def forward(node_id: int, _name: str = name) -> None:
                 self._emit(_name, node_id)
 
-            self._engine = PushPipeline(
+            self._engine = XPathStream(
                 self.queries[name],
                 on_match=forward,
                 policy=self.config.policy,
-                limits=self.config.limits,
+                limits=_single_query_limits(self.config),
                 metrics=self._metrics,
                 emission=self.config.emission,
             )
@@ -401,7 +405,7 @@ class Session:
             )
         if offset < self.input_offset:
             text = text[self.input_offset - offset:]
-        self._feed_engine(text)
+        self._engine.feed_text(text)
         self.input_offset = end
         self.chunks_since_checkpoint += 1
         if len(self.result_log) > self.config.max_result_backlog:
@@ -413,20 +417,10 @@ class Session:
             )
         return True
 
-    def _feed_engine(self, text: str) -> None:
-        if self._single_name is not None:
-            self._engine.feed(text)
-        else:
-            self._engine.feed_text_push(text)
-
     def finish(self) -> dict:
         """Close the input stream; return the DONE payload."""
         if not self.finished:
-            if self._single_name is not None:
-                self._engine.finish()
-            else:
-                # MultiQueryEngine and SubstreamExtractor share close().
-                self._engine.close()
+            self._engine.close()
             self.finished = True
         return {
             "offset": self.input_offset,
@@ -544,7 +538,7 @@ class Session:
                 def forward(node_id: int, _name: str = name) -> None:
                     session._emit(_name, node_id)
 
-                session._engine = PushPipeline.restore(
+                session._engine = XPathStream.restore(
                     blob["engine"], on_match=forward, metrics=metrics
                 )
             else:
@@ -567,6 +561,42 @@ class Session:
             sync = getattr(engine, "_sync_metrics", None)
             if sync is not None:
                 metrics.remove_collector(sync)
+
+
+#: Limits both an input stream and a machine check.
+_SHARED_LIMITS = ("max_depth", "max_total_events")
+
+#: Limits only a machine checks.
+_MACHINE_LIMITS = ("max_buffered_candidates",)
+
+
+def _single_query_limits(config: ServeConfig) -> ResourceLimits | None:
+    """The one :class:`ResourceLimits` of a single-query session's stream.
+
+    An :class:`~repro.core.processor.XPathStream` hands one limits object
+    to both its tokenizer and its machine, where a multi-query session
+    bounds its input with ``config.limits`` and each machine with
+    ``config.query_limits``.  Built field by field so both kinds enforce
+    the same bounds: the tokenizer-only fields from ``limits``,
+    ``max_buffered_candidates`` from ``query_limits``, and the smaller of
+    the two for the fields both layers check.
+    """
+    if config.limits is None and config.query_limits is None:
+        return None
+    stream = config.limits or ResourceLimits()
+    query = config.query_limits or ResourceLimits()
+    merged = {}
+    for limit in fields(ResourceLimits):
+        name = limit.name
+        stream_value, query_value = getattr(stream, name), getattr(query, name)
+        if name in _MACHINE_LIMITS:
+            merged[name] = query_value
+        elif name in _SHARED_LIMITS and query_value is not None:
+            merged[name] = (query_value if stream_value is None
+                            else min(stream_value, query_value))
+        else:
+            merged[name] = stream_value
+    return ResourceLimits(**merged)
 
 
 def _strip_transform(query: str) -> str:

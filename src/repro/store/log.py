@@ -501,9 +501,8 @@ class EventLogWriter(EventHandler):
     def attach(self, engine) -> None:
         """Embed ``engine``'s snapshots in future checkpoints.
 
-        ``engine`` is a :class:`~repro.multiq.engine.MultiQueryEngine`, an
-        :class:`~repro.core.processor.XPathStream`, or a
-        :class:`~repro.perf.pipeline.PushPipeline` — anything whose
+        ``engine`` is a :class:`~repro.multiq.engine.MultiQueryEngine` or
+        an :class:`~repro.core.processor.XPathStream` — anything whose
         versioned ``snapshot()`` the matching ``restore()`` accepts.
         """
         from repro.multiq.engine import MultiQueryEngine

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Mapping
 
+from repro.core.textfeed import TextFeed
 from repro.core.twigm import CandidateTracker
 from repro.errors import CheckpointError
 from repro.multiq.engine import MultiQueryEngine
@@ -43,7 +44,6 @@ from repro.stream.events import (
     events_to_handler,
 )
 from repro.stream.recovery import RecoveryPolicy, ResourceLimits
-from repro.stream.tokenizer import XmlTokenizer, split_source
 
 #: Version of every transform snapshot schema (extractor and rewriter).
 TRANSFORM_SNAPSHOT_VERSION = 1
@@ -174,7 +174,7 @@ def unpack_events(payloads: Iterable[list]) -> list[Event]:
     return [unpack_event(payload) for payload in payloads]
 
 
-class StreamTransform(EventHandler):
+class StreamTransform(TextFeed, EventHandler):
     """Common skeleton: match engine, trackers, verdict queue, feeding.
 
     Subclasses call :meth:`_feed_start` / :meth:`_feed_chars` /
@@ -192,10 +192,8 @@ class StreamTransform(EventHandler):
         metrics=None,
         emission: str = "default",
     ):
-        self._policy = RecoveryPolicy.coerce(policy)
-        self._on_diagnostic = on_diagnostic
-        self._limits = limits
-        self._metrics = metrics
+        super().__init__(policy=policy, on_diagnostic=on_diagnostic,
+                         limits=limits, metrics=metrics)
         #: Emission mode of the match machines ("default"/"earliest").
         #: Under ``earliest`` a candidate's *emit* verdict can arrive
         #: while its subtree is still streaming in — subclasses defer
@@ -204,7 +202,6 @@ class StreamTransform(EventHandler):
         self._engine = MultiQueryEngine(metrics=metrics)
         self._eh = None
         self._trackers: dict[str, _FragmentTracker] = {}
-        self._tokenizer: XmlTokenizer | None = None
         self._creations: list[str] = []
         self._verdicts: list[tuple[str, str, int]] = []
         self.events_in = 0
@@ -283,46 +280,8 @@ class StreamTransform(EventHandler):
         """Process a batch of modified-SAX events (pull-side adapter)."""
         events_to_handler(events, self)
 
-    def _require_tokenizer(self) -> XmlTokenizer:
-        if self._tokenizer is None:
-            self._tokenizer = XmlTokenizer(
-                policy=self._policy,
-                on_diagnostic=self._on_diagnostic,
-                limits=self._limits,
-                metrics=self._metrics,
-            )
-        return self._tokenizer
-
-    def feed_text(self, chunk: str) -> None:
-        """Incrementally parse raw XML and process its events (fused)."""
-        self._require_tokenizer().feed_into(chunk, self)
-
-    #: Former name of :meth:`feed_text`, kept for callers that still use it.
-    feed_text_push = feed_text
-
-    def _close_input(self) -> None:
-        """Flush the tokenizer (synthesizing lenient end events) if any."""
-        if self._tokenizer is not None:
-            self._tokenizer.close_into(self)
-            self._tokenizer = None
-
-    def evaluate(self, source):
-        """One-shot evaluation: text through :meth:`feed_text`, pre-built
-        events through :meth:`feed_events`, then :meth:`close`."""
-        chunks, events = split_source(source)
-        if chunks is None:
-            self.feed_events(events)
-        else:
-            self._tokenizer = None
-            for chunk in chunks:
-                self.feed_text(chunk)
-        return self.close()
-
-    #: Former name of :meth:`evaluate`, kept for callers that still use it.
-    evaluate_push = evaluate
-
     def close(self):  # pragma: no cover - subclasses override
-        self._close_input()
+        self._close_text()
         return None
 
     # -- snapshot helpers --------------------------------------------------
@@ -334,10 +293,7 @@ class StreamTransform(EventHandler):
                 name: tracker.snapshot_state()
                 for name, tracker in self._trackers.items()
             },
-            "tokenizer": (
-                self._tokenizer.snapshot()
-                if self._tokenizer is not None else None
-            ),
+            "tokenizer": self._tokenizer_snapshot(),
             "events_in": self.events_in,
         }
 
@@ -348,13 +304,7 @@ class StreamTransform(EventHandler):
             tracker.restore_state(payload["trackers"][name])
             self._trackers[name] = tracker
         self._rebuild_engine(payload["engine"])
-        if payload.get("tokenizer") is not None:
-            self._tokenizer = XmlTokenizer.restore(
-                payload["tokenizer"],
-                on_diagnostic=self._on_diagnostic,
-                limits=self._limits,
-                metrics=self._metrics,
-            )
+        self._restore_tokenizer(payload.get("tokenizer"))
         self.events_in = int(payload.get("events_in", 0))
 
     def detach(self) -> None:

@@ -316,7 +316,7 @@ class SubstreamExtractor(StreamTransform):
 
     def close(self):
         """Finish the stream; return collected fragments (collect mode)."""
-        self._close_input()
+        self._close_text()
         return self.fragments if self._collect else None
 
     # -- checkpointing -----------------------------------------------------

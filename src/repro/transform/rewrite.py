@@ -570,7 +570,7 @@ class RewriteEngine(StreamTransform):
 
     def close(self):
         """Finish the stream; return the transformed text (collect mode)."""
-        self._close_input()
+        self._close_text()
         self._drain()
         if self._queue or self._stack:
             raise TransformError(

@@ -1,17 +1,15 @@
-"""Smoke tests: the perf façade, the profiler CLI, the hotpath benchmark."""
+"""Smoke tests: stream reuse, the profiler CLI, the hotpath benchmark."""
 
 from __future__ import annotations
 
-import io
 import json
 
 import pytest
 
 from repro.bench.hotpath import chain_corpus, run_benchmark, write_report
 from repro.cli import main as cli_main
-from repro.perf import PushPipeline, profile_pipeline
 from repro.core.processor import XPathStream
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.profiling import profile_pipeline
 
 
 @pytest.fixture(autouse=True)
@@ -19,35 +17,27 @@ def _isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_BENCH_CACHE", str(tmp_path / "cache"))
 
 
-class TestPushPipeline:
+class TestStreamReuse:
+    """One compiled query evaluated over many documents."""
+
     def test_runs_are_independent(self, book_catalog_xml):
-        pipeline = PushPipeline("//book//title")
-        first = pipeline.run(book_catalog_xml)
-        second = pipeline.run(book_catalog_xml)
+        stream = XPathStream("//book//title")
+        first = list(stream.evaluate(book_catalog_xml))
+        stream.reset()
+        second = stream.evaluate(book_catalog_xml)
         assert first == second == XPathStream("//book//title").evaluate(
             book_catalog_xml
         )
+        assert first
 
     def test_on_match_mode(self, book_catalog_xml):
         seen = []
-        pipeline = PushPipeline("//title", on_match=seen.append)
-        assert pipeline.run(book_catalog_xml) == []
+        stream = XPathStream("//title", on_match=seen.append)
+        assert stream.evaluate(book_catalog_xml) == []
         assert seen == XPathStream("//title").evaluate(book_catalog_xml)
 
     def test_engine_name(self):
-        assert PushPipeline("//a//b").engine_name == "pathm"
-
-    def test_observed_run_publishes_chunk_metrics(self, book_catalog_xml):
-        registry = MetricsRegistry()
-        pipeline = PushPipeline("//book//title", chunk_size=64, metrics=registry)
-        ids = pipeline.run(io.StringIO(book_catalog_xml))
-        assert ids == XPathStream("//book//title").evaluate(book_catalog_xml)
-        chunks = -(-len(book_catalog_xml) // 64)
-        assert registry.get("repro_push_chunks_total").get() == chunks
-        assert registry.get("repro_push_chunk_seconds").count == chunks
-        assert registry.get("repro_push_mb_per_s").get() > 0
-        pipeline.run(book_catalog_xml)  # one chunk: counters accumulate
-        assert registry.get("repro_push_chunks_total").get() == chunks + 1
+        assert XPathStream("//a//b").engine_name == "pathm"
 
 
 class TestProfilePipeline:

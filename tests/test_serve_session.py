@@ -146,6 +146,75 @@ class TestFeeding:
         assert session.token in str(info.value)
 
 
+#: 50 nested ``<a>`` elements, each with two attributes, a text run and
+#: an empty ``<b/>``: ``//a[c]//b`` buffers every ``b`` as a candidate
+#: that never resolves.
+NESTED = '<a k="vv" j="ww">tt<b/>' * 50 + "</a>" * 50
+
+#: One small bound per ResourceLimits field, each crossed by NESTED fed
+#: in 7-character chunks.
+SMALL_LIMITS = {
+    "max_depth": 3,
+    "max_attributes": 1,
+    "max_attribute_length": 1,
+    "max_text_length": 1,
+    "max_buffered_input": 4,
+    "max_total_events": 20,
+    "max_buffered_candidates": 3,
+}
+
+
+def _limit_hit(queries: dict, config: ServeConfig) -> "str | None":
+    """Feed NESTED to a fresh session; the limit it raised, or None."""
+    session, _ = collect_session(queries, config)
+    try:
+        for offset, text in chunked(NESTED, 7):
+            session.feed(offset, text)
+        session.finish()
+    except ResourceLimitError as exc:
+        return exc.limit
+    return None
+
+
+class TestLimits:
+    """A one-query session enforces exactly what the same query beside a
+    second one does: ``limits`` bound the input stream, ``query_limits``
+    each query's machine."""
+
+    @pytest.mark.parametrize("field", sorted(SMALL_LIMITS))
+    @pytest.mark.parametrize("layer", ["limits", "query_limits"])
+    def test_single_matches_multi(self, field, layer):
+        config = ServeConfig(
+            **{layer: ResourceLimits(**{field: SMALL_LIMITS[field]})}
+        )
+        single = _limit_hit({"q": "//a[c]//b"}, config)
+        multi = _limit_hit({"q": "//a[c]//b", "other": "//zzz"}, config)
+        assert single == multi
+        machine_field = field in (
+            "max_depth", "max_total_events", "max_buffered_candidates"
+        )
+        stream_field = field != "max_buffered_candidates"
+        raised = machine_field if layer == "query_limits" else stream_field
+        assert multi == (field if raised else None)
+
+    def test_resumed_single_keeps_admitted_limits(self):
+        config = ServeConfig(
+            limits=ResourceLimits(max_depth=40),
+            query_limits=ResourceLimits(max_depth=60,
+                                        max_buffered_candidates=30),
+        )
+        session, _ = collect_session({"q": "//a[c]//b"}, config)
+        session.feed(0, NESTED[:100])
+        blob = json.loads(json.dumps(session.checkpoint()))
+        assert blob["engine"]["limits"]["max_depth"] == 40
+        assert blob["engine"]["limits"]["max_buffered_candidates"] == 30
+        resumed = Session.resume(blob, ServeConfig(), lambda *a: None)
+        with pytest.raises(ResourceLimitError) as info:
+            for offset, text in chunked(NESTED, 7):
+                resumed.feed(offset, text)
+        assert info.value.limit == "max_buffered_candidates"
+
+
 class TestCheckpointResume:
     """Kill-and-resume differential: every checkpoint boundary, every
     acknowledgement state, byte-identical output."""
