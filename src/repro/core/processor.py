@@ -40,12 +40,12 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
+from repro.checkpoint import read_envelope, restoring
 from repro.core.branchm import BranchM
 from repro.core.pathm import PathM
 from repro.core.results import CallbackSink, CollectingSink, ResultSink
 from repro.core.textfeed import TextFeed
 from repro.core.twigm import TwigM
-from repro.errors import CheckpointError
 from repro.stream.events import Event
 from repro.stream.recovery import RecoveryPolicy, ResourceLimits, StreamDiagnostic
 from repro.xpath.querytree import QueryTree, compile_query
@@ -330,28 +330,27 @@ class XPathStream(TextFeed):
         carried in the snapshot are re-published, so the registry of a
         resumed stream reports the same totals as an uninterrupted run.
         """
-        version = snapshot.get("version")
-        if version != SNAPSHOT_VERSION:
-            raise CheckpointError(
-                f"unsupported snapshot version {version!r} (expected {SNAPSHOT_VERSION})"
-            )
-        try:
+        snapshot = read_envelope(
+            snapshot, "snapshot", SNAPSHOT_VERSION,
+            required=("query", "engine", "policy", "limits", "tokenizer",
+                      "machine", "sink"),
+            optional={"compiled": False, "emission": "default"},
+        )
+        with restoring("snapshot"):
             stream = cls(
                 snapshot["query"],
                 on_match=on_match,
                 engine=snapshot["engine"],
                 policy=snapshot["policy"],
                 on_diagnostic=on_diagnostic,
-                limits=ResourceLimits.from_dict(snapshot.get("limits")),
+                limits=ResourceLimits.from_dict(snapshot["limits"]),
                 metrics=metrics,
-                compiled=bool(snapshot.get("compiled")),
-                emission=snapshot.get("emission", "default"),
+                compiled=bool(snapshot["compiled"]),
+                emission=snapshot["emission"],
             )
             stream.engine.restore_state(snapshot["machine"])
             stream._sink.restore_state(snapshot["sink"])
-            stream._restore_tokenizer(snapshot.get("tokenizer"))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"malformed snapshot: {exc}") from exc
+            stream._restore_tokenizer(snapshot["tokenizer"])
         return stream
 
 

@@ -45,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
+from repro.checkpoint import read_envelope, read_fields, restoring
 from repro.core.results import CallbackSink, CollectingSink, ResultSink
 from repro.core.textfeed import TextFeed
 from repro.errors import CheckpointError
@@ -580,29 +581,28 @@ class MultiQueryEngine(TextFeed):
         snapshot-carried counters make the registry report the same
         totals as an uninterrupted run.
         """
-        version = snapshot.get("version")
-        if version != MULTIQ_SNAPSHOT_VERSION:
-            raise CheckpointError(
-                f"unsupported multiq snapshot version {version!r} "
-                f"(expected {MULTIQ_SNAPSHOT_VERSION})"
-            )
-        try:
+        snapshot = read_envelope(
+            snapshot, "multiq snapshot", MULTIQ_SNAPSHOT_VERSION,
+            required=("policy", "limits", "queries", "units", "tokenizer"),
+            optional={"compiled": False,
+                      "stats": {"events": 0, "dispatched": 0, "broadcast": 0}},
+        )
+        with restoring("multiq snapshot"):
             engine = cls(
                 on_match=on_match,
                 policy=snapshot["policy"],
                 on_diagnostic=on_diagnostic,
-                limits=ResourceLimits.from_dict(snapshot.get("limits")),
+                limits=ResourceLimits.from_dict(snapshot["limits"]),
                 metrics=metrics,
-                compiled=bool(snapshot.get("compiled", False)),
+                compiled=bool(snapshot["compiled"]),
             )
             engine._restore_queries(snapshot, trackers or {})
-            stats = snapshot.get("stats", {})
-            engine._events = engine._settled_events = stats.get("events", 0)
-            engine._dispatched = stats.get("dispatched", 0)
-            engine._broadcast = stats.get("broadcast", 0)
-            engine._restore_tokenizer(snapshot.get("tokenizer"))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"malformed multiq snapshot: {exc}") from exc
+            stats = read_fields(snapshot["stats"], "multiq snapshot stats",
+                                required=("events", "dispatched", "broadcast"))
+            engine._events = engine._settled_events = int(stats["events"])
+            engine._dispatched = int(stats["dispatched"])
+            engine._broadcast = int(stats["broadcast"])
+            engine._restore_tokenizer(snapshot["tokenizer"])
         return engine
 
     def _restore_queries(self, snapshot: dict, trackers: Mapping) -> None:
@@ -617,16 +617,34 @@ class MultiQueryEngine(TextFeed):
         from repro.multiq.canon import canonicalize
         from repro.xpath.querytree import compile_query
 
-        payloads = {payload["name"]: payload for payload in snapshot["queries"]}
+        payloads = {}
+        for payload in snapshot["queries"]:
+            payload = read_fields(
+                payload, "multiq query entry",
+                required=("name", "query", "limits", "callback"),
+                optional={"tracked": False, "emission": "default"},
+            )
+            payloads[payload["name"]] = payload
         pending: dict[str, tuple[Registration, bool]] = {}
         # Legacy DFA units folded together, keyed by their open tag path.
         folded: dict[tuple[str, ...], SharedPathUnit] = {}
         for unit_payload in snapshot["units"]:
+            unit_payload = read_fields(
+                unit_payload, "multiq unit entry",
+                required=("queries", "engine", "machine", "sinks"),
+                optional={"virgin": False},
+            )
             members = unit_payload["queries"]
             if not members:
                 raise CheckpointError("multiq snapshot unit with no queries")
             first = payloads[members[0]]
-            limits = ResourceLimits.from_dict(first.get("limits"))
+            limits = ResourceLimits.from_dict(first["limits"])
+            for member in members[1:]:
+                if ResourceLimits.from_dict(payloads[member]["limits"]) != limits:
+                    raise CheckpointError(
+                        f"multiq snapshot groups {member!r} with a machine "
+                        f"under different limits"
+                    )
             trees = {member: canonicalize(payloads[member]["query"]) for member in members}
             sinks = {
                 member: self._restored_sink(member, bool(payloads[member]["callback"]))
@@ -651,24 +669,28 @@ class MultiQueryEngine(TextFeed):
                 for member in members[1:]:
                     unit.join(member, trees[member], sinks[member])
             else:
-                tracked = bool(first.get("tracked", False))
+                tracked = bool(first["tracked"])
                 unit = EvalUnit(tree, limits, engine_name=unit_payload["engine"],
                                 metrics=self._metrics,
                                 tracker=trackers.get(members[0]) if tracked else None,
                                 compiled=self._compiled,
-                                emission=first.get("emission", "default"))
+                                emission=first["emission"])
                 unit.tracked = tracked
-                for member in members:
-                    if member != members[0] and compile_query(
-                        payloads[member]["query"]
-                    ) != tree:
+                for member in members[1:]:
+                    if compile_query(payloads[member]["query"]) != tree:
                         raise CheckpointError(
                             f"multiq snapshot groups {member!r} with a machine "
                             f"for a different query"
                         )
+                    if payloads[member]["emission"] != first["emission"]:
+                        raise CheckpointError(
+                            f"multiq snapshot groups {member!r} with a machine "
+                            f"in a different emission mode"
+                        )
+                for member in members:
                     unit.join(member, tree, sinks[member])
             if new_unit:
-                unit.virgin = bool(unit_payload.get("virgin", False))
+                unit.virgin = bool(unit_payload["virgin"])
                 unit.engine.restore_state(machine)
                 if fold_key is not None:
                     folded[fold_key] = unit
@@ -684,8 +706,8 @@ class MultiQueryEngine(TextFeed):
                         limits=limits,
                         unit=unit,
                         callback=bool(payload["callback"]),
-                        tracked=bool(payload.get("tracked", False)),
-                        emission=payload.get("emission", "default"),
+                        tracked=bool(payload["tracked"]),
+                        emission=payload["emission"],
                     ),
                     new_unit and member == members[0],
                 )
@@ -693,8 +715,8 @@ class MultiQueryEngine(TextFeed):
             raise CheckpointError(
                 "multiq snapshot units do not cover the registered queries"
             )
-        for payload in snapshot["queries"]:
-            registration, new_unit = pending[payload["name"]]
+        for name in payloads:
+            registration, new_unit = pending[name]
             self._registry.adopt(registration, new_unit)
             if new_unit:
                 self._router.add(registration.unit)

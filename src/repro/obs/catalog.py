@@ -64,7 +64,6 @@ METRIC_FAMILIES: dict[str, str] = {
     "repro_store_syncs_total": "repro.store",
     "repro_store_replay_events_total": "repro.store",
     "repro_store_segments_skipped_total": "repro.store",
-    "repro_store_session_compactions_total": "repro.store",
     # -- transformation layer --------------------------------------------
     "repro_transform_fragments_total": "repro.transform.extract",
     "repro_transform_fragment_bytes_total": "repro.transform.extract",

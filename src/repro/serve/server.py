@@ -76,6 +76,21 @@ def shard_for_token(token: str, shards: int) -> int:
     return zlib.crc32(token.encode("utf-8")) % shards
 
 
+def _hello_problem(hello: dict) -> "str | None":
+    """Why a HELLO's typed fields are unusable, or ``None`` if they are not."""
+    resume = hello.get("resume")
+    if resume is not None and not isinstance(resume, dict):
+        return "resume must be an object"
+    seq = (resume or {}).get("seq", 0)
+    for key, value in (("seq", seq), ("priority", hello.get("priority", 0))):
+        if not isinstance(value, int):
+            return f"{key} must be an integer"
+    deadline_ms = hello.get("deadline_ms")
+    if deadline_ms is not None and not isinstance(deadline_ms, (int, float)):
+        return "deadline_ms must be a number"
+    return None
+
+
 class _Connection:
     """Per-connection state shared by the read loop and the consumer."""
 
@@ -116,17 +131,9 @@ class SessionServer:
         self.shard_index = shard_index
         self.port = port if port is not None else config.port
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        if config.store_dir is not None:
-            from repro.store.sessions import StoreSessionStore
-
-            self.store = StoreSessionStore(
-                config.session_ttl, config.store_dir,
-                sync=config.sync_policy, metrics=metrics,
-            )
-        else:
-            self.store = SessionStore(
-                config.session_ttl, config.spool_dir, sync=config.sync_policy
-            )
+        self.store = SessionStore(
+            config.session_ttl, config.spool_dir, sync=config.sync_policy
+        )
         self.shedder = LoadShedder(config)
         self._connections: dict[str, _Connection] = {}
         self._server: "asyncio.AbstractServer | None" = None
@@ -259,6 +266,14 @@ class SessionServer:
             return None, []
         hello = frames[0].json()
         leftovers = frames[1:]
+        problem = _hello_problem(hello)
+        if problem is not None:
+            self._m_rejected.inc(code="bad_hello")
+            writer.write(encode_json(FrameType.REJECT, {
+                "code": "bad_hello", "reason": problem,
+            }))
+            await writer.drain()
+            return None, []
         conn_box: list[_Connection] = []
 
         def on_result(name: str, node_id: int, seq: int,

@@ -15,11 +15,7 @@ evaluating engine's versioned snapshot, so:
 * **late queries catch up** (:func:`~repro.store.replay.catch_up`):
   a query added to a live :class:`~repro.multiq.engine.MultiQueryEngine`
   backfills over the log and splices into the live stream at the exact
-  event offset;
-* **serve sessions recover durably**
-  (:class:`~repro.store.sessions.StoreSessionStore`): session
-  checkpoints ride the same framed-log machinery instead of one file
-  per session.
+  event offset.
 
 Durability is a policy, not a constant:
 :class:`~repro.store.sync.SyncPolicy` (``always`` / ``interval:N`` /

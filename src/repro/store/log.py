@@ -6,7 +6,6 @@ A **store** is a directory::
       MANIFEST.json        # atomic (write-temp + os.replace) index
       seg-00000001.log     # sealed segment
       seg-00000002.log     # ... active (tail) segment
-      sessions.log         # serve-session checkpoints (repro.store.sessions)
 
 Each segment file is a sequence of frames in the serving protocol's wire
 format (:mod:`repro.serve.framing`: 4B length, 1B type, 4B CRC32,
@@ -24,8 +23,6 @@ Record types:
   :meth:`~repro.multiq.engine.MultiQueryEngine.snapshot` /
   :meth:`~repro.core.processor.XPathStream.snapshot` blobs), so replay
   can resume evaluation mid-stream instead of from document start.
-* ``REC_SESSION`` / ``REC_SESSION_TOMB`` — serve-session checkpoint
-  blobs and their deletions (:mod:`repro.store.sessions`).
 
 The manifest lists **sealed** segments with their structural summary —
 tag alphabet, has-text flag, level range, event count, checkpoint
@@ -73,8 +70,6 @@ __all__ = [
     "REC_SEGMENT",
     "REC_EVENT",
     "REC_CHECKPOINT",
-    "REC_SESSION",
-    "REC_SESSION_TOMB",
 ]
 
 #: Log record type codes (disjoint from the serving protocol's 1-14 so a
@@ -82,8 +77,6 @@ __all__ = [
 REC_SEGMENT = 32
 REC_EVENT = 33
 REC_CHECKPOINT = 34
-REC_SESSION = 35
-REC_SESSION_TOMB = 36
 
 MANIFEST_NAME = "MANIFEST.json"
 STORE_MANIFEST_VERSION = 1

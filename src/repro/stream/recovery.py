@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
 
+from repro.checkpoint import read_fields
 from repro.errors import ResourceLimitError
 
 
@@ -142,5 +143,5 @@ class ResourceLimits:
     def from_dict(cls, data: "dict | None") -> "ResourceLimits | None":
         if data is None:
             return None
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in known})
+        return cls(**read_fields(data, "resource limits",
+                                 optional={f.name: None for f in fields(cls)}))

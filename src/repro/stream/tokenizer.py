@@ -53,7 +53,8 @@ import re
 from sys import intern as _intern
 from typing import IO, Callable, Iterable, Iterator, NoReturn
 
-from repro.errors import CheckpointError, XmlSyntaxError
+from repro.checkpoint import read_envelope, restoring
+from repro.errors import XmlSyntaxError
 from repro.stream.events import Event, EventCollector
 from repro.stream.recovery import (
     ACTION_REPAIRED,
@@ -406,34 +407,37 @@ class XmlTokenizer:
         metrics=None,
     ) -> "XmlTokenizer":
         """Rebuild a tokenizer from a :meth:`snapshot` capture."""
-        version = state.get("version")
-        if version != TOKENIZER_SNAPSHOT_VERSION:
-            raise CheckpointError(
-                f"unsupported tokenizer snapshot version {version!r} "
-                f"(expected {TOKENIZER_SNAPSHOT_VERSION})"
-            )
-        tokenizer = cls(
-            skip_whitespace=state["skip_whitespace"],
-            policy=state["policy"],
-            on_diagnostic=on_diagnostic,
-            limits=limits,
-            metrics=metrics,
+        state = read_envelope(
+            state, "tokenizer snapshot", TOKENIZER_SNAPSHOT_VERSION,
+            required=(
+                "buffer", "text_parts", "text_len", "stack", "next_id",
+                "seen_root", "closed", "line", "column", "skip_whitespace",
+                "policy", "ignore_depth", "event_count", "diagnostic_count",
+            ),
+            # Absent in pre-observability snapshots.
+            optional={"bytes_fed": 0},
         )
-        tokenizer._buffer = state["buffer"]
-        tokenizer._text_parts = list(state["text_parts"])
-        tokenizer._text_len = state["text_len"]
-        tokenizer._stack = list(state["stack"])
-        tokenizer._next_id = state["next_id"]
-        tokenizer._seen_root = state["seen_root"]
-        tokenizer._closed = state["closed"]
-        tokenizer._cursor.line = state["line"]
-        tokenizer._cursor.column = state["column"]
-        tokenizer._ignore_depth = state["ignore_depth"]
-        tokenizer._event_count = state["event_count"]
-        tokenizer.diagnostic_count = state["diagnostic_count"]
-        # Absent in pre-observability snapshots (same schema version:
-        # the key is additive and optional).
-        tokenizer.bytes_fed = state.get("bytes_fed", 0)
+        with restoring("tokenizer snapshot"):
+            tokenizer = cls(
+                skip_whitespace=state["skip_whitespace"],
+                policy=state["policy"],
+                on_diagnostic=on_diagnostic,
+                limits=limits,
+                metrics=metrics,
+            )
+            tokenizer._buffer = state["buffer"]
+            tokenizer._text_parts = list(state["text_parts"])
+            tokenizer._text_len = state["text_len"]
+            tokenizer._stack = list(state["stack"])
+            tokenizer._next_id = state["next_id"]
+            tokenizer._seen_root = state["seen_root"]
+            tokenizer._closed = state["closed"]
+            tokenizer._cursor.line = state["line"]
+            tokenizer._cursor.column = state["column"]
+            tokenizer._ignore_depth = state["ignore_depth"]
+            tokenizer._event_count = state["event_count"]
+            tokenizer.diagnostic_count = state["diagnostic_count"]
+            tokenizer.bytes_fed = state["bytes_fed"]
         return tokenizer
 
     # -- recovery / accounting ----------------------------------------

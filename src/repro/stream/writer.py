@@ -19,7 +19,7 @@ from __future__ import annotations
 import io
 from typing import IO, Callable, Iterable
 
-from repro.errors import CheckpointError
+from repro.checkpoint import read_envelope, restoring
 from repro.stream.document import Document, Element
 from repro.stream.events import Characters, EndElement, Event, StartElement
 
@@ -273,24 +273,20 @@ class IncrementalXmlWriter:
         chunk_size: int = DEFAULT_WRITER_CHUNK,
     ) -> "IncrementalXmlWriter":
         """Rebuild a writer from a :meth:`snapshot` capture."""
-        version = snapshot.get("version")
-        if version != WRITER_SNAPSHOT_VERSION:
-            raise CheckpointError(
-                f"unsupported writer snapshot version {version!r} "
-                f"(expected {WRITER_SNAPSHOT_VERSION})"
-            )
-        try:
+        snapshot = read_envelope(
+            snapshot, "writer snapshot", WRITER_SNAPSHOT_VERSION,
+            required=("open", "pending", "buffer", "bytes_written"),
+        )
+        with restoring("writer snapshot"):
             writer = cls(on_chunk, chunk_size=chunk_size)
             writer._open_has_children = [bool(flag) for flag in snapshot["open"]]
             pending = snapshot["pending"]
             writer._pending_open = str(pending) if pending is not None else None
-            buffer = snapshot.get("buffer", "")
+            buffer = snapshot["buffer"]
             if buffer:
                 writer._parts.append(buffer)
                 writer._staged = len(buffer)
-            writer.bytes_written = int(snapshot.get("bytes_written", 0))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"malformed writer snapshot: {exc}") from exc
+            writer.bytes_written = int(snapshot["bytes_written"])
         return writer
 
 

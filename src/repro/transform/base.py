@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Mapping
 
+from repro.checkpoint import read_fields
 from repro.core.textfeed import TextFeed
 from repro.core.twigm import CandidateTracker
 from repro.errors import CheckpointError
@@ -298,14 +299,19 @@ class StreamTransform(TextFeed, EventHandler):
         }
 
     def _restore_base(self, payload: dict, names: Iterable[str]) -> None:
+        payload = read_fields(
+            payload, "transform snapshot base",
+            required=("engine", "trackers", "tokenizer"),
+            optional={"events_in": 0},
+        )
         self._trackers = {}
         for name in names:
             tracker = _FragmentTracker(name, self)
             tracker.restore_state(payload["trackers"][name])
             self._trackers[name] = tracker
         self._rebuild_engine(payload["engine"])
-        self._restore_tokenizer(payload.get("tokenizer"))
-        self.events_in = int(payload.get("events_in", 0))
+        self._restore_tokenizer(payload["tokenizer"])
+        self.events_in = int(payload["events_in"])
 
     def detach(self) -> None:
         """Unhook metrics collectors (long-lived registries)."""

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.errors import CheckpointError
+from repro.checkpoint import read_envelope, read_fields, restoring
 from repro.stream.events import Characters, EndElement, StartElement
 from repro.stream.recovery import RecoveryPolicy, ResourceLimits
 from repro.stream.writer import DEFAULT_WRITER_CHUNK, IncrementalXmlWriter
@@ -374,14 +374,14 @@ class SubstreamExtractor(StreamTransform):
         metrics=None,
     ) -> "SubstreamExtractor":
         """Rebuild an extractor from :meth:`snapshot`; callbacks anew."""
-        version = snapshot.get("version")
-        if version != TRANSFORM_SNAPSHOT_VERSION or \
-                snapshot.get("kind") != "extract":
-            raise CheckpointError(
-                f"not an extractor snapshot (version {version!r}, "
-                f"kind {snapshot.get('kind')!r})"
-            )
-        try:
+        snapshot = read_envelope(
+            snapshot, "extractor snapshot", TRANSFORM_SNAPSHOT_VERSION,
+            kind="extract",
+            required=("queries", "base", "records", "open", "streaming",
+                      "fragments", "fragment_counts", "fragment_bytes"),
+            optional={"emission": "default"},
+        )
+        with restoring("extractor snapshot"):
             extractor = cls(
                 dict(snapshot["queries"]),
                 on_fragment=on_fragment,
@@ -393,17 +393,23 @@ class SubstreamExtractor(StreamTransform):
                 limits=limits,
                 query_limits=query_limits,
                 metrics=metrics,
-                emission=snapshot.get("emission", "default"),
+                emission=snapshot["emission"],
             )
             extractor._restore_base(snapshot["base"],
                                     list(extractor.queries))
             extractor._records = {}
             for payload in snapshot["records"]:
+                payload = read_fields(
+                    payload, "extractor record",
+                    required=("name", "node_id", "base_level", "next_id",
+                              "open", "events", "writer", "parts"),
+                    optional={"verdict": None},
+                )
                 record = _Record(payload["name"], int(payload["node_id"]),
                                  int(payload["base_level"]))
                 record.next_id = int(payload["next_id"])
                 record.open = bool(payload["open"])
-                record.verdict = payload.get("verdict")
+                record.verdict = payload["verdict"]
                 if payload["events"] is not None:
                     record.events = unpack_events(payload["events"])
                 if payload["writer"] is not None:
@@ -433,10 +439,6 @@ class SubstreamExtractor(StreamTransform):
                 for name, count in snapshot["fragment_counts"].items()
             }
             extractor.fragment_bytes = int(snapshot["fragment_bytes"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(
-                f"malformed extractor snapshot: {exc}"
-            ) from exc
         return extractor
 
 

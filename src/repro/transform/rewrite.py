@@ -35,6 +35,7 @@ import io
 from collections import deque
 from typing import Callable, Iterable, Sequence
 
+from repro.checkpoint import read_envelope, restoring
 from repro.errors import CheckpointError, TransformError
 from repro.stream.events import (
     Characters,
@@ -663,15 +664,15 @@ class RewriteEngine(StreamTransform):
         ``callbacks`` maps rule index → function/handler for
         ``callback``/``extract`` rules (functions do not serialize).
         """
-        version = snapshot.get("version")
-        if version != TRANSFORM_SNAPSHOT_VERSION or \
-                snapshot.get("kind") != "rewrite":
-            raise CheckpointError(
-                f"not a rewrite snapshot (version {version!r}, "
-                f"kind {snapshot.get('kind')!r})"
-            )
+        snapshot = read_envelope(
+            snapshot, "rewrite snapshot", TRANSFORM_SNAPSHOT_VERSION,
+            kind="rewrite",
+            required=("rules", "base", "queue", "regions", "skipping",
+                      "out_depth", "out_id", "events_out", "rules_fired",
+                      "writer"),
+        )
         callbacks = callbacks or {}
-        try:
+        with restoring("rewrite snapshot"):
             rules = [
                 RewriteRule.from_spec(spec, fn=callbacks.get(index))
                 for index, spec in enumerate(snapshot["rules"])
@@ -725,10 +726,6 @@ class RewriteEngine(StreamTransform):
                     snapshot["writer"], on_chunk, chunk_size=chunk_size
                 )
                 engine._terminal = engine._writer
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
-            raise CheckpointError(
-                f"malformed rewrite snapshot: {exc}"
-            ) from exc
         return engine
 
     def _unpack_item(self, payload: list, parent: "_Hole | None"):

@@ -139,6 +139,23 @@ def test_mismatched_grouping_rejected():
         MultiQueryEngine.restore(snap)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("emission", "earliest"),
+    ("limits", {"max_depth": 3}),
+])
+def test_grouped_member_disagreeing_with_its_unit_rejected(field, value):
+    """Members sharing a machine share its limits and emission mode; a
+    capture where one member says otherwise is refused, not half-applied."""
+    engine = MultiQueryEngine({"a": "//x[y]", "b": "//x[y]"})
+    engine.feed_text("<r><x>")
+    snap = engine.snapshot()
+    assert [unit["queries"] for unit in snap["units"]] == [["a", "b"]]
+    MultiQueryEngine.restore(snap)  # the untouched capture restores
+    snap["queries"][1][field] = value
+    with pytest.raises(CheckpointError, match="groups 'b'"):
+        MultiQueryEngine.restore(snap)
+
+
 def test_callback_does_not_refire_after_restore():
     fired: list[tuple[str, int]] = []
     engine = MultiQueryEngine({"q": "//a"}, on_match=lambda n, i: fired.append((n, i)))

@@ -61,6 +61,22 @@ def run(coro):
     return asyncio.run(coro)
 
 
+async def first_reply(server: SessionServer, hello: dict):
+    """Send one HELLO; return the first frame back (None if it hung up)."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+    writer.write(encode_json(FrameType.HELLO, hello))
+    await writer.drain()
+    decoder = FrameDecoder()
+    frames = []
+    while not frames:
+        data = await asyncio.wait_for(reader.read(65536), timeout=5)
+        if not data:
+            break
+        frames = decoder.feed(data)
+    writer.close()
+    return frames[0] if frames else None
+
+
 class TestHappyPath:
     def test_single_query_byte_identical(self):
         async def go():
@@ -274,6 +290,40 @@ class TestAdmissionAndErrors:
             return frames[0]
 
         frame = run(go())
+        assert frame.type == FrameType.REJECT
+        assert frame.json()["code"] == "unknown_session"
+
+    @pytest.mark.parametrize("hello", [
+        {"resume": 5},
+        {"resume": {"token": "feedfacefeedface", "seq": "x"}},
+        {"queries": {"q": QUERY}, "priority": "x"},
+        {"queries": {"q": QUERY}, "deadline_ms": "soon"},
+    ])
+    def test_malformed_hello_gets_bad_hello(self, hello):
+        async def go():
+            server = await start_server()
+            frame = await first_reply(server, hello)
+            await server.stop()
+            return frame
+
+        frame = run(go())
+        assert frame is not None, "connection dropped without a REJECT"
+        assert frame.type == FrameType.REJECT
+        assert frame.json()["code"] == "bad_hello"
+
+    def test_non_object_spool_blob_is_unknown_session(self, tmp_path):
+        (tmp_path / "feedfacefeedface.ckpt").write_text("[]")
+
+        async def go():
+            server = await start_server(spool_dir=str(tmp_path))
+            frame = await first_reply(server, {
+                "resume": {"token": "feedfacefeedface", "seq": 0},
+            })
+            await server.stop()
+            return frame
+
+        frame = run(go())
+        assert frame is not None, "connection dropped without a REJECT"
         assert frame.type == FrameType.REJECT
         assert frame.json()["code"] == "unknown_session"
 

@@ -369,3 +369,93 @@ class TestSessionStore:
         assert store.sweep(now=50.0) == 1
         assert store.get("aa") is None
         assert store.get("bb") is not None
+
+    def test_spool_fsync_cadence(self, tmp_path, monkeypatch):
+        """``interval:3`` syncs every third temp file, and after each of
+        those renames the spool directory too; ``none`` syncs nothing."""
+        import os
+        import stat
+
+        import repro.store.sync as sync_mod
+
+        files, dirs = [], []
+
+        def fsync(fd):
+            is_dir = stat.S_ISDIR(os.fstat(fd).st_mode)
+            (dirs if is_dir else files).append(fd)
+
+        monkeypatch.setattr(sync_mod.os, "fsync", fsync)
+        store = SessionStore(300.0, str(tmp_path / "spool"), sync="interval:3")
+        for i in range(9):
+            store.put(f"t{i}", {"v": i})
+        assert len(files) == 3
+        assert len(dirs) == 3
+        files.clear()
+        dirs.clear()
+        quiet = SessionStore(300.0, str(tmp_path / "spool2"), sync="none")
+        quiet.put("t", {"v": 1})
+        assert files == [] and dirs == []
+
+    def test_policy_coercion_shared_spelling(self):
+        from repro.store.sync import SyncPolicy
+
+        for spelling in ("always", "interval", "interval:7", "none"):
+            policy = SyncPolicy.coerce(spelling)
+            assert policy.to_str() in (spelling, "interval:64")
+        assert SessionStore(1.0).sync.kind == "always"  # None → safe default
+
+    def test_server_uses_spool(self, tmp_path):
+        from repro.obs.metrics import MetricsRegistry
+        from repro.serve.server import SessionServer
+
+        config = ServeConfig(spool_dir=str(tmp_path / "spool"))
+        worker = SessionServer(config, metrics=MetricsRegistry())
+        assert isinstance(worker.store, SessionStore)
+        worker.store.put("abc123", {"v": 1})
+        assert (tmp_path / "spool" / "abc123.ckpt").exists()
+
+    def test_non_object_spool_file_is_corrupt(self, tmp_path):
+        (tmp_path / "abc123.ckpt").write_text("[]")
+        store = SessionStore(ttl=60, spool_dir=str(tmp_path))
+        with pytest.raises(CheckpointError, match="not a JSON object"):
+            store.get("abc123")
+
+    def test_session_checkpoint_resume_through_spool(self, tmp_path):
+        """End-to-end: checkpoint a real session into the spool, 'crash'
+        (new store instance), resume, results identical."""
+        text = "<catalog>" + "".join(
+            f"<book><title>T{i}</title></book>" for i in range(8)
+        ) + "</catalog>"
+        config = ServeConfig(checkpoint_interval=1)
+        spool = str(tmp_path / "spool")
+        results: list = []
+        session = Session.open(
+            {"queries": {"q": "//book/title"}},
+            config,
+            lambda name, node_id, seq: results.append((name, node_id, seq)),
+        )
+        half = len(text) // 2
+        session.feed(0, text[:half])
+        SessionStore(300.0, spool, sync="none").put(
+            session.token, session.checkpoint()
+        )
+
+        blob = SessionStore(300.0, spool, sync="none").get(session.token)
+        resumed: list = []
+        session2 = Session.resume(
+            blob, config,
+            lambda name, node_id, seq: resumed.append((name, node_id, seq)),
+            last_result_seq=results[-1][2] if results else 0,
+        )
+        session2.feed(session2.input_offset, text[session2.input_offset:])
+        session2.finish()
+
+        reference: list = []
+        whole = Session.open(
+            {"queries": {"q": "//book/title"}},
+            config,
+            lambda name, node_id, seq: reference.append((name, node_id, seq)),
+        )
+        whole.feed(0, text)
+        whole.finish()
+        assert results + resumed == reference

@@ -22,6 +22,11 @@ inside a tag and records its character offset (``cut``); the session and
 rewrite captures also record what an uninterrupted run produced
 (``expected``).  A capture taken today at the same cut must equal the
 recorded one key for key, and each must resume to the recorded result.
+
+Every format is read through one strict codec (``repro.checkpoint``):
+each golden envelope, mutated every way a blob can be malformed, must
+raise ``CheckpointError`` and nothing else, and leaving out any of its
+optional keys must still resume to the recorded result.
 """
 
 import json
@@ -30,9 +35,12 @@ from pathlib import Path
 import pytest
 
 from repro.core.processor import XPathStream
+from repro.errors import CheckpointError
 from repro.multiq import MultiQueryEngine
 from repro.serve.session import ServeConfig, Session
 from repro.stream.tokenizer import XmlTokenizer
+from repro.stream.writer import IncrementalXmlWriter
+from repro.transform.extract import SubstreamExtractor
 from repro.transform.rewrite import RewriteEngine, RewriteRule
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -173,3 +181,165 @@ def test_rewrite_snapshot_restores():
     resumed.feed_text(DOC[cut:])
     assert resumed.close() == golden["expected"]
     assert RewriteEngine(rules).evaluate(DOC) == golden["expected"]
+
+
+# -- hostile blobs: every format is read by one strict codec -------------
+
+def _resume_golden(name: str, golden: dict):
+    """Resume ``golden`` from its cut; return (result, recorded result)."""
+    cut = golden["cut"]
+    if name.startswith("compiled_") and "query" in golden:
+        resumed = XPathStream.restore(golden["snapshot"])
+        resumed.feed_text(DOC[cut:])
+        return resumed.close(), XPathStream(golden["query"]).evaluate(DOC)
+    if name == "compiled_multiq_snapshot.json":
+        resumed = MultiQueryEngine.restore(golden["snapshot"])
+        resumed.feed_text(DOC[cut:])
+        return resumed.close(), MultiQueryEngine(golden["queries"]).evaluate(DOC)
+    if name.startswith(("multiq_", "compiled_multiq_")):
+        resumed = MultiQueryEngine.restore(golden["snapshot"])
+        resumed.feed_text(DOC[cut:])
+        return resumed.close(), golden["expected"]
+    if name == "tokenizer_snapshot.json":
+        resumed = XmlTokenizer.restore(golden["snapshot"])
+        full = _tokenize(XmlTokenizer(), DOC)
+        return _tokenize(resumed, DOC[cut:]), full[golden["events_before"]:]
+    if name.startswith("session_"):
+        blob = golden["blob"]
+        results: list = []
+        resumed = Session.resume(blob, ServeConfig(),
+                                 lambda *r: results.append(list(r)),
+                                 last_result_seq=blob["result_seq"])
+        _feed_session(resumed, cut, len(DOC))
+        resumed.finish()
+        sent = [[query, node_id, seq, *fragment]
+                for seq, query, node_id, *fragment in blob["result_log"]]
+        return sent + results, golden["expected"]
+    resumed = RewriteEngine.restore(golden["snapshot"])
+    resumed.feed_text(DOC[cut:])
+    return resumed.close(), golden["expected"]
+
+
+def _resume_session(blob):
+    return Session.resume(blob, ServeConfig(), lambda *r: None)
+
+
+#: (golden file, path to the envelope inside it, reader, optional keys,
+#: the plain dicts the reader checks itself as (path, optional keys)).
+FORMATS = [
+    *[(f"compiled_{engine}_snapshot.json", ("snapshot",), XPathStream.restore,
+       {"compiled", "emission"}, []) for engine in ("branchm", "twigm")],
+    *[(name, ("snapshot",), MultiQueryEngine.restore, {"compiled", "stats"},
+       [(("queries", 0), {"tracked", "emission"}), (("units", 0), {"virgin"}),
+        (("stats",), set())])
+      for name in ("compiled_multiq_snapshot.json", "multiq_plain_snapshot.json",
+                   "multiq_earliest_snapshot.json",
+                   "compiled_multiq_live_snapshot.json")],
+    ("tokenizer_snapshot.json", ("snapshot",), XmlTokenizer.restore,
+     {"bytes_fed"}, []),
+    *[(f"session_{kind}_checkpoint.json", ("blob",), _resume_session, set(), [])
+      for kind in ("single", "multi", "transform")],
+    ("session_transform_checkpoint.json", ("blob", "engine"),
+     SubstreamExtractor.restore, {"emission"},
+     [(("records", 0), {"verdict"}), (("base",), {"events_in"})]),
+    ("rewrite_snapshot.json", ("snapshot",), RewriteEngine.restore, set(),
+     [(("base",), {"events_in"})]),
+    ("rewrite_snapshot.json", ("snapshot", "writer"),
+     IncrementalXmlWriter.restore, set(), []),
+]
+
+
+def _format_id(entry) -> str:
+    return "/".join([entry[0].removesuffix(".json"), *entry[1][1:]])
+
+
+def _at(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
+def _without(payload: dict, key: str) -> dict:
+    return {k: v for k, v in payload.items() if k != key}
+
+
+def _hostile_variants(envelope: dict, optional: set, entries: list):
+    """(label, mutated copy) for every way a blob may be malformed."""
+    yield "none", None
+    yield "list", []
+    yield "version", {**envelope, "version": envelope["version"] + 1}
+    if "kind" in envelope:
+        yield "kind", {**envelope, "kind": "other"}
+    for key in envelope:
+        if key != "version" and key not in optional:
+            yield f"without {key}", _without(envelope, key)
+    yield "unknown key", {**envelope, "bogus": 1}
+    if "limits" in envelope:
+        yield "limits typo", {**envelope, "limits": {"max_depht": 3}}
+    for path, entry_optional in entries:
+        entry = _at(envelope, path)
+        for label, mutated in (
+            [(f"without {key}", _without(entry, key))
+             for key in entry if key not in entry_optional]
+            + [("unknown key", {**entry, "bogus": 1})]
+            + ([("limits typo", {**entry, "limits": {"max_depht": 3}})]
+               if "limits" in entry else [])
+        ):
+            copy = json.loads(json.dumps(envelope))
+            *parent, last = path
+            _at(copy, parent)[last] = mutated
+            yield f"{'.'.join(map(str, path))} {label}", copy
+
+
+@pytest.mark.parametrize("entry", FORMATS, ids=_format_id)
+def test_hostile_blobs_raise_only_checkpoint_error(entry):
+    name, path, reader, optional, entries = entry
+    envelope = _at(_load(name), path)
+    reader(json.loads(json.dumps(envelope)))  # the untouched blob restores
+    for label, blob in _hostile_variants(envelope, optional, entries):
+        with pytest.raises(CheckpointError):
+            reader(blob)
+            pytest.fail(f"{_format_id(entry)}: {label} was accepted")
+
+
+@pytest.mark.parametrize("entry", [e for e in FORMATS if e[3]], ids=_format_id)
+def test_optional_keys_may_be_left_out(entry):
+    """Captures from releases that did not write a key yet resume to the
+    recorded result."""
+    name, path, _reader, optional, _entries = entry
+    for key in sorted(optional):
+        golden = _load(name)
+        *parent, last = path
+        holder = _at(golden, parent)
+        holder[last] = _without(holder[last], key)
+        result, recorded = _resume_golden(name, golden)
+        assert result == recorded, f"without {key!r}"
+
+
+#: Per format: a key path whose value is set to a wrong-typed one — the
+#: error surfaces inside the restore, past the key checks.
+BAD_VALUES = {
+    "compiled_branchm_snapshot": (("policy",), "bogus"),
+    "compiled_twigm_snapshot": (("engine",), "bogus"),
+    "compiled_multiq_snapshot": (("units", 0, "queries"), ["nobody"]),
+    "multiq_plain_snapshot": (("stats", "events"), None),
+    "multiq_earliest_snapshot": (("queries", 0, "query"), None),
+    "compiled_multiq_live_snapshot": (("policy",), 7),
+    "tokenizer_snapshot": (("policy",), "bogus"),
+    "session_single_checkpoint": (("priority",), "x"),
+    "session_multi_checkpoint": (("counts",), []),
+    "session_transform_checkpoint": (("result_log",), [[]]),
+    "session_transform_checkpoint/engine": (("fragment_bytes",), "x"),
+    "rewrite_snapshot": (("regions",), [["hole", 1, 99]]),
+    "rewrite_snapshot/writer": (("bytes_written",), "x"),
+}
+
+
+@pytest.mark.parametrize("entry", FORMATS, ids=_format_id)
+def test_bad_values_raise_only_checkpoint_error(entry):
+    name, path, reader, _optional, _entries = entry
+    blob = json.loads(json.dumps(_at(_load(name), path)))
+    (*parent, last), value = BAD_VALUES[_format_id(entry)]
+    _at(blob, parent)[last] = value
+    with pytest.raises(CheckpointError):
+        reader(blob)
