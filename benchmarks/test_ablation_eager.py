@@ -13,7 +13,7 @@ Results are asserted identical either way.
 import pytest
 
 from repro.bench.harness import measure_memory
-from repro.core.results import CallbackSink, CollectingSink, DiscardingSink
+from repro.core.results import CallbackSink, CollectingSink, CountingSink
 from repro.core.twigm import TwigM
 
 
@@ -32,9 +32,9 @@ def test_time(benchmark, mode, events):
     eager = None if mode == "eager" else False
 
     def run():
-        machine = TwigM(EAGER_QUERY, sink=DiscardingSink(), eager=eager)
+        machine = TwigM(EAGER_QUERY, sink=CountingSink(), eager=eager)
         machine.feed(iter(events))
-        return machine.sink.emissions
+        return machine.sink.count
 
     emissions = benchmark(run)
     benchmark.extra_info.update(mode=mode, emissions=emissions)

@@ -39,15 +39,15 @@ def test_fig10_cell(benchmark, factor, engine_name, scaled_corpora):
 def _pure_streaming_peak(corpus) -> int:
     """TwigM peak with results streamed out (not stored) — the paper's
     deployment model, where result storage is the consumer's concern."""
-    from repro.core.results import DiscardingSink
+    from repro.core.results import CountingSink
     from repro.core.twigm import TwigM
 
     query = get_query("book", "Q10")
 
     def run():
-        sink = DiscardingSink()
+        sink = CountingSink()
         TwigM(query.xpath, sink=sink).feed(corpus.events())
-        return [sink.emissions]
+        return [sink.count]
 
     return measure_memory(run).peak_bytes
 

@@ -1,8 +1,8 @@
 """CI smoke: 1000 standing queries over XMark through the multiq engine.
 
-Checks the two acceptance properties of the shared dispatch engine, once
-for the default engine and once with ``compiled=True`` (every path query
-a member of one shared lazy-DFA unit):
+Checks the three acceptance properties of the shared dispatch engine,
+once for the default engine and once with ``compiled=True`` (every path
+query a member of one shared lazy-DFA unit):
 
 1. **Exactness** — routed multi-query results are byte-identical to
    evaluating every query independently with its own
@@ -10,6 +10,10 @@ a member of one shared lazy-DFA unit):
 2. **Routing win** — the demand-gated alphabet router delivers at least
    50x fewer machine events than broadcast would on the 1000-query
    workload.
+3. **Bounded emission state** — a callback-mode pass, checkpointed every
+   256 events, never holds more de-duplication ids (the ``seen`` lists
+   of its snapshots, summed) than 1% of the results it has emitted:
+   sinks remember ids only for their machine's open root match.
 
 It then runs the full 10/100/1000 scaling benchmark and writes
 ``BENCH_multiq.json`` so the perf trajectory is recorded per commit.
@@ -31,6 +35,8 @@ from repro.multiq.engine import MultiQueryEngine
 QUERY_COUNT = 1000
 SCALE = 1.0
 MIN_REDUCTION = 50.0
+SLICE_EVENTS = 256
+MAX_SEEN_SHARE = 0.01
 REPORT = "BENCH_multiq.json"
 
 
@@ -71,6 +77,35 @@ def gate(label: str, queries: dict, events: list, expected: dict,
         print(
             f"FAIL: {label}: dispatch reduction {stats.reduction:.2f}x is "
             f"below the {MIN_REDUCTION:.0f}x target",
+            file=sys.stderr,
+        )
+        return False
+    return bounded_state_gate(label, queries, events, compiled)
+
+
+def bounded_state_gate(label: str, queries: dict, events: list,
+                       compiled: bool) -> bool:
+    """Feed a callback-mode engine in slices; True when the peak total of
+    snapshot ``seen`` ids stays within ``MAX_SEEN_SHARE`` of the results."""
+    emitted = 0
+
+    def count(_name: str, _node_id: int) -> None:
+        nonlocal emitted
+        emitted += 1
+
+    engine = MultiQueryEngine(queries, on_match=count, compiled=compiled)
+    peak = 0
+    for start in range(0, len(events), SLICE_EVENTS):
+        engine.feed_events(events[start:start + SLICE_EVENTS])
+        held = sum(len(sink["seen"]) for unit in engine.snapshot()["units"]
+                   for sink in unit["sinks"].values())
+        peak = max(peak, held)
+    print(f"  {label}: peak {peak} de-duplication ids held for "
+          f"{emitted} results emitted")
+    if peak > MAX_SEEN_SHARE * emitted:
+        print(
+            f"FAIL: {label}: sinks held {peak} ids, more than "
+            f"{MAX_SEEN_SHARE:.0%} of the {emitted} results",
             file=sys.stderr,
         )
         return False

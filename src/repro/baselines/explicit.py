@@ -297,7 +297,8 @@ class _Runner:
             if match.candidate is None:
                 continue  # incomplete and no longer extensible: dies
             if len(match.bindings) == 1:
-                self._sink.emit(match.candidate)
+                # Separate matches may complete on one candidate.
+                self._sink.emit_all((match.candidate,))
                 continue
             # Retire the deepest binding; the match lives on keyed by the
             # next-shallower binding's level.

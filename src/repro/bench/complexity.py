@@ -87,9 +87,9 @@ class CountingTwigM(TwigM):
         super().reset()
         self._live_entries = 0
 
-    def _emit_ids(self, candidates) -> None:
+    def _emit_ids(self, candidates, distinct: bool = False) -> None:
         self.counts.emitted += len(candidates)
-        super()._emit_ids(candidates)
+        super()._emit_ids(candidates, distinct)
 
     def start_element(self, tag, level, node_id, attributes=None):
         """δs of Algorithm 1, with counters inline."""
@@ -165,10 +165,13 @@ class CountingTwigM(TwigM):
             plan = self._miss_plan(tag)
             if not plan:
                 return
+        epoch_over = False
         for node, stack, parent_stack in plan:
             if not stack or stack[-1].level != level:
                 continue
             entry = stack.pop()
+            if parent_stack is None:
+                epoch_over = not stack
             counts.pops += 1
             self._live_entries -= 1
             if entry.text_parts is not None:
@@ -194,7 +197,7 @@ class CountingTwigM(TwigM):
                 continue
             if node.is_return and self._eager:
                 if entry.candidates:
-                    self._emit_ids(entry.candidates)
+                    self._emit_ids(entry.candidates, distinct=True)
                 continue
             if node.parent is None:
                 if entry.candidates:
@@ -205,6 +208,10 @@ class CountingTwigM(TwigM):
                 tracker.released(entry.candidates)
         if self._trunk_dirty:
             self._flush_trunk()
+        if epoch_over and not self._eager:
+            # Empty root stack: no entry holds a candidate (entries
+            # nest), so no released id can be released again.
+            self.sink.end_epoch()
 
     def _counted_propagate(self, node: MachineNode, entry: StackEntry,
                            level: int, parent_stack) -> None:

@@ -49,7 +49,7 @@ from repro.compile.nfa import layout_trunks, subset_step, trunk_steps
 from repro.core.machine import Machine, build_machine
 from repro.core.pathm import PathM
 from repro.core.push import LimitCountingHandler
-from repro.core.results import CollectingSink, DiscardingSink, ResultSink
+from repro.core.results import CollectingSink, CountingSink, ResultSink
 from repro.errors import CheckpointError, UnsupportedQueryError
 from repro.stream.events import EndElement, Event, StartElement
 from repro.stream.recovery import ResourceLimits
@@ -107,6 +107,8 @@ class DfaPathM:
     """
 
     machine_name = "dfa"
+    #: Members emit at start tags, like PathM: never an id twice.
+    epoch_open = False
     #: The engine ignores attributes and character data entirely, so the
     #: turbo scanner (:mod:`repro.compile.scan`) may skip producing them.
     turbo_scan_safe = True
@@ -283,13 +285,13 @@ class DfaPathM:
 
         PathM only emits at start events, and every open element's start
         already happened (and emitted, if it qualified), so the replay
-        drives a discarding sink; the real sink is re-attached before
-        live events resume.
+        drives a throwaway counting sink; the real sink is re-attached
+        before live events resume.
         """
         self._fallbacks += 1
         machines = []
         for trunk in self._trunks:
-            machine = PathM(trunk.machine, sink=DiscardingSink(), limits=self._limits)
+            machine = PathM(trunk.machine, sink=CountingSink(), limits=self._limits)
             for depth, tag in enumerate(self._tags, start=1):
                 machine.start_element(tag, depth, 0)
             machine.sink = trunk.sink

@@ -68,6 +68,9 @@ class BranchM:
     #: Stable engine identifier — shared by instrumented subclasses, used
     #: as the snapshot ``engine`` key and as the metrics ``engine`` label.
     machine_name = "branchm"
+    #: Every emission is a new id (see :meth:`_emit_ids`), so an
+    #: emitted id is never released again.
+    epoch_open = False
 
     def __init__(
         self,
@@ -320,8 +323,19 @@ class BranchM:
     # parent slot", pinned for as long as the child element is open.
 
     def _emit_ids(self, candidates) -> None:
-        """Emit a candidate set (single override point for counting)."""
-        self.sink.emit_all(sorted(candidates))
+        """Emit a candidate set (single override point for counting).
+
+        Every id is new, so it goes to ``sink.emit``.  A candidate is
+        created once, in the return slot at its start tag.  Uploads
+        *move* a set up one slot (the child slot is reset right after),
+        so a candidate lives in one slot at a time, and child-only axes
+        pin that chain to the candidate's own ancestors — one root
+        element.  The root pop and the earliest flush both emit a slot's
+        set and drop it, so no candidate is emitted twice.
+        """
+        emit = self.sink.emit
+        for node_id in sorted(candidates):
+            emit(node_id)
 
     def _note_stable(self, node: MachineNode, slot: _Slot) -> None:
         """Mark a newly complete slot; set its β-flag on the parent now."""

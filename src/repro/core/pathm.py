@@ -49,6 +49,9 @@ class PathM:
     #: Stable engine identifier — shared by instrumented subclasses, used
     #: as the snapshot ``engine`` key and as the metrics ``engine`` label.
     machine_name = "pathm"
+    #: Every emission is a new id (one per start tag), so an emitted id
+    #: is never released again (see :mod:`repro.core.results`).
+    epoch_open = False
 
     def __init__(
         self,

@@ -295,7 +295,8 @@ class XPathStream(TextFeed):
         """Capture the full evaluation state as a versioned, serializable dict.
 
         The capture spans the machine stacks, the candidate/result
-        buffers, the emitted-id set, and — mid-document — the incremental
+        buffers, the sink's de-duplication ids for the open root match and
+        its emitted count, and — mid-document — the incremental
         tokenizer (pending buffer, open-element stack, cursor, pre-order
         counter), so ``restore`` resumes bit-exactly.  Everything in it is
         JSON-serializable; persist it however suits the deployment.
@@ -324,11 +325,11 @@ class XPathStream(TextFeed):
         """Rebuild a stream from a :meth:`snapshot` capture.
 
         Callbacks are not serializable, so ``on_match``/``on_diagnostic``
-        are supplied anew; ids emitted before the checkpoint are
-        remembered and will not fire ``on_match`` again.  Passing
-        ``metrics`` resumes with instrumentation: cumulative counters
-        carried in the snapshot are re-published, so the registry of a
-        resumed stream reports the same totals as an uninterrupted run.
+        are supplied anew; ids emitted before the checkpoint will not
+        fire ``on_match`` again.  Passing ``metrics`` resumes with
+        instrumentation: cumulative counters carried in the snapshot are
+        re-published, so the registry of a resumed stream reports the
+        same totals as an uninterrupted run.
         """
         snapshot = read_envelope(
             snapshot, "snapshot", SNAPSHOT_VERSION,
@@ -350,6 +351,9 @@ class XPathStream(TextFeed):
             )
             stream.engine.restore_state(snapshot["machine"])
             stream._sink.restore_state(snapshot["sink"])
+            if not stream.engine.epoch_open:
+                # Older captures keep every id ever emitted in ``seen``.
+                stream._sink.end_epoch()
             stream._restore_tokenizer(snapshot["tokenizer"])
         return stream
 

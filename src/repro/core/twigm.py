@@ -276,6 +276,17 @@ class TwigM:
             return self.sink.results
         raise AttributeError("results are only collected by the default sink")
 
+    @property
+    def epoch_open(self) -> bool:
+        """True while an emitted id may be released again.
+
+        Only a non-eager machine releases candidate sets that can repeat
+        ids, and only until its root stack empties (see
+        :mod:`repro.core.results`); a restore ends the sink's epoch when
+        this is false.
+        """
+        return not self._eager and bool(self._stacks[id(self._root)])
+
     def stack_of(self, node: MachineNode) -> list[StackEntry]:
         """The runtime stack of a machine node (read-only use)."""
         return self._stacks[id(node)]
@@ -486,10 +497,13 @@ class TwigM:
             plan = self._miss_plan(tag)
             if not plan:
                 return
+        epoch_over = False
         for node, stack, parent_stack in plan:
             if not stack or stack[-1].level != level:
                 continue
             entry = stack.pop()
+            if parent_stack is None:
+                epoch_over = not stack
             if entry.text_parts is not None:
                 self._open_value_entries -= 1
             if entry.candidates:
@@ -519,8 +533,9 @@ class TwigM:
                 # No predicates above the return node: a satisfied return
                 # entry is already a solution (its prefix path holds by
                 # the push invariant) — emit now, skip candidate uploads.
+                # It holds only its own id, so the id is new.
                 if entry.candidates:
-                    self._emit_ids(entry.candidates)
+                    self._emit_ids(entry.candidates, distinct=True)
                 continue
             if node.parent is None:
                 if entry.candidates:
@@ -531,6 +546,10 @@ class TwigM:
                 tracker.released(entry.candidates)
         if self._trunk_dirty:
             self._flush_trunk()
+        if epoch_over and not self._eager:
+            # Empty root stack: no entry holds a candidate (entries
+            # nest), so no released id can be released again.
+            self.sink.end_epoch()
 
     def _propagate(
         self,
@@ -586,13 +605,20 @@ class TwigM:
     # mode, or default mode with a lag probe attached); the default hot
     # path pays one boolean test per transition.
 
-    def _emit_ids(self, candidates) -> None:
+    def _emit_ids(self, candidates, distinct: bool = False) -> None:
         """Emit a candidate set, reporting to the tracker.
 
         Shared by the pop-time paths and the earliest flush so a
-        counting subclass can count emissions in one place.
+        counting subclass can count emissions in one place.  Released
+        sets go to ``emit_all`` (``//`` uploads may have put an id in
+        several entries); ``distinct`` ids are new and go to ``emit``.
         """
-        self.sink.emit_all(sorted(candidates))
+        if distinct:
+            emit = self.sink.emit
+            for node_id in sorted(candidates):
+                emit(node_id)
+        else:
+            self.sink.emit_all(sorted(candidates))
         tracker = self._tracker
         if tracker is not None:
             tracker.emitted(candidates)
@@ -669,8 +695,8 @@ class TwigM:
         parent entry (root entries qualified at push by construction).
         In earliest mode provable candidates are emitted and purged from
         the emitting entry; copies held by other entries (``//`` uploads
-        fan out) are deduplicated by the sink, exactly as duplicate
-        root-match emissions are in default mode.
+        fan out) are de-duplicated by the sink within the root epoch,
+        exactly as duplicate root-match emissions are in default mode.
         """
         self._trunk_dirty = False
         probe = self._lag_probe
@@ -700,7 +726,9 @@ class TwigM:
                     probe.mark_provable(entry.candidates)
                 if earliest:
                     self._candidate_count -= len(entry.candidates)
-                    self._emit_ids(entry.candidates)
+                    # Eager machines upload nothing: only return entries
+                    # hold candidates, each its own id, emitted once.
+                    self._emit_ids(entry.candidates, distinct=self._eager)
                     entry.candidates = None
             if not provable:
                 break  # no chain can reach deeper trunk nodes

@@ -79,6 +79,9 @@ class _ProbeSink(ResultSink):
             observe(node_id)
         self._inner.emit_all(node_ids)
 
+    def end_epoch(self) -> None:
+        self._inner.end_epoch()
+
     def snapshot_state(self) -> dict:
         return self._inner.snapshot_state()
 

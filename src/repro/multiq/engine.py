@@ -246,13 +246,11 @@ class MultiQueryEngine(TextFeed):
         self._settled_events = self._events
 
     def emitted_counts(self) -> dict[str, int]:
-        """Distinct solutions emitted so far, per query (any sink kind)."""
-        counts: dict[str, int] = {}
-        for registration in self._registry.registrations():
-            sink = registration.unit.sink.sinks[registration.name]
-            seen = getattr(sink, "_seen", None)
-            counts[registration.name] = len(seen) if seen is not None else 0
-        return counts
+        """Distinct solutions emitted so far, per query (either sink kind)."""
+        return {
+            registration.name: registration.unit.sink.sinks[registration.name].emitted
+            for registration in self._registry.registrations()
+        }
 
     # -- metrics --------------------------------------------------------
 
@@ -400,6 +398,8 @@ class MultiQueryEngine(TextFeed):
         try:
             unit.engine.restore_state(machine_state)
             unit.sink.restore_state(sink_state)
+            if not unit.engine.epoch_open:
+                unit.sink.end_epoch()
         except (KeyError, TypeError, ValueError) as exc:
             self._registry.remove(name)
             raise CheckpointError(
@@ -571,9 +571,9 @@ class MultiQueryEngine(TextFeed):
 
         Callbacks are not serializable: ``on_match`` is supplied anew and
         rebinds every callback-mode query (ids emitted before the
-        checkpoint are remembered and will not fire again); without it,
-        callback-mode queries restore onto a silent sink so their
-        de-duplication state is still preserved.  The same applies to
+        checkpoint will not fire again); without it, callback-mode
+        queries restore onto a silent sink so their de-duplication
+        state is still preserved.  The same applies to
         candidate trackers: ``trackers`` (query name →
         :class:`~repro.core.twigm.CandidateTracker`) re-attaches them to
         tracked queries — the tracker's *own* counts are the owner's to
@@ -695,6 +695,9 @@ class MultiQueryEngine(TextFeed):
                 if fold_key is not None:
                     folded[fold_key] = unit
             unit.sink.restore_state(unit_payload["sinks"])
+            if not unit.engine.epoch_open:
+                # Older captures keep every id ever emitted in ``seen``.
+                unit.sink.end_epoch()
             for member in members:
                 payload = payloads[member]
                 pending[member] = (

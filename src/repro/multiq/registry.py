@@ -40,9 +40,10 @@ class MultiplexSink(ResultSink):
     """Fan one machine's confirmed ids out to every sharing query's sink.
 
     Sub-sinks are keyed by query name and kept in registration order, so
-    emission order across sharers is deterministic.  Each sub-sink keeps
-    its own de-duplication state — exactly what the query would have had
-    with a dedicated machine.
+    emission order across sharers is deterministic.  Released sets and
+    epoch ends are forwarded too, so each sub-sink keeps its own
+    de-duplication state — exactly what the query would have had with a
+    dedicated machine.
     """
 
     def __init__(self) -> None:
@@ -51,6 +52,14 @@ class MultiplexSink(ResultSink):
     def emit(self, node_id: int) -> None:
         for sink in self.sinks.values():
             sink.emit(node_id)
+
+    def emit_all(self, node_ids) -> None:
+        for sink in self.sinks.values():
+            sink.emit_all(node_ids)
+
+    def end_epoch(self) -> None:
+        for sink in self.sinks.values():
+            sink.end_epoch()
 
     def add(self, name: str, sink: ResultSink) -> None:
         self.sinks[name] = sink

@@ -90,6 +90,9 @@ class _CountingSink(ResultSink):
         self._counts.emitted += len(node_ids)
         self.inner.emit_all(node_ids)
 
+    def end_epoch(self) -> None:
+        self.inner.end_epoch()
+
 
 class ObservedMachine:
     """Counting mixin over a production engine (see :func:`observed_class`).

@@ -7,11 +7,12 @@ recursion patterns, predicate placements and axis mixes far beyond the
 curated cases.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.baselines.navigational import NavigationalDomEngine
 from repro.bench.systems import TwigmEngine
 from repro.core.processor import XPathStream
+from repro.core.results import CollectingSink, ResultSink
 from repro.stream.document import build_document
 from repro.stream.tokenizer import parse_string
 from repro.stream.writer import events_to_string
@@ -24,8 +25,8 @@ TWIGM = TwigmEngine()
 # -- random documents --------------------------------------------------------
 
 @st.composite
-def xml_trees(draw, depth=0):
-    tag = draw(st.sampled_from(TAGS))
+def xml_trees(draw, depth=0, tags=TAGS):
+    tag = draw(st.sampled_from(tags))
     attrs = ""
     if draw(st.booleans()):
         value = draw(st.integers(0, 3))
@@ -34,7 +35,7 @@ def xml_trees(draw, depth=0):
         children = []
     else:
         children = draw(
-            st.lists(xml_trees(depth=depth + 1), min_size=0, max_size=3)
+            st.lists(xml_trees(depth=depth + 1, tags=tags), min_size=0, max_size=3)
         )
     text = draw(st.sampled_from(["", "", "", "1", "2", "x"]))
     return f"<{tag}{attrs}>{text}{''.join(children)}</{tag}>"
@@ -43,7 +44,7 @@ def xml_trees(draw, depth=0):
 # -- random queries ----------------------------------------------------------
 
 @st.composite
-def predicate_atoms(draw, depth):
+def predicate_atoms(draw, depth, axes=("/", "//")):
     kind = draw(st.sampled_from(["path", "attr", "value", "attr_value"]))
     if kind == "attr":
         return "@k"
@@ -54,7 +55,7 @@ def predicate_atoms(draw, depth):
     steps = draw(st.integers(1, 2)) if depth < 2 else 1
     parts = []
     for index in range(steps):
-        axis = draw(st.sampled_from(["/", "//"]))
+        axis = draw(st.sampled_from(axes))
         name = draw(st.sampled_from(TAGS))
         if index == 0:
             parts.append(name if axis == "/" else f".//{name}")
@@ -64,13 +65,13 @@ def predicate_atoms(draw, depth):
 
 
 @st.composite
-def predicates(draw, depth):
+def predicates(draw, depth, axes=("/", "//")):
     """A bracketed predicate, sometimes with boolean connectives."""
     shape = draw(st.sampled_from(["atom", "atom", "atom", "or", "and", "not"]))
     if shape == "atom":
-        return f"[{draw(predicate_atoms(depth=depth))}]"
-    first = draw(predicate_atoms(depth=depth))
-    second = draw(predicate_atoms(depth=depth))
+        return f"[{draw(predicate_atoms(depth=depth, axes=axes))}]"
+    first = draw(predicate_atoms(depth=depth, axes=axes))
+    second = draw(predicate_atoms(depth=depth, axes=axes))
     if shape == "or":
         return f"[{first} or {second}]"
     if shape == "and":
@@ -79,15 +80,15 @@ def predicates(draw, depth):
 
 
 @st.composite
-def xpath_queries(draw):
+def xpath_queries(draw, axes=("/", "//"), names=TAGS + ("*",)):
     n_steps = draw(st.integers(1, 4))
     parts = []
     for index in range(n_steps):
-        axis = draw(st.sampled_from(["/", "//"]))
-        name = draw(st.sampled_from(TAGS + ("*",)))
+        axis = draw(st.sampled_from(axes))
+        name = draw(st.sampled_from(names))
         step = f"{axis}{name}"
         if name != "*" and draw(st.integers(0, 3)) == 0:
-            step += draw(predicates(depth=1))
+            step += draw(predicates(depth=1, axes=axes))
         parts.append(step)
     return "".join(parts)
 
@@ -148,3 +149,103 @@ def test_twigm_stack_invariants(xml, query):
             assert levels == sorted(set(levels)), "levels strictly increasing"
             assert len(stack) <= depth, "stack bounded by document depth"
     assert machine.total_stack_entries() == 0
+
+
+# -- emission contract (repro.core.results) ------------------------------------
+
+class RecordingSink(ResultSink):
+    """Logs raw machine emissions, then delivers them to a collector."""
+
+    def __init__(self):
+        self.log = []
+        self.collected = CollectingSink()
+
+    def emit(self, node_id):
+        self.log.append(("emit", [node_id]))
+        self.collected.emit(node_id)
+
+    def emit_all(self, node_ids):
+        node_ids = list(node_ids)
+        self.log.append(("emit_all", node_ids))
+        self.collected.emit_all(node_ids)
+
+    def end_epoch(self):
+        self.log.append(("end_epoch", []))
+        self.collected.end_epoch()
+
+
+def _emission_machines(query):
+    """(label, machine, [(query, recording sink)]) for every machine and
+    mode that evaluates ``query``."""
+    from repro.compile.dfa import DfaPathM
+    from repro.core.branchm import BranchM
+    from repro.core.pathm import PathM
+    from repro.core.twigm import TwigM
+    from repro.errors import UnsupportedQueryError
+
+    factories = [
+        ("pathm", lambda sink: PathM(query, sink=sink)),
+        ("dfa", lambda sink: DfaPathM(query, sink=sink)),
+        *[(f"{name}-{mode}", lambda sink, cls=cls, options=options, mode=mode:
+           cls(query, sink=sink, emission=mode, **options))
+          for mode in ("default", "earliest")
+          for name, cls, options in (("branchm", BranchM, {}),
+                                     ("twigm", TwigM, {}),
+                                     ("twigm-buffered", TwigM, {"eager": False}))],
+    ]
+    for label, factory in factories:
+        sink = RecordingSink()
+        try:
+            machine = factory(sink)
+        except UnsupportedQueryError:
+            continue
+        members = [(query, sink)]
+        if label == "dfa":
+            member = RecordingSink()
+            machine.add_member("//b//*", member)
+            members.append(("//b//*", member))
+        yield label, machine, members
+
+
+def _check_emissions(label, query, events, sink):
+    where = f"{label} {query!r}"
+    emitted, released, retired = set(), set(), set()
+    for kind, node_ids in sink.log:
+        if kind == "end_epoch":
+            retired |= released
+            released = set()
+            continue
+        assert not retired & set(node_ids), f"{where}: id crossed an epoch end"
+        if kind == "emit":
+            assert node_ids[0] not in emitted, f"{where}: emit repeated an id"
+            emitted.add(node_ids[0])
+        else:
+            released.update(node_ids)
+    expected = sorted(ORACLE.run(query, iter(events)))
+    assert sorted(sink.collected.results) == expected, where
+
+
+#: Two tags make deep self-nesting — where ``//`` uploads copy one
+#: candidate into several root entries — the common case, not the rare one.
+RECURSIVE_TAGS = ("a", "b")
+
+
+@settings(max_examples=300, deadline=None)
+@given(xml=xml_trees(tags=RECURSIVE_TAGS),
+       query=st.one_of(
+           xpath_queries(names=RECURSIVE_TAGS + ("*",)),
+           # BranchM's XP{/,[]}: child axes only, no wildcard.
+           xpath_queries(axes=("/",), names=RECURSIVE_TAGS),
+       ))
+# Both root entries of a nested ``a`` release the inner ``b``.
+@example(xml="<a><a><b/></a></a>", query="//a//b")
+@example(xml="<a><b/><a><b/></a></a>", query="//a[b]//b")
+def test_machines_declare_repeatable_emissions(xml, query):
+    """``emit`` is a new id; ``emit_all`` ids never outlive their root
+    epoch; the sink, de-duplicating only within epochs, equals the oracle
+    — for every machine, eager and buffered, in both emission modes."""
+    events = list(parse_string(xml))
+    for label, machine, members in _emission_machines(query):
+        machine.feed(iter(events))
+        for member_query, sink in members:
+            _check_emissions(label, member_query, events, sink)

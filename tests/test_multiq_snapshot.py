@@ -178,6 +178,28 @@ def test_callback_restore_without_callback_stays_silent_but_deduped():
     assert resumed.close() == {}  # still callback mode, nothing collected
 
 
+@pytest.mark.parametrize("compiled", [False, True])
+@pytest.mark.parametrize("queries,document", CASES)
+def test_emitted_counts_match_results(queries, document, compiled):
+    """``emitted_counts()`` is each query's distinct result count, in both
+    sink modes, after a full pass and across a mid-stream restore (sinks
+    no longer keep every emitted id, so the count is its own state)."""
+    expected = {name: len(ids)
+                for name, ids in uninterrupted(queries, document).items()}
+    half = len(document) // 2
+    for on_match in (None, lambda name, node_id: None):
+        engine = MultiQueryEngine(queries, on_match=on_match, compiled=compiled)
+        engine.feed_text(document)
+        engine.close()
+        assert engine.emitted_counts() == expected
+        engine = MultiQueryEngine(queries, on_match=on_match, compiled=compiled)
+        engine.feed_text(document[:half])
+        resumed = roundtrip(engine, on_match=on_match)
+        resumed.feed_text(document[half:])
+        resumed.close()
+        assert resumed.emitted_counts() == expected
+
+
 def test_restore_preserves_policy_and_limits():
     from repro.stream.recovery import RecoveryPolicy, ResourceLimits
 

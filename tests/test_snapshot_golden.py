@@ -22,6 +22,10 @@ inside a tag and records its character offset (``cut``); the session and
 rewrite captures also record what an uninterrupted run produced
 (``expected``).  A capture taken today at the same cut must equal the
 recorded one key for key, and each must resume to the recorded result.
+The one difference is stated per sink (:data:`BOUNDED_SEEN`): those
+releases kept every id ever emitted in a sink's ``seen``; sinks now keep
+ids only while their machine's root match is open, and count what they
+emitted in ``emitted``.
 
 Every format is read through one strict codec (``repro.checkpoint``):
 each golden envelope, mutated every way a blob can be malformed, must
@@ -128,6 +132,47 @@ def test_tokenizer_snapshot_restores():
     assert _tokenize(resumed, DOC[cut:]) == full[golden["events_before"]:]
 
 
+#: Per golden: every result sink in the capture (its key path) and the
+#: ``seen`` a capture taken today at the same cut holds.  Path and eager
+#: units record no ids at all; a non-eager unit records what its root
+#: pops released inside the root match still open, and at these cuts
+#: none has released anything since its last root match closed.
+BOUNDED_SEEN = {
+    "session_single_checkpoint.json": {
+        ("blob", "engine", "sink"): [],  # //open_auction[...]//reserve
+    },
+    "session_multi_checkpoint.json": {
+        ("blob", "engine", "units", 0, "sinks", "reserve"): [],
+        ("blob", "engine", "units", 1, "sinks", "names"): [],  # path
+        ("blob", "engine", "units", 2, "sinks", "increase"): [],
+    },
+    "session_transform_checkpoint.json": {
+        ("blob", "engine", "base", "engine", "units", 0, "sinks", "auction"): [],
+        ("blob", "engine", "base", "engine", "units", 1, "sinks", "names"): [],
+    },
+    "rewrite_snapshot.json": {
+        ("snapshot", "base", "engine", "units", 0, "sinks", "rule0"): [],
+        ("snapshot", "base", "engine", "units", 1, "sinks", "rule1"): [],
+        ("snapshot", "base", "engine", "units", 2, "sinks", "rule2"): [],
+    },
+}
+
+
+def _bounded(name: str) -> dict:
+    """The golden ``name`` as a capture taken today at its cut.
+
+    Each sink's recorded ``seen`` held every id emitted so far, so its
+    length is the ``emitted`` count; ``seen`` itself is the stated one.
+    """
+    golden = _load(name)
+    for path, seen in BOUNDED_SEEN[name].items():
+        sink = _at(golden, path)
+        assert set(sink) == {"seen"}, f"{name}: {path} is not a recorded sink"
+        sink["emitted"] = len(sink["seen"])
+        sink["seen"] = seen
+    return golden
+
+
 SESSION_CHUNK = 1000
 
 
@@ -141,7 +186,8 @@ def _feed_session(session: Session, start: int, stop: int) -> None:
 
 @pytest.mark.parametrize("kind", ["single", "multi", "transform"])
 def test_session_checkpoint_resumes(kind):
-    golden = _load(f"session_{kind}_checkpoint.json")
+    name = f"session_{kind}_checkpoint.json"
+    golden = _load(name)
     blob, cut, expected = golden["blob"], golden["cut"], golden["expected"]
     assert blob["kind"] == kind
     assert blob["input_offset"] == cut
@@ -151,7 +197,8 @@ def test_session_checkpoint_resumes(kind):
     live = Session.open({"queries": queries}, ServeConfig(),
                         lambda *r: results.append(list(r)), token="golden")
     _feed_session(live, 0, cut)
-    assert live.checkpoint() == blob
+    bounded = _bounded(name)["blob"]
+    assert live.checkpoint() == bounded
     _feed_session(live, cut, len(DOC))
     live.finish()
     assert results == expected
@@ -176,11 +223,68 @@ def test_rewrite_snapshot_restores():
     rules = [RewriteRule.from_spec(spec) for spec in snapshot["rules"]]
     live = RewriteEngine(rules)
     live.feed_text(DOC[:cut])
-    assert live.snapshot() == snapshot
+    assert live.snapshot() == _bounded("rewrite_snapshot.json")["snapshot"]
     resumed = RewriteEngine.restore(snapshot)
     resumed.feed_text(DOC[cut:])
     assert resumed.close() == golden["expected"]
     assert RewriteEngine(rules).evaluate(DOC) == golden["expected"]
+
+
+#: A non-eager query (predicate above the return node): its sink holds
+#: released ids while an ``open_auction`` root match is open.
+LEGACY_QUERY = "//open_auction[bidder]//*"
+
+
+def test_legacy_seen_lists_resume_and_drain():
+    """A capture from a release whose sinks kept every emitted id resumes
+    to the uninterrupted result; the long list goes once the root match
+    open at the cut closes."""
+    starts = [i for i in range(len(DOC)) if DOC.startswith("<open_auction ", i)]
+    cut, epoch_end = starts[3] + 40, starts[4]  # inside the 4th root match
+    expected = XPathStream(LEGACY_QUERY).evaluate(DOC)
+
+    before: list = []
+    live = XPathStream(LEGACY_QUERY, on_match=before.append)
+    live.feed_text(DOC[:cut])
+    blob = live.snapshot()
+    assert blob["sink"] == {"seen": [], "emitted": len(before)}
+    assert len(before) > 20
+    blob["sink"] = {"seen": sorted(before)}  # what those releases wrote
+
+    after: list = []
+    resumed = XPathStream.restore(blob, on_match=after.append)
+    assert resumed.snapshot()["sink"] == {"seen": sorted(before),
+                                          "emitted": len(before)}
+    resumed.feed_text(DOC[cut:epoch_end])
+    assert resumed.snapshot()["sink"] == {"seen": [],
+                                          "emitted": len(before) + len(after)}
+    resumed.feed_text(DOC[epoch_end:])
+    resumed.close()
+    assert before + after == expected
+
+    fired: dict = {"q": [], "p": []}
+    engine = MultiQueryEngine({"q": LEGACY_QUERY, "p": "//open_auction/bidder"},
+                              on_match=lambda name, node_id: fired[name].append(node_id))
+    engine.feed_text(DOC[:cut])
+    snapshot = engine.snapshot()
+    for unit in snapshot["units"]:
+        for name, sink in unit["sinks"].items():
+            assert sink == {"seen": [], "emitted": len(fired[name])}
+            unit["sinks"][name] = {"seen": sorted(fired[name])}
+    hits: list = []
+    resumed = MultiQueryEngine.restore(snapshot,
+                                       on_match=lambda *r: hits.append(r))
+    seen = {name: sink["seen"] for unit in resumed.snapshot()["units"]
+            for name, sink in unit["sinks"].items()}
+    assert seen["p"] == []  # path unit: dropped at restore
+    assert len(seen["q"]) > 20  # root match open: kept until it closes
+    resumed.feed_text(DOC[cut:epoch_end])
+    assert all(sink["seen"] == [] for unit in resumed.snapshot()["units"]
+               for sink in unit["sinks"].values())
+    resumed.feed_text(DOC[epoch_end:])
+    resumed.close()
+    assert [node_id for name, node_id in hits if name == "q"] == after
+    assert resumed.emitted_counts()["q"] == len(expected)
 
 
 # -- hostile blobs: every format is read by one strict codec -------------
@@ -228,7 +332,8 @@ def _resume_session(blob):
 #: the plain dicts the reader checks itself as (path, optional keys)).
 FORMATS = [
     *[(f"compiled_{engine}_snapshot.json", ("snapshot",), XPathStream.restore,
-       {"compiled", "emission"}, []) for engine in ("branchm", "twigm")],
+       {"compiled", "emission"}, [(("sink",), {"results"})])
+      for engine in ("branchm", "twigm")],
     *[(name, ("snapshot",), MultiQueryEngine.restore, {"compiled", "stats"},
        [(("queries", 0), {"tracked", "emission"}), (("units", 0), {"virgin"}),
         (("stats",), set())])
