@@ -9,8 +9,10 @@ react to it, in four layers:
    structurally identical queries share one machine with multiplexed
    result sinks.
 2. **Alphabet router** (:mod:`repro.multiq.router`) — an inverted index
-   tag → interested machines built from static query analysis; per-event
-   dispatch cost is O(interested machines), not O(queries).
+   tag → interested machines built from static query analysis, narrowed
+   per event to the machines whose gate label has an open element;
+   per-event dispatch cost follows the machines that can react, not
+   O(queries).
 3. **Registry + lifecycle** (:mod:`repro.multiq.registry`) — add/remove
    queries on a live stream, per-query resource-limit admission.
 4. **Front door** (:mod:`repro.multiq.engine`) —

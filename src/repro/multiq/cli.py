@@ -147,6 +147,7 @@ def main(argv: "list[str] | None" = None) -> int:
                 f"machines={stats.units} "
                 f"dispatched={stats.machine_events_dispatched} "
                 f"broadcast={stats.machine_events_broadcast} "
+                f"gate_tests={stats.gate_tests} "
                 f"reduction={stats.reduction:.2f}x",
                 file=sys.stderr,
             )

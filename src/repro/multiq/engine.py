@@ -12,7 +12,8 @@ to the machines that can react to it:
   number of *interested* machines, not the number of registered queries,
   and each delivery is demand-gated: a machine whose state the event
   cannot change (its root stack is empty and the tag does not label its
-  root) is not called at all;
+  root) is not called at all, and a route whose gate label has no open
+  element is not even visited (the router's open-label index);
 * queries can be added and removed on a live stream, each admitted with
   its own :class:`~repro.stream.recovery.ResourceLimits`;
 * :meth:`snapshot` / :meth:`restore` capture the whole dispatcher —
@@ -42,7 +43,7 @@ evaluating every query with its own :class:`XPathStream`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 from repro.checkpoint import read_envelope, read_fields, restoring
@@ -68,6 +69,13 @@ class DispatchStats:
     broadcast dispatcher (every event × every registered query);
     ``machine_events_dispatched`` is what the router actually delivered
     after tag routing and demand gating (machine calls made).
+    ``gate_tests`` counts the routes the dispatcher visited to make
+    those deliveries (one demand-gate test each): the open-label index
+    keeps it close to ``machine_events_dispatched``.  It is a cost
+    measure of this engine's own run: snapshots do not carry it (a
+    restored engine counts from zero, and visits every gated route
+    until the document element closes), so it takes no part in
+    equality.
     """
 
     events: int
@@ -75,6 +83,7 @@ class DispatchStats:
     units: int
     machine_events_dispatched: int
     machine_events_broadcast: int
+    gate_tests: int = field(default=0, compare=False)
 
     @property
     def reduction(self) -> float:
@@ -90,6 +99,7 @@ class DispatchStats:
             "units": self.units,
             "machine_events_dispatched": self.machine_events_dispatched,
             "machine_events_broadcast": self.machine_events_broadcast,
+            "gate_tests": self.gate_tests,
             "reduction": self.reduction,
         }
 
@@ -163,6 +173,13 @@ class MultiQueryEngine(TextFeed):
         self._handler: "_MultiQueryHandler | None" = None
         self._events = 0
         self._dispatched = 0
+        # A gate test either delivers or finds its gate closed, so
+        # ``gate_tests`` is the deliveries made through visited routes
+        # plus the closed ones.  The loop counts only closed gates, and
+        # ``_unrouted`` the deliveries made otherwise (limited units, or
+        # carried in by a restore): no event pays for the count.
+        self._closed_gates = 0
+        self._unrouted = 0
         # Broadcast deliveries are events × registrations, settled into
         # ``_broadcast`` whenever the registration set changes.
         self._broadcast = 0
@@ -231,6 +248,7 @@ class MultiQueryEngine(TextFeed):
             units=self._registry.unit_count(),
             machine_events_dispatched=self._dispatched,
             machine_events_broadcast=self._broadcast_total(),
+            gate_tests=self._dispatched - self._unrouted + self._closed_gates,
         )
 
     def _broadcast_total(self) -> int:
@@ -407,6 +425,9 @@ class MultiQueryEngine(TextFeed):
             ) from exc
         unit.virgin = False
         self._router.add(unit)
+        # The warm machine holds entries for elements whose start tags
+        # the open-label index never counted.
+        self.as_handler().assume_all_open()
         return registration
 
     def remove_query(self, name: str) -> Registration:
@@ -508,7 +529,9 @@ class MultiQueryEngine(TextFeed):
             unit.virgin = True
         self._tokenizer = None
         self._events = self._dispatched = self._broadcast = 0
-        self._settled_events = 0
+        self._settled_events = self._closed_gates = self._unrouted = 0
+        if self._handler is not None:
+            self._handler.close_all()
 
     # -- checkpoint / resume --------------------------------------------
 
@@ -518,7 +541,9 @@ class MultiQueryEngine(TextFeed):
         The capture spans every unit's machine stacks and multiplexed
         sink state, the query registrations (grouping included, so dedup
         survives restore exactly), the mid-parse tokenizer, and the
-        dispatch counters.
+        dispatch counters (not ``gate_tests``, nor the open-label index:
+        a restored engine counts every label open until the document
+        element closes).
         """
         return {
             "version": MULTIQ_SNAPSHOT_VERSION,
@@ -600,9 +625,10 @@ class MultiQueryEngine(TextFeed):
             stats = read_fields(snapshot["stats"], "multiq snapshot stats",
                                 required=("events", "dispatched", "broadcast"))
             engine._events = engine._settled_events = int(stats["events"])
-            engine._dispatched = int(stats["dispatched"])
+            engine._dispatched = engine._unrouted = int(stats["dispatched"])
             engine._broadcast = int(stats["broadcast"])
             engine._restore_tokenizer(snapshot["tokenizer"])
+            engine.as_handler().assume_all_open()
         return engine
 
     def _restore_queries(self, snapshot: dict, trackers: Mapping) -> None:
@@ -741,11 +767,18 @@ class _MultiQueryHandler(EventHandler):
     """The dispatch loop of :class:`MultiQueryEngine`: routed, gated
     delivery as push callbacks.
 
-    Per event: bump the counters, deliver to each routed unit whose
-    demand gate is open (``gate is None or gate`` — see
-    :mod:`repro.multiq.router`), then to every limited unit unfiltered,
-    through the unit's own counting handler so per-query
-    ``max_total_events`` accounting matches a dedicated stream.
+    Per event: bump the counters, fetch the tag's
+    :class:`~repro.multiq.router.TagRecord` and visit the routes of its
+    view under the open-label mask (:mod:`repro.multiq.router`),
+    delivering to each whose demand gate is open (``gate is None or
+    gate``); then deliver to every limited unit unfiltered, through the
+    unit's own counting handler so per-query ``max_total_events``
+    accounting matches a dedicated stream.  A start tag is counted open
+    before delivery and an end tag uncounted after it.
+
+    ``_mask`` has one bit per gate label with an open element, or is
+    ``-1`` (every label open) after a restore or a warm attach, until
+    the document element closes or the engine resets.
 
     A unit stops being *virgin* (accepting sharers) when an event is
     actually delivered to it, just before the call.  A unit gated out of
@@ -755,27 +788,39 @@ class _MultiQueryHandler(EventHandler):
     """
 
     __slots__ = (
-        "_engine", "_limited", "_limited_version",
-        "_turbo_safe", "_turbo_version",
+        "_engine", "_router", "_records", "_default", "_text", "_mask",
+        "_limited", "_turbo_safe", "_turbo_version",
     )
 
     def __init__(self, engine: MultiQueryEngine):
+        router = engine._router
         self._engine = engine
+        self._router = router
+        self._records = router.records
+        self._default = router.default
+        self._text = router.text
+        self._mask = 0
         self._limited: list = []
-        self._limited_version = -1
         self._turbo_safe = False
         self._turbo_version = -1
+        router.on_change = self._rebind
+        self._rebind()
 
-    def _limited_handlers(self) -> list:
-        """``(unit, handler)`` pairs for the unfiltered path, rebuilt on
-        registration changes (keyed on the router's version counter)."""
-        router = self._engine._router
-        if self._limited_version != router.version:
-            self._limited = [
-                (unit, unit.engine.as_handler()) for unit in router.limited_units()
-            ]
-            self._limited_version = router.version
-        return self._limited
+    def assume_all_open(self) -> None:
+        """Visit every gated route until the document element closes."""
+        self._mask = -1
+
+    def close_all(self) -> None:
+        """No element is open: zero the counts and the mask."""
+        self._router.close_all()
+        self._mask = 0
+
+    def _rebind(self) -> None:
+        """Rebuild the ``(unit, handler)`` pairs of the unfiltered path;
+        the router calls this on every membership change."""
+        self._limited = [
+            (unit, unit.engine.as_handler()) for unit in self._router.limited_units()
+        ]
 
     @property
     def turbo_scan_safe(self) -> bool:
@@ -788,11 +833,11 @@ class _MultiQueryHandler(EventHandler):
         accounting counts text events), and no registration delivers
         through a callback — user callbacks can register new,
         non-path queries *mid-chunk*, which the in-flight scan could
-        not serve.  Cached per router version, like the limited-handler
-        list: live add/remove re-evaluates at the next chunk boundary.
+        not serve.  Cached per router version: live add/remove
+        re-evaluates at the next chunk boundary.
         """
         engine = self._engine
-        router = engine._router
+        router = self._router
         if self._turbo_version != router.version:
             self._turbo_safe = (
                 not router.limited_units()
@@ -811,50 +856,87 @@ class _MultiQueryHandler(EventHandler):
     def start_element(self, tag, level, node_id, attributes) -> None:
         engine = self._engine
         engine._events += 1
-        router = engine._router
+        record = self._records.get(tag, self._default)
+        bit = record.bit
+        if bit:
+            count = record.count
+            if not count:
+                self._mask |= bit
+            record.count = count + 1
+        mask = self._mask
+        routes = record.views.get(mask & record.relevant)
+        if routes is None:
+            routes = self._router.view(record, mask)
         delivered = 0
-        for gate, _end, unit in router.routes_for_tag(tag):
+        for gate, _end, unit in routes:
             if gate is None or gate:
                 unit.virgin = False
                 unit.engine.start_element(tag, level, node_id, attributes)
                 delivered += 1
-        if router.limited_units():
-            for unit, handler in self._limited_handlers():
+            else:
+                engine._closed_gates += 1
+        limited = self._limited
+        if limited:
+            for unit, handler in limited:
                 unit.virgin = False
                 handler.start_element(tag, level, node_id, attributes)
-                delivered += 1
+            delivered += len(limited)
+            engine._unrouted += len(limited)
         engine._dispatched += delivered
 
     def characters(self, text, level) -> None:
         engine = self._engine
         engine._events += 1
-        router = engine._router
+        record = self._text
+        mask = self._mask
+        routes = record.views.get(mask & record.relevant)
+        if routes is None:
+            routes = self._router.view(record, mask)
         delivered = 0
-        for gate, _end, unit in router.text_routes():
+        for gate, _end, unit in routes:
             if gate is None or gate:
                 unit.virgin = False
                 unit.engine.characters(text, level)
                 delivered += 1
-        if router.limited_units():
-            for unit, handler in self._limited_handlers():
+            else:
+                engine._closed_gates += 1
+        limited = self._limited
+        if limited:
+            for unit, handler in limited:
                 unit.virgin = False
                 handler.characters(text, level)
-                delivered += 1
+            delivered += len(limited)
+            engine._unrouted += len(limited)
         engine._dispatched += delivered
 
     def end_element(self, tag, level) -> None:
         engine = self._engine
         engine._events += 1
-        router = engine._router
+        record = self._records.get(tag, self._default)
+        mask = self._mask
+        routes = record.views.get(mask & record.relevant)
+        if routes is None:
+            routes = self._router.view(record, mask)
         delivered = 0
-        for _start, gate, unit in router.routes_for_tag(tag):
+        for _start, gate, unit in routes:
             if gate is None or gate:
                 unit.virgin = False
                 unit.engine.end_element(tag, level)
                 delivered += 1
-        if router.limited_units():
-            for unit, handler in self._limited_handlers():
+            else:
+                engine._closed_gates += 1
+        limited = self._limited
+        if limited:
+            for unit, handler in limited:
                 unit.virgin = False
                 handler.end_element(tag, level)
-                delivered += 1
+            delivered += len(limited)
+            engine._unrouted += len(limited)
         engine._dispatched += delivered
+        count = record.count
+        if count:
+            record.count = count - 1
+            if count == 1 and self._mask != -1:
+                self._mask &= ~record.bit
+        if level == 1:
+            self.close_all()

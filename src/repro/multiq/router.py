@@ -13,9 +13,10 @@ to machines with value-tested nodes.  The router exploits exactly that:
   every tag — note that *interior* wildcards folded into parent-edge
   distances by machine construction need no events, so ``//a/*/b``
   routes on ``{a, b}`` alone), and whether it needs character data;
-* an inverted index tag → routes to interested units is built lazily
-  per tag and memoised, so steady-state dispatch is one dict lookup plus
-  a loop over the interested units only.
+* an inverted index tag → routes to interested units is built when a
+  unit is added, so steady-state dispatch is one dict lookup plus a loop
+  over the interested units only — narrowed further to the units whose
+  gate label is open (the open-label index below).
 
 ``//`` reachability costs nothing extra: parent edges are level
 arithmetic, never intermediate tags, so a machine for ``//a//b`` is
@@ -60,17 +61,59 @@ every event (``max_total_events``) and probe every start tag's depth
 (``max_depth``), so they are kept on an unfiltered path
 (:meth:`AlphabetRouter.limited_units`) to preserve per-query admission
 semantics bit-for-bit.
+
+**Open-label index.**  Gates alone still cost a visit per route: a
+closed gate is tested on every event of its tag.  But a gate stack can
+be non-empty only while an element labelled with the gate node's label
+is open — entries are pushed at that element's start tag and popped at
+its end tag.  For a tag route that label is the machine root's; for a
+text route it is the value-tested node's, or the root's when the
+machine has several value-tested nodes.  The router gives each such
+label a bit (never reused, and kept counting after its last unit
+leaves; ``'*'`` labels and ungated units get none),
+and the dispatcher (:class:`~repro.multiq.engine._MultiQueryHandler`)
+keeps one mask of the labels with an open element.  Each event fetches
+one :class:`TagRecord` — the tag's own bit, its open-element count,
+``relevant`` (the OR of its routes' gate bits) and a memo of *views* —
+and visits only ``views[mask & relevant]``: the routes, in registration
+order, that are ungated or whose gate label is open.  A start tag is
+counted before delivery and an end tag uncounted after it, so the
+element's own label is open for both; a count never goes below zero.
+The ``gate is None or gate`` test still runs on every visited route, so
+the index only decides which routes are *looked at*.
+
+The index is exact by the same nesting argument:
+
+* *A label registered mid-document* (a cold ``add_query``) starts
+  counting from zero.  Elements opened before that are ancestors of the
+  current position, so they close after every counted element; clamping
+  their end tags at zero therefore leaves every count exact for the
+  elements opened since, and the cold machine holds no entry from
+  before it was registered.
+* *A restored dispatcher or an* ``attach_warm`` *unit* holds entries for
+  elements whose start tags the handler never saw.  Until the root
+  element's end tag (level 1) or ``reset()``, every label counts as open
+  (mask ``-1``, which visits exactly the routes of plain gated
+  dispatch); with the document element closed nothing is open, so the
+  counts restart from zero there.  No snapshot carries the index.
+
+Views are memoised per ``(tag, mask & relevant)``, at most
+``cache_limit`` of them across the router; beyond that they are built
+per event and not kept, so hostile documents that open many distinct
+label sets cannot grow the memo.  Records depend only on the query set
+and are built when a unit is added.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Protocol
+from typing import Callable, Iterable, Protocol
 
 from repro.core.machine import Machine
 
-#: Memoised routing lists are kept for at most this many distinct tags;
-#: beyond it (adversarial tag churn) lookups fall back to a linear scan
-#: so router memory stays bounded by the document's *useful* vocabulary.
+#: Memoised views (route tuples per tag and open-label key) are kept for
+#: at most this many keys across the router; beyond it (a hostile
+#: document opening many distinct label sets) views are built per event
+#: and not kept, so router memory stays bounded by the query set.
 DEFAULT_CACHE_LIMIT = 4096
 
 
@@ -89,21 +132,30 @@ def machine_alphabet(machine: Machine) -> tuple[frozenset[str], bool, bool]:
     )
 
 
-def unit_gates(unit: "RoutableUnit") -> tuple[str | None, list | None, list | None]:
-    """Demand gates of one unit: ``(root_label, root_gate, text_gate)``.
+def unit_gates(
+    unit: "RoutableUnit",
+) -> tuple[str | None, list | None, str | None, list | None]:
+    """Demand gates of one unit: ``(root_label, root_gate, text_label,
+    text_gate)``.
 
     ``root_gate`` is the live root stack of a PathM/TwigM engine and
     ``text_gate`` the stack that is empty whenever ``characters`` is a
     no-op (see the module docstring); both are ``None`` — deliver
     always — for every other engine.  ``root_label`` is the label whose
-    start tags pass the start gate unconditionally.
+    start tags pass the start gate unconditionally; each gate can be
+    non-empty only while an element with its label is open.
     """
     engine = unit.engine
     root_gate = getattr(engine, "root_stack", None)
     if root_gate is None:
-        return None, None, None
-    text_gate = engine.text_stack if unit.wants_text else None
-    return engine.machine.root.label, root_gate, text_gate
+        return None, None, None, None
+    machine = engine.machine
+    root_label = machine.root.label
+    if not unit.wants_text:
+        return root_label, root_gate, None, None
+    values = machine.value_nodes
+    text_label = values[0].label if len(values) == 1 else root_label
+    return root_label, root_gate, text_label, engine.text_stack
 
 
 class RoutableUnit(Protocol):
@@ -114,6 +166,27 @@ class RoutableUnit(Protocol):
     wants_all: bool
     wants_text: bool
     routable: bool
+
+
+class TagRecord:
+    """Everything one event kind needs to pick its routes.
+
+    ``routes`` is the all-open list of ``(gate bit, route)`` pairs in
+    registration order (bit 0: always visited); ``relevant`` ORs their
+    bits; ``views`` memoises, per ``mask & relevant``, the tuple of
+    routes to visit.  ``bit`` and ``count`` belong to the tag as a gate
+    label: its bit (0 when no gate uses it) and how many elements with
+    it are open.
+    """
+
+    __slots__ = ("bit", "count", "relevant", "routes", "views")
+
+    def __init__(self, routes: list[tuple[int, tuple]] | None = None, relevant: int = 0):
+        self.bit = 0
+        self.count = 0
+        self.routes: list[tuple[int, tuple]] = [] if routes is None else routes
+        self.relevant = relevant
+        self.views: dict[int, tuple] = {}
 
 
 class AlphabetRouter:
@@ -128,53 +201,129 @@ class AlphabetRouter:
     * *limited* units (non-``None`` ResourceLimits) receive every event
       unfiltered, via :meth:`limited_units`.
 
-    ``add``/``remove`` invalidate the memoised per-tag routes, so the
-    index is always consistent with the live query set.
+    The dispatcher reads :attr:`records` (tag → :class:`TagRecord`),
+    :attr:`default` (tags outside every alphabet) and :attr:`text`
+    directly; these objects live as long as the router and are updated
+    in place by ``add``/``remove``, so the index is always consistent
+    with the live query set.
     """
 
-    def __init__(self, cache_limit: int = DEFAULT_CACHE_LIMIT):
-        # Routable unit → its shared routes: (root label, route for
-        # start tags of the root label, route for every other tag, text
-        # route).  Built once per unit, so the per-tag lists below hold
-        # references to these tuples rather than fresh ones.
-        self._routable: dict[RoutableUnit, tuple] = {}
+    def __init__(self, cache_limit: int | None = None):
+        # Routable units in registration order (the records' order).
+        self._routable: dict[RoutableUnit, None] = {}
         self._limited: list[RoutableUnit] = []
-        self._cache_limit = cache_limit
-        self._by_tag: dict[str, list[tuple]] = {}
-        self._text: list[tuple] | None = None
+        self._cache_limit = DEFAULT_CACHE_LIMIT if cache_limit is None else cache_limit
+        self._memoised = 0
+        #: Gate label → its bit in the open-label mask; never reused.
+        self._bits: dict[str, int] = {}
+        self.records: dict[str, TagRecord] = {}
+        self.default = TagRecord()
+        self.text = TagRecord()
         #: Bumped on every membership change; consumers caching derived
-        #: per-unit state (the push handler's adapters) key on it.
+        #: per-unit state (turbo safety) key on it.
         self.version = 0
+        #: Called after every membership change (the dispatcher rebinds
+        #: its limited-unit handlers there, off the per-event path).
+        self.on_change: Callable[[], None] | None = None
 
     # -- membership -----------------------------------------------------
 
     def add(self, unit: RoutableUnit) -> None:
-        """Register a unit and invalidate the memoised index."""
-        if unit.routable:
-            root_label, root_gate, text_gate = unit_gates(unit)
-            self._routable[unit] = (
-                root_label,
-                (None, root_gate, unit),
-                (root_gate, root_gate, unit),
-                (text_gate, None, unit),
-            )
-        else:
+        """Register a unit and extend the records it routes through."""
+        if not unit.routable:
             self._limited.append(unit)
+            self.invalidate()
+            return
+        root_label, root_gate, text_label, text_gate = unit_gates(unit)
+        records, default = self.records, self.default
+        for tag in unit.interest:
+            if tag not in records:
+                # Only wants-all units route a tag nobody names, and none
+                # of them roots at it (a root label is in its unit's
+                # alphabet), so the default record's routes are its too.
+                records[tag] = TagRecord(list(default.routes), default.relevant)
+        tag_bit = self._bit(root_label) if root_gate is not None else 0
+        opened = (None, root_gate, unit)
+        gated = (root_gate, root_gate, unit)
+        if unit.wants_all:
+            self._append(default, tag_bit, opened if root_label == "*" else gated)
+        for tag in records if unit.wants_all else unit.interest:
+            route = opened if root_label == tag or root_label == "*" else gated
+            self._append(records[tag], tag_bit, route)
+        if unit.wants_text:
+            text_bit = self._bit(text_label) if text_gate is not None else 0
+            self._append(self.text, text_bit, (text_gate, None, unit))
+        self._routable[unit] = None
         self.invalidate()
 
     def remove(self, unit: RoutableUnit) -> None:
-        """Drop a unit and invalidate the memoised index."""
-        if unit.routable:
-            del self._routable[unit]
-        else:
+        """Drop a unit from every record it routes through."""
+        if not unit.routable:
             self._limited.remove(unit)
+            self.invalidate()
+            return
+        del self._routable[unit]
+        for record in (*self.records.values(), self.default, self.text):
+            kept = [pair for pair in record.routes if pair[1][2] is not unit]
+            if len(kept) != len(record.routes):
+                record.routes = kept
+                record.relevant = 0
+                for bit, _route in kept:
+                    record.relevant |= bit
+                self._forget(record)
         self.invalidate()
 
     def invalidate(self) -> None:
-        """Throw away every memoised routing list (membership changed)."""
-        self._by_tag.clear()
-        self._text = None
+        """Bump :attr:`version`: the registration set changed.
+
+        A registration joining or leaving a live unit changes no route
+        (only a :class:`~repro.multiq.registry.SharedPathUnit` grows its
+        alphabet when joined, and it is routed on every tag already), so
+        the records stand; per-version caches elsewhere (turbo safety,
+        limited handlers) are rebuilt.
+        """
         self.version += 1
+        if self.on_change is not None:
+            self.on_change()
+
+    def _bit(self, label: str) -> int:
+        """The gate bit of a label in the unit's alphabet, assigned on
+        first use (0 for ``'*'``)."""
+        if label == "*":
+            return 0
+        bit = self._bits.get(label)
+        if bit is None:
+            bit = self._bits[label] = 1 << len(self._bits)
+            self.records[label].bit = bit
+        return bit
+
+    def _append(self, record: TagRecord, bit: int, route: tuple) -> None:
+        record.routes.append((bit, route))
+        record.relevant |= bit
+        if record.views:
+            self._forget(record)
+
+    def _forget(self, record: TagRecord) -> None:
+        self._memoised -= len(record.views)
+        record.views = {}
+
+    def view(self, record: TagRecord, mask: int) -> tuple:
+        """The routes of ``record`` to visit under the open-label ``mask``.
+
+        Memoised under ``mask & record.relevant`` while the router holds
+        fewer than ``cache_limit`` views; built and dropped beyond that.
+        """
+        key = mask & record.relevant
+        routes = tuple(route for bit, route in record.routes if not bit or bit & key)
+        if self._memoised < self._cache_limit:
+            record.views[key] = routes
+            self._memoised += 1
+        return routes
+
+    def close_all(self) -> None:
+        """Zero every open-element count (no element is open)."""
+        for record in self.records.values():
+            record.count = 0
 
     def __len__(self) -> int:
         return len(self._routable) + len(self._limited)
@@ -184,6 +333,11 @@ class AlphabetRouter:
         """Distinct machine units currently routed (incl. limited ones)."""
         return len(self)
 
+    @property
+    def memoised_views(self) -> int:
+        """Views currently memoised across all records (≤ ``cache_limit``)."""
+        return self._memoised
+
     # -- lookups --------------------------------------------------------
 
     def routes_for_tag(self, tag: str) -> list[tuple]:
@@ -192,31 +346,18 @@ class AlphabetRouter:
         is ``None`` (deliver always) or a live stack (deliver while
         non-empty).
 
-        Registration order is preserved, so multiplexed emission order is
-        deterministic.  Limited units are *not* included — they take the
-        unfiltered path.
+        This is the all-open view (every label counted open), built per
+        call for tests and debugging.  Registration order is preserved,
+        so multiplexed emission order is deterministic.  Limited units
+        are *not* included — they take the unfiltered path.
         """
-        routes = self._by_tag.get(tag)
-        if routes is not None:
-            return routes
-        routes = [
-            opened if root_label == tag or root_label == "*" else gated
-            for unit, (root_label, opened, gated, _text) in self._routable.items()
-            if unit.wants_all or tag in unit.interest
-        ]
-        if len(self._by_tag) < self._cache_limit:
-            self._by_tag[tag] = routes
-        return routes
+        record = self.records.get(tag, self.default)
+        return [route for _bit, route in record.routes]
 
     def text_routes(self) -> list[tuple]:
         """Gated routes to the units that need ``Characters`` events:
-        ``(text_gate, None, unit)`` triples."""
-        if self._text is None:
-            self._text = [
-                text for unit, (_label, _opened, _gated, text) in self._routable.items()
-                if unit.wants_text
-            ]
-        return self._text
+        ``(text_gate, None, unit)`` triples (all-open view)."""
+        return [route for _bit, route in self.text.routes]
 
     def units_for_tag(self, tag: str) -> list[RoutableUnit]:
         """Routable units whose machines dispatch on ``tag`` (ungated view)."""

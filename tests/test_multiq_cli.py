@@ -51,7 +51,7 @@ def test_inline_queries_and_counts(xml_file, capsys):
 def test_stats_on_stderr(xml_file, capsys):
     assert multiq_main(["-e", "t=//title", "--stats", xml_file]) == 0
     err = capsys.readouterr().err
-    assert "queries=1" in err and "reduction=" in err
+    assert "queries=1" in err and "reduction=" in err and "gate_tests=" in err
 
 
 def test_explain_reports_canonical_and_machine(xml_file, capsys):

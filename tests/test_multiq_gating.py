@@ -17,7 +17,11 @@ stream per query, across:
   machines and the compiled tier;
 * lifecycle: snapshot/restore at every event cut, ``attach_warm``,
   mid-stream add/remove and ``reset()`` — the gates alias the engines'
-  live stacks, so every path that refills a stack must keep them live.
+  live stacks, so every path that refills a stack must keep them live;
+* the open-label index: exact ``gate_tests`` counts, a label registered
+  inside an open element of it, resumed dispatchers (all labels open
+  until the document element closes) and hostile label sets against
+  the view-memo bound.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from repro.core.processor import XPathStream
 from repro.datasets.xmark import xmark_events
 from repro.multiq import MultiQueryEngine
 from repro.obs.metrics import MetricsRegistry
+from repro.stream.recovery import ResourceLimits
 from repro.stream.writer import events_to_string
 
 from tests.conftest import chain_xml
@@ -281,3 +286,154 @@ def test_exact_dispatch_count():
     stats = engine.dispatch_stats()
     assert (stats.events, stats.machine_events_dispatched) == (10, 4)
     assert engine.results() == {"q": [4]}
+
+
+# -- the open-label index -----------------------------------------------------
+
+#: ``//a//b`` gates on ``a``; ``//b[. = '1']`` gates tags and text on ``b``.
+INDEX_QUERIES = {"ab": "//a//b", "b1": "//b[. = '1']"}
+INDEX_TEXT = "<r><a>x<b/><a><b>1</b></a></a><b/></r>"
+
+
+def test_exact_gate_test_count():
+    """Only routes whose gate label has an open element are visited.
+
+    Per event (``a`` route of ``ab``; ``b`` routes of ``ab`` then
+    ``b1``; the text route of ``b1``): ``<r>`` 0, ``<a>`` 1, ``x`` 0
+    (no ``b`` open), ``<b>`` 2, ``</b>`` 2, ``<a>`` 1, ``<b>`` 2, ``1``
+    1, ``</b>`` 2, ``</a>`` 1, ``</a>`` 1, ``<b>`` 1 (no ``a`` open),
+    ``</b>`` 1, ``</r>`` 0 — 15 visits, every one a delivery, where
+    visiting every route of the tag would make 18.
+    """
+    engine = MultiQueryEngine(INDEX_QUERIES)
+    engine.feed_events(reference_events(INDEX_TEXT))
+    stats = engine.dispatch_stats()
+    assert (stats.events, stats.machine_events_dispatched, stats.gate_tests) == (14, 15, 15)
+    assert stats.to_dict()["gate_tests"] == 15
+    assert engine.results() == oracle(INDEX_QUERIES, INDEX_TEXT)
+    engine.reset()
+    assert engine.dispatch_stats().gate_tests == 0
+    # A limited unit takes every event unrouted: delivered, never tested.
+    engine.add_query("limited", "//a", limits=ResourceLimits(max_depth=50))
+    engine.feed_events(reference_events(INDEX_TEXT))
+    stats = engine.dispatch_stats()
+    assert (stats.machine_events_dispatched, stats.gate_tests) == (15 + 14, 15)
+
+
+def test_cold_label_added_inside_an_open_element():
+    """``//a//b`` registered inside an open ``<a>`` counts ``a`` from
+    zero; the outer ``</a>`` closes after every counted ``a`` and
+    clamps at zero, so the ``<a>`` after it opens the gate again."""
+    text = "<r><a><a><b/></a><b/></a><a><b/></a><b/></r>"
+    events = reference_events(text)
+    for cut in range(len(events) + 1):
+        engine = MultiQueryEngine({"keep": "//b"})
+        engine.feed_events(events[:cut])
+        engine.add_query("late", "//a//b")
+        engine.feed_events(events[cut:])
+        fresh = XPathStream("//a//b").evaluate(iter(events[cut:]))
+        assert engine.results()["late"] == fresh, cut
+    engine = MultiQueryEngine({"keep": "//b"})
+    engine.feed_events(events[:2])  # <r><a>
+    engine.add_query("late", "//a//b")
+    engine.feed_events(events[2:])
+    assert engine.results()["late"] == [4, 7]
+
+
+def gate_tests_of(engine: MultiQueryEngine, events) -> int:
+    before = engine.dispatch_stats().gate_tests
+    engine.feed_events(events)
+    return engine.dispatch_stats().gate_tests - before
+
+
+class TestIndexAfterResume:
+    """A resumed dispatcher visits every gated route until the document
+    element closes, then the index is exact again."""
+
+    def fresh_gate_tests(self, queries) -> int:
+        return gate_tests_of(MultiQueryEngine(queries), SMALL_EVENTS)
+
+    def test_restore_at_every_event_cut(self):
+        expected = oracle(CHAIN_QUERIES, SMALL_TEXT)
+        exact = self.fresh_gate_tests(CHAIN_QUERIES)
+        for cut in range(len(SMALL_EVENTS) + 1):
+            first = MultiQueryEngine(CHAIN_QUERIES)
+            first.feed_events(SMALL_EVENTS[:cut])
+            blob = json.loads(json.dumps(first.snapshot()))
+            resumed = MultiQueryEngine.restore(blob)
+            assert resumed.dispatch_stats().gate_tests == 0
+            resumed.feed_events(SMALL_EVENTS[cut:])
+            assert resumed.results() == expected, cut
+            if cut < len(SMALL_EVENTS):
+                # The resumed engine saw the document element close, so
+                # a second document is exact without a reset.
+                assert gate_tests_of(resumed, SMALL_EVENTS) == exact, cut
+            resumed.reset()
+            assert resumed.evaluate(SMALL_TEXT) == expected, cut
+            assert resumed.dispatch_stats().gate_tests == exact, cut
+
+    def test_restore_then_reset_mid_document(self):
+        exact = self.fresh_gate_tests(CHAIN_QUERIES)
+        first = MultiQueryEngine(CHAIN_QUERIES)
+        first.feed_events(SMALL_EVENTS[:len(SMALL_EVENTS) // 2])
+        resumed = MultiQueryEngine.restore(first.snapshot())
+        resumed.feed_events(SMALL_EVENTS[len(SMALL_EVENTS) // 2:-3])
+        resumed.reset()
+        assert gate_tests_of(resumed, SMALL_EVENTS) == exact
+
+    def test_attach_warm_at_every_event_cut(self):
+        late = "//a[b = '1'][c = 'x']"
+        queries = {"keep": "//a//a", "late": late}
+        expected = oracle(queries, SMALL_TEXT)
+        exact = self.fresh_gate_tests(queries)
+        for cut in range(len(SMALL_EVENTS) + 1):
+            scratch = MultiQueryEngine({"late": late})
+            scratch.feed_events(SMALL_EVENTS[:cut])
+            (unit,) = scratch.snapshot()["units"]
+            live = MultiQueryEngine({"keep": "//a//a"})
+            live.feed_events(SMALL_EVENTS[:cut])
+            live.attach_warm("late", late, machine_state=unit["machine"],
+                             sink_state=unit["sinks"])
+            live.feed_events(SMALL_EVENTS[cut:])
+            assert live.results() == expected, cut
+            live.reset()
+            assert live.evaluate(SMALL_TEXT) == expected, cut
+            assert live.dispatch_stats().gate_tests == exact, cut
+
+
+def hostile_document(seed: int, labels: int, steps: int, depth: int) -> str:
+    """A seeded random walk up to ``depth`` levels over ``labels`` tags,
+    each element opening with a value leaf: the set of open labels takes
+    a new shape at almost every step."""
+    rng = random.Random(seed)
+    parts, stack = ["<r>"], []
+    for _ in range(steps):
+        if stack and (len(stack) >= depth or rng.random() < 0.3):
+            parts.append(f"</{stack.pop()}>")
+        else:
+            tag, leaf = f"t{rng.randrange(labels)}", f"t{rng.randrange(labels)}"
+            stack.append(tag)
+            parts.append(f"<{tag}><{leaf}>{rng.choice('xy')}</{leaf}>")
+    parts.extend(f"</{tag}>" for tag in reversed(stack))
+    parts.append("</r>")
+    return "".join(parts)
+
+
+def test_hostile_label_sets_stay_within_the_view_bound(monkeypatch):
+    """Many distinct open-label sets under a small ``cache_limit``: the
+    view memo stops at the bound, later views are built per event, and
+    results still equal one stream per query."""
+    from repro.multiq import router as router_module
+
+    monkeypatch.setattr(router_module, "DEFAULT_CACHE_LIMIT", 6)
+    labels = 32
+    text = hostile_document(5, labels, steps=3000, depth=300)
+    queries = {}
+    for i in range(labels):
+        queries[f"desc{i}"] = f"//t{i}//t{(i + 1) % labels}"
+        queries[f"value{i}"] = f"//t{i}[t{(i + 5) % labels} = 'x']"
+    engine = MultiQueryEngine(queries)
+    assert feed_chunks(engine, text, 512) == oracle(queries, text)
+    assert engine._router.memoised_views == 6
+    stats = engine.dispatch_stats()
+    assert stats.machine_events_dispatched <= stats.gate_tests

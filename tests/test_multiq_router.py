@@ -85,6 +85,24 @@ class TestRouterIndex:
         router.add(plain)
         assert router.text_units() == [valued]
 
+    def test_open_label_index_is_built_on_add(self):
+        """Gate labels get bits (``*`` none); each record's ``relevant``
+        ORs its routes' gate bits; nothing is memoised before dispatch."""
+        router = AlphabetRouter()
+        ab, star, valued = unit_for("//a//b"), unit_for("//*[c]"), unit_for("//d[e = 'x']")
+        for unit in (ab, star, valued):
+            router.add(unit)
+        records = router.records
+        bits = [records[tag].bit for tag in "ade"]
+        assert all(bits) and len(set(bits)) == 3
+        assert records["b"].bit == records["c"].bit == 0
+        assert records["b"].relevant == records["a"].bit  # gated on a; star ungated
+        assert records["c"].relevant == 0
+        assert router.text.relevant == records["e"].bit
+        assert router.memoised_views == 0
+        router.remove(ab)
+        assert records["b"].relevant == 0 and records["a"].bit == bits[0]
+
 
 class EquivalenceMixin:
     """Routed multi-query results must equal independent evaluation."""
