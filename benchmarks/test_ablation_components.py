@@ -3,7 +3,8 @@
 * PathM / BranchM specialisation vs. running TwigM on everything
   (the processor's fragment dispatch);
 * lazy-DFA state footprint vs. wildcard count (XMLTK's weakness);
-* pure-Python tokenizer vs. the stdlib Expat adapter (event-source swap);
+* the strict tokenizer (Expat) vs. the pure-Python reference scanner
+  (event-source swap);
 * Theorem 4.4's operation bound checked against the counting TwigM.
 """
 
@@ -12,8 +13,8 @@ import pytest
 from repro.baselines.lazydfa import LazyDfaEngine
 from repro.bench.complexity import CountingTwigM
 from repro.core.processor import XPathStream
+from repro.bench.hotpath import reference_events
 from repro.stream.events import count_elements, document_depth
-from repro.stream.expat_source import expat_parse_string
 from repro.stream.tokenizer import parse_string
 from repro.xpath.querytree import compile_query
 
@@ -61,17 +62,17 @@ def test_lazy_dfa_state_blowup_with_wildcards(benchmark, stars, book_corpus):
 
 
 @pytest.mark.benchmark(group="ablation-event-source")
-@pytest.mark.parametrize("source", ["tokenizer", "expat"])
+@pytest.mark.parametrize("source", ["expat", "reference"])
 def test_event_source_swap(benchmark, source, book_corpus):
     """Both event sources drive the same engine to the same answer; the
-    Expat adapter mirrors the paper's parser choice."""
+    strict tokenizer's Expat path mirrors the paper's parser choice."""
     xml = book_corpus.path.read_text(encoding="utf-8")
-    parse = parse_string if source == "tokenizer" else expat_parse_string
+    parse = parse_string if source == "expat" else reference_events
     results = benchmark(
         lambda: XPathStream("//section[title]//figure").evaluate(parse(xml))
     )
     benchmark.extra_info.update(source=source, results=len(results))
-    reference = XPathStream("//section[title]//figure").evaluate(parse_string(xml))
+    reference = XPathStream("//section[title]//figure").evaluate(reference_events(xml))
     assert sorted(results) == sorted(reference)
 
 

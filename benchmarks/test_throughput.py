@@ -1,16 +1,17 @@
 """Throughput regression benchmarks for the substrate and the engines.
 
 These are the library's own performance budget (not a paper figure):
-events/second for each event source, and engine event-processing rates
-with parsing factored out.  `extra_info` carries the rates so a CI
+events/second for the strict tokenizer (Expat) against the pure-Python
+reference scanner, and engine event-processing rates with parsing
+factored out.  `extra_info` carries the rates so a CI
 pipeline can watch for regressions.
 """
 
 import pytest
 
 from benchmarks._grid import ENGINES
+from repro.bench.hotpath import reference_events
 from repro.core.twigm import TwigM
-from repro.stream.expat_source import expat_parse_string
 from repro.stream.tokenizer import parse_string
 
 
@@ -25,9 +26,9 @@ def book_events_list(book_xml):
 
 
 @pytest.mark.benchmark(group="throughput-parsing")
-@pytest.mark.parametrize("source", ["tokenizer", "expat"])
+@pytest.mark.parametrize("source", ["expat", "reference"])
 def test_parser_throughput(benchmark, source, book_xml):
-    parse = parse_string if source == "tokenizer" else expat_parse_string
+    parse = parse_string if source == "expat" else reference_events
 
     def run():
         return sum(1 for _ in parse(book_xml))

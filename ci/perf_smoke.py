@@ -1,12 +1,12 @@
 """CI smoke: the fused push pipeline must beat the reference — and be exact.
 
 The reference ("pull" in the report) is
-:class:`~repro.bench.hotpath.ReferenceTokenizer` — the one scanner with
-its regex fast path switched off — whose pull view's event objects feed
-the machine's event-stream loop.  Checks the acceptance properties of
-the hot-path and compiled-tier work:
+:class:`~repro.bench.hotpath.ReferenceTokenizer` — the tokenizer's
+Python scanner with its regex fast path switched off — whose pull
+view's event objects feed the machine's event-stream loop.  Checks the
+acceptance properties of the hot-path and compiled-tier work:
 
-1. **Exactness** — the fast-path scanner emits an event stream
+1. **Exactness** — the strict tokenizer (Expat) emits an event stream
    byte-identical to the reference over the XMark corpus, and every
    benchmark query returns identical solution ids through the
    reference, push, *and* the compiled tiers (also asserted inside the
@@ -15,8 +15,9 @@ the hot-path and compiled-tier work:
    ``MIN_SPEEDUP`` on every XMark query.  The local target is 2x (see
    ``BENCH_core.json``); the CI gate is 1.5x to leave headroom for noisy
    shared runners.
-3. **Compiled-tier win** — the lazy-DFA + turbo-scanner path beats the
-   reference by ``COMPILED_MIN_SPEEDUP`` on every predicate-free XMark query at
+3. **Compiled-tier win** — the lazy-DFA path (stepped inline by the
+   tokenizer's Expat callbacks) beats the reference by
+   ``COMPILED_MIN_SPEEDUP`` on every predicate-free XMark query at
    the gate profile, and no query loses more than noise headroom
    (``COMPILED_PUSH_FLOOR``) against the current push pipeline.  The
    recorded target is 10x at the default profile; the gate numbers leave

@@ -1,8 +1,8 @@
 """Core-throughput benchmark: reference vs push pipeline, MB/s and events/s.
 
-The tokenizer has one scanner; its regex fast path is checked against
-:class:`ReferenceTokenizer`, the same scanner with the fast path switched
-off, so every tag takes the char-level slow path.  The reference feeds
+The tokenizer parses strict input with Expat; it is checked against
+:class:`ReferenceTokenizer`, its Python scanner with the regex fast path
+switched off, so every tag takes the char-level slow path.  The reference feeds
 event objects from its pull view (:meth:`XmlTokenizer.feed`) into the
 machine's event-stream loop — the shape the pipeline had before the
 fused path existed — and is reported in the ``pull`` columns.  The
@@ -15,12 +15,12 @@ regression can be attributed:
   :meth:`XmlTokenizer.feed_into`.
 * **pull pipeline** — reference events into
   :meth:`XPathStream.feed_events`.
-* **push pipeline** — :meth:`XPathStream.evaluate` (fused regex scan →
+* **push pipeline** — :meth:`XPathStream.evaluate` (Expat callbacks →
   direct machine callbacks; see :mod:`repro.core.textfeed`).
 * **compiled pipeline** — ``XPathStream(query, compiled=True)``
-  ``.evaluate`` (:mod:`repro.compile`: the lazy-DFA front-end plus
-  turbo scanner for predicate-free paths; the rest run the interpreted
-  machines, so their compiled column equals push).
+  ``.evaluate`` (:mod:`repro.compile`: the lazy-DFA front-end, stepped
+  inline by the Expat callbacks, for predicate-free paths; the rest run
+  the interpreted machines, so their compiled column equals push).
 
 Two corpora bracket the workload space: the XMark auction document
 (broad vocabulary, attribute-heavy, realistic text) and a synthetic
@@ -55,9 +55,9 @@ _NEVER = re.compile(r"(?!)")
 
 
 class ReferenceTokenizer(XmlTokenizer):
-    """The tokenizer with its regex fast path switched off.
+    """The tokenizer's Python scanner, with its regex fast path switched off.
 
-    Every tag takes the char-level slow path (``_find_tag_end`` →
+    Expat is not used.  Every tag takes the char-level slow path (``_find_tag_end`` →
     ``_handle_tag`` → ``_parse_tag_body``), which the fast-path patterns
     only shortcut.  Differential tests and the perf gate compare the
     fast path against this class: same scanner loop, independent tag
@@ -66,6 +66,7 @@ class ReferenceTokenizer(XmlTokenizer):
 
     _fast_start_re = _NEVER
     _fast_end_re = _NEVER
+    _expat = False
 
 
 def reference_events(source, **options) -> list:
@@ -103,8 +104,8 @@ CHAIN_SHAPES = {
 #: by this factor on every XMark query.
 XMARK_TARGET = 2.0
 
-#: Compiled-tier bar: the lazy-DFA + turbo-scanner path must beat the
-#: reference by this factor on every predicate-free XMark query.
+#: Compiled-tier bar: the lazy-DFA path must beat the reference by this
+#: factor on every predicate-free XMark query.
 COMPILED_TARGET = 10.0
 
 

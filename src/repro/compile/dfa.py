@@ -109,8 +109,9 @@ class DfaPathM:
     machine_name = "dfa"
     #: Members emit at start tags, like PathM: never an id twice.
     epoch_open = False
-    #: The engine ignores attributes and character data entirely, so the
-    #: turbo scanner (:mod:`repro.compile.scan`) may skip producing them.
+    #: The engine ignores character data, so the tokenizer need not
+    #: deliver it (the events still count), and may step the automaton
+    #: itself (:meth:`inline_automaton`).
     turbo_scan_safe = True
 
     def __init__(
@@ -442,6 +443,25 @@ class DfaPathM:
             raise CheckpointError(f"malformed DFA snapshot: {exc}") from exc
 
     # -- event-stream driving ---------------------------------------------
+
+    def inline_automaton(self):
+        """``(states, tags, count_starts)`` for a parser that steps the
+        automaton itself, or None once it must see every event (limits,
+        or the interpreted fallback).
+
+        A step appends ``state.trans[tag]`` to ``states`` and the tag to
+        ``tags``, and calls the state's ``fire`` (when not None) with the
+        node id; an end pops both.  A tag with no cached transition goes
+        through :meth:`start_element`.  The parser reports the starts it
+        stepped through ``count_starts``.  The stacks stay valid until
+        :meth:`reset`, a restore or a membership change.
+        """
+        if self._limits is not None or self._fallback is not None:
+            return None
+        return self._state_stack, self._tags, self._count_starts
+
+    def _count_starts(self, count: int) -> None:
+        self._starts += count
 
     def as_handler(self):
         """Push-pipeline adapter: the engine itself, or a limit-counting

@@ -172,9 +172,9 @@ class XPathStream(TextFeed):
     compiled:
         Upgrade an automatically selected PathM (a predicate-free query)
         to the lazy-DFA front-end of :mod:`repro.compile`
-        (``engine_name`` ``"dfa"``), whose text feeds run the turbo
-        scanner.  Every other engine — including an explicit
-        ``engine="pathm"`` — is built exactly as with ``compiled=False``.
+        (``engine_name`` ``"dfa"``).  Every other engine — including an
+        explicit ``engine="pathm"`` — is built exactly as with
+        ``compiled=False``.
         Matches, order, errors, limits and snapshots are identical to
         the interpreted engines.
     state_cap:

@@ -7,11 +7,9 @@ handler callbacks the same way, and :class:`TextFeed` is that way,
 written once.  It owns the incremental tokenizer:
 
 * building it from the face's recovery policy, diagnostic callback,
-  resource limits and metrics registry;
-* choosing, per chunk, between the query-aware turbo scanner
-  (:func:`repro.compile.scan.turbo_feed`, when the handler declares
-  ``turbo_scan_safe`` and the tokenizer is eligible) and the fused
-  scanner (:meth:`~repro.stream.tokenizer.XmlTokenizer.feed_into`);
+  resource limits and metrics registry (the tokenizer itself parses
+  with Expat under the strict policy);
+* feeding it chunks (:meth:`~repro.stream.tokenizer.XmlTokenizer.feed_into`);
 * closing it, which may synthesize end events under a lenient policy;
 * splitting :meth:`evaluate` sources into text and pre-built events;
 * carrying it through the face's snapshot under the ``"tokenizer"`` key.
@@ -55,11 +53,8 @@ class TextFeed:
     def feed_text(self, chunk: str) -> None:
         """Push a chunk of raw XML text (incremental parsing).
 
-        The tokenizer drives the handler's callbacks directly, through
-        the turbo scanner when the handler qualifies.  Eligibility is
-        checked per chunk, so a face whose handler changes (live query
-        adds and removes) switches scanner at the next chunk boundary.
-        A snapshot between chunks captures the mid-parse tokenizer.
+        The tokenizer drives the handler's callbacks directly.  A
+        snapshot between chunks captures the mid-parse tokenizer.
         """
         tokenizer = self._tokenizer
         if tokenizer is None:
@@ -69,14 +64,7 @@ class TextFeed:
                 limits=self._limits,
                 metrics=self._metrics,
             )
-        handler = self._text_handler()
-        if getattr(handler, "turbo_scan_safe", False):
-            import repro.compile.scan as scan
-
-            if scan.turbo_eligible(tokenizer, handler):
-                scan.turbo_feed(tokenizer, chunk, handler)
-                return
-        tokenizer.feed_into(chunk, handler)
+        tokenizer.feed_into(chunk, self._text_handler())
 
     #: Former name of :meth:`feed_text`, kept for callers that still use it.
     feed_text_push = feed_text

@@ -146,11 +146,7 @@ class MultiQueryEngine(TextFeed):
         event).  Queries with per-query limits, a tracker or a lag probe
         keep per-query units, and every other unit is built exactly as
         with ``compiled=False``.  Results are bit-for-bit identical to
-        the interpreted engines.  When every registered unit is
-        turbo-safe, text feeds (:meth:`feed_text` / :meth:`evaluate`)
-        additionally engage the query-aware turbo scanner
-        (:mod:`repro.compile.scan`); eligibility is re-checked per
-        chunk, keyed on the router's version counter.
+        the interpreted engines.
     """
 
     def __init__(
@@ -368,10 +364,6 @@ class MultiQueryEngine(TextFeed):
         )
         if created is not None:
             self._router.add(created)
-        else:
-            # Joined an existing unit: no new route, but the handler's
-            # per-version caches (turbo safety) depend on registrations.
-            self._router.invalidate()
         return registration
 
     def attach_warm(
@@ -427,7 +419,7 @@ class MultiQueryEngine(TextFeed):
         self._router.add(unit)
         # The warm machine holds entries for elements whose start tags
         # the open-label index never counted.
-        self.as_handler().assume_all_open()
+        self._reopen_labels()
         return registration
 
     def remove_query(self, name: str) -> Registration:
@@ -437,8 +429,6 @@ class MultiQueryEngine(TextFeed):
         registration, unit_dropped = self._registry.remove(name)
         if unit_dropped:
             self._router.remove(registration.unit)
-        else:
-            self._router.invalidate()  # as in add_query
         return registration
 
     def _is_callback(self, per_query: "Callable[[int], None] | None") -> bool:
@@ -542,8 +532,9 @@ class MultiQueryEngine(TextFeed):
         sink state, the query registrations (grouping included, so dedup
         survives restore exactly), the mid-parse tokenizer, and the
         dispatch counters (not ``gate_tests``, nor the open-label index:
-        a restored engine counts every label open until the document
-        element closes).
+        a restored engine seeds it from the tokenizer's open elements,
+        or, for an event-fed capture, counts every label open until the
+        document element closes).
         """
         return {
             "version": MULTIQ_SNAPSHOT_VERSION,
@@ -628,8 +619,25 @@ class MultiQueryEngine(TextFeed):
             engine._dispatched = engine._unrouted = int(stats["dispatched"])
             engine._broadcast = int(stats["broadcast"])
             engine._restore_tokenizer(snapshot["tokenizer"])
-            engine.as_handler().assume_all_open()
+            engine._reopen_labels()
         return engine
+
+    def _reopen_labels(self) -> None:
+        """Rebuild the open-label index after a restore or warm attach.
+
+        A text feed knows its open elements: the tokenizer's stack seeds
+        the counts exactly (an empty one, before or after the document
+        element, opens nothing), as does a feed with no event yet.
+        Otherwise every label counts as open until the document element
+        closes.
+        """
+        handler = self.as_handler()
+        if self._tokenizer is not None:
+            handler.open_labels(self._tokenizer.open_elements)
+        elif self._events:
+            handler.assume_all_open()
+        else:
+            handler.close_all()
 
     def _restore_queries(self, snapshot: dict, trackers: Mapping) -> None:
         """Rebuild units and registrations, preserving grouping and order.
@@ -776,8 +784,9 @@ class _MultiQueryHandler(EventHandler):
     accounting matches a dedicated stream.  A start tag is counted open
     before delivery and an end tag uncounted after it.
 
-    ``_mask`` has one bit per gate label with an open element, or is
-    ``-1`` (every label open) after a restore or a warm attach, until
+    ``_mask`` has one bit per gate label with an open element.  After a
+    restore or a warm attach it is seeded from the text feed's open
+    elements, or, with no text feed, is ``-1`` (every label open) until
     the document element closes or the engine resets.
 
     A unit stops being *virgin* (accepting sharers) when an event is
@@ -789,7 +798,7 @@ class _MultiQueryHandler(EventHandler):
 
     __slots__ = (
         "_engine", "_router", "_records", "_default", "_text", "_mask",
-        "_limited", "_turbo_safe", "_turbo_version",
+        "_limited",
     )
 
     def __init__(self, engine: MultiQueryEngine):
@@ -801,8 +810,6 @@ class _MultiQueryHandler(EventHandler):
         self._text = router.text
         self._mask = 0
         self._limited: list = []
-        self._turbo_safe = False
-        self._turbo_version = -1
         router.on_change = self._rebind
         self._rebind()
 
@@ -815,43 +822,24 @@ class _MultiQueryHandler(EventHandler):
         self._router.close_all()
         self._mask = 0
 
+    def open_labels(self, tags) -> None:
+        """Count exactly the elements ``tags`` (outermost first) as open."""
+        self.close_all()
+        records = self._records
+        mask = 0
+        for tag in tags:
+            record = records.get(tag)
+            if record is not None and record.bit:
+                record.count += 1
+                mask |= record.bit
+        self._mask = mask
+
     def _rebind(self) -> None:
         """Rebuild the ``(unit, handler)`` pairs of the unfiltered path;
         the router calls this on every membership change."""
         self._limited = [
             (unit, unit.engine.as_handler()) for unit in self._router.limited_units()
         ]
-
-    @property
-    def turbo_scan_safe(self) -> bool:
-        """True when every registered unit tolerates the turbo scanner.
-
-        The turbo loop (:mod:`repro.compile.scan`) elides attribute
-        dicts and character-data delivery, so it is only sound when
-        every unit's engine declares ``turbo_scan_safe`` (path machines
-        that ignore both), no unit carries per-query limits (their
-        accounting counts text events), and no registration delivers
-        through a callback — user callbacks can register new,
-        non-path queries *mid-chunk*, which the in-flight scan could
-        not serve.  Cached per router version: live add/remove
-        re-evaluates at the next chunk boundary.
-        """
-        engine = self._engine
-        router = self._router
-        if self._turbo_version != router.version:
-            self._turbo_safe = (
-                not router.limited_units()
-                and all(
-                    getattr(type(unit.engine), "turbo_scan_safe", False)
-                    for unit in engine._registry.units()
-                )
-                and not any(
-                    registration.callback
-                    for registration in engine._registry.registrations()
-                )
-            )
-            self._turbo_version = router.version
-        return self._turbo_safe
 
     def start_element(self, tag, level, node_id, attributes) -> None:
         engine = self._engine

@@ -219,9 +219,6 @@ class AlphabetRouter:
         self.records: dict[str, TagRecord] = {}
         self.default = TagRecord()
         self.text = TagRecord()
-        #: Bumped on every membership change; consumers caching derived
-        #: per-unit state (turbo safety) key on it.
-        self.version = 0
         #: Called after every membership change (the dispatcher rebinds
         #: its limited-unit handlers there, off the per-event path).
         self.on_change: Callable[[], None] | None = None
@@ -274,15 +271,13 @@ class AlphabetRouter:
         self.invalidate()
 
     def invalidate(self) -> None:
-        """Bump :attr:`version`: the registration set changed.
+        """Tell :attr:`on_change` that the routed units changed.
 
         A registration joining or leaving a live unit changes no route
         (only a :class:`~repro.multiq.registry.SharedPathUnit` grows its
         alphabet when joined, and it is routed on every tag already), so
-        the records stand; per-version caches elsewhere (turbo safety,
-        limited handlers) are rebuilt.
+        it needs no call.
         """
-        self.version += 1
         if self.on_change is not None:
             self.on_change()
 

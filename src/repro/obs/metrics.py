@@ -47,8 +47,9 @@ __all__ = [
     "NULL_REGISTRY",
 ]
 
-#: Default histogram buckets: per-chunk latencies from 0.5ms to 2.5s.
+#: Default histogram buckets: per-chunk latencies from 50µs to 2.5s.
 DEFAULT_BUCKETS = (
+    0.00005, 0.0001, 0.00025,
     0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
     0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
 )

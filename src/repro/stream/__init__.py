@@ -3,9 +3,9 @@
 This package implements everything below the query engines:
 
 * :mod:`repro.stream.events` — the paper's modified-SAX event model.
-* :mod:`repro.stream.tokenizer` — pure-Python incremental XML tokenizer.
-* :mod:`repro.stream.expat_source` — Expat-backed event source (the
-  parser the paper's implementation used).
+* :mod:`repro.stream.tokenizer` — incremental XML tokenizer: Expat (the
+  parser the paper's implementation used) under the strict policy, a
+  pure-Python scanner for the lenient ones and as the reference.
 * :mod:`repro.stream.document` — in-memory DOM for non-streaming engines.
 * :mod:`repro.stream.writer` — serialization back to XML text.
 * :mod:`repro.stream.recovery` — recovery policies, diagnostics, limits.
@@ -45,12 +45,6 @@ from repro.stream.namespaces import (
     split_clark,
     translate_name,
 )
-from repro.stream.expat_source import (
-    ExpatSource,
-    expat_parse_chunks,
-    expat_parse_file,
-    expat_parse_string,
-)
 from repro.stream.tokenizer import (
     XmlTokenizer,
     events_from,
@@ -89,7 +83,6 @@ __all__ = [
     "EndElement",
     "Event",
     "EventStream",
-    "ExpatSource",
     "StartElement",
     "XmlTokenizer",
     "build_document",
@@ -99,9 +92,6 @@ __all__ = [
     "element_to_string",
     "events_from",
     "events_to_string",
-    "expat_parse_chunks",
-    "expat_parse_file",
-    "expat_parse_string",
     "parse_chunks",
     "parse_file",
     "parse_string",

@@ -84,8 +84,7 @@ class StreamDiagnostic:
 class ResourceLimits:
     """Bounds on attacker-controlled resource growth.  ``None`` = unlimited.
 
-    Enforced by :class:`~repro.stream.tokenizer.XmlTokenizer`,
-    :class:`~repro.stream.expat_source.ExpatSource`, and the
+    Enforced by :class:`~repro.stream.tokenizer.XmlTokenizer` and the
     PathM/BranchM/TwigM machines; any crossing raises
     :class:`~repro.errors.ResourceLimitError` immediately, before the
     offending structure is buffered.

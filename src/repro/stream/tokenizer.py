@@ -1,21 +1,30 @@
-"""A pure-Python, incremental, non-validating XML tokenizer.
+"""An incremental, non-validating XML tokenizer over Expat and a Python scanner.
 
-The paper's implementation sits on top of Expat; to keep this reproduction
-self-contained the default event source is this hand-written tokenizer.
-(:mod:`repro.stream.expat_source` provides a drop-in adapter over the
-stdlib Expat binding for speed.)
+The paper's implementation parses with Expat (section 2.1), and so does
+this tokenizer under the ``strict`` policy: :meth:`XmlTokenizer.feed_into`
+drives the stdlib ``xml.parsers.expat`` binding, whose callbacks compute
+``level`` and pre-order ``node_id``, intern tags, coalesce text and check
+:class:`~repro.stream.recovery.ResourceLimits` themselves.  The pure-Python
+scanner (:meth:`XmlTokenizer._scan_into`) serves the lenient policies and
+is the strict reference: a document Expat would report differently (a
+leading byte-order mark, any DOCTYPE, a non-ASCII name the scanner
+rejects) goes to it before any event is delivered, and on any Expat error
+the chunk is re-scanned by it from the chunk-start state, dropping the
+events already delivered, so errors carry its message and position and
+input it accepts (``&#0;``, ``]]>`` in text, a late ``<?xml?>``) parses
+on.  Both paths deliver identical events and take identical snapshots.
 
 The tokenizer is *streaming*: it accepts arbitrary chunks of text and
 reports every event that is complete so far, buffering only the
-unfinished tail.  There is one scanner.  :meth:`XmlTokenizer.feed_into`
-drives an :class:`~repro.stream.events.EventHandler`'s callbacks from it
-directly; :meth:`XmlTokenizer.feed` is a pull view over the same scan,
-collecting the callbacks as event objects and yielding them in batches.
-It understands the XML constructs a non-validating processor must
-recognise — element tags with attributes, self-closing tags, character
-data with the five predefined entities and numeric character references,
-CDATA sections, comments, processing instructions, the XML declaration,
-and a DOCTYPE declaration (skipped, including an internal subset).
+unfinished tail.  :meth:`XmlTokenizer.feed_into` drives an
+:class:`~repro.stream.events.EventHandler`'s callbacks directly;
+:meth:`XmlTokenizer.feed` is a pull view over the same parse, collecting
+the callbacks as event objects and yielding them in batches.  It
+understands the XML constructs a non-validating processor must recognise
+— element tags with attributes, self-closing tags, character data with
+the five predefined entities and numeric character references, CDATA
+sections, comments, processing instructions, the XML declaration, and a
+DOCTYPE declaration (skipped, including an internal subset).
 
 Three robustness facilities sit on top of the basic scan:
 
@@ -46,15 +55,17 @@ prescribes.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import os
 import pathlib
 import re
 from sys import intern as _intern
 from typing import IO, Callable, Iterable, Iterator, NoReturn
+from xml.parsers import expat
 
 from repro.checkpoint import read_envelope, restoring
-from repro.errors import XmlSyntaxError
+from repro.errors import ReproError, XmlSyntaxError
 from repro.stream.events import Event, EventCollector
 from repro.stream.recovery import (
     ACTION_REPAIRED,
@@ -132,6 +143,77 @@ def _is_name(text: str) -> bool:
     return all(ch in _NAME_CHARS or ch.isalnum() for ch in text)
 
 
+# -- the Expat path's hand-over to the Python scanner ---------------------
+#
+# The Python scanner decides every case where it and Expat could differ.
+# An Expat callback that meets such a case raises _Divert; the tokenizer
+# then re-scans the chunk with the Python scanner from the chunk-start
+# state, dropping the events Expat already delivered (_Replay).
+
+#: Largest number of names remembered by the per-name check.
+_NAME_CACHE_LIMIT = 4096
+
+
+class _Divert(Exception):
+    """Raised in an Expat callback: let the Python scanner decide."""
+
+
+class _Stop(Exception):
+    """Raised by :class:`_Replay` once it has dropped its events."""
+
+
+class _Replay:
+    """Drop the first ``count`` events, then forward to ``handler``.
+
+    With ``handler`` None, raise :class:`_Stop` at the last dropped
+    event instead: the scanner then stands where a handler exception
+    left the Expat path.
+    """
+
+    __slots__ = ("handler", "count")
+
+    def __init__(self, handler, count: int):
+        self.handler = handler
+        self.count = count
+
+    def _drop(self) -> bool:
+        if not self.count:
+            return False
+        self.count -= 1
+        if not self.count and self.handler is None:
+            raise _Stop
+        return True
+
+    def start_element(self, tag, level, node_id, attributes) -> None:
+        if not self._drop():
+            self.handler.start_element(tag, level, node_id, attributes)
+
+    def characters(self, text, level) -> None:
+        if not self._drop():
+            self.handler.characters(text, level)
+
+    def end_element(self, tag, level) -> None:
+        if not self._drop():
+            self.handler.end_element(tag, level)
+
+
+class _NoEvents:
+    """Handler for settling the Expat path's unparsed tail into the
+    Python scanner's: that tail never completes an event."""
+
+    def _fail(self, *_args) -> NoReturn:
+        raise AssertionError("the Expat path held back a complete event")
+
+    start_element = characters = end_element = _fail
+
+
+_NO_EVENTS = _NoEvents()
+
+
+def _no_settle() -> None:
+    """``_settle`` of callbacks that step no automaton inline."""
+
+
 class _Cursor:
     """Line/column bookkeeping for error messages."""
 
@@ -194,6 +276,9 @@ class XmlTokenizer:
     #: Fast-path tag patterns (see the comment above ``_FAST_START_RE``).
     _fast_start_re = _FAST_START_RE
     _fast_end_re = _FAST_END_RE
+    #: Whether strict feeds parse with Expat; a subclass that sets it
+    #: False runs the Python scanner alone.
+    _expat = True
 
     def __init__(
         self,
@@ -238,6 +323,16 @@ class XmlTokenizer:
         self._metrics = metrics
         if metrics is not None:
             self._bind_metrics(metrics)
+        # The Expat path (strict policy).  While it runs, _buffer holds
+        # the input Expat has not consumed (from an open CDATA section's
+        # start, if one is open) and _cursor points at its start.
+        self._use_expat = self._expat and self._policy is RecoveryPolicy.STRICT
+        self._parser = None  # built at the first feed
+        self._held_at = 0  # Expat byte index of _buffer[0]
+        self._cdata_at = -1  # Expat byte index of an open CDATA section
+        self._cdata_mark = 0  # its first entry in _text_parts
+        self._bound = None  # the handler the callbacks deliver to
+        self._names: dict[str, bool] = {}  # non-ASCII name -> _is_name
 
     # -- public API ---------------------------------------------------
 
@@ -247,6 +342,11 @@ class XmlTokenizer:
         return len(self._stack)
 
     @property
+    def open_elements(self) -> tuple[str, ...]:
+        """Tags of the open elements, outermost first."""
+        return tuple(self._stack)
+
+    @property
     def policy(self) -> RecoveryPolicy:
         """The recovery policy this tokenizer runs under."""
         return self._policy
@@ -254,7 +354,7 @@ class XmlTokenizer:
     def feed(self, chunk: str) -> Iterator[Event]:
         """Consume ``chunk`` and yield all events completed by it.
 
-        The pull view of :meth:`feed_into`: the same scanner runs into a
+        The pull view of :meth:`feed_into`: the same parse runs into a
         private :class:`~repro.stream.events.EventCollector`, at most
         :data:`DEFAULT_CHUNK_SIZE` characters of input per batch, and
         each batch's events are yielded before the next batch is
@@ -267,9 +367,32 @@ class XmlTokenizer:
         return self._collect_batches()
 
     def _collect_batches(self) -> Iterator[Event]:
-        self._merge_pending()
         collector = EventCollector()
         events = collector.events
+        if self._use_expat and self._pending:
+            data = "".join(self._pending)
+            self._pending.clear()
+            start = 0
+            try:
+                while start < len(data) and self._use_expat:
+                    piece = data[start:start + DEFAULT_CHUNK_SIZE]
+                    start += DEFAULT_CHUNK_SIZE
+                    try:
+                        self._expat_feed(piece, collector)
+                    except BaseException:
+                        yield from events
+                        raise
+                    yield from events
+                    events.clear()
+            finally:
+                # Input not parsed yet (the Python scanner took over, or
+                # the consumer stopped pulling) waits for the next drain.
+                if start < len(data):
+                    self._pending.insert(0, data[start:])
+        if self._use_expat:
+            self._check_buffered()
+            return
+        self._merge_pending()
         while True:
             stop = self._pos + DEFAULT_CHUNK_SIZE
             try:
@@ -286,22 +409,27 @@ class XmlTokenizer:
         self._check_buffered()
 
     def feed_into(self, chunk: str, handler) -> None:
-        """Push-mode feed: scan ``chunk`` and drive ``handler`` callbacks.
+        """Push-mode feed: parse ``chunk`` and drive ``handler`` callbacks.
 
         Events completed by the chunk are delivered as direct
         ``start_element`` / ``characters`` / ``end_element`` calls on
         ``handler`` (any :class:`~repro.stream.events.EventHandler`),
-        with no event objects and compiled-regex tag scanning.  This is
-        the only scanner: :meth:`feed` is a view over it, so pull and
-        push feeds can be mixed on one tokenizer and :meth:`snapshot`
-        captures either.
+        with no event objects: from Expat's callbacks under the strict
+        policy, from the Python scanner otherwise.  :meth:`feed` is a
+        view over it, so pull and push feeds can be mixed on one
+        tokenizer and :meth:`snapshot` captures either.
         """
         self._accept(chunk)
-        self._merge_pending()
-        try:
-            self._scan_into(handler, len(self._buffer))
-        finally:
-            self._compact()
+        if self._use_expat:
+            data = "".join(self._pending)
+            self._pending.clear()
+            self._expat_feed(data, handler)
+        else:
+            self._merge_pending()
+            try:
+                self._scan_into(handler, len(self._buffer))
+            finally:
+                self._compact()
         self._check_buffered()
 
     def _accept(self, chunk: str) -> None:
@@ -318,8 +446,14 @@ class XmlTokenizer:
         bound caps what a single unterminated construct (one giant tag,
         an unclosed CDATA section) can make us remember.
         """
-        if self._limits is not None:
-            self._limits.check("max_buffered_input", len(self._buffer))
+        limits = self._limits
+        if limits is not None:
+            bound = limits.max_buffered_input
+            if self._parser is not None and bound is not None and len(self._buffer) > bound:
+                # Expat may hold a trailing ']' the scanner would have
+                # staged as text: judge the scanner's tail.
+                self._leave_expat(_NO_EVENTS)
+            limits.check("max_buffered_input", len(self._buffer))
         if self._metrics is not None:
             self._sync_metrics()
 
@@ -334,6 +468,8 @@ class XmlTokenizer:
         """
         if self._closed:
             return
+        if self._parser is not None:
+            self._leave_expat(handler)
         self._merge_pending()
         self._closed = True
         leftover = self._buffer[self._pos:].strip()
@@ -376,8 +512,11 @@ class XmlTokenizer:
         The pending buffer may hold a half-received tag: restore resumes
         exactly there.  Configuration that is not plain data — the
         ``on_diagnostic`` callback and the limits object — is supplied
-        anew to :meth:`restore`.
+        anew to :meth:`restore`.  The Expat path reports the state the
+        Python scanner would have at the same input boundary.
         """
+        if self._parser is not None:
+            return self._settled().snapshot()
         self._merge_pending()
         return {
             "version": TOKENIZER_SNAPSHOT_VERSION,
@@ -510,6 +649,372 @@ class XmlTokenizer:
             reported[2] = self.diagnostic_count
         self._m_depth.set(len(self._stack))
 
+    # -- the Expat path -------------------------------------------------
+
+    def _start_expat(self):
+        """Build the parser, primed to stand where the scanner stands.
+
+        A restored tokenizer may have open elements: a muted ``<s1>…<sn>``
+        prefix (``<_/>`` once the document element has closed) gives
+        Expat the same nesting.  Returns None, having switched to the
+        Python scanner, when Expat rejects the prefix.
+        """
+        parser = expat.ParserCreate()
+        if hasattr(parser, "SetReparseDeferralEnabled"):
+            # Expat >= 2.6 may otherwise hold a complete tag back until
+            # more input arrives; events must come with their chunk.
+            parser.SetReparseDeferralEnabled(False)
+        if self._stack:
+            prefix = "".join(f"<{tag}>" for tag in self._stack)
+        else:
+            prefix = "<_/>" if self._seen_root else ""
+        try:
+            parser.Parse(prefix, False)
+        except expat.ExpatError:
+            self._use_expat = False
+            return None
+        self._parser = parser
+        self._held_at = len(prefix.encode("utf-8"))
+        self._cdata_at = -1
+        self._bound = None
+        self._interned = 0
+        parser.StartCdataSectionHandler = self._cdata_start
+        parser.EndCdataSectionHandler = self._cdata_end
+        return parser
+
+    def _cdata_start(self) -> None:
+        self._cdata_at = self._parser.CurrentByteIndex
+        self._cdata_mark = len(self._text_parts)
+
+    def _cdata_end(self) -> None:
+        self._cdata_at = -1
+
+    def _expat_feed(self, data: str, handler) -> None:
+        """Parse ``data`` with Expat, or hand it to the Python scanner."""
+        parser = self._parser
+        if parser is None:
+            parser = self._start_expat()
+            # Expat has not seen what the scanner held back.
+            data = self._buffer + data
+            self._buffer = ""
+            if parser is None:
+                self._leave_expat(handler, data)
+                return
+        if not self._seen_root:
+            prolog = self._buffer + data
+            if "<!DOCTYPE" in prolog or "\ufeff" in prolog:
+                # A DOCTYPE can declare entities and default attributes,
+                # and Expat skips a byte-order mark the scanner rejects.
+                self._leave_expat(handler, data)
+                return
+        if handler is not self._bound:
+            self._bind(handler)
+        bound = self._limits.max_attribute_length if self._limits is not None else None
+        if bound is None:
+            self._parse_piece(data, handler)
+            return
+        # The scanner bounds raw attribute values, which Expat never
+        # shows; a value lies within the held tail and the piece, so
+        # keeping both under the bound keeps every value under it.
+        start = 0
+        while start < len(data):
+            room = bound - len(self._buffer)
+            if room <= 0 or not self._use_expat:
+                self._leave_expat(handler, data[start:])
+                return
+            self._parse_piece(data[start:start + room], handler)
+            start += room
+
+    def _parse_piece(self, data: str, handler) -> None:
+        """One ``Parse`` call; on failure the Python scanner takes over."""
+        if not data:
+            return
+        parser = self._parser
+        saved = (
+            self._stack[:], self._next_id, self._event_count, self._seen_root,
+            self._text_parts[:], self._cdata_at, self._cdata_mark,
+        )
+        parser.StartElementHandler = (
+            self._on_start if data.isascii() and self._buffer.isascii()
+            else self._on_start_checked
+        )
+        self._mark(self._next_id, self._event_count)
+        try:
+            parser.Parse(data, False)
+        except (expat.ExpatError, _Divert):
+            self._settle()
+            self._leave_expat(_Replay(handler, self._tally()[1]), data, saved)
+            return
+        except BaseException:
+            # The handler raised: stand where the scanner would, then
+            # let the exception go on.
+            self._settle()
+            delivered = self._tally()[1]
+            if delivered:
+                try:
+                    self._leave_expat(_Replay(None, delivered), data, saved)
+                except _Stop:
+                    self._compact()
+            else:
+                self._drop_parser(saved)
+                self._buffer += data
+            raise
+        self._settle()
+        next_id, delivered = self._tally()
+        if delivered:
+            self._next_id = next_id
+            self._event_count += delivered
+            self._seen_root = True
+        names = parser.intern
+        if len(names) != self._interned:
+            # Expat hands out the values of this dict as names: make them
+            # the interned strings, so downstream dict lookups hit by
+            # identity from the next piece on.
+            for name in names:
+                names[name] = _intern(name)
+            self._interned = len(names)
+        self._advance_held(data)
+        if self._buffer and (not self._seen_root or self._limits is not None):
+            # Expat waits for a second byte at the document start (for a
+            # byte-order mark) where the scanner may already reject the
+            # first, and holds a trailing ']' the scanner stages as text
+            # (counting it against max_text_length): let the scanner
+            # judge such a held tail.
+            try:
+                self._settled()
+            except ReproError:
+                self._leave_expat(handler)
+
+    def _advance_held(self, data: str) -> None:
+        """Move the held tail and the cursor to Expat's new hold point:
+        its first unconsumed byte, or an open CDATA section's start."""
+        hold = self._cdata_at if self._cdata_at >= 0 else self._parser.CurrentByteIndex
+        drop = hold - self._held_at
+        self._held_at = hold
+        old = self._buffer
+        if drop >= len(old) and data.isascii() and old.isascii():
+            # The usual case: Expat consumed the old tail and part of
+            # ``data``; keep the rest of ``data`` without joining the two.
+            drop -= len(old)
+            self._cursor.advance(old)
+            held = data
+        else:
+            held = old + data
+            if drop and not held.isascii():
+                drop = len(held.encode("utf-8")[:drop].decode("utf-8"))
+        self._buffer = held
+        self._advance_span(0, drop)
+        self._compact()
+
+    def _restore_saved(self, saved: tuple) -> None:
+        """Put back the state :meth:`_parse_piece` saved at its start."""
+        stack, self._next_id, self._event_count, self._seen_root, parts, \
+            self._cdata_at, self._cdata_mark = saved
+        self._stack[:] = stack
+        self._text_parts[:] = parts
+
+    def _leave_expat(self, handler, data: str = "", saved: tuple | None = None) -> None:
+        """Switch to the Python scanner and scan the held tail plus ``data``.
+
+        ``saved`` (a chunk-start state) is restored first.  An open CDATA
+        section's text goes back into the buffer, where the scanner
+        holds it.
+        """
+        self._drop_parser(saved)
+        self._buffer += data
+        try:
+            self._scan_into(handler, len(self._buffer))
+        finally:
+            self._compact()
+
+    def _drop_parser(self, saved: tuple | None = None) -> None:
+        """Turn the Expat path's state into the Python scanner's."""
+        if saved is not None:
+            self._restore_saved(saved)
+        if self._cdata_at >= 0:
+            del self._text_parts[self._cdata_mark:]
+            self._cdata_at = -1
+        self._text_len = sum(map(len, self._text_parts))
+        # The parser's callbacks refer back to this tokenizer; dropping
+        # both references frees the parser without the cycle collector.
+        self._parser = self._on_start = self._bound = None
+        self._mark = self._tally = self._settle = None
+        self._use_expat = False
+
+    def _settled(self) -> "XmlTokenizer":
+        """A Python-scanner copy of this tokenizer at the same input."""
+        clone = copy.copy(self)
+        clone._stack = self._stack[:]
+        clone._text_parts = self._text_parts[:]
+        clone._pending = self._pending[:]
+        clone._cursor = copy.copy(self._cursor)
+        clone._metrics = None
+        clone._leave_expat(_NO_EVENTS)
+        return clone
+
+    def _check_name(self, name: str) -> bool:
+        """:func:`_is_name`, cached for the Expat path's non-ASCII names."""
+        names = self._names
+        known = names.get(name)
+        if known is None:
+            if len(names) >= _NAME_CACHE_LIMIT:
+                names.clear()
+            known = names[name] = _is_name(name)
+        return known
+
+    def _on_start_checked(self, tag, attributes) -> None:
+        """Start callback for input with non-ASCII characters: names the
+        Python scanner rejects go to it."""
+        if not tag.isascii() and not self._check_name(tag):
+            raise _Divert
+        for name in attributes:
+            if not name.isascii() and not self._check_name(name):
+                raise _Divert
+        self._on_start(tag, attributes)
+
+    def _bind(self, handler) -> None:
+        """Build the Expat callbacks that drive ``handler``.
+
+        They count only node ids and character events: every start
+        pushes and every end pops the shared stack, so one ``Parse``
+        delivers ``2 * starts - (depth change) + characters`` events,
+        which ``_tally`` reports to :meth:`_parse_piece`.  Limits are
+        checked conservatively: crossing one (or coming close to
+        ``max_total_events``) diverts to the Python scanner, which raises
+        at the exact event.
+        """
+        self._bound = handler
+        stack = self._stack
+        push, pop = stack.append, stack.pop
+        parts = self._text_parts
+        skip_whitespace = self._skip_whitespace
+        on_start = handler.start_element
+        on_end = handler.end_element
+        on_characters = handler.characters
+        # A handler that declares it ignores character data is not
+        # called with it; the events are still counted.
+        deliver_text = not getattr(handler, "turbo_scan_safe", False)
+        # Such a handler may also let the callbacks step its automaton
+        # themselves while it stays in step with the open elements:
+        # ``states``/``tags`` are its stacks, each state has ``trans``
+        # (tag -> state) and ``fire`` (None or a node-id callback).  A
+        # missing transition goes through ``start_element``.
+        automaton = None
+        if not deliver_text and self._limits is None:
+            automaton = getattr(handler, "inline_automaton", lambda: None)()
+        inline = automaton is not None and len(automaton[0]) == len(stack) + 1
+        if inline:
+            states, tags, count_starts = automaton
+            step_in, step_out = states.append, states.pop
+            tag_in, tag_out = tags.append, tags.pop
+        next_id = first_id = depth = characters = events = text_len = steps = 0
+
+        def mark(node_id: int, event_count: int) -> None:
+            nonlocal next_id, first_id, depth, characters, events, text_len
+            next_id = first_id = node_id
+            depth = len(stack)
+            characters = 0
+            events = event_count
+            text_len = sum(map(len, parts))
+
+        def tally() -> tuple[int, int]:
+            return next_id, 2 * (next_id - first_id) - (len(stack) - depth) + characters
+
+        def settle() -> None:
+            """Credit the automaton with the starts stepped inline."""
+            nonlocal steps
+            if steps:
+                count_starts(steps)
+                steps = 0
+
+        # The text flush is written out in both callbacks: it runs on
+        # most events, and a call per event is a measurable share here.
+        def start(tag, attributes) -> None:
+            nonlocal next_id, characters, inline, steps
+            if parts:
+                text = "".join(parts)
+                parts.clear()
+                if not (skip_whitespace and (text.isspace() or not text)):
+                    characters += 1
+                    if deliver_text:
+                        on_characters(text, len(stack))
+            push(tag)
+            node_id = next_id
+            next_id = node_id + 1
+            if inline:
+                state = states[-1].trans.get(tag)
+                if state is not None:
+                    steps += 1
+                    step_in(state)
+                    tag_in(tag)
+                    if state.fire is not None:
+                        state.fire(node_id)
+                    return
+                on_start(tag, len(stack), node_id, attributes)
+                # The miss may have tripped the automaton's fallback.
+                inline = handler.inline_automaton() is not None
+                return
+            on_start(tag, len(stack), node_id, attributes)
+
+        def end(_tag) -> None:
+            nonlocal characters
+            if parts:
+                text = "".join(parts)
+                parts.clear()
+                if not (skip_whitespace and (text.isspace() or not text)):
+                    characters += 1
+                    if deliver_text:
+                        on_characters(text, len(stack))
+            level = len(stack)
+            if inline:
+                pop()
+                step_out()
+                tag_out()
+                return
+            on_end(pop(), level)
+
+        characters_handler = parts.append
+        limits = self._limits
+        if limits is not None:
+            max_depth = limits.max_depth
+            max_attributes = limits.max_attributes
+            max_text = limits.max_text_length
+            max_events = limits.max_total_events
+            unchecked_start, unchecked_end = start, end
+
+            def near_max_events() -> bool:
+                # Two events at most: the pending text and the tag.
+                return max_events is not None and events + tally()[1] + 2 > max_events
+
+            def start(tag, attributes) -> None:
+                if (max_attributes is not None and len(attributes) > max_attributes
+                        or max_depth is not None and len(stack) >= max_depth
+                        or near_max_events()):
+                    raise _Divert
+                unchecked_start(tag, attributes)
+
+            def end(tag) -> None:
+                if near_max_events():
+                    raise _Divert
+                unchecked_end(tag)
+
+            if max_text is not None:
+                def characters_handler(text) -> None:
+                    nonlocal text_len
+                    parts.append(text)
+                    # A flush empties parts: a lone part starts a new run.
+                    text_len = text_len + len(text) if len(parts) > 1 else len(text)
+                    if text_len > max_text:
+                        raise _Divert
+
+        self._mark = mark
+        self._tally = tally
+        self._settle = settle if inline else _no_settle
+        self._on_start = start
+        parser = self._parser
+        parser.EndElementHandler = end
+        parser.CharacterDataHandler = characters_handler
+
     # -- scanning -----------------------------------------------------
 
     def _consume(self, length: int) -> str:
@@ -562,7 +1067,7 @@ class XmlTokenizer:
 
         Emits only what cannot be the start of an entity split across
         chunks (a small tail is held back if an unterminated ``&`` is
-        pending), and holds back a trailing ``\\r`` too: it may be the
+        pending), and otherwise holds back a final ``\\r``: it may be the
         first half of a ``\\r\\n`` pair split across chunks.
         """
         buffer = self._buffer
@@ -570,7 +1075,7 @@ class XmlTokenizer:
         cut = len(buffer)
         if amp != -1 and buffer.find(";", amp) == -1:
             cut = amp
-        if cut > pos and buffer[cut - 1] == "\r":
+        elif cut > pos and buffer[cut - 1] == "\r":
             cut -= 1
         if cut > pos:
             self._push_text(self._consume(cut - pos))
@@ -602,7 +1107,8 @@ class XmlTokenizer:
                 return _MISC_INCOMPLETE
             text = buffer[pos + 9:end]
             self._consume(end + 3 - pos)
-            self._push_text(text, decode=False)
+            if text:  # an empty section adds no character data
+                self._push_text(text, decode=False)
             return _MISC_CONSUMED
         if buffer.startswith("<?", pos):
             end = buffer.find("?>", pos + 2)
@@ -956,11 +1462,14 @@ class XmlTokenizer:
                 self._error(f"unterminated value for attribute {name!r} in <{tag}>")
             if name in attributes:
                 self._error(f"duplicate attribute {name!r} in <{tag}>")
-            # XML attribute-value normalisation: literal whitespace becomes
-            # a space *before* entity decoding (so &#10; survives as '\n').
+            # XML attribute-value normalisation: line ends are normalised
+            # first (a literal \r\n is one line end, so one space), then
+            # literal whitespace becomes a space *before* entity decoding
+            # (so &#10; survives as '\n').
             raw = body[index:end]
             if limits is not None:
                 limits.check("max_attribute_length", len(raw))
+            raw = raw.replace("\r\n", " ")
             for ws in ("\t", "\n", "\r"):
                 raw = raw.replace(ws, " ")
             attributes[name] = self._decode_entities(raw)

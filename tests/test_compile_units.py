@@ -3,8 +3,8 @@
 Complements the differential corpus (``test_compile_equivalence.py``)
 with white-box checks: NFA/subset-construction algebra, lazy-DFA cache
 behaviour and counters, state-cap and misalignment fallbacks, engine
-selection under ``compiled=True``, turbo-scanner slow-path handling,
-and the ``repro_compile_*`` metrics families.
+selection under ``compiled=True``, compiled queries over tricky
+markup, and the ``repro_compile_*`` metrics families.
 """
 
 import pytest
@@ -173,7 +173,7 @@ class TestSelection:
         assert stream.snapshot()["engine"] == "dfa"
 
 
-# -- turbo scanner slow paths ------------------------------------------------
+# -- compiled path queries over tricky markup --------------------------------
 
 TRICKY = (
     "<?xml version='1.0'?><r><a><b>x</b></a></r>",

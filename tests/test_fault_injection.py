@@ -12,7 +12,6 @@ from repro.stream.events import (
     validate_events,
     well_nested,
 )
-from repro.stream.expat_source import expat_parse_chunks
 from repro.stream.faults import (
     FaultyChunks,
     FaultyEvents,
@@ -23,7 +22,7 @@ from repro.stream.faults import (
 from repro.stream.recovery import RecoveryPolicy, ResourceLimits, StreamDiagnostic
 from repro.stream.tokenizer import parse_chunks, parse_string
 
-from tests.conftest import chain_xml
+from tests.conftest import chain_xml, python_events
 
 BASE_DOCUMENT = (
     "<catalog>"
@@ -67,17 +66,11 @@ class TestByteSplitLossless:
             assert list(parse_chunks(chunks)) == expected
 
     def test_multibyte_boundaries_survive_expat(self):
-        expected = [
-            (type(e).__name__, getattr(e, "tag", getattr(e, "text", None)))
-            for e in expat_parse_chunks([BASE_DOCUMENT])
-        ]
+        """The strict tokenizer (Expat) against the Python scanner."""
+        expected = python_events(BASE_DOCUMENT)
         for seed in range(25):
             chunks = byte_split_chunks(BASE_DOCUMENT, seed=seed, max_chunk=3)
-            got = [
-                (type(e).__name__, getattr(e, "tag", getattr(e, "text", None)))
-                for e in expat_parse_chunks(chunks)
-            ]
-            assert got == expected
+            assert list(parse_chunks(chunks)) == expected
 
 
 class TestChunkBoundaryHazards:
@@ -101,7 +94,9 @@ class TestChunkBoundaryHazards:
 
     @pytest.mark.parametrize("head,tail,texts", HAZARDS)
     def test_expat_handles_split(self, head, tail, texts):
-        events = list(expat_parse_chunks([head, tail]))
+        """The strict tokenizer (Expat) against the Python scanner."""
+        events = list(parse_chunks([head, tail]))
+        assert events == python_events([head, tail])
         assert [e.text for e in events if isinstance(e, Characters)] == texts
 
     def test_every_split_point_of_document(self):

@@ -58,7 +58,7 @@ CHAIN_QUERIES = {
     "branchm": "/r/a[b]/c",  # BranchM: ungated
     "value_b": "//b[. = '1']",
     "leaf": "//c",
-    "star_root": "//*/c",  # every start tag labels the root
+    "star_root": "//*/c",  # the * folds into the edge: the machine root is c
     "star_root_value": "//*[c = 'x']",
 }
 
@@ -347,11 +347,59 @@ def gate_tests_of(engine: MultiQueryEngine, events) -> int:
 
 
 class TestIndexAfterResume:
-    """A resumed dispatcher visits every gated route until the document
-    element closes, then the index is exact again."""
+    """A dispatcher resumed from an event-fed capture visits every gated
+    route until the document element closes, then the index is exact
+    again; one resumed from a text-fed capture is exact at once."""
 
     def fresh_gate_tests(self, queries) -> int:
         return gate_tests_of(MultiQueryEngine(queries), SMALL_EVENTS)
+
+    @pytest.mark.parametrize("size", [1, 7])
+    def test_text_fed_restore_is_exact_at_every_chunk_cut(self, size):
+        expected = oracle(CHAIN_QUERIES, SMALL_TEXT)
+        chunks = [SMALL_TEXT[i:i + size] for i in range(0, len(SMALL_TEXT), size)]
+        whole = MultiQueryEngine(CHAIN_QUERIES)
+        assert whole.evaluate(SMALL_TEXT) == expected
+        exact = whole.dispatch_stats().gate_tests
+        for cut in range(len(chunks) + 1):
+            first = MultiQueryEngine(CHAIN_QUERIES)
+            for chunk in chunks[:cut]:
+                first.feed_text(chunk)
+            blob = json.loads(json.dumps(first.snapshot()))
+            resumed = MultiQueryEngine.restore(blob)
+            for chunk in chunks[cut:]:
+                resumed.feed_text(chunk)
+            assert resumed.close() == expected, cut
+            tests = (first.dispatch_stats().gate_tests
+                     + resumed.dispatch_stats().gate_tests)
+            assert tests == exact, cut
+            # A second document needs no reset to stay exact.
+            assert gate_tests_of(resumed, SMALL_EVENTS) == exact, cut
+
+    def test_text_fed_attach_warm_is_exact(self):
+        late = "//a[b = '1'][c = 'x']"
+        queries = {"keep": "//a//a", "late": late}
+        expected = oracle(queries, SMALL_TEXT)
+        for cut in range(0, len(SMALL_TEXT) + 1, 5):
+            scratch = MultiQueryEngine({"late": late})
+            scratch.feed_text(SMALL_TEXT[:cut])
+            (unit,) = scratch.snapshot()["units"]
+            live = MultiQueryEngine({"keep": "//a//a"})
+            live.feed_text(SMALL_TEXT[:cut])
+            before = live.dispatch_stats().gate_tests
+            live.attach_warm("late", late, machine_state=unit["machine"],
+                             sink_state=unit["sinks"])
+            live.feed_text(SMALL_TEXT[cut:])
+            assert live.close() == expected, cut
+            after = live.dispatch_stats().gate_tests - before
+            # From the splice on, the live engine visits exactly the
+            # routes an engine holding both queries from the start does.
+            tail = MultiQueryEngine(queries)
+            tail.feed_text(SMALL_TEXT[:cut])
+            start = tail.dispatch_stats().gate_tests
+            tail.feed_text(SMALL_TEXT[cut:])
+            tail.close()
+            assert after == tail.dispatch_stats().gate_tests - start, cut
 
     def test_restore_at_every_event_cut(self):
         expected = oracle(CHAIN_QUERIES, SMALL_TEXT)

@@ -1,10 +1,12 @@
 """Tests for XML namespace support (repro.stream.namespaces)."""
 
+from xml.parsers import expat
+
 import pytest
 
 from repro.core.processor import XPathStream, evaluate
 from repro.errors import XmlSyntaxError, XPathSyntaxError
-from repro.stream.events import StartElement
+from repro.stream.events import Characters, EndElement, StartElement
 from repro.stream.namespaces import (
     XML_NAMESPACE,
     clark,
@@ -30,6 +32,42 @@ XML = (
 
 def resolved(xml):
     return list(resolve_namespaces(parse_string(xml)))
+
+
+def expat_parse_string(xml):
+    """Events from Expat's own namespace processing, names in Clark
+    notation (the oracle for :func:`resolve_namespaces`)."""
+    parser = expat.ParserCreate(namespace_separator="\x1f")
+    events, text, depth, next_id = [], [], 0, 1
+
+    def name(raw):
+        uri, sep, local = raw.rpartition("\x1f")
+        return clark(uri, local) if sep else raw
+
+    def flush():
+        if text and "".join(text).strip():
+            events.append(Characters("".join(text), depth))
+        text.clear()
+
+    def start(tag, attributes):
+        nonlocal depth, next_id
+        flush()
+        depth += 1
+        attributes = {name(key): value for key, value in attributes.items()}
+        events.append(StartElement(name(tag), depth, next_id, attributes))
+        next_id += 1
+
+    def end(tag):
+        nonlocal depth
+        flush()
+        events.append(EndElement(name(tag), depth))
+        depth -= 1
+
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    parser.CharacterDataHandler = text.append
+    parser.Parse(xml, True)
+    return events
 
 
 class TestClarkNames:
@@ -164,16 +202,10 @@ class TestExpatNamespaceCrossCheck:
 
     @pytest.mark.parametrize("xml", DOCUMENTS, ids=range(len(DOCUMENTS)))
     def test_resolver_agrees_with_expat(self, xml):
-        from repro.stream.expat_source import expat_parse_string
-
-        ours = resolved(xml)
-        expats = list(expat_parse_string(xml, namespace_aware=True))
-        assert ours == expats
+        assert resolved(xml) == expat_parse_string(xml)
 
     def test_resolver_agrees_with_expat_random_documents(self):
         from hypothesis import given, settings, strategies as st
-
-        from repro.stream.expat_source import expat_parse_string
 
         uris = ("http://one", "http://two", "")
         prefixes = ("", "p", "q")
@@ -207,8 +239,6 @@ class TestExpatNamespaceCrossCheck:
         @settings(max_examples=150, deadline=None)
         @given(xml=ns_trees())
         def check(xml):
-            assert resolved(xml) == list(
-                expat_parse_string(xml, namespace_aware=True)
-            )
+            assert resolved(xml) == expat_parse_string(xml)
 
         check()

@@ -6,7 +6,7 @@ import pytest
 
 from repro import XPathStream
 from repro.errors import ResourceLimitError
-from repro.stream.expat_source import ExpatSource
+from repro.stream.events import CountingHandler
 from repro.stream.recovery import RecoveryPolicy, ResourceLimits
 from repro.stream.tokenizer import XmlTokenizer, parse_string
 
@@ -203,27 +203,26 @@ class TestMachineCandidateLimits:
 
 
 class TestExpatLimits:
+    """The strict tokenizer's Expat path enforces the limits in its
+    callbacks (the Python scanner words the error)."""
+
+    def _feed(self, text, **limits):
+        tokenizer = XmlTokenizer(limits=ResourceLimits(**limits))
+        with pytest.raises(ResourceLimitError) as info:
+            tokenizer.feed_into(text, CountingHandler())
+        return info.value.limit
+
     def test_expat_depth_limit(self):
-        source = ExpatSource(limits=ResourceLimits(max_depth=5))
-        with pytest.raises(ResourceLimitError):
-            for _ in source.feed("<d>" * 10):
-                pass
+        assert self._feed("<d>" * 10, max_depth=5) == "max_depth"
 
     def test_expat_attribute_limit(self):
         tag = "<e " + " ".join(f"a{i}='v'" for i in range(20)) + "/>"
-        source = ExpatSource(limits=ResourceLimits(max_attributes=10))
-        with pytest.raises(ResourceLimitError):
-            for _ in source.feed(tag):
-                pass
+        assert self._feed(tag, max_attributes=10) == "max_attributes"
 
     def test_expat_text_limit(self):
-        source = ExpatSource(limits=ResourceLimits(max_text_length=10))
-        with pytest.raises(ResourceLimitError):
-            for _ in source.feed(f"<a>{'x' * 100}</a>"):
-                pass
+        text = f"<a>{'x' * 100}</a>"
+        assert self._feed(text, max_text_length=10) == "max_text_length"
 
     def test_expat_event_limit(self):
-        source = ExpatSource(limits=ResourceLimits(max_total_events=10))
-        with pytest.raises(ResourceLimitError):
-            for _ in source.feed("<r>" + "<a/>" * 50 + "</r>"):
-                pass
+        doc = "<r>" + "<a/>" * 50 + "</r>"
+        assert self._feed(doc, max_total_events=10) == "max_total_events"

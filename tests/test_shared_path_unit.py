@@ -178,14 +178,13 @@ class TestSharedPathUnit:
             engine.remove_query(name)
         assert engine.unit_count() == 0
 
-    def test_path_fleet_rides_turbo_until_a_callback_joins(self):
+    def test_path_fleet_shares_one_unit_while_a_callback_comes_and_goes(self):
         engine = MultiQueryEngine(PATH_QUERIES, compiled=True)
-        assert engine.as_handler().turbo_scan_safe
+        assert engine.unit_count() == 1
         engine.add_query("called", "//price", on_match=lambda node_id: None)
         assert engine.unit_count() == 1
-        assert not engine.as_handler().turbo_scan_safe
         engine.remove_query("called")
-        assert engine.as_handler().turbo_scan_safe
+        assert engine.unit_count() == 1
         assert engine.evaluate(XML) == MultiQueryEngine(PATH_QUERIES).evaluate(XML)
 
     def test_snapshot_holds_members_not_cache(self):

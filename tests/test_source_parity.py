@@ -1,17 +1,17 @@
-"""Error parity: both event sources reject the same malformed corpus
-with the same exception shape and comparable positions."""
+"""Error parity: the strict tokenizer (Expat) and the Python scanner
+reject the same malformed corpus with the same exception: type, message,
+line and column."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import XmlSyntaxError
-from repro.stream.expat_source import ExpatSource, expat_parse_string
 from repro.stream.tokenizer import XmlTokenizer, parse_string
 
-#: Malformed documents both sources must reject.  Both report the same
-#: line; columns may differ because the pure tokenizer points at the end
-#: of the offending construct while Expat points at its start.
+from tests.conftest import PythonScanner, python_events
+
+#: Malformed documents both scanners must reject, at the same position.
 MALFORMED_CORPUS = [
     "<a><1bad/></a>",
     "<a></b>",
@@ -27,9 +27,6 @@ MALFORMED_CORPUS = [
     "<a",
 ]
 
-COLUMN_TOLERANCE = 16
-
-
 def failure_of(parse, text: str) -> XmlSyntaxError:
     with pytest.raises(XmlSyntaxError) as info:
         list(parse(text))
@@ -38,17 +35,17 @@ def failure_of(parse, text: str) -> XmlSyntaxError:
 
 @pytest.mark.parametrize("text", MALFORMED_CORPUS)
 def test_both_sources_reject(text):
-    tok = failure_of(parse_string, text)
-    expat = failure_of(expat_parse_string, text)
-    assert tok.line == expat.line
-    assert abs(tok.column - expat.column) <= COLUMN_TOLERANCE
+    expat = failure_of(parse_string, text)
+    python = failure_of(python_events, text)
+    assert (expat.raw_message, expat.line, expat.column) == (
+        python.raw_message, python.line, python.column)
 
 
 @pytest.mark.parametrize("text", MALFORMED_CORPUS)
 def test_error_shape_is_uniform(text):
     """Both sources raise XmlSyntaxError with int line/column (1-based)
     and a location-free ``raw_message`` for diagnostics."""
-    for parse in (parse_string, expat_parse_string):
+    for parse in (parse_string, python_events):
         exc = failure_of(parse, text)
         assert isinstance(exc.line, int) and exc.line >= 1
         assert isinstance(exc.column, int) and exc.column >= 1
@@ -59,16 +56,16 @@ def test_error_shape_is_uniform(text):
 
 def test_multiline_position_parity():
     text = "<a>\n  <b>\n</a>"
-    tok = failure_of(parse_string, text)
-    expat = failure_of(expat_parse_string, text)
-    assert tok.line == expat.line == 3
+    expat = failure_of(parse_string, text)
+    python = failure_of(python_events, text)
+    assert (expat.line, expat.column) == (python.line, python.column) == (3, 5)
 
 
 class TestLifecycleParity:
     """feed()-after-close() and double-close() behave alike."""
 
     def make_sources(self):
-        return XmlTokenizer(), ExpatSource()
+        return XmlTokenizer(), PythonScanner()
 
     def test_feed_after_close_raises_in_both(self):
         for source in self.make_sources():
@@ -99,4 +96,4 @@ def test_well_formed_corpus_produces_identical_events():
         "<u>café ☃</u>",
     ]
     for text in corpus:
-        assert list(parse_string(text)) == list(expat_parse_string(text)), text
+        assert list(parse_string(text)) == python_events(text), text

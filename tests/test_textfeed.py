@@ -1,19 +1,21 @@
-"""The shared text path engages the turbo scanner exactly where it may.
+"""The shared text path parses strict feeds with Expat, and only those.
 
-Every correctness test would still pass if the faces stopped calling
-:func:`repro.compile.scan.turbo_feed` — only the compiled tier would get
-quietly slower — so these tests watch the scanner itself: it must run on
-every chunk of an eligible feed and never on an ineligible one.
+Every correctness test would still pass if the tokenizer stopped handing
+strict input to Expat — the faces would only get quietly slower — so
+these tests watch the parser itself: it must run on every chunk of a
+strict feed and never under a lenient policy.  That the results match
+the Python scanner's is the differential suite's job
+(``tests/test_expat_source.py``).
 """
 
 from __future__ import annotations
 
 import pytest
 
-import repro.compile.scan as scan
 from repro.core.processor import XPathStream
 from repro.multiq import MultiQueryEngine
 from repro.stream.recovery import ResourceLimits
+from repro.stream.tokenizer import XmlTokenizer
 from repro.transform.extract import SubstreamExtractor
 
 DOC = "<r>" + "<a><b><c>text</c></b><d k='v'/></a>" * 40 + "</r>"
@@ -21,16 +23,16 @@ CHUNK = 97
 
 
 @pytest.fixture
-def turbo_chunks(monkeypatch):
-    """Chunks the turbo scanner was handed, in order."""
+def expat_chunks(monkeypatch):
+    """Chunks handed to Expat, in order."""
     seen: list[str] = []
-    real = scan.turbo_feed
+    real = XmlTokenizer._parse_piece
 
-    def watched(tokenizer, chunk, handler):
-        seen.append(chunk)
-        real(tokenizer, chunk, handler)
+    def watched(tokenizer, data, handler):
+        seen.append(data)
+        real(tokenizer, data, handler)
 
-    monkeypatch.setattr(scan, "turbo_feed", watched)
+    monkeypatch.setattr(XmlTokenizer, "_parse_piece", watched)
     return seen
 
 
@@ -44,18 +46,22 @@ def _feed(face):
     return face.close()
 
 
-def test_compiled_path_stream_scans_every_chunk(turbo_chunks):
+def test_compiled_path_stream_scans_every_chunk(expat_chunks):
+    expected = XPathStream("//a/b").evaluate(DOC)
+    expat_chunks.clear()
     stream = XPathStream("//a/b", compiled=True)
     assert stream.engine_name == "dfa"
-    assert _feed(stream) == XPathStream("//a/b").evaluate(DOC)
-    assert turbo_chunks == _chunks()
+    assert _feed(stream) == expected
+    assert expat_chunks == _chunks()
 
 
-def test_compiled_path_multiq_scans_every_chunk(turbo_chunks):
+def test_compiled_path_multiq_scans_every_chunk(expat_chunks):
     queries = {"b": "//a/b", "c": "//b//c"}
+    expected = MultiQueryEngine(queries).evaluate(DOC)
+    expat_chunks.clear()
     engine = MultiQueryEngine(queries, compiled=True)
-    assert _feed(engine) == MultiQueryEngine(queries).evaluate(DOC)
-    assert turbo_chunks == _chunks()
+    assert _feed(engine) == expected
+    assert expat_chunks == _chunks()
 
 
 @pytest.mark.parametrize("face", [
@@ -71,10 +77,16 @@ def test_compiled_path_multiq_scans_every_chunk(turbo_chunks):
     pytest.param(lambda: MultiQueryEngine({"b": "//a/b"}, compiled=True,
                                           limits=ResourceLimits(max_depth=64)),
                  id="limited-multiq-input"),
-    pytest.param(lambda: XPathStream("//a/b", compiled=True, policy="repair"),
-                 id="lenient-stream"),
     pytest.param(lambda: SubstreamExtractor("//a/b"), id="extractor"),
 ])
-def test_ineligible_faces_never_turbo(turbo_chunks, face):
+def test_strict_faces_parse_every_chunk_with_expat(expat_chunks, face):
     _feed(face())
-    assert turbo_chunks == []
+    assert expat_chunks == _chunks()
+
+
+def test_lenient_face_never_reaches_expat(expat_chunks):
+    expected = XPathStream("//a/b").evaluate(DOC)
+    expat_chunks.clear()
+    stream = XPathStream("//a/b", compiled=True, policy="repair")
+    assert _feed(stream) == expected
+    assert expat_chunks == []

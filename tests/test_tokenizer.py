@@ -1,9 +1,11 @@
-"""Tests for the pure-Python incremental XML tokenizer."""
+"""Tests for the incremental XML tokenizer (strict input parses with
+Expat; ``tests/test_expat_source.py`` holds it to the Python scanner)."""
 
 import io
 
 import pytest
 
+from repro.bench.hotpath import ReferenceTokenizer
 from repro.errors import XmlSyntaxError
 from repro.stream.events import Characters, EndElement, StartElement
 from repro.stream.tokenizer import (
@@ -13,6 +15,8 @@ from repro.stream.tokenizer import (
     parse_file,
     parse_string,
 )
+
+from tests.conftest import PythonScanner
 
 
 def kinds(events):
@@ -94,6 +98,16 @@ class TestAttributes:
     def test_missing_value_rejected(self):
         with pytest.raises(XmlSyntaxError, match="no value"):
             list(parse_string("<a x></a>"))
+
+    @pytest.mark.parametrize("cls", [XmlTokenizer, PythonScanner, ReferenceTokenizer],
+                             ids=["expat", "fast-path", "slow-path"])
+    def test_line_ends_normalised_before_whitespace(self, cls):
+        """XML 1.0 normalises line ends (2.11) before attribute values
+        (3.3.3): a literal CR LF is one line end, so one space."""
+        tokenizer = cls()
+        start, _end = list(tokenizer.feed("<a x=\"1\r\n2\" y='3\r4' z='\t&#13;'/>"))
+        assert start.attributes == {"x": "1 2", "y": "3 4", "z": " \r"}
+        tokenizer.close()
 
 
 class TestEntities:

@@ -6,15 +6,16 @@ Three classes of property:
   :class:`XmlSyntaxError`; nothing else ever escapes;
 * **chunking invariance** — any split of a document into feed chunks
   yields exactly the same event stream as parsing it whole;
-* **agreement** — the pure-Python tokenizer and the Expat adapter agree
-  on every generated document.
+* **agreement** — the strict tokenizer (Expat) and the Python scanner
+  agree on every generated document.
 """
 
 from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import XmlSyntaxError
-from repro.stream.expat_source import expat_parse_string
 from repro.stream.tokenizer import parse_chunks, parse_string
+
+from tests.conftest import python_events
 
 # -- generated well-formed documents ----------------------------------------
 
@@ -54,9 +55,8 @@ def test_chunked_parsing_equals_whole(xml, chunk_size):
 @settings(max_examples=200, deadline=None)
 @given(xml=xml_documents())
 def test_expat_adapter_agrees(xml):
-    ours = list(parse_string(xml, skip_whitespace=False))
-    theirs = list(expat_parse_string(xml, skip_whitespace=False))
-    assert theirs == ours
+    expat = list(parse_string(xml, skip_whitespace=False))
+    assert expat == python_events(xml, skip_whitespace=False)
 
 
 # -- robustness on junk -------------------------------------------------------
