@@ -22,6 +22,7 @@ bench:
 
 multiq:
 	$(PYTHON) ci/multiq_smoke.py
+	$(PYTHON) -m pytest tests/test_multiq_shapes.py -q
 
 perf:
 	$(PYTHON) ci/perf_smoke.py

@@ -18,6 +18,9 @@ query a member of one shared lazy-DFA unit):
    256 events, never holds more de-duplication ids (the ``seen`` lists
    of its snapshots, summed) than 1% of the results it has emitted:
    sinks remember ids only for their machine's open root match.
+5. **Shared value shapes** — the default engine runs the 1000 queries on
+   at most 620 machine units: value-tested queries that differ only in
+   their constant share one value-shape unit (743 units without it).
 
 It then runs the full 10/100/1000 scaling benchmark and writes
 ``BENCH_multiq.json`` so the perf trajectory is recorded per commit.
@@ -42,6 +45,7 @@ MIN_REDUCTION = 50.0
 MAX_GATE_TESTS_PER_DELIVERY = 1.25
 SLICE_EVENTS = 256
 MAX_SEEN_SHARE = 0.01
+MAX_DEFAULT_UNITS = 620
 REPORT = "BENCH_multiq.json"
 
 
@@ -58,6 +62,14 @@ def gate(label: str, queries: dict, events: list, expected: dict,
         f"broadcast machine-events ({stats.reduction:.2f}x reduction), "
         f"{stats.gate_tests} gate tests"
     )
+
+    if not compiled and stats.units > MAX_DEFAULT_UNITS:
+        print(
+            f"FAIL: {label}: {stats.units} machine units is above the "
+            f"{MAX_DEFAULT_UNITS} bound (value shapes not shared?)",
+            file=sys.stderr,
+        )
+        return False
 
     failures = 0
     for name, query in queries.items():

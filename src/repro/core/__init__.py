@@ -4,6 +4,8 @@
 * :mod:`repro.core.pathm` — XP{/,//,*} evaluation (section 3.1).
 * :mod:`repro.core.branchm` — XP{/,[]} evaluation (section 3.2).
 * :mod:`repro.core.twigm` — XP{/,//,*,[]} evaluation (sections 3.3, 4).
+* :mod:`repro.core.valueshape` — one TwigM for many queries that differ
+  only in a value-test constant (the multi-query engine's shape units).
 * :mod:`repro.core.processor` — fragment dispatch and the public API.
 * :mod:`repro.core.textfeed` — the one text front door every face feeds
   raw XML through (tokenizer, close, snapshot key).

@@ -24,8 +24,11 @@ import argparse
 import sys
 
 from repro.errors import ReproError
+from repro.multiq.canon import SHAPE_CONSTANT, shape_text
 from repro.multiq.engine import MultiQueryEngine
+from repro.multiq.registry import ValueShapeUnit
 from repro.stream.tokenizer import parse_file, parse_string
+from repro.xpath.unparse import literal_text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--explain",
         action="store_true",
-        help="print each query's canonical form and machine to stderr",
+        help="print each query's canonical form and machine to stderr "
+        "(a value-shape machine once, with each member's constant)",
     )
     return parser
 
@@ -107,6 +111,32 @@ def _events(source: str):
     return parse_file(source)
 
 
+def _explain(engine: MultiQueryEngine) -> None:
+    """Each query's canonical form and machine, to stderr.
+
+    A value-shape unit prints once, where its first member registered:
+    the shape's canonical form, then each member with its constant.
+    """
+    canonical = engine.canonical_queries()
+    machines = engine.engine_names()
+    shown: set[int] = set()
+    for name in engine.names:
+        unit = engine.registration(name).unit
+        if not isinstance(unit, ValueShapeUnit):
+            print(f"{name}: {canonical[name]}  [{machines[name]}]", file=sys.stderr)
+            continue
+        if id(unit) in shown:
+            continue
+        shown.add(id(unit))
+        count = len(unit.names)
+        print(f"shape: {shape_text(unit.tree)}  [{machines[name]}, {count} "
+              f"member{'' if count == 1 else 's'}]", file=sys.stderr)
+        for member, constant in unit.members():
+            print(f"  {member}: {SHAPE_CONSTANT} = {literal_text(constant)}",
+                  file=sys.stderr)
+    print(f"{len(engine)} queries -> {engine.unit_count()} machines", file=sys.stderr)
+
+
 def main(argv: "list[str] | None" = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -125,17 +155,7 @@ def main(argv: "list[str] | None" = None) -> int:
 
         engine = MultiQueryEngine(queries, on_match=on_match)
         if args.explain:
-            canonical = engine.canonical_queries()
-            machines = engine.engine_names()
-            for name in engine.names:
-                print(
-                    f"{name}: {canonical[name]}  [{machines[name]}]",
-                    file=sys.stderr,
-                )
-            print(
-                f"{len(engine)} queries -> {engine.unit_count()} machines",
-                file=sys.stderr,
-            )
+            _explain(engine)
         engine.feed_events(_events(args.source))
         if args.count:
             for name in queries:

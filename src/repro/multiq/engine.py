@@ -49,9 +49,15 @@ from typing import Callable, Iterable, Mapping
 from repro.checkpoint import read_envelope, read_fields, restoring
 from repro.core.results import CallbackSink, CollectingSink, ResultSink
 from repro.core.textfeed import TextFeed
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, UnsupportedQueryError
 from repro.multiq.canon import canonical_text
-from repro.multiq.registry import EvalUnit, QueryRegistry, Registration, SharedPathUnit
+from repro.multiq.registry import (
+    EvalUnit,
+    QueryRegistry,
+    Registration,
+    SharedPathUnit,
+    ValueShapeUnit,
+)
 from repro.multiq.router import AlphabetRouter
 from repro.stream.events import EndElement, Event, EventHandler, StartElement
 from repro.stream.recovery import RecoveryPolicy, ResourceLimits, StreamDiagnostic
@@ -534,7 +540,9 @@ class MultiQueryEngine(TextFeed):
         dispatch counters (not ``gate_tests``, nor the open-label index:
         a restored engine seeds it from the tokenizer's open elements,
         or, for an event-fed capture, counts every label open until the
-        document element closes).
+        document element closes).  A value-shape unit's entry adds
+        ``"shape": true``; its ``queries`` list the members in slot
+        order, which the member masks in its machine state index.
         """
         return {
             "version": MULTIQ_SNAPSHOT_VERSION,
@@ -556,16 +564,7 @@ class MultiQueryEngine(TextFeed):
                 }
                 for registration in self._registry.registrations()
             ],
-            "units": [
-                {
-                    "queries": unit.names,
-                    "engine": unit.engine_name,
-                    "virgin": unit.virgin,
-                    "machine": unit.engine.snapshot_state(),
-                    "sinks": unit.sink.snapshot_state(),
-                }
-                for unit in self._registry.units()
-            ],
+            "units": [_unit_payload(unit) for unit in self._registry.units()],
             "tokenizer": self._tokenizer_snapshot(),
             "stats": {
                 "events": self._events,
@@ -643,7 +642,11 @@ class MultiQueryEngine(TextFeed):
         """Rebuild units and registrations, preserving grouping and order.
 
         Under ``compiled`` an unlimited ``dfa`` unit restores as a
-        :class:`~repro.multiq.registry.SharedPathUnit`.  Captures from
+        :class:`~repro.multiq.registry.SharedPathUnit`, and an entry
+        marked ``shape`` as a
+        :class:`~repro.multiq.registry.ValueShapeUnit` (members joined in
+        the listed order, so the captured member masks keep their
+        slots).  Captures from
         the release that ran one DFA unit per path query have no member
         lists; their units still on the DFA at one open tag path fold
         into one shared unit, and fallen ones keep their PathMs.
@@ -666,7 +669,7 @@ class MultiQueryEngine(TextFeed):
             unit_payload = read_fields(
                 unit_payload, "multiq unit entry",
                 required=("queries", "engine", "machine", "sinks"),
-                optional={"virgin": False},
+                optional={"virgin": False, "shape": False},
             )
             members = unit_payload["queries"]
             if not members:
@@ -701,6 +704,23 @@ class MultiQueryEngine(TextFeed):
                 unit = SharedPathUnit(members[0], tree, sinks[members[0]],
                                       metrics=self._metrics)
                 for member in members[1:]:
+                    unit.join(member, trees[member], sinks[member])
+            elif unit_payload["shape"]:
+                if (unit_payload["engine"] != "twigm" or limits is not None
+                        or any(payloads[member]["tracked"]
+                               or payloads[member]["emission"] != "default"
+                               for member in members)):
+                    raise CheckpointError(
+                        "multiq snapshot shape unit is not an unlimited, "
+                        "untracked default-mode TwigM"
+                    )
+                try:
+                    unit = ValueShapeUnit(tree)
+                except UnsupportedQueryError as exc:
+                    raise CheckpointError(
+                        f"multiq snapshot shape unit: {exc}"
+                    ) from exc
+                for member in members:
                     unit.join(member, trees[member], sinks[member])
             else:
                 tracked = bool(first["tracked"])
@@ -769,6 +789,20 @@ class MultiQueryEngine(TextFeed):
             on_match(_name, node_id)
 
         return CallbackSink(forward)
+
+
+def _unit_payload(unit: EvalUnit) -> dict:
+    """One unit's snapshot entry (see :meth:`MultiQueryEngine.snapshot`)."""
+    payload = {
+        "queries": unit.names,
+        "engine": unit.engine_name,
+        "virgin": unit.virgin,
+        "machine": unit.engine.snapshot_state(),
+        "sinks": unit.sink.snapshot_state(),
+    }
+    if isinstance(unit, ValueShapeUnit):
+        payload["shape"] = True
+    return payload
 
 
 class _MultiQueryHandler(EventHandler):

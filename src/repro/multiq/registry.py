@@ -22,6 +22,16 @@ Under ``compiled`` every predicate-free registration without limits,
 tracker or lag probe is a member of one :class:`SharedPathUnit` (one
 lazy DFA over all their trunks).  Members join only while it is virgin,
 for the same reason; a path query added later opens a fresh one.
+
+TwigM registrations that are equal once the constant of their one value
+test is left out (:func:`~repro.multiq.canon.shape_key`) are members of
+one :class:`ValueShapeUnit` (one
+:class:`~repro.core.valueshape.ValueShapeTwigM` evaluating every
+constant with one lookup), when the machine's scope rule admits the
+shape (:func:`~repro.core.valueshape.shape_scope`) and the query runs in
+default emission mode without limits, tracker, lag probe or metrics.
+Members join while the unit is virgin and leave at any time, like the
+shared path unit's.
 """
 
 from __future__ import annotations
@@ -29,9 +39,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.pathm import PathM
-from repro.core.processor import select_engine_class
+from repro.core.processor import build_engine, select_engine_class
 from repro.core.results import ResultSink
-from repro.multiq.canon import DedupKey, canonical_text, canonicalize, dedup_key
+from repro.core.twigm import TwigM
+from repro.core.valueshape import ValueShapeTwigM
+from repro.errors import UnsupportedQueryError
+from repro.multiq.canon import (
+    DedupKey,
+    canonical_text,
+    canonicalize,
+    dedup_key,
+    shape_key,
+)
 from repro.stream.recovery import ResourceLimits
 from repro.xpath.querytree import QueryTree
 
@@ -100,7 +119,6 @@ class EvalUnit:
         lag_probe=None,
         engine_sink: ResultSink | None = None,
     ):
-        from repro.core.processor import build_engine
         from repro.multiq.router import machine_alphabet
 
         self.tree = tree
@@ -111,7 +129,7 @@ class EvalUnit:
             # Candidate-lifetime tracking is a TwigM capability; fragment
             # consumers (repro.transform) force the full machine.
             engine_name = "twigm"
-        self.engine = build_engine(
+        self.engine = self._build_engine(
             tree, self.sink if engine_sink is None else engine_sink,
             engine=engine_name, compiled=compiled,
             limits=limits, metrics=metrics, emission=emission,
@@ -136,6 +154,10 @@ class EvalUnit:
         #: virgin units accept additional sharers (cold state ≡ fresh
         #: machine).  Events the router gates away do not count.
         self.virgin = True
+
+    @staticmethod
+    def _build_engine(tree: QueryTree, sink: ResultSink, **options):
+        return build_engine(tree, sink, **options)
 
     @property
     def engine_name(self) -> str:
@@ -190,6 +212,49 @@ class SharedPathUnit(EvalUnit):
         return False
 
 
+class ValueShapeUnit(EvalUnit):
+    """Queries equal up to one value-test constant, as members of one
+    :class:`~repro.core.valueshape.ValueShapeTwigM`.
+
+    ``key`` is the members' :func:`~repro.multiq.canon.shape_key`; each
+    member's machine slot is its position in :attr:`names` (registration
+    order, closed up when a member leaves).  Raises
+    :class:`~repro.errors.UnsupportedQueryError` for a shape outside the
+    machine's scope.
+    """
+
+    __slots__ = ("key",)
+
+    def __init__(self, tree: QueryTree):
+        found = shape_key(tree)
+        if found is None:
+            raise UnsupportedQueryError("the query has no single value test")
+        self.key = found[0]
+        super().__init__(tree)
+
+    @staticmethod
+    def _build_engine(tree: QueryTree, sink: ResultSink, **_options):
+        return ValueShapeTwigM(tree, sink)
+
+    def members(self) -> "list[tuple[str, str | float]]":
+        """``(name, constant)`` per member, in slot order."""
+        return list(zip(self.sink.sinks, self.engine.constants))
+
+    def join(self, name: str, tree: QueryTree, sink: ResultSink) -> None:
+        found = shape_key(tree)
+        if found is None or found[0] != self.key:
+            raise ValueError(f"query {name!r} does not have this unit's shape")
+        self.engine.add_member(found[1], sink)
+        self.sink.add(name, sink)
+
+    def leave(self, name: str) -> bool:
+        sink = self.sink.remove(name)
+        if not self.sink.sinks:
+            return True
+        self.engine.remove_member(sink)
+        return False
+
+
 @dataclass(slots=True)
 class Registration:
     """One named standing query and the unit evaluating it."""
@@ -222,6 +287,8 @@ class QueryRegistry:
         #: The shared path unit new compiled path queries join while it
         #: is virgin.
         self._shared: SharedPathUnit | None = None
+        #: Value-shape units by shape key, in creation order.
+        self._shapes: dict[DedupKey, list[ValueShapeUnit]] = {}
 
     # -- introspection --------------------------------------------------
 
@@ -294,7 +361,10 @@ class QueryRegistry:
         any unit this call creates (joined units already have theirs);
         it puts an unlimited, untracked, unprobed path query into the
         :class:`SharedPathUnit` (any emission mode: path engines emit at
-        the start tag either way).
+        the start tag either way).  A shareable default-mode TwigM query
+        with one value test and neither limits nor ``metrics`` joins (or
+        opens) the virgin :class:`ValueShapeUnit` of its shape, when the
+        shape is in scope.
         """
         if name in self._registrations:
             raise ValueError(f"duplicate query name {name!r}")
@@ -313,6 +383,11 @@ class QueryRegistry:
                 unit = created = SharedPathUnit(name, tree, sink, metrics=metrics)
                 if share:
                     self._shared = created
+        elif (share and emission == "default" and limits is None and metrics is None
+              and (unit := self._shape_unit(tree)) is not None):
+            if not unit.sink.sinks:  # opened for this registration
+                created = unit
+            unit.join(name, tree, sink)
         else:
             # Emission mode joins the sharing key: a default-mode sharer
             # must not receive a mixed-in earliest unit's early emissions.
@@ -342,6 +417,23 @@ class QueryRegistry:
         self._registrations[name] = registration
         return registration, created
 
+    def _shape_unit(self, tree: QueryTree) -> "ValueShapeUnit | None":
+        """The virgin value-shape unit ``tree`` joins (opened if need be),
+        or ``None`` when the query has no shape, does not run on TwigM or
+        its shape is out of the machine's scope."""
+        found = shape_key(tree)
+        if found is None or select_engine_class(tree) is not TwigM:
+            return None
+        for candidate in self._shapes.get(found[0], ()):
+            if candidate.virgin:
+                return candidate
+        try:
+            unit = ValueShapeUnit(tree)
+        except UnsupportedQueryError:
+            return None
+        self._shapes.setdefault(unit.key, []).append(unit)
+        return unit
+
     def adopt(self, registration: Registration, new_unit: bool) -> None:
         """Install a pre-built registration (snapshot restore path)."""
         if registration.name in self._registrations:
@@ -350,6 +442,9 @@ class QueryRegistry:
         if isinstance(unit, SharedPathUnit):
             if unit.virgin:
                 self._shared = unit
+        elif isinstance(unit, ValueShapeUnit):
+            if new_unit:
+                self._shapes.setdefault(unit.key, []).append(unit)
         elif new_unit:
             key = (dedup_key(registration.tree, registration.limits),
                    registration.emission)
@@ -365,10 +460,14 @@ class QueryRegistry:
             return registration, False
         if unit is self._shared:
             self._shared = None
-        key = (dedup_key(registration.tree, registration.limits),
-               registration.emission)
-        peers = self._units.get(key, [])
+        if isinstance(unit, ValueShapeUnit):
+            units, key = self._shapes, unit.key
+        else:
+            units = self._units
+            key = (dedup_key(registration.tree, registration.limits),
+                   registration.emission)
+        peers = units.get(key, [])
         peers[:] = [peer for peer in peers if peer is not unit]
-        if not peers and key in self._units:
-            del self._units[key]
+        if not peers and key in units:
+            del units[key]
         return registration, True

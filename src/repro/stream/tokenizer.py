@@ -11,8 +11,12 @@ leading byte-order mark, any DOCTYPE, a non-ASCII name the scanner
 rejects) goes to it before any event is delivered, and on any Expat error
 the chunk is re-scanned by it from the chunk-start state, dropping the
 events already delivered, so errors carry its message and position and
-input it accepts (``&#0;``, ``]]>`` in text, a late ``<?xml?>``) parses
-on.  Both paths deliver identical events and take identical snapshots.
+input it accepts (``]]>`` in text, a late ``<?xml?>``) parses on.  Under
+``strict`` the scanner rejects what Expat rejects in character
+references (``&#0;``, surrogates: any code point outside XML's ``Char``)
+and attribute lists (a literal ``<`` in a value, no whitespace between
+attributes).  Both paths deliver identical events and take identical
+snapshots.
 
 The tokenizer is *streaming*: it accepts arbitrary chunks of text and
 reports every event that is complete so far, buffering only the
@@ -134,6 +138,14 @@ _NO_ATTRIBUTES: dict[str, str] = {}
 _MISC_NOT = 0  # the construct at pos is a plain tag
 _MISC_CONSUMED = 1  # comment/CDATA/PI/DOCTYPE consumed; rescan
 _MISC_INCOMPLETE = 2  # construct still incomplete; wait for more input
+
+
+def _is_xml_char(code: int) -> bool:
+    """XML 1.0 ``Char``: tab, LF, CR and the non-surrogate code points
+    from U+0020, less U+FFFE and U+FFFF."""
+    if code < 0x20:
+        return code in (0x9, 0xA, 0xD)
+    return code <= 0xD7FF or 0xE000 <= code <= 0xFFFD or 0x10000 <= code <= 0x10FFFF
 
 
 def _is_name(text: str) -> bool:
@@ -1434,6 +1446,7 @@ class XmlTokenizer:
         if not _is_name(tag):
             self._error(f"malformed tag name {tag!r}")
         limits = self._limits
+        strict = self._policy is RecoveryPolicy.STRICT
         attributes: dict[str, str] = {}
         while index < length:
             while index < length and body[index] in _WHITESPACE:
@@ -1462,6 +1475,11 @@ class XmlTokenizer:
                 self._error(f"unterminated value for attribute {name!r} in <{tag}>")
             if name in attributes:
                 self._error(f"duplicate attribute {name!r} in <{tag}>")
+            if strict:
+                if "<" in body[index:end]:
+                    self._error(f"'<' in the value of attribute {name!r} in <{tag}>")
+                if end + 1 < length and body[end + 1] not in _WHITESPACE:
+                    self._error(f"no whitespace after attribute {name!r} in <{tag}>")
             # XML attribute-value normalisation: line ends are normalised
             # first (a literal \r\n is one line end, so one space), then
             # literal whitespace becomes a space *before* entity decoding
@@ -1564,9 +1582,12 @@ class XmlTokenizer:
         if name.startswith("#"):
             try:
                 code = int(name[2:], 16) if name[1:2] in ("x", "X") else int(name[1:])
-                return chr(code)
+                char = chr(code)
             except (ValueError, OverflowError):
                 self._error(f"bad character reference &{name};")
+            if self._policy is RecoveryPolicy.STRICT and not _is_xml_char(code):
+                self._error(f"reference to invalid character &{name};")
+            return char
         self._error(f"unknown entity &{name}; (non-validating parser, no DTD entities)")
 
 

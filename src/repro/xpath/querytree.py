@@ -294,17 +294,28 @@ class QueryNode:
     # because β-indices follow it.  This is what lets the multi-query
     # engine share one machine among identical standing queries.
 
-    def structure(self) -> tuple:
-        """Hashable structural fingerprint of this subtree."""
+    def structure(self, abstract: "QueryNode | None" = None) -> tuple:
+        """Hashable structural fingerprint of this subtree.
+
+        ``abstract`` names one node whose value-test constants are left
+        out (each test keeps its op and literal kind): the fingerprint
+        of a query *shape* (:func:`repro.multiq.canon.shape_key`).
+        """
+        if self is abstract:
+            value_tests = tuple(
+                (test.op, type(test.literal).__name__) for test in self.value_tests
+            )
+        else:
+            value_tests = tuple(self.value_tests)
         return (
             self.name,
             self.axis,
             self.is_return,
             self.on_trunk,
             tuple(self.attribute_tests),
-            tuple(self.value_tests),
+            value_tests,
             None if self.condition is None else condition_structure(self.condition),
-            tuple(child.structure() for child in self.children),
+            tuple(child.structure(abstract) for child in self.children),
         )
 
     def __eq__(self, other: object) -> bool:

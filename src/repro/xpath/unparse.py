@@ -36,7 +36,8 @@ from repro.xpath.querytree import (
 )
 
 
-def _literal(value: "str | float") -> str:
+def literal_text(value: "str | float") -> str:
+    """A literal as canonical text prints it: ``'x'``, ``5`` or ``2.5``."""
     if isinstance(value, str):
         return f"'{value}'"
     if value == int(value):
@@ -44,8 +45,8 @@ def _literal(value: "str | float") -> str:
     return repr(value)
 
 
-def _value_test(test: ValueTest) -> str:
-    return f"{test.op} {_literal(test.literal)}"
+def _value_test(test: ValueTest, constant: "str | None" = None) -> str:
+    return f"{test.op} {literal_text(test.literal) if constant is None else constant}"
 
 
 def _attribute_test(test: AttributeTest) -> str:
@@ -54,23 +55,26 @@ def _attribute_test(test: AttributeTest) -> str:
     return f"@{test.name} {_value_test(test.value_test)}"
 
 
-def _branch_step(node: QueryNode) -> str:
+def _branch_step(node: QueryNode, constant: "str | None" = None) -> str:
     """One branch node as it appears inside a bracket: ``.//name[...]``."""
     prefix = ".//" if node.axis == DESCENDANT_EDGE else ""
-    return f"{prefix}{node.name}{_suffix(node)}"
+    return f"{prefix}{node.name}{_suffix(node, constant)}"
 
 
-def _suffix(node: QueryNode) -> str:
-    """Everything bracketed onto a node: children, tests, or condition."""
+def _suffix(node: QueryNode, constant: "str | None" = None) -> str:
+    """Everything bracketed onto a node: children, tests, or condition.
+
+    ``constant`` replaces the literal of every string-value test.
+    """
     if node.condition is not None:
         return f"[{_condition_text(node.condition, top=True)}]"
     parts = [
-        f"[{_branch_step(child)}]"
+        f"[{_branch_step(child, constant)}]"
         for child in node.children
         if not child.on_trunk
     ]
     parts += [f"[{_attribute_test(test)}]" for test in node.attribute_tests]
-    parts += [f"[. {_value_test(test)}]" for test in node.value_tests]
+    parts += [f"[. {_value_test(test, constant)}]" for test in node.value_tests]
     return "".join(parts)
 
 
@@ -91,14 +95,19 @@ def _condition_text(condition: Condition, top: bool = False) -> str:
     return f". {_value_test(condition.test)}"
 
 
-def unparse_query(tree: "QueryTree | QueryNode") -> str:
-    """Render a compiled query (sub)tree as canonical XPath text."""
+def unparse_query(tree: "QueryTree | QueryNode", constant: "str | None" = None) -> str:
+    """Render a compiled query (sub)tree as canonical XPath text.
+
+    With ``constant`` (say ``"$c"``) the literals of string-value tests
+    outside boolean conditions print as that text instead: the spelling
+    of a value shape (:func:`repro.multiq.canon.shape_text`).
+    """
     node: QueryNode | None = tree.root if isinstance(tree, QueryTree) else tree
     parts: list[str] = []
     while node is not None:
         parts.append("//" if node.axis == DESCENDANT_EDGE else "/")
         parts.append(node.name)
-        parts.append(_suffix(node))
+        parts.append(_suffix(node, constant))
         trunk = [child for child in node.children if child.on_trunk]
         node = trunk[0] if trunk else None
     return "".join(parts)

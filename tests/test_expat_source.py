@@ -218,6 +218,37 @@ class TestExpatSpecifics:
         assert list(parse_chunks(chunks)) == python_events(chunks)
 
 
+#: Ill-formed input Expat rejects and the strict scanner rejects too, with
+#: its own message and position; lenient policies still read it.
+STRICT_REJECTS = {
+    "<a>&#0;</a>": ("reference to invalid character &#0;", 1, 8),
+    "<a>&#xD800;</a>": ("reference to invalid character &#xD800;", 1, 12),
+    "<a>&#x110000;</a>": ("bad character reference &#x110000;", 1, 14),
+    "<a x='&#0;'/>": ("reference to invalid character &#0;", 1, 14),
+    "<a x='<'/>": ("'<' in the value of attribute 'x' in <a>", 1, 11),
+    "<a b='1'c='2'/>": ("no whitespace after attribute 'b' in <a>", 1, 16),
+}
+
+
+class TestStrictRejects:
+    @pytest.mark.parametrize("doc", list(STRICT_REJECTS))
+    def test_strict_rejects_with_the_scanners_message(self, doc):
+        message, line, column = STRICT_REJECTS[doc]
+        for size in CHUNKINGS:
+            outcomes = [run(cls(), _chunks(doc, size))
+                        for cls in (XmlTokenizer, PythonScanner)]
+            for _events, _snapshots, error in outcomes:
+                assert error == ("XmlSyntaxError", message, line, column), size
+            assert outcomes[0][0] == outcomes[1][0], size
+
+    @pytest.mark.parametrize("doc", [d for d in STRICT_REJECTS if "110000" not in d])
+    def test_lenient_policies_still_read_it(self, doc):
+        for policy in ("skip", "repair"):
+            events, _snapshots, error = run(XmlTokenizer(policy=policy), [doc])
+            assert error is None
+            assert [type(event).__name__ for event in events][0] == "StartElement"
+
+
 class TestDifferential:
     @pytest.mark.parametrize("size", CHUNKINGS)
     @pytest.mark.parametrize("doc", DOCUMENTS + DIVERGENCE_CORPUS + MALFORMED_CORPUS)

@@ -448,3 +448,33 @@ def test_bad_values_raise_only_checkpoint_error(entry):
     _at(blob, parent)[last] = value
     with pytest.raises(CheckpointError):
         reader(blob)
+
+
+# -- value-shape groups ---------------------------------------------------------
+
+@pytest.mark.parametrize("mode", ["collect", "callback"])
+def test_value_shape_capture_restores(mode):
+    """``multiq_shapes_snapshot.json`` was written by the release that ran
+    one TwigM unit per value-tested query: three ``<`` constants (one
+    repeated), two numeric and two string ``=`` constants, and an
+    ``//open_auction[bidder/increase > C]/current`` group whose return
+    node is not the value node.  It is cut inside an ``<increase>``
+    element, once with collecting sinks and once with callbacks; either
+    must finish with the ids of an uninterrupted run, per query and in
+    order, however today's engine would group the queries."""
+    golden = _load("multiq_shapes_snapshot.json")
+    snapshot = golden["snapshots"][mode]
+    assert DOC[:golden["cut"]].endswith("<increase>")
+    expected = MultiQueryEngine(golden["queries"]).evaluate(DOC)
+    assert expected == golden["expected"]
+    if mode == "collect":
+        resumed = MultiQueryEngine.restore(snapshot)
+        resumed.feed_text(DOC[golden["cut"]:])
+        assert resumed.close() == expected
+        return
+    fired = {name: list(ids) for name, ids in golden["fired"].items()}
+    resumed = MultiQueryEngine.restore(
+        snapshot, on_match=lambda name, node_id: fired[name].append(node_id))
+    resumed.feed_text(DOC[golden["cut"]:])
+    resumed.close()
+    assert fired == expected
