@@ -25,11 +25,11 @@ import tracemalloc
 from pathlib import Path
 
 import repro
-from repro.core.fragments import FragmentCapture
 from repro.datasets.protein import protein_events
 from repro.datasets.stats import collect_stats
 from repro.stream.tokenizer import parse_file
 from repro.stream.writer import write_events
+from repro.transform import select
 
 
 def build_corpus(directory: Path, n_entries: int) -> Path:
@@ -56,11 +56,11 @@ def count_by_organism(path: Path) -> None:
 
 def fragments_of_collaborations(path: Path) -> None:
     print("\n== reference fragments with a volume attribute ==")
-    capture = FragmentCapture("//reference[refinfo/@refid]//citation")
     shown = 0
-    for _node_id, fragment in capture.evaluate(str(path)):
+    for fragment in select(path, "//reference[refinfo/@refid]//citation"):
+        text = fragment.text
         if shown < 3:
-            print("  ", fragment[:76] + ("..." if len(fragment) > 76 else ""))
+            print("  ", text[:76] + ("..." if len(text) > 76 else ""))
         shown += 1
     print(f"  ({shown} fragments total)")
 

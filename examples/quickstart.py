@@ -11,7 +11,7 @@ fragment output.
 """
 
 import repro
-from repro.core.fragments import evaluate_fragments
+from repro.transform import select
 
 CATALOG = """\
 <catalog>
@@ -47,8 +47,8 @@ def one_shot() -> None:
 
 def fragments() -> None:
     print("\n== XML fragment output (like the paper's implementation) ==")
-    for fragment in evaluate_fragments("//book[price < 30]/title", CATALOG):
-        print(" ", fragment)
+    for fragment in select(CATALOG, "//book[price < 30]/title"):
+        print(" ", fragment.text)
 
 
 def engine_dispatch() -> None:

@@ -10,12 +10,14 @@
 * :mod:`repro.core.textfeed` — the one text front door every face feeds
   raw XML through (tokenizer, close, snapshot key).
 * :mod:`repro.core.results` — incremental result sinks.
-* :mod:`repro.core.fragments` — XML-fragment output with buffer GC.
 * :mod:`repro.core.debug` — machine/state rendering and tracing.
+
+The paper's XML-fragment output (footnote 3) is built on TwigM's
+:class:`~repro.core.twigm.CandidateTracker` hook one layer up, in
+:mod:`repro.transform.extract` (``select``/``SubstreamExtractor``).
 """
 
 from repro.core.branchm import BranchM, evaluate_branchm
-from repro.core.fragments import FragmentCapture, evaluate_fragments
 from repro.core.machine import EDGE_EQ, EDGE_GE, Machine, MachineNode, build_machine
 from repro.core.pathm import PathM, evaluate_pathm
 from repro.core.processor import XPathStream, evaluate, select_engine_class
@@ -24,8 +26,6 @@ from repro.core.twigm import CandidateTracker, StackEntry, TwigM, evaluate_twigm
 
 __all__ = [
     "CandidateTracker",
-    "FragmentCapture",
-    "evaluate_fragments",
     "EDGE_EQ",
     "EDGE_GE",
     "BranchM",

@@ -100,7 +100,8 @@ class CandidateTracker:
     entry's candidate set), release (a set holding it was popped), and
     emission.  A candidate whose reference count — creations plus
     retentions minus releases — reaches zero without emission can never
-    be output; :class:`repro.core.fragments.FragmentCapture` uses that to
+    be output; :class:`repro.transform.extract.SubstreamExtractor` (through
+    :class:`repro.transform.base._FragmentTracker`) uses that to
     garbage-collect buffered XML fragments as early as possible.
     """
 
@@ -131,7 +132,7 @@ class TwigM:
         :attr:`results`.
     tracker:
         Optional :class:`CandidateTracker` observing candidate lifetimes
-        (used by fragment capture for buffer garbage collection).
+        (used by fragment extraction for buffer garbage collection).
     eager:
         Eager-emission control: ``None`` (default) emits at the return
         element's end tag whenever that is sound (no predicates above

@@ -269,7 +269,7 @@ class Registration:
     #: recorded so snapshots know how to rebuild the sink.
     callback: bool
     #: True when the unit's machine runs with a candidate tracker
-    #: (fragment capture); recorded so restore can re-attach one.
+    #: (fragment extraction); recorded so restore can re-attach one.
     tracked: bool = False
     #: The query's emission mode ("default"/"earliest"); part of the
     #: sharing key — mixed-mode queries never share a per-query machine

@@ -10,13 +10,14 @@ is the strict reference: a document Expat would report differently (a
 leading byte-order mark, any DOCTYPE, a non-ASCII name the scanner
 rejects) goes to it before any event is delivered, and on any Expat error
 the chunk is re-scanned by it from the chunk-start state, dropping the
-events already delivered, so errors carry its message and position and
-input it accepts (``]]>`` in text, a late ``<?xml?>``) parses on.  Under
-``strict`` the scanner rejects what Expat rejects in character
-references (``&#0;``, surrogates: any code point outside XML's ``Char``)
-and attribute lists (a literal ``<`` in a value, no whitespace between
-attributes).  Both paths deliver identical events and take identical
-snapshots.
+events already delivered, so errors carry its message and position.
+Under ``strict`` the scanner rejects what Expat rejects in character
+references (``&#0;``, surrogates: any code point outside XML's ``Char``),
+attribute lists (a literal ``<`` in a value, no whitespace between
+attributes), character data (``]]>``, control characters), processing
+instructions (a target that is not a name, an XML declaration anywhere
+but at the very start) and comments (one ending ``--->``).  Both paths
+deliver identical events and take identical snapshots.
 
 The tokenizer is *streaming*: it accepts arbitrary chunks of text and
 reports every event that is complete so far, buffering only the
@@ -133,6 +134,14 @@ _FAST_ATTR_RE = re.compile(
 #: Shared attribute mapping for attribute-less start tags on the push
 #: fast path.  Handlers must treat it as read-only.
 _NO_ATTRIBUTES: dict[str, str] = {}
+
+#: What literal character data may not hold under ``strict`` (Expat
+#: rejects each): the CDATA end marker, C0 controls other than tab, LF
+#: and CR, and U+FFFE/U+FFFF.
+_BAD_TEXT_RE = re.compile("]]>|[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
+
+#: An XML declaration (not ``<?xml-stylesheet``, say).
+_XML_DECL_RE = re.compile(r"<\?xml[\s?]")
 
 # Return codes of :meth:`XmlTokenizer._handle_misc_markup`.
 _MISC_NOT = 0  # the construct at pos is a plain tag
@@ -714,9 +723,15 @@ class XmlTokenizer:
                 return
         if not self._seen_root:
             prolog = self._buffer + data
-            if "<!DOCTYPE" in prolog or "\ufeff" in prolog:
+            cursor = self._cursor
+            if "<!DOCTYPE" in prolog or "\ufeff" in prolog or (
+                (cursor.line, cursor.column) != (1, 1)
+                and _XML_DECL_RE.search(prolog)
+            ):
                 # A DOCTYPE can declare entities and default attributes,
-                # and Expat skips a byte-order mark the scanner rejects.
+                # Expat skips a byte-order mark the scanner rejects, and
+                # a parser built after a restore takes an XML declaration
+                # past the document's start for its own start.
                 self._leave_expat(handler, data)
                 return
         if handler is not self._bound:
@@ -1080,7 +1095,9 @@ class XmlTokenizer:
         Emits only what cannot be the start of an entity split across
         chunks (a small tail is held back if an unterminated ``&`` is
         pending), and otherwise holds back a final ``\\r``: it may be the
-        first half of a ``\\r\\n`` pair split across chunks.
+        first half of a ``\\r\\n`` pair split across chunks.  Under
+        ``strict`` a final ``]`` or ``]]`` inside the document element is
+        held back too, so a ``]]>`` split across chunks is seen whole.
         """
         buffer = self._buffer
         amp = buffer.rfind("&", pos)
@@ -1089,8 +1106,27 @@ class XmlTokenizer:
             cut = amp
         elif cut > pos and buffer[cut - 1] == "\r":
             cut -= 1
+        elif self._stack and self._policy is RecoveryPolicy.STRICT:
+            while cut > max(pos, len(buffer) - 2) and buffer[cut - 1] == "]":
+                cut -= 1
         if cut > pos:
-            self._push_text(self._consume(cut - pos))
+            self._push_raw_text(cut)
+
+    def _push_raw_text(self, end: int) -> None:
+        """Consume ``buffer[pos:end]`` and stage it as character data.
+
+        Under ``strict`` a literal ``]]>`` or a character
+        :data:`_BAD_TEXT_RE` names is an error at its own position.
+        """
+        pos = self._pos
+        if self._policy is RecoveryPolicy.STRICT:
+            bad = _BAD_TEXT_RE.search(self._buffer, pos, end)
+            if bad is not None:
+                self._advance_span(pos, bad.start())
+                if bad.group() == "]]>":
+                    self._error("']]>' not allowed in character data")
+                self._error(f"character {bad.group()!r} not allowed in character data")
+        self._push_text(self._consume(end - pos))
 
     def _handle_misc_markup(self, pos: int, strict: bool) -> int:
         """Handle a non-element construct at ``pos`` (which holds ``<``).
@@ -1107,7 +1143,7 @@ class XmlTokenizer:
             if end == -1:
                 return _MISC_INCOMPLETE
             comment = buffer[pos + 4:end]
-            if "--" in comment:
+            if "--" in comment or (strict and comment.endswith("-")):
                 if strict:
                     self._error("'--' not allowed inside a comment")
                 self._diagnose("'--' inside a comment", ACTION_SKIPPED)
@@ -1126,6 +1162,8 @@ class XmlTokenizer:
             end = buffer.find("?>", pos + 2)
             if end == -1:
                 return _MISC_INCOMPLETE
+            if strict:
+                self._check_pi_target(buffer[pos + 2:end])
             self._consume(end + 2 - pos)
             return _MISC_CONSUMED
         if buffer.startswith("<!", pos):
@@ -1148,6 +1186,23 @@ class XmlTokenizer:
                 return _MISC_INCOMPLETE  # closing '>' not received yet
             return _MISC_CONSUMED
         return _MISC_NOT
+
+    def _check_pi_target(self, body: str) -> None:
+        """Reject a processing instruction Expat rejects (``strict``).
+
+        Its target must be a name; ``xml`` (in any case) is reserved for
+        the XML declaration, which only the very first characters of the
+        document may hold.
+        """
+        target = body.split(None, 1)[0] if body[:1].strip() else ""
+        if not _is_name(target):
+            self._error(f"processing instruction target {target!r} is not a name")
+        if target.lower() == "xml":
+            cursor = self._cursor
+            if target != "xml":
+                self._error(f"reserved processing instruction target {target!r}")
+            if cursor.line != 1 or cursor.column != 1:
+                self._error("XML declaration not at the start of the document")
 
     def _scan_into(self, handler, stop: int) -> None:
         """The scanner: drive ``handler`` from the buffered input.
@@ -1175,7 +1230,7 @@ class XmlTokenizer:
                 self._stage_text_tail(pos)
                 return
             if lt > pos:
-                self._push_text(self._consume(lt - pos))
+                self._push_raw_text(lt)
                 pos = lt
             # Fast path: common start-tag shapes, matched in C.
             match = start_match(buffer, pos)

@@ -9,9 +9,11 @@ same skeleton:
   queries (one per select, one per rule) over the *input* stream, with a
   :class:`_FragmentTracker` attached to each query so candidate lifetimes —
   created / retained / released / emitted — become observable;
-* every input event is fed to the match engine **first**, then to the
-  transform's own buffering/output logic, so verdicts queued by the engine
-  during an event are processed after the transform has recorded the event;
+* every input event is fed to the match engine **first**, through its
+  dispatch handler bound once per engine (at construction and restore),
+  then to the transform's own buffering/output logic, so verdicts queued
+  by the engine during an event are processed after the transform has
+  recorded the event;
 * the verdict of a candidate is derived from its tracker story: *emitted*
   means the query confirmed the node (the subtree is a match), a refcount
   reaching zero without an emission means every pattern match involving the
@@ -19,7 +21,9 @@ same skeleton:
 
 The tracker story gives every candidate exactly one verdict by end of
 document, which is what lets the transforms bound their buffering: a
-subtree is held only while its verdict is genuinely unknowable.
+subtree is held only while its verdict is genuinely unknowable.  It is
+the package's only fragment engine: the paper's XML-fragment output
+(footnote 3) is :func:`repro.transform.extract.select`.
 
 :func:`immediate_match` classifies queries whose verdict is known at the
 candidate's *start* tag — creation already implies emission at its own end
@@ -78,12 +82,13 @@ def immediate_match(unit) -> bool:
 class _FragmentTracker(CandidateTracker):
     """Reference-counted candidate lifetimes for one query.
 
-    Mirrors the bookkeeping of
-    :class:`repro.core.fragments.FragmentCapture`: a candidate is *dead*
-    when its last reference is released without an emission ever having
-    happened; releases that follow an emission are not death (the eager
-    path emits and releases in the same breath).  Verdicts are forwarded
-    to the owning transform as ``("emit" | "dead", name, node_id)``.
+    This is the one candidate-lifetime tracker of the package, behind
+    every fragment the paper's output mode produces (footnote 3): a
+    candidate is *dead* when its last reference is released without an
+    emission ever having happened; releases that follow an emission are
+    not death (the eager path emits and releases in the same breath).
+    Verdicts are forwarded to the owning transform as
+    ``("emit" | "dead", name, node_id)``.
 
     The counters are plain JSON-serializable data, so tracker state rides
     transform snapshots and a restored tracker resumes mid-story.
@@ -201,7 +206,8 @@ class StreamTransform(TextFeed, EventHandler):
         #: acting on a verdict until the candidate closes.
         self._emission = emission
         self._engine = MultiQueryEngine(metrics=metrics)
-        self._eh = None
+        #: The engine's dispatch handler, bound once per engine.
+        self._eh = self._engine.as_handler()
         self._trackers: dict[str, _FragmentTracker] = {}
         self._creations: list[str] = []
         self._verdicts: list[tuple[str, str, int]] = []
@@ -234,7 +240,11 @@ class StreamTransform(TextFeed, EventHandler):
         self._engine = MultiQueryEngine.restore(
             payload, metrics=self._metrics, trackers=self._trackers
         )
-        self._eh = None
+        self._eh = self._engine.as_handler()
+
+    def engine_names(self) -> dict[str, str]:
+        """Which machine evaluates each query (the match engine's units)."""
+        return self._engine.engine_names()
 
     # -- tracker callbacks ------------------------------------------------
 
@@ -246,15 +256,10 @@ class StreamTransform(TextFeed, EventHandler):
 
     # -- engine feeding ----------------------------------------------------
 
-    def _handler(self):
-        if self._eh is None:
-            self._eh = self._engine.as_handler()
-        return self._eh
-
     def _feed_start(self, tag, level, node_id, attributes) -> list[str]:
         """Feed a start tag to the match engine; drain creations."""
         self.events_in += 1
-        self._handler().start_element(tag, level, node_id, attributes)
+        self._eh.start_element(tag, level, node_id, attributes)
         if not self._creations:
             return _EMPTY
         created = self._creations
@@ -263,12 +268,12 @@ class StreamTransform(TextFeed, EventHandler):
 
     def _feed_chars(self, text, level) -> None:
         self.events_in += 1
-        self._handler().characters(text, level)
+        self._eh.characters(text, level)
 
     def _feed_end(self, tag, level) -> list[tuple[str, str, int]]:
         """Feed an end tag to the match engine; drain queued verdicts."""
         self.events_in += 1
-        self._handler().end_element(tag, level)
+        self._eh.end_element(tag, level)
         if not self._verdicts:
             return _EMPTY
         verdicts = self._verdicts

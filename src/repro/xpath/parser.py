@@ -11,11 +11,15 @@ Grammar (EBNF; whitespace insignificant)::
                   | "." compop literal
                   | "text()" compop literal
                   | "@" NAME (compop literal)?
+                  | literal compop (relpath | "." | "text()" | "@" NAME)
     relpath     ::= relstep (("/" | "//") relstep)*
                   | ".//" relstep (("/" | "//") relstep)*
     relstep     ::= nodetest predicate* | "@" NAME | "text()"
     compop      ::= "=" | "!=" | "<" | "<=" | ">" | ">="
     literal     ::= STRING | NUMBER
+
+A literal on the left is stored with the operator mirrored, so
+``[5 > b]`` parses to the same predicate as ``[b < 5]``.
 
 Attribute and ``text()`` tests may only appear as the *last* step of a
 predicate path; the paper's fragment has no attribute or text steps on the
@@ -44,6 +48,8 @@ from repro.xpath.ast import (
 from repro.xpath.lexer import END, Token, tokenize
 
 _COMPARISONS = {"EQ": "=", "NE": "!=", "LT": "<", "LE": "<=", "GT": ">", "GE": ">="}
+#: ``literal op path`` ≡ ``path mirrored[op] literal``.
+_MIRRORED = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
 class _Parser:
@@ -162,15 +168,23 @@ class _Parser:
         return self._parse_predicate_term()
 
     def _parse_predicate_term(self) -> PredicateExpr:
-        path = self._parse_relative_path()
-        op = self._maybe_comparison()
-        if op is None:
-            if not path.steps:
-                self._fail("a bare '.' or 'text()' predicate needs a comparison")
-            if isinstance(path.steps[-1].test, TextTest):
-                self._fail("a text() step needs a comparison")
-            return PathPredicate(path)
-        value = self._parse_literal()
+        if self._current.kind in ("STRING", "NUMBER"):
+            value = self._parse_literal()
+            op = self._maybe_comparison()
+            if op is None:
+                self._fail("a literal predicate needs a comparison")
+            op = _MIRRORED[op]
+            path = self._parse_relative_path()
+        else:
+            path = self._parse_relative_path()
+            op = self._maybe_comparison()
+            if op is None:
+                if not path.steps:
+                    self._fail("a bare '.' or 'text()' predicate needs a comparison")
+                if isinstance(path.steps[-1].test, TextTest):
+                    self._fail("a text() step needs a comparison")
+                return PathPredicate(path)
+            value = self._parse_literal()
         # A comparison on a trailing text() step compares the parent
         # element's string-value, which is what dropping the step gives us.
         if path.steps and isinstance(path.steps[-1].test, TextTest):

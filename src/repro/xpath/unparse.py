@@ -12,13 +12,17 @@ Canonical choices:
 * predicate *paths* print in nested form: ``[b/c]`` → ``[b[c]]`` (the
   two are equivalent existentials; the tree stores them identically);
 * each conjunct gets its own bracket: ``[a and b]`` → ``[a][b]``;
-* comparison operators are spaced, string literals single-quoted,
-  numeric literals drop a trailing ``.0``;
+* comparison operators are spaced, string literals single-quoted
+  (double-quoted when they hold a ``'``), numeric literals drop a
+  trailing ``.0``, and a literal compared on the left moves right with
+  the operator mirrored (``[5 > b]`` → ``[b[. < 5]]``);
 * a leading descendant step inside a predicate prints as ``.//x``;
 * boolean conditions keep one bracket with minimal parentheses.
 """
 
 from __future__ import annotations
+
+from decimal import Decimal
 
 from repro.xpath.querytree import (
     AndCond,
@@ -37,12 +41,16 @@ from repro.xpath.querytree import (
 
 
 def literal_text(value: "str | float") -> str:
-    """A literal as canonical text prints it: ``'x'``, ``5`` or ``2.5``."""
+    """A literal as canonical text prints it: ``'x'``, ``5``, ``-2.5``.
+
+    Strings holding a single quote print double-quoted, and numbers
+    print positionally (never ``1e-07``): the lexer reads both back.
+    """
     if isinstance(value, str):
-        return f"'{value}'"
+        return f'"{value}"' if "'" in value else f"'{value}'"
     if value == int(value):
         return str(int(value))
-    return repr(value)
+    return format(Decimal(repr(value)), "f")
 
 
 def _value_test(test: ValueTest, constant: "str | None" = None) -> str:

@@ -76,7 +76,7 @@ class TestTwigmCli:
     def test_fragments_with_explain(self, catalog, capsys):
         assert twigm_main(["--fragments", "--explain", "//book[price < 30]", catalog]) == 0
         captured = capsys.readouterr()
-        assert "fragment capture" in captured.err
+        assert "machine: twigm (select)" in captured.err
         assert captured.out.startswith("<book>")
 
     def test_count_with_engine_override(self, catalog, capsys):

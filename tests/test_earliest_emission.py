@@ -27,7 +27,6 @@ import random
 import pytest
 
 from repro.bench.hotpath import reference_events
-from repro.core.fragments import FragmentCapture
 from repro.core.machine import build_machine
 from repro.core.processor import XPathStream
 from repro.core.results import CallbackSink, CollectingSink
@@ -35,6 +34,7 @@ from repro.core.twigm import TwigM
 from repro.latency import DecisionLagProbe, LatencyClock
 from repro.multiq import MultiQueryEngine
 from repro.stream.tokenizer import parse_string
+from repro.transform.extract import SubstreamExtractor
 from repro.xpath.querytree import compile_query
 
 
@@ -103,11 +103,11 @@ class TestEagerReturnCorrectness:
         assert sorted(TwigM(query).run(parse_string(xml))) == expected
 
     def test_fragments_flush_eagerly(self):
-        capture = FragmentCapture("//a/b[c]")
+        extractor = SubstreamExtractor("//a/b[c]")
         events = list(parse_string("<a><b><c/>t</b><later/></a>"))
-        capture.feed(events[:6])  # through </b>
-        assert [f for _i, f in capture.fragments] == ["<b><c/>t</b>"]
-        assert capture.buffered_candidates == 0
+        extractor.feed_events(events[:6])  # through </b>
+        assert [f.text for f in extractor.fragments] == ["<b><c/>t</b>"]
+        assert extractor.snapshot()["records"] == []
 
     def test_nested_eager_matches_each_emit(self):
         machine = TwigM("//b")
@@ -457,7 +457,7 @@ def test_extractor_fragments_identical_under_earliest(seed):
 
 
 def test_extractor_mid_fragment_snapshot_under_earliest():
-    from repro.transform.extract import SubstreamExtractor, select
+    from repro.transform.extract import select
 
     xml = "<r><a><b/><c><d>deep</d>tail</c></a></r>"
     reference = select(xml, "//a[b]//c")

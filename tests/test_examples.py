@@ -35,6 +35,7 @@ class TestExamplesRun:
         out = capsys.readouterr().out
         assert "cheap books" in out
         assert "query error" in out
+        assert "  <title>Streaming XPath</title>\n" in out
 
     def test_stock_feed_monitor(self, capsys):
         module = load_example("stock_feed_monitor")
@@ -74,6 +75,7 @@ class TestExamplesRun:
         module.fragments_of_collaborations(corpus)
         out = capsys.readouterr().out
         assert "entries" in out
+        assert "   <citation volume=" in out
 
     def test_all_examples_are_covered(self):
         """A new example script must get a runner test here."""

@@ -43,8 +43,9 @@ DOCUMENTS = [
 ]
 
 #: Where Expat and the Python scanner could part: input Expat rejects
-#: but the scanner accepts, input Expat reads differently (BOM, DOCTYPE,
-#: names), held-back tails (']', '\r', entities, CDATA) and line ends.
+#: (the strict scanner rejects it too, :data:`STRICT_REJECTS`), input
+#: Expat reads differently (BOM, DOCTYPE, names), held-back tails (']',
+#: '\r', entities, CDATA) and line ends.
 DIVERGENCE_CORPUS = [
     "<a>x]y]]z</a>",
     "<a>x]]>y</a>",
@@ -227,6 +228,15 @@ STRICT_REJECTS = {
     "<a x='&#0;'/>": ("reference to invalid character &#0;", 1, 14),
     "<a x='<'/>": ("'<' in the value of attribute 'x' in <a>", 1, 11),
     "<a b='1'c='2'/>": ("no whitespace after attribute 'b' in <a>", 1, 16),
+    "<a>x]]>y</a>": ("']]>' not allowed in character data", 1, 5),
+    "<a>\x01</a>": ("character '\\x01' not allowed in character data", 1, 4),
+    "<a>\uffff</a>": ("character '\\uffff' not allowed in character data", 1, 4),
+    "<a/><?xml version='1.0'?>": ("XML declaration not at the start of the document", 1, 5),
+    "<a><?xml version='1.0'?></a>": ("XML declaration not at the start of the document", 1, 4),
+    "  <?xml version='1.0'?><a/>": ("XML declaration not at the start of the document", 1, 3),
+    "<a><?XML x?></a>": ("reserved processing instruction target 'XML'", 1, 4),
+    "<a><?123?></a>": ("processing instruction target '123' is not a name", 1, 4),
+    "<a><!-- a --->x</a>": ("'--' not allowed inside a comment", 1, 4),
 }
 
 

@@ -1,119 +1,138 @@
-"""Tests for XML-fragment output (repro.core.fragments, footnote 3)."""
+"""Tests for XML-fragment output (PAPER.md footnote 3) through
+:func:`repro.transform.extract.select` / ``SubstreamExtractor``."""
 
-import pytest
-
-from repro.core.fragments import FragmentCapture, evaluate_fragments
 from repro.stream.tokenizer import parse_string
+from repro.transform.base import _FragmentTracker
+from repro.transform.extract import Fragment, SubstreamExtractor, select
 from tests.conftest import chain_xml
+
+
+def texts(query, xml):
+    return [fragment.text for fragment in select(xml, query)]
+
+
+def buffered(extractor):
+    """Candidates the extractor holds: open or awaiting a verdict."""
+    return len(extractor.snapshot()["records"])
 
 
 class TestFragmentOutput:
     def test_simple_fragment(self):
-        frags = evaluate_fragments("//b", "<a><b>text</b></a>")
-        assert frags == ["<b>text</b>"]
+        assert texts("//b", "<a><b>text</b></a>") == ["<b>text</b>"]
 
     def test_fragment_with_structure(self):
-        frags = evaluate_fragments("//b", "<a><b x='1'>t<c>u</c>v</b></a>")
+        frags = texts("//b", "<a><b x='1'>t<c>u</c>v</b></a>")
         assert frags == ['<b x="1">t<c>u</c>v</b>']
 
     def test_leaf_fragments_self_close(self):
-        assert evaluate_fragments("//b", "<a><b/></a>") == ["<b/>"]
+        assert texts("//b", "<a><b/></a>") == ["<b/>"]
 
     def test_predicate_decided_after_subtree(self):
         """The b subtree finishes long before d confirms it."""
         xml = "<a><b>kept</b><d/></a>"
-        assert evaluate_fragments("//a[d]/b", xml) == ["<b>kept</b>"]
+        assert texts("//a[d]/b", xml) == ["<b>kept</b>"]
 
     def test_unconfirmed_candidates_produce_nothing(self):
         xml = "<a><b>dropped</b></a>"
-        assert evaluate_fragments("//a[d]/b", xml) == []
+        assert texts("//a[d]/b", xml) == []
 
     def test_multiple_fragments_in_order(self):
         xml = "<a><b>1</b><b>2</b></a>"
-        assert evaluate_fragments("//b", xml) == ["<b>1</b>", "<b>2</b>"]
+        assert texts("//b", xml) == ["<b>1</b>", "<b>2</b>"]
 
     def test_nested_candidates_both_captured(self):
         xml = "<a><b>out<b>in</b></b></a>"
-        frags = evaluate_fragments("//b", xml)
+        frags = texts("//b", xml)
         assert sorted(frags) == ["<b>in</b>", "<b>out<b>in</b></b>"]
 
     def test_text_escaped_in_fragments(self):
-        frags = evaluate_fragments("//b", "<a><b>x &amp; y</b></a>")
+        frags = texts("//b", "<a><b>x &amp; y</b></a>")
         assert frags == ["<b>x &amp; y</b>"]
 
     def test_ids_accompany_fragments(self):
-        capture = FragmentCapture("//b")
-        capture.feed(parse_string("<a><b/><b/></a>"))
-        assert [node_id for node_id, _ in capture.fragments] == [2, 3]
+        extractor = SubstreamExtractor("//b")
+        extractor.feed_events(parse_string("<a><b/><b/></a>"))
+        assert [f.node_id for f in extractor.fragments] == [2, 3]
 
     def test_callback_mode(self):
         seen = []
-        capture = FragmentCapture("//a[d]/b", on_fragment=lambda i, f: seen.append(f))
-        capture.feed(parse_string("<a><b>hit</b><d/></a>"))
+        extractor = SubstreamExtractor(
+            "//a[d]/b", on_fragment=lambda _q, _i, text: seen.append(text)
+        )
+        extractor.feed_events(parse_string("<a><b>hit</b><d/></a>"))
         assert seen == ["<b>hit</b>"]
-        assert capture.fragments == []
+        assert extractor.fragments == []
 
     def test_evaluate_from_source(self, tmp_path):
         path = tmp_path / "d.xml"
         path.write_text("<a><b>f</b></a>")
-        capture = FragmentCapture("//b")
-        assert capture.evaluate(str(path)) == [(2, "<b>f</b>")]
+        extractor = SubstreamExtractor("//b")
+        assert extractor.evaluate(str(path)) == [Fragment("select", 2, "<b>f</b>")]
 
 
 class TestBufferGarbageCollection:
     def test_dead_candidates_are_freed_immediately(self):
         """A candidate whose predicates failed is dropped at the pop that
         kills its last stack entry, not at document end."""
-        capture = FragmentCapture("//a[d]/b")
+        extractor = SubstreamExtractor("//a[d]/b")
         events = list(parse_string("<r><a><b>x</b></a><a><b>y</b><d/></a></r>"))
         # Feed through the first </a> (a without d): its b must be freed.
-        capture.feed(events[:6])
-        assert capture.buffered_candidates == 0
-        capture.feed(events[6:])
-        assert [f for _i, f in capture.fragments] == ["<b>y</b>"]
-        assert capture.buffered_candidates == 0
+        extractor.feed_events(events[:6])
+        assert buffered(extractor) == 0
+        extractor.feed_events(events[6:])
+        assert [f.text for f in extractor.fragments] == ["<b>y</b>"]
+        assert buffered(extractor) == 0
 
     def test_pending_candidates_stay_buffered(self):
-        capture = FragmentCapture("//a[d]/b")
+        extractor = SubstreamExtractor("//a[d]/b")
         events = list(parse_string("<a><b>x</b><d/></a>"))
-        capture.feed(events[:4])  # b closed, a still open, d unseen
-        assert capture.buffered_candidates == 1
+        extractor.feed_events(events[:4])  # b closed, a still open, d unseen
+        assert buffered(extractor) == 1
 
     def test_no_buffering_without_candidates(self):
-        capture = FragmentCapture("//zzz")
-        capture.feed(parse_string(chain_xml(5)))
-        assert capture.buffered_candidates == 0
-        assert capture.fragments == []
+        extractor = SubstreamExtractor("//zzz")
+        extractor.feed_events(parse_string(chain_xml(5)))
+        assert buffered(extractor) == 0
+        assert extractor.fragments == []
 
     def test_all_buffers_freed_at_document_end(self):
-        capture = FragmentCapture("//a[d]//b[e]//c")
-        capture.feed(parse_string(chain_xml(6)))
-        assert capture.buffered_candidates == 0
-        assert len(capture.fragments) == 1
+        extractor = SubstreamExtractor("//a[d]//b[e]//c")
+        extractor.feed_events(parse_string(chain_xml(6)))
+        assert buffered(extractor) == 0
+        assert len(extractor.fragments) == 1
+
+
+class _Owner:
+    """Stands in for the transform a tracker reports to."""
+
+    def __init__(self):
+        self.verdicts = []
+
+    def _note_created(self, name, node_id):
+        pass
+
+    def _note_verdict(self, kind, name, node_id):
+        self.verdicts.append((kind, node_id))
 
 
 class TestRefcountTracker:
     def test_emitted_candidate_not_reported_dead(self):
-        dead = []
-        from repro.core.fragments import _RefCounts
-
-        tracker = _RefCounts(dead.append, lambda i: None)
+        owner = _Owner()
+        tracker = _FragmentTracker("q", owner)
         tracker.created(1)
         tracker.retained(1)
         tracker.emitted([1])
         tracker.released([1])
         tracker.released([1])
-        assert dead == []
-        assert tracker.live == 0
+        assert owner.verdicts == [("emit", 1)]
+        assert tracker.counts == {} and tracker.emitted_live == set()
 
     def test_unemitted_candidate_reported_dead_once(self):
-        dead = []
-        from repro.core.fragments import _RefCounts
-
-        tracker = _RefCounts(dead.append, lambda i: None)
+        owner = _Owner()
+        tracker = _FragmentTracker("q", owner)
         tracker.created(5)
         tracker.retained(5)
         tracker.released([5])
-        assert dead == []
+        assert owner.verdicts == []
         tracker.released([5])
-        assert dead == [5]
+        assert owner.verdicts == [("dead", 5)]

@@ -55,6 +55,15 @@ class TestTokenKinds:
         tokens = tokenize("//a[b = 42]")
         assert [t.text for t in tokens if t.kind == "NUMBER"] == ["42"]
 
+    @pytest.mark.parametrize("literal", ["-3", "5.", ".5", "-.5", "-2.5"])
+    def test_xpath_1_numbers(self, literal):
+        tokens = tokenize(f"//a[b={literal}]")
+        assert [t.text for t in tokens if t.kind == "NUMBER"] == [literal]
+
+    def test_hyphen_inside_a_name_is_not_a_sign(self):
+        tokens = tokenize("//a[x-1 = 2]")
+        assert [t.text for t in tokens if t.kind == "NAME"] == ["a", "x-1"]
+
     def test_dot_token(self):
         assert kinds("//a[. = '1']")[3] == "DOT"
 

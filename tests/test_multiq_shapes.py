@@ -5,7 +5,8 @@ members of one :class:`~repro.multiq.registry.ValueShapeUnit`
 (:class:`~repro.core.valueshape.ValueShapeTwigM`).  Every case compares
 each member's result list — ids and order — with a dedicated
 :class:`XPathStream`, and its id set with the navigational DOM oracle,
-across random constant vectors (duplicates, ints, floats and string
+across random constant vectors (duplicates, negative and positive ints
+and floats, string
 literals), all six comparison ops, string values that stress the
 numeric coercion (``nan``, ``inf``, `` 1e3 ``, ``1_0``, ``''``, ``x``),
 snapshot/restore at every event boundary, mid-stream additions, member
@@ -55,7 +56,8 @@ SHAPES = (
     "//a[. {op} {c}]//c",  # the value node is the emitting root
 )
 
-NUMERIC = st.sampled_from(("0", "2.5", "5", "7", "10", "1000", "0.5", "3"))
+NUMERIC = st.sampled_from(("0", "2.5", "5", "7", "10", "1000", "0.5", "3",
+                          "-3", "-2.5", "-0.5", "-1000"))
 STRINGS = st.sampled_from(("'5'", "'x'", "''", "'nan'", "' 1e3 '", "'1_0'",
                            "'10'", "'inf'", "' 7 '"))
 

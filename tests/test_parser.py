@@ -138,6 +138,31 @@ class TestComparisonParsing:
         (pred,) = parse_xpath("//a[b/c >= 10]").steps[0].predicates
         assert len(pred.path.steps) == 2
 
+    @pytest.mark.parametrize("literal, value", [
+        ("-3", -3.0), ("-2.5", -2.5), ("-.5", -0.5), ("5.", 5.0), (".5", 0.5),
+        ("-5.", -5.0),
+    ])
+    def test_xpath_numbers(self, literal, value):
+        (pred,) = parse_xpath(f"//a[b = {literal}]").steps[0].predicates
+        assert pred.value == value
+
+    @pytest.mark.parametrize("op, mirrored", [
+        ("=", "="), ("!=", "!="), ("<", ">"), ("<=", ">="), (">", "<"),
+        (">=", "<="),
+    ])
+    def test_literal_on_the_left_mirrors_the_operator(self, op, mirrored):
+        left = parse_xpath(f"//a[5 {op} b]")
+        assert left == parse_xpath(f"//a[b {mirrored} 5]")
+
+    @pytest.mark.parametrize("query, same_as", [
+        ("//a['x' = @k]", "//a[@k = 'x']"),
+        ("//a[-1 < .]", "//a[. > -1]"),
+        ("//a[2 >= text()]", "//a[. <= 2]"),
+        ("//a[7 != .//b/c]", "//a[.//b/c != 7]"),
+    ])
+    def test_literal_on_the_left_of_any_term(self, query, same_as):
+        assert parse_xpath(query) == parse_xpath(same_as)
+
 
 class TestParseErrors:
     @pytest.mark.parametrize(
@@ -163,6 +188,10 @@ class TestParseErrors:
             "//a[//@x]",        # descendant-to-attribute
             "//a[and]",
             "//a b",
+            "//a[5]",           # literal without comparison
+            "//a[5 = 6]",       # literal on both sides
+            "//a[b - 3]",       # no arithmetic
+            "//a[b = -x]",
         ],
     )
     def test_rejected(self, query):

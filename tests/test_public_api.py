@@ -43,9 +43,9 @@ def test_top_level_readme_imports():
     assert repro.XPathStream and repro.TwigM and repro.compile_query
     assert isinstance(repro.__version__, str)
 
-    from repro.core.fragments import evaluate_fragments  # noqa: F401
     from repro.multiq import MultiQueryEngine  # noqa: F401
     from repro.stream import resolve_namespaces  # noqa: F401
+    from repro.transform import select  # noqa: F401
 
 
 def test_error_types_exported_at_top_level():

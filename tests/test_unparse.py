@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from repro.baselines.navigational import NavigationalDomEngine
 from repro.stream.tokenizer import parse_string
 from repro.xpath.querytree import compile_query
-from repro.xpath.unparse import canonical_query, unparse_query
+from repro.xpath.parser import parse_xpath
+from repro.xpath.unparse import canonical_query, literal_text, unparse_query
 from tests.test_equivalence_properties import xml_trees, xpath_queries
 
 
@@ -34,15 +35,31 @@ class TestCanonicalForms:
             ("//a[(b or c) and d]", "//a[(b or c) and d]"),
             ("//a[b or c and d]", "//a[b or (c and d)]"),
             ("//a[not(b or c)]", "//a[not(b or c)]"),
+            ("//a[b = -3]", "//a[b[. = -3]]"),
+            ("//a[b < 5.]", "//a[b[. < 5]]"),
+            ("//a[5 > b]", "//a[b[. < 5]]"),
+            ("//a[-2.5 <= @k]", "//a[@k >= -2.5]"),
+            ("//a[b = 0.0000001]", "//a[b[. = 0.0000001]]"),
+            ('//a[. = "it\'s"]', '//a[. = "it\'s"]'),
         ],
     )
     def test_canonical_text(self, query, canonical):
         assert canonical_query(query) == canonical
 
     def test_canonical_is_idempotent(self):
-        for query in ("//a[b/c][d]", "//a[b or not(c)]/e", "/x/*//y[@k]"):
+        for query in ("//a[b/c][d]", "//a[b or not(c)]/e", "/x/*//y[@k]",
+                      "//a[b = -3]", "//a[b < 5.]", "//a[5 > b]"):
             once = canonical_query(query)
             assert canonical_query(once) == once
+
+    @pytest.mark.parametrize("value, text", [
+        (-3.0, "-3"), (5.0, "5"), (-2.5, "-2.5"), (1e-07, "0.0000001"),
+        ("x", "'x'"), ("it's", '"it\'s"'),
+    ])
+    def test_literal_text(self, value, text):
+        assert literal_text(value) == text
+        (pred,) = parse_xpath(f"//a[. = {text}]").steps[0].predicates
+        assert pred.value == value
 
 
 class TestRoundTripSemantics:
@@ -63,6 +80,9 @@ class TestRoundTripSemantics:
             "//a[not(b)]//c",
             "/a/*[c]",
             "//y[. = '1']",
+            "//x[y > -3]",
+            "//x[2 > z]",
+            "//x[y < 1.]",
         ],
     )
     def test_compile_unparse_compile_is_equivalent(self, query):
