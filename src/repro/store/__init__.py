@@ -1,11 +1,12 @@
 """Durable ingest log: record streams, replay them, index them.
 
 ``repro.store`` turns the stream processor into a small streaming XML
-database.  The modified-SAX event stream is appended to an on-disk log
-of CRC-framed binary records (:mod:`repro.store.log`), cut into
-segments, each summarised by a structural index (tag alphabet, text
-flag, level range) the moment it seals.  Periodic checkpoints embed the
-evaluating engine's versioned snapshot, so:
+database.  The XML text an engine is fed is appended to an on-disk log
+of CRC-framed text records (:mod:`repro.store.log`), cut into segments
+whose headers hold the tokenizer's state, each summarised by a
+structural index (tag alphabet, text flag, level range) of ingest's own
+events the moment it seals; replay re-tokenises the text.  Periodic
+checkpoints embed the evaluating engine's versioned snapshot, so:
 
 * **replay** (:func:`~repro.store.replay.replay`) re-evaluates recorded
   history — from document start or from any checkpoint — with results

@@ -1,8 +1,11 @@
 """Structural-index queries: which segments can a query possibly touch?
 
-The log writer summarises every segment as it seals it: the set of tags
-that occur, whether any character data occurs, and the level range
-(:class:`~repro.store.log.SegmentInfo`).  Replay then asks, per segment,
+The log writer summarises every segment from the events its text
+yielded at ingest, as the tokenizer delivered them: the set of tags that
+occur, whether any character data occurs, and the level range
+(:class:`~repro.store.log.SegmentInfo`).  Replay re-tokenises the same
+text from the same state, so the summary describes exactly the events
+replay would deliver.  Replay then asks, per segment,
 the same question the multi-query alphabet router asks per event
 (:mod:`repro.multiq.router`): *can this machine react?*  A machine only
 mutates state on start/end events whose tag is in its dispatch table,
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.store.log import EventLogReader, SegmentInfo, _segment_skippable
+from repro.store.log import EventLogReader, segment_skippable
 
 __all__ = ["Interest", "interest_for", "segment_skippable", "index_report"]
 
@@ -72,11 +75,6 @@ def interest_for(target) -> "Interest":
             wants_text = wants_text or q_text
         return frozenset(tags), wants_all, wants_text
     raise TypeError(f"cannot derive a query alphabet from {target!r}")
-
-
-def segment_skippable(segment: SegmentInfo, interest: "Interest") -> bool:
-    """True when no event in ``segment`` can touch a machine with ``interest``."""
-    return _segment_skippable(segment, interest)
 
 
 def index_report(reader: EventLogReader, target=None) -> dict:

@@ -2,26 +2,28 @@
 
 Three verbs tie the log to the evaluation stack:
 
-* :func:`ingest` — parse XML once, tee every modified-SAX event to the
-  log *and* (optionally) a live engine, with periodic checkpoints that
+* :func:`ingest` — parse XML once into a live engine (optionally) and
+  the segment summary, log the text, and take periodic checkpoints that
   embed the engine's versioned snapshot.  The engine consumes each
-  event *before* the writer persists it, so a checkpoint at position
-  *n* embeds an engine that has seen exactly events ``0..n-1`` — which
-  is precisely what makes replay-from-checkpoint byte-identical.
+  event *before* the writer counts it, so a checkpoint at position *n*
+  embeds an engine that has seen exactly events ``0..n-1`` — which is
+  precisely what makes replay-from-checkpoint byte-identical.
 * :func:`replay` — evaluate a query/engine over recorded history,
   optionally resuming from an embedded checkpoint, with exact
   index-driven segment skipping and full
   :class:`~repro.stream.recovery.ResourceLimits` enforcement on the
-  (attacker-reachable) log bytes.
+  re-tokenisation of the (attacker-reachable) log text.
 * :func:`catch_up` — the late-query path: backfill a brand-new query
   over history in a scratch engine, then splice its warmed machine into
   a live :class:`~repro.multiq.engine.MultiQueryEngine` at the exact
   event offset (:meth:`~repro.multiq.engine.MultiQueryEngine.attach_warm`).
 
 Replay equivalence holds because evaluation depends only on the event
-sequence: the codec round-trips events exactly, the log preserves their
-order, and segment skipping only ever drops events the alphabet router
-proves no registered machine can react to.
+sequence: the log holds the text ingest tokenised, each segment header
+holds the tokenizer state its text starts from, re-tokenising the same
+text from the same state yields the same events, and segment skipping
+only ever drops events the alphabet router proves no registered machine
+can react to.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.stream.recovery import RecoveryPolicy, ResourceLimits
-from repro.stream.tokenizer import XmlTokenizer, iter_text_chunks
+from repro.stream.tokenizer import iter_text_chunks
 from repro.store.index import interest_for
 from repro.store.log import (
     DEFAULT_SEGMENT_EVENTS,
@@ -57,34 +59,6 @@ class IngestResult:
     results: "dict | list | None" = None
 
 
-class _Tee:
-    """Push handler fanning one scan out to engine-then-writer.
-
-    Engine first: the writer's auto-checkpoint fires *after* it appends
-    an event, and the embedded snapshot must cover everything up to the
-    checkpoint position — so the engine has to consume each event before
-    the writer counts it.
-    """
-
-    __slots__ = ("_first", "_second")
-
-    def __init__(self, first, second):
-        self._first = first
-        self._second = second
-
-    def start_element(self, tag, level, node_id, attributes) -> None:
-        self._first.start_element(tag, level, node_id, attributes)
-        self._second.start_element(tag, level, node_id, attributes)
-
-    def characters(self, text, level) -> None:
-        self._first.characters(text, level)
-        self._second.characters(text, level)
-
-    def end_element(self, tag, level) -> None:
-        self._first.end_element(tag, level)
-        self._second.end_element(tag, level)
-
-
 def ingest(
     source,
     path: str,
@@ -106,9 +80,10 @@ def ingest(
     :class:`~repro.multiq.engine.MultiQueryEngine` is built) or a
     ready-made ``engine`` (MultiQueryEngine or
     :class:`~repro.core.processor.XPathStream`); with neither, the log
-    records events and engine-less checkpoints (replay then always
+    records text and engine-less checkpoints (replay then always
     evaluates cold).  ``limits``/``policy`` guard the *text parse*,
-    exactly as in live evaluation.
+    exactly as in live evaluation; the policy is the store's, so replay
+    re-tokenises under it too.
 
     A final checkpoint is always written before close, so every store
     ends with a resumable position.
@@ -125,30 +100,19 @@ def ingest(
         checkpoint_interval=checkpoint_interval,
         sync=sync,
         metrics=metrics,
+        policy=policy,
+        limits=limits,
     )
-    checkpoints: list[int] = []
-    original_checkpoint = writer.checkpoint
-
-    def record_checkpoint() -> int:
-        checkpoint_id = original_checkpoint()
-        checkpoints.append(checkpoint_id)
-        return checkpoint_id
-
-    writer.checkpoint = record_checkpoint  # observe auto-checkpoints too
+    handler = None
     if engine is not None:
         writer.attach(engine)
+        multi = isinstance(engine, MultiQueryEngine)
+        handler = engine.as_handler() if multi else engine.push_handler()
     try:
-        tokenizer = XmlTokenizer(policy=policy, limits=limits, metrics=metrics)
-        if engine is None:
-            handler = writer
-        elif isinstance(engine, MultiQueryEngine):
-            handler = _Tee(engine.as_handler(), writer)
-        else:
-            handler = _Tee(engine.push_handler(), writer)
         for chunk in iter_text_chunks(source):
-            tokenizer.feed_into(chunk, handler)
-        tokenizer.close_into(handler)
-        record_checkpoint()
+            writer.feed(chunk, handler)
+        writer.finish(handler)
+        writer.checkpoint()
     finally:
         writer.close()
     if engine is None:
@@ -161,7 +125,7 @@ def ingest(
         path=path,
         events=writer.position,
         segments=len(writer._manifest.segments),
-        checkpoints=checkpoints,
+        checkpoints=writer.checkpoint_ids,
         results=results,
     )
 
@@ -192,11 +156,11 @@ def replay(
       ``from_checkpoint``'s position (default 0); the caller warrants
       its state corresponds to that position.
 
-    ``limits`` bounds the *log bytes themselves* — depth, attribute
+    ``limits`` bounds the *log text itself* — depth, attribute
     count/length, text length, total events — so a hostile or corrupted
     log is as contained as hostile XML text, including on the
-    checkpoint-restore fast path (the events fed after restore pass
-    through the same checked decoder).  ``skip=False`` disables segment
+    checkpoint-restore fast path (the text after restore is re-tokenised
+    under the same limits).  ``skip=False`` disables segment
     skipping (differential testing).  Returns the engine's results
     (dict per query for multi-query targets, list of ids otherwise).
     """
@@ -264,8 +228,8 @@ def replay_into(
     :class:`~repro.transform.rewrite.RewriteEngine`, a serializer) needs
     the content of matched subtrees, not just the events its machines
     dispatch on, so skipping segments by query alphabet would drop
-    fragment content.  Events are decoded under ``limits`` exactly as in
-    :func:`replay`.
+    fragment content.  The text is re-tokenised under ``limits`` exactly
+    as in :func:`replay`.
 
     ``from_checkpoint`` positions the replay at that checkpoint's event
     offset (the handler must already carry matching state — e.g. a
@@ -321,15 +285,16 @@ def catch_up(
 
     The caller must pause feeding ``live_engine`` for the duration (the
     serving layer's session worker is single-threaded, so there this is
-    free) and must have teed everything it fed into the log at ``path``
-    (the :func:`ingest` arrangement): the splice position is the log's
-    durable event count, and correctness requires the live engine to be
-    at that same offset.
+    free) and must have fed it everything through the log at ``path``
+    (:meth:`~repro.store.log.EventLogWriter.feed` with the engine's
+    handler, the :func:`ingest` arrangement): the splice position is the
+    log's durable event count, and correctness requires the live engine
+    to be at that same offset.
 
     ``limits`` are the query's own admission limits (as in
     :meth:`add_query` — forcing unfiltered delivery and full-stream
-    accounting); ``replay_limits`` bound the log bytes read during
-    backfill, closing the hostile-log hole on this path too.
+    accounting); ``replay_limits`` bound the re-tokenisation of the log
+    during backfill, closing the hostile-log hole on this path too.
     """
     from repro.multiq.engine import MultiQueryEngine
 

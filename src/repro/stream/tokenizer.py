@@ -117,10 +117,11 @@ TOKENIZER_SNAPSHOT_VERSION = 1
 # the independent reference the differential tests compare against.
 #
 # Attribute values in the fast pattern exclude '&' (entity decoding),
-# '<' (always an error), and tab/newline/CR (attribute-value
-# normalisation) so a fast-path value needs no post-processing.
+# '<' (always an error), tab/newline/CR (attribute-value normalisation)
+# and the other characters XML forbids (an error under ``strict``), so a
+# fast-path value needs no post-processing.
 _FAST_NAME = r"[A-Za-z_:][A-Za-z0-9_:.\-]*"
-_FAST_VALUE = "\"[^\"<&\\t\\n\\r]*\"|'[^'<&\\t\\n\\r]*'"
+_FAST_VALUE = "\"[^\"<&\\t\\n\\r\x00-\x1f\ufffe\uffff]*\"|'[^'<&\\t\\n\\r\x00-\x1f\ufffe\uffff]*'"
 _FAST_START_RE = re.compile(
     f"<({_FAST_NAME})"
     f"((?:[ \\t\\r\\n]+{_FAST_NAME}[ \\t\\r\\n]*=[ \\t\\r\\n]*(?:{_FAST_VALUE}))*)"
@@ -128,20 +129,32 @@ _FAST_START_RE = re.compile(
 )
 _FAST_END_RE = re.compile(f"</({_FAST_NAME})[ \\t\\r\\n]*>")
 _FAST_ATTR_RE = re.compile(
-    f"({_FAST_NAME})[ \\t\\r\\n]*=[ \\t\\r\\n]*(?:\"([^\"<&\\t\\n\\r]*)\"|'([^'<&\\t\\n\\r]*)')"
+    f"({_FAST_NAME})[ \\t\\r\\n]*=[ \\t\\r\\n]*"
+    "(?:\"([^\"<&\\t\\n\\r\x00-\x1f\ufffe\uffff]*)\"|'([^'<&\\t\\n\\r\x00-\x1f\ufffe\uffff]*)')"
 )
 
 #: Shared attribute mapping for attribute-less start tags on the push
 #: fast path.  Handlers must treat it as read-only.
 _NO_ATTRIBUTES: dict[str, str] = {}
 
-#: What literal character data may not hold under ``strict`` (Expat
-#: rejects each): the CDATA end marker, C0 controls other than tab, LF
-#: and CR, and U+FFFE/U+FFFF.
-_BAD_TEXT_RE = re.compile("]]>|[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
+#: Characters no XML text may hold literally (Expat rejects each): C0
+#: controls other than tab, LF and CR, and U+FFFE/U+FFFF.
+_BAD_CHAR_RE = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
+#: What literal character data may not hold under ``strict``: those
+#: characters and the CDATA end marker.
+_BAD_TEXT_RE = re.compile("]]>|" + _BAD_CHAR_RE.pattern)
 
 #: An XML declaration (not ``<?xml-stylesheet``, say).
 _XML_DECL_RE = re.compile(r"<\?xml[\s?]")
+
+#: The body of a well-formed XML declaration, as Expat reads one: a
+#: version, then optionally an encoding and a standalone flag, in order.
+_S = "[ \t\r\n]"
+_XML_DECL_BODY_RE = re.compile(
+    f"xml{_S}+version{_S}*={_S}*(?:'[A-Za-z0-9_.:-]+'|\"[A-Za-z0-9_.:-]+\")"
+    f"(?:{_S}+encoding{_S}*={_S}*(?:'[A-Za-z][A-Za-z0-9._-]*'|\"[A-Za-z][A-Za-z0-9._-]*\"))?"
+    f"(?:{_S}+standalone{_S}*={_S}*(?:'(?:yes|no)'|\"(?:yes|no)\"))?{_S}*\\Z"
+)
 
 # Return codes of :meth:`XmlTokenizer._handle_misc_markup`.
 _MISC_NOT = 0  # the construct at pos is a plain tag
@@ -371,6 +384,11 @@ class XmlTokenizer:
     def policy(self) -> RecoveryPolicy:
         """The recovery policy this tokenizer runs under."""
         return self._policy
+
+    @property
+    def event_count(self) -> int:
+        """Events delivered since the document start (exact between feeds)."""
+        return self._event_count
 
     def feed(self, chunk: str) -> Iterator[Event]:
         """Consume ``chunk`` and yield all events completed by it.
@@ -1147,6 +1165,8 @@ class XmlTokenizer:
                 if strict:
                     self._error("'--' not allowed inside a comment")
                 self._diagnose("'--' inside a comment", ACTION_SKIPPED)
+            if strict:
+                self._check_chars(comment, "a comment")
             self._consume(end + 3 - pos)
             return _MISC_CONSUMED
         if buffer.startswith("<![CDATA[", pos):
@@ -1154,6 +1174,8 @@ class XmlTokenizer:
             if end == -1:
                 return _MISC_INCOMPLETE
             text = buffer[pos + 9:end]
+            if strict:
+                self._check_chars(text, "a CDATA section")
             self._consume(end + 3 - pos)
             if text:  # an empty section adds no character data
                 self._push_text(text, decode=False)
@@ -1163,7 +1185,7 @@ class XmlTokenizer:
             if end == -1:
                 return _MISC_INCOMPLETE
             if strict:
-                self._check_pi_target(buffer[pos + 2:end])
+                self._check_pi(buffer[pos + 2:end])
             self._consume(end + 2 - pos)
             return _MISC_CONSUMED
         if buffer.startswith("<!", pos):
@@ -1187,12 +1209,12 @@ class XmlTokenizer:
             return _MISC_CONSUMED
         return _MISC_NOT
 
-    def _check_pi_target(self, body: str) -> None:
+    def _check_pi(self, body: str) -> None:
         """Reject a processing instruction Expat rejects (``strict``).
 
         Its target must be a name; ``xml`` (in any case) is reserved for
         the XML declaration, which only the very first characters of the
-        document may hold.
+        document may hold, and which must be well-formed.
         """
         target = body.split(None, 1)[0] if body[:1].strip() else ""
         if not _is_name(target):
@@ -1203,6 +1225,15 @@ class XmlTokenizer:
                 self._error(f"reserved processing instruction target {target!r}")
             if cursor.line != 1 or cursor.column != 1:
                 self._error("XML declaration not at the start of the document")
+            if not _XML_DECL_BODY_RE.match(body):
+                self._error("XML declaration not well-formed")
+        self._check_chars(body, "a processing instruction")
+
+    def _check_chars(self, text: str, where: str) -> None:
+        """Reject a character XML forbids in ``text`` (``strict``)."""
+        bad = _BAD_CHAR_RE.search(text)
+        if bad is not None:
+            self._error(f"character {bad.group()!r} not allowed in {where}")
 
     def _scan_into(self, handler, stop: int) -> None:
         """The scanner: drive ``handler`` from the buffered input.
@@ -1533,6 +1564,8 @@ class XmlTokenizer:
             if strict:
                 if "<" in body[index:end]:
                     self._error(f"'<' in the value of attribute {name!r} in <{tag}>")
+                self._check_chars(
+                    body[index:end], f"the value of attribute {name!r} in <{tag}>")
                 if end + 1 < length and body[end + 1] not in _WHITESPACE:
                     self._error(f"no whitespace after attribute {name!r} in <{tag}>")
             # XML attribute-value normalisation: line ends are normalised

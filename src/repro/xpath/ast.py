@@ -127,7 +127,10 @@ class ComparisonPredicate:
     value: "str | float"
 
     def __str__(self) -> str:
-        literal = f"'{self.value}'" if isinstance(self.value, str) else f"{self.value:g}"
+        # Imported here: repro.xpath.unparse builds on this module.
+        from repro.xpath.unparse import literal_text
+
+        literal = literal_text(self.value)
         prefix = f"{self.path} " if self.path.steps else ". "
         return f"{prefix}{self.op} {literal}"
 

@@ -59,6 +59,11 @@ DIVERGENCE_CORPUS = [
     "<a><?123?></a>",
     "<a b='1'c='2'/>",
     "<a><!-- a --->x</a>",
+    "<a x='\x01'/>",
+    "<a><!--\x01--></a>",
+    "<a><?x \x01?></a>",
+    "<a><![CDATA[x\x0b]]></a>",
+    "<?xml?><a/>",
     "﻿<a/>",
     "<!DOCTYPE a [<!ENTITY e 'v'>]><a>&e;</a>",
     "<!DOCTYPE a SYSTEM 'x.dtd'><a>&foo;</a>",
@@ -237,6 +242,18 @@ STRICT_REJECTS = {
     "<a><?XML x?></a>": ("reserved processing instruction target 'XML'", 1, 4),
     "<a><?123?></a>": ("processing instruction target '123' is not a name", 1, 4),
     "<a><!-- a --->x</a>": ("'--' not allowed inside a comment", 1, 4),
+    "<a x='\x01'/>": (
+        "character '\\x01' not allowed in the value of attribute 'x' in <a>", 1, 11),
+    "<a x=\"b\ufffe\"/>": (
+        "character '\\ufffe' not allowed in the value of attribute 'x' in <a>", 1, 12),
+    "<a><!--\x01--></a>": ("character '\\x01' not allowed in a comment", 1, 4),
+    "<a><?x \x01?></a>": (
+        "character '\\x01' not allowed in a processing instruction", 1, 4),
+    "<a><![CDATA[x\x0b]]></a>": ("character '\\x0b' not allowed in a CDATA section", 1, 4),
+    "<?xml?><a/>": ("XML declaration not well-formed", 1, 1),
+    "<?xml encoding='UTF-8'?><a/>": ("XML declaration not well-formed", 1, 1),
+    "<?xml version='1.0' standalone='maybe'?><a/>": (
+        "XML declaration not well-formed", 1, 1),
 }
 
 

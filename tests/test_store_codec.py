@@ -1,4 +1,9 @@
-"""The binary event codec: exact round-trips, hostile-record bounds."""
+"""The version-1 event decoder: exact round-trips, hostile-record bounds.
+
+Stores are written as text now; this decoder reads version-1 stores.
+Record bodies come from :func:`tests.v1_records.encode_event`, pinned to
+the earlier writer's bytes in ``tests/test_store_golden.py``.
+"""
 
 from __future__ import annotations
 
@@ -9,15 +14,13 @@ from repro.stream.codec import (
     EVENT_KIND_CHARS,
     EVENT_KIND_END,
     EVENT_KIND_START,
-    decode_event,
-    encode_event,
-    event_kind,
 )
 from repro.stream.events import Characters, EndElement, StartElement
 from repro.stream.recovery import ResourceLimits
 from repro.stream.tokenizer import parse_string
 
 from tests.test_push_equivalence import random_document
+from tests.v1_records import decode_event, encode_event, write_v1_store
 
 
 class TestRoundTrip:
@@ -34,11 +37,6 @@ class TestRoundTrip:
     def test_unicode(self):
         event = Characters("prix € 中文 \U0001f600", 1)
         assert decode_event(encode_event(event)) == event
-
-    def test_kind_bytes(self):
-        assert event_kind(encode_event(StartElement("a", 1, 1, {}))) == EVENT_KIND_START
-        assert event_kind(encode_event(Characters("x", 1))) == EVENT_KIND_CHARS
-        assert event_kind(encode_event(EndElement("a", 1))) == EVENT_KIND_END
 
     @pytest.mark.parametrize("seed", range(25))
     def test_whole_documents_round_trip(self, seed):
@@ -82,10 +80,6 @@ class TestMalformed:
     def test_oversized_varint(self):
         with pytest.raises(CodecError, match="64 bits"):
             decode_event(bytes([EVENT_KIND_CHARS]) + b"\xff" * 10 + b"\x01")
-
-    def test_negative_rejected_at_encode(self):
-        with pytest.raises(CodecError):
-            encode_event(Characters("x", -1))
 
 
 class TestLimits:
@@ -184,20 +178,13 @@ def decode_alone(payload, limits):
 
 
 def decode_in_replay(payload, limits, tmp_path):
-    """Inject ``payload`` as a CRC-valid record and replay the store."""
-    import os
-
-    from repro.serve.framing import encode_frame
-    from repro.store.log import REC_EVENT, EventLogReader, EventLogWriter
+    """Append ``payload`` as a CRC-valid record to a version-1 store and
+    replay the store."""
+    from repro.store.log import EventLogReader
     from repro.stream.events import CountingHandler
 
     store = str(tmp_path / "s")
-    writer = EventLogWriter(store, sync="none")
-    writer.start_element("r", 1, 1, {})
-    writer.flush()
-    with open(os.path.join(store, writer._manifest.active), "ab") as handle:
-        handle.write(encode_frame(REC_EVENT, payload))
-    writer.close()
+    write_v1_store(store, [StartElement("r", 1, 1, {})], (payload,))
     handler = CountingHandler()
     try:
         EventLogReader(store, limits=limits).events_into(handler)
@@ -242,12 +229,11 @@ class TestDecoderParity:
         assert handler.total == 2 and decoder.count == 3
 
     def test_max_total_events_push_replay(self, tmp_path):
-        from repro.store.log import EventLogReader, EventLogWriter
+        from repro.store.log import EventLogReader
         from repro.stream.events import CountingHandler
 
         store = str(tmp_path / "s")
-        with EventLogWriter(store, sync="none", segment_events=4) as writer:
-            writer.extend(parse_string("<r>" + "<a>x</a>" * 20 + "</r>"))
+        write_v1_store(store, list(parse_string("<r>" + "<a>x</a>" * 20 + "</r>")))
         handler = CountingHandler()
         reader = EventLogReader(store, limits=ResourceLimits(max_total_events=10))
         with pytest.raises(Exception, match="max_total_events"):
@@ -257,7 +243,7 @@ class TestDecoderParity:
             store, limits=ResourceLimits(max_total_events=10**6)).events())) > 10
 
     def test_within_limits_push_replay(self, tmp_path):
-        from repro.store.log import EventLogReader, EventLogWriter
+        from repro.store.log import EventLogReader
         from repro.stream.events import EventCollector
 
         limits = ResourceLimits(
@@ -267,19 +253,19 @@ class TestDecoderParity:
         events = [StartElement("a", 3, 1, {"k": "v"}), Characters("short", 3),
                   EndElement("a", 3)]
         store = str(tmp_path / "s")
-        with EventLogWriter(store, sync="none") as writer:
-            writer.extend(events)
+        write_v1_store(store, events)
         collector = EventCollector()
         EventLogReader(store, limits=limits).events_into(collector)
         assert collector.events == events
 
 
 class TestTagCaches:
-    """Tag churn cannot grow the encoder's or the decoder's memo."""
+    """Tag churn: 10K distinct tags round-trip through both store formats
+    and the decoder, which keeps no per-tag state."""
 
     def test_ten_thousand_distinct_tags(self, tmp_path):
         from repro.store.log import EventLogReader, EventLogWriter
-        from repro.stream.codec import TAG_CACHE_LIMIT, EventEncoder, PushDecoder
+        from repro.stream.codec import PushDecoder
         from repro.stream.events import EventCollector
 
         tags = [f"t{index}" for index in range(10_000)]
@@ -291,21 +277,14 @@ class TestTagCaches:
         store = str(tmp_path / "s")
         with EventLogWriter(store, sync="none") as writer:
             writer.extend(events)
-            assert 0 < len(writer._encoder._tags) <= TAG_CACHE_LIMIT
         assert list(EventLogReader(store).events()) == events
+        old = str(tmp_path / "v1")
+        write_v1_store(old, events)
+        assert list(EventLogReader(old).events()) == events
 
-        encoder = EventEncoder()
         collector = EventCollector()
         decoder = PushDecoder(collector)
         for event in events:
-            record = encode_event(event)
-            if isinstance(event, StartElement):
-                assert encoder.start_element(
-                    event.tag, event.level, event.node_id, event.attributes) == record
-            else:
-                assert encoder.end_element(event.tag, event.level) == record
-            decoder.decode(record)
-            assert len(encoder._tags) <= TAG_CACHE_LIMIT
-            assert len(decoder._tags) <= TAG_CACHE_LIMIT
+            decoder.decode(encode_event(event))
         assert collector.events == events
-        assert len(decoder._tags) > 0
+        assert not hasattr(decoder, "__dict__")

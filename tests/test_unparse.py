@@ -61,6 +61,20 @@ class TestCanonicalForms:
         (pred,) = parse_xpath(f"//a[. = {text}]").steps[0].predicates
         assert pred.value == value
 
+    @pytest.mark.parametrize("query, text", [
+        ("//a[b = 1234567]", "//a[b = 1234567]"),
+        ("//a[b = 0.0000001]", "//a[b = 0.0000001]"),
+        ("//a[b < 5.]", "//a[b < 5]"),
+        ("//a[5 > b]", "//a[b < 5]"),
+        ("//a[@k >= -2.5]", "//a[@k >= -2.5]"),
+        ('//a[. = "it\'s"]', '//a[. = "it\'s"]'),
+    ])
+    def test_ast_str_round_trips(self, query, text):
+        """The parsed AST prints its literals exactly, so it parses back."""
+        tree = parse_xpath(query)
+        assert str(tree) == text
+        assert parse_xpath(str(tree)) == tree
+
 
 class TestRoundTripSemantics:
     ORACLE = NavigationalDomEngine()
