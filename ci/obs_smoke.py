@@ -2,10 +2,12 @@
 
 Gates the acceptance properties of the ``repro.obs`` layer:
 
-1. **Structurally free when disabled** — constructing any stream without
-   ``metrics=`` must instantiate the *plain* machine classes and leave
-   the tokenizer unbound; the hot loops then contain no metrics checks
-   at all.
+1. **The engine that runs is observed** — metrics on and off build the
+   same engine classes for an ``XPathStream`` and the same units for a
+   ``MultiQueryEngine`` over the 1000-query standing set (613 today),
+   and metrics on run that set within ``MAX_METRICS_SLOWDOWN`` (1.25x)
+   of metrics off over pre-tokenised events, as the median of
+   ``REPEATS`` alternating pairs (a final scrape included).
 2. **Throughput unchanged** — ``XPathStream(query).evaluate(path)``
    with metrics off must stay within ``MAX_OVERHEAD`` (5%) of the bare
    fused loop on every XMark benchmark query: ``XmlTokenizer().feed_into``
@@ -21,14 +23,16 @@ Gates the acceptance properties of the ``repro.obs`` layer:
    dispatch.
 4. **Cumulative truth across checkpoints** — metrics carried through
    ``snapshot()``/``restore()`` must make a resumed stream's registry
-   report exactly what an uninterrupted run reports.
+   report exactly what an uninterrupted run reports (every family but
+   the path-dependent ``repro_machine_peak_entries``), for a
+   ``MultiQueryEngine`` and an ``XPathStream``.
 5. **Exposition round-trips** — the Prometheus text parses back into
    the same samples the snapshot reports, and the JSON rendering loads.
 6. **The DFA tier reports in** — a ``compiled=True`` run of a
    predicate-free query with metrics populates the ``repro_compile_*``
    families (DFA cache size, hit ratio, fallbacks) and returns unchanged
    solution ids; a predicated query under ``compiled=True`` runs the
-   observed interpreted machine and populates ``repro_machine_*``; and
+   plain interpreted machine and populates ``repro_machine_*``; and
    a compiled run *without* metrics must not touch the obs layer at all.
 
 Run from the repo root::
@@ -46,6 +50,7 @@ import time
 
 from repro.bench.corpora import benchmark_corpus
 from repro.bench.hotpath import XMARK_QUERIES, reference_events
+from repro.bench.multiq import multiq_workload
 from repro.core.processor import XPathStream, build_engine
 from repro.core.results import CollectingSink
 from repro.multiq.engine import MultiQueryEngine
@@ -56,23 +61,71 @@ from repro.xpath.querytree import compile_query
 MAX_OVERHEAD = 0.05
 #: Back-to-back (bare loop, face) timing pairs per query.
 REPEATS = 15
+#: Standing queries for the same-engine and metrics-on cost checks.
+STANDING_QUERIES = 1000
+#: Metrics on may cost at most this factor over metrics off.
+MAX_METRICS_SLOWDOWN = 1.25
+#: Alternating (off, on) timing pairs for that check.
+STANDING_REPEATS = 7
 
 
-def check_structurally_free() -> list[str]:
-    """Disabled mode must run the plain classes, not no-op'd obs ones."""
+def check_same_engines(corpus) -> list[str]:
+    """Metrics on build the engines metrics off build, and cost little."""
     failures = []
-    stream = XPathStream("//open_auction[bidder]//reserve")
-    if type(stream.engine).__module__.startswith("repro.obs"):
+    for query, _why in XMARK_QUERIES:
+        for compiled in (False, True):
+            plain = type(XPathStream(query, compiled=compiled).engine)
+            observed = type(XPathStream(query, compiled=compiled,
+                                        metrics=MetricsRegistry()).engine)
+            if observed is not plain:
+                failures.append(
+                    f"metrics built {observed.__name__} for {query!r} "
+                    f"(compiled={compiled}); metrics off build {plain.__name__}"
+                )
+    queries = multiq_workload(STANDING_QUERIES)
+    plain = MultiQueryEngine(queries)
+    observed = MultiQueryEngine(queries, metrics=MetricsRegistry())
+    shapes = [[type(unit.engine) for unit in engine._registry.units()]
+              for engine in (plain, observed)]
+    print(f"  {len(queries)} standing queries: {plain.unit_count()} units "
+          f"off, {observed.unit_count()} on")
+    if shapes[0] != shapes[1]:
         failures.append(
-            f"disabled XPathStream built {type(stream.engine).__name__}; "
-            "expected a plain repro.core machine"
+            f"metrics built {observed.unit_count()} units for the standing "
+            f"set; metrics off build {plain.unit_count()}"
         )
-    engine = MultiQueryEngine({"q": "//item/name"})
-    for unit in engine._registry.units():
-        if type(unit.engine).__module__.startswith("repro.obs"):
-            failures.append(
-                f"disabled MultiQueryEngine built {type(unit.engine).__name__}"
-            )
+        return failures
+
+    events = reference_events(corpus.path)
+
+    def run(metrics) -> float:
+        engine = MultiQueryEngine(queries, metrics=metrics)
+
+        def feed() -> None:
+            engine.feed_events(events)
+            if metrics is not None:
+                metrics.collect()
+
+        return _timed(feed)
+
+    pairs = []
+    for repeat in range(STANDING_REPEATS):
+        if repeat % 2:
+            on = run(MetricsRegistry())
+            off = run(None)
+        else:
+            off = run(None)
+            on = run(MetricsRegistry())
+        pairs.append((off, on))
+    ratio = statistics.median(on / off for off, on in pairs)
+    print(f"  standing set over {len(events)} events: metrics off "
+          f"{min(off for off, _ in pairs):.3f} s, on "
+          f"{min(on for _, on in pairs):.3f} s (paired median {ratio:.2f}x)")
+    if ratio > MAX_METRICS_SLOWDOWN:
+        failures.append(
+            f"metrics on run the standing set {ratio:.2f}x slower than off, "
+            f"above the {MAX_METRICS_SLOWDOWN}x bound"
+        )
     return failures
 
 
@@ -179,32 +232,36 @@ def check_checkpoint_continuity(corpus) -> list[str]:
     text = corpus.path.read_text(encoding="utf-8")
     mid = len(text) // 2
     queries = {f"q{i}": q for i, (q, _why) in enumerate(XMARK_QUERIES)}
-
-    whole_registry = MetricsRegistry()
-    whole = MultiQueryEngine(queries, metrics=whole_registry)
-    whole.feed_text(text)
-    whole_results = whole.close()
-
-    first = MultiQueryEngine(queries, metrics=MetricsRegistry())
-    first.feed_text(text[:mid])
-    resumed_registry = MetricsRegistry()
-    resumed = MultiQueryEngine.restore(first.snapshot(),
-                                       metrics=resumed_registry)
-    resumed.feed_text(text[mid:])
-    resumed_results = resumed.close()
-
     failures = []
-    if whole_results != resumed_results:
-        failures.append("checkpoint resume changed results")
-    whole_flat, resumed_flat = _families(whole_registry), _families(resumed_registry)
-    for family, values in whole_flat.items():
-        if family == "repro_machine_peak_entries":
-            continue  # high-water marks are path-dependent by definition
-        if resumed_flat.get(family) != values:
-            failures.append(
-                f"{family}: resumed registry reports "
-                f"{resumed_flat.get(family)} != uninterrupted {values}"
-            )
+    for label, make, restore in (
+        ("MultiQueryEngine", lambda registry: MultiQueryEngine(queries, metrics=registry),
+         MultiQueryEngine.restore),
+        ("XPathStream", lambda registry: XPathStream(XMARK_QUERIES[-1][0], metrics=registry),
+         XPathStream.restore),
+    ):
+        whole_registry = MetricsRegistry()
+        whole = make(whole_registry)
+        whole.feed_text(text)
+        whole_results = whole.close()
+
+        first = make(MetricsRegistry())
+        first.feed_text(text[:mid])
+        resumed_registry = MetricsRegistry()
+        resumed = restore(first.snapshot(), metrics=resumed_registry)
+        resumed.feed_text(text[mid:])
+        resumed_results = resumed.close()
+
+        if whole_results != resumed_results:
+            failures.append(f"{label}: checkpoint resume changed results")
+        whole_flat, resumed_flat = _families(whole_registry), _families(resumed_registry)
+        for family, values in whole_flat.items():
+            if family == "repro_machine_peak_entries":
+                continue  # high-water marks are path-dependent by definition
+            if resumed_flat.get(family) != values:
+                failures.append(
+                    f"{label}: {family}: resumed registry reports "
+                    f"{resumed_flat.get(family)} != uninterrupted {values}"
+                )
     return failures
 
 
@@ -274,11 +331,8 @@ def check_compiled_metrics(corpus) -> list[str]:
     ):
         if family not in rendered:
             failures.append(f"{family} absent after a compiled run")
-    publisher_attr = "_compile_publisher"
-    if not hasattr(registry, publisher_attr):
-        failures.append("compiled run with metrics never bound a publisher")
 
-    # Predicated queries have no compiled tier: they run the observed
+    # Predicated queries have no compiled tier: they run the plain
     # interpreted machine, exactly as with compiled=False.
     predicated = next(q for q, _ in XMARK_QUERIES if "[" in q)
     registry = MetricsRegistry()
@@ -300,8 +354,8 @@ def main() -> int:
     corpus = benchmark_corpus()
     print(f"obs smoke: {corpus.name} ({corpus.size_bytes()} bytes)")
     failures: list[str] = []
-    print("  structural zero-overhead check")
-    failures += check_structurally_free()
+    print("  same engines, metrics on and off")
+    failures += check_same_engines(corpus)
     failures += check_throughput(corpus)
     print("  result parity (metrics on == off)")
     failures += check_result_parity(corpus)

@@ -14,8 +14,8 @@ family the expected exponents are sharp:
 Theorem 4.4 bounds — parent-stack probes, flag sets and candidate
 uploads happen *inside* δs/δe, so the counting copy of the transitions
 lives here, beside the fits that consume it, rather than on the
-production metric path (:mod:`repro.obs.machines` only sees what is
-visible from outside a machine).
+production metric path (:mod:`repro.obs.machines` publishes only the
+counters the production engines keep anyway).
 
 Used by ``benchmarks/test_ablation_complexity.py``, the
 ``python -m repro.bench --figure A`` ablation table, and

@@ -25,16 +25,13 @@ so the stand-in and the production cache cannot drift.
 """
 
 from repro.compile.dfa import DEFAULT_STATE_CAP, DfaPathM
-from repro.compile.metrics import CompileMetricsPublisher, compile_publisher
 from repro.compile.nfa import LazyDfa, Step, subset_step, trunk_steps
 
 __all__ = [
-    "CompileMetricsPublisher",
     "DEFAULT_STATE_CAP",
     "DfaPathM",
     "LazyDfa",
     "Step",
-    "compile_publisher",
     "subset_step",
     "trunk_steps",
 ]

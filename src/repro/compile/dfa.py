@@ -121,7 +121,6 @@ class DfaPathM:
         limits: ResourceLimits | None = None,
         *,
         state_cap: int = DEFAULT_STATE_CAP,
-        metrics=None,
     ):
         self._limits = limits
         self._event_count = 0
@@ -146,10 +145,6 @@ class DfaPathM:
         self._misses = 0
         self._fallbacks = 0
         self.add_member(query, sink if sink is not None else CollectingSink())
-        if metrics is not None:
-            from repro.compile.metrics import compile_publisher
-
-            compile_publisher(metrics).track(self)
 
     # -- introspection ----------------------------------------------------
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.core.machine import Machine, MachineNode, build_machine
+from repro.core.machine import Machine, MachineNode, build_machine, restore_counters
 from repro.core.push import LimitCountingHandler
 from repro.core.results import CollectingSink, ResultSink
 from repro.errors import CheckpointError, UnsupportedQueryError
@@ -65,8 +65,8 @@ class BranchM:
     '//' or '*' (use :class:`~repro.core.twigm.TwigM` instead).
     """
 
-    #: Stable engine identifier — shared by instrumented subclasses, used
-    #: as the snapshot ``engine`` key and as the metrics ``engine`` label.
+    #: Stable engine identifier, used as the snapshot ``engine`` key and
+    #: as the metrics ``engine`` label.
     machine_name = "branchm"
     #: Every emission is a new id (see :meth:`_emit_ids`), so an
     #: emitted id is never released again.
@@ -103,6 +103,9 @@ class BranchM:
         self._limits = limits
         self._candidate_count = 0
         self._event_count = 0
+        # Slot occupations (ever), occupied slots now, and occupied at
+        # most (:func:`~repro.core.machine.engine_figures`).
+        self._pushes = self._live = self._peak = 0
         self._slots: dict[int, _Slot] = {
             id(node): _Slot() for node in self.machine.iter_nodes()
         }
@@ -164,6 +167,7 @@ class BranchM:
             slot.reset()
         self._candidate_count = 0
         self._event_count = 0
+        self._live = 0
         self._open_value_slots = 0
         self._trunk_dirty = False
 
@@ -186,6 +190,8 @@ class BranchM:
             "slots": slots,
             "candidate_count": self._candidate_count,
             "event_count": self._event_count,
+            "pushes": self._pushes,
+            "peak": self._peak,
         }
 
     def restore_state(self, state: dict) -> None:
@@ -205,6 +211,7 @@ class BranchM:
             slot.stable = False
         self._candidate_count = state.get("candidate_count", 0)
         self._event_count = state.get("event_count", 0)
+        restore_counters(self, state, sum(1 for slot in slots if slot[0] != -1))
         self._open_value_slots = sum(
             1 for slot in self._value_slots if slot.text_parts is not None
         )
@@ -245,6 +252,11 @@ class BranchM:
                 continue
             if slot.candidates:
                 self._candidate_count -= len(slot.candidates)
+            if slot.level == -1:
+                self._pushes += 1
+                live = self._live = self._live + 1
+                if live > self._peak:
+                    self._peak = live
             slot.level = level
             slot.flags = 0
             slot.candidates = None
@@ -311,6 +323,7 @@ class BranchM:
             if slot.text_parts is not None:
                 self._open_value_slots -= 1
             slot.reset()
+            self._live -= 1
         if self._trunk_dirty:
             self._flush_trunk()
 

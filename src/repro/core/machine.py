@@ -320,3 +320,53 @@ def _ancestors_predicate_free(return_node: MachineNode) -> bool:
             return False
         node = node.parent
     return True
+
+
+#: The :func:`engine_figures` (and front-door ``events``/``emitted``)
+#: that only grow: a front door folds what an engine it drops or resets
+#: took with it into retired totals, so published counters never go down.
+CUMULATIVE_FIGURES = (
+    "events", "pushes", "pops", "emitted",
+    "dfa_starts", "dfa_misses", "dfa_fallbacks",
+)
+
+
+def engine_figures(engine) -> dict[str, int]:
+    """The counters ``engine`` keeps anyway, read without changing it.
+
+    PathM, BranchM and TwigM count stack entries (BranchM: slot
+    occupations) where they push and pop them: ``pushes``, the
+    ``live_entries`` and their high-water mark ``peak_entries``;
+    ``pops`` is ``pushes - live_entries``.  ``buffered_candidates`` is
+    the candidate ids their entries hold.  The lazy DFA keeps no
+    entries; it reports its cache counters (``dfa_*``) instead.
+    """
+    if engine.machine_name == "dfa":
+        return {
+            "dfa_starts": engine._starts,
+            "dfa_misses": engine._misses,
+            "dfa_fallbacks": engine._fallbacks,
+            "dfa_states": engine.dfa_state_count,
+            "dfa_transitions": engine.dfa_transition_count,
+        }
+    live = engine._live
+    return {
+        "pushes": engine._pushes,
+        "pops": engine._pushes - live,
+        "live_entries": live,
+        "peak_entries": engine._peak,
+        "buffered_candidates": engine._candidate_count,
+    }
+
+
+def restore_counters(engine, state: dict, live: int) -> None:
+    """Resume the entry counters of a ``snapshot_state`` capture.
+
+    ``pushes`` and ``peak`` are optional: a capture without them counts
+    its ``live`` entries as pushed.  Captures from the release that
+    counted through an observing subclass hold them under ``"obs"``.
+    """
+    legacy = state.get("obs", {}).get("counts", {})
+    engine._live = live
+    engine._pushes = max(state.get("pushes", legacy.get("pushes", 0)), live)
+    engine._peak = max(state.get("peak", legacy.get("peak_entries", 0)), live)

@@ -27,6 +27,7 @@ from repro.core.machine import (
     Machine,
     MachineNode,
     build_machine,
+    restore_counters,
 )
 from repro.core.push import LimitCountingHandler
 from repro.core.results import CollectingSink, ResultSink
@@ -46,12 +47,14 @@ class PathM:
     document depth and total event count the machine will accept.
     """
 
-    #: Stable engine identifier — shared by instrumented subclasses, used
-    #: as the snapshot ``engine`` key and as the metrics ``engine`` label.
+    #: Stable engine identifier, used as the snapshot ``engine`` key and
+    #: as the metrics ``engine`` label.
     machine_name = "pathm"
     #: Every emission is a new id (one per start tag), so an emitted id
     #: is never released again (see :mod:`repro.core.results`).
     epoch_open = False
+    #: Solutions are output at once: no candidate is ever buffered.
+    _candidate_count = 0
 
     def __init__(
         self,
@@ -72,6 +75,9 @@ class PathM:
         self.sink = sink if sink is not None else CollectingSink()
         self._limits = limits
         self._event_count = 0
+        # Stack entries pushed (ever), live now, and live at most
+        # (:func:`~repro.core.machine.engine_figures`).
+        self._pushes = self._live = self._peak = 0
         # The machine of a path query is a single chain; per-node state is
         # a stack of levels.
         self._stacks: dict[int, list[int]] = {
@@ -138,6 +144,7 @@ class PathM:
         for stack in self._stacks.values():
             stack.clear()
         self._event_count = 0
+        self._live = 0
 
     # -- checkpointing ----------------------------------------------------
 
@@ -148,6 +155,8 @@ class PathM:
                 list(self._stacks[id(node)]) for node in self.machine.iter_nodes()
             ],
             "event_count": self._event_count,
+            "pushes": self._pushes,
+            "peak": self._peak,
         }
 
     def restore_state(self, state: dict) -> None:
@@ -163,6 +172,7 @@ class PathM:
             stack.clear()
             stack.extend(levels)
         self._event_count = state.get("event_count", 0)
+        restore_counters(self, state, sum(len(levels) for levels in stacks))
 
     # -- transitions ------------------------------------------------------
 
@@ -175,15 +185,27 @@ class PathM:
             plan = self._miss_plan(tag)
             if not plan:
                 return
+        pushed = 0
         for node, stack, parent_stack in plan:
             if parent_stack is None:
-                if not node.edge_satisfied(level):
+                # ζ against the document root (level 0).
+                dist = node.edge_dist
+                if level != dist and (level < dist or node.edge_op == EDGE_EQ):
                     continue
-            elif not self._edge_exists(node, parent_stack, level):
-                continue
+            elif node.edge_op == EDGE_EQ:
+                if not self._edge_exists(node, parent_stack, level):
+                    continue
+            elif not parent_stack or parent_stack[0] > level - node.edge_dist:
+                continue  # '>=': the bottom (smallest) entry decides
             stack.append(level)
+            pushed += 1
             if node.is_return:
                 self.sink.emit(node_id)
+        if pushed:
+            self._pushes += pushed
+            live = self._live = self._live + pushed
+            if live > self._peak:
+                self._peak = live
 
     def characters(self, text: str, level: int | None = None) -> None:
         """No-op: character data carries no information for path queries.
@@ -200,6 +222,7 @@ class PathM:
         for node, stack, parent_stack in plan:
             if stack and stack[-1] == level:
                 stack.pop()
+                self._live -= 1
 
     @staticmethod
     def _edge_exists(node: MachineNode, parent_stack: list[int], level: int) -> bool:

@@ -40,8 +40,9 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from repro.checkpoint import read_envelope, restoring
+from repro.checkpoint import read_envelope, read_fields, restoring
 from repro.core.branchm import BranchM
+from repro.core.machine import engine_figures
 from repro.core.pathm import PathM
 from repro.core.results import CallbackSink, CollectingSink, ResultSink
 from repro.core.textfeed import TextFeed
@@ -88,7 +89,7 @@ def select_engine_class(query: QueryTree):
 
 def build_engine(query: QueryTree, sink: ResultSink, *,
                  engine: str | None = None, compiled: bool = False,
-                 limits: ResourceLimits | None = None, metrics=None,
+                 limits: ResourceLimits | None = None,
                  emission: str = "default", lag_probe=None,
                  state_cap: int | None = None, tracker=None):
     """Construct the machine that evaluates ``query`` under these options.
@@ -102,9 +103,6 @@ def build_engine(query: QueryTree, sink: ResultSink, *,
     Each option reaches only the engines that take it: ``emission`` and
     ``lag_probe`` the buffering machines (TwigM/BranchM; path engines
     already emit at the earliest point), ``state_cap`` the lazy DFA.
-    With ``metrics`` the lazy DFA publishes ``repro_compile_*`` itself
-    and the interpreted machines run as their observed subclass
-    (:func:`repro.obs.machines.observed_class`).
     """
     if engine is not None:
         engine_class = _engine_class_by_name(engine)
@@ -124,14 +122,6 @@ def build_engine(query: QueryTree, sink: ResultSink, *,
             sink = lag_probe.wrap_sink(sink)
     if name == "dfa" and state_cap is not None:
         options["state_cap"] = state_cap
-    if metrics is not None:
-        if name != "dfa":
-            # Lazy import: the obs layer sits above core and is only
-            # loaded when instrumentation is requested.
-            from repro.obs.machines import observed_class
-
-            engine_class = observed_class(engine_class)
-        options["metrics"] = metrics
     return engine_class(query, sink=sink, limits=limits, **options)
 
 
@@ -162,13 +152,12 @@ class XPathStream(TextFeed):
         by both the tokenizer and the machine.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`.  When set,
-        PathM/BranchM/TwigM run as their *observed* subclass
-        (:func:`repro.obs.machines.observed_class`) and the tokenizers
-        publish metrics, so the ``repro_machine_*`` and
-        ``repro_tokenizer_*`` families populate; the lazy-DFA engine
-        publishes ``repro_compile_*`` instead.  When ``None`` (the
-        default) the plain classes run — the hot loops contain no
-        metrics code at all.
+        the tokenizers publish ``repro_tokenizer_*`` and the stream
+        registers one collector (:mod:`repro.obs.machines`) that reads
+        the counters the machine keeps anyway when the registry is
+        scraped: the ``repro_machine_*`` families, and
+        ``repro_compile_*`` for the lazy DFA.  The same machine runs
+        either way.
     compiled:
         Upgrade an automatically selected PathM (a predicate-free query)
         to the lazy-DFA front-end of :mod:`repro.compile`
@@ -222,21 +211,34 @@ class XPathStream(TextFeed):
             sink = CallbackSink(on_match)
         self.engine = build_engine(
             query, sink, engine=engine, compiled=self._compiled,
-            limits=limits, metrics=metrics, emission=emission,
-            state_cap=state_cap,
+            limits=limits, emission=emission, state_cap=state_cap,
         )
         self._sink = sink
         self._push_handler = None
+        # Events and emissions of documents already finished (or reset):
+        # the tokenizer and the sink count only the current one.
+        self._retired = {"events": 0, "emitted": 0}
+        if metrics is not None:
+            from repro.obs.machines import MachineMetrics
+
+            self._machine_metrics = MachineMetrics(metrics)
+            metrics.add_collector(self._sync_metrics)
 
     @property
     def engine_name(self) -> str:
-        """Which machine evaluates this query: pathm, branchm or twigm.
+        """Which machine evaluates this query: pathm, branchm, twigm or dfa."""
+        return self.engine.machine_name
 
-        Instrumented subclasses report their base engine's name, so
-        snapshots restore onto either variant.
-        """
-        return getattr(type(self.engine), "machine_name",
-                       type(self.engine).__name__.lower())
+    def _sync_metrics(self) -> None:
+        """Publish the machine's figures (the registry's collector)."""
+        tokenizer = self._tokenizer
+        events = self._retired["events"]
+        if tokenizer is not None:
+            events += tokenizer.event_count
+        figures = engine_figures(self.engine)
+        figures["events"] = events
+        figures["emitted"] = self._retired["emitted"] + self._sink.emitted
+        self._machine_metrics.publish({self.engine_name: figures})
 
     @property
     def results(self) -> list[int]:
@@ -269,7 +271,21 @@ class XPathStream(TextFeed):
 
     def feed_events(self, events: Iterable[Event]) -> None:
         """Push pre-parsed modified-SAX events through the engine."""
+        if self._metrics is not None:
+            events = self._counted(events)
         self.engine.feed(events)
+
+    def _counted(self, events: Iterable[Event]) -> Iterable[Event]:
+        """``events``, counted as delivered (no tokenizer counts them)."""
+        retired = self._retired
+        for event in events:
+            retired["events"] += 1
+            yield event
+
+    def _drop_tokenizer(self) -> None:
+        if self._tokenizer is not None:
+            self._retired["events"] += self._tokenizer.event_count
+        self._tokenizer = None
 
     def close(self) -> list[int]:
         """Finish an incremental text feed; return collected ids (if any).
@@ -286,7 +302,8 @@ class XPathStream(TextFeed):
     def reset(self) -> None:
         """Prepare for a fresh document (keeps the compiled machine)."""
         self.engine.reset()
-        self._tokenizer = None
+        self._drop_tokenizer()
+        self._retired["emitted"] += self._sink.emitted
         self._sink.reset()
 
     # -- checkpoint / resume ------------------------------------------------
@@ -300,8 +317,10 @@ class XPathStream(TextFeed):
         tokenizer (pending buffer, open-element stack, cursor, pre-order
         counter), so ``restore`` resumes bit-exactly.  Everything in it is
         JSON-serializable; persist it however suits the deployment.
+        Once a document has finished, ``"retired"`` carries the events
+        and emissions of the finished ones (metrics totals).
         """
-        return {
+        snapshot = {
             "version": SNAPSHOT_VERSION,
             "query": self.query.source,
             "engine": self.engine_name,
@@ -313,6 +332,9 @@ class XPathStream(TextFeed):
             "machine": self.engine.snapshot_state(),
             "sink": self._sink.snapshot_state(),
         }
+        if any(self._retired.values()):
+            snapshot["retired"] = dict(self._retired)
+        return snapshot
 
     @classmethod
     def restore(
@@ -335,7 +357,8 @@ class XPathStream(TextFeed):
             snapshot, "snapshot", SNAPSHOT_VERSION,
             required=("query", "engine", "policy", "limits", "tokenizer",
                       "machine", "sink"),
-            optional={"compiled": False, "emission": "default"},
+            optional={"compiled": False, "emission": "default",
+                      "retired": {"events": 0, "emitted": 0}},
         )
         with restoring("snapshot"):
             stream = cls(
@@ -355,6 +378,9 @@ class XPathStream(TextFeed):
                 # Older captures keep every id ever emitted in ``seen``.
                 stream._sink.end_epoch()
             stream._restore_tokenizer(snapshot["tokenizer"])
+            retired = read_fields(snapshot["retired"], "snapshot retired",
+                                  required=("events", "emitted"))
+            stream._retired = {key: int(value) for key, value in retired.items()}
         return stream
 
 

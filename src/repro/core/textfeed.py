@@ -77,7 +77,11 @@ class TextFeed:
         """
         if self._tokenizer is not None:
             self._tokenizer.close_into(self._text_handler())
-            self._tokenizer = None
+            self._drop_tokenizer()
+
+    def _drop_tokenizer(self) -> None:
+        """Forget the tokenizer: its document is finished or abandoned."""
+        self._tokenizer = None
 
     def evaluate(self, source):
         """One-shot: evaluate ``source`` in one pass and :meth:`close`.
@@ -88,7 +92,7 @@ class TextFeed:
         Returns what ``close`` returns.
         """
         chunks, events = split_source(source)
-        self._tokenizer = None
+        self._drop_tokenizer()
         if chunks is None:
             self.feed_events(events)
         else:

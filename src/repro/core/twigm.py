@@ -38,6 +38,7 @@ from repro.core.machine import (
     Machine,
     MachineNode,
     build_machine,
+    restore_counters,
 )
 from repro.core.push import LimitCountingHandler
 from repro.core.results import CollectingSink, ResultSink
@@ -161,8 +162,8 @@ class TwigM:
     integration with any parser.
     """
 
-    #: Stable engine identifier — shared by instrumented subclasses, used
-    #: as the snapshot ``engine`` key and as the metrics ``engine`` label.
+    #: Stable engine identifier, used as the snapshot ``engine`` key and
+    #: as the metrics ``engine`` label.
     machine_name = "twigm"
 
     def __init__(
@@ -187,6 +188,9 @@ class TwigM:
         self._limits = limits
         self._candidate_count = 0  # ids buffered across all stack entries
         self._event_count = 0
+        # Stack entries pushed (ever), live now, and live at most
+        # (:func:`~repro.core.machine.engine_figures`).
+        self._pushes = self._live = self._peak = 0
         self._stacks: dict[int, list[StackEntry]] = {}
         for node in self.machine.iter_nodes():
             self._stacks[id(node)] = []
@@ -330,6 +334,7 @@ class TwigM:
             stack.clear()
         self._candidate_count = 0
         self._event_count = 0
+        self._live = 0
         self._open_value_entries = 0
         self._trunk_dirty = False
 
@@ -360,6 +365,8 @@ class TwigM:
             "stacks": stacks,
             "candidate_count": self._candidate_count,
             "event_count": self._event_count,
+            "pushes": self._pushes,
+            "peak": self._peak,
         }
 
     def restore_state(self, state: dict) -> None:
@@ -382,6 +389,7 @@ class TwigM:
                 stack.append(entry)
         self._candidate_count = state.get("candidate_count", 0)
         self._event_count = state.get("event_count", 0)
+        restore_counters(self, state, sum(len(entries) for entries in stacks))
         self._open_value_entries = sum(
             1
             for stack in self._value_stacks
@@ -415,6 +423,7 @@ class TwigM:
                 return
         if attributes is None:
             attributes = {}
+        pushed = 0
         for node, stack, parent_stack in plan:
             condition = node.compiled_condition
             if condition is None:
@@ -428,10 +437,15 @@ class TwigM:
                 # branch/value outcome can satisfy the condition.
                 continue
             if parent_stack is None:
-                if not node.edge_satisfied(level):
+                # ζ against the document root (level 0).
+                dist = node.edge_dist
+                if level != dist and (level < dist or node.edge_op == EDGE_EQ):
                     continue
-            elif not self._parent_edge_exists(node, parent_stack, level):
-                continue
+            elif node.edge_op == EDGE_EQ:
+                if not self._parent_edge_exists(node, parent_stack, level):
+                    continue
+            elif not parent_stack or parent_stack[0].level > level - node.edge_dist:
+                continue  # '>=': the bottom-most entry decides
             entry = StackEntry(level)
             if node.value_tests or (condition is not None and condition.has_value_leaves):
                 entry.text_parts = []
@@ -439,16 +453,24 @@ class TwigM:
             if condition is not None:
                 entry.attr_bits = condition.attr_bits(attributes)
             if node.is_return:
-                entry.add_candidate(node_id)
-                self._count_candidates(1)
+                entry.candidates = {node_id}
+                self._candidate_count += 1
+                if self._limits is not None:
+                    self._limits.check("max_buffered_candidates", self._candidate_count)
                 if self._tracker is not None:
                     self._tracker.created(node_id)
             stack.append(entry)
+            pushed += 1
             if self._detect:
                 # Entries with no pending branch/value unknowns are
                 # stable at creation (e.g. predicate-free trunk nodes,
                 # attribute-only conditions already decided).
                 self._note_stable(node, entry)
+        if pushed:
+            self._pushes += pushed
+            live = self._live = self._live + pushed
+            if live > self._peak:
+                self._peak = live
         if self._trunk_dirty:
             self._flush_trunk()
 
@@ -503,6 +525,7 @@ class TwigM:
             if not stack or stack[-1].level != level:
                 continue
             entry = stack.pop()
+            self._live -= 1
             if parent_stack is None:
                 epoch_over = not stack
             if entry.text_parts is not None:
@@ -588,7 +611,9 @@ class TwigM:
 
     def _upload(self, parent_entry: StackEntry, entry: StackEntry) -> None:
         """Candidate upload, reporting newly-retained ids to the tracker."""
-        if self._tracker is None or not entry.candidates:
+        if not entry.candidates:
+            return
+        if self._tracker is None:
             self._count_candidates(parent_entry.upload_candidates(entry))
             return
         existing = parent_entry.candidates

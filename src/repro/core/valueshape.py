@@ -250,6 +250,7 @@ class ValueShapeTwigM(TwigM):
             if not stack or stack[-1].level != level:
                 continue
             entry = stack.pop()
+            self._live -= 1
             if parent_stack is None:
                 epoch_over = not stack
             if entry.text_parts is not None:

@@ -47,6 +47,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 from repro.checkpoint import read_envelope, read_fields, restoring
+from repro.core.machine import CUMULATIVE_FIGURES
 from repro.core.results import CallbackSink, CollectingSink, ResultSink
 from repro.core.textfeed import TextFeed
 from repro.errors import CheckpointError, UnsupportedQueryError
@@ -136,12 +137,14 @@ class MultiQueryEngine(TextFeed):
         :meth:`add_query` instead.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`.  When set,
-        every unit runs an observed machine (populating the
-        ``repro_machine_*`` families), the shared tokenizer publishes
-        ``repro_tokenizer_*``, and the engine registers a collector for
-        the ``repro_multiq_*`` families: total/dispatched/broadcast
-        event counts, query and unit gauges, the router hit ratio, and
-        per-query emitted counts (labelled ``query="name"``).
+        the shared tokenizer publishes ``repro_tokenizer_*``, and the
+        engine registers one collector that runs when the registry is
+        scraped.  It publishes the ``repro_multiq_*`` families
+        (total/dispatched/broadcast event counts, query and unit gauges,
+        the router hit ratio, per-query emitted counts labelled
+        ``query="name"``) and, from the counters the units and their
+        machines keep anyway, ``repro_machine_*`` and ``repro_compile_*``
+        (:mod:`repro.obs.machines`).  The units are the same either way.
     compiled:
         Put predicate-free path queries into one shared lazy DFA
         (:class:`~repro.multiq.registry.SharedPathUnit`: a single
@@ -174,18 +177,21 @@ class MultiQueryEngine(TextFeed):
         self._compiled = bool(compiled)
         self._handler: "_MultiQueryHandler | None" = None
         self._events = 0
-        self._dispatched = 0
-        # A gate test either delivers or finds its gate closed, so
-        # ``gate_tests`` is the deliveries made through visited routes
-        # plus the closed ones.  The loop counts only closed gates, and
-        # ``_unrouted`` the deliveries made otherwise (limited units, or
-        # carried in by a restore): no event pays for the count.
+        # A visited route (one gate test) either delivers or finds its
+        # gate closed, so the deliveries are the visited routes minus the
+        # closed ones, plus ``_unrouted``, the deliveries made otherwise
+        # (limited units, or carried in by a restore): no delivery pays
+        # for the count (see :attr:`_dispatched`).
+        self._visited = 0
         self._closed_gates = 0
         self._unrouted = 0
         # Broadcast deliveries are events × registrations, settled into
         # ``_broadcast`` whenever the registration set changes.
         self._broadcast = 0
         self._settled_events = 0
+        #: Engine kind -> the cumulative figures of units (or sharers)
+        #: dropped, and of sink counts reset (see :meth:`_retire`).
+        self._retired: dict[str, dict[str, int]] = {}
         if metrics is not None:
             self._bind_metrics(metrics)
         if queries:
@@ -250,8 +256,13 @@ class MultiQueryEngine(TextFeed):
             units=self._registry.unit_count(),
             machine_events_dispatched=self._dispatched,
             machine_events_broadcast=self._broadcast_total(),
-            gate_tests=self._dispatched - self._unrouted + self._closed_gates,
+            gate_tests=self._visited,
         )
+
+    @property
+    def _dispatched(self) -> int:
+        """Machine-event deliveries since construction (or reset)."""
+        return self._visited - self._closed_gates + self._unrouted
 
     def _broadcast_total(self) -> int:
         """Counterfactual broadcast deliveries: settled plus every event
@@ -300,6 +311,9 @@ class MultiQueryEngine(TextFeed):
             "repro_multiq_emitted_total",
             "Distinct solutions emitted, per query.",
         )
+        from repro.obs.machines import MachineMetrics
+
+        self._machine_metrics = MachineMetrics(metrics)
         metrics.add_collector(self._sync_metrics)
 
     def _sync_metrics(self) -> None:
@@ -318,6 +332,28 @@ class MultiQueryEngine(TextFeed):
         self._m_hit_ratio.set(self._dispatched / broadcast if broadcast else 0.0)
         for name, count in self.emitted_counts().items():
             self._m_emitted.set(count, query=name)
+        self._machine_metrics.publish(self.machine_figures())
+
+    def machine_figures(self) -> dict[str, dict[str, int]]:
+        """Metric figures per engine kind: every live unit's
+        (:meth:`~repro.multiq.registry.EvalUnit.figures`) summed, plus
+        the retired totals."""
+        totals = {kind: dict(figures) for kind, figures in self._retired.items()}
+        for unit in self._registry.units():
+            kind = totals.setdefault(unit.engine_name, {})
+            for field, value in unit.figures().items():
+                kind[field] = kind.get(field, 0) + value
+        return totals
+
+    def _retire(self, kind: str, before: dict, after: dict) -> None:
+        """Fold what a unit's cumulative figures lost between ``before``
+        and ``after`` (a dropped unit: all of them) into the retired
+        totals."""
+        retired = self._retired.setdefault(kind, {})
+        for field in CUMULATIVE_FIGURES:
+            lost = before.get(field, 0) - after.get(field, 0)
+            if lost > 0:
+                retired[field] = retired.get(field, 0) + lost
 
     # -- lifecycle ------------------------------------------------------
 
@@ -362,7 +398,6 @@ class MultiQueryEngine(TextFeed):
             sink,
             limits=limits,
             callback=self._is_callback(on_match),
-            metrics=self._metrics,
             tracker=tracker,
             compiled=self._compiled,
             emission=emission,
@@ -407,7 +442,6 @@ class MultiQueryEngine(TextFeed):
             limits=limits,
             callback=self._is_callback(on_match),
             share=False,
-            metrics=self._metrics,
             compiled=self._compiled,
         )
         unit = created if created is not None else registration.unit
@@ -432,9 +466,12 @@ class MultiQueryEngine(TextFeed):
         """Withdraw a standing query; its machine is dropped with the
         last sharer.  Collected results for ``name`` are discarded."""
         self._settle_broadcast()
+        unit = self._registry.get(name).unit
+        before = unit.figures()
         registration, unit_dropped = self._registry.remove(name)
         if unit_dropped:
-            self._router.remove(registration.unit)
+            self._router.remove(unit)
+        self._retire(unit.engine_name, before, {} if unit_dropped else unit.figures())
         return registration
 
     def _is_callback(self, per_query: "Callable[[int], None] | None") -> bool:
@@ -517,14 +554,17 @@ class MultiQueryEngine(TextFeed):
         Machines, sinks, the tokenizer, and dispatch statistics are
         cleared; registrations survive, and all units become shareable
         again (cold state is indistinguishable from a fresh machine).
+        Machine metric figures stay cumulative.
         """
         for unit in self._registry.units():
+            before = unit.figures()
             unit.engine.reset()
             for sink in unit.sink.sinks.values():
                 sink.reset()
             unit.virgin = True
+            self._retire(unit.engine_name, before, unit.figures())
         self._tokenizer = None
-        self._events = self._dispatched = self._broadcast = 0
+        self._events = self._visited = self._broadcast = 0
         self._settled_events = self._closed_gates = self._unrouted = 0
         if self._handler is not None:
             self._handler.close_all()
@@ -542,9 +582,12 @@ class MultiQueryEngine(TextFeed):
         or, for an event-fed capture, counts every label open until the
         document element closes).  A value-shape unit's entry adds
         ``"shape": true``; its ``queries`` list the members in slot
-        order, which the member masks in its machine state index.
+        order, which the member masks in its machine state index.  Each
+        unit's entry counts the ``events`` delivered to it, and the
+        ``stats`` carry the ``retired`` metric figures once there are
+        any.
         """
-        return {
+        snapshot = {
             "version": MULTIQ_SNAPSHOT_VERSION,
             "compiled": self._compiled,
             "policy": self._policy.value,
@@ -572,6 +615,11 @@ class MultiQueryEngine(TextFeed):
                 "broadcast": self._broadcast_total(),
             },
         }
+        if self._retired:
+            snapshot["stats"]["retired"] = {
+                kind: dict(figures) for kind, figures in self._retired.items()
+            }
+        return snapshot
 
     @classmethod
     def restore(
@@ -613,9 +661,14 @@ class MultiQueryEngine(TextFeed):
             )
             engine._restore_queries(snapshot, trackers or {})
             stats = read_fields(snapshot["stats"], "multiq snapshot stats",
-                                required=("events", "dispatched", "broadcast"))
+                                required=("events", "dispatched", "broadcast"),
+                                optional={"retired": {}})
+            engine._retired = {
+                str(kind): {str(field): int(value) for field, value in figures.items()}
+                for kind, figures in stats["retired"].items()
+            }
             engine._events = engine._settled_events = int(stats["events"])
-            engine._dispatched = engine._unrouted = int(stats["dispatched"])
+            engine._unrouted = int(stats["dispatched"])
             engine._broadcast = int(stats["broadcast"])
             engine._restore_tokenizer(snapshot["tokenizer"])
             engine._reopen_labels()
@@ -669,7 +722,7 @@ class MultiQueryEngine(TextFeed):
             unit_payload = read_fields(
                 unit_payload, "multiq unit entry",
                 required=("queries", "engine", "machine", "sinks"),
-                optional={"virgin": False, "shape": False},
+                optional={"virgin": False, "shape": False, "events": 0},
             )
             members = unit_payload["queries"]
             if not members:
@@ -701,8 +754,7 @@ class MultiQueryEngine(TextFeed):
                 for member in members:
                     unit.join(member, trees[member], sinks[member])
             elif shared:
-                unit = SharedPathUnit(members[0], tree, sinks[members[0]],
-                                      metrics=self._metrics)
+                unit = SharedPathUnit(members[0], tree, sinks[members[0]])
                 for member in members[1:]:
                     unit.join(member, trees[member], sinks[member])
             elif unit_payload["shape"]:
@@ -725,7 +777,6 @@ class MultiQueryEngine(TextFeed):
             else:
                 tracked = bool(first["tracked"])
                 unit = EvalUnit(tree, limits, engine_name=unit_payload["engine"],
-                                metrics=self._metrics,
                                 tracker=trackers.get(members[0]) if tracked else None,
                                 compiled=self._compiled,
                                 emission=first["emission"])
@@ -744,6 +795,7 @@ class MultiQueryEngine(TextFeed):
                 for member in members:
                     unit.join(member, tree, sinks[member])
             if new_unit:
+                unit.events = int(unit_payload["events"])
                 unit.virgin = bool(unit_payload["virgin"])
                 unit.engine.restore_state(machine)
                 if fold_key is not None:
@@ -797,6 +849,7 @@ def _unit_payload(unit: EvalUnit) -> dict:
         "queries": unit.names,
         "engine": unit.engine_name,
         "virgin": unit.virgin,
+        "events": unit.events,
         "machine": unit.engine.snapshot_state(),
         "sinks": unit.sink.snapshot_state(),
     }
@@ -823,8 +876,9 @@ class _MultiQueryHandler(EventHandler):
     elements, or, with no text feed, is ``-1`` (every label open) until
     the document element closes or the engine resets.
 
-    A unit stops being *virgin* (accepting sharers) when an event is
-    actually delivered to it, just before the call.  A unit gated out of
+    Each delivery adds one to the unit's ``events``, just before the
+    call; that is also what ends the unit's *virginity* (accepting
+    sharers).  A unit gated out of
     every event so far stays virgin and may still take sharers: that is
     sound because gating it out means its stacks are empty, which is
     exactly the state of a fresh machine.
@@ -889,22 +943,19 @@ class _MultiQueryHandler(EventHandler):
         routes = record.views.get(mask & record.relevant)
         if routes is None:
             routes = self._router.view(record, mask)
-        delivered = 0
         for gate, _end, unit in routes:
             if gate is None or gate:
-                unit.virgin = False
+                unit.events += 1
                 unit.engine.start_element(tag, level, node_id, attributes)
-                delivered += 1
             else:
                 engine._closed_gates += 1
         limited = self._limited
         if limited:
             for unit, handler in limited:
-                unit.virgin = False
+                unit.events += 1
                 handler.start_element(tag, level, node_id, attributes)
-            delivered += len(limited)
             engine._unrouted += len(limited)
-        engine._dispatched += delivered
+        engine._visited += len(routes)
 
     def characters(self, text, level) -> None:
         engine = self._engine
@@ -914,22 +965,19 @@ class _MultiQueryHandler(EventHandler):
         routes = record.views.get(mask & record.relevant)
         if routes is None:
             routes = self._router.view(record, mask)
-        delivered = 0
         for gate, _end, unit in routes:
             if gate is None or gate:
-                unit.virgin = False
+                unit.events += 1
                 unit.engine.characters(text, level)
-                delivered += 1
             else:
                 engine._closed_gates += 1
         limited = self._limited
         if limited:
             for unit, handler in limited:
-                unit.virgin = False
+                unit.events += 1
                 handler.characters(text, level)
-            delivered += len(limited)
             engine._unrouted += len(limited)
-        engine._dispatched += delivered
+        engine._visited += len(routes)
 
     def end_element(self, tag, level) -> None:
         engine = self._engine
@@ -939,22 +987,19 @@ class _MultiQueryHandler(EventHandler):
         routes = record.views.get(mask & record.relevant)
         if routes is None:
             routes = self._router.view(record, mask)
-        delivered = 0
         for _start, gate, unit in routes:
             if gate is None or gate:
-                unit.virgin = False
+                unit.events += 1
                 unit.engine.end_element(tag, level)
-                delivered += 1
             else:
                 engine._closed_gates += 1
         limited = self._limited
         if limited:
             for unit, handler in limited:
-                unit.virgin = False
+                unit.events += 1
                 handler.end_element(tag, level)
-            delivered += len(limited)
             engine._unrouted += len(limited)
-        engine._dispatched += delivered
+        engine._visited += len(routes)
         count = record.count
         if count:
             record.count = count - 1

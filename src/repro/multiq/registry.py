@@ -29,7 +29,7 @@ one :class:`ValueShapeUnit` (one
 :class:`~repro.core.valueshape.ValueShapeTwigM` evaluating every
 constant with one lookup), when the machine's scope rule admits the
 shape (:func:`~repro.core.valueshape.shape_scope`) and the query runs in
-default emission mode without limits, tracker, lag probe or metrics.
+default emission mode without limits, tracker or lag probe.
 Members join while the unit is virgin and leave at any time, like the
 shared path unit's.
 """
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.machine import engine_figures
 from repro.core.pathm import PathM
 from repro.core.processor import build_engine, select_engine_class
 from repro.core.results import ResultSink
@@ -99,12 +100,14 @@ class EvalUnit:
 
     Carries the router-facing interest analysis
     (:func:`~repro.multiq.router.machine_alphabet`) as plain attributes
-    so the dispatch hot loop touches no indirection.
+    so the dispatch hot loop touches no indirection, and counts the
+    events the dispatcher delivers to it (:attr:`events`).
     """
 
     __slots__ = (
         "tree", "limits", "sink", "engine", "emission",
-        "interest", "wants_all", "wants_text", "routable", "virgin", "tracked",
+        "interest", "wants_all", "wants_text", "routable", "tracked",
+        "events", "_virgin_at",
     )
 
     def __init__(
@@ -112,7 +115,6 @@ class EvalUnit:
         tree: QueryTree,
         limits: ResourceLimits | None = None,
         engine_name: str | None = None,
-        metrics=None,
         tracker=None,
         compiled: bool = False,
         emission: str = "default",
@@ -132,7 +134,7 @@ class EvalUnit:
         self.engine = self._build_engine(
             tree, self.sink if engine_sink is None else engine_sink,
             engine=engine_name, compiled=compiled,
-            limits=limits, metrics=metrics, emission=emission,
+            limits=limits, emission=emission,
             lag_probe=lag_probe, tracker=tracker,
         )
         self.interest, self.wants_all, self.wants_text = machine_alphabet(
@@ -150,10 +152,23 @@ class EvalUnit:
         #: Tracked units never accept sharers, even while virgin: the
         #: tracker observes one consumer's candidate lifetimes.
         self.tracked = tracker is not None
-        #: True until an event is first delivered to the unit; only
-        #: virgin units accept additional sharers (cold state ≡ fresh
-        #: machine).  Events the router gates away do not count.
-        self.virgin = True
+        #: Events the dispatcher delivered to the unit, ever (events the
+        #: router gates away do not count).
+        self.events = 0
+        #: :attr:`events` when the unit last became virgin; -1 once it
+        #: was made non-virgin without a delivery.
+        self._virgin_at = 0
+
+    @property
+    def virgin(self) -> bool:
+        """True until an event is delivered after the unit was made
+        virgin (at construction or a reset).  Only virgin units accept
+        additional sharers (cold state ≡ fresh machine)."""
+        return self.events == self._virgin_at
+
+    @virgin.setter
+    def virgin(self, value: bool) -> None:
+        self._virgin_at = self.events if value else -1
 
     @staticmethod
     def _build_engine(tree: QueryTree, sink: ResultSink, **options):
@@ -161,13 +176,17 @@ class EvalUnit:
 
     @property
     def engine_name(self) -> str:
-        """Which machine evaluates this unit: pathm, branchm or twigm.
+        """Which machine evaluates this unit: pathm, branchm, twigm or dfa."""
+        return self.engine.machine_name
 
-        Instrumented subclasses report their base engine's name, so
-        snapshots restore onto either variant.
-        """
-        return getattr(type(self.engine), "machine_name",
-                       type(self.engine).__name__.lower())
+    def figures(self) -> dict[str, int]:
+        """The unit's metric figures: deliveries, the distinct ids its
+        sinks received, and the counters its machine keeps
+        (:func:`~repro.core.machine.engine_figures`)."""
+        figures = engine_figures(self.engine)
+        figures["events"] = self.events
+        figures["emitted"] = sum(sink.emitted for sink in self.sink.sinks.values())
+        return figures
 
     @property
     def names(self) -> list[str]:
@@ -194,8 +213,8 @@ class SharedPathUnit(EvalUnit):
 
     __slots__ = ()
 
-    def __init__(self, name: str, tree: QueryTree, sink: ResultSink, metrics=None):
-        super().__init__(tree, metrics=metrics, compiled=True, engine_sink=sink)
+    def __init__(self, name: str, tree: QueryTree, sink: ResultSink):
+        super().__init__(tree, compiled=True, engine_sink=sink)
         self.sink.add(name, sink)
 
     def join(self, name: str, tree: QueryTree, sink: ResultSink) -> None:
@@ -343,7 +362,6 @@ class QueryRegistry:
         limits: ResourceLimits | None = None,
         callback: bool = False,
         share: bool = True,
-        metrics=None,
         tracker=None,
         compiled: bool = False,
         emission: str = "default",
@@ -362,9 +380,8 @@ class QueryRegistry:
         it puts an unlimited, untracked, unprobed path query into the
         :class:`SharedPathUnit` (any emission mode: path engines emit at
         the start tag either way).  A shareable default-mode TwigM query
-        with one value test and neither limits nor ``metrics`` joins (or
-        opens) the virgin :class:`ValueShapeUnit` of its shape, when the
-        shape is in scope.
+        with one value test and no limits joins (or opens) the virgin
+        :class:`ValueShapeUnit` of its shape, when the shape is in scope.
         """
         if name in self._registrations:
             raise ValueError(f"duplicate query name {name!r}")
@@ -380,10 +397,10 @@ class QueryRegistry:
                 unit = self._shared
                 unit.join(name, tree, sink)
             else:
-                unit = created = SharedPathUnit(name, tree, sink, metrics=metrics)
+                unit = created = SharedPathUnit(name, tree, sink)
                 if share:
                     self._shared = created
-        elif (share and emission == "default" and limits is None and metrics is None
+        elif (share and emission == "default" and limits is None
               and (unit := self._shape_unit(tree)) is not None):
             if not unit.sink.sinks:  # opened for this registration
                 created = unit
@@ -398,7 +415,7 @@ class QueryRegistry:
                         unit = candidate
                         break
             if unit is None:
-                unit = created = EvalUnit(tree, limits, metrics=metrics,
+                unit = created = EvalUnit(tree, limits,
                                           tracker=tracker, compiled=compiled,
                                           emission=emission, lag_probe=lag_probe)
                 self._units.setdefault(key, []).append(unit)

@@ -10,24 +10,26 @@ every layer of the system:
 * :mod:`repro.obs.trace` — :class:`Tracer`, a lightweight span recorder
   (monotonic timestamps) dumpable as Chrome ``trace_event`` JSON for
   ``about:tracing`` / Perfetto.
-* :mod:`repro.obs.machines` — :class:`ObservedMachine`, one counting
-  mixin over the unmodified production engines (events, pushes, pops,
-  live/peak stack entries, emissions); :func:`observed_class` applies it.
+* :mod:`repro.obs.machines` — the ``repro_machine_*`` families (events,
+  pushes, pops, live/peak stack entries, buffered candidates,
+  emissions), read when the registry is scraped from counters the
+  production engines keep anyway.
 * :mod:`repro.obs.stats` — the ``python -m repro stats`` runner: one
   evaluation with every metric family populated, plus per-chunk
   parse → route+dispatch → emit trace spans.
 * :mod:`repro.obs.profiling` — the ``python -m repro profile`` runner:
   cProfile one evaluation (:func:`profile_pipeline`).
 
-The cardinal design rule is that **instrumentation is opt-in by
-construction, not by branching**: passing ``metrics=`` to
+The cardinal design rule is that **metrics observe the engine that
+runs**: passing ``metrics=`` to
 :class:`~repro.core.processor.XPathStream`,
 :class:`~repro.multiq.engine.MultiQueryEngine`, or
-:class:`~repro.stream.tokenizer.XmlTokenizer` swaps in the observed
-machine subclasses; without it the plain classes run and the hot loops
-contain no metrics checks at all.  ``ci/obs_smoke.py`` gates that the
-disabled path stays within 5% of the bare fused loop measured in the
-same run.
+:class:`~repro.stream.tokenizer.XmlTokenizer` builds exactly the
+machines and units a plain run builds, and registers collectors that
+read the counters those keep anyway when the registry is scraped; the
+hot loops contain no metrics checks at all.  ``ci/obs_smoke.py`` gates
+that the disabled path stays within 5% of the bare fused loop, and that
+metrics on build the same units and run within 1.25× of metrics off.
 
 Example::
 
@@ -40,7 +42,6 @@ Example::
     print(registry.render_prometheus())
 """
 
-from repro.obs.machines import ObservedMachine, OperationCounts, observed_class
 from repro.obs.metrics import (
     NULL_REGISTRY,
     Counter,
@@ -58,8 +59,5 @@ __all__ = [
     "MetricsRegistry",
     "NullRegistry",
     "NULL_REGISTRY",
-    "ObservedMachine",
-    "OperationCounts",
     "Tracer",
-    "observed_class",
 ]

@@ -33,6 +33,7 @@ METRIC_FAMILIES: dict[str, str] = {
     "repro_machine_emitted_total": "repro.obs.machines",
     "repro_machine_live_entries": "repro.obs.machines",
     "repro_machine_peak_entries": "repro.obs.machines",
+    "repro_machine_buffered_candidates": "repro.obs.machines",
     # -- stats runner ----------------------------------------------------
     "repro_stats_chunks_total": "repro.obs.stats",
     # -- multi-query dispatch --------------------------------------------

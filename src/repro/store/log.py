@@ -164,13 +164,12 @@ class SegmentInfo:
 
 @dataclass(frozen=True)
 class CheckpointInfo:
-    """Where one checkpoint lives and whether it can resume an engine."""
+    """Where one checkpoint lives.  Whether it holds an engine (and of
+    which kind) is in its record: :meth:`EventLogReader.load_checkpoint`."""
 
     id: int
     event: int
     segment: str
-    has_engine: bool
-    engine_kind: "str | None"
 
 
 @dataclass
@@ -184,7 +183,6 @@ class ReplayStats:
     events_positioned_past: int = 0
     bytes_read: int = 0
     bytes_skipped: int = 0
-    recovered_tail_bytes: int = 0
 
     @property
     def skip_ratio(self) -> float:
@@ -1053,10 +1051,6 @@ class EventLogReader:
                         id=int(entry["id"]),
                         event=int(entry["event"]),
                         segment=segment.file,
-                        # Engine presence requires reading the record;
-                        # resolved lazily by load_checkpoint.
-                        has_engine=bool(entry.get("has_engine", True)),
-                        engine_kind=entry.get("engine_kind"),
                     )
                 )
         found.sort(key=lambda info: info.id)

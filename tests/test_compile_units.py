@@ -13,7 +13,6 @@ from repro.compile import (
     DEFAULT_STATE_CAP,
     DfaPathM,
     LazyDfa,
-    compile_publisher,
     subset_step,
     trunk_steps,
 )
@@ -160,12 +159,14 @@ class TestSelection:
         branch = XPathStream("/a[b]/c", compiled=True)
         assert type(branch.push_handler()) is BranchM
 
-    def test_metrics_run_observed_engines_under_compiled(self):
-        stream = XPathStream("//a[b]/c", compiled=True,
-                             metrics=MetricsRegistry())
-        assert type(stream.engine).__name__ == "ObsTwigM"
+    def test_metrics_run_the_plain_engines_under_compiled(self):
+        registry = MetricsRegistry()
+        stream = XPathStream("//a[b]/c", compiled=True, metrics=registry)
+        assert type(stream.engine) is TwigM
         assert stream.evaluate_push("<a><b/><c/></a>") == [3]
-        assert stream.engine.counts.emitted == 1
+        registry.collect()
+        emitted = registry.get("repro_machine_emitted_total")
+        assert emitted.get(engine="twigm") == 1
 
     def test_engine_dfa_implies_compiled(self):
         stream = XPathStream("//a/b", engine="dfa")
@@ -239,13 +240,13 @@ class TestCompileMetrics:
         stream = XPathStream("//a/b", compiled=True, metrics=registry)
         doc = "<r>" + "<a><b/></a>" * 20 + "</r>"
         stream.evaluate(doc)
-        publisher = compile_publisher(registry)
-        publisher._collect()
-        first = publisher._hit_ratio.get(engine="dfa")
+        registry.collect()
+        ratio = registry.get("repro_compile_hit_ratio")
+        first = ratio.get(engine="dfa")
         stream.reset()
         stream.evaluate(doc)
-        publisher._collect()
-        assert publisher._hit_ratio.get(engine="dfa") > first
+        registry.collect()
+        assert ratio.get(engine="dfa") > first
 
     def test_fallback_counted(self):
         registry = MetricsRegistry()
@@ -253,13 +254,18 @@ class TestCompileMetrics:
             "//*/b", compiled=True, state_cap=1, metrics=registry
         )
         stream.evaluate("<r><a><b/></a></r>")
-        publisher = compile_publisher(registry)
-        publisher._collect()
-        assert publisher._fallbacks.get(engine="dfa") >= 1
+        registry.collect()
+        fallbacks = registry.get("repro_compile_fallbacks_total")
+        assert fallbacks.get(engine="dfa") >= 1
 
-    def test_publisher_is_per_registry_singleton(self):
+    def test_streams_sharing_a_registry_add_up(self):
         registry = MetricsRegistry()
-        assert compile_publisher(registry) is compile_publisher(registry)
+        doc = "<r><a><b/></a></r>"
+        for _ in range(2):
+            XPathStream("//a/b", compiled=True, metrics=registry).evaluate(doc)
+        registry.collect()
+        starts = registry.get("repro_compile_dfa_starts_total")
+        assert starts.get(engine="dfa") == 6
 
     def test_zero_cost_when_off(self):
         # Without a registry the engine must not import the obs layer.

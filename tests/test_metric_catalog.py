@@ -19,7 +19,6 @@ import re
 from pathlib import Path
 
 from repro.obs.catalog import METRIC_FAMILIES, known_family
-from repro.obs.machines import _COUNT_FIELDS
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 NAME = re.compile(r"\brepro_[a-z0-9_]+\b")
@@ -29,15 +28,13 @@ def source_families() -> set[str]:
     """Every full repro_* family name the source tree mentions.
 
     Tokens ending in ``_`` are prefix constructions (f-strings, prose)
-    and are expanded where the construction is known: the per-machine
-    counters are built as ``repro_machine_{field}_total``.
+    and are skipped: every family is spelled out in full somewhere.
     """
     found: set[str] = set()
     for path in SRC.rglob("*.py"):
         for token in NAME.findall(path.read_text(encoding="utf-8")):
             if not token.endswith("_"):
                 found.add(token)
-    found.update(f"repro_machine_{field}_total" for field, _ in _COUNT_FIELDS)
     return found
 
 

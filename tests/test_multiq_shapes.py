@@ -389,11 +389,15 @@ def test_out_of_scope_queries_keep_per_query_units(case):
         assert sorted(results[name]) == sorted(alone), name
 
 
-def test_instrumented_engines_keep_per_query_units():
+def test_instrumented_engines_run_shape_units():
     queries = {"x": "//a[b < 3]", "y": "//a[b < 6]"}
-    engine = MultiQueryEngine(queries, metrics=MetricsRegistry())
-    assert engine.unit_count() == 2 and not shape_units(engine)
+    registry = MetricsRegistry()
+    engine = MultiQueryEngine(queries, metrics=registry)
+    assert engine.unit_count() == 1 and len(shape_units(engine)) == 1
     assert engine.evaluate(iter(SMALL_EVENTS)) == dedicated(queries, SMALL_EVENTS)
+    registry.collect()
+    emitted = registry.get("repro_machine_emitted_total").get(engine="twigm")
+    assert emitted == sum(engine.emitted_counts().values())
 
 
 def test_the_machine_rejects_out_of_scope_queries():

@@ -185,7 +185,6 @@ def recorded(segments_total, segments_skipped, segments_read, events_emitted,
         "events_positioned_past": events_positioned_past,
         "bytes_read": bytes_read,
         "bytes_skipped": bytes_skipped,
-        "recovered_tail_bytes": 0,
         "skip_ratio": segments_skipped / segments_total,
         "replay_events_total": events_emitted,
     }
