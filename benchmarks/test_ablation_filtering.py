@@ -1,10 +1,10 @@
 """Ablation — shared-automaton filtering vs. per-query machines.
 
 The YFilter insight the related work cites: with N standing path
-queries, per-event work should not grow ~N.  The compiled multi-query
-engine's shared path unit (one lazy DFA over every path query) pays one
-cached DFA transition per event; N separate PathM machines pay N
-dispatches.  This bench measures both at growing N and asserts the
+queries, per-event work should not grow ~N.  The multi-query engine's
+shared path unit (one lazy DFA over every path query) pays one cached
+DFA transition per event; N separate PathM machines (kept off the shared
+unit by per-query limits) pay N dispatches.  This bench measures both at growing N and asserts the
 scaling gap.
 """
 
@@ -14,6 +14,7 @@ import time
 import pytest
 
 from repro.multiq import MultiQueryEngine
+from repro.stream.recovery import ResourceLimits
 from repro.stream.tokenizer import parse_string
 
 TAGS = ("book", "section", "title", "author", "figure", "image", "p")
@@ -42,8 +43,16 @@ def events(book_corpus):
 
 def shared_engine(queries: dict[str, str]) -> MultiQueryEngine:
     """Every query is predicate-free: one shared DFA unit holds them all."""
-    engine = MultiQueryEngine(queries, compiled=True)
+    engine = MultiQueryEngine(queries)
     assert engine.unit_count() == 1
+    return engine
+
+
+def per_query_engine(queries: dict[str, str]) -> MultiQueryEngine:
+    """Each query on its own PathM: limits keep it off the shared unit."""
+    engine = MultiQueryEngine()
+    for name, query in queries.items():
+        engine.add_query(name, query, limits=ResourceLimits())
     return engine
 
 
@@ -77,7 +86,7 @@ def test_per_query_machines(benchmark, n_queries, events):
     queries = query_set(n_queries)
 
     def run():
-        feed = MultiQueryEngine(queries)
+        feed = per_query_engine(queries)
         feed.feed_events(iter(events))
         return feed.results()
 
@@ -117,7 +126,7 @@ def test_shared_agrees_with_per_query(benchmark, events):
 
     def compare():
         shared = run_shared(shared_engine(queries), events)
-        feed = MultiQueryEngine(queries)
+        feed = per_query_engine(queries)
         feed.feed_events(iter(events))
         return shared, feed.results()
 

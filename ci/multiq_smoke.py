@@ -1,8 +1,7 @@
 """CI smoke: 1000 standing queries over XMark through the multiq engine.
 
-Checks the three acceptance properties of the shared dispatch engine,
-once for the default engine and once with ``compiled=True`` (every path
-query a member of one shared lazy-DFA unit):
+Checks the acceptance properties of the shared dispatch engine (every
+path query a member of one shared lazy-DFA unit):
 
 1. **Exactness** — routed multi-query results are byte-identical to
    evaluating every query independently with its own
@@ -18,9 +17,11 @@ query a member of one shared lazy-DFA unit):
    256 events, never holds more de-duplication ids (the ``seen`` lists
    of its snapshots, summed) than 1% of the results it has emitted:
    sinks remember ids only for their machine's open root match.
-5. **Shared value shapes** — the default engine runs the 1000 queries on
-   at most 620 machine units: value-tested queries that differ only in
-   their constant share one value-shape unit (743 units without it).
+5. **Shared units** — the engine runs the 1000 queries on at most 330
+   machine units (326 measured): the 517 path queries are the members of
+   one shared lazy DFA (288 PathM units without it), and value-tested
+   queries that differ only in their constant share one value-shape unit
+   (743 units without either).
 
 It then runs the full 10/100/1000 scaling benchmark and writes
 ``BENCH_multiq.json`` so the perf trajectory is recorded per commit.
@@ -45,14 +46,13 @@ MIN_REDUCTION = 50.0
 MAX_GATE_TESTS_PER_DELIVERY = 1.25
 SLICE_EVENTS = 256
 MAX_SEEN_SHARE = 0.01
-MAX_DEFAULT_UNITS = 620
+MAX_UNITS = 330
 REPORT = "BENCH_multiq.json"
 
 
-def gate(label: str, queries: dict, events: list, expected: dict,
-         compiled: bool) -> bool:
+def gate(label: str, queries: dict, events: list, expected: dict) -> bool:
     """Run one engine over ``events``; True when every property holds."""
-    engine = MultiQueryEngine(queries, compiled=compiled)
+    engine = MultiQueryEngine(queries)
     engine.feed_events(events)
     routed = engine.results()
     stats = engine.dispatch_stats()
@@ -63,10 +63,10 @@ def gate(label: str, queries: dict, events: list, expected: dict,
         f"{stats.gate_tests} gate tests"
     )
 
-    if not compiled and stats.units > MAX_DEFAULT_UNITS:
+    if stats.units > MAX_UNITS:
         print(
             f"FAIL: {label}: {stats.units} machine units is above the "
-            f"{MAX_DEFAULT_UNITS} bound (value shapes not shared?)",
+            f"{MAX_UNITS} bound (path queries or value shapes not shared?)",
             file=sys.stderr,
         )
         return False
@@ -107,11 +107,10 @@ def gate(label: str, queries: dict, events: list, expected: dict,
             file=sys.stderr,
         )
         return False
-    return bounded_state_gate(label, queries, events, compiled)
+    return bounded_state_gate(label, queries, events)
 
 
-def bounded_state_gate(label: str, queries: dict, events: list,
-                       compiled: bool) -> bool:
+def bounded_state_gate(label: str, queries: dict, events: list) -> bool:
     """Feed a callback-mode engine in slices; True when the peak total of
     snapshot ``seen`` ids stays within ``MAX_SEEN_SHARE`` of the results."""
     emitted = 0
@@ -120,7 +119,7 @@ def bounded_state_gate(label: str, queries: dict, events: list,
         nonlocal emitted
         emitted += 1
 
-    engine = MultiQueryEngine(queries, on_match=count, compiled=compiled)
+    engine = MultiQueryEngine(queries, on_match=count)
     peak = 0
     for start in range(0, len(events), SLICE_EVENTS):
         engine.feed_events(events[start:start + SLICE_EVENTS])
@@ -146,9 +145,8 @@ def main() -> int:
     expected = {
         name: XPathStream(query).evaluate(events) for name, query in queries.items()
     }
-    for label, compiled in (("default", False), ("compiled", True)):
-        if not gate(label, queries, events, expected, compiled):
-            return 1
+    if not gate("default", queries, events, expected):
+        return 1
 
     payload = run_benchmark()
     write_report(payload, REPORT)

@@ -23,15 +23,11 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.baselines.common import Engine, as_query_tree
-from repro.compile.nfa import LazyDfa, Step, subset_step, trunk_steps
+from repro.compile.nfa import LazyDfa, Step, trunk_steps
 from repro.core.results import CollectingSink, ResultSink
 from repro.stream.events import EndElement, Event, StartElement
 
-# Backwards-compatible aliases for the pre-promotion private names.
-_Step = Step
-_trunk_steps = trunk_steps
-
-__all__ = ["LazyDfa", "LazyDfaEngine", "Step", "subset_step", "trunk_steps"]
+__all__ = ["LazyDfa", "LazyDfaEngine", "Step", "trunk_steps"]
 
 
 class LazyDfaEngine(Engine):
@@ -58,14 +54,14 @@ class LazyDfaEngine(Engine):
         """Evaluate with an explicit sink; returns the DFA for inspection."""
         tree = as_query_tree(query)
         dfa = LazyDfa(tree)
-        accept = dfa.accept_position
-        stack: list[frozenset[int]] = [dfa.initial]
+        accept = dfa.accept
+        stack: list[int] = [dfa.initial]
         step = dfa.step
         for event in events:
             if isinstance(event, StartElement):
                 state = step(stack[-1], event.tag)
                 stack.append(state)
-                if accept in state:
+                if state & accept:
                     sink.emit(event.node_id)
             elif isinstance(event, EndElement):
                 stack.pop()

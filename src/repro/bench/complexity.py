@@ -75,25 +75,31 @@ class CountingTwigM(TwigM):
 
     Takes TwigM's constructor arguments and keeps its behaviour —
     limits, candidate accounting, value tests, trackers, earliest
-    emission — while :attr:`counts` records every operation.
+    emission — while :attr:`counts` records every operation.  Pushes,
+    pops and the peak are TwigM's own counters (``pops`` is pushes
+    minus the live entries, as :func:`~repro.core.machine.engine_figures`
+    reads them), so both report the same figures.
     """
 
     def __init__(self, query, sink=None, **kwargs):
         super().__init__(query, sink, **kwargs)
-        self.counts = WorkCounts()
-        self._live_entries = 0
+        self._counts = WorkCounts()
 
-    def reset(self) -> None:  # noqa: D102 - inherits the engine docstring
-        super().reset()
-        self._live_entries = 0
+    @property
+    def counts(self) -> WorkCounts:
+        counts = self._counts
+        counts.pushes = self._pushes
+        counts.pops = self._pushes - self._live
+        counts.peak_entries = self._peak
+        return counts
 
     def _emit_ids(self, candidates, distinct: bool = False) -> None:
-        self.counts.emitted += len(candidates)
+        self._counts.emitted += len(candidates)
         super()._emit_ids(candidates, distinct)
 
     def start_element(self, tag, level, node_id, attributes=None):
         """δs of Algorithm 1, with counters inline."""
-        counts = self.counts
+        counts = self._counts
         counts.events += 1
         if self._limits is not None:
             self._limits.check("max_depth", level)
@@ -129,17 +135,17 @@ class CountingTwigM(TwigM):
                 if self._tracker is not None:
                     self._tracker.created(node_id)
             stack.append(entry)
-            counts.pushes += 1
-            self._live_entries += 1
-            if self._live_entries > counts.peak_entries:
-                counts.peak_entries = self._live_entries
+            self._pushes += 1
+            live = self._live = self._live + 1
+            if live > self._peak:
+                self._peak = live
             if self._detect:
                 self._note_stable(node, entry)
         if self._trunk_dirty:
             self._flush_trunk()
 
     def _counted_edge_exists(self, node: MachineNode, parent_stack, level: int) -> bool:
-        counts = self.counts
+        counts = self._counts
         if not parent_stack:
             counts.edge_checks += 1
             return False
@@ -157,7 +163,7 @@ class CountingTwigM(TwigM):
 
     def end_element(self, tag, level):
         """δe of Algorithm 1, with counters inline."""
-        counts = self.counts
+        counts = self._counts
         counts.events += 1
         tracker = self._tracker
         plan = self._plans.get(tag)
@@ -172,8 +178,7 @@ class CountingTwigM(TwigM):
             entry = stack.pop()
             if parent_stack is None:
                 epoch_over = not stack
-            counts.pops += 1
-            self._live_entries -= 1
+            self._live -= 1
             if entry.text_parts is not None:
                 self._open_value_entries -= 1
             if entry.candidates:
@@ -215,7 +220,7 @@ class CountingTwigM(TwigM):
 
     def _counted_propagate(self, node: MachineNode, entry: StackEntry,
                            level: int, parent_stack) -> None:
-        counts = self.counts
+        counts = self._counts
         bit = 1 << node.child_index
         detect = self._detect
         if node.edge_op == EDGE_EQ:

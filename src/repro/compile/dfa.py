@@ -4,54 +4,51 @@ Predicate-free XP{/,//,*} queries need no candidate bookkeeping — the
 moment an element qualifies it is a solution.  PathM already exploits
 that, but still walks a per-tag dispatch plan on every event.  This
 engine promotes the XMLTK-style lazy DFA from the figure-7/8 baseline
-into the production path: the subset construction
-(:mod:`repro.compile.nfa`, shared with the baseline) materialises a DFA
-state the first time a tag sequence occurs in the data, after which the
-per-event work is **one dict lookup** on the current state's transition
-table.
+into the production path: the subset construction over a
+:class:`~repro.compile.nfa.PathTrie` materialises a DFA state the first
+time a tag sequence occurs in the data, after which the per-event work
+is **one dict lookup** on the current state's transition table.
 
 **Members.**  One automaton may evaluate many path queries (YFilter's
-shared NFA): an NFA state is a set of (member, position) pairs
-(:func:`~repro.compile.nfa.layout_trunks`), and each DFA state fires the
-sinks of the members it accepts, so a start tag costs one lookup however
-many members there are.  A one-member engine is the single-query case.
-Adding or removing a member drops the transition cache and replays the
-open tag path.
+shared NFA): the trie merges their trunks, an NFA state is an int bitset
+of trie positions, and each DFA state fires the sinks of the members it
+accepts, so a start tag costs one lookup however many members there
+are.  A one-member engine is the single-query case.  Adding or removing
+a member drops the transition cache and replays the open tag path.
 
-Two guarantees keep it bit-for-bit equivalent to interpreted PathM:
+**Gapped delivery.**  The automaton keeps one state per open level, and
+each event carries its level, so it need not see every element: a start
+tag at level L that finds fewer open levels pads the missing ones by
+stepping on :data:`~repro.compile.nfa.GAP` (a tag outside every member's
+alphabet, admitted only by ``'*'`` steps), and a start or end at or
+below the top level cuts the stack back to it; ends of elements it never
+saw are not needed.  A router may therefore deliver only the members'
+tags, and a machine started mid-document treats the ancestors it never
+saw as gaps — which is what a cold PathM's level arithmetic does with
+them.
 
-* **State-cap fallback.**  '*'-heavy queries can blow up the subset
-  construction (the paper's cited XMLTK weakness).  When materialising
-  a state would exceed ``state_cap``, the engine builds one interpreted
-  PathM per member, replays the currently-open element path into each
-  (emission suppressed — those solutions were already output when the
-  elements opened), and delegates every subsequent event.  The swap is
-  invisible to the caller.
-* **Alignment fallback.**  The DFA tracks depth implicitly (one pushed
-  state per open element), which is only sound when it sees every
-  start/end from depth zero.  A machine attached mid-document (multiq
-  live add) receives its first event at depth > 1; the engine detects
-  the misalignment and falls back to PathM, whose explicit level
-  arithmetic handles partial streams — exactly what a dedicated cold
-  machine does today.
+**State-cap fallback.**  '*'-heavy queries can blow up the subset
+construction (the paper's cited XMLTK weakness).  When materialising a
+state would exceed ``state_cap``, the engine builds one interpreted
+PathM per member, replays the currently-open element path into each
+(emission suppressed — those solutions were already output when the
+elements opened), and delegates every subsequent event.  The swap is
+invisible to the caller.
 
-Snapshots store the member list and the NFA configuration (position
-sets per open element), never the transition cache: restore rebuilds
-states lazily, so the cache is reconstructible state, not checkpointed
-state.
+Snapshots store the member list and the NFA configuration (sorted
+position lists per open level, and the open tags), never the transition
+cache: restore replays the tags, so the cache is reconstructible state,
+not checkpointed state.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
-from repro.compile.nfa import layout_trunks, subset_step, trunk_steps
+from repro.compile.nfa import GAP, PathTrie, trunk_steps
 from repro.core.machine import Machine, build_machine
 from repro.core.pathm import PathM
-from repro.core.push import LimitCountingHandler
+from repro.core.push import EventDriven
 from repro.core.results import CollectingSink, CountingSink, ResultSink
-from repro.errors import CheckpointError, UnsupportedQueryError
-from repro.stream.events import EndElement, Event, StartElement
+from repro.errors import CheckpointError
 from repro.stream.recovery import ResourceLimits
 from repro.xpath.querytree import QueryTree, compile_query
 
@@ -64,40 +61,58 @@ DEFAULT_STATE_CAP = 512
 class _Trunk:
     """One member: its machine (for the PathM fallback), trunk and sink."""
 
-    __slots__ = ("machine", "steps", "sink")
+    __slots__ = ("machine", "steps", "sink", "accept")
 
     def __init__(self, machine: Machine, sink: ResultSink):
         self.machine = machine
         self.steps = trunk_steps(machine.query)
         self.sink = sink
+        #: The bit of the trie position where the member accepts.
+        self.accept = 0
 
 
-class _DfaState:
-    """One materialised DFA state: an interned NFA position set."""
+#: The transitions of a state no tag has left yet (never written).
+_NO_TRANS: dict = {}
+
+
+class _Fanout:
+    """Emits a node id through each of ``emits`` (the members accepting
+    at one trie position, or a state's accepting positions)."""
+
+    __slots__ = ("emits",)
+
+    def __init__(self, emits):
+        self.emits = emits
+
+    def __call__(self, node_id: int) -> None:
+        for emit in self.emits:
+            emit(node_id)
+
+
+class _DfaState(_Fanout):
+    """One materialised DFA state: an NFA position bitset.
+
+    A state is *provisional* (``positions`` None, not interned) until a
+    tag leaves it: most states are the leaves of the document, which
+    never need their positions again.  A state accepting at several trie
+    positions is its own ``fire``.
+    """
 
     __slots__ = ("positions", "fire", "trans")
 
-    def __init__(self, positions: frozenset[int], fire):
+    def __init__(self, positions: "int | None", emits: tuple):
         self.positions = positions
+        #: tag -> successor state; grows lazily, one entry per miss.
+        self.trans: dict[str, _DfaState] = _NO_TRANS
         #: Emits a node id to every member this state accepts; None
         #: when it accepts none.
-        self.fire = fire
-        #: tag -> successor state; grows lazily, one entry per miss.
-        self.trans: dict[str, _DfaState] = {}
+        if len(emits) > 1:
+            self.emits, self.fire = emits, self
+        else:
+            self.emits, self.fire = (), emits[0] if emits else None
 
 
-def _fanout(emits: list):
-    if len(emits) == 1:
-        return emits[0]
-
-    def fire(node_id: int) -> None:
-        for emit in emits:
-            emit(node_id)
-
-    return fire
-
-
-class DfaPathM:
+class DfaPathM(EventDriven):
     """Lazy-DFA evaluator for XP{/,//,*} with interpreted-PathM fallback.
 
     Drop-in for :class:`~repro.core.pathm.PathM`: same constructor
@@ -126,19 +141,16 @@ class DfaPathM:
         self._event_count = 0
         self._state_cap = max(1, state_cap)
         self._trunks: list[_Trunk] = []
-        #: The laid-out NFA (:func:`~repro.compile.nfa.layout_trunks`)
-        #: and each member's ``(accept position, emit)``.
-        self._nfa: list = []
-        self._accepts: list[tuple[int, object]] = []
-        #: Interned states: frozenset of NFA positions -> _DfaState.
-        self._index: dict[frozenset[int], _DfaState] = {}
-        self._initial = _DfaState(frozenset(), None)
+        #: The members' merged trunks, the positions where some member
+        #: accepts, and each such position's emitter (by first member).
+        self._nfa = PathTrie()
+        self._accept_mask = 0
+        self._accepts: dict[int, object] = {}
         #: Open-element tags, maintained so a mid-document cap trip can
         #: replay the path into the interpreted fallback machines, and
         #: a membership change into the recompiled automaton.
         self._tags: list[str] = []
-        #: Interpreted PathM delegates (one per member) after a cap trip
-        #: or misalignment.
+        #: Interpreted PathM delegates (one per member) after a cap trip.
         self._fallback: list[PathM] | None = None
         # Lifetime counters (survive reset/restore; metrics semantics).
         self._starts = 0
@@ -159,16 +171,9 @@ class DfaPathM:
         return self._trunks[0].sink
 
     @property
-    def results(self) -> list[int]:
-        """Solutions confirmed so far (requires the default sink)."""
-        if isinstance(self.sink, CollectingSink):
-            return self.sink.results
-        raise AttributeError("results are only collected by the default sink")
-
-    @property
     def dfa_state_count(self) -> int:
         """Distinct DFA states currently materialised."""
-        return len(self._index)
+        return self._states
 
     @property
     def dfa_transition_count(self) -> int:
@@ -192,20 +197,13 @@ class DfaPathM:
         if isinstance(query, Machine):
             machine = query
         else:
-            if isinstance(query, str):
-                query = compile_query(query)
-            if query.has_branches():
-                raise UnsupportedQueryError(
-                    f"DfaPathM evaluates XP{{/,//,*}} only; "
-                    f"{query.source!r} has predicates"
-                )
-            machine = build_machine(query)
+            machine = build_machine(
+                compile_query(query) if isinstance(query, str) else query
+            )
         trunk = _Trunk(machine, sink)
-        base = len(self._nfa)
         self._trunks.append(trunk)
-        self._nfa += layout_trunks([trunk.steps])[0]
-        self._accepts.append((base + len(trunk.steps), sink.emit))
-        self._restart(self._initial.positions | {base})
+        self._add_trunk(trunk)
+        self._restart()
         return machine
 
     def remove_member(self, sink: ResultSink) -> None:
@@ -220,60 +218,118 @@ class DfaPathM:
         del self._trunks[index]
         if self._fallback is not None:
             del self._fallback[index]
-        else:
-            self._rebuild()
+            return
+        self._nfa = PathTrie()
+        self._accept_mask = 0
+        self._accepts = {}
+        for trunk in self._trunks:
+            self._add_trunk(trunk)
+        self._restart()
 
     # -- DFA construction -------------------------------------------------
 
-    def _rebuild(self) -> None:
-        """Recompile the NFA from the member list."""
-        self._nfa, bases = layout_trunks(trunk.steps for trunk in self._trunks)
-        self._accepts = [
-            (base + len(trunk.steps), trunk.sink.emit)
-            for base, trunk in zip(bases, self._trunks)
-        ]
-        self._restart(frozenset(bases))
+    def _add_trunk(self, trunk: _Trunk) -> None:
+        bit = trunk.accept = 1 << self._nfa.add(trunk.steps)
+        self._accept_mask |= bit
+        emitter = self._accepts.get(bit)
+        if emitter is None:
+            self._accepts[bit] = trunk.sink.emit
+        elif isinstance(emitter, _Fanout):
+            emitter.emits.append(trunk.sink.emit)
+        else:
+            self._accepts[bit] = _Fanout([emitter, trunk.sink.emit])
 
-    def _restart(self, initial: frozenset[int]) -> None:
+    def _restart(self) -> None:
         """Drop the transition cache; replay the open tag path."""
-        self._index = {}
-        self._initial = self._state_for(initial)
+        #: Interned states: NFA position bitset -> _DfaState; with the
+        #: provisional ones, ``_states`` in all.
+        self._index: dict[int, _DfaState] = {}
+        self._states = 0
+        self._initial = self._state_for(self._nfa.initial)
         self._replay(self._tags)
 
     def _replay(self, tags: list[str]) -> None:
-        """Drive the automaton from its initial state down ``tags``
-        (no emission)."""
+        """Drive the automaton from its initial state down ``tags`` (no
+        emission; the states are interned, no transition is cached)."""
         self._tags = list(tags)
         stack = [self._initial]
         for tag in tags:
-            state = stack[-1]
-            nxt = state.trans.get(tag) or self._materialize(state, tag)
-            if nxt is None:
+            positions = self._nfa.step(stack[-1].positions, tag)
+            if positions not in self._index and self._states >= self._state_cap:
                 self._state_stack = [self._initial]
                 self._fall_back()
                 return
-            stack.append(nxt)
+            stack.append(self._state_for(positions))
         self._state_stack = stack
 
-    def _state_for(self, positions: frozenset[int]) -> _DfaState:
+    def _state_for(self, positions: int) -> _DfaState:
         state = self._index.get(positions)
         if state is None:
-            emits = [emit for accept, emit in self._accepts if accept in positions]
-            state = _DfaState(positions, _fanout(emits) if emits else None)
-            self._index[positions] = state
+            self._states += 1
+            state = self._index[positions] = _DfaState(positions, self._emits(positions))
         return state
 
+    def _emits(self, positions: int) -> tuple:
+        accepting = positions & self._accept_mask
+        if not accepting:
+            return ()
+        return tuple(emit for bit, emit in self._accepts.items() if bit & accepting)
+
     def _materialize(self, state: _DfaState, tag: str) -> "_DfaState | None":
-        """Build and cache ``δ(state, tag)``; None when the cap trips."""
+        """Build and cache ``δ(state, tag)`` for the state on top of the
+        stack; None when the cap trips.  The new state is provisional."""
         self._misses += 1
-        positions = subset_step(self._nfa, len(self._nfa), state.positions, tag)
+        if state.positions is None:
+            state = self._intern(state)
+            cached = state.trans.get(tag)
+            if cached is not None:
+                return cached
+        positions = self._nfa.step(state.positions, tag)
         nxt = self._index.get(positions)
         if nxt is None:
-            if len(self._index) >= self._state_cap:
+            if self._states >= self._state_cap:
                 return None
-            nxt = self._state_for(positions)
+            self._states += 1
+            nxt = _DfaState(None, self._emits(positions))
+        if state.trans is _NO_TRANS:
+            state.trans = {}
         state.trans[tag] = nxt
         return nxt
+
+    def _intern(self, state: _DfaState) -> _DfaState:
+        """Give the provisional state on top of the stack its positions,
+        which follow from the level below's (interned, since a tag left
+        it) and the top tag; an equal interned state replaces it."""
+        stack, tag = self._state_stack, self._tags[-1]
+        below = stack[-2]
+        positions = self._nfa.step(below.positions, tag)
+        found = self._index.get(positions)
+        if found is None:
+            state.positions = positions
+            self._index[positions] = state
+            return state
+        below.trans[tag] = stack[-1] = found
+        self._states -= 1
+        return found
+
+    def _align(self, depth: int) -> bool:
+        """Bring the stack to ``depth`` open levels: cut it back, or pad
+        the levels this machine was not shown by stepping on
+        :data:`~repro.compile.nfa.GAP`.  False when padding trips the
+        state cap (the machine has fallen back)."""
+        stack, tags = self._state_stack, self._tags
+        if len(stack) > depth:
+            del stack[depth + 1:]
+            del tags[depth:]
+        while len(stack) <= depth:
+            state = stack[-1]
+            nxt = state.trans.get(GAP) or self._materialize(state, GAP)
+            if nxt is None:
+                self._fall_back()
+                return False
+            stack.append(nxt)
+            tags.append(GAP)
+        return True
 
     def _fall_back(self) -> list[PathM]:
         """Swap in one interpreted PathM per member, replaying the
@@ -305,7 +361,7 @@ class DfaPathM:
             if self._limits is not None:
                 self._limits.check("max_depth", level)
             stack = self._state_stack
-            if level == len(stack):
+            if level == len(stack) or self._align(level - 1):
                 self._starts += 1
                 state = stack[-1]
                 nxt = state.trans.get(tag)
@@ -318,9 +374,7 @@ class DfaPathM:
                     if fire is not None:
                         fire(node_id)
                     return
-            # Cap tripped, or joined mid-document (depth-implicit
-            # tracking is unsound, PathM's explicit levels are not).
-            fallback = self._fall_back()
+            fallback = self._fallback or self._fall_back()
         for machine in fallback:
             machine.start_element(tag, level, node_id, attributes)
 
@@ -331,12 +385,15 @@ class DfaPathM:
         fallback = self._fallback
         if fallback is None:
             stack = self._state_stack
-            if level == len(stack) - 1 and level > 0:
+            if level == len(stack) - 1 and level:
                 stack.pop()
                 self._tags.pop()
-                return
-            # An end we never saw the start of — misaligned stream.
-            fallback = self._fall_back()
+            elif 0 < level < len(stack):
+                # Deeper levels were opened by starts whose ends were
+                # not delivered.
+                del stack[level:]
+                del self._tags[level - 1:]
+            return
         for machine in fallback:
             machine.end_element(tag, level)
 
@@ -351,6 +408,16 @@ class DfaPathM:
 
     # -- checkpointing ----------------------------------------------------
 
+    def _stack_positions(self) -> list[int]:
+        """Each open level's positions, provisional states' included."""
+        levels: list[int] = []
+        for depth, state in enumerate(self._state_stack):
+            found = state.positions
+            if found is None:
+                found = self._nfa.step(levels[-1], self._tags[depth - 1])
+            levels.append(found)
+        return levels
+
     def _sources(self) -> list[str]:
         return [trunk.machine.query.source for trunk in self._trunks]
 
@@ -360,7 +427,9 @@ class DfaPathM:
         state = {
             "members": self._sources(),
             "dfa": {
-                "stack": [sorted(s.positions) for s in self._state_stack],
+                "stack": [[position for position in range(len(self._nfa))
+                           if level >> position & 1]
+                          for level in self._stack_positions()],
                 "tags": list(self._tags),
             },
             "event_count": self._event_count,
@@ -415,25 +484,14 @@ class DfaPathM:
                 self._tags = []
                 return
             tags = list(dfa["tags"])
-            stack_positions = dfa["stack"]
-            if len(stack_positions) != len(tags) + 1:
+            if len(dfa["stack"]) != len(tags) + 1:
                 raise CheckpointError(
-                    f"DFA snapshot has {len(stack_positions)} states for "
+                    f"DFA snapshot has {len(dfa['stack'])} states for "
                     f"{len(tags)} open elements"
                 )
-            if members is None:
-                # One query's positions: re-derive every member's from
-                # the open tag path instead.
-                self._replay(tags)
-                return
-            size = len(self._nfa)
-            if any(not 0 <= p < size for positions in stack_positions for p in positions):
-                raise CheckpointError("DFA snapshot positions outside the NFA")
-            self._tags = tags
-            self._state_stack = [
-                self._state_for(frozenset(positions))
-                for positions in stack_positions
-            ]
+            # Replaying the open tags re-derives every member's positions,
+            # whatever NFA layout the capture was written under.
+            self._replay(tags)
         except (KeyError, TypeError) as exc:
             raise CheckpointError(f"malformed DFA snapshot: {exc}") from exc
 
@@ -457,31 +515,3 @@ class DfaPathM:
 
     def _count_starts(self, count: int) -> None:
         self._starts += count
-
-    def as_handler(self):
-        """Push-pipeline adapter: the engine itself, or a limit-counting
-        wrapper when limits are set (mirrors PathM)."""
-        if self._limits is None:
-            return self
-        return LimitCountingHandler(self)
-
-    def feed(self, events: Iterable[Event]) -> None:
-        """Process a batch of modified-SAX events (pull driver)."""
-        limits = self._limits
-        for event in events:
-            if limits is not None:
-                self._event_count += 1
-                limits.check("max_total_events", self._event_count)
-            if isinstance(event, StartElement):
-                self.start_element(
-                    event.tag, event.level, event.node_id, event.attributes
-                )
-            elif isinstance(event, EndElement):
-                self.end_element(event.tag, event.level)
-
-    def run(self, events: Iterable[Event]) -> list[int]:
-        """Evaluate over a complete event stream; return solution ids."""
-        self.feed(events)
-        if isinstance(self.sink, CollectingSink):
-            return self.sink.results
-        return []

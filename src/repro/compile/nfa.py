@@ -3,50 +3,43 @@
 XMLTK [3] evaluates XP{/,//,*} with a DFA built *lazily* from the
 query's NFA: DFA states are materialised only for tag sequences that
 actually occur in the data.  This module holds the construction shared
-by the figure-7/8 baseline (:mod:`repro.baselines.lazydfa`) and the
-production DFA front-end (:mod:`repro.compile.dfa`), so the stand-in
-and the real engine cannot drift.
+by the figure-7/8 baseline (:class:`LazyDfa`, behind
+:mod:`repro.baselines.lazydfa`) and the production DFA front-end
+(:mod:`repro.compile.dfa`), so the stand-in and the real engine cannot
+drift.
 
-NFA construction: position ``i`` = "the first ``i`` trunk steps are
-matched".  On an element with tag ``t``, from position-set ``S``::
-
-    T = {i+1 | i ∈ S, step[i+1] admits t}        (advance)
-      ∪ {i   | i ∈ S, step[i+1] has axis '//'}   (stay, descendant scope)
-
-Reaching a set containing the accept position (= the number of trunk
-steps) means the element is a solution; output is immediate, as in
-PathM.
-
-Many queries share one NFA (YFilter's idea): :func:`layout_trunks` lays
-their trunks end to end, so an NFA state is a set of (member, position)
-pairs encoded as flat positions, and one :func:`subset_step` advances
-every member at once.
+Many queries share one NFA (YFilter's idea): :class:`PathTrie` merges
+their trunks into a prefix tree, so queries with a common prefix share
+its positions, and a set of positions is one int bitset that
+:meth:`PathTrie.step` advances for every member at once.  Reaching a
+trunk's last position means the element is a solution; output is
+immediate, as in PathM.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import NamedTuple
 
 from repro.errors import UnsupportedQueryError
 from repro.xpath.querytree import DESCENDANT_EDGE, QueryTree
 
 
-class Step:
-    """One trunk step of the path query, precompiled for the NFA."""
+class Step(NamedTuple):
+    """One trunk step of the path query: its label (``'*'`` admits any
+    tag) and whether its axis is ``//``."""
 
-    __slots__ = ("name", "wildcard", "descendant")
-
-    def __init__(self, name: str, descendant: bool):
-        self.name = name
-        self.wildcard = name == "*"
-        self.descendant = descendant
-
-    def admits(self, tag: str) -> bool:
-        return self.wildcard or self.name == tag
+    name: str
+    descendant: bool
 
 
 def trunk_steps(query: QueryTree) -> list[Step]:
-    """The query's trunk as NFA steps (predicate-free queries only)."""
+    """The query's trunk as NFA steps; predicates raise
+    :class:`~repro.errors.UnsupportedQueryError`."""
+    if query.has_branches():
+        raise UnsupportedQueryError(
+            f"the lazy DFA evaluates XP{{/,//,*}} only; "
+            f"{query.source!r} has predicates"
+        )
     steps: list[Step] = []
     qnode = query.root
     while True:
@@ -57,40 +50,83 @@ def trunk_steps(query: QueryTree) -> list[Step]:
     return steps
 
 
-#: Fills a trunk's accept position in a laid-out NFA: it admits no tag
-#: (tags are never empty) and does not stay, so a position that reached
-#: it is dropped by the next :func:`subset_step`.
-_ACCEPTED = Step("", False)
+#: A tag outside every member's alphabet: the gapped stepping of a
+#: filtered stream pads the levels it was not shown with it.  It is no
+#: XML name, so only ``'*'`` edges admit it.
+GAP = "<gap>"
+#: Edge key of a prefix's loop position (no tag is spelt like it).
+_LOOP = "//"
 
 
-def layout_trunks(trunks: Iterable[list[Step]]) -> tuple[list[Step], list[int]]:
-    """Lay trunks end to end as one NFA: ``(steps, bases)``, where pair
-    ``(m, i)`` is position ``bases[m] + i`` and ``bases[m] + len(trunk)``
-    (member ``m``'s accept) holds :data:`_ACCEPTED`.  Pass ``len(steps)``
-    as :func:`subset_step`'s ``accept``; a lone trunk keeps base 0.
+class PathTrie:
+    """Trunks merged into one prefix-shared NFA over int-bitset states.
+
+    Position 0 is the empty prefix; every other position is the prefix
+    of some trunk.  A ``/t`` step leads from a prefix's position to the
+    longer prefix's through ``edges[p][t]``; a ``//t`` step leads there
+    from the prefix's *loop* position, which stays active on every tag
+    (descendant scope) and is entered together with the prefix
+    (``closure``).  ``'*'`` edges admit every tag, :data:`GAP` included.
+    A prefix that no trunk ends at and no ``/`` step leaves is entered
+    as its loop alone, so a DFA state never tells "just matched" from
+    "inside" where no query can.
     """
-    steps: list[Step] = []
-    bases: list[int] = []
-    for trunk in trunks:
-        bases.append(len(steps))
-        steps.extend(trunk)
-        steps.append(_ACCEPTED)
-    return steps, bases
 
+    def __init__(self) -> None:
+        self.edges: list[dict[str, int]] = [{}]
+        #: Per position: the bits entering it sets (its own, when a
+        #: trunk ends there or a ``/`` step leaves it, and its loop's).
+        self.closure: list[int] = [0]
+        #: The loop positions, which every step keeps.
+        self.loops = 0
 
-def subset_step(
-    steps: list[Step], accept: int, state: Iterable[int], tag: str
-) -> frozenset[int]:
-    """One uncached subset-construction transition: ``δ(state, tag)``."""
-    nxt: set[int] = set()
-    for position in state:
-        if position < accept:
-            following = steps[position]
-            if following.admits(tag):
-                nxt.add(position + 1)
-            if following.descendant:
-                nxt.add(position)
-    return frozenset(nxt)
+    def __len__(self) -> int:
+        return len(self.edges)
+
+    @property
+    def initial(self) -> int:
+        return self.closure[0]
+
+    def add(self, steps: list[Step]) -> int:
+        """Merge a trunk in; returns its last (accepting) position."""
+        position = 0
+        for step in steps:
+            if step.descendant:
+                position = self._follow(position, _LOOP)
+            else:
+                self.closure[position] |= 1 << position
+            position = self._follow(position, step.name)
+        self.closure[position] |= 1 << position
+        return position
+
+    def _follow(self, position: int, key: str) -> int:
+        found = self.edges[position].get(key)
+        if found is None:
+            found = len(self.edges)
+            self.edges[position][key] = found
+            self.edges.append({})
+            self.closure.append(0)
+            if key == _LOOP:
+                self.loops |= 1 << found
+                self.closure[position] |= 1 << found
+        return found
+
+    def step(self, state: int, tag: str) -> int:
+        """One uncached subset-construction transition: ``δ(state, tag)``."""
+        edges, closure = self.edges, self.closure
+        following = state & self.loops
+        while state:
+            low = state & -state
+            state ^= low
+            out = edges[low.bit_length() - 1]
+            if out:
+                found = out.get(tag)
+                if found is not None:
+                    following |= closure[found]
+                found = out.get("*")
+                if found is not None:
+                    following |= closure[found]
+        return following
 
 
 class LazyDfa:
@@ -99,30 +135,18 @@ class LazyDfa:
     Keeps the XMLTK signature behaviours: per-event work is one hash
     lookup once a transition is cached, predicates are rejected, and
     '*'-heavy queries can blow up the subset construction (exposed via
-    :attr:`state_count` — the weakness the paper cites).
+    :attr:`state_count` — the weakness the paper cites).  States are
+    :class:`PathTrie` bitsets; one holding :attr:`accept` is a solution.
     """
 
     def __init__(self, query: QueryTree):
-        if query.has_branches():
-            raise UnsupportedQueryError(
-                f"the lazy-DFA engine evaluates XP{{/,//,*}} only; "
-                f"{query.source!r} has predicates"
-            )
-        self._steps = trunk_steps(query)
-        self._accept = len(self._steps)
-        self._initial = frozenset([0])
+        self._trie = PathTrie()
+        self.accept = 1 << self._trie.add(trunk_steps(query))
+        self.initial = self._trie.initial
         #: (state, tag) -> state transition cache; grows lazily.
-        self._transitions: dict[tuple[frozenset[int], str], frozenset[int]] = {}
+        self._transitions: dict[tuple[int, str], int] = {}
         #: All distinct DFA states materialised so far.
-        self._states: set[frozenset[int]] = {self._initial}
-
-    @property
-    def initial(self) -> frozenset[int]:
-        return self._initial
-
-    @property
-    def accept_position(self) -> int:
-        return self._accept
+        self._states: set[int] = {self.initial}
 
     @property
     def state_count(self) -> int:
@@ -133,13 +157,11 @@ class LazyDfa:
     def transition_count(self) -> int:
         return len(self._transitions)
 
-    def step(self, state: frozenset[int], tag: str) -> frozenset[int]:
+    def step(self, state: int, tag: str) -> int:
         """The (cached) DFA transition for ``tag`` out of ``state``."""
         key = (state, tag)
         cached = self._transitions.get(key)
-        if cached is not None:
-            return cached
-        result = subset_step(self._steps, self._accept, state, tag)
-        self._transitions[key] = result
-        self._states.add(result)
-        return result
+        if cached is None:
+            cached = self._transitions[key] = self._trie.step(state, tag)
+            self._states.add(cached)
+        return cached

@@ -27,10 +27,10 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.core.machine import Machine, MachineNode, build_machine, restore_counters
-from repro.core.push import LimitCountingHandler
+from repro.core.push import EventDriven
 from repro.core.results import CollectingSink, ResultSink
 from repro.errors import CheckpointError, UnsupportedQueryError
-from repro.stream.events import Characters, EndElement, Event, StartElement
+from repro.stream.events import Event
 from repro.stream.recovery import ResourceLimits
 from repro.xpath.querytree import QueryTree, compile_query
 
@@ -58,7 +58,7 @@ class _Slot:
         self.stable = False
 
 
-class BranchM:
+class BranchM(EventDriven):
     """Evaluator for queries in XP{/,[]}.
 
     Raises :class:`~repro.errors.UnsupportedQueryError` for queries with
@@ -110,6 +110,7 @@ class BranchM:
             id(node): _Slot() for node in self.machine.iter_nodes()
         }
         self._value_slots = [self._slots[id(node)] for node in self.machine.value_nodes]
+        self.reads_text = bool(self._value_slots)
         # Occupied slots holding a text buffer; characters() is a no-op
         # while this is zero (always, for value-free queries).
         self._open_value_slots = 0
@@ -149,13 +150,6 @@ class BranchM:
             )
             for node in nodes
         ]
-
-    @property
-    def results(self) -> list[int]:
-        """Solutions confirmed so far (requires the default sink)."""
-        if isinstance(self.sink, CollectingSink):
-            return self.sink.results
-        raise AttributeError("results are only collected by the default sink")
 
     def slot_of(self, node: MachineNode) -> _Slot:
         """The runtime slot of a machine node (read-only use)."""
@@ -389,36 +383,6 @@ class BranchM:
                 self._candidate_count -= len(slot.candidates)
                 self._emit_ids(slot.candidates)
                 slot.candidates = None
-
-    # -- event-stream driving ------------------------------------------------
-
-    def as_handler(self):
-        """Push-pipeline adapter (:mod:`repro.core.push`): the engine
-        itself, or a limit-counting wrapper when limits are set."""
-        if self._limits is None:
-            return self
-        return LimitCountingHandler(self)
-
-    def feed(self, events: Iterable[Event]) -> None:
-        """Process a batch of modified-SAX events."""
-        limits = self._limits
-        for event in events:
-            if limits is not None:
-                self._event_count += 1
-                limits.check("max_total_events", self._event_count)
-            if isinstance(event, StartElement):
-                self.start_element(event.tag, event.level, event.node_id, event.attributes)
-            elif isinstance(event, EndElement):
-                self.end_element(event.tag, event.level)
-            elif self._value_slots and isinstance(event, Characters):
-                self.characters(event.text)
-
-    def run(self, events: Iterable[Event]) -> list[int]:
-        """Evaluate over a complete event stream; return solution ids."""
-        self.feed(events)
-        if isinstance(self.sink, CollectingSink):
-            return self.sink.results
-        return []
 
 
 def evaluate_branchm(query: "str | QueryTree", events: Iterable[Event]) -> list[int]:

@@ -51,6 +51,38 @@ EDGE_GE = ">="
 TAG_CACHE_LIMIT = 4096
 
 
+class StackPlans:
+    """The per-tag dispatch plans of the stack machines (PathM, TwigM).
+
+    A plan lists ``(node, stack, parent stack)`` over ``_stacks`` (node
+    id → stack); ``_plans`` maps tags to plans and ``_wild_plan`` serves
+    tags outside the alphabet.
+    """
+
+    def _compile_plan(self, nodes) -> list:
+        """Bind dispatch nodes to their runtime stacks, once."""
+        stacks = self._stacks
+        return [
+            (node, stacks[id(node)],
+             stacks[id(node.parent)] if node.parent is not None else None)
+            for node in nodes
+        ]
+
+    def _miss_plan(self, tag: str) -> list:
+        """Resolve (and cache) the plan for a tag outside the alphabet.
+
+        Every unknown tag dispatches to the wildcard plan; aliasing it
+        into ``_plans`` under the tag on first sight makes repeated
+        unknown tags cost a single dict hit instead of a miss plus the
+        fallback lookup.  The cache is bounded (:data:`TAG_CACHE_LIMIT`)
+        so hostile tag churn cannot grow it without limit.
+        """
+        plan = self._wild_plan
+        if len(self._plans) < TAG_CACHE_LIMIT:
+            self._plans[tag] = plan
+        return plan
+
+
 class CompiledCondition:
     """A machine node's general boolean predicate, bound to its entries.
 
@@ -162,10 +194,6 @@ class MachineNode:
     #: General boolean predicate (or/not present); None = conjunctive
     #: fast path via complete_mask / attribute_tests / value_tests.
     compiled_condition: "CompiledCondition | None" = None
-
-    @property
-    def is_root(self) -> bool:
-        return self.parent is None
 
     def edge_satisfied(self, level_difference: int) -> bool:
         """Apply ζ to a level difference."""

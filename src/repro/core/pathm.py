@@ -23,21 +23,21 @@ from typing import Iterable
 
 from repro.core.machine import (
     EDGE_EQ,
-    TAG_CACHE_LIMIT,
     Machine,
     MachineNode,
+    StackPlans,
     build_machine,
     restore_counters,
 )
-from repro.core.push import LimitCountingHandler
+from repro.core.push import EventDriven
 from repro.core.results import CollectingSink, ResultSink
 from repro.errors import CheckpointError, UnsupportedQueryError
-from repro.stream.events import EndElement, Event, StartElement
+from repro.stream.events import Event
 from repro.stream.recovery import ResourceLimits
 from repro.xpath.querytree import QueryTree, compile_query
 
 
-class PathM:
+class PathM(EventDriven, StackPlans):
     """Evaluator for queries in XP{/,//,*}.
 
     Raises :class:`~repro.errors.UnsupportedQueryError` when the query has
@@ -91,37 +91,6 @@ class PathM:
         }
         self._wild_plan = self._compile_plan(self.machine.wildcards)
         self._return = self.machine.return_node
-
-    def _miss_plan(self, tag: str) -> list:
-        """Resolve (and cache) the plan for a tag outside the alphabet.
-
-        Every unknown tag dispatches to the wildcard plan; aliasing it
-        into ``_plans`` under the tag on first sight makes repeated
-        unknown tags cost a single dict hit instead of a miss plus the
-        fallback lookup.  The cache is bounded (:data:`TAG_CACHE_LIMIT`)
-        so hostile tag churn cannot grow it without limit.
-        """
-        plan = self._wild_plan
-        if len(self._plans) < TAG_CACHE_LIMIT:
-            self._plans[tag] = plan
-        return plan
-
-    def _compile_plan(self, nodes) -> list:
-        return [
-            (
-                node,
-                self._stacks[id(node)],
-                self._stacks[id(node.parent)] if node.parent is not None else None,
-            )
-            for node in nodes
-        ]
-
-    @property
-    def results(self) -> list[int]:
-        """Solutions confirmed so far (requires the default sink)."""
-        if isinstance(self.sink, CollectingSink):
-            return self.sink.results
-        raise AttributeError("results are only collected by the default sink")
 
     def stack_of(self, node: MachineNode) -> list[int]:
         """The level stack of a machine node (read-only use)."""
@@ -239,35 +208,6 @@ class PathM:
             return False
         # '>=': the bottom (smallest) entry decides existence.
         return parent_stack[0] <= level - node.edge_dist
-
-    # -- event-stream driving ----------------------------------------------
-
-    def as_handler(self):
-        """Push-pipeline adapter (:mod:`repro.core.push`): the engine
-        itself, or a limit-counting wrapper when limits are set."""
-        if self._limits is None:
-            return self
-        return LimitCountingHandler(self)
-
-    def feed(self, events: Iterable[Event]) -> None:
-        """Process a batch of modified-SAX events."""
-        limits = self._limits
-        for event in events:
-            if limits is not None:
-                self._event_count += 1
-                limits.check("max_total_events", self._event_count)
-            if isinstance(event, StartElement):
-                self.start_element(event.tag, event.level, event.node_id, event.attributes)
-            elif isinstance(event, EndElement):
-                self.end_element(event.tag, event.level)
-            # Characters carry no information for path queries.
-
-    def run(self, events: Iterable[Event]) -> list[int]:
-        """Evaluate over a complete event stream; return solution ids."""
-        self.feed(events)
-        if isinstance(self.sink, CollectingSink):
-            return self.sink.results
-        return []
 
 
 def evaluate_pathm(query: "str | QueryTree", events: Iterable[Event]) -> list[int]:

@@ -13,12 +13,72 @@ transitions is per-event accounting against
 :class:`~repro.stream.recovery.ResourceLimits` (``max_total_events``).
 When an engine carries limits, :class:`LimitCountingHandler` restores
 exactly that accounting in push mode, so limit enforcement is
-bit-identical between the two pipelines.
+bit-identical between the two pipelines.  Both live on
+:class:`EventDriven`, which every engine extends.
 """
 
 from __future__ import annotations
 
-from repro.stream.events import EventHandler
+from typing import Iterable
+
+from repro.core.results import CollectingSink
+from repro.stream.events import EndElement, Event, EventHandler, StartElement
+
+
+class EventDriven:
+    """The event-stream loops the engines share.
+
+    An engine supplies the transitions (``start_element``,
+    ``end_element``, ``characters``), ``sink``, ``_limits`` and
+    ``_event_count``, and says whether character data can change its
+    state (:attr:`reads_text`).
+    """
+
+    #: False when ``characters`` is a no-op: :meth:`feed` then skips
+    #: character data.
+    reads_text = False
+
+    def as_handler(self):
+        """Push-pipeline adapter.
+
+        Without resource limits the engine itself is the handler — its
+        transition methods *are* the callbacks, so
+        :meth:`~repro.stream.tokenizer.XmlTokenizer.feed_into` drives
+        δs/δe with zero indirection.  With limits, a counting wrapper
+        preserves :meth:`feed`'s per-event accounting.
+        """
+        if self._limits is None:
+            return self
+        return LimitCountingHandler(self)
+
+    def feed(self, events: Iterable[Event]) -> None:
+        """Process a batch of modified-SAX events (the pull loop)."""
+        limits = self._limits
+        reads_text = self.reads_text
+        for event in events:
+            if limits is not None:
+                self._event_count += 1
+                limits.check("max_total_events", self._event_count)
+            if isinstance(event, StartElement):
+                self.start_element(event.tag, event.level, event.node_id, event.attributes)
+            elif isinstance(event, EndElement):
+                self.end_element(event.tag, event.level)
+            elif reads_text:
+                self.characters(event.text)
+
+    @property
+    def results(self) -> list[int]:
+        """Solutions confirmed so far (requires the default sink)."""
+        if isinstance(self.sink, CollectingSink):
+            return self.sink.results
+        raise AttributeError("results are only collected by the default sink")
+
+    def run(self, events: Iterable[Event]) -> list[int]:
+        """Evaluate over a complete event stream; return solution ids."""
+        self.feed(events)
+        if isinstance(self.sink, CollectingSink):
+            return self.sink.results
+        return []
 
 
 class LimitCountingHandler(EventHandler):
@@ -35,20 +95,17 @@ class LimitCountingHandler(EventHandler):
         self._engine = engine
         self._limits = engine._limits
 
-    def start_element(self, tag, level, node_id, attributes) -> None:
+    def _counted(self):
         engine = self._engine
         engine._event_count += 1
         self._limits.check("max_total_events", engine._event_count)
-        engine.start_element(tag, level, node_id, attributes)
+        return engine
+
+    def start_element(self, tag, level, node_id, attributes) -> None:
+        self._counted().start_element(tag, level, node_id, attributes)
 
     def characters(self, text, level) -> None:
-        engine = self._engine
-        engine._event_count += 1
-        self._limits.check("max_total_events", engine._event_count)
-        engine.characters(text, level)
+        self._counted().characters(text, level)
 
     def end_element(self, tag, level) -> None:
-        engine = self._engine
-        engine._event_count += 1
-        self._limits.check("max_total_events", engine._event_count)
-        engine.end_element(tag, level)
+        self._counted().end_element(tag, level)

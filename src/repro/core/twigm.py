@@ -34,16 +34,16 @@ from typing import Iterable
 
 from repro.core.machine import (
     EDGE_EQ,
-    TAG_CACHE_LIMIT,
     Machine,
     MachineNode,
+    StackPlans,
     build_machine,
     restore_counters,
 )
-from repro.core.push import LimitCountingHandler
+from repro.core.push import EventDriven
 from repro.core.results import CollectingSink, ResultSink
 from repro.errors import CheckpointError, UnsupportedQueryError
-from repro.stream.events import Characters, EndElement, Event, StartElement
+from repro.stream.events import Event
 from repro.stream.recovery import ResourceLimits
 from repro.xpath.querytree import QueryTree, compile_query
 
@@ -119,7 +119,7 @@ class CandidateTracker:
         raise NotImplementedError
 
 
-class TwigM:
+class TwigM(EventDriven, StackPlans):
     """The TwigM evaluator: feed it modified-SAX events, read solutions.
 
     Parameters
@@ -195,6 +195,7 @@ class TwigM:
         for node in self.machine.iter_nodes():
             self._stacks[id(node)] = []
         self._value_stacks = [self._stacks[id(node)] for node in self.machine.value_nodes]
+        self.reads_text = bool(self._value_stacks)
         # Open entries holding a text buffer; characters() is a no-op
         # while this is zero (the common case for value-free queries).
         self._open_value_entries = 0
@@ -247,39 +248,7 @@ class TwigM:
         self._trunk = [(n, self._stacks[id(n)]) for n in trunk]
         self._trunk_ids = {id(n) for n in trunk}
 
-    def _compile_plan(self, nodes) -> list:
-        """Bind dispatch nodes to their runtime stacks, once."""
-        return [
-            (
-                node,
-                self._stacks[id(node)],
-                self._stacks[id(node.parent)] if node.parent is not None else None,
-            )
-            for node in nodes
-        ]
-
-    def _miss_plan(self, tag: str) -> list:
-        """Resolve (and cache) the plan for a tag outside the alphabet.
-
-        Every unknown tag dispatches to the wildcard plan; aliasing it
-        into ``_plans`` under the tag on first sight makes repeated
-        unknown tags cost a single dict hit instead of a miss plus the
-        fallback lookup.  The cache is bounded (:data:`TAG_CACHE_LIMIT`)
-        so hostile tag churn cannot grow it without limit.
-        """
-        plan = self._wild_plan
-        if len(self._plans) < TAG_CACHE_LIMIT:
-            self._plans[tag] = plan
-        return plan
-
     # -- introspection --------------------------------------------------
-
-    @property
-    def results(self) -> list[int]:
-        """Solutions confirmed so far (requires the default sink)."""
-        if isinstance(self.sink, CollectingSink):
-            return self.sink.results
-        raise AttributeError("results are only collected by the default sink")
 
     @property
     def epoch_open(self) -> bool:
@@ -759,42 +728,6 @@ class TwigM:
             if not provable:
                 break  # no chain can reach deeper trunk nodes
             parent_provable = provable
-
-    # -- event-stream driving ---------------------------------------------
-
-    def as_handler(self):
-        """Push-pipeline adapter (:mod:`repro.core.push`).
-
-        Without resource limits the engine itself is the handler — its
-        transition methods *are* the callbacks, so
-        :meth:`~repro.stream.tokenizer.XmlTokenizer.feed_into` drives
-        δs/δe with zero indirection.  With limits, a counting wrapper
-        preserves the pull driver's per-event accounting.
-        """
-        if self._limits is None:
-            return self
-        return LimitCountingHandler(self)
-
-    def feed(self, events: Iterable[Event]) -> None:
-        """Process a batch of modified-SAX events."""
-        limits = self._limits
-        for event in events:
-            if limits is not None:
-                self._event_count += 1
-                limits.check("max_total_events", self._event_count)
-            if isinstance(event, StartElement):
-                self.start_element(event.tag, event.level, event.node_id, event.attributes)
-            elif isinstance(event, EndElement):
-                self.end_element(event.tag, event.level)
-            elif self._value_stacks:  # Characters
-                self.characters(event.text)
-
-    def run(self, events: Iterable[Event]) -> list[int]:
-        """Evaluate over a complete event stream; return solution ids."""
-        self.feed(events)
-        if isinstance(self.sink, CollectingSink):
-            return self.sink.results
-        return []
 
 
 def evaluate_twigm(query: "str | QueryTree", events: Iterable[Event]) -> list[int]:

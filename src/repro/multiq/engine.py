@@ -43,6 +43,7 @@ evaluating every query with its own :class:`XPathStream`.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
@@ -80,9 +81,9 @@ class DispatchStats:
     those deliveries (one demand-gate test each): the open-label index
     keeps it close to ``machine_events_dispatched``.  It is a cost
     measure of this engine's own run: snapshots do not carry it (a
-    restored engine counts from zero, and visits every gated route
-    until the document element closes), so it takes no part in
-    equality.
+    restored engine counts from zero, and one resumed from a capture
+    without its open labels visits every gated route until the document
+    element closes), so it takes no part in equality.
     """
 
     events: int
@@ -145,17 +146,15 @@ class MultiQueryEngine(TextFeed):
         ``query="name"``) and, from the counters the units and their
         machines keep anyway, ``repro_machine_*`` and ``repro_compile_*``
         (:mod:`repro.obs.machines`).  The units are the same either way.
-    compiled:
-        Put predicate-free path queries into one shared lazy DFA
-        (:class:`~repro.multiq.registry.SharedPathUnit`: a single
-        :class:`~repro.compile.dfa.DfaPathM` with every such query as a
-        member, so a start tag costs one transition lookup however many
-        path queries are registered; it rides the router's wants-all
-        path because the DFA's depth tracking needs every element
-        event).  Queries with per-query limits, a tracker or a lag probe
-        keep per-query units, and every other unit is built exactly as
-        with ``compiled=False``.  Results are bit-for-bit identical to
-        the interpreted engines.
+
+    Every predicate-free path query without per-query limits, tracker or
+    lag probe is a member of one shared lazy DFA
+    (:class:`~repro.multiq.registry.SharedPathUnit`: a single
+    :class:`~repro.compile.dfa.DfaPathM` over all their trunks, so a
+    start tag costs one transition lookup however many path queries are
+    registered), routed on the union of the members' alphabets like any
+    other unit.  Results are bit-for-bit identical to evaluating each
+    query on its own machine.
     """
 
     def __init__(
@@ -167,14 +166,12 @@ class MultiQueryEngine(TextFeed):
         on_diagnostic: "Callable[[StreamDiagnostic], None] | None" = None,
         limits: ResourceLimits | None = None,
         metrics=None,
-        compiled: bool = False,
     ):
         super().__init__(policy=policy, on_diagnostic=on_diagnostic,
                          limits=limits, metrics=metrics)
         self._registry = QueryRegistry()
         self._router = AlphabetRouter()
         self._on_match = on_match
-        self._compiled = bool(compiled)
         self._handler: "_MultiQueryHandler | None" = None
         self._events = 0
         # A visited route (one gate test) either delivers or finds its
@@ -314,24 +311,40 @@ class MultiQueryEngine(TextFeed):
         from repro.obs.machines import MachineMetrics
 
         self._machine_metrics = MachineMetrics(metrics)
+        #: (family, query name or None) -> the value last published.
+        self._m_published: dict[tuple, int] = {}
         metrics.add_collector(self._sync_metrics)
 
-    def _sync_metrics(self) -> None:
-        """Publish the authoritative dispatcher counters into the registry.
-
-        The counters live on the engine (and ride through snapshots), so
-        absolute ``set`` here makes the registry report cumulative truth
-        even on a checkpoint-resumed dispatcher.
-        """
-        broadcast = self._broadcast_total()
-        self._m_events.set(self._events)
-        self._m_dispatched.set(self._dispatched)
-        self._m_broadcast.set(broadcast)
-        self._m_queries.set(len(self._registry))
-        self._m_units.set(self._registry.unit_count())
-        self._m_hit_ratio.set(self._dispatched / broadcast if broadcast else 0.0)
+    def _metric_values(self) -> dict[tuple, int]:
+        values = {
+            (self._m_events, None): self._events,
+            (self._m_dispatched, None): self._dispatched,
+            (self._m_broadcast, None): self._broadcast_total(),
+            (self._m_queries, None): len(self._registry),
+            (self._m_units, None): self._registry.unit_count(),
+        }
         for name, count in self.emitted_counts().items():
-            self._m_emitted.set(count, query=name)
+            values[self._m_emitted, name] = count
+        return values
+
+    def _sync_metrics(self) -> None:
+        """Publish the dispatcher's counters into the registry.
+
+        Each family moves by its change since the previous scrape (as
+        :class:`~repro.obs.machines.MachineMetrics` does), so engines
+        sharing a registry add up; :meth:`reset` and :meth:`remove_query`
+        publish before they clear counts.  The hit ratio is the
+        registry's, over every engine.
+        """
+        current = self._metric_values()
+        published = self._m_published
+        for (family, name), value in current.items():
+            change = value - published.get((family, name), 0)
+            if change:
+                family.inc(change, **({} if name is None else {"query": name}))
+        self._m_published = current
+        broadcast = self._m_broadcast.get()
+        self._m_hit_ratio.set(self._m_dispatched.get() / broadcast if broadcast else 0.0)
         self._machine_metrics.publish(self.machine_figures())
 
     def machine_figures(self) -> dict[str, dict[str, int]]:
@@ -392,19 +405,20 @@ class MultiQueryEngine(TextFeed):
         """
         sink = self._make_sink(name, on_match)
         self._settle_broadcast()
-        registration, created = self._registry.add(
+        registration, created, gained = self._registry.add(
             name,
             query,
             sink,
             limits=limits,
             callback=self._is_callback(on_match),
             tracker=tracker,
-            compiled=self._compiled,
             emission=emission,
             lag_probe=lag_probe,
         )
         if created is not None:
             self._router.add(created)
+        elif registration.unit.routable:
+            self._router.extend(registration.unit, gained)
         return registration
 
     def attach_warm(
@@ -435,14 +449,13 @@ class MultiQueryEngine(TextFeed):
         """
         sink = self._make_sink(name, on_match)
         self._settle_broadcast()
-        registration, created = self._registry.add(
+        registration, created, _gained = self._registry.add(
             name,
             query,
             sink,
             limits=limits,
             callback=self._is_callback(on_match),
             share=False,
-            compiled=self._compiled,
         )
         unit = created if created is not None else registration.unit
         try:
@@ -467,6 +480,8 @@ class MultiQueryEngine(TextFeed):
         last sharer.  Collected results for ``name`` are discarded."""
         self._settle_broadcast()
         unit = self._registry.get(name).unit
+        if self._metrics is not None:
+            self._sync_metrics()
         before = unit.figures()
         registration, unit_dropped = self._registry.remove(name)
         if unit_dropped:
@@ -554,8 +569,10 @@ class MultiQueryEngine(TextFeed):
         Machines, sinks, the tokenizer, and dispatch statistics are
         cleared; registrations survive, and all units become shareable
         again (cold state is indistinguishable from a fresh machine).
-        Machine metric figures stay cumulative.
+        Machine metric figures and published counters stay cumulative.
         """
+        if self._metrics is not None:
+            self._sync_metrics()
         for unit in self._registry.units():
             before = unit.figures()
             unit.engine.reset()
@@ -568,6 +585,8 @@ class MultiQueryEngine(TextFeed):
         self._settled_events = self._closed_gates = self._unrouted = 0
         if self._handler is not None:
             self._handler.close_all()
+        if self._metrics is not None:
+            self._m_published = self._metric_values()
 
     # -- checkpoint / resume --------------------------------------------
 
@@ -577,10 +596,13 @@ class MultiQueryEngine(TextFeed):
         The capture spans every unit's machine stacks and multiplexed
         sink state, the query registrations (grouping included, so dedup
         survives restore exactly), the mid-parse tokenizer, and the
-        dispatch counters (not ``gate_tests``, nor the open-label index:
-        a restored engine seeds it from the tokenizer's open elements,
-        or, for an event-fed capture, counts every label open until the
-        document element closes).  A value-shape unit's entry adds
+        dispatch counters (not ``gate_tests``).  A restored engine seeds
+        the open-label index from the tokenizer's open elements; an
+        event-fed capture carries the open gate labels' element counts
+        instead (``open_labels``), unless the engine itself counts every
+        label open (it was restored from a capture without them and the
+        document element has not closed), in which case so does the
+        restored one.  A value-shape unit's entry adds
         ``"shape": true``; its ``queries`` list the members in slot
         order, which the member masks in its machine state index.  Each
         unit's entry counts the ``events`` delivered to it, and the
@@ -589,7 +611,6 @@ class MultiQueryEngine(TextFeed):
         """
         snapshot = {
             "version": MULTIQ_SNAPSHOT_VERSION,
-            "compiled": self._compiled,
             "policy": self._policy.value,
             "limits": self._limits.to_dict() if self._limits is not None else None,
             "queries": [
@@ -619,6 +640,10 @@ class MultiQueryEngine(TextFeed):
             snapshot["stats"]["retired"] = {
                 kind: dict(figures) for kind, figures in self._retired.items()
             }
+        if self._tokenizer is None and self._events:
+            labels = self._handler.label_counts()
+            if labels is not None:
+                snapshot["open_labels"] = labels
         return snapshot
 
     @classmethod
@@ -647,7 +672,7 @@ class MultiQueryEngine(TextFeed):
         snapshot = read_envelope(
             snapshot, "multiq snapshot", MULTIQ_SNAPSHOT_VERSION,
             required=("policy", "limits", "queries", "units", "tokenizer"),
-            optional={"compiled": False,
+            optional={"compiled": False, "open_labels": None,
                       "stats": {"events": 0, "dispatched": 0, "broadcast": 0}},
         )
         with restoring("multiq snapshot"):
@@ -657,7 +682,6 @@ class MultiQueryEngine(TextFeed):
                 on_diagnostic=on_diagnostic,
                 limits=ResourceLimits.from_dict(snapshot["limits"]),
                 metrics=metrics,
-                compiled=bool(snapshot["compiled"]),
             )
             engine._restore_queries(snapshot, trackers or {})
             stats = read_fields(snapshot["stats"], "multiq snapshot stats",
@@ -671,21 +695,27 @@ class MultiQueryEngine(TextFeed):
             engine._unrouted = int(stats["dispatched"])
             engine._broadcast = int(stats["broadcast"])
             engine._restore_tokenizer(snapshot["tokenizer"])
-            engine._reopen_labels()
+            labels = snapshot["open_labels"]
+            if labels is not None:
+                labels = {str(tag): int(count) for tag, count in labels.items()}
+            engine._reopen_labels(labels)
         return engine
 
-    def _reopen_labels(self) -> None:
+    def _reopen_labels(self, labels: "Mapping[str, int] | None" = None) -> None:
         """Rebuild the open-label index after a restore or warm attach.
 
         A text feed knows its open elements: the tokenizer's stack seeds
         the counts exactly (an empty one, before or after the document
-        element, opens nothing), as does a feed with no event yet.
-        Otherwise every label counts as open until the document element
-        closes.
+        element, opens nothing), as does a feed with no event yet, and
+        an event-fed capture's ``labels`` (open element count per gate
+        label).  Otherwise every label counts as open until the document
+        element closes.
         """
         handler = self.as_handler()
         if self._tokenizer is not None:
-            handler.open_labels(self._tokenizer.open_elements)
+            handler.open_labels(Counter(self._tokenizer.open_elements))
+        elif labels is not None:
+            handler.open_labels(labels)
         elif self._events:
             handler.assume_all_open()
         else:
@@ -694,9 +724,10 @@ class MultiQueryEngine(TextFeed):
     def _restore_queries(self, snapshot: dict, trackers: Mapping) -> None:
         """Rebuild units and registrations, preserving grouping and order.
 
-        Under ``compiled`` an unlimited ``dfa`` unit restores as a
-        :class:`~repro.multiq.registry.SharedPathUnit`, and an entry
-        marked ``shape`` as a
+        An unlimited ``dfa`` unit restores as a
+        :class:`~repro.multiq.registry.SharedPathUnit` (a ``pathm`` unit
+        from a release that ran path queries on PathM stays one), and an
+        entry marked ``shape`` as a
         :class:`~repro.multiq.registry.ValueShapeUnit` (members joined in
         the listed order, so the captured member masks keep their
         slots).  Captures from
@@ -742,20 +773,17 @@ class MultiQueryEngine(TextFeed):
             }
             tree = trees[members[0]]
             machine = unit_payload["machine"]
-            shared = (self._compiled and unit_payload["engine"] == "dfa"
-                      and limits is None)
+            shared = unit_payload["engine"] == "dfa" and limits is None
             fold_key = None
             if shared and "members" not in machine and not machine.get("fallen"):
                 fold_key = tuple(machine["dfa"]["tags"])
             unit = folded.get(fold_key)
             new_unit = unit is None
-            if unit is not None:
-                # Joining replays the open tag path for the new members.
-                for member in members:
-                    unit.join(member, trees[member], sinks[member])
-            elif shared:
-                unit = SharedPathUnit(members[0], tree, sinks[members[0]])
-                for member in members[1:]:
+            if shared:
+                # Joining a folded unit replays its open tag path.
+                joining = members if unit else members[1:]
+                unit = unit or SharedPathUnit(members[0], tree, sinks[members[0]])
+                for member in joining:
                     unit.join(member, trees[member], sinks[member])
             elif unit_payload["shape"]:
                 if (unit_payload["engine"] != "twigm" or limits is not None
@@ -778,7 +806,6 @@ class MultiQueryEngine(TextFeed):
                 tracked = bool(first["tracked"])
                 unit = EvalUnit(tree, limits, engine_name=unit_payload["engine"],
                                 tracker=trackers.get(members[0]) if tracked else None,
-                                compiled=self._compiled,
                                 emission=first["emission"])
                 unit.tracked = tracked
                 for member in members[1:]:
@@ -831,16 +858,9 @@ class MultiQueryEngine(TextFeed):
                 self._router.add(registration.unit)
 
     def _restored_sink(self, name: str, callback: bool) -> ResultSink:
-        if not callback:
-            return CollectingSink()
-        if self._on_match is None:
+        if callback and self._on_match is None:
             return CallbackSink(_noop)
-        on_match = self._on_match
-
-        def forward(node_id: int, _name: str = name) -> None:
-            on_match(_name, node_id)
-
-        return CallbackSink(forward)
+        return self._make_sink(name, None) if callback else CollectingSink()
 
 
 def _unit_payload(unit: EvalUnit) -> dict:
@@ -872,9 +892,10 @@ class _MultiQueryHandler(EventHandler):
     before delivery and an end tag uncounted after it.
 
     ``_mask`` has one bit per gate label with an open element.  After a
-    restore or a warm attach it is seeded from the text feed's open
-    elements, or, with no text feed, is ``-1`` (every label open) until
-    the document element closes or the engine resets.
+    restore it is seeded from the text feed's open elements or the
+    capture's open-label counts; otherwise (a warm attach, an older
+    event-fed capture) it is ``-1`` (every label open) until the
+    document element closes or the engine resets.
 
     Each delivery adds one to the unit's ``events``, just before the
     call; that is also what ends the unit's *virginity* (accepting
@@ -910,17 +931,32 @@ class _MultiQueryHandler(EventHandler):
         self._router.close_all()
         self._mask = 0
 
-    def open_labels(self, tags) -> None:
-        """Count exactly the elements ``tags`` (outermost first) as open."""
+    def open_labels(self, counts: "Mapping[str, int]") -> None:
+        """Count exactly ``counts`` (tag → open elements) as open."""
         self.close_all()
         records = self._records
         mask = 0
-        for tag in tags:
+        for tag, count in counts.items():
             record = records.get(tag)
-            if record is not None and record.bit:
-                record.count += 1
+            if record is not None and record.bit and count > 0:
+                record.count = count
                 mask |= record.bit
         self._mask = mask
+
+    def label_counts(self) -> "dict[str, int] | None":
+        """The open gate labels' element counts; None while every label
+        counts as open."""
+        if self._mask == -1:
+            return None
+        return {tag: record.count for tag, record in self._records.items()
+                if record.count}
+
+    def _unfiltered(self, kind: str, *args) -> None:
+        """Deliver an event to every limited unit, unfiltered."""
+        for unit, handler in self._limited:
+            unit.events += 1
+            getattr(handler, kind)(*args)
+        self._engine._unrouted += len(self._limited)
 
     def _rebind(self) -> None:
         """Rebuild the ``(unit, handler)`` pairs of the unfiltered path;
@@ -949,12 +985,8 @@ class _MultiQueryHandler(EventHandler):
                 unit.engine.start_element(tag, level, node_id, attributes)
             else:
                 engine._closed_gates += 1
-        limited = self._limited
-        if limited:
-            for unit, handler in limited:
-                unit.events += 1
-                handler.start_element(tag, level, node_id, attributes)
-            engine._unrouted += len(limited)
+        if self._limited:
+            self._unfiltered("start_element", tag, level, node_id, attributes)
         engine._visited += len(routes)
 
     def characters(self, text, level) -> None:
@@ -971,12 +1003,8 @@ class _MultiQueryHandler(EventHandler):
                 unit.engine.characters(text, level)
             else:
                 engine._closed_gates += 1
-        limited = self._limited
-        if limited:
-            for unit, handler in limited:
-                unit.events += 1
-                handler.characters(text, level)
-            engine._unrouted += len(limited)
+        if self._limited:
+            self._unfiltered("characters", text, level)
         engine._visited += len(routes)
 
     def end_element(self, tag, level) -> None:
@@ -993,12 +1021,8 @@ class _MultiQueryHandler(EventHandler):
                 unit.engine.end_element(tag, level)
             else:
                 engine._closed_gates += 1
-        limited = self._limited
-        if limited:
-            for unit, handler in limited:
-                unit.events += 1
-                handler.end_element(tag, level)
-            engine._unrouted += len(limited)
+        if self._limited:
+            self._unfiltered("end_element", tag, level)
         engine._visited += len(routes)
         count = record.count
         if count:

@@ -2,10 +2,9 @@
 
 A *registration* is one named standing query; an *evaluation unit* is
 one machine instance (PathM/BranchM/TwigM, chosen per fragment as
-always — or their :mod:`repro.compile` tiers when the owning engine runs
-``compiled``) plus the multiplexing sink that fans its confirmed
-solutions out to every registration sharing it.  The registry owns the
-mapping between the two:
+always, or the shared lazy DFA below) plus the multiplexing sink that
+fans its confirmed solutions out to every registration sharing it.  The
+registry owns the mapping between the two:
 
 * ``add`` compiles and canonicalizes the query, then either joins an
   existing unit with the same :func:`~repro.multiq.canon.dedup_key`
@@ -18,10 +17,11 @@ mapping between the two:
 * ``remove`` detaches a registration and drops its unit once the last
   sharer leaves.
 
-Under ``compiled`` every predicate-free registration without limits,
-tracker or lag probe is a member of one :class:`SharedPathUnit` (one
-lazy DFA over all their trunks).  Members join only while it is virgin,
-for the same reason; a path query added later opens a fresh one.
+Every predicate-free registration without limits, tracker or lag probe
+is a member of one :class:`SharedPathUnit` (one lazy DFA over all their
+trunks, routed on the union of their alphabets).  Members join only
+while it is virgin, for the same reason; a path query added later opens
+a fresh one.
 
 TwigM registrations that are equal once the constant of their one value
 test is left out (:func:`~repro.multiq.canon.shape_key`) are members of
@@ -104,6 +104,11 @@ class EvalUnit:
     events the dispatcher delivers to it (:attr:`events`).
     """
 
+    #: True when the machine evaluates its registrations as members
+    #: (``add_member``/``remove_member``) rather than multiplexing one
+    #: query's solutions.
+    members = False
+
     __slots__ = (
         "tree", "limits", "sink", "engine", "emission",
         "interest", "wants_all", "wants_text", "routable", "tracked",
@@ -116,7 +121,6 @@ class EvalUnit:
         limits: ResourceLimits | None = None,
         engine_name: str | None = None,
         tracker=None,
-        compiled: bool = False,
         emission: str = "default",
         lag_probe=None,
         engine_sink: ResultSink | None = None,
@@ -133,19 +137,12 @@ class EvalUnit:
             engine_name = "twigm"
         self.engine = self._build_engine(
             tree, self.sink if engine_sink is None else engine_sink,
-            engine=engine_name, compiled=compiled,
-            limits=limits, emission=emission,
+            engine=engine_name, limits=limits, emission=emission,
             lag_probe=lag_probe, tracker=tracker,
         )
         self.interest, self.wants_all, self.wants_text = machine_alphabet(
             self.engine.machine
         )
-        if self.engine.machine_name == "dfa":
-            # The DFA tracks depth implicitly (one pushed state per open
-            # element), which is only sound when it sees every element
-            # event; filtered delivery would desynchronise it and force
-            # the interpreted fallback on the first skipped tag.
-            self.wants_all = True
         # Limited machines count every event and probe every depth; they
         # must stay on the dispatcher's unfiltered path (see router.py).
         self.routable = limits is None
@@ -193,13 +190,17 @@ class EvalUnit:
         """Names of the registrations multiplexed onto this unit."""
         return list(self.sink.sinks)
 
-    def join(self, name: str, tree: QueryTree, sink: ResultSink) -> None:
-        """Attach a registration whose query this unit evaluates."""
+    def join(self, name: str, tree: QueryTree, sink: ResultSink) -> frozenset[str]:
+        """Attach a registration whose query this unit evaluates; returns
+        the tags its interest gained (none, for a plain sharer)."""
         self.sink.add(name, sink)
+        return frozenset()
 
     def leave(self, name: str) -> bool:
         """Detach ``name``; True when it was the last registration."""
-        self.sink.remove(name)
+        sink = self.sink.remove(name)
+        if self.sink.sinks and self.members:
+            self.engine.remove_member(sink)
         return not self.sink.sinks
 
 
@@ -208,27 +209,29 @@ class SharedPathUnit(EvalUnit):
 
     Each registration is a :class:`~repro.compile.dfa.DfaPathM` member
     emitting straight into its own sink; :attr:`sink` only indexes those
-    sinks by name (results, snapshots).
+    sinks by name (results, snapshots).  The unit is routed on the union
+    of its members' alphabets (the DFA steps over the elements it is not
+    shown), and sees every element only once a member has a
+    materialised ``'*'`` node.  Its interest never shrinks: a departed
+    member's tags are stepped like any other tag no member names.
     """
 
     __slots__ = ()
+    members = True
 
     def __init__(self, name: str, tree: QueryTree, sink: ResultSink):
-        super().__init__(tree, compiled=True, engine_sink=sink)
+        super().__init__(tree, engine_name="dfa", engine_sink=sink)
         self.sink.add(name, sink)
 
-    def join(self, name: str, tree: QueryTree, sink: ResultSink) -> None:
+    def join(self, name: str, tree: QueryTree, sink: ResultSink) -> frozenset[str]:
         from repro.multiq.router import machine_alphabet
 
         self.sink.add(name, sink)
-        self.interest |= machine_alphabet(self.engine.add_member(tree, sink))[0]
-
-    def leave(self, name: str) -> bool:
-        sink = self.sink.remove(name)
-        if not self.sink.sinks:
-            return True
-        self.engine.remove_member(sink)
-        return False
+        tags, wants_all, _text = machine_alphabet(self.engine.add_member(tree, sink))
+        gained = tags - self.interest
+        self.interest |= gained
+        self.wants_all = self.wants_all or wants_all
+        return gained
 
 
 class ValueShapeUnit(EvalUnit):
@@ -243,6 +246,7 @@ class ValueShapeUnit(EvalUnit):
     """
 
     __slots__ = ("key",)
+    members = True
 
     def __init__(self, tree: QueryTree):
         found = shape_key(tree)
@@ -259,19 +263,13 @@ class ValueShapeUnit(EvalUnit):
         """``(name, constant)`` per member, in slot order."""
         return list(zip(self.sink.sinks, self.engine.constants))
 
-    def join(self, name: str, tree: QueryTree, sink: ResultSink) -> None:
+    def join(self, name: str, tree: QueryTree, sink: ResultSink) -> frozenset[str]:
         found = shape_key(tree)
         if found is None or found[0] != self.key:
             raise ValueError(f"query {name!r} does not have this unit's shape")
         self.engine.add_member(found[1], sink)
         self.sink.add(name, sink)
-
-    def leave(self, name: str) -> bool:
-        sink = self.sink.remove(name)
-        if not self.sink.sinks:
-            return True
-        self.engine.remove_member(sink)
-        return False
+        return frozenset()
 
 
 @dataclass(slots=True)
@@ -303,8 +301,7 @@ class QueryRegistry:
         self._registrations: dict[str, Registration] = {}
         # Keyed by (structural dedup key, emission mode).
         self._units: dict[tuple[DedupKey, str], list[EvalUnit]] = {}
-        #: The shared path unit new compiled path queries join while it
-        #: is virgin.
+        #: The shared path unit new path queries join while it is virgin.
         self._shared: SharedPathUnit | None = None
         #: Value-shape units by shape key, in creation order.
         self._shapes: dict[DedupKey, list[ValueShapeUnit]] = {}
@@ -363,24 +360,23 @@ class QueryRegistry:
         callback: bool = False,
         share: bool = True,
         tracker=None,
-        compiled: bool = False,
         emission: str = "default",
         lag_probe=None,
-    ) -> tuple[Registration, EvalUnit | None]:
-        """Register ``name`` → ``query``; returns ``(registration, new_unit)``.
+    ) -> tuple[Registration, EvalUnit | None, frozenset[str]]:
+        """Register ``name`` → ``query``; returns ``(registration,
+        new_unit, gained)``.
 
         ``new_unit`` is ``None`` when the query joined an existing unit
-        (the caller only needs to route units it has not seen).
-        ``share=False`` forces a dedicated unit regardless of dedup.
+        (the caller only routes units it has not seen); ``gained`` holds
+        the tags a joined unit's interest grew by (the caller routes the
+        unit on them too).  ``share=False`` forces a dedicated unit.
         ``tracker`` attaches a :class:`~repro.core.twigm.CandidateTracker`
         to the unit's machine (forcing TwigM and a dedicated unit — a
-        tracker observes exactly one consumer's candidate lifetimes).
-        ``compiled`` selects the :mod:`repro.compile` engine tiers for
-        any unit this call creates (joined units already have theirs);
-        it puts an unlimited, untracked, unprobed path query into the
-        :class:`SharedPathUnit` (any emission mode: path engines emit at
-        the start tag either way).  A shareable default-mode TwigM query
-        with one value test and no limits joins (or opens) the virgin
+        tracker observes exactly one consumer's candidate lifetimes).  An
+        unlimited, untracked, unprobed path query joins (or opens) the
+        virgin :class:`SharedPathUnit`, in any emission mode (path engines
+        emit at the start tag either way); a shareable default-mode TwigM
+        query with one value test and no limits, the virgin
         :class:`ValueShapeUnit` of its shape, when the shape is in scope.
         """
         if name in self._registrations:
@@ -391,11 +387,12 @@ class QueryRegistry:
         source = tree.source if isinstance(query, QueryTree) else query
         unit: EvalUnit | None = None
         created: EvalUnit | None = None
-        if (compiled and limits is None and tracker is None and lag_probe is None
+        gained: frozenset[str] = frozenset()
+        if (limits is None and tracker is None and lag_probe is None
                 and select_engine_class(tree) is PathM):
             if share and self._shared is not None and self._shared.virgin:
                 unit = self._shared
-                unit.join(name, tree, sink)
+                gained = unit.join(name, tree, sink)
             else:
                 unit = created = SharedPathUnit(name, tree, sink)
                 if share:
@@ -415,8 +412,7 @@ class QueryRegistry:
                         unit = candidate
                         break
             if unit is None:
-                unit = created = EvalUnit(tree, limits,
-                                          tracker=tracker, compiled=compiled,
+                unit = created = EvalUnit(tree, limits, tracker=tracker,
                                           emission=emission, lag_probe=lag_probe)
                 self._units.setdefault(key, []).append(unit)
             unit.join(name, tree, sink)
@@ -432,7 +428,7 @@ class QueryRegistry:
             emission=emission,
         )
         self._registrations[name] = registration
-        return registration, created
+        return registration, created, gained
 
     def _shape_unit(self, tree: QueryTree) -> "ValueShapeUnit | None":
         """The virgin value-shape unit ``tree`` joins (opened if need be),

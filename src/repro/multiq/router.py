@@ -54,8 +54,10 @@ and restore refill them in place), so they track the live state with no
 bookkeeping.  Gated delivery is what the dispatch counters report.
 
 Units that are not PathM/TwigM stay ungated (both gates ``None``):
-BranchM, the lazy DFA (whose implicit depth tracking needs every element
-event, so it rides the wants-all path), and units carrying
+BranchM, the shared lazy DFA of the path queries (routed on the union of
+its members' alphabets: it steps over the levels it is not shown, see
+:mod:`repro.compile.dfa`, and :meth:`AlphabetRouter.extend` routes it on
+each joining member's new tags), and units carrying
 :class:`~repro.stream.recovery.ResourceLimits` — their machines count
 every event (``max_total_events``) and probe every start tag's depth
 (``max_depth``), so they are kept on an unfiltered path
@@ -91,11 +93,14 @@ The index is exact by the same nesting argument:
   elements opened since, and the cold machine holds no entry from
   before it was registered.
 * *A restored dispatcher or an* ``attach_warm`` *unit* holds entries for
-  elements whose start tags the handler never saw.  Until the root
-  element's end tag (level 1) or ``reset()``, every label counts as open
-  (mask ``-1``, which visits exactly the routes of plain gated
-  dispatch); with the document element closed nothing is open, so the
-  counts restart from zero there.  No snapshot carries the index.
+  elements whose start tags the handler never saw.  A text-fed restore
+  counts the tokenizer's open elements, and an event-fed capture carries
+  the counts of its open gate labels, so either resumes exact.  Without
+  them (an ``attach_warm``, or a capture from a release that did not
+  write the counts), every label counts as open until the root
+  element's end tag (level 1) or ``reset()`` (mask ``-1``, which visits
+  exactly the routes of plain gated dispatch); with the document element
+  closed nothing is open, so the counts restart from zero there.
 
 Views are memoised per ``(tag, mask & relevant)``, at most
 ``cache_limit`` of them across the router; beyond that they are built
@@ -106,7 +111,7 @@ and are built when a unit is added.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Protocol
+from typing import Callable, Protocol
 
 from repro.core.machine import Machine
 
@@ -209,8 +214,9 @@ class AlphabetRouter:
     """
 
     def __init__(self, cache_limit: int | None = None):
-        # Routable units in registration order (the records' order).
-        self._routable: dict[RoutableUnit, None] = {}
+        # Routable units in registration order (the records' order), each
+        # with whether it is routed on every tag.
+        self._routable: dict[RoutableUnit, bool] = {}
         self._limited: list[RoutableUnit] = []
         self._cache_limit = DEFAULT_CACHE_LIMIT if cache_limit is None else cache_limit
         self._memoised = 0
@@ -234,11 +240,7 @@ class AlphabetRouter:
         root_label, root_gate, text_label, text_gate = unit_gates(unit)
         records, default = self.records, self.default
         for tag in unit.interest:
-            if tag not in records:
-                # Only wants-all units route a tag nobody names, and none
-                # of them roots at it (a root label is in its unit's
-                # alphabet), so the default record's routes are its too.
-                records[tag] = TagRecord(list(default.routes), default.relevant)
+            self._record(tag)
         tag_bit = self._bit(root_label) if root_gate is not None else 0
         opened = (None, root_gate, unit)
         gated = (root_gate, root_gate, unit)
@@ -250,8 +252,35 @@ class AlphabetRouter:
         if unit.wants_text:
             text_bit = self._bit(text_label) if text_gate is not None else 0
             self._append(self.text, text_bit, (text_gate, None, unit))
-        self._routable[unit] = None
+        self._routable[unit] = unit.wants_all
         self.invalidate()
+
+    def extend(self, unit: RoutableUnit, tags: frozenset[str]) -> None:
+        """Route a routed, ungated unit on ``tags`` too: the tags a
+        joining member added to its interest (on every tag, once the
+        unit wants all).  Only the new routes are added."""
+        route = (None, None, unit)
+        records, default = self.records, self.default
+        if unit.wants_all:
+            if not self._routable[unit]:
+                self._routable[unit] = True
+                routed = unit.interest - tags
+                self._append(default, 0, route)
+                for tag, record in records.items():
+                    if tag not in routed:
+                        self._append(record, 0, route)
+            return
+        for tag in tags:
+            self._append(self._record(tag), 0, route)
+
+    def _record(self, tag: str) -> TagRecord:
+        """The record of ``tag``, made from the default routes on first
+        use (only wants-all units, none rooted at it, route such a tag)."""
+        record = self.records.get(tag)
+        if record is None:
+            default = self.default
+            record = self.records[tag] = TagRecord(list(default.routes), default.relevant)
+        return record
 
     def remove(self, unit: RoutableUnit) -> None:
         """Drop a unit from every record it routes through."""
@@ -273,9 +302,9 @@ class AlphabetRouter:
     def invalidate(self) -> None:
         """Tell :attr:`on_change` that the routed units changed.
 
-        A registration joining or leaving a live unit changes no route
-        (only a :class:`~repro.multiq.registry.SharedPathUnit` grows its
-        alphabet when joined, and it is routed on every tag already), so
+        A registration joining or leaving a live unit changes no routed
+        unit (a :class:`~repro.multiq.registry.SharedPathUnit` that grows
+        its alphabet when joined gains routes through :meth:`extend`), so
         it needs no call.
         """
         if self.on_change is not None:
@@ -365,14 +394,3 @@ class AlphabetRouter:
     def limited_units(self) -> list[RoutableUnit]:
         """Units on the unfiltered path (per-query resource limits)."""
         return self._limited
-
-    def alphabet(self) -> frozenset[str]:
-        """Union of every routable unit's concrete-tag alphabet."""
-        tags: set[str] = set()
-        for unit in self._routable:
-            tags |= unit.interest
-        return frozenset(tags)
-
-    def coverage(self, tags: Iterable[str]) -> dict[str, int]:
-        """How many routable units listen on each of ``tags`` (debugging)."""
-        return {tag: len(self.routes_for_tag(tag)) for tag in tags}

@@ -298,10 +298,7 @@ def catch_up(
     """
     from repro.multiq.engine import MultiQueryEngine
 
-    # The scratch engine mirrors the live engine's compilation tier so
-    # the warmed machine state it snapshots has the shape attach_warm's
-    # freshly-built unit expects.
-    scratch = MultiQueryEngine(compiled=getattr(live_engine, "_compiled", False))
+    scratch = MultiQueryEngine()
     scratch.add_query(name, query, limits=limits)
     reader = EventLogReader(path, limits=replay_limits, metrics=metrics)
     stats = ReplayStats()

@@ -269,10 +269,6 @@ class QueryNode:
         return self.name == "*"
 
     @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
-    @property
     def is_branching(self) -> bool:
         """The paper's definition: >1 child, or the return node."""
         return len(self.children) > 1 or self.is_return

@@ -109,7 +109,7 @@ class TestMultiQueryCli:
     def test_explain_lists_engines(self, query_file, catalog, capsys):
         twigm_main(["--queries", query_file, "--explain", catalog])
         err = capsys.readouterr().err
-        assert "[twigm]" in err and "[pathm]" in err
+        assert "[twigm]" in err and "[dfa]" in err
 
     def test_no_match_exit_code(self, tmp_path, catalog, capsys):
         path = tmp_path / "q.txt"

@@ -21,6 +21,7 @@ import pytest
 from repro.bench.hotpath import reference_events
 from repro.core.processor import XPathStream
 from repro.multiq import MultiQueryEngine
+from repro.stream.recovery import ResourceLimits
 
 # -- seeded document corpus --------------------------------------------------
 
@@ -221,11 +222,16 @@ MULTI_QUERIES = {
 }
 
 
+def _interpreted(queries: dict, doc: str) -> dict:
+    """Each query on its own interpreted stream."""
+    return {name: XPathStream(query).evaluate(doc) for name, query in queries.items()}
+
+
 @pytest.mark.parametrize("seed", range(0, 100, 5))
-def test_multiq_compiled_matches_interpreted(seed):
+def test_multiq_shared_unit_matches_interpreted(seed):
     doc = make_document(seed)
-    reference = MultiQueryEngine(MULTI_QUERIES).evaluate(doc)
-    compiled = MultiQueryEngine(MULTI_QUERIES, compiled=True)
+    reference = _interpreted(MULTI_QUERIES, doc)
+    compiled = MultiQueryEngine(MULTI_QUERIES)
     assert compiled.evaluate_push(doc) == reference
     # Every path query is a member of one shared DFA unit; the
     # predicate query keeps its own machine.
@@ -239,36 +245,37 @@ def test_multiq_compiled_matches_interpreted(seed):
 
 
 @pytest.mark.parametrize("seed", range(0, 60, 4))
-def test_multiq_live_add_remove_compiled(seed):
+def test_multiq_live_add_remove_shared_unit(seed):
     doc = make_document(seed)
     chunks = [doc[i:i + 41] for i in range(0, len(doc), 41)]
     third = max(1, len(chunks) // 3)
 
-    def run(compiled: bool):
-        engine = MultiQueryEngine({"base": "//a//b"}, compiled=compiled)
+    def run(limits):
+        # Limits keep a path query on its own PathM, fed every event.
+        engine = MultiQueryEngine()
+        engine.add_query("base", "//a//b", limits=limits)
         for index, chunk in enumerate(chunks):
             if index == third:
-                engine.add_query("late", "//c")
+                engine.add_query("late", "//c", limits=limits)
             if index == 2 * third:
                 engine.remove_query("base")
             engine.feed_text_push(chunk)
         return engine.close()
 
-    assert run(True) == run(False)
+    assert run(None) == run(ResourceLimits())
 
 
 @pytest.mark.parametrize("seed", range(0, 60, 6))
-def test_multiq_compiled_snapshot_restore(seed):
+def test_multiq_shared_unit_snapshot_restore(seed):
     doc = make_document(seed)
-    reference = MultiQueryEngine(MULTI_QUERIES).evaluate(doc)
+    reference = _interpreted(MULTI_QUERIES, doc)
     cut = len(doc) // 2
-    engine = MultiQueryEngine(MULTI_QUERIES, compiled=True)
+    engine = MultiQueryEngine(MULTI_QUERIES)
     engine.feed_text_push(doc[:cut])
     snap = engine.snapshot()
     json.dumps(snap)
-    assert snap["compiled"] is True
+    assert "compiled" not in snap
     resumed = MultiQueryEngine.restore(snap)
-    assert resumed._compiled
     resumed.feed_text_push(doc[cut:])
     assert resumed.close() == reference
 

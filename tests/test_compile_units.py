@@ -13,7 +13,7 @@ from repro.compile import (
     DEFAULT_STATE_CAP,
     DfaPathM,
     LazyDfa,
-    subset_step,
+    PathTrie,
     trunk_steps,
 )
 from repro.core.branchm import BranchM
@@ -22,6 +22,7 @@ from repro.core.processor import XPathStream
 from repro.core.twigm import TwigM
 from repro.errors import UnsupportedQueryError
 from repro.obs.metrics import MetricsRegistry
+from repro.compile.nfa import GAP
 from repro.xpath.querytree import compile_query
 
 
@@ -35,27 +36,37 @@ class TestNfa:
             ("a", True), ("b", False), ("c", True),
         ]
 
-    def test_subset_step_advance_and_stay(self):
-        query = compile_query("//a//b")
-        steps = trunk_steps(query)
-        accept = len(steps)
-        s0 = frozenset([0])
-        s_a = subset_step(steps, accept, s0, "a")
-        assert 1 in s_a and 0 in s_a  # advanced + stayed (descendant root)
-        s_ab = subset_step(steps, accept, s_a, "b")
-        assert accept in s_ab
-        # Unrelated tag from the initial state: '//' keeps position 0.
-        assert subset_step(steps, accept, s0, "x") == s0
+    def test_trie_step_advance_and_stay(self):
+        trie = PathTrie()
+        accept = 1 << trie.add(trunk_steps(compile_query("//a//b")))
+        s0 = trie.initial
+        s_a = trie.step(s0, "a")
+        # Advanced past a, and the descendant root's loop stayed.
+        assert s_a & s0 & trie.loops and s_a != s0
+        s_ab = trie.step(s_a, "b")
+        assert s_ab & accept
+        # Unrelated tag from the initial state: '//' keeps the loop.
+        assert trie.step(s0, "x") == s0 & trie.loops
+        assert trie.step(trie.step(s0, "x"), "a") == s_a
 
     def test_absorbing_accept_under_descendant_scope(self):
-        query = compile_query("//a")
-        steps = trunk_steps(query)
-        s = subset_step(steps, 1, frozenset([0]), "a")
-        assert 1 in s
+        trie = PathTrie()
+        accept = 1 << trie.add(trunk_steps(compile_query("//a")))
+        s = trie.step(trie.initial, "a")
+        assert s & accept
         # Every descendant of a solution under '//a' is reached via the
-        # stay-rule on position 0, so 'a' below 'a' accepts again.
-        deeper = subset_step(steps, 1, s, "a")
-        assert 1 in deeper
+        # loop of the empty prefix, so 'a' below 'a' accepts again.
+        assert trie.step(s, "a") & accept
+
+    def test_trie_shares_prefixes_and_admits_gaps_at_stars(self):
+        trie = PathTrie()
+        first = trie.add(trunk_steps(compile_query("//a/b")))
+        second = trie.add(trunk_steps(compile_query("//a/*")))
+        assert trie.add(trunk_steps(compile_query("//a/b"))) == first
+        assert len(trie) == 5  # empty prefix, its loop, a, a/b, a/*
+        s_a = trie.step(trie.initial, "a")
+        assert trie.step(s_a, GAP) & (1 << second)
+        assert not trie.step(s_a, GAP) & (1 << first)
 
     def test_lazy_dfa_counts_states_lazily(self):
         dfa = LazyDfa(compile_query("//a/b"))
@@ -116,13 +127,30 @@ class TestDfaPathM:
     def test_default_cap_is_generous(self):
         assert DfaPathM("//a/b")._state_cap == DEFAULT_STATE_CAP
 
-    def test_mid_stream_attach_misalignment_falls_back(self):
-        dfa = DfaPathM("//b")
-        # First event arrives at depth 3: depth-implicit tracking is
-        # unsound, the machine must delegate to PathM immediately.
-        dfa.start_element("b", 3, 7)
-        assert dfa.fell_back
-        assert dfa.results == [7]
+    @pytest.mark.parametrize("query", [
+        "//b", "/r//b", "//a/b", "//*/b", "//a/*", "//*", "/*/*/b", "//a//*/b",
+    ])
+    def test_gapped_first_event_evaluates_like_pathm(self, query):
+        # The first event arrives at depth 3 (a machine started
+        # mid-document): the unseen ancestors are gaps, as they are to
+        # a cold PathM's level arithmetic.
+        events = [
+            ("s", "b", 3), ("s", "a", 4), ("s", "b", 5), ("e", "b", 5),
+            ("e", "a", 4), ("e", "b", 3), ("s", "a", 3), ("s", "x", 4),
+            ("s", "b", 5), ("e", "b", 5), ("e", "x", 4), ("e", "a", 3),
+            ("e", "c", 2), ("s", "b", 2), ("e", "b", 2), ("e", "r", 1),
+        ]
+        dfa = _drive(DfaPathM(query), events)
+        assert not dfa.fell_back
+        assert dfa.results == _drive(PathM(query), events).results
+
+    def test_gapped_delivery_steps_only_named_tags(self):
+        # Elements outside the alphabet are never delivered: '*' steps
+        # admit the gaps they leave, named steps do not.
+        events = [("s", "a", 2), ("s", "b", 4), ("e", "b", 4), ("e", "a", 2),
+                  ("s", "b", 3), ("e", "b", 3)]
+        for query, expected in (("//a/*/b", [1]), ("//a/b", []), ("/*/a//b", [1])):
+            assert _drive(DfaPathM(query), events).results == expected, query
 
     def test_predicates_rejected(self):
         with pytest.raises(UnsupportedQueryError):

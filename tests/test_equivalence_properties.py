@@ -80,14 +80,15 @@ def predicates(draw, depth, axes=("/", "//")):
 
 
 @st.composite
-def xpath_queries(draw, axes=("/", "//"), names=TAGS + ("*",)):
+def xpath_queries(draw, axes=("/", "//"), names=TAGS + ("*",), branches=True):
+    """A random query; ``branches=False`` keeps it in XP{/,//,*}."""
     n_steps = draw(st.integers(1, 4))
     parts = []
     for index in range(n_steps):
         axis = draw(st.sampled_from(axes))
         name = draw(st.sampled_from(names))
         step = f"{axis}{name}"
-        if name != "*" and draw(st.integers(0, 3)) == 0:
+        if branches and name != "*" and draw(st.integers(0, 3)) == 0:
             step += draw(predicates(depth=1, axes=axes))
         parts.append(step)
     return "".join(parts)

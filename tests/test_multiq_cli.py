@@ -60,7 +60,7 @@ def test_explain_reports_canonical_and_machine(xml_file, capsys):
     )
     assert code == 0
     err = capsys.readouterr().err
-    assert "[pathm]" in err
+    assert "[dfa]" in err
     assert "//book[title]" in err  # canonical spelling, not the input
     assert "2 queries -> 2 machines" in err
 

@@ -14,7 +14,7 @@ stream per query, across:
   'x']``, which falls back to the root gate for text);
 * documents: seeded recursive chain documents and tiny XMark;
 * modes: chunked text, reference events, earliest emission, observed
-  machines and the compiled tier;
+  machines and every query on its own unfiltered machine;
 * lifecycle: snapshot/restore at every event cut, ``attach_warm``,
   mid-stream add/remove and ``reset()`` — the gates alias the engines'
   live stacks, so every path that refills a stack must keep them live;
@@ -141,8 +141,12 @@ class TestGatedEquivalence:
         engine = MultiQueryEngine(queries, metrics=MetricsRegistry())
         assert engine.evaluate(text) == oracle(queries, text)
 
-    def test_compiled(self, label, text, queries):
-        engine = MultiQueryEngine(queries, compiled=True)
+    def test_unfiltered_machines(self, label, text, queries):
+        """Every query on its own machine, fed every event (limits keep
+        a query off the shared path unit and the router's filter)."""
+        engine = MultiQueryEngine()
+        for name, query in queries.items():
+            engine.add_query(name, query, limits=ResourceLimits())
         assert engine.evaluate(text) == oracle(queries, text)
 
     def test_one_dispatch_loop(self, label, text, queries):
@@ -249,10 +253,13 @@ class TestLifecycle:
             (found,) = [r for r in routes if r[2] is unit]
             return found[0], found[1], unit.engine
 
-        start, end, machine = route(router.routes_for_tag("a"), "reuse")
+        start, end, machine = route(router.routes_for_tag("a"), "pred_desc")
         assert start is None and end is machine.root_stack
-        start, end, machine = route(router.routes_for_tag("b"), "star")
+        start, end, machine = route(router.routes_for_tag("b"), "two_values")
         assert start is end is machine.root_stack
+        # Path queries share one lazy DFA, routed ungated on its alphabet.
+        start, end, _ = route(router.routes_for_tag("a"), "reuse")
+        assert start is end is None
         gate, _, machine = route(router.text_routes(), "two_values")
         assert gate is machine.root_stack
         gate, _, machine = route(router.text_routes(), "pred_desc")
@@ -267,31 +274,38 @@ class TestLifecycle:
         rest of the stream exactly as fresh streams would."""
         text = "<r><b/><c/><a><b/></a><b/></r>"
         events = reference_events(text)
-        engine = MultiQueryEngine({"one": "//a//b"})
+        engine = MultiQueryEngine({"one": "//a[.//b]"})
         engine.feed_events(events[:5])  # <r><b/><c/>: none opens //a
-        engine.add_query("two", "//a//b")
+        engine.add_query("two", "//a[.//b]")
         assert engine.unit_count() == 1
         engine.feed_events(events[5:])
-        assert engine.results() == {"one": [5], "two": [5]}
-        engine.add_query("three", "//a//b")  # the unit is warm now
+        assert engine.results() == {"one": [4], "two": [4]}
+        engine.add_query("three", "//a[.//b]")  # the unit is warm now
         assert engine.unit_count() == 2
 
 
 def test_exact_dispatch_count():
-    """``//a//b`` over ``<r><b/><a><b/></a><b/></r>``: only ``<a>``
+    """``//a[.//b]`` over ``<r><b/><a><b/></a><b/></r>``: only ``<a>``
     opens the gate, so exactly its start, the inner ``<b/>`` pair and
-    ``</a>`` reach the machine."""
-    engine = MultiQueryEngine({"q": "//a//b"})
+    ``</a>`` reach the machine.  The path query ``//a//b`` rides the
+    shared lazy DFA, which is routed on its alphabet without a gate:
+    every ``a`` and ``b`` event reaches it, ``<r>`` and ``</r>`` do not."""
+    engine = MultiQueryEngine({"q": "//a[.//b]"})
     engine.evaluate("<r><b/><a><b/></a><b/></r>")
     stats = engine.dispatch_stats()
     assert (stats.events, stats.machine_events_dispatched) == (10, 4)
+    assert engine.results() == {"q": [3]}
+    engine = MultiQueryEngine({"q": "//a//b"})
+    engine.evaluate("<r><b/><a><b/></a><b/></r>")
+    stats = engine.dispatch_stats()
+    assert (stats.events, stats.machine_events_dispatched) == (10, 8)
     assert engine.results() == {"q": [4]}
 
 
 # -- the open-label index -----------------------------------------------------
 
-#: ``//a//b`` gates on ``a``; ``//b[. = '1']`` gates tags and text on ``b``.
-INDEX_QUERIES = {"ab": "//a//b", "b1": "//b[. = '1']"}
+#: ``//a[.//b]`` gates on ``a``; ``//b[. = '1']`` gates tags and text on ``b``.
+INDEX_QUERIES = {"ab": "//a[.//b]", "b1": "//b[. = '1']"}
 INDEX_TEXT = "<r><a>x<b/><a><b>1</b></a></a><b/></r>"
 
 
@@ -320,18 +334,21 @@ def test_exact_gate_test_count():
     assert (stats.machine_events_dispatched, stats.gate_tests) == (15 + 14, 15)
 
 
-def test_cold_label_added_inside_an_open_element():
-    """``//a//b`` registered inside an open ``<a>`` counts ``a`` from
+@pytest.mark.parametrize("late", ["//a[.//b]", "//a//b"])
+def test_cold_label_added_inside_an_open_element(late):
+    """``//a[.//b]`` registered inside an open ``<a>`` counts ``a`` from
     zero; the outer ``</a>`` closes after every counted ``a`` and
-    clamps at zero, so the ``<a>`` after it opens the gate again."""
+    clamps at zero, so the ``<a>`` after it opens the gate again.  The
+    path query ``//a//b`` opens a cold shared DFA unit there, which
+    treats the ancestors it never saw as gaps."""
     text = "<r><a><a><b/></a><b/></a><a><b/></a><b/></r>"
     events = reference_events(text)
     for cut in range(len(events) + 1):
         engine = MultiQueryEngine({"keep": "//b"})
         engine.feed_events(events[:cut])
-        engine.add_query("late", "//a//b")
+        engine.add_query("late", late)
         engine.feed_events(events[cut:])
-        fresh = XPathStream("//a//b").evaluate(iter(events[cut:]))
+        fresh = XPathStream(late).evaluate(iter(events[cut:]))
         assert engine.results()["late"] == fresh, cut
     engine = MultiQueryEngine({"keep": "//b"})
     engine.feed_events(events[:2])  # <r><a>
@@ -347,9 +364,11 @@ def gate_tests_of(engine: MultiQueryEngine, events) -> int:
 
 
 class TestIndexAfterResume:
-    """A dispatcher resumed from an event-fed capture visits every gated
-    route until the document element closes, then the index is exact
-    again; one resumed from a text-fed capture is exact at once."""
+    """A dispatcher resumed from a text-fed capture, or from an event-fed
+    one carrying its open gate labels, is exact at once; one resumed
+    from an event-fed capture without them (older releases) visits every
+    gated route until the document element closes, then the index is
+    exact again."""
 
     def fresh_gate_tests(self, queries) -> int:
         return gate_tests_of(MultiQueryEngine(queries), SMALL_EVENTS)
@@ -401,6 +420,23 @@ class TestIndexAfterResume:
             tail.close()
             assert after == tail.dispatch_stats().gate_tests - start, cut
 
+    def test_event_fed_restore_is_exact_at_every_event_cut(self):
+        expected = oracle(CHAIN_QUERIES, SMALL_TEXT)
+        exact = self.fresh_gate_tests(CHAIN_QUERIES)
+        for cut in range(len(SMALL_EVENTS) + 1):
+            first = MultiQueryEngine(CHAIN_QUERIES)
+            first.feed_events(SMALL_EVENTS[:cut])
+            blob = json.loads(json.dumps(first.snapshot()))
+            assert ("open_labels" in blob) == (cut > 0), cut
+            resumed = MultiQueryEngine.restore(blob)
+            resumed.feed_events(SMALL_EVENTS[cut:])
+            assert resumed.results() == expected, cut
+            tests = (first.dispatch_stats().gate_tests
+                     + resumed.dispatch_stats().gate_tests)
+            assert tests == exact, cut
+            # A capture of the resumed engine carries exact counts on.
+            assert "open_labels" in resumed.snapshot() or cut == len(SMALL_EVENTS)
+
     def test_restore_at_every_event_cut(self):
         expected = oracle(CHAIN_QUERIES, SMALL_TEXT)
         exact = self.fresh_gate_tests(CHAIN_QUERIES)
@@ -408,6 +444,7 @@ class TestIndexAfterResume:
             first = MultiQueryEngine(CHAIN_QUERIES)
             first.feed_events(SMALL_EVENTS[:cut])
             blob = json.loads(json.dumps(first.snapshot()))
+            blob.pop("open_labels", None)  # as older releases wrote it
             resumed = MultiQueryEngine.restore(blob)
             assert resumed.dispatch_stats().gate_tests == 0
             resumed.feed_events(SMALL_EVENTS[cut:])
@@ -424,7 +461,9 @@ class TestIndexAfterResume:
         exact = self.fresh_gate_tests(CHAIN_QUERIES)
         first = MultiQueryEngine(CHAIN_QUERIES)
         first.feed_events(SMALL_EVENTS[:len(SMALL_EVENTS) // 2])
-        resumed = MultiQueryEngine.restore(first.snapshot())
+        blob = first.snapshot()
+        del blob["open_labels"]
+        resumed = MultiQueryEngine.restore(blob)
         resumed.feed_events(SMALL_EVENTS[len(SMALL_EVENTS) // 2:-3])
         resumed.reset()
         assert gate_tests_of(resumed, SMALL_EVENTS) == exact

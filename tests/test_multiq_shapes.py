@@ -10,7 +10,8 @@ and floats, string
 literals), all six comparison ops, string values that stress the
 numeric coercion (``nan``, ``inf``, `` 1e3 ``, ``1_0``, ``''``, ``x``),
 snapshot/restore at every event boundary, mid-stream additions, member
-removal, ``compiled=True`` and the queries that stay per-query units.
+removal, path queries beside them and the queries that stay per-query
+units.
 """
 
 from __future__ import annotations
@@ -153,9 +154,11 @@ def test_members_equal_dedicated_streams(shape, op, constants, xml):
     callback.feed_events(events)
     assert fired == dedicated(queries, events)
 
-    compiled = MultiQueryEngine(queries, compiled=True)
-    assert len(shape_units(compiled)) == len(kinds)
-    assert compiled.evaluate(iter(events)) == dedicated(queries, events)
+    mixed = MultiQueryEngine({**queries, "path": "//a//b"})
+    assert len(shape_units(mixed)) == len(kinds)
+    got = mixed.evaluate(iter(events))
+    assert got.pop("path") == XPathStream("//a//b").evaluate(iter(events))
+    assert got == dedicated(queries, events)
 
 
 @settings(max_examples=60, deadline=None)
@@ -240,8 +243,17 @@ def test_snapshot_restore_at_every_event_boundary(callback):
         else:
             assert resumed.results() == expected, cut
         assert resumed.dispatch_stats() == stats, cut
-        assert ([unit["machine"] for unit in resumed.snapshot()["units"]]
-                == [unit["machine"] for unit in straight.snapshot()["units"]]), cut
+        assert ([_cached(unit["machine"]) for unit in resumed.snapshot()["units"]]
+                == [_cached(unit["machine"]) for unit in straight.snapshot()["units"]]), cut
+
+
+def _cached(machine: dict) -> dict:
+    """A machine state without the lazy DFA's cache-miss count: the
+    transition cache is not checkpointed, so a resumed DFA misses again
+    where the uninterrupted one hit."""
+    if "dfa" in machine:
+        machine["counters"].pop("misses")
+    return machine
 
 
 def test_text_fed_snapshot_at_every_character():
@@ -422,7 +434,7 @@ def test_explain_prints_each_shape_once(tmp_path, capsys):
         "shape: //a[b[. < $c]]  [twigm, 2 members]",
         "  lt6: $c = 6",
         "  lt20: $c = 20",
-        "p: //a/c  [pathm]",
+        "p: //a/c  [dfa]",
         "shape: //a[b[. = $c]]  [twigm, 1 member]",
         "  sx: $c = 'x'",
         "4 queries -> 3 machines",

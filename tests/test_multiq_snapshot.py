@@ -131,10 +131,16 @@ def test_malformed_snapshot_rejected():
 
 def test_mismatched_grouping_rejected():
     """A unit claiming a query with a different structure is refused."""
-    engine = MultiQueryEngine({"one": "//a/b", "two": "//a/c"})
+    engine = MultiQueryEngine({"one": "//a[x]/b", "two": "//a[x]/c"})
     snap = engine.snapshot()
     snap["units"][0]["queries"] = ["one", "two"]
     snap["units"] = snap["units"][:1]
+    with pytest.raises(CheckpointError):
+        MultiQueryEngine.restore(snap)
+    # The shared path unit's members must be the capture's, in order.
+    engine = MultiQueryEngine({"one": "//a/b", "two": "//a/c"})
+    snap = engine.snapshot()
+    snap["units"][0]["queries"] = ["two", "one"]
     with pytest.raises(CheckpointError):
         MultiQueryEngine.restore(snap)
 
@@ -178,9 +184,8 @@ def test_callback_restore_without_callback_stays_silent_but_deduped():
     assert resumed.close() == {}  # still callback mode, nothing collected
 
 
-@pytest.mark.parametrize("compiled", [False, True])
 @pytest.mark.parametrize("queries,document", CASES)
-def test_emitted_counts_match_results(queries, document, compiled):
+def test_emitted_counts_match_results(queries, document):
     """``emitted_counts()`` is each query's distinct result count, in both
     sink modes, after a full pass and across a mid-stream restore (sinks
     no longer keep every emitted id, so the count is its own state)."""
@@ -188,11 +193,11 @@ def test_emitted_counts_match_results(queries, document, compiled):
                 for name, ids in uninterrupted(queries, document).items()}
     half = len(document) // 2
     for on_match in (None, lambda name, node_id: None):
-        engine = MultiQueryEngine(queries, on_match=on_match, compiled=compiled)
+        engine = MultiQueryEngine(queries, on_match=on_match)
         engine.feed_text(document)
         engine.close()
         assert engine.emitted_counts() == expected
-        engine = MultiQueryEngine(queries, on_match=on_match, compiled=compiled)
+        engine = MultiQueryEngine(queries, on_match=on_match)
         engine.feed_text(document[:half])
         resumed = roundtrip(engine, on_match=on_match)
         resumed.feed_text(document[half:])

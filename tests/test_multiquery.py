@@ -31,7 +31,7 @@ class TestEvaluation:
 
     def test_engine_dispatch_per_query(self):
         engines = MultiQueryEngine(QUERIES).engine_names()
-        assert engines["titles"] == "pathm"
+        assert engines["titles"] == "dfa"
         assert engines["cheap"] == "twigm"
 
     def test_names(self):

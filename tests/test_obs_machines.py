@@ -184,6 +184,32 @@ def test_multiq_events_are_deliveries():
     assert stats.machine_events_dispatched < stats.events  # gated
 
 
+def test_multiq_engines_sharing_a_registry_add_up():
+    """Engines sharing a registry (serve sessions do) publish the change
+    since the last scrape, so their counts add up, and a reset keeps
+    what was counted."""
+    registry = MetricsRegistry()
+    first = MultiQueryEngine({"q": "//a"}, metrics=registry)
+    second = MultiQueryEngine({"q": "//a[b]"}, metrics=registry)
+
+    def totals() -> tuple:
+        registry.collect()
+        return (registry.get("repro_multiq_events_total").get(),
+                registry.get("repro_tokenizer_events_total").get(),
+                registry.get("repro_multiq_emitted_total").get(query="q"),
+                registry.get("repro_multiq_queries").get())
+
+    first.evaluate("<r><a/><a/></r>")
+    second.evaluate("<r><a/></r>")
+    assert totals() == (10, 10, 2, 2)
+    first.reset()
+    assert totals() == (10, 10, 2, 2)
+    first.evaluate("<r><a/></r>")
+    assert totals() == (14, 14, 3, 2)
+    second.remove_query("q")
+    assert totals() == (14, 14, 3, 1)
+
+
 def test_metrics_build_the_same_units():
     queries = {f"q{i}": f"//item[price < {i}]" for i in range(5)}
     queries["p"] = "//item/name"
@@ -317,6 +343,15 @@ def test_total_work_is_sum_of_operations():
     counts = WorkCounts(pushes=1, pops=2, edge_checks=3, flag_sets=4,
                         uploads=5)
     assert counts.total_work() == 15
+
+
+def test_counting_twigm_counts_are_the_engine_figures():
+    engine = CountingTwigM(compile_query("//a[b]"), CollectingSink())
+    feed(engine, "<a><b/></a>")
+    figures = engine_figures(engine)
+    assert figures["pushes"] == engine.counts.pushes == 2
+    assert figures["pops"] == engine.counts.pops == 2
+    assert figures["peak_entries"] == engine.counts.peak_entries == 2
 
 
 def test_counting_twigm_keeps_historical_constructor():

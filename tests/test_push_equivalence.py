@@ -291,11 +291,11 @@ class TestMultiQueryAndFilterParity:
         assert push.dispatch_stats().events == reference.dispatch_stats().events
 
     def test_filter_set(self, book_catalog_xml):
-        """The compiled engine: its shared path unit filters the path
-        queries, predicate queries keep their own machines."""
-        reference = MultiQueryEngine(self.QUERY_SET, compiled=True)
+        """The shared path unit filters the path queries, predicate
+        queries keep their own machines: events and text agree."""
+        reference = MultiQueryEngine(self.QUERY_SET)
         reference.feed_events(reference_events(book_catalog_xml))
-        push = MultiQueryEngine(self.QUERY_SET, compiled=True)
+        push = MultiQueryEngine(self.QUERY_SET)
         assert push.evaluate(book_catalog_xml) == reference.results()
         assert reference.results() == self._reference_multiq(book_catalog_xml).results()
 

@@ -1,10 +1,10 @@
-"""The compiled multi-query engine's shared path unit.
+"""The multi-query engine's shared path unit.
 
-Under ``MultiQueryEngine(compiled=True)`` every predicate-free query
-without limits, tracker or lag probe becomes a member of one
-:class:`~repro.multiq.registry.SharedPathUnit`: a single lazy DFA over
-all their trunks (YFilter's shared automaton), with predicate queries on
-their own machines beside it.
+Every predicate-free query without limits, tracker or lag probe becomes
+a member of one :class:`~repro.multiq.registry.SharedPathUnit`: a single
+lazy DFA over all their trunks (YFilter's shared automaton), routed on
+the union of their alphabets, with predicate queries on their own
+machines beside it.
 """
 
 import json
@@ -48,6 +48,15 @@ MIXED = {
 }
 
 
+def dedicated(queries: dict) -> MultiQueryEngine:
+    """The same queries, each on its own interpreted machine: a query
+    under limits never joins the shared unit."""
+    engine = MultiQueryEngine()
+    for name, query in queries.items():
+        engine.add_query(name, query, limits=ResourceLimits())
+    return engine
+
+
 def shared_unit(engine: MultiQueryEngine) -> SharedPathUnit:
     units = [u for u in engine._registry.units() if isinstance(u, SharedPathUnit)]
     assert len(units) == 1
@@ -57,26 +66,26 @@ def shared_unit(engine: MultiQueryEngine) -> SharedPathUnit:
 class TestSharedPathUnit:
     def test_agrees_with_individual_pathm_runs(self):
         events = list(parse_string(XML))
-        shared = MultiQueryEngine(PATH_QUERIES, compiled=True).evaluate(iter(events))
+        shared = MultiQueryEngine(PATH_QUERIES).evaluate(iter(events))
         for name, query in PATH_QUERIES.items():
             assert shared[name] == evaluate_pathm(query, iter(events)), name
 
     def test_all_path_queries_share_one_unit(self):
-        engine = MultiQueryEngine(PATH_QUERIES, compiled=True)
+        engine = MultiQueryEngine(PATH_QUERIES)
         assert engine.unit_count() == 1
         assert set(engine.engine_names().values()) == {"dfa"}
         engine.evaluate(XML)
         assert shared_unit(engine).engine.dfa_state_count >= 1
 
     def test_hybrid_routing(self):
-        engine = MultiQueryEngine(MIXED, compiled=True)
+        engine = MultiQueryEngine(MIXED)
         assert engine.engine_names() == {
             "names": "dfa", "cheap": "twigm", "with-id": "twigm",
         }
 
     def test_results_match_individual_runs(self):
         events = list(parse_string(XML))
-        combined = MultiQueryEngine(MIXED, compiled=True).evaluate(iter(events))
+        combined = MultiQueryEngine(MIXED).evaluate(iter(events))
         for name, query in MIXED.items():
             alone = XPathStream(query).evaluate(iter(events))
             assert sorted(combined[name]) == sorted(alone), name
@@ -84,7 +93,7 @@ class TestSharedPathUnit:
     def test_callback_mode(self):
         seen = []
         engine = MultiQueryEngine(
-            MIXED, on_match=lambda name, nid: seen.append(name), compiled=True
+            MIXED, on_match=lambda name, nid: seen.append(name)
         )
         engine.evaluate(XML)
         assert "names" in seen and "cheap" in seen
@@ -94,7 +103,6 @@ class TestSharedPathUnit:
         engine = MultiQueryEngine(
             {"names": "//name"},
             on_match=lambda name, nid: seen.append((name, nid)),
-            compiled=True,
         )
         engine.evaluate(parse_string(XML))
         assert engine.unit_count() == 1
@@ -102,31 +110,31 @@ class TestSharedPathUnit:
         assert [nid for _, nid in seen] == evaluate_pathm("//name", parse_string(XML))
 
     def test_incremental_text_feed(self):
-        engine = MultiQueryEngine(MIXED, compiled=True)
+        engine = MultiQueryEngine(MIXED)
         for index in range(0, len(XML), 13):
             engine.feed_text(XML[index:index + 13])
-        assert engine.close() == MultiQueryEngine(MIXED).evaluate(XML)
+        assert engine.close() == dedicated(MIXED).evaluate(XML)
 
     def test_no_path_queries_still_works(self):
-        engine = MultiQueryEngine({"cheap": "//item[price = 30]/name"}, compiled=True)
+        engine = MultiQueryEngine({"cheap": "//item[price = 30]/name"})
         assert not any(isinstance(u, SharedPathUnit) for u in engine._registry.units())
         assert len(engine.evaluate(XML)["cheap"]) == 1
 
     def test_matches_on_recursive_data(self):
         xml = "<a><a><b/></a><b/></a>"
-        engine = MultiQueryEngine({"ab": "//a//b", "aa": "//a/a"}, compiled=True)
+        engine = MultiQueryEngine({"ab": "//a//b", "aa": "//a/a"})
         assert engine.evaluate(xml) == {"ab": [3, 4], "aa": [2]}
 
     def test_prefix_sharing_bounds_states(self):
         """100 queries sharing structure need far fewer than 100x the
         states of one query — the YFilter effect."""
-        single = MultiQueryEngine({"q": "//person/name"}, compiled=True)
+        single = MultiQueryEngine({"q": "//person/name"})
         single.evaluate(XML)
         lone_states = shared_unit(single).engine.dfa_state_count
 
         many_queries = {f"q{i}": "//person/name" for i in range(50)}
         many_queries.update({f"p{i}": "//items//item" for i in range(50)})
-        shared = MultiQueryEngine(many_queries, compiled=True)
+        shared = MultiQueryEngine(many_queries)
         shared.evaluate(XML)
         assert shared.unit_count() == 1
         assert shared_unit(shared).engine.dfa_state_count < 10 * lone_states
@@ -137,14 +145,14 @@ class TestSharedPathUnit:
             dfa.add_member("//a[b]", CollectingSink())
 
     def test_limited_queries_keep_their_own_units(self):
-        engine = MultiQueryEngine({"a": "//name", "b": "//item"}, compiled=True)
+        engine = MultiQueryEngine({"a": "//name", "b": "//item"})
         engine.add_query("limited", "//name", limits=ResourceLimits(max_depth=50))
         assert engine.unit_count() == 2
         assert engine.evaluate(XML)["limited"] == engine.results()["a"]
 
     def test_late_path_query_opens_a_cold_unit(self):
         cut = XML.index("<items>")
-        engine = MultiQueryEngine(PATH_QUERIES, compiled=True)
+        engine = MultiQueryEngine(PATH_QUERIES)
         engine.feed_text(XML[:cut])
         engine.add_query("late", "//name")
         engine.add_query("late-too", "//item")
@@ -153,10 +161,10 @@ class TestSharedPathUnit:
         engine.feed_text(XML[cut:])
         got = engine.close()
 
-        reference = MultiQueryEngine(PATH_QUERIES)
+        reference = dedicated(PATH_QUERIES)
         reference.feed_text(XML[:cut])
-        reference.add_query("late", "//name")
-        reference.add_query("late-too", "//item")
+        reference.add_query("late", "//name", limits=ResourceLimits())
+        reference.add_query("late-too", "//item", limits=ResourceLimits())
         reference.remove_query("names")
         reference.feed_text(XML[cut:])
         assert got == reference.close()
@@ -164,8 +172,8 @@ class TestSharedPathUnit:
 
     def test_removing_members_keeps_the_rest_exact(self):
         first, second = XML.index("<name>"), XML.index("<items>")
-        reference = MultiQueryEngine(PATH_QUERIES).evaluate(XML)
-        engine = MultiQueryEngine(PATH_QUERIES, compiled=True)
+        reference = dedicated(PATH_QUERIES).evaluate(XML)
+        engine = MultiQueryEngine(PATH_QUERIES)
         engine.feed_text(XML[:first])
         engine.remove_query("rooted")
         engine.feed_text(XML[first:second])
@@ -179,17 +187,17 @@ class TestSharedPathUnit:
         assert engine.unit_count() == 0
 
     def test_path_fleet_shares_one_unit_while_a_callback_comes_and_goes(self):
-        engine = MultiQueryEngine(PATH_QUERIES, compiled=True)
+        engine = MultiQueryEngine(PATH_QUERIES)
         assert engine.unit_count() == 1
         engine.add_query("called", "//price", on_match=lambda node_id: None)
         assert engine.unit_count() == 1
         engine.remove_query("called")
         assert engine.unit_count() == 1
-        assert engine.evaluate(XML) == MultiQueryEngine(PATH_QUERIES).evaluate(XML)
+        assert engine.evaluate(XML) == dedicated(PATH_QUERIES).evaluate(XML)
 
     def test_snapshot_holds_members_not_cache(self):
         cut = XML.index("<items>") + 10
-        engine = MultiQueryEngine(PATH_QUERIES, compiled=True)
+        engine = MultiQueryEngine(PATH_QUERIES)
         engine.feed_text(XML[:cut])
         snap = json.loads(json.dumps(engine.snapshot()))
         (unit,) = snap["units"]
@@ -198,7 +206,7 @@ class TestSharedPathUnit:
         assert "trans" not in json.dumps(unit["machine"])
         resumed = MultiQueryEngine.restore(snap)
         resumed.feed_text(XML[cut:])
-        assert resumed.close() == MultiQueryEngine(PATH_QUERIES).evaluate(XML)
+        assert resumed.close() == dedicated(PATH_QUERIES).evaluate(XML)
 
 
 def _wildcard_document(seed: int, depth: int = 10) -> str:
@@ -223,7 +231,7 @@ def test_wildcard_fleet_trips_the_cap_and_stays_exact(seed):
         for i in range(24)
     }
     doc = _wildcard_document(seed)
-    engine = MultiQueryEngine(fleet, compiled=True)
+    engine = MultiQueryEngine(fleet)
     got = engine.evaluate(doc)
     dfa = shared_unit(engine).engine
     assert dfa.fell_back

@@ -215,12 +215,12 @@ class TestIndexSkipping:
 
 class TestLateQueryCatchUp:
     def _run_split(self, tmp_path, text, initial, late_name, late_query, cut=0.5,
-                   limits=None, compiled=False):
+                   limits=None):
         """Ingest; pause mid-stream; splice a late query; finish."""
         from repro.store.log import EventLogWriter
 
         store = str(tmp_path / "s")
-        engine = MultiQueryEngine(initial, compiled=compiled)
+        engine = MultiQueryEngine(initial)
         writer = EventLogWriter(store, segment_events=24, sync="none")
         writer.attach(engine)
         handler = engine.as_handler()
@@ -271,13 +271,13 @@ class TestLateQueryCatchUp:
         assert result.events_replayed < result.position
 
     @pytest.mark.parametrize("cut", [0.0, 0.4, 0.8])
-    def test_compiled_late_path_query_beside_shared_unit(self, tmp_path, cut):
-        """A late path query spliced into a compiled engine whose shared
-        DFA unit already holds other path queries."""
+    def test_late_path_query_beside_shared_unit(self, tmp_path, cut):
+        """A late path query spliced into an engine whose shared DFA unit
+        already holds other path queries."""
         text = random_document(31)
         initial = {"titles": "//title", "deep": "//a//b", "cheap": "//book[price < 30]"}
         engine, _ = self._run_split(
-            tmp_path, text, initial, "late", "//book//title", cut=cut, compiled=True
+            tmp_path, text, initial, "late", "//book//title", cut=cut
         )
         shared = engine.registration("titles").unit
         assert engine.registration("deep").unit is shared

@@ -55,11 +55,11 @@ def test_compiled_path_stream_scans_every_chunk(expat_chunks):
     assert expat_chunks == _chunks()
 
 
-def test_compiled_path_multiq_scans_every_chunk(expat_chunks):
+def test_shared_path_multiq_scans_every_chunk(expat_chunks):
     queries = {"b": "//a/b", "c": "//b//c"}
-    expected = MultiQueryEngine(queries).evaluate(DOC)
+    expected = {name: XPathStream(query).evaluate(DOC) for name, query in queries.items()}
     expat_chunks.clear()
-    engine = MultiQueryEngine(queries, compiled=True)
+    engine = MultiQueryEngine(queries)
     assert _feed(engine) == expected
     assert expat_chunks == _chunks()
 
@@ -68,13 +68,12 @@ def test_compiled_path_multiq_scans_every_chunk(expat_chunks):
     pytest.param(lambda: XPathStream("//a[d]/b", compiled=True),
                  id="predicate-query"),
     pytest.param(lambda: MultiQueryEngine({"b": "//a/b"},
-                                          on_match=lambda *_: None,
-                                          compiled=True),
+                                          on_match=lambda *_: None),
                  id="callback-multiq"),
     pytest.param(lambda: XPathStream("//a/b", compiled=True,
                                      limits=ResourceLimits(max_depth=64)),
                  id="limited-stream"),
-    pytest.param(lambda: MultiQueryEngine({"b": "//a/b"}, compiled=True,
+    pytest.param(lambda: MultiQueryEngine({"b": "//a/b"},
                                           limits=ResourceLimits(max_depth=64)),
                  id="limited-multiq-input"),
     pytest.param(lambda: SubstreamExtractor("//a/b"), id="extractor"),
