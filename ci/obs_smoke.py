@@ -29,12 +29,11 @@ Gates the acceptance properties of the ``repro.obs`` layer:
    and an ``XPathStream``.
 5. **Exposition round-trips** — the Prometheus text parses back into
    the same samples the snapshot reports, and the JSON rendering loads.
-6. **The DFA tier reports in** — a ``compiled=True`` run of a
-   predicate-free query with metrics populates the ``repro_compile_*``
+6. **The lazy DFA reports in** — a run of a predicate-free query (on
+   the lazy DFA) with metrics populates the ``repro_compile_*``
    families (DFA cache size, hit ratio, fallbacks) and returns unchanged
-   solution ids; a predicated query under ``compiled=True`` runs the
-   plain interpreted machine and populates ``repro_machine_*``; and
-   a compiled run *without* metrics must not touch the obs layer at all.
+   solution ids; a predicated query populates ``repro_machine_*``; and
+   a run *without* metrics must not touch the obs layer at all.
 
 Run from the repo root::
 
@@ -74,15 +73,13 @@ def check_same_engines(corpus) -> list[str]:
     """Metrics on build the engines metrics off build, and cost little."""
     failures = []
     for query, _why in XMARK_QUERIES:
-        for compiled in (False, True):
-            plain = type(XPathStream(query, compiled=compiled).engine)
-            observed = type(XPathStream(query, compiled=compiled,
-                                        metrics=MetricsRegistry()).engine)
-            if observed is not plain:
-                failures.append(
-                    f"metrics built {observed.__name__} for {query!r} "
-                    f"(compiled={compiled}); metrics off build {plain.__name__}"
-                )
+        plain = type(XPathStream(query).engine)
+        observed = type(XPathStream(query, metrics=MetricsRegistry()).engine)
+        if observed is not plain:
+            failures.append(
+                f"metrics built {observed.__name__} for {query!r}; "
+                f"metrics off build {plain.__name__}"
+            )
     queries = multiq_workload(STANDING_QUERIES)
     plain = MultiQueryEngine(queries)
     observed = MultiQueryEngine(queries, metrics=MetricsRegistry())
@@ -303,7 +300,7 @@ def check_exposition(corpus) -> list[str]:
     """Prometheus text and JSON renderings agree with the snapshot."""
     registry = MetricsRegistry()
     stream = XPathStream(XMARK_QUERIES[0][0], metrics=registry)
-    stream.evaluate_push(corpus.path)
+    stream.evaluate(corpus.path)
     failures = []
 
     parsed = _parse_prometheus(registry.render_prometheus())
@@ -323,17 +320,19 @@ def check_exposition(corpus) -> list[str]:
     return failures
 
 
-def check_compiled_metrics(corpus) -> list[str]:
-    """``compiled=True`` runs publish their tier's families — only when asked."""
+def check_dfa_metrics(corpus) -> list[str]:
+    """A lazy-DFA run publishes its families — only when asked."""
     failures = []
-    query = XMARK_QUERIES[0][0]  # predicate-free: exercises the DFA tier
-    plain = XPathStream(query, compiled=True).evaluate_push(corpus.path)
+    query = XMARK_QUERIES[0][0]  # predicate-free: runs the lazy DFA
+    plain = XPathStream(query).evaluate(corpus.path)
 
     registry = MetricsRegistry()
-    observed = XPathStream(query, compiled=True, metrics=registry)
-    ids = observed.evaluate_push(corpus.path)
+    observed = XPathStream(query, metrics=registry)
+    if observed.engine_name != "dfa":
+        failures.append(f"{query!r} runs {observed.engine_name}, not the lazy DFA")
+    ids = observed.evaluate(corpus.path)
     if ids != plain:
-        failures.append("metrics changed compiled-tier results")
+        failures.append("metrics changed lazy-DFA results")
     rendered = registry.render_prometheus()
     for family in (
         "repro_compile_dfa_states",
@@ -344,23 +343,21 @@ def check_compiled_metrics(corpus) -> list[str]:
         "repro_compile_fallbacks_total",
     ):
         if family not in rendered:
-            failures.append(f"{family} absent after a compiled run")
+            failures.append(f"{family} absent after a lazy-DFA run")
 
-    # Predicated queries have no compiled tier: they run the plain
-    # interpreted machine, exactly as with compiled=False.
     predicated = next(q for q, _ in XMARK_QUERIES if "[" in q)
     registry = MetricsRegistry()
-    observed = XPathStream(predicated, compiled=True, metrics=registry)
-    if observed.evaluate_push(corpus.path) != XPathStream(predicated).evaluate_push(corpus.path):
-        failures.append("metrics changed compiled=True results on a predicated query")
+    observed = XPathStream(predicated, metrics=registry)
+    if observed.evaluate(corpus.path) != XPathStream(predicated).evaluate(corpus.path):
+        failures.append("metrics changed results on a predicated query")
     if "repro_machine_events_total" not in registry.render_prometheus():
-        failures.append("predicated compiled=True run published no repro_machine_* counts")
+        failures.append("predicated run published no repro_machine_* counts")
 
     # Zero-cost-when-off: no publisher, no obs imports on the machine.
-    bare = XPathStream(query, compiled=True)
-    bare.evaluate_push(corpus.path)
+    bare = XPathStream(query)
+    bare.evaluate(corpus.path)
     if hasattr(bare.push_handler(), "registry"):
-        failures.append("compiled run without metrics bound a registry")
+        failures.append("lazy-DFA run without metrics bound a registry")
     return failures
 
 
@@ -377,8 +374,8 @@ def main() -> int:
     failures += check_checkpoint_continuity(corpus)
     print("  exposition round-trip")
     failures += check_exposition(corpus)
-    print("  compiled=True metric families")
-    failures += check_compiled_metrics(corpus)
+    print("  lazy-DFA metric families")
+    failures += check_dfa_metrics(corpus)
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     if failures:

@@ -3,31 +3,29 @@
 The reference ("pull" in the report) is
 :class:`~repro.bench.hotpath.ReferenceTokenizer` — the tokenizer's
 Python scanner with its regex fast path switched off — whose pull
-view's event objects feed the machine's event-stream loop.  Checks the
-acceptance properties of the hot-path and compiled-tier work:
+view's event objects feed the event-stream loop of the paper's machine
+for the query's fragment (PathM for predicate-free queries).  Checks the
+acceptance properties of the hot path:
 
 1. **Exactness** — the strict tokenizer (Expat) emits an event stream
    byte-identical to the reference over the XMark corpus, and every
    benchmark query returns identical solution ids through the
-   reference, push, *and* the compiled tiers (also asserted inside the
-   benchmark itself).
+   reference and push (also asserted inside the benchmark itself).
 2. **Throughput win** — push beats the reference by at least
    ``MIN_SPEEDUP`` on every XMark query.  The local target is 2x (see
    ``BENCH_core.json``); the CI gate is 1.5x to leave headroom for noisy
    shared runners.
-3. **Compiled-tier win** — the lazy-DFA path (stepped inline by the
-   tokenizer's Expat callbacks) beats the reference by
-   ``COMPILED_MIN_SPEEDUP`` on every predicate-free XMark query at
-   the gate profile, and no query loses more than noise headroom
-   (``COMPILED_PUSH_FLOOR``) against the current push pipeline.  The
-   recorded target is 10x at the default profile; the gate numbers leave
+3. **Lazy-DFA win** — on every predicate-free XMark query push runs the
+   lazy DFA (stepped inline by the tokenizer's Expat callbacks) and
+   beats the reference by ``PATH_MIN_SPEEDUP`` at the gate profile.  The
+   recorded target is 10x at the default profile; the gate number leaves
    headroom for noisy shared runners.
 
 It then runs the full benchmark at the default profile and writes
 ``BENCH_core.json`` so the perf trajectory is recorded per commit; the
-recorded summary must itself meet the 10x compiled target (one retry —
-the compiled configs finish in milliseconds, so a single descheduling
-blip can dent a best-of on shared runners).
+recorded summary must itself meet the 10x predicate-free target (one
+retry — the lazy-DFA configs finish in milliseconds, so a single
+descheduling blip can dent a best-of on shared runners).
 
 Run from the repo root::
 
@@ -40,21 +38,17 @@ import sys
 
 from repro.bench.corpora import benchmark_corpus
 from repro.bench.hotpath import reference_events, run_benchmark, write_report
+from repro.bench.queries import PATH_CLASS
 from repro.stream.events import EventCollector
 from repro.stream.tokenizer import XmlTokenizer, iter_text_chunks
 
 MIN_SPEEDUP = 1.5
-#: Gate-profile bar for compiled-vs-pull on predicate-free XMark queries
+#: Gate-profile bar for push-vs-pull on predicate-free XMark queries
 #: (recorded target: 10x at the default profile; typical tiny-profile
 #: readings are 10-12x).
-COMPILED_MIN_SPEEDUP = 6.0
-#: Compiled must not lose to push anywhere.  Predicated queries run the
-#: same interpreted machine either way (only predicate-free queries have
-#: a compiled tier), so their ratio is 1.0 and the gate allows
-#: measurement noise below it.
-COMPILED_PUSH_FLOOR = 0.8
+PATH_MIN_SPEEDUP = 6.0
 GATE_PROFILE = "tiny"
-#: Repeats for the recorded run: the compiled configs are fast enough
+#: Repeats for the recorded run: the lazy-DFA configs are fast enough
 #: that best-of needs more samples to shake scheduler noise out of the
 #: recorded speedups.
 RECORD_REPEATS = 8
@@ -85,10 +79,8 @@ def main() -> int:
     failures = 0
     for key, corpus_report in gate["corpora"].items():
         for query, row in corpus_report["queries"].items():
-            print(f"  {key}  {query}: push {row['speedup']}x, "
-                  f"compiled {row['compiled_vs_pull']}x vs pull / "
-                  f"{row['compiled_vs_push']}x vs push "
-                  f"({row['matches']} matches, all pipelines)")
+            print(f"  {key}  {query}: push {row['speedup']}x [{row['engine']}] "
+                  f"({row['matches']} matches, both pipelines)")
             if key == "xmark" and row["speedup"] < MIN_SPEEDUP:
                 failures += 1
                 print(
@@ -98,52 +90,44 @@ def main() -> int:
                 )
             if (
                 key == "xmark"
-                and row["engine"] == "pathm"
-                and row["compiled_vs_pull"] < COMPILED_MIN_SPEEDUP
+                and row["fragment"] == PATH_CLASS
+                and row["speedup"] < PATH_MIN_SPEEDUP
             ):
                 failures += 1
                 print(
-                    f"FAIL: compiled is only {row['compiled_vs_pull']}x pull "
+                    f"FAIL: push is only {row['speedup']}x pull "
                     f"for predicate-free {query!r} "
-                    f"(gate: {COMPILED_MIN_SPEEDUP}x)",
-                    file=sys.stderr,
-                )
-            if row["compiled_vs_push"] < COMPILED_PUSH_FLOOR:
-                failures += 1
-                print(
-                    f"FAIL: compiled is {row['compiled_vs_push']}x push for "
-                    f"{query!r} (floor: {COMPILED_PUSH_FLOOR}x)",
+                    f"(gate: {PATH_MIN_SPEEDUP}x)",
                     file=sys.stderr,
                 )
     if failures:
         return 1
 
     # Recorded run: the summary written to BENCH_core.json must meet the
-    # 10x compiled target.  One retry absorbs a descheduling blip.
+    # 10x predicate-free target.  One retry absorbs a descheduling blip.
     for attempt in (1, 2):
         payload = run_benchmark(repeats=RECORD_REPEATS)
-        if payload["summary"]["compiled"]["xmark_pf_target_met"]:
+        if payload["summary"]["path"]["xmark_pf_target_met"]:
             break
         if attempt == 1:
-            print(f"  compiled minimum "
-                  f"{payload['summary']['compiled']['xmark_pf_min_vs_pull']}x "
+            print(f"  predicate-free minimum "
+                  f"{payload['summary']['path']['xmark_pf_min_push_vs_pull']}x "
                   f"below target on first recorded run, retrying",
                   file=sys.stderr)
     write_report(payload, REPORT)
     summary = payload["summary"]
-    compiled = summary["compiled"]
+    path = summary["path"]
     print(f"  recorded XMark push minimum {summary['xmark_min_push_vs_pull']}x "
           f"(local target {summary['xmark_target']}x)")
-    print(f"  recorded XMark predicate-free compiled minimum "
-          f"{compiled['xmark_pf_min_vs_pull']}x "
-          f"(target {compiled['xmark_pf_target']}x), "
-          f"compiled-vs-push minimum {compiled['min_vs_push']}x")
+    print(f"  recorded XMark predicate-free push minimum "
+          f"{path['xmark_pf_min_push_vs_pull']}x "
+          f"(target {path['xmark_pf_target']}x)")
     print(f"wrote {REPORT}")
-    if not compiled["xmark_pf_target_met"]:
+    if not path["xmark_pf_target_met"]:
         print(
-            f"FAIL: recorded compiled minimum "
-            f"{compiled['xmark_pf_min_vs_pull']}x is below the "
-            f"{compiled['xmark_pf_target']}x target",
+            f"FAIL: recorded predicate-free minimum "
+            f"{path['xmark_pf_min_push_vs_pull']}x is below the "
+            f"{path['xmark_pf_target']}x target",
             file=sys.stderr,
         )
         return 1

@@ -77,7 +77,7 @@ def fragment_gate(text: str, bench: dict) -> "int | None":
 
 
 def snapshot_gate(text: str, bench: dict) -> "int | None":
-    reference = SubstreamExtractor(dict(QUERIES)).evaluate_push(text)
+    reference = SubstreamExtractor(dict(QUERIES)).evaluate(text)
     extractor = SubstreamExtractor(dict(QUERIES))
     cut = len(text) // 2
     extractor.feed_text(text[:cut])
@@ -96,9 +96,9 @@ def idempotence_gate(text: str, bench: dict) -> "int | None":
                 drop("//open_auction[privacy]")]
 
     started = time.perf_counter()
-    once = RewriteEngine(rules()).evaluate_push(text)
+    once = RewriteEngine(rules()).evaluate(text)
     elapsed = time.perf_counter() - started
-    twice = RewriteEngine(rules()).evaluate_push(once)
+    twice = RewriteEngine(rules()).evaluate(once)
     if twice != once:
         return fail("rewrite applied to its own output is not the identity")
     if RewriteEngine(rules()).evaluate(reference_events(text)) != once:
@@ -116,7 +116,7 @@ def replay_gate(text: str, workdir: str, bench: dict) -> "int | None":
 
     store = os.path.join(workdir, "log")
     ingest(text, store, segment_events=512, sync="none")
-    direct = SubstreamExtractor(dict(QUERIES)).evaluate_push(text)
+    direct = SubstreamExtractor(dict(QUERIES)).evaluate(text)
     extractor = SubstreamExtractor(dict(QUERIES))
     replay_into(extractor, store, close=False)
     if extractor.close() != direct:

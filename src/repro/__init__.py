@@ -34,7 +34,7 @@ Packages:
 * :mod:`repro.bench` — the experiment harness (figures 5-10).
 """
 
-from repro.core.processor import XPathStream, evaluate, evaluate_push
+from repro.core.processor import XPathStream, evaluate
 from repro.core.twigm import TwigM
 from repro.multiq.engine import MultiQueryEngine
 from repro.obs.metrics import MetricsRegistry
@@ -72,6 +72,5 @@ __all__ = [
     "XmlSyntaxError",
     "compile_query",
     "evaluate",
-    "evaluate_push",
     "__version__",
 ]

@@ -4,30 +4,30 @@ The tokenizer parses strict input with Expat; it is checked against
 :class:`ReferenceTokenizer`, its Python scanner with the regex fast path
 switched off, so every tag takes the char-level slow path.  The reference feeds
 event objects from its pull view (:meth:`XmlTokenizer.feed`) into the
-machine's event-stream loop — the shape the pipeline had before the
-fused path existed — and is reported in the ``pull`` columns.  The
-benchmark measures three layers of the hot path separately so a
-regression can be attributed:
+event-stream loop of the paper's machine for the query's fragment (PathM
+for predicate-free queries) — the shape the pipeline had before the
+fused path and the lazy DFA existed — and is reported in the ``pull``
+columns.  The benchmark measures these layers of the hot path
+separately so a regression can be attributed:
 
 * **tokenizer-only** — scanning cost with no query machine: the ``pull``
   config drains the reference tokenizer's events, the ``push`` config
   drives a no-op :class:`~repro.stream.events.CountingHandler` from
   :meth:`XmlTokenizer.feed_into`.
 * **pull pipeline** — reference events into
-  :meth:`XPathStream.feed_events`.
-* **push pipeline** — :meth:`XPathStream.evaluate` (Expat callbacks →
-  direct machine callbacks; see :mod:`repro.core.textfeed`).
-* **compiled pipeline** — ``XPathStream(query, compiled=True)``
-  ``.evaluate`` (:mod:`repro.compile`: the lazy-DFA front-end, stepped
-  inline by the Expat callbacks, for predicate-free paths; the rest run
-  the interpreted machines, so their compiled column equals push).
+  :meth:`XPathStream.feed_events` of a stream on the paper's machine.
+* **push pipeline** — :meth:`XPathStream.evaluate` as built by default
+  (Expat callbacks → direct machine callbacks, see
+  :mod:`repro.core.textfeed`; predicate-free queries run the lazy DFA of
+  :mod:`repro.compile`, stepped inline by the Expat callbacks).
 
 Two corpora bracket the workload space: the XMark auction document
 (broad vocabulary, attribute-heavy, realistic text) and a synthetic
 recursive ``a``/``b`` chain document (deep nesting, tiny vocabulary —
 the worst case for per-element overhead).  Every pipeline row also
 cross-checks that the reference and push produced identical solution
-ids, so the benchmark doubles as an end-to-end equivalence smoke.
+ids, so the benchmark doubles as an end-to-end equivalence smoke (for
+predicate-free queries, of the lazy DFA against PathM).
 
 Run it from the repo root::
 
@@ -46,9 +46,11 @@ import re
 import time
 
 from repro.bench.corpora import DEFAULT_PROFILE, Corpus, benchmark_corpus, cache_dir
+from repro.bench.queries import PATH_CLASS
 from repro.core.processor import XPathStream
 from repro.stream.events import CountingHandler
 from repro.stream.tokenizer import XmlTokenizer, iter_text_chunks
+from repro.xpath.querytree import compile_query
 
 #: A pattern that matches nowhere: it switches the fast path off.
 _NEVER = re.compile(r"(?!)")
@@ -80,16 +82,16 @@ def reference_events(source, **options) -> list:
     return events
 
 
-#: Queries per corpus: (query, why it is here).  The mix covers all
-#: three machines and the value-test character path.
+#: Queries per corpus: (query, why it is here).  The mix covers the
+#: lazy DFA, TwigM and the value-test character path.
 XMARK_QUERIES = (
-    ("//regions//item/name", "PathM; '//' recursion over a broad document"),
-    ("//description//text", "PathM; '//' into recursive parlist content"),
+    ("//regions//item/name", "lazy DFA; '//' recursion over a broad document"),
+    ("//description//text", "lazy DFA; '//' into recursive parlist content"),
     ("//open_auction[bidder/personref]//reserve", "TwigM; structural predicate"),
     ("//item[quantity < 2]/name", "TwigM; value test (characters hot path)"),
 )
 CHAIN_QUERIES = (
-    ("//a//b", "PathM; every level of the recursion participates"),
+    ("//a//b", "lazy DFA; every level of the recursion participates"),
 )
 
 #: Chain-corpus shape per profile: (nesting depth, number of chains).
@@ -104,9 +106,9 @@ CHAIN_SHAPES = {
 #: by this factor on every XMark query.
 XMARK_TARGET = 2.0
 
-#: Compiled-tier bar: the lazy-DFA path must beat the reference by this
-#: factor on every predicate-free XMark query.
-COMPILED_TARGET = 10.0
+#: Predicate-free bar: push (the lazy DFA) must beat the reference
+#: (PathM) by this factor on every predicate-free XMark query.
+PATH_TARGET = 10.0
 
 
 def chain_corpus(profile: str = DEFAULT_PROFILE) -> Corpus:
@@ -189,9 +191,9 @@ def _time_tokenizer_push(path) -> tuple[float, int]:
 
 
 def _time_pipeline(
-    query: str, path, push: bool, compiled: bool = False
+    query: str, path, push: bool, engine: str | None = None
 ) -> tuple[float, list[int]]:
-    stream = XPathStream(query, compiled=compiled)
+    stream = XPathStream(query, engine=engine)
     started = time.perf_counter()
     if push:
         ids = stream.evaluate(path)
@@ -242,12 +244,14 @@ def bench_corpus(corpus: Corpus, queries, repeats: int) -> dict:
     }
 
     for query, why in queries:
+        fragment = compile_query(query).fragment()
+        # The reference runs the paper's machine for the fragment.
+        reference = "pathm" if fragment == PATH_CLASS else None
         pull_ids: list[list[int]] = []
         push_ids: list[list[int]] = []
-        compiled_ids: list[list[int]] = []
 
         def run_pull() -> float:
-            seconds, ids = _time_pipeline(query, path, push=False)
+            seconds, ids = _time_pipeline(query, path, push=False, engine=reference)
             pull_ids.append(ids)
             return seconds
 
@@ -256,39 +260,21 @@ def bench_corpus(corpus: Corpus, queries, repeats: int) -> dict:
             push_ids.append(ids)
             return seconds
 
-        def run_compiled() -> float:
-            seconds, ids = _time_pipeline(query, path, push=True, compiled=True)
-            compiled_ids.append(ids)
-            return seconds
-
         q_pull = _best_of(repeats, run_pull)
         q_push = _best_of(repeats, run_push)
-        q_compiled = _best_of(repeats, run_compiled)
         if pull_ids[0] != push_ids[0]:
             raise AssertionError(
                 f"{corpus.name} {query!r}: pull and push disagree "
                 f"({len(pull_ids[0])} vs {len(push_ids[0])} ids)"
             )
-        if pull_ids[0] != compiled_ids[0]:
-            raise AssertionError(
-                f"{corpus.name} {query!r}: pull and compiled disagree "
-                f"({len(pull_ids[0])} vs {len(compiled_ids[0])} ids)"
-            )
         report["queries"][query] = {
+            "fragment": fragment,
             "engine": XPathStream(query).engine_name,
-            "compiled_engine": XPathStream(query, compiled=True).engine_name,
             "why": why,
             "matches": len(pull_ids[0]),
             "pull": _rates(q_pull, size, events),
             "push": _rates(q_push, size, events),
-            "compiled": _rates(q_compiled, size, events),
             "speedup": round(q_pull / q_push, 2) if q_push else None,
-            "compiled_vs_pull": (
-                round(q_pull / q_compiled, 2) if q_compiled else None
-            ),
-            "compiled_vs_push": (
-                round(q_push / q_compiled, 2) if q_compiled else None
-            ),
         }
     return report
 
@@ -319,28 +305,19 @@ def run_benchmark(profile: str = DEFAULT_PROFILE, repeats: int = 3) -> dict:
             xmark_speedups and min(xmark_speedups) >= XMARK_TARGET
         ),
     }
-    # Compiled-tier summary: the 10x bar applies to predicate-free XMark
-    # queries (those the interpreted selector routes to PathM — exactly
-    # the class the lazy-DFA front-end accepts); everywhere else the
-    # compiled run must at least not lose to the current push path.
-    pf_vs_pull = [
-        row["compiled_vs_pull"]
+    # The 10x bar applies to predicate-free XMark queries: the lazy DFA
+    # against PathM, each behind its own tokenizer.
+    pf_speedups = [
+        row["speedup"]
         for row in payload["corpora"]["xmark"]["queries"].values()
-        if row["engine"] == "pathm" and row["compiled_vs_pull"] is not None
+        if row["fragment"] == PATH_CLASS and row["speedup"] is not None
     ]
-    all_vs_push = [
-        row["compiled_vs_push"]
-        for corpus_report in payload["corpora"].values()
-        for row in corpus_report["queries"].values()
-        if row["compiled_vs_push"] is not None
-    ]
-    payload["summary"]["compiled"] = {
-        "xmark_pf_min_vs_pull": min(pf_vs_pull) if pf_vs_pull else None,
-        "xmark_pf_target": COMPILED_TARGET,
+    payload["summary"]["path"] = {
+        "xmark_pf_min_push_vs_pull": min(pf_speedups) if pf_speedups else None,
+        "xmark_pf_target": PATH_TARGET,
         "xmark_pf_target_met": bool(
-            pf_vs_pull and min(pf_vs_pull) >= COMPILED_TARGET
+            pf_speedups and min(pf_speedups) >= PATH_TARGET
         ),
-        "min_vs_push": min(all_vs_push) if all_vs_push else None,
     }
     return payload
 
@@ -364,13 +341,10 @@ def render(payload: dict) -> str:
         )
         for query, row in corpus["queries"].items():
             lines.append(
-                f"  {query}  [{row['engine']} / compiled {row['compiled_engine']}]\n"
+                f"  {query}  [{row['engine']}]\n"
                 f"              pull {row['pull']['mb_per_s']:>7} MB/s   "
                 f"push {row['push']['mb_per_s']:>7} MB/s   "
-                f"speedup {row['speedup']}x   ({row['matches']} matches)\n"
-                f"              compiled {row['compiled']['mb_per_s']:>7} MB/s   "
-                f"vs pull {row['compiled_vs_pull']}x   "
-                f"vs push {row['compiled_vs_push']}x"
+                f"speedup {row['speedup']}x   ({row['matches']} matches)"
             )
     summary = payload["summary"]
     lines.append(
@@ -378,13 +352,12 @@ def render(payload: dict) -> str:
         f"(target {summary['xmark_target']}x: "
         f"{'met' if summary['xmark_target_met'] else 'NOT MET'})"
     )
-    compiled = summary["compiled"]
+    path = summary["path"]
     lines.append(
-        f"XMark predicate-free compiled-vs-pull minimum: "
-        f"{compiled['xmark_pf_min_vs_pull']}x "
-        f"(target {compiled['xmark_pf_target']}x: "
-        f"{'met' if compiled['xmark_pf_target_met'] else 'NOT MET'}); "
-        f"compiled-vs-push minimum {compiled['min_vs_push']}x"
+        f"XMark predicate-free push-vs-pull minimum: "
+        f"{path['xmark_pf_min_push_vs_pull']}x "
+        f"(target {path['xmark_pf_target']}x: "
+        f"{'met' if path['xmark_pf_target_met'] else 'NOT MET'})"
     )
     return "\n".join(lines)
 

@@ -1,18 +1,21 @@
 """The lazy DFA for path queries (``repro.compile``).
 
-:class:`DfaPathM` front-ends PathM for predicate-free XP{/,//,*}
-queries with an XMLTK-style lazily-determinised automaton: states
-materialise only for tag sequences that occur in the data, per-event
-work is one dict lookup, and a state-count cap falls back to interpreted
-PathM when wildcard blow-up threatens.  One automaton may carry many
-queries (members): its NFA (:class:`PathTrie`) merges their trunks into
-one prefix trie, YFilter-style.  Every other query runs on the
-interpreted machines of :mod:`repro.core`.
+:class:`DfaPathM` evaluates predicate-free XP{/,//,*} queries — the
+paper's PathM fragment — with an XMLTK-style lazily-determinised
+automaton: states materialise only for tag sequences that occur in the
+data, per-event work is one dict lookup, and a state-count cap falls
+back to interpreted PathM when wildcard blow-up threatens.  One
+automaton may carry many queries (members): its NFA (:class:`PathTrie`)
+merges their trunks into one prefix trie, YFilter-style.  Every other
+query runs on BranchM or TwigM (:mod:`repro.core`).
 
-``compiled=True`` on :class:`~repro.core.processor.XPathStream` upgrades
-an automatically selected PathM to a one-member :class:`DfaPathM`;
-:class:`~repro.multiq.MultiQueryEngine` makes every unlimited
-predicate-free query a member of one shared :class:`DfaPathM`.  The
+Every front door runs predicate-free queries here:
+:class:`~repro.core.processor.XPathStream` builds a one-member
+:class:`DfaPathM`, and :class:`~repro.multiq.MultiQueryEngine` makes
+every unlimited predicate-free query a member of one shared
+:class:`DfaPathM`.  PathM itself runs only when named
+(``engine="pathm"``), as the state-cap fallback, or when a capture that
+names it is restored.  The
 figure-7/8 baseline (``repro.baselines.lazydfa``) steps the same
 :class:`PathTrie`, so the stand-in and the production cache cannot
 drift.

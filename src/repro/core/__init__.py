@@ -6,7 +6,8 @@
 * :mod:`repro.core.twigm` — XP{/,//,*,[]} evaluation (sections 3.3, 4).
 * :mod:`repro.core.valueshape` — one TwigM for many queries that differ
   only in a value-test constant (the multi-query engine's shape units).
-* :mod:`repro.core.processor` — fragment dispatch and the public API.
+* :mod:`repro.core.processor` — fragment dispatch and the public API
+  (predicate-free queries run on :mod:`repro.compile`'s lazy DFA).
 * :mod:`repro.core.textfeed` — the one text front door every face feeds
   raw XML through (tokenizer, close, snapshot key).
 * :mod:`repro.core.results` — incremental result sinks.

@@ -1,11 +1,16 @@
 """The public front door: :class:`XPathStream` and :func:`evaluate`.
 
 ``XPathStream`` parses a query, classifies its fragment, and instantiates
-the cheapest machine that handles it, as the paper's system does:
+the cheapest machine that handles it:
 
-* XP{/,//,*} (no predicates)      → :class:`~repro.core.pathm.PathM`
+* XP{/,//,*} (no predicates)      → :class:`~repro.compile.dfa.DfaPathM`
 * XP{/,[]}   (no '//' and no '*') → :class:`~repro.core.branchm.BranchM`
 * XP{/,//,*,[]} (everything)      → :class:`~repro.core.twigm.TwigM`
+
+Predicate-free queries run on the lazy DFA, which evaluates the paper's
+PathM (section 3.1) with one transition lookup per start tag.  PathM
+itself runs only when named (``engine="pathm"``), as the DFA's
+state-cap fallback, or when a capture that names it is restored.
 
 The evaluator is fed from any event source accepted by
 :func:`repro.stream.tokenizer.events_from` — an XML string, a file path,
@@ -41,6 +46,7 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 from repro.checkpoint import read_envelope, read_fields, restoring
+from repro.compile.dfa import DfaPathM
 from repro.core.branchm import BranchM
 from repro.core.machine import engine_figures
 from repro.core.pathm import PathM
@@ -53,27 +59,16 @@ from repro.xpath.querytree import QueryTree, compile_query
 
 #: The engine classes by fragment, in dispatch order.
 _FRAGMENT_ENGINES = {
-    "XP{/,//,*}": PathM,
+    "XP{/,//,*}": DfaPathM,
     "XP{/,[]}": BranchM,
     "XP{/,//,*,[]}": TwigM,
 }
 
-_ENGINES_BY_NAME = {"pathm": PathM, "branchm": BranchM, "twigm": TwigM}
+_ENGINES_BY_NAME = {"pathm": PathM, "dfa": DfaPathM, "branchm": BranchM,
+                    "twigm": TwigM}
 
 #: Version of the snapshot schema :meth:`XPathStream.snapshot` writes.
 SNAPSHOT_VERSION = 1
-
-
-def _engine_class_by_name(name: str):
-    """Resolve an engine name, including the lazily-imported ``dfa``."""
-    if name == "dfa":
-        from repro.compile.dfa import DfaPathM
-
-        return DfaPathM
-    try:
-        return _ENGINES_BY_NAME[name]
-    except KeyError:
-        raise ValueError(f"unknown engine {name!r}") from None
 
 
 def select_engine_class(query: QueryTree):
@@ -88,28 +83,27 @@ def select_engine_class(query: QueryTree):
 
 
 def build_engine(query: QueryTree, sink: ResultSink, *,
-                 engine: str | None = None, compiled: bool = False,
+                 engine: str | None = None,
                  limits: ResourceLimits | None = None,
                  emission: str = "default", lag_probe=None,
                  state_cap: int | None = None, tracker=None):
     """Construct the machine that evaluates ``query`` under these options.
 
-    An explicitly named ``engine`` is always honoured.  Otherwise the
-    cheapest machine for the fragment is chosen, and under ``compiled``
-    an automatically selected PathM upgrades to the lazy-DFA front-end
-    (:class:`~repro.compile.dfa.DfaPathM`, whose state cap guarantees
-    PathM behaviour in the worst case).
+    An explicitly named ``engine`` is always honoured; otherwise the
+    cheapest machine for the fragment is chosen
+    (:func:`select_engine_class`).
 
     Each option reaches only the engines that take it: ``emission`` and
     ``lag_probe`` the buffering machines (TwigM/BranchM; path engines
     already emit at the earliest point), ``state_cap`` the lazy DFA.
     """
-    if engine is not None:
-        engine_class = _engine_class_by_name(engine)
-    else:
+    if engine is None:
         engine_class = select_engine_class(query)
-        if compiled and engine_class is PathM:
-            engine_class = _engine_class_by_name("dfa")
+    else:
+        try:
+            engine_class = _ENGINES_BY_NAME[engine]
+        except KeyError:
+            raise ValueError(f"unknown engine {engine!r}") from None
     name = engine_class.machine_name
     options = {} if tracker is None else {"tracker": tracker}
     if name in ("twigm", "branchm"):
@@ -137,8 +131,8 @@ class XPathStream(TextFeed):
         Optional callback invoked with each confirmed solution id as soon
         as it is known.  Without it, ids are collected and returned.
     engine:
-        Force a specific machine: ``"pathm"``, ``"branchm"``, ``"twigm"``,
-        or ``None`` (automatic; the default).
+        Force a specific machine: ``"dfa"``, ``"pathm"``, ``"branchm"``,
+        ``"twigm"``, or ``None`` (automatic; the default).
     policy:
         Malformed-input handling for text feeds: ``"strict"`` (default),
         ``"skip"``, or ``"repair"`` — see
@@ -159,13 +153,8 @@ class XPathStream(TextFeed):
         ``repro_compile_*`` for the lazy DFA.  The same machine runs
         either way.
     compiled:
-        Upgrade an automatically selected PathM (a predicate-free query)
-        to the lazy-DFA front-end of :mod:`repro.compile`
-        (``engine_name`` ``"dfa"``).  Every other engine — including an
-        explicit ``engine="pathm"`` — is built exactly as with
-        ``compiled=False``.
-        Matches, order, errors, limits and snapshots are identical to
-        the interpreted engines.
+        Ignored.  Predicate-free queries always run on the lazy DFA; the
+        keyword is accepted for callers written when it selected it.
     state_cap:
         Optional override for the lazy DFA's materialised-state ceiling
         (default :data:`repro.compile.DEFAULT_STATE_CAP`); past it the
@@ -198,8 +187,6 @@ class XPathStream(TextFeed):
         if isinstance(query, str):
             query = compile_query(query)
         self.query = query
-        self._compiled = bool(compiled) or engine == "dfa"
-        self._state_cap = state_cap
         if emission not in ("default", "earliest"):
             raise ValueError(
                 f"emission must be 'default' or 'earliest', got {emission!r}"
@@ -210,8 +197,8 @@ class XPathStream(TextFeed):
         else:
             sink = CallbackSink(on_match)
         self.engine = build_engine(
-            query, sink, engine=engine, compiled=self._compiled,
-            limits=limits, emission=emission, state_cap=state_cap,
+            query, sink, engine=engine, limits=limits, emission=emission,
+            state_cap=state_cap,
         )
         self._sink = sink
         self._push_handler = None
@@ -324,7 +311,6 @@ class XPathStream(TextFeed):
             "version": SNAPSHOT_VERSION,
             "query": self.query.source,
             "engine": self.engine_name,
-            "compiled": self._compiled,
             "emission": self._emission,
             "policy": self._policy.value,
             "limits": self._limits.to_dict() if self._limits is not None else None,
@@ -357,6 +343,7 @@ class XPathStream(TextFeed):
             snapshot, "snapshot", SNAPSHOT_VERSION,
             required=("query", "engine", "policy", "limits", "tokenizer",
                       "machine", "sink"),
+            # ``compiled`` is written by older releases and ignored.
             optional={"compiled": False, "emission": "default",
                       "retired": {"events": 0, "emitted": 0}},
         )
@@ -369,7 +356,6 @@ class XPathStream(TextFeed):
                 on_diagnostic=on_diagnostic,
                 limits=ResourceLimits.from_dict(snapshot["limits"]),
                 metrics=metrics,
-                compiled=bool(snapshot["compiled"]),
                 emission=snapshot["emission"],
             )
             stream.engine.restore_state(snapshot["machine"])
@@ -391,7 +377,3 @@ def evaluate(query: "str | QueryTree", source) -> list[int]:
     confirmation order.
     """
     return XPathStream(query).evaluate(source)
-
-
-#: Former name of :func:`evaluate`, kept for callers that still use it.
-evaluate_push = evaluate

@@ -100,9 +100,6 @@ class TextFeed:
                 self.feed_text(chunk)
         return self.close()
 
-    #: Former name of :meth:`evaluate`, kept for callers that still use it.
-    evaluate_push = evaluate
-
     # -- checkpoint / resume ------------------------------------------------
 
     def _tokenizer_snapshot(self) -> dict | None:

@@ -1,10 +1,10 @@
 """Query registry and lifecycle (layer 3): registrations, shared units.
 
 A *registration* is one named standing query; an *evaluation unit* is
-one machine instance (PathM/BranchM/TwigM, chosen per fragment as
-always, or the shared lazy DFA below) plus the multiplexing sink that
-fans its confirmed solutions out to every registration sharing it.  The
-registry owns the mapping between the two:
+one machine instance (chosen per fragment, or the shared lazy DFA
+below) plus the multiplexing sink that fans its confirmed solutions out
+to every registration sharing it.  The registry owns the mapping
+between the two:
 
 * ``add`` compiles and canonicalizes the query, then either joins an
   existing unit with the same :func:`~repro.multiq.canon.dedup_key`
@@ -17,8 +17,8 @@ registry owns the mapping between the two:
 * ``remove`` detaches a registration and drops its unit once the last
   sharer leaves.
 
-Every predicate-free registration without limits, tracker or lag probe
-is a member of one :class:`SharedPathUnit` (one lazy DFA over all their
+Every predicate-free registration without limits or tracker is a
+member of one :class:`SharedPathUnit` (one lazy DFA over all their
 trunks, routed on the union of their alphabets).  Members join only
 while it is virgin, for the same reason; a path query added later opens
 a fresh one.
@@ -39,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.machine import engine_figures
-from repro.core.pathm import PathM
 from repro.core.processor import build_engine, select_engine_class
 from repro.core.results import ResultSink
 from repro.core.twigm import TwigM
@@ -373,11 +372,13 @@ class QueryRegistry:
         ``tracker`` attaches a :class:`~repro.core.twigm.CandidateTracker`
         to the unit's machine (forcing TwigM and a dedicated unit — a
         tracker observes exactly one consumer's candidate lifetimes).  An
-        unlimited, untracked, unprobed path query joins (or opens) the
-        virgin :class:`SharedPathUnit`, in any emission mode (path engines
-        emit at the start tag either way); a shareable default-mode TwigM
-        query with one value test and no limits, the virgin
-        :class:`ValueShapeUnit` of its shape, when the shape is in scope.
+        unlimited, untracked path query joins (or opens) the virgin
+        :class:`SharedPathUnit`, in any emission mode (path engines emit
+        at the start tag either way, and report nothing to a lag probe);
+        a limited one runs a one-member lazy DFA of its own.  A shareable
+        default-mode TwigM query with one value test and no limits joins
+        the virgin :class:`ValueShapeUnit` of its shape, when the shape
+        is in scope.
         """
         if name in self._registrations:
             raise ValueError(f"duplicate query name {name!r}")
@@ -388,8 +389,7 @@ class QueryRegistry:
         unit: EvalUnit | None = None
         created: EvalUnit | None = None
         gained: frozenset[str] = frozenset()
-        if (limits is None and tracker is None and lag_probe is None
-                and select_engine_class(tree) is PathM):
+        if limits is None and tracker is None and not tree.has_branches():
             if share and self._shared is not None and self._shared.virgin:
                 unit = self._shared
                 gained = unit.join(name, tree, sink)

@@ -59,7 +59,7 @@ def interest_for(target) -> "Interest":
         return target.interest()
     if isinstance(target, XPathStream):
         tags, wants_all, wants_text = machine_alphabet(target.engine.machine)
-        if target._limits is not None or getattr(target.engine, "limits", None) is not None:
+        if target._limits is not None:
             wants_all = True
         return tags, wants_all, wants_text
     if isinstance(target, (str, QueryTree)):

@@ -253,7 +253,7 @@ def filter_stream(
 
         engine = RewriteEngine([drop_rule(query)], policy=policy,
                                limits=limits)
-        return engine.evaluate_push(source)
+        return engine.evaluate(source)
     if mode != "keep":
         raise ValueError(f"unknown filter mode {mode!r} (drop|keep)")
     merger = FragmentMerger(root)
@@ -263,5 +263,5 @@ def filter_stream(
         policy=policy,
         limits=limits,
     )
-    extractor.evaluate_push(source)
+    extractor.evaluate(source)
     return merger.close()

@@ -17,9 +17,8 @@ Buffering is verdict-bounded, not document-bounded:
   queries: the enclosing root match's close), then replay it through the
   writer.
 
-Pull (:meth:`SubstreamExtractor.evaluate`) and push
-(:meth:`~SubstreamExtractor.evaluate_push`) pipelines produce
-byte-identical fragments, and :meth:`~SubstreamExtractor.snapshot` /
+:meth:`SubstreamExtractor.evaluate` produces byte-identical fragments
+from pre-built events and from text, and :meth:`~SubstreamExtractor.snapshot` /
 :meth:`~SubstreamExtractor.restore` capture the extractor mid-fragment —
 a half-serialized streaming fragment resumes exactly.
 """
@@ -456,8 +455,8 @@ def _dispatch(handler, event) -> None:
 def select(source, queries, **kwargs) -> list[Fragment]:
     """One-shot extraction: every match of ``queries`` over ``source``.
 
-    Convenience wrapper over :class:`SubstreamExtractor` in collect mode
-    (push pipeline); returns the :class:`Fragment` list.
+    Convenience wrapper over :class:`SubstreamExtractor` in collect mode;
+    returns the :class:`Fragment` list.
     """
     extractor = SubstreamExtractor(queries, **kwargs)
-    return extractor.evaluate_push(source)
+    return extractor.evaluate(source)

@@ -824,4 +824,4 @@ def _deliver_fragment(handler, events, base_level: int) -> None:
 def rewrite_string(xml: str, rules: Sequence[RewriteRule], **kwargs) -> str:
     """One-shot convenience: transform ``xml`` text, return the result."""
     engine = RewriteEngine(rules, **kwargs)
-    return engine.evaluate_push(io.StringIO(xml))
+    return engine.evaluate(io.StringIO(xml))

@@ -446,6 +446,15 @@ def _has_connectives(predicate: qast.PredicateExpr) -> bool:
     return False
 
 
+def _conjuncts(conditions) -> Iterator[Condition]:
+    """The leaves of a conjunction of ``conditions``, in query order."""
+    for condition in conditions:
+        if isinstance(condition, AndCond):
+            yield from _conjuncts(condition.parts)
+        else:
+            yield condition
+
+
 class _TreeBuilder:
     """Lowers AST paths into query-tree nodes."""
 
@@ -500,19 +509,27 @@ class _TreeBuilder:
         return QueryNode(name=name, axis=axis, node_id=next(self._counter))
 
     def _attach_predicates(self, node: QueryNode, step: qast.Step) -> None:
+        """Lower ``step``'s brackets onto ``node``.
+
+        Path leaves become branch subtrees of ``node`` either way.  With
+        an or/not anywhere in the brackets, the whole list becomes one
+        condition tree (an implicit AND across brackets); otherwise the
+        conjunction's attribute and value leaves fold into the node's
+        local tests, the paper's conjunctive fragment.
+        """
+        conditions = [
+            self._compile_predicate(node, predicate) for predicate in step.predicates
+        ]
         if any(_has_connectives(predicate) for predicate in step.predicates):
-            # General boolean predicates: compile the whole predicate list
-            # into one condition tree (an implicit AND across brackets).
-            conditions = [
-                self._compile_predicate(node, predicate)
-                for predicate in step.predicates
-            ]
             node.condition = (
                 conditions[0] if len(conditions) == 1 else AndCond(tuple(conditions))
             )
             return
-        for predicate in step.predicates:
-            self._attach_predicate(node, predicate)
+        for leaf in _conjuncts(conditions):
+            if isinstance(leaf, AttrRef):
+                node.attribute_tests.append(leaf.test)
+            elif isinstance(leaf, ValueRef):
+                node.value_tests.append(leaf.test)
 
     def _compile_predicate(self, node: QueryNode, predicate: qast.PredicateExpr) -> Condition:
         """Lower one predicate expression into a condition tree, creating
@@ -549,18 +566,19 @@ class _TreeBuilder:
             attribute = AttributeTest(self._name(last_test.name), value_test)
             if not element_steps:
                 return AttrRef(attribute)
-            head, leaf = self._build_branch_chain2(node, element_steps)
+            head, leaf = self._build_branch_chain(node, element_steps)
             leaf.attribute_tests.append(attribute)
             return ChildRef(head)
-        head, leaf = self._build_branch_chain2(node, path.steps)
+        head, leaf = self._build_branch_chain(node, path.steps)
         if value_test is not None:
             leaf.value_tests.append(value_test)
         return ChildRef(head)
 
-    def _build_branch_chain2(
+    def _build_branch_chain(
         self, node: QueryNode, steps
     ) -> tuple[QueryNode, QueryNode]:
-        """Like :meth:`_build_branch_chain` but also returns the head."""
+        """Build the chain of element nodes for a predicate path under
+        ``node``; returns its head and its leaf."""
         assert steps, "branch paths have at least one step"
         head: QueryNode | None = None
         current = node
@@ -574,57 +592,3 @@ class _TreeBuilder:
             current = child
         assert head is not None
         return head, current
-
-    def _attach_predicate(self, node: QueryNode, predicate: qast.PredicateExpr) -> None:
-        """Legacy conjunctive lowering (the paper's fragment)."""
-        if isinstance(predicate, qast.AndPredicate):
-            for term in predicate.terms:
-                self._attach_predicate(node, term)
-            return
-        if isinstance(predicate, qast.PathPredicate):
-            self._attach_branch(node, predicate.path, value_test=None)
-            return
-        assert isinstance(predicate, qast.ComparisonPredicate)
-        value_test = ValueTest(predicate.op, predicate.value)
-        if not predicate.path.steps:
-            node.value_tests.append(value_test)
-            return
-        self._attach_branch(node, predicate.path, value_test=value_test)
-
-    def _attach_branch(
-        self,
-        node: QueryNode,
-        path: qast.LocationPath,
-        value_test: ValueTest | None,
-    ) -> None:
-        """Attach a predicate path as a branch subtree of ``node``."""
-        last_test = path.steps[-1].test
-        if isinstance(last_test, qast.AttributeTest):
-            element_steps = path.steps[:-1]
-            attribute = AttributeTest(self._name(last_test.name), value_test)
-            if not element_steps:
-                node.attribute_tests.append(attribute)
-                return
-            leaf = self._build_branch_chain(node, element_steps)
-            leaf.attribute_tests.append(attribute)
-            return
-        if isinstance(last_test, qast.TextTest):
-            # parser normally strips trailing text(); a bare path-existence
-            # text() test was rejected there, so this is unreachable.
-            raise UnsupportedQueryError("text() requires a comparison")
-        leaf = self._build_branch_chain(node, path.steps)
-        if value_test is not None:
-            leaf.value_tests.append(value_test)
-
-    def _build_branch_chain(self, node: QueryNode, steps) -> QueryNode:
-        """Build the chain of element nodes for a predicate path."""
-        current = node
-        leaf = node
-        for step in steps:
-            child = self._make_node(step)
-            child.parent = current
-            current.children.append(child)
-            self._attach_predicates(child, step)
-            current = child
-            leaf = child
-        return leaf

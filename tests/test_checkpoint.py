@@ -123,9 +123,11 @@ def test_restore_preserves_policy_and_limits():
 
 
 def test_engine_choice_survives_restore():
-    for query, engine in [("//a//b", "pathm"), ("/a[b]/c", "branchm"),
-                          ("//a[b]//c", "twigm")]:
-        stream = XPathStream(query)
+    for query, named, engine in [("//a//b", None, "dfa"),
+                                 ("//a//b", "pathm", "pathm"),
+                                 ("/a[b]/c", None, "branchm"),
+                                 ("//a[b]//c", None, "twigm")]:
+        stream = XPathStream(query, engine=named)
         assert stream.engine_name == engine
         resumed = XPathStream.restore(stream.snapshot())
         assert resumed.engine_name == engine

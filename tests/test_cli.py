@@ -54,7 +54,7 @@ class TestTwigmCli:
     def test_explain_flag(self, catalog, capsys):
         twigm_main(["--explain", "//book//title", catalog])
         err = capsys.readouterr().err
-        assert "pathm" in err and "XP{/,//,*}" in err
+        assert "dfa" in err and "XP{/,//,*}" in err
 
     def test_engine_override(self, catalog, capsys):
         assert twigm_main(["--engine", "twigm", "//book//title", catalog]) == 0

@@ -1,11 +1,11 @@
-"""Differential suite for the compilation tiers (``repro.compile``).
+"""Differential suite for the lazy DFA (``repro.compile``).
 
-The contract under test is the ISSUE-9 acceptance bar: for every query
-class the compiled tier (lazy-DFA front-end, with every other query on
-the interpreted machines) must be **bit-for-bit** equivalent to the interpreted machines
-— same solution ids, same order, same snapshots — across 200+ seeded
-documents, mid-stream checkpointing, state-cap fallback, and multiq
-live add/remove.
+Predicate-free queries run on the lazy DFA by default; the contract
+under test is that for every query class the default engines are
+**bit-for-bit** equivalent to the paper's machines (PathM for
+predicate-free queries, named with ``engine="pathm"``) — same solution
+ids, same order — across 200+ seeded documents, mid-stream
+checkpointing, state-cap fallback, and multiq live add/remove.
 
 Documents are produced by a deterministic seeded generator (no
 Hypothesis shrinking here: the point is breadth at a fixed, replayable
@@ -89,6 +89,11 @@ PREDICATED = (
 SEEDS = range(200)
 
 
+def _paper_stream(query: str) -> XPathStream:
+    """``query`` on the paper's machine: PathM when predicate-free."""
+    return XPathStream(query, engine=None if "[" in query else "pathm")
+
+
 def _classes(seed: int):
     """Three queries — one per class — chosen deterministically."""
     rng = random.Random(10_000 + seed)
@@ -99,20 +104,17 @@ def _classes(seed: int):
     )
 
 
-# -- pull == push == compiled across the corpus ------------------------------
+# -- default == the paper's machines, pull and push --------------------------
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_pull_push_compiled_agree(seed):
+def test_default_engines_match_the_paper_machines(seed):
     doc = make_document(seed)
     for query in _classes(seed):
-        reference = XPathStream(query).evaluate(reference_events(doc))
+        reference = _paper_stream(query).evaluate(reference_events(doc))
+        assert _paper_stream(query).evaluate(doc) == reference
         assert XPathStream(query).evaluate(doc) == reference
-        compiled = XPathStream(query, compiled=True)
-        assert compiled.evaluate(doc) == reference
-        assert XPathStream(query, compiled=True).evaluate(
-            reference_events(doc)
-        ) == reference
+        assert XPathStream(query).evaluate(reference_events(doc)) == reference
 
 
 def test_corpus_exercises_slow_steps():
@@ -124,41 +126,42 @@ def test_corpus_exercises_slow_steps():
         assert construct in blob
 
 
-# -- explicit engine tiers ---------------------------------------------------
+# -- explicit engines --------------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", range(0, 200, 10))
-def test_every_tier_matches_reference(seed):
+def test_every_engine_matches_reference(seed):
     doc = make_document(seed)
     cases = (
-        ("//a//b", "pathm"),   # explicit pathm + compiled -> plain PathM
-        ("//a//b", "dfa"),     # explicit DFA front-end
-        ("//a[b]/c", None),    # auto -> interpreted TwigM under compiled=True
+        ("//a//b", "pathm"),   # the paper's machine, by name
+        ("//a//b", "dfa"),     # the lazy DFA, by name
+        ("//a[b]/c", None),    # auto -> TwigM
     )
     for query, engine in cases:
         reference = XPathStream(query).evaluate(doc)
-        stream = XPathStream(query, engine=engine, compiled=True)
-        assert stream.evaluate_push(doc) == reference
+        stream = XPathStream(query, engine=engine)
+        assert stream.engine_name == (engine or "twigm")
+        assert stream.evaluate(doc) == reference
 
 
 # -- mid-stream snapshot/restore across the DFA cache ------------------------
 
 
 @pytest.mark.parametrize("seed", range(0, 200, 5))
-def test_compiled_snapshot_restore_mid_stream(seed):
+def test_dfa_snapshot_restore_mid_stream(seed):
     doc = make_document(seed)
     query = _classes(seed)[0]
-    reference = XPathStream(query).evaluate(doc)
+    reference = _paper_stream(query).evaluate(doc)
     cut = len(doc) // 2
 
-    stream = XPathStream(query, compiled=True)
-    stream.feed_text_push(doc[:cut])
+    stream = XPathStream(query)
+    stream.feed_text(doc[:cut])
     snap = stream.snapshot()
     json.dumps(snap)  # the capture must be serializable
 
     resumed = XPathStream.restore(snap)
-    assert resumed._compiled
-    resumed.feed_text_push(doc[cut:])
+    assert resumed.engine_name == "dfa"
+    resumed.feed_text(doc[cut:])
     assert resumed.close() == reference
 
     # The restored machine's NFA configuration must equal that of a
@@ -170,8 +173,8 @@ def test_compiled_snapshot_restore_mid_stream(seed):
 
 
 def test_snapshot_has_no_dfa_transition_cache():
-    stream = XPathStream("//a//b", compiled=True)
-    stream.feed_text_push("<r><a><b/></a><c>")
+    stream = XPathStream("//a//b")
+    stream.feed_text("<r><a><b/></a><c>")
     snap = stream.snapshot()
     machine = snap["machine"]
     assert "dfa" in machine
@@ -189,29 +192,29 @@ def test_snapshot_has_no_dfa_transition_cache():
 def test_state_cap_fallback_mid_document(seed, cap):
     doc = make_document(seed)
     for query in ("//*//*", "//a/*/b", "//*/c"):
-        reference = XPathStream(query).evaluate(doc)
-        stream = XPathStream(query, compiled=True, state_cap=cap)
-        assert stream.evaluate_push(doc) == reference
+        reference = _paper_stream(query).evaluate(doc)
+        stream = XPathStream(query, state_cap=cap)
+        assert stream.evaluate(doc) == reference
 
 
 def test_state_cap_fallback_counts_and_survives_snapshot():
     doc = make_document(7)
     query = "//*//*"
-    reference = XPathStream(query).evaluate(doc)
-    stream = XPathStream(query, compiled=True, state_cap=1)
+    reference = _paper_stream(query).evaluate(doc)
+    stream = XPathStream(query, state_cap=1)
     cut = len(doc) // 3
-    stream.feed_text_push(doc[:cut])
+    stream.feed_text(doc[:cut])
     handler = stream.push_handler()
     assert handler.fell_back
     assert handler._fallbacks >= 1
     snap = stream.snapshot()
     assert snap["machine"]["fallen"] is True
     resumed = XPathStream.restore(snap)
-    resumed.feed_text_push(doc[cut:])
+    resumed.feed_text(doc[cut:])
     assert resumed.close() == reference
 
 
-# -- multiq: compiled units, dedup, live add/remove --------------------------
+# -- multiq: the shared DFA unit, dedup, live add/remove ---------------------
 
 MULTI_QUERIES = {
     "pf1": "//a//b",
@@ -223,23 +226,24 @@ MULTI_QUERIES = {
 
 
 def _interpreted(queries: dict, doc: str) -> dict:
-    """Each query on its own interpreted stream."""
-    return {name: XPathStream(query).evaluate(doc) for name, query in queries.items()}
+    """Each query on its own stream on the paper's machine."""
+    return {name: _paper_stream(query).evaluate(doc)
+            for name, query in queries.items()}
 
 
 @pytest.mark.parametrize("seed", range(0, 100, 5))
 def test_multiq_shared_unit_matches_interpreted(seed):
     doc = make_document(seed)
     reference = _interpreted(MULTI_QUERIES, doc)
-    compiled = MultiQueryEngine(MULTI_QUERIES)
-    assert compiled.evaluate_push(doc) == reference
+    engine = MultiQueryEngine(MULTI_QUERIES)
+    assert engine.evaluate(doc) == reference
     # Every path query is a member of one shared DFA unit; the
     # predicate query keeps its own machine.
-    assert compiled.unit_count() == 2
-    shared = {compiled.registration(name).unit
+    assert engine.unit_count() == 2
+    shared = {engine.registration(name).unit
               for name in ("pf1", "pf1_dup", "pf2", "wild")}
     assert len(shared) == 1
-    engines = compiled.engine_names()
+    engines = engine.engine_names()
     assert engines["pf1"] == engines["pf1_dup"] == "dfa"
     assert engines["pred"] == "twigm"
 
@@ -251,7 +255,8 @@ def test_multiq_live_add_remove_shared_unit(seed):
     third = max(1, len(chunks) // 3)
 
     def run(limits):
-        # Limits keep a path query on its own PathM, fed every event.
+        # Limits keep a path query on a lazy DFA of its own, fed every
+        # event.
         engine = MultiQueryEngine()
         engine.add_query("base", "//a//b", limits=limits)
         for index, chunk in enumerate(chunks):
@@ -259,7 +264,7 @@ def test_multiq_live_add_remove_shared_unit(seed):
                 engine.add_query("late", "//c", limits=limits)
             if index == 2 * third:
                 engine.remove_query("base")
-            engine.feed_text_push(chunk)
+            engine.feed_text(chunk)
         return engine.close()
 
     assert run(None) == run(ResourceLimits())
@@ -271,12 +276,12 @@ def test_multiq_shared_unit_snapshot_restore(seed):
     reference = _interpreted(MULTI_QUERIES, doc)
     cut = len(doc) // 2
     engine = MultiQueryEngine(MULTI_QUERIES)
-    engine.feed_text_push(doc[:cut])
+    engine.feed_text(doc[:cut])
     snap = engine.snapshot()
     json.dumps(snap)
     assert "compiled" not in snap
     resumed = MultiQueryEngine.restore(snap)
-    resumed.feed_text_push(doc[cut:])
+    resumed.feed_text(doc[cut:])
     assert resumed.close() == reference
 
 

@@ -3,8 +3,8 @@
 Complements the differential corpus (``test_compile_equivalence.py``)
 with white-box checks: NFA/subset-construction algebra, lazy-DFA cache
 behaviour and counters, state-cap and misalignment fallbacks, engine
-selection under ``compiled=True``, compiled queries over tricky
-markup, and the ``repro_compile_*`` metrics families.
+selection, lazy-DFA path queries over tricky markup, and the
+``repro_compile_*`` metrics families.
 """
 
 import pytest
@@ -173,36 +173,40 @@ class TestDfaPathM:
 
 
 class TestSelection:
-    def test_auto_compiled_prefers_dfa_for_paths(self):
-        assert XPathStream("//a/b", compiled=True).engine_name == "dfa"
+    @pytest.mark.parametrize("query", ["//a/b", "/a", "//*", "/a/*//b"])
+    def test_paths_run_the_dfa(self, query):
+        assert XPathStream(query).engine_name == "dfa"
+        # ``compiled`` is an ignored keyword.
+        assert type(XPathStream(query, compiled=True).engine) is DfaPathM
+        assert type(XPathStream(query, compiled=False).engine) is DfaPathM
 
     def test_explicit_pathm_keeps_pathm_name(self):
-        stream = XPathStream("//a/b", engine="pathm", compiled=True)
+        stream = XPathStream("//a/b", engine="pathm")
         assert stream.engine_name == "pathm"
         assert type(stream.push_handler()) is PathM
 
-    def test_predicates_run_interpreted_twigm(self):
-        stream = XPathStream("//a[b]/c", compiled=True)
+    def test_predicates_run_twigm_or_branchm(self):
+        stream = XPathStream("//a[b]/c")
         assert type(stream.push_handler()) is TwigM
-        branch = XPathStream("/a[b]/c", compiled=True)
+        branch = XPathStream("/a[b]/c")
         assert type(branch.push_handler()) is BranchM
 
-    def test_metrics_run_the_plain_engines_under_compiled(self):
+    def test_metrics_run_the_plain_engines(self):
         registry = MetricsRegistry()
-        stream = XPathStream("//a[b]/c", compiled=True, metrics=registry)
+        stream = XPathStream("//a[b]/c", metrics=registry)
         assert type(stream.engine) is TwigM
-        assert stream.evaluate_push("<a><b/><c/></a>") == [3]
+        assert stream.evaluate("<a><b/><c/></a>") == [3]
         registry.collect()
         emitted = registry.get("repro_machine_emitted_total")
         assert emitted.get(engine="twigm") == 1
 
-    def test_engine_dfa_implies_compiled(self):
-        stream = XPathStream("//a/b", engine="dfa")
-        assert stream._compiled
-        assert stream.snapshot()["engine"] == "dfa"
+    def test_snapshot_names_the_engine_and_no_compiled_flag(self):
+        snapshot = XPathStream("//a/b", engine="dfa").snapshot()
+        assert snapshot["engine"] == "dfa"
+        assert "compiled" not in snapshot
 
 
-# -- compiled path queries over tricky markup --------------------------------
+# -- lazy-DFA path queries over tricky markup --------------------------------
 
 TRICKY = (
     "<?xml version='1.0'?><r><a><b>x</b></a></r>",
@@ -218,30 +222,29 @@ class TestTurboScanner:
     @pytest.mark.parametrize("doc", TRICKY)
     def test_tricky_markup_matches_reference(self, doc):
         for query in ("//a/b", "//b", "//a//b"):
-            reference = XPathStream(query).evaluate(doc)
-            assert XPathStream(query, compiled=True).evaluate_push(doc) == \
-                reference
+            reference = XPathStream(query, engine="pathm").evaluate(doc)
+            assert XPathStream(query).evaluate(doc) == reference
 
     @pytest.mark.parametrize("doc", TRICKY)
     def test_single_char_chunks_match(self, doc):
-        stream = XPathStream("//a/b", compiled=True)
+        stream = XPathStream("//a/b")
         for ch in doc:
-            stream.feed_text_push(ch)
-        assert stream.close() == XPathStream("//a/b").evaluate(doc)
+            stream.feed_text(ch)
+        assert stream.close() == XPathStream("//a/b", engine="pathm").evaluate(doc)
 
     def test_duplicate_attribute_still_an_error(self):
         from repro.errors import XmlSyntaxError
 
-        stream = XPathStream("//a/b", compiled=True)
+        stream = XPathStream("//a/b")
         with pytest.raises(XmlSyntaxError):
-            stream.evaluate_push("<r><a k='1' k='2'><b/></a></r>")
+            stream.evaluate("<r><a k='1' k='2'><b/></a></r>")
 
     def test_mismatched_end_tag_still_an_error(self):
         from repro.errors import XmlSyntaxError
 
-        stream = XPathStream("//a/b", compiled=True)
+        stream = XPathStream("//a/b")
         with pytest.raises(XmlSyntaxError):
-            stream.evaluate_push("<r><a><b></a></b></r>")
+            stream.evaluate("<r><a><b></a></b></r>")
 
 
 # -- metrics publisher -------------------------------------------------------
@@ -250,7 +253,7 @@ class TestTurboScanner:
 class TestCompileMetrics:
     def test_dfa_families_populated(self):
         registry = MetricsRegistry()
-        stream = XPathStream("//a/b", compiled=True, metrics=registry)
+        stream = XPathStream("//a/b", metrics=registry)
         stream.evaluate("<r><a><b/></a><a><b/></a></r>")
         rendered = registry.render_prometheus()
         for family in (
@@ -265,7 +268,7 @@ class TestCompileMetrics:
 
     def test_hit_ratio_improves_on_second_document(self):
         registry = MetricsRegistry()
-        stream = XPathStream("//a/b", compiled=True, metrics=registry)
+        stream = XPathStream("//a/b", metrics=registry)
         doc = "<r>" + "<a><b/></a>" * 20 + "</r>"
         stream.evaluate(doc)
         registry.collect()
@@ -278,9 +281,7 @@ class TestCompileMetrics:
 
     def test_fallback_counted(self):
         registry = MetricsRegistry()
-        stream = XPathStream(
-            "//*/b", compiled=True, state_cap=1, metrics=registry
-        )
+        stream = XPathStream("//*/b", state_cap=1, metrics=registry)
         stream.evaluate("<r><a><b/></a></r>")
         registry.collect()
         fallbacks = registry.get("repro_compile_fallbacks_total")
@@ -290,7 +291,7 @@ class TestCompileMetrics:
         registry = MetricsRegistry()
         doc = "<r><a><b/></a></r>"
         for _ in range(2):
-            XPathStream("//a/b", compiled=True, metrics=registry).evaluate(doc)
+            XPathStream("//a/b", metrics=registry).evaluate(doc)
         registry.collect()
         starts = registry.get("repro_compile_dfa_starts_total")
         assert starts.get(engine="dfa") == 6

@@ -7,6 +7,8 @@ recursion patterns, predicate placements and axis mixes far beyond the
 curated cases.
 """
 
+import json
+
 from hypothesis import example, given, settings, strategies as st
 
 from repro.baselines.navigational import NavigationalDomEngine
@@ -113,6 +115,38 @@ def test_dispatched_engine_agrees_with_oracle(xml, query):
     expected = sorted(ORACLE.run(query, iter(events)))
     actual = sorted(XPathStream(query).evaluate(iter(events)))
     assert actual == expected, f"{query!r} over {xml!r}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(xml=xml_trees(), query=xpath_queries(branches=False),
+       cuts=st.lists(st.integers(0, 400), max_size=6),
+       restore_at=st.integers(0, 6),
+       state_cap=st.sampled_from([1, 2, None]))
+@example(xml="<a><b><a><b/></a></b></a>", query="//a/*", cuts=[3, 9],
+         restore_at=1, state_cap=2)
+# The cap trips at <b> with <a> open: the fallback must replay <a>.
+@example(xml="<a><b><c/></b></a>", query="//a/b/c", cuts=[],
+         restore_at=1, state_cap=2)
+def test_default_path_stream_agrees_with_pathm_and_oracle(
+        xml, query, cuts, restore_at, state_cap):
+    """Predicate-free queries run on the lazy DFA by default.  Fed in
+    random chunks, snapshotted and restored at one chunk boundary, and
+    with a state cap that may trip its PathM fallback, it confirms the
+    oracle's ids in document order, as PathM does."""
+    expected = sorted(ORACLE.run(query, iter(parse_string(xml))))
+    assert XPathStream(query, engine="pathm").evaluate(xml) == expected
+    bounds = sorted({cut % (len(xml) + 1) for cut in cuts} | {0, len(xml)})
+    chunks = [xml[start:stop] for start, stop in zip(bounds, bounds[1:])]
+    at = restore_at % (len(chunks) + 1)
+    stream = XPathStream(query, state_cap=state_cap)
+    assert stream.engine_name == "dfa"
+    for index, chunk in enumerate(chunks):
+        if index == at:
+            stream = XPathStream.restore(json.loads(json.dumps(stream.snapshot())))
+        stream.feed_text(chunk)
+    if at == len(chunks):
+        stream = XPathStream.restore(json.loads(json.dumps(stream.snapshot())))
+    assert stream.close() == expected, f"{query!r} over {xml!r}"
 
 
 @settings(max_examples=150, deadline=None)

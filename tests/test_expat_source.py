@@ -396,7 +396,7 @@ FACE_DOC = "<r>" + "<a><b><c>text</c></b><d k='v'/></a>" * 40 + "</r>"
 
 
 @pytest.mark.parametrize("face", [
-    pytest.param(lambda: XPathStream("//a/b", compiled=True), id="compiled-stream"),
+    pytest.param(lambda: XPathStream("//a/b"), id="path-stream"),
     pytest.param(lambda: MultiQueryEngine({"b": "//a/b", "c": "//b//c"}),
                  id="shared-path-multiq"),
     pytest.param(lambda: XPathStream("//a[d]/b[c = 'text']"), id="predicate-stream"),
@@ -418,13 +418,13 @@ def test_faces_match_the_python_scanner(face):
 @pytest.mark.parametrize("state_cap", [None, 2], ids=["cached", "cap-trips"])
 @pytest.mark.parametrize("size", (1, 7, 97))
 def test_inline_automaton_matches_the_event_feed(state_cap, size):
-    """A compiled path stream lets the Expat callbacks step its automaton
+    """A path stream lets the Expat callbacks step its automaton
     inline; its state, counters and results must match the same stream
     fed the Python scanner's events, at every chunk boundary, including
     across a state-cap fallback to the interpreted machine."""
     options = {} if state_cap is None else {"state_cap": state_cap}
-    inline = XPathStream("//a//*/b", compiled=True, **options)
-    reference = XPathStream("//a//*/b", compiled=True, **options)
+    inline = XPathStream("//a//*/b", **options)
+    reference = XPathStream("//a//*/b", **options)
     scanner = PythonScanner()
     handler = reference.push_handler()
     for chunk in _chunks(FACE_DOC, size):

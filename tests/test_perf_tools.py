@@ -37,7 +37,7 @@ class TestStreamReuse:
         assert seen == XPathStream("//title").evaluate(book_catalog_xml)
 
     def test_engine_name(self):
-        assert XPathStream("//a//b").engine_name == "pathm"
+        assert XPathStream("//a//b").engine_name == "dfa"
 
 
 class TestProfilePipeline:

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.compile.dfa import DfaPathM
 from repro.core.branchm import BranchM
-from repro.core.pathm import PathM
 from repro.core.processor import XPathStream, evaluate, select_engine_class
 from repro.core.twigm import TwigM
 from repro.errors import XPathSyntaxError
@@ -15,8 +15,8 @@ class TestFragmentDispatch:
     @pytest.mark.parametrize(
         "query, engine_class",
         [
-            ("//a//b", PathM),
-            ("/a/*/b", PathM),
+            ("//a//b", DfaPathM),
+            ("/a/*/b", DfaPathM),
             ("/a[b]/c", BranchM),
             ("/a[@id]/c", BranchM),
             ("//a[b]", TwigM),
@@ -28,7 +28,8 @@ class TestFragmentDispatch:
         assert isinstance(XPathStream(query).engine, engine_class)
 
     def test_engine_name(self):
-        assert XPathStream("//a//b").engine_name == "pathm"
+        assert XPathStream("//a//b").engine_name == "dfa"
+        assert XPathStream("//a//b", engine="pathm").engine_name == "pathm"
         assert XPathStream("//a[b]").engine_name == "twigm"
 
     def test_engine_override(self):

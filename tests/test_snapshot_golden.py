@@ -5,6 +5,10 @@ release that still ran generated-dispatch BranchM/TwigM machines under
 ``compiled=True``.  Their machine state is the interpreted engines'
 format, so they must keep restoring onto today's engines and finish
 with exactly the ids of an uninterrupted run over the same document.
+``pathm_stream_snapshot.json`` was written by the release that ran
+predicate-free ``XPathStream`` queries on PathM unless ``compiled=True``
+was passed: it names PathM, so it resumes on PathM, and records the ids
+an uninterrupted run produced (``expected``).
 
 The ``multiq_*`` captures and ``compiled_multiq_live_snapshot.json``
 were written by the release that ran one lazy-DFA unit per compiled
@@ -29,8 +33,8 @@ emitted in ``emitted``.  Captures now carry counters those releases did
 not write: metrics counters, and an event-fed dispatcher's open-label
 counts (:func:`_without_counters`).  And path queries
 then ran on PathM units of dispatchers that recorded a ``compiled``
-flag; they now run on the shared lazy DFA, and the flag is gone
-(:func:`_stated`).
+flag; they now run on the shared lazy DFA, and the flag is gone from
+dispatcher and stream captures alike (:func:`_stated`).
 
 Every format is read through one strict codec (``repro.checkpoint``):
 each golden envelope, mutated every way a blob can be malformed, must
@@ -72,6 +76,24 @@ def test_compiled_stream_snapshot_restores(engine):
     expected = XPathStream(golden["query"]).evaluate(DOC)
     assert expected
     assert resumed.close() == expected
+
+
+def test_pathm_stream_snapshot_resumes_on_pathm():
+    golden = _load("pathm_stream_snapshot.json")
+    snapshot, cut = golden["snapshot"], golden["cut"]
+    assert snapshot["engine"] == "pathm"
+    assert snapshot["compiled"] is False
+    resumed = XPathStream.restore(snapshot)
+    assert resumed.engine_name == "pathm"
+    resumed.feed_text(DOC[cut:])
+    assert resumed.close() == golden["expected"]
+    assert XPathStream(golden["query"]).evaluate(DOC) == golden["expected"]
+    # Taken today on PathM at the same cut, the capture differs only in
+    # the stated flag.
+    live = XPathStream(golden["query"], engine="pathm")
+    live.feed_text(DOC[:cut])
+    assert "compiled" not in live.snapshot()
+    assert _stated(live.snapshot()) == _stated(snapshot)
 
 
 def test_compiled_multiq_snapshot_restores():
@@ -187,9 +209,10 @@ def _without_counters(capture):
 def _stated(capture):
     """``capture`` without what path queries changed: a multiq
     envelope's ``compiled`` flag and its count of deliveries (the DFA is
-    routed on its alphabet, not gated on its root label), and a path
-    unit's ``engine`` and ``machine`` (PathM state in the goldens,
-    lazy-DFA state today; its sinks still compare)."""
+    routed on its alphabet, not gated on its root label), a stream
+    envelope's ``compiled`` flag, and a path unit's ``engine`` and
+    ``machine`` (PathM state in the goldens, lazy-DFA state today; its
+    sinks still compare)."""
     if isinstance(capture, list):
         return [_stated(item) for item in capture]
     if not isinstance(capture, dict):
@@ -199,6 +222,8 @@ def _stated(capture):
         capture = {**capture, "stats": {key: value for key, value
                                         in capture["stats"].items()
                                         if key != "dispatched"}}
+    elif {"query", "engine", "machine", "tokenizer"} <= capture.keys():
+        dropped = ("compiled",)
     elif capture.get("engine") in ("pathm", "dfa") and "machine" in capture:
         dropped = ("engine", "machine")
     else:
@@ -342,7 +367,7 @@ def test_legacy_seen_lists_resume_and_drain():
 def _resume_golden(name: str, golden: dict):
     """Resume ``golden`` from its cut; return (result, recorded result)."""
     cut = golden["cut"]
-    if name.startswith("compiled_") and "query" in golden:
+    if "query" in golden:
         resumed = XPathStream.restore(golden["snapshot"])
         resumed.feed_text(DOC[cut:])
         return resumed.close(), XPathStream(golden["query"]).evaluate(DOC)
@@ -381,9 +406,10 @@ def _resume_session(blob):
 #: (golden file, path to the envelope inside it, reader, optional keys,
 #: the plain dicts the reader checks itself as (path, optional keys)).
 FORMATS = [
-    *[(f"compiled_{engine}_snapshot.json", ("snapshot",), XPathStream.restore,
+    *[(name, ("snapshot",), XPathStream.restore,
        {"compiled", "emission"}, [(("sink",), {"results"})])
-      for engine in ("branchm", "twigm")],
+      for name in ("compiled_branchm_snapshot.json", "compiled_twigm_snapshot.json",
+                   "pathm_stream_snapshot.json")],
     *[(name, ("snapshot",), MultiQueryEngine.restore, {"compiled", "stats"},
        [(("queries", 0), {"tracked", "emission"}), (("units", 0), {"virgin"}),
         (("stats",), set())])
@@ -476,6 +502,7 @@ def test_optional_keys_may_be_left_out(entry):
 BAD_VALUES = {
     "compiled_branchm_snapshot": (("policy",), "bogus"),
     "compiled_twigm_snapshot": (("engine",), "bogus"),
+    "pathm_stream_snapshot": (("machine", "stacks"), 5),
     "compiled_multiq_snapshot": (("units", 0, "queries"), ["nobody"]),
     "multiq_plain_snapshot": (("stats", "events"), None),
     "multiq_earliest_snapshot": (("queries", 0, "query"), None),

@@ -241,7 +241,7 @@ class TestLateQueryCatchUp:
             tmp_path, text, initial, "late", "//a//b", cut=cut
         )
         reference = MultiQueryEngine({**initial, "late": "//a//b"})
-        assert engine.results() == reference.evaluate_push(text)
+        assert engine.results() == reference.evaluate(text)
         # position counts all durable events; replayed may be fewer
         # (segments dead to the late query's interest are skipped).
         assert result.position >= result.events_replayed
@@ -257,7 +257,7 @@ class TestLateQueryCatchUp:
         reference = MultiQueryEngine(
             {"keep": "//title", "late": "//book[price < 30]/title"}
         )
-        assert engine.results() == reference.evaluate_push(text)
+        assert engine.results() == reference.evaluate(text)
 
     def test_selective_backfill_skips_history(self, tmp_path):
         bulk = "".join(f"<b><t>x{i}</t></b>" for i in range(200))
@@ -266,7 +266,7 @@ class TestLateQueryCatchUp:
             tmp_path, text, {"all": "//t"}, "late", "//zone/q", cut=0.6
         )
         reference = MultiQueryEngine({"all": "//t", "late": "//zone/q"})
-        assert engine.results() == reference.evaluate_push(text)
+        assert engine.results() == reference.evaluate(text)
         assert result.stats.segments_skipped > 0
         assert result.events_replayed < result.position
 
@@ -284,7 +284,7 @@ class TestLateQueryCatchUp:
         assert engine.registration("late").unit is not shared
         assert engine.engine_names()["late"] == "dfa"
         reference = MultiQueryEngine({**initial, "late": "//book//title"})
-        assert engine.results() == reference.evaluate_push(text)
+        assert engine.results() == reference.evaluate(text)
 
     def test_attach_warm_duplicate_name_rejected(self, tmp_path):
         text = random_document(5)
@@ -300,7 +300,7 @@ class TestLateQueryCatchUp:
         reference = MultiQueryEngine({"keep": "//title"})
         reference.add_query("late", "//a//b",
                             limits=ResourceLimits(max_total_events=10**6))
-        assert engine.results() == reference.evaluate_push(text)
+        assert engine.results() == reference.evaluate(text)
 
 
 class TestHostileLogLimits:

@@ -46,10 +46,10 @@ def _feed(face):
     return face.close()
 
 
-def test_compiled_path_stream_scans_every_chunk(expat_chunks):
-    expected = XPathStream("//a/b").evaluate(DOC)
+def test_path_stream_scans_every_chunk(expat_chunks):
+    expected = XPathStream("//a/b", engine="pathm").evaluate(DOC)
     expat_chunks.clear()
-    stream = XPathStream("//a/b", compiled=True)
+    stream = XPathStream("//a/b")
     assert stream.engine_name == "dfa"
     assert _feed(stream) == expected
     assert expat_chunks == _chunks()
@@ -65,13 +65,11 @@ def test_shared_path_multiq_scans_every_chunk(expat_chunks):
 
 
 @pytest.mark.parametrize("face", [
-    pytest.param(lambda: XPathStream("//a[d]/b", compiled=True),
-                 id="predicate-query"),
+    pytest.param(lambda: XPathStream("//a[d]/b"), id="predicate-query"),
     pytest.param(lambda: MultiQueryEngine({"b": "//a/b"},
                                           on_match=lambda *_: None),
                  id="callback-multiq"),
-    pytest.param(lambda: XPathStream("//a/b", compiled=True,
-                                     limits=ResourceLimits(max_depth=64)),
+    pytest.param(lambda: XPathStream("//a/b", limits=ResourceLimits(max_depth=64)),
                  id="limited-stream"),
     pytest.param(lambda: MultiQueryEngine({"b": "//a/b"},
                                           limits=ResourceLimits(max_depth=64)),
@@ -86,6 +84,6 @@ def test_strict_faces_parse_every_chunk_with_expat(expat_chunks, face):
 def test_lenient_face_never_reaches_expat(expat_chunks):
     expected = XPathStream("//a/b").evaluate(DOC)
     expat_chunks.clear()
-    stream = XPathStream("//a/b", compiled=True, policy="repair")
+    stream = XPathStream("//a/b", policy="repair")
     assert _feed(stream) == expected
     assert expat_chunks == []

@@ -32,7 +32,7 @@ class TestTee:
         assert right_texts == ["<c>x</c>", "<c>y</c>"]
 
     def test_results_match_solo_evaluation(self):
-        solo = SubstreamExtractor("//a").evaluate_push(DOC)
+        solo = SubstreamExtractor("//a").evaluate(DOC)
         teed = SubstreamExtractor("//a")
         fan = tee(teed)
         fan.feed_text(DOC, XmlTokenizer())

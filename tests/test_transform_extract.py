@@ -105,7 +105,7 @@ class TestStreamingChunks:
             "//book",
             on_fragment_events=lambda n, i, ev: captured.append(ev),
         )
-        extractor.evaluate_push(DOC)
+        extractor.evaluate(DOC)
         events = captured[0]
         assert events[0].level == 1
         assert events[0].node_id == 1
@@ -115,7 +115,7 @@ class TestStreamingChunks:
 class TestSnapshotRestore:
     def test_mid_fragment_snapshot_resumes_exactly(self):
         reference = SubstreamExtractor("//book", chunk_size=4)
-        expected = reference.evaluate_push(DOC)
+        expected = reference.evaluate(DOC)
 
         extractor = SubstreamExtractor("//book", chunk_size=4)
         cut = DOC.index("<price>29")  # inside the first book's subtree
@@ -128,7 +128,7 @@ class TestSnapshotRestore:
 
     def test_snapshot_preserves_counters(self):
         extractor = SubstreamExtractor("//title")
-        extractor.evaluate_push(DOC)
+        extractor.evaluate(DOC)
         blob = extractor.snapshot()
         restored = SubstreamExtractor.restore(blob)
         assert restored.fragment_counts == extractor.fragment_counts
@@ -167,7 +167,7 @@ class TestStoreReplay:
 
         path = str(tmp_path / "log")
         ingest(DOC, path)
-        direct = SubstreamExtractor("//book").evaluate_push(DOC)
+        direct = SubstreamExtractor("//book").evaluate(DOC)
         extractor = SubstreamExtractor("//book")
         replay_into(extractor, path, close=False)
         assert extractor.close() == direct

@@ -123,7 +123,7 @@ class TestPriority:
 
     def test_rules_fired_counts(self):
         engine = RewriteEngine([rename("//a", "z"), drop("//b")])
-        engine.evaluate_push("<r><a/><b/><a/></r>")
+        engine.evaluate("<r><a/><b/><a/></r>")
         assert engine.rules_fired == [2, 1]
 
 
@@ -186,7 +186,7 @@ class TestOutputHandler:
     def test_events_mode_renormalizes(self):
         collector = EventCollector()
         engine = RewriteEngine([drop("//book")], output=collector)
-        engine.evaluate_push(DOC)
+        engine.evaluate(DOC)
         events = collector.events
         # Levels and ids are recomputed for the transformed stream.
         starts = [e for e in events if hasattr(e, "node_id")]
@@ -198,7 +198,7 @@ class TestOutputHandler:
         chunks = []
         engine = RewriteEngine([drop("//book")], on_chunk=chunks.append,
                                chunk_size=4)
-        engine.evaluate_push(DOC)
+        engine.evaluate(DOC)
         assert "".join(chunks) == "<catalog><note>keep</note></catalog>"
 
 
@@ -207,7 +207,7 @@ class TestSnapshotRestore:
         rules = [drop('//book[title = "Second"]'), wrap("//note", "meta")]
         expected = RewriteEngine(
             [RewriteRule.from_spec(r.spec()) for r in rules]
-        ).evaluate_push(DOC)
+        ).evaluate(DOC)
 
         engine = RewriteEngine(rules)
         cut = DOC.index("<price>45")  # inside an undecided subtree
@@ -253,7 +253,7 @@ class TestValidation:
 
         engine = RewriteEngine([callback("//a", truncate)])
         with pytest.raises(TransformError):
-            engine.evaluate_push("<r><a>x</a></r>")
+            engine.evaluate("<r><a>x</a></r>")
 
     def test_truncated_input_detected(self):
         from repro.stream.events import StartElement
