@@ -31,7 +31,7 @@ Gates the acceptance properties of the ``repro.obs`` layer:
    the same samples the snapshot reports, and the JSON rendering loads.
 6. **The lazy DFA reports in** — a run of a predicate-free query (on
    the lazy DFA) with metrics populates the ``repro_compile_*``
-   families (DFA cache size, hit ratio, fallbacks) and returns unchanged
+   families (DFA cache size, hit ratio, cache clears) and returns unchanged
    solution ids; a predicated query populates ``repro_machine_*``; and
    a run *without* metrics must not touch the obs layer at all.
 
@@ -228,10 +228,12 @@ def _families(registry: MetricsRegistry) -> dict:
 #: Families a resumed run may legitimately report differently: the
 #: high-water mark of live entries, and the lazy DFA's transition-cache
 #: figures (the cache is not checkpointed, so a restored DFA misses again
-#: where the uninterrupted one hit; its starts and fallbacks still agree).
+#: where the uninterrupted one hit, and clears at other points; its
+#: starts still agree).
 PATH_DEPENDENT = {
     "repro_machine_peak_entries",
     "repro_compile_dfa_misses_total",
+    "repro_compile_dfa_clears_total",
     "repro_compile_dfa_states",
     "repro_compile_dfa_transitions",
     "repro_compile_hit_ratio",
@@ -340,7 +342,7 @@ def check_dfa_metrics(corpus) -> list[str]:
         "repro_compile_dfa_starts_total",
         "repro_compile_dfa_misses_total",
         "repro_compile_hit_ratio",
-        "repro_compile_fallbacks_total",
+        "repro_compile_dfa_clears_total",
     ):
         if family not in rendered:
             failures.append(f"{family} absent after a lazy-DFA run")

@@ -3,8 +3,8 @@
 :class:`DfaPathM` evaluates predicate-free XP{/,//,*} queries — the
 paper's PathM fragment — with an XMLTK-style lazily-determinised
 automaton: states materialise only for tag sequences that occur in the
-data, per-event work is one dict lookup, and a state-count cap falls
-back to interpreted PathM when wildcard blow-up threatens.  One
+data, per-event work is one dict lookup, and the cache clears at a
+state-count cap when wildcard blow-up threatens.  One
 automaton may carry many queries (members): its NFA (:class:`PathTrie`)
 merges their trunks into one prefix trie, YFilter-style.  Every other
 query runs on BranchM or TwigM (:mod:`repro.core`).
@@ -14,8 +14,8 @@ Every front door runs predicate-free queries here:
 :class:`DfaPathM`, and :class:`~repro.multiq.MultiQueryEngine` makes
 every unlimited predicate-free query a member of one shared
 :class:`DfaPathM`.  PathM itself runs only when named
-(``engine="pathm"``), as the state-cap fallback, or when a capture that
-names it is restored.  The
+(``engine="pathm"``), or when a capture that names it (or that an
+earlier release's DFA wrote after swapping to it) is restored.  The
 figure-7/8 baseline (``repro.baselines.lazydfa``) steps the same
 :class:`PathTrie`, so the stand-in and the production cache cannot
 drift.

@@ -27,13 +27,14 @@ tags, and a machine started mid-document treats the ancestors it never
 saw as gaps — which is what a cold PathM's level arithmetic does with
 them.
 
-**State-cap fallback.**  '*'-heavy queries can blow up the subset
-construction (the paper's cited XMLTK weakness).  When materialising a
-state would exceed ``state_cap``, the engine builds one interpreted
-PathM per member, replays the currently-open element path into each
-(emission suppressed — those solutions were already output when the
-elements opened), and delegates every subsequent event.  The swap is
-invisible to the caller.
+**State cap.**  '*'-heavy queries can blow up the subset construction
+(the paper's cited XMLTK weakness).  When materialising a state would
+exceed ``state_cap``, the engine clears its cache (the bound Green et
+al.'s lazy DFA keeps): it drops every state and cached transition,
+re-interns the states of the open levels, and goes on.  At most
+``state_cap`` + R + 1 states are live (R the document depth), and a
+miss after a clear costs one :meth:`~repro.compile.nfa.PathTrie.step`,
+as before it.
 
 Snapshots store the member list and the NFA configuration (sorted
 position lists per open level, and the open tags), never the transition
@@ -43,23 +44,23 @@ not checkpointed state.
 
 from __future__ import annotations
 
+from repro.checkpoint import read_fields
 from repro.compile.nfa import GAP, PathTrie, trunk_steps
 from repro.core.machine import Machine, build_machine
-from repro.core.pathm import PathM
 from repro.core.push import EventDriven
-from repro.core.results import CollectingSink, CountingSink, ResultSink
+from repro.core.results import CollectingSink, ResultSink
 from repro.errors import CheckpointError
 from repro.stream.recovery import ResourceLimits
 from repro.xpath.querytree import QueryTree, compile_query
 
-#: Default ceiling on materialised DFA states before falling back to
-#: interpreted PathM.  Real predicate-free queries build a handful of
-#: states per trunk step; hundreds signal wildcard blow-up.
+#: Default ceiling on materialised DFA states before the cache is
+#: cleared.  Real predicate-free queries build a handful of states per
+#: trunk step; hundreds signal wildcard blow-up.
 DEFAULT_STATE_CAP = 512
 
 
 class _Trunk:
-    """One member: its machine (for the PathM fallback), trunk and sink."""
+    """One member: its machine, trunk and sink."""
 
     __slots__ = ("machine", "steps", "sink", "accept")
 
@@ -113,7 +114,7 @@ class _DfaState(_Fanout):
 
 
 class DfaPathM(EventDriven):
-    """Lazy-DFA evaluator for XP{/,//,*} with interpreted-PathM fallback.
+    """Lazy-DFA evaluator for XP{/,//,*}, its cache bounded by ``state_cap``.
 
     Drop-in for :class:`~repro.core.pathm.PathM`: same constructor
     shape, same sink/limits/handler protocol, interchangeable solutions.
@@ -146,16 +147,15 @@ class DfaPathM(EventDriven):
         self._nfa = PathTrie()
         self._accept_mask = 0
         self._accepts: dict[int, object] = {}
-        #: Open-element tags, maintained so a mid-document cap trip can
-        #: replay the path into the interpreted fallback machines, and
-        #: a membership change into the recompiled automaton.
+        #: The open levels' states (the initial state's first) and the
+        #: open tags, which a membership change replays.  Both change
+        #: only in place: a parser stepping inline holds them.
+        self._state_stack: list[_DfaState] = []
         self._tags: list[str] = []
-        #: Interpreted PathM delegates (one per member) after a cap trip.
-        self._fallback: list[PathM] | None = None
         # Lifetime counters (survive reset/restore; metrics semantics).
         self._starts = 0
         self._misses = 0
-        self._fallbacks = 0
+        self._clears = 0
         self.add_member(query, sink if sink is not None else CollectingSink())
 
     # -- introspection ----------------------------------------------------
@@ -171,6 +171,11 @@ class DfaPathM(EventDriven):
         return self._trunks[0].sink
 
     @property
+    def state_cap(self) -> int:
+        """The materialised-state ceiling past which the cache clears."""
+        return self._state_cap
+
+    @property
     def dfa_state_count(self) -> int:
         """Distinct DFA states currently materialised."""
         return self._states
@@ -180,11 +185,6 @@ class DfaPathM(EventDriven):
         """Cached transitions currently materialised."""
         return sum(len(state.trans) for state in self._index.values())
 
-    @property
-    def fell_back(self) -> bool:
-        """True once the engine delegated to interpreted PathM."""
-        return self._fallback is not None
-
     # -- members ----------------------------------------------------------
 
     def add_member(self, query: "str | QueryTree | Machine", sink: ResultSink) -> Machine:
@@ -192,8 +192,6 @@ class DfaPathM(EventDriven):
         machine.  The member evaluates as if present since the document
         start, so cold-start callers add members before the first event.
         """
-        if self._fallback is not None:
-            raise ValueError("cannot add a member after the PathM fallback")
         if isinstance(query, Machine):
             machine = query
         else:
@@ -216,9 +214,6 @@ class DfaPathM(EventDriven):
         if len(self._trunks) == 1:
             raise ValueError("a DfaPathM keeps at least one member")
         del self._trunks[index]
-        if self._fallback is not None:
-            del self._fallback[index]
-            return
         self._nfa = PathTrie()
         self._accept_mask = 0
         self._accepts = {}
@@ -245,22 +240,27 @@ class DfaPathM(EventDriven):
         #: provisional ones, ``_states`` in all.
         self._index: dict[int, _DfaState] = {}
         self._states = 0
-        self._initial = self._state_for(self._nfa.initial)
         self._replay(self._tags)
 
     def _replay(self, tags: list[str]) -> None:
         """Drive the automaton from its initial state down ``tags`` (no
         emission; the states are interned, no transition is cached)."""
-        self._tags = list(tags)
-        stack = [self._initial]
+        stack = [self._state_for(self._nfa.initial)]
         for tag in tags:
-            positions = self._nfa.step(stack[-1].positions, tag)
-            if positions not in self._index and self._states >= self._state_cap:
-                self._state_stack = [self._initial]
-                self._fall_back()
-                return
-            stack.append(self._state_for(positions))
-        self._state_stack = stack
+            stack.append(self._state_for(self._nfa.step(stack[-1].positions, tag)))
+        self._state_stack[:] = stack
+        self._tags[:] = tags
+
+    def _clear(self) -> _DfaState:
+        """Drop every state and cached transition but the open levels'
+        (re-interned: at most R + 1); returns the new top of the stack."""
+        self._clears += 1
+        levels = self._stack_positions()
+        self._index = {}
+        self._states = 0
+        stack = self._state_stack
+        stack[:] = map(self._state_for, levels)
+        return stack[-1]
 
     def _state_for(self, positions: int) -> _DfaState:
         state = self._index.get(positions)
@@ -275,9 +275,10 @@ class DfaPathM(EventDriven):
             return ()
         return tuple(emit for bit, emit in self._accepts.items() if bit & accepting)
 
-    def _materialize(self, state: _DfaState, tag: str) -> "_DfaState | None":
+    def _materialize(self, state: _DfaState, tag: str) -> _DfaState:
         """Build and cache ``δ(state, tag)`` for the state on top of the
-        stack; None when the cap trips.  The new state is provisional."""
+        stack, clearing the cache first when a new state would pass the
+        cap.  The new state is provisional."""
         self._misses += 1
         if state.positions is None:
             state = self._intern(state)
@@ -288,7 +289,7 @@ class DfaPathM(EventDriven):
         nxt = self._index.get(positions)
         if nxt is None:
             if self._states >= self._state_cap:
-                return None
+                state = self._clear()
             self._states += 1
             nxt = _DfaState(None, self._emits(positions))
         if state.trans is _NO_TRANS:
@@ -312,98 +313,56 @@ class DfaPathM(EventDriven):
         self._states -= 1
         return found
 
-    def _align(self, depth: int) -> bool:
+    def _align(self, depth: int) -> None:
         """Bring the stack to ``depth`` open levels: cut it back, or pad
         the levels this machine was not shown by stepping on
-        :data:`~repro.compile.nfa.GAP`.  False when padding trips the
-        state cap (the machine has fallen back)."""
+        :data:`~repro.compile.nfa.GAP`."""
         stack, tags = self._state_stack, self._tags
         if len(stack) > depth:
             del stack[depth + 1:]
             del tags[depth:]
         while len(stack) <= depth:
             state = stack[-1]
-            nxt = state.trans.get(GAP) or self._materialize(state, GAP)
-            if nxt is None:
-                self._fall_back()
-                return False
-            stack.append(nxt)
+            stack.append(state.trans.get(GAP) or self._materialize(state, GAP))
             tags.append(GAP)
-        return True
-
-    def _fall_back(self) -> list[PathM]:
-        """Swap in one interpreted PathM per member, replaying the
-        open-element path.
-
-        PathM only emits at start events, and every open element's start
-        already happened (and emitted, if it qualified), so the replay
-        drives a throwaway counting sink; the real sink is re-attached
-        before live events resume.
-        """
-        self._fallbacks += 1
-        machines = []
-        for trunk in self._trunks:
-            machine = PathM(trunk.machine, sink=CountingSink(), limits=self._limits)
-            for depth, tag in enumerate(self._tags, start=1):
-                machine.start_element(tag, depth, 0)
-            machine.sink = trunk.sink
-            machine._event_count = self._event_count
-            machines.append(machine)
-        self._fallback = machines
-        self._tags = []
-        return machines
 
     # -- transitions ------------------------------------------------------
 
     def start_element(self, tag: str, level: int, node_id: int, attributes=None) -> None:
-        fallback = self._fallback
-        if fallback is None:
-            if self._limits is not None:
-                self._limits.check("max_depth", level)
-            stack = self._state_stack
-            if level == len(stack) or self._align(level - 1):
-                self._starts += 1
-                state = stack[-1]
-                nxt = state.trans.get(tag)
-                if nxt is None:
-                    nxt = self._materialize(state, tag)
-                if nxt is not None:
-                    stack.append(nxt)
-                    self._tags.append(tag)
-                    fire = nxt.fire
-                    if fire is not None:
-                        fire(node_id)
-                    return
-            fallback = self._fallback or self._fall_back()
-        for machine in fallback:
-            machine.start_element(tag, level, node_id, attributes)
+        if self._limits is not None:
+            self._limits.check("max_depth", level)
+        stack = self._state_stack
+        if level != len(stack):
+            self._align(level - 1)
+        self._starts += 1
+        state = stack[-1]
+        nxt = state.trans.get(tag) or self._materialize(state, tag)
+        stack.append(nxt)
+        self._tags.append(tag)
+        fire = nxt.fire
+        if fire is not None:
+            fire(node_id)
 
     def characters(self, text: str, level: int | None = None) -> None:
         """No-op: character data carries no information for path queries."""
 
     def end_element(self, tag: str, level: int) -> None:
-        fallback = self._fallback
-        if fallback is None:
-            stack = self._state_stack
-            if level == len(stack) - 1 and level:
-                stack.pop()
-                self._tags.pop()
-            elif 0 < level < len(stack):
-                # Deeper levels were opened by starts whose ends were
-                # not delivered.
-                del stack[level:]
-                del self._tags[level - 1:]
-            return
-        for machine in fallback:
-            machine.end_element(tag, level)
+        stack = self._state_stack
+        if level == len(stack) - 1 and level:
+            stack.pop()
+            self._tags.pop()
+        elif 0 < level < len(stack):
+            # Deeper levels were opened by starts whose ends were not
+            # delivered.
+            del stack[level:]
+            del self._tags[level - 1:]
 
     # -- lifecycle --------------------------------------------------------
 
     def reset(self) -> None:
         """Clear runtime state for a fresh run (transition cache kept)."""
-        self._state_stack = [self._initial]
-        self._tags = []
-        self._fallback = None
+        del self._state_stack[1:]
+        self._tags.clear()
         self._event_count = 0
 
     # -- checkpointing ----------------------------------------------------
@@ -424,7 +383,7 @@ class DfaPathM(EventDriven):
     def snapshot_state(self) -> dict:
         """JSON-serializable members and NFA configuration (the cache is
         rebuilt lazily)."""
-        state = {
+        return {
             "members": self._sources(),
             "dfa": {
                 "stack": [[position for position in range(len(self._nfa))
@@ -433,16 +392,12 @@ class DfaPathM(EventDriven):
                 "tags": list(self._tags),
             },
             "event_count": self._event_count,
-            "fallen": self._fallback is not None,
             "counters": {
                 "starts": self._starts,
                 "misses": self._misses,
-                "fallbacks": self._fallbacks,
+                "clears": self._clears,
             },
         }
-        if self._fallback is not None:
-            state["fallback"] = [machine.snapshot_state() for machine in self._fallback]
-        return state
 
     def restore_state(self, state: dict) -> None:
         """Restore a :meth:`snapshot_state` capture onto the same members.
@@ -450,68 +405,84 @@ class DfaPathM(EventDriven):
         A capture without ``members`` was written by a one-query engine;
         it restores onto any number of members running that same query
         (the per-query release shared one engine between duplicates).
+        A capture that says ``fallen`` holds PathM stacks, not the DFA's
+        configuration (:func:`fallen_pathm_states`), and is refused.
         """
-        try:
-            members = state.get("members")
-            if members is not None and members != self._sources():
-                raise CheckpointError(
-                    f"DFA snapshot for members {members!r} restored onto "
-                    f"{self._sources()!r}"
-                )
-            dfa = state["dfa"]
-            counters = state.get("counters", {})
-            self._starts = counters.get("starts", 0)
-            self._misses = counters.get("misses", 0)
-            self._fallbacks = counters.get("fallbacks", 0)
-            self._event_count = state.get("event_count", 0)
-            self._fallback = None
-            if state.get("fallen"):
-                fallback = state["fallback"]
-                if isinstance(fallback, dict):
-                    fallback = [fallback] * len(self._trunks)
-                if len(fallback) != len(self._trunks):
-                    raise CheckpointError(
-                        f"DFA snapshot has {len(fallback)} fallback machines "
-                        f"for {len(self._trunks)} members"
-                    )
-                machines = []
-                for trunk, machine_state in zip(self._trunks, fallback):
-                    machine = PathM(trunk.machine, sink=trunk.sink, limits=self._limits)
-                    machine.restore_state(machine_state)
-                    machines.append(machine)
-                self._fallback = machines
-                self._state_stack = [self._initial]
-                self._tags = []
-                return
-            tags = list(dfa["tags"])
-            if len(dfa["stack"]) != len(tags) + 1:
-                raise CheckpointError(
-                    f"DFA snapshot has {len(dfa['stack'])} states for "
-                    f"{len(tags)} open elements"
-                )
-            # Replaying the open tags re-derives every member's positions,
-            # whatever NFA layout the capture was written under.
-            self._replay(tags)
-        except (KeyError, TypeError) as exc:
-            raise CheckpointError(f"malformed DFA snapshot: {exc}") from exc
+        state = read_fields(
+            state, "DFA snapshot", required=("dfa",),
+            optional={"members": None, "counters": {}, "event_count": 0,
+                      "fallen": False},
+        )
+        if state["fallen"] is not False:
+            raise CheckpointError("a fallen DFA snapshot resumes on PathM, not the DFA")
+        members = state["members"]
+        if members is not None and members != self._sources():
+            raise CheckpointError(
+                f"DFA snapshot for members {members!r} restored onto "
+                f"{self._sources()!r}"
+            )
+        dfa = read_fields(state["dfa"], "DFA snapshot configuration",
+                          required=("stack", "tags"))
+        # ``fallbacks`` counted the PathM swaps of earlier releases.
+        counters = read_fields(
+            state["counters"], "DFA snapshot counters",
+            optional={"starts": 0, "misses": 0, "clears": 0, "fallbacks": 0},
+        )
+        tags = list(dfa["tags"])
+        if len(dfa["stack"]) != len(tags) + 1:
+            raise CheckpointError(
+                f"DFA snapshot has {len(dfa['stack'])} states for "
+                f"{len(tags)} open elements"
+            )
+        self._starts = int(counters["starts"])
+        self._misses = int(counters["misses"])
+        self._clears = int(counters["clears"])
+        self._event_count = int(state["event_count"])
+        # Replaying the open tags re-derives every member's positions,
+        # whatever NFA layout the capture was written under.
+        self._replay(tags)
 
     # -- event-stream driving ---------------------------------------------
 
     def inline_automaton(self):
         """``(states, tags, count_starts)`` for a parser that steps the
-        automaton itself, or None once it must see every event (limits,
-        or the interpreted fallback).
+        automaton itself, or None when it must see every event (limits).
 
         A step appends ``state.trans[tag]`` to ``states`` and the tag to
         ``tags``, and calls the state's ``fire`` (when not None) with the
         node id; an end pops both.  A tag with no cached transition goes
         through :meth:`start_element`.  The parser reports the starts it
-        stepped through ``count_starts``.  The stacks stay valid until
-        :meth:`reset`, a restore or a membership change.
+        stepped through ``count_starts``.  The engine changes both lists
+        only in place, so they stay valid for its lifetime.
         """
-        if self._limits is not None or self._fallback is not None:
+        if self._limits is not None:
             return None
         return self._state_stack, self._tags, self._count_starts
 
     def _count_starts(self, count: int) -> None:
         self._starts += count
+
+
+def fallen_pathm_states(state, members: int) -> "list[dict] | None":
+    """The PathM states, one per member, of a machine capture that says
+    ``fallen``; None for any other capture.
+
+    Earlier releases swapped one PathM per member in at the state cap.
+    Such captures hold their stacks (a one-query engine's as one dict,
+    for every member) and no open tags, so they resume on PathM.
+    """
+    if not state.get("fallen"):
+        return None
+    state = read_fields(
+        state, "fallen DFA snapshot", required=("fallen", "fallback"),
+        optional={"members": None, "dfa": None, "counters": None,
+                  "event_count": 0},
+    )
+    fallback = state["fallback"]
+    if isinstance(fallback, dict):
+        fallback = [fallback] * members
+    if not isinstance(fallback, list) or len(fallback) != members:
+        raise CheckpointError(
+            f"fallen DFA snapshot has no PathM state for each of {members} members"
+        )
+    return fallback

@@ -1,7 +1,7 @@
 """Observability for the compilation tiers: the ``repro_compile_*`` family.
 
 The lazy DFA (:class:`~repro.compile.dfa.DfaPathM`) keeps its cache
-counters anyway (``_starts``/``_misses``/``_fallbacks``, plus the live
+counters anyway (``_starts``/``_misses``/``_clears``, plus the live
 state and transition counts); :func:`~repro.core.machine.engine_figures`
 reads them, and the front door's collector publishes them with the
 ``repro_machine_*`` families (:mod:`repro.obs.machines`) when the
@@ -17,8 +17,7 @@ Families (all labelled ``engine="dfa"``):
   constructions performed);
 * ``repro_compile_hit_ratio`` — ``1 - misses/starts``, the fraction of
   start events resolved by one dict lookup;
-* ``repro_compile_fallbacks_total`` — swaps to interpreted PathM
-  (state-cap trips and mid-stream misalignments).
+* ``repro_compile_dfa_clears_total`` — cache clears at the state cap.
 """
 
 from __future__ import annotations
@@ -35,8 +34,8 @@ COMPILE_FAMILIES = {
                    "Start events evaluated by the lazy-DFA loop."),
     "dfa_misses": ("repro_compile_dfa_misses_total", "counter",
                    "Transition-cache misses (subset constructions performed)."),
-    "dfa_fallbacks": ("repro_compile_fallbacks_total", "counter",
-                      "Swaps from the DFA to interpreted PathM (cap or misalignment)."),
+    "dfa_clears": ("repro_compile_dfa_clears_total", "counter",
+                   "Transition-cache clears at the DFA state cap."),
 }
 
 

@@ -355,7 +355,7 @@ def _ancestors_predicate_free(return_node: MachineNode) -> bool:
 #: took with it into retired totals, so published counters never go down.
 CUMULATIVE_FIGURES = (
     "events", "pushes", "pops", "emitted",
-    "dfa_starts", "dfa_misses", "dfa_fallbacks",
+    "dfa_starts", "dfa_misses", "dfa_clears",
 )
 
 
@@ -373,7 +373,7 @@ def engine_figures(engine) -> dict[str, int]:
         return {
             "dfa_starts": engine._starts,
             "dfa_misses": engine._misses,
-            "dfa_fallbacks": engine._fallbacks,
+            "dfa_clears": engine._clears,
             "dfa_states": engine.dfa_state_count,
             "dfa_transitions": engine.dfa_transition_count,
         }

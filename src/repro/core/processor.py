@@ -9,8 +9,8 @@ the cheapest machine that handles it:
 
 Predicate-free queries run on the lazy DFA, which evaluates the paper's
 PathM (section 3.1) with one transition lookup per start tag.  PathM
-itself runs only when named (``engine="pathm"``), as the DFA's
-state-cap fallback, or when a capture that names it is restored.
+itself runs only when named (``engine="pathm"``), or when a capture that
+names it, or a fallen DFA capture, is restored.
 
 The evaluator is fed from any event source accepted by
 :func:`repro.stream.tokenizer.events_from` — an XML string, a file path,
@@ -46,7 +46,7 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 from repro.checkpoint import read_envelope, read_fields, restoring
-from repro.compile.dfa import DfaPathM
+from repro.compile.dfa import DEFAULT_STATE_CAP, DfaPathM, fallen_pathm_states
 from repro.core.branchm import BranchM
 from repro.core.machine import engine_figures
 from repro.core.pathm import PathM
@@ -157,8 +157,8 @@ class XPathStream(TextFeed):
         keyword is accepted for callers written when it selected it.
     state_cap:
         Optional override for the lazy DFA's materialised-state ceiling
-        (default :data:`repro.compile.DEFAULT_STATE_CAP`); past it the
-        engine falls back to interpreted PathM mid-stream.
+        (default :data:`repro.compile.DEFAULT_STATE_CAP`); at it the
+        engine clears its cache and goes on.  Snapshots record it.
     emission:
         ``"default"`` (the paper's buffering) or ``"earliest"`` — flush
         each result at the first event where it is provable (same result
@@ -305,7 +305,8 @@ class XPathStream(TextFeed):
         counter), so ``restore`` resumes bit-exactly.  Everything in it is
         JSON-serializable; persist it however suits the deployment.
         Once a document has finished, ``"retired"`` carries the events
-        and emissions of the finished ones (metrics totals).
+        and emissions of the finished ones (metrics totals).  A lazy-DFA
+        stream records its ``"state_cap"``.
         """
         snapshot = {
             "version": SNAPSHOT_VERSION,
@@ -318,6 +319,8 @@ class XPathStream(TextFeed):
             "machine": self.engine.snapshot_state(),
             "sink": self._sink.snapshot_state(),
         }
+        if isinstance(self.engine, DfaPathM):
+            snapshot["state_cap"] = self.engine.state_cap
         if any(self._retired.values()):
             snapshot["retired"] = dict(self._retired)
         return snapshot
@@ -337,7 +340,8 @@ class XPathStream(TextFeed):
         fire ``on_match`` again.  Passing ``metrics`` resumes with
         instrumentation: cumulative counters carried in the snapshot are
         re-published, so the registry of a resumed stream reports the
-        same totals as an uninterrupted run.
+        same totals as an uninterrupted run.  A fallen lazy-DFA capture
+        resumes on PathM (:func:`~repro.compile.dfa.fallen_pathm_states`).
         """
         snapshot = read_envelope(
             snapshot, "snapshot", SNAPSHOT_VERSION,
@@ -345,20 +349,25 @@ class XPathStream(TextFeed):
                       "machine", "sink"),
             # ``compiled`` is written by older releases and ignored.
             optional={"compiled": False, "emission": "default",
+                      "state_cap": DEFAULT_STATE_CAP,
                       "retired": {"events": 0, "emitted": 0}},
         )
         with restoring("snapshot"):
+            engine, machine = snapshot["engine"], snapshot["machine"]
+            if fallen := fallen_pathm_states(machine, 1):
+                engine, (machine,) = "pathm", fallen
             stream = cls(
                 snapshot["query"],
                 on_match=on_match,
-                engine=snapshot["engine"],
+                engine=engine,
                 policy=snapshot["policy"],
                 on_diagnostic=on_diagnostic,
                 limits=ResourceLimits.from_dict(snapshot["limits"]),
                 metrics=metrics,
                 emission=snapshot["emission"],
+                state_cap=snapshot["state_cap"],
             )
-            stream.engine.restore_state(snapshot["machine"])
+            stream.engine.restore_state(machine)
             stream._sink.restore_state(snapshot["sink"])
             if not stream.engine.epoch_open:
                 # Older captures keep every id ever emitted in ``seen``.

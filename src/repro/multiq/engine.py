@@ -48,6 +48,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 from repro.checkpoint import read_envelope, read_fields, restoring
+from repro.compile.dfa import fallen_pathm_states
 from repro.core.machine import CUMULATIVE_FIGURES
 from repro.core.results import CallbackSink, CollectingSink, ResultSink
 from repro.core.textfeed import TextFeed
@@ -688,7 +689,9 @@ class MultiQueryEngine(TextFeed):
                                 required=("events", "dispatched", "broadcast"),
                                 optional={"retired": {}})
             engine._retired = {
-                str(kind): {str(field): int(value) for field, value in figures.items()}
+                # Earlier releases also retired ``dfa_fallbacks`` (PathM swaps).
+                str(kind): {str(field): int(value) for field, value in figures.items()
+                            if field != "dfa_fallbacks"}
                 for kind, figures in stats["retired"].items()
             }
             engine._events = engine._settled_events = int(stats["events"])
@@ -732,8 +735,9 @@ class MultiQueryEngine(TextFeed):
         the listed order, so the captured member masks keep their
         slots).  Captures from
         the release that ran one DFA unit per path query have no member
-        lists; their units still on the DFA at one open tag path fold
-        into one shared unit, and fallen ones keep their PathMs.
+        lists; their units at one open tag path fold into one shared
+        unit, and fallen ones (:func:`~repro.compile.dfa.fallen_pathm_states`)
+        resume as one PathM unit per member.
         """
         from repro.multiq.canon import canonicalize
         from repro.xpath.querytree import compile_query
@@ -749,12 +753,7 @@ class MultiQueryEngine(TextFeed):
         pending: dict[str, tuple[Registration, bool]] = {}
         # Legacy DFA units folded together, keyed by their open tag path.
         folded: dict[tuple[str, ...], SharedPathUnit] = {}
-        for unit_payload in snapshot["units"]:
-            unit_payload = read_fields(
-                unit_payload, "multiq unit entry",
-                required=("queries", "engine", "machine", "sinks"),
-                optional={"virgin": False, "shape": False, "events": 0},
-            )
+        for unit_payload in _unit_payloads(snapshot["units"]):
             members = unit_payload["queries"]
             if not members:
                 raise CheckpointError("multiq snapshot unit with no queries")
@@ -775,7 +774,7 @@ class MultiQueryEngine(TextFeed):
             machine = unit_payload["machine"]
             shared = unit_payload["engine"] == "dfa" and limits is None
             fold_key = None
-            if shared and "members" not in machine and not machine.get("fallen"):
+            if shared and "members" not in machine:
                 fold_key = tuple(machine["dfa"]["tags"])
             unit = folded.get(fold_key)
             new_unit = unit is None
@@ -861,6 +860,25 @@ class MultiQueryEngine(TextFeed):
         if callback and self._on_match is None:
             return CallbackSink(_noop)
         return self._make_sink(name, None) if callback else CollectingSink()
+
+
+def _unit_payloads(units) -> Iterable[dict]:
+    """A capture's unit entries, read; a fallen DFA unit reads as one
+    PathM unit per member."""
+    for payload in units:
+        payload = read_fields(
+            payload, "multiq unit entry",
+            required=("queries", "engine", "machine", "sinks"),
+            optional={"virgin": False, "shape": False, "events": 0},
+        )
+        members = payload["queries"]
+        fallen = fallen_pathm_states(payload["machine"], len(members))
+        if fallen is None:
+            yield payload
+            continue
+        for member, state in zip(members, fallen):
+            yield {**payload, "queries": [member], "engine": "pathm",
+                   "machine": state, "sinks": {member: payload["sinks"][member]}}
 
 
 def _unit_payload(unit: EvalUnit) -> dict:

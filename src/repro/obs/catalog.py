@@ -73,12 +73,12 @@ METRIC_FAMILIES: dict[str, str] = {
     "repro_transform_output_bytes_total": "repro.transform.rewrite",
     "repro_transform_rules_fired_total": "repro.transform.rewrite",
     # -- lazy-DFA tier ----------------------------------------------------
-    "repro_compile_fallbacks_total": "repro.compile",
     "repro_compile_hit_ratio": "repro.compile",
     "repro_compile_dfa_states": "repro.compile",
     "repro_compile_dfa_transitions": "repro.compile",
     "repro_compile_dfa_starts_total": "repro.compile",
     "repro_compile_dfa_misses_total": "repro.compile",
+    "repro_compile_dfa_clears_total": "repro.compile",
     # -- decision-lag instrumentation ------------------------------------
     "repro_latency_decision_lag_events": "repro.latency",
     "repro_latency_decision_lag_bytes": "repro.latency",

@@ -975,7 +975,7 @@ class XmlTokenizer:
         # The text flush is written out in both callbacks: it runs on
         # most events, and a call per event is a measurable share here.
         def start(tag, attributes) -> None:
-            nonlocal next_id, characters, inline, steps
+            nonlocal next_id, characters, steps
             if parts:
                 text = "".join(parts)
                 parts.clear()
@@ -995,10 +995,6 @@ class XmlTokenizer:
                     if state.fire is not None:
                         state.fire(node_id)
                     return
-                on_start(tag, len(stack), node_id, attributes)
-                # The miss may have tripped the automaton's fallback.
-                inline = handler.inline_automaton() is not None
-                return
             on_start(tag, len(stack), node_id, attributes)
 
         def end(_tag) -> None:

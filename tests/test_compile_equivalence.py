@@ -5,7 +5,7 @@ under test is that for every query class the default engines are
 **bit-for-bit** equivalent to the paper's machines (PathM for
 predicate-free queries, named with ``engine="pathm"``) — same solution
 ids, same order — across 200+ seeded documents, mid-stream
-checkpointing, state-cap fallback, and multiq live add/remove.
+checkpointing, cache clears at the state cap, and multiq live add/remove.
 
 Documents are produced by a deterministic seeded generator (no
 Hypothesis shrinking here: the point is breadth at a fixed, replayable
@@ -19,6 +19,7 @@ import random
 import pytest
 
 from repro.bench.hotpath import reference_events
+from repro.compile import DEFAULT_STATE_CAP
 from repro.core.processor import XPathStream
 from repro.multiq import MultiQueryEngine
 from repro.stream.recovery import ResourceLimits
@@ -184,12 +185,12 @@ def test_snapshot_has_no_dfa_transition_cache():
     assert resumed.push_handler().dfa_state_count <= len(machine["dfa"]["stack"])
 
 
-# -- state-cap fallback mid-document -----------------------------------------
+# -- cache clears at the state cap, mid-document ----------------------------
 
 
 @pytest.mark.parametrize("seed", range(0, 60, 3))
 @pytest.mark.parametrize("cap", (1, 2, 4))
-def test_state_cap_fallback_mid_document(seed, cap):
+def test_state_cap_clears_mid_document(seed, cap):
     doc = make_document(seed)
     for query in ("//*//*", "//a/*/b", "//*/c"):
         reference = _paper_stream(query).evaluate(doc)
@@ -197,21 +198,43 @@ def test_state_cap_fallback_mid_document(seed, cap):
         assert stream.evaluate(doc) == reference
 
 
-def test_state_cap_fallback_counts_and_survives_snapshot():
+def test_state_cap_clears_count_and_survive_snapshot():
     doc = make_document(7)
     query = "//*//*"
     reference = _paper_stream(query).evaluate(doc)
     stream = XPathStream(query, state_cap=1)
     cut = len(doc) // 3
     stream.feed_text(doc[:cut])
-    handler = stream.push_handler()
-    assert handler.fell_back
-    assert handler._fallbacks >= 1
-    snap = stream.snapshot()
-    assert snap["machine"]["fallen"] is True
+    clears = stream.push_handler()._clears
+    assert clears >= 1
+    snap = json.loads(json.dumps(stream.snapshot()))
+    assert snap["machine"]["counters"]["clears"] == clears
+    assert snap["state_cap"] == 1
+    assert "fallen" not in snap["machine"]
     resumed = XPathStream.restore(snap)
+    assert resumed.engine_name == "dfa"
     resumed.feed_text(doc[cut:])
     assert resumed.close() == reference
+
+
+def test_restored_stream_keeps_its_state_cap():
+    # Cut before the cache has ever cleared: the restored stream must
+    # still clear at its own cap, not the default one.
+    doc = "<r><a><b><c><d/></c></b></a></r>"
+    cut = doc.index("<a>")
+    stream = XPathStream("//*/*/d", state_cap=2)
+    stream.feed_text(doc[:cut])
+    assert stream.push_handler()._clears == 0
+    snap = json.loads(json.dumps(stream.snapshot()))
+    assert snap["state_cap"] == 2
+    resumed = XPathStream.restore(snap)
+    assert resumed.push_handler().state_cap == 2
+    resumed.feed_text(doc[cut:])
+    assert resumed.close() == _paper_stream("//*/*/d").evaluate(doc)
+    assert resumed.push_handler()._clears >= 1
+    # Captures from releases that did not record it get the default.
+    del snap["state_cap"]
+    assert XPathStream.restore(snap).push_handler().state_cap == DEFAULT_STATE_CAP
 
 
 # -- multiq: the shared DFA unit, dedup, live add/remove ---------------------

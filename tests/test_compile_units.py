@@ -2,7 +2,7 @@
 
 Complements the differential corpus (``test_compile_equivalence.py``)
 with white-box checks: NFA/subset-construction algebra, lazy-DFA cache
-behaviour and counters, state-cap and misalignment fallbacks, engine
+behaviour and counters, cache clears at the state cap, engine
 selection, lazy-DFA path queries over tricky markup, and the
 ``repro_compile_*`` metrics families.
 """
@@ -19,8 +19,10 @@ from repro.compile import (
 from repro.core.branchm import BranchM
 from repro.core.pathm import PathM
 from repro.core.processor import XPathStream
+from repro.core.results import CollectingSink
 from repro.core.twigm import TwigM
 from repro.errors import UnsupportedQueryError
+from repro.multiq import MultiQueryEngine
 from repro.obs.metrics import MetricsRegistry
 from repro.compile.nfa import GAP
 from repro.xpath.querytree import compile_query
@@ -91,8 +93,7 @@ DOC_EVENTS = [
 ]
 
 
-def _drive(machine, events=DOC_EVENTS):
-    next_id = 0
+def _drive(machine, events=DOC_EVENTS, next_id=0):
     for kind, tag, level in events:
         if kind == "s":
             machine.start_element(tag, level, next_id)
@@ -117,12 +118,36 @@ class TestDfaPathM:
         assert dfa._misses == misses_after_first
         assert dfa._starts > dfa._misses
 
-    def test_state_cap_falls_back_to_pathm(self):
+    @pytest.mark.parametrize("query", ["//a/b", "//*/b", "//a//*", "/r/*/b"])
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_state_cap_clears_the_cache(self, query, cap):
+        # Driven one event at a time: the live states never pass the cap
+        # plus the deepest level opened so far (R) plus one.
+        dfa = DfaPathM(query, state_cap=cap)
+        deepest = 0
+        for index, (_kind, _tag, level) in enumerate(DOC_EVENTS):
+            starts = sum(event[0] == "s" for event in DOC_EVENTS[:index])
+            _drive(dfa, DOC_EVENTS[index:index + 1], starts)
+            deepest = max(deepest, level)
+            assert dfa.dfa_state_count <= cap + deepest + 1
+        assert dfa._clears >= 1
+        assert dfa.results == _drive(PathM(query)).results
+
+    def test_member_added_after_a_clear_evaluates_from_the_start(self):
+        # After <r><a><b/><c>, with the cache cleared on the way.
+        cut = 5
         dfa = DfaPathM("//a/b", state_cap=1)
-        _drive(dfa)
-        assert dfa.fell_back
-        assert dfa._fallbacks == 1
-        assert dfa.results == _drive(PathM("//a/b")).results
+        _drive(dfa, DOC_EVENTS[:cut])
+        assert dfa._clears >= 1
+        sinks = {query: CollectingSink() for query in ("//c/b", "//a//b", "/r/*/*/b")}
+        for query, sink in sinks.items():
+            dfa.add_member(query, sink)
+        first = sum(event[0] == "s" for event in DOC_EVENTS[:cut])
+        _drive(dfa, DOC_EVENTS[cut:], first)
+        for query, sink in sinks.items():
+            expected = [node for node in _drive(PathM(query)).results if node >= first]
+            assert expected, query
+            assert sink.results == expected, query
 
     def test_default_cap_is_generous(self):
         assert DfaPathM("//a/b")._state_cap == DEFAULT_STATE_CAP
@@ -141,7 +166,7 @@ class TestDfaPathM:
             ("e", "c", 2), ("s", "b", 2), ("e", "b", 2), ("e", "r", 1),
         ]
         dfa = _drive(DfaPathM(query), events)
-        assert not dfa.fell_back
+        assert not dfa._clears
         assert dfa.results == _drive(PathM(query), events).results
 
     def test_gapped_delivery_steps_only_named_tags(self):
@@ -262,7 +287,7 @@ class TestCompileMetrics:
             "repro_compile_dfa_starts_total",
             "repro_compile_dfa_misses_total",
             "repro_compile_hit_ratio",
-            "repro_compile_fallbacks_total",
+            "repro_compile_dfa_clears_total",
         ):
             assert family in rendered
 
@@ -279,13 +304,28 @@ class TestCompileMetrics:
         registry.collect()
         assert ratio.get(engine="dfa") > first
 
-    def test_fallback_counted(self):
+    def test_clears_counted(self):
         registry = MetricsRegistry()
         stream = XPathStream("//*/b", state_cap=1, metrics=registry)
         stream.evaluate("<r><a><b/></a></r>")
         registry.collect()
-        fallbacks = registry.get("repro_compile_fallbacks_total")
-        assert fallbacks.get(engine="dfa") >= 1
+        clears = registry.get("repro_compile_dfa_clears_total")
+        assert clears.get(engine="dfa") >= 1
+
+    def test_retired_fallbacks_of_earlier_captures_are_dropped(self):
+        # Earlier releases retired the PathM swaps of dropped DFA units.
+        engine = MultiQueryEngine({"p": "//a/b"})
+        engine.feed_text("<r><a>")
+        snap = engine.snapshot()
+        snap["stats"]["retired"] = {"dfa": {"dfa_starts": 3, "dfa_fallbacks": 1}}
+        registry = MetricsRegistry()
+        resumed = MultiQueryEngine.restore(snap, metrics=registry)
+        resumed.feed_text("<b/></a></r>")
+        assert resumed.close() == {"p": [3]}
+        registry.collect()
+        starts = resumed.registration("p").unit.engine._starts
+        assert registry.get("repro_compile_dfa_starts_total").get(engine="dfa") == 3 + starts
+        assert "repro_compile_fallbacks_total" not in registry.render_prometheus()
 
     def test_streams_sharing_a_registry_add_up(self):
         registry = MetricsRegistry()

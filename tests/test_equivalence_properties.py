@@ -124,14 +124,14 @@ def test_dispatched_engine_agrees_with_oracle(xml, query):
        state_cap=st.sampled_from([1, 2, None]))
 @example(xml="<a><b><a><b/></a></b></a>", query="//a/*", cuts=[3, 9],
          restore_at=1, state_cap=2)
-# The cap trips at <b> with <a> open: the fallback must replay <a>.
+# The cap trips at <b> with <a> open: the clear must keep <a>'s state.
 @example(xml="<a><b><c/></b></a>", query="//a/b/c", cuts=[],
          restore_at=1, state_cap=2)
 def test_default_path_stream_agrees_with_pathm_and_oracle(
         xml, query, cuts, restore_at, state_cap):
     """Predicate-free queries run on the lazy DFA by default.  Fed in
     random chunks, snapshotted and restored at one chunk boundary, and
-    with a state cap that may trip its PathM fallback, it confirms the
+    with a state cap at which it may clear its cache, it confirms the
     oracle's ids in document order, as PathM does."""
     expected = sorted(ORACLE.run(query, iter(parse_string(xml))))
     assert XPathStream(query, engine="pathm").evaluate(xml) == expected

@@ -20,6 +20,7 @@ from repro.core.results import CollectingSink
 from repro.errors import UnsupportedQueryError
 from repro.multiq import MultiQueryEngine
 from repro.multiq.registry import SharedPathUnit
+from repro.stream.events import StartElement
 from repro.stream.recovery import ResourceLimits
 from repro.stream.tokenizer import parse_string
 from repro.xpath.querytree import compile_query
@@ -221,10 +222,11 @@ def _wildcard_document(seed: int, depth: int = 10) -> str:
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_wildcard_fleet_trips_the_cap_and_stays_exact(seed):
+def test_wildcard_fleet_clears_at_the_cap_and_stays_exact(seed):
     """Hostile fleet: '*'-chains over a deep document blow up the subset
-    construction; the shared unit stops at the cap, falls back to one
-    PathM per member and still matches the oracle."""
+    construction; the shared unit clears its cache at the cap, never
+    holds more than the cap plus the deepest level so far plus one
+    states, and still matches the oracle."""
     rng = random.Random(seed)
     fleet = {
         f"w{i}": f"//{rng.choice('abcdefgh')}/*/*/*/{rng.choice('abcdefgh')}"
@@ -232,12 +234,17 @@ def test_wildcard_fleet_trips_the_cap_and_stays_exact(seed):
     }
     doc = _wildcard_document(seed)
     engine = MultiQueryEngine(fleet)
-    got = engine.evaluate(doc)
     dfa = shared_unit(engine).engine
-    assert dfa.fell_back
-    assert dfa.dfa_state_count <= DEFAULT_STATE_CAP
-    oracle = NavigationalDomEngine()
     events = list(parse_string(doc))
+    deepest = 0
+    for event in events:
+        engine.feed_events([event])
+        if isinstance(event, StartElement):
+            deepest = max(deepest, event.level)
+        assert dfa.dfa_state_count <= DEFAULT_STATE_CAP + deepest + 1
+    got = engine.close()
+    assert dfa._clears >= 1
+    oracle = NavigationalDomEngine()
     for name, query in fleet.items():
         expected = sorted(oracle.run(compile_query(query), iter(events)))
         assert sorted(got[name]) == expected, query

@@ -9,6 +9,10 @@ with exactly the ids of an uninterrupted run over the same document.
 predicate-free ``XPathStream`` queries on PathM unless ``compiled=True``
 was passed: it names PathM, so it resumes on PathM, and records the ids
 an uninterrupted run produced (``expected``).
+``dfa_fallen_stream_snapshot.json`` was written by the release whose
+lazy DFA swapped to one interpreted PathM per member at its state cap:
+its machine says ``fallen`` and holds PathM stacks, so it resumes on
+PathM.  It carries its own small document (``document``).
 
 The ``multiq_*`` captures and ``compiled_multiq_live_snapshot.json``
 were written by the release that ran one lazy-DFA unit per compiled
@@ -96,6 +100,23 @@ def test_pathm_stream_snapshot_resumes_on_pathm():
     assert _stated(live.snapshot()) == _stated(snapshot)
 
 
+def test_fallen_dfa_stream_snapshot_resumes_on_pathm():
+    """A ``//a/b`` stream with ``state_cap=1``, cut with an ``<a>`` open
+    whose ``<b>`` child arrives after the cut: only the PathM stacks the
+    capture holds know that ``<a>`` is open."""
+    golden = _load("dfa_fallen_stream_snapshot.json")
+    snapshot, cut, doc = golden["snapshot"], golden["cut"], golden["document"]
+    assert snapshot["engine"] == "dfa"
+    assert snapshot["machine"]["fallen"] is True
+    assert doc[cut:].startswith("<b/>")
+    resumed = XPathStream.restore(snapshot)
+    assert resumed.engine_name == "pathm"
+    resumed.feed_text(doc[cut:])
+    assert resumed.close() == golden["expected"] == [6]
+    for cap in (golden["state_cap"], None):
+        assert XPathStream(golden["query"], state_cap=cap).evaluate(doc) == [6]
+
+
 def test_compiled_multiq_snapshot_restores():
     golden = _load("compiled_multiq_snapshot.json")
     snapshot = golden["snapshot"]
@@ -136,6 +157,12 @@ def test_multiq_snapshot_restores(name, compiled):
     assert snapshot["compiled"] is compiled
     assert {q["emission"] for q in snapshot["queries"]} == {golden["emission"]}
     resumed = MultiQueryEngine.restore(snapshot)
+    fallen = [name for unit in snapshot["units"] if unit["machine"].get("fallen")
+              for name in unit["queries"]]
+    assert fallen == (["late"] if compiled else [])
+    for name in fallen:
+        # Its DFA unit had swapped to PathM: it resumes on PathM.
+        assert resumed.engine_names()[name] == "pathm"
     resumed.feed_text(DOC[golden["cut"]:])
     finished = resumed.close()
     assert all(finished.values())
@@ -368,9 +395,10 @@ def _resume_golden(name: str, golden: dict):
     """Resume ``golden`` from its cut; return (result, recorded result)."""
     cut = golden["cut"]
     if "query" in golden:
+        doc = golden.get("document", DOC)
         resumed = XPathStream.restore(golden["snapshot"])
-        resumed.feed_text(DOC[cut:])
-        return resumed.close(), XPathStream(golden["query"]).evaluate(DOC)
+        resumed.feed_text(doc[cut:])
+        return resumed.close(), XPathStream(golden["query"]).evaluate(doc)
     if name == "compiled_multiq_snapshot.json":
         resumed = MultiQueryEngine.restore(golden["snapshot"])
         resumed.feed_text(DOC[cut:])
@@ -403,19 +431,32 @@ def _resume_session(blob):
     return Session.resume(blob, ServeConfig(), lambda *r: None)
 
 
+#: The lazy DFA's nested state, read by ``DfaPathM.restore_state``, and a
+#: fallen one, read by ``fallen_pathm_states``, as (path, optional keys).
+DFA_MACHINE = {"members", "counters", "event_count", "fallen"}
+FALLEN_MACHINE = {"members", "dfa", "counters", "event_count"}
+
 #: (golden file, path to the envelope inside it, reader, optional keys,
 #: the plain dicts the reader checks itself as (path, optional keys)).
 FORMATS = [
     *[(name, ("snapshot",), XPathStream.restore,
-       {"compiled", "emission"}, [(("sink",), {"results"})])
+       {"compiled", "emission", "state_cap"}, [(("sink",), {"results"})])
       for name in ("compiled_branchm_snapshot.json", "compiled_twigm_snapshot.json",
                    "pathm_stream_snapshot.json")],
+    ("dfa_fallen_stream_snapshot.json", ("snapshot",), XPathStream.restore,
+     {"emission", "state_cap"},
+     [(("sink",), {"results"}), (("machine",), FALLEN_MACHINE)]),
     *[(name, ("snapshot",), MultiQueryEngine.restore, {"compiled", "stats"},
        [(("queries", 0), {"tracked", "emission"}), (("units", 0), {"virgin"}),
-        (("stats",), set())])
-      for name in ("compiled_multiq_snapshot.json", "multiq_plain_snapshot.json",
-                   "multiq_earliest_snapshot.json",
-                   "compiled_multiq_live_snapshot.json")],
+        (("stats",), set()), *machines])
+      for name, machines in (
+          ("compiled_multiq_snapshot.json", [(("units", 2, "machine"), DFA_MACHINE)]),
+          ("multiq_plain_snapshot.json", []),
+          ("multiq_earliest_snapshot.json", []),
+          ("compiled_multiq_live_snapshot.json",
+           [(("units", 0, "machine"), DFA_MACHINE),
+            (("units", 4, "machine"), FALLEN_MACHINE)]),
+      )],
     ("tokenizer_snapshot.json", ("snapshot",), XmlTokenizer.restore,
      {"bytes_fed"}, []),
     *[(f"session_{kind}_checkpoint.json", ("blob",), _resume_session, set(), [])
@@ -503,6 +544,7 @@ BAD_VALUES = {
     "compiled_branchm_snapshot": (("policy",), "bogus"),
     "compiled_twigm_snapshot": (("engine",), "bogus"),
     "pathm_stream_snapshot": (("machine", "stacks"), 5),
+    "dfa_fallen_stream_snapshot": (("machine", "fallback"), 5),
     "compiled_multiq_snapshot": (("units", 0, "queries"), ["nobody"]),
     "multiq_plain_snapshot": (("stats", "events"), None),
     "multiq_earliest_snapshot": (("queries", 0, "query"), None),
