@@ -1,19 +1,30 @@
-"""Value-shape TwigM: one machine for queries that differ only in a constant.
+"""Shape TwigM: one machine for queries that differ in one constant or label.
 
-Standing-query fleets repeat one predicate with many constants:
-``//person[initial < 660]``, ``//person[initial < 151]``, …  Each such
-query run alone is a TwigM whose machines are identical except for the
-literal of one value test.  :class:`ValueShapeTwigM` runs them all as
-*members* of one machine (YFilter's shared predicate evaluation, Diao
-et al., TODS 2003):
+Standing-query fleets repeat one pattern with many constants —
+``//person[initial < 660]``, ``//person[initial < 151]``, … — and with
+many branch labels — ``//open_auction[bidder]``,
+``//open_auction[reserve]``, …  Each such query run alone is a TwigM
+whose machines are identical except for one node, the *open node*: the
+literal of its one value test (a *value shape*), or the label of a
+branch leaf (a *label shape*).  :class:`ShapeTwigM` runs them all as
+*members* of one machine (YFilter's shared predicate and tree-pattern
+evaluation, Diao et al., TODS 2003):
 
-* when an entry of the value-tested node pops, its string value is
-  coerced once, exactly as :meth:`ValueTest.evaluate
-  <repro.xpath.querytree.ValueTest.evaluate>` does, and turned into a
-  **member bitmask** with one lookup (:class:`ConstantIndex`: a bisect
-  over the sorted constants for ``<``/``<=``/``>``/``>=``, a dict for
-  ``=``, its complement for ``!=``);
-* on the chain from the value node up to the *emitting node*, an entry's
+* when an entry of the open node pops, it is turned into a **member
+  bitmask** with one lookup.  A value shape coerces the entry's string
+  value once, exactly as :meth:`ValueTest.evaluate
+  <repro.xpath.querytree.ValueTest.evaluate>` does (:class:`ConstantIndex`:
+  a bisect over the sorted constants for ``<``/``<=``/``>``/``>=``, a
+  dict for ``=``, its complement for ``!=``); a label shape looks the
+  end tag up in a dict from member label to member mask;
+* a label shape's open node dispatches on the member labels, never on
+  the representative query's own label for it: each member label's plan
+  holds it where that member's own TwigM would.  When a member leaves
+  mid-element, its label's open entries are no longer popped at their
+  end tags; any later pop of the open node first drops entries deeper
+  than the closing element (their elements have closed), so they never
+  shadow a live entry and propagate nothing;
+* on the chain from the open node up to the *emitting node*, an entry's
   ``attr_bits`` word holds the OR of the masks its chain child
   delivered — the members for which that entry's match holds.  Chain
   nodes are conjunctive, so the word is otherwise unused, and captures
@@ -25,22 +36,29 @@ The OR is Algorithm 1's flag propagation run per member at once: a
 member's query is satisfied at a chain entry exactly when every other
 child flag is set and some chain-child entry was satisfied for it.
 
-**Scope** (:func:`shape_scope`): exactly one value-tested node, with one
-test; the emitting node — the return node of an eager machine, else the
-machine root — is the lowest common ancestor of the value node and the
-return node; every node on the chain between them is conjunctive.  The
-candidates then live only on the trunk, which meets the chain at the
-emitting node alone, so one candidate set serves every member.  The
-registry keeps everything else on per-query machines.
+**Scope** (:func:`shape_scope`): the open node is the one value-tested
+node, with one test, or, with no value test anywhere, the one machine
+node off the trunk, a concrete-labelled leaf without attribute test or
+condition; the emitting node — the return node of an eager machine,
+else the machine root — is the lowest common ancestor of the open node
+and the return node; every node on the chain between them is
+conjunctive.  The candidates then live only on the trunk, which meets
+the chain at the emitting node alone, so one candidate set serves every
+member.  The registry keeps everything else on per-query machines.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 
-from repro.core.machine import EDGE_EQ, Machine, MachineNode, build_machine
+from repro.core.machine import (
+    EDGE_EQ,
+    Machine,
+    MachineNode,
+    build_machine,
+)
 from repro.core.results import ResultSink
-from repro.core.twigm import StackEntry, TwigM
+from repro.core.twigm import TwigM
 from repro.errors import UnsupportedQueryError
 from repro.xpath.querytree import QueryTree
 
@@ -51,37 +69,53 @@ MASK_CACHE_LIMIT = 4096
 
 
 def shape_scope(machine: Machine) -> "tuple[MachineNode, MachineNode] | None":
-    """``(value node, emitting node)`` when ``machine`` may run members.
+    """``(open node, emitting node)`` when ``machine`` may run members.
 
-    ``None`` unless the machine has exactly one value-tested node with
-    one test, the emitting node is an ancestor-or-self of it and the
-    lowest common ancestor of it and the return node, and every node on
-    the chain between them is conjunctive (see the module docstring).
+    ``None`` unless the machine has an open node (its one value-tested
+    node, with one test, or with no value test its one off-trunk node,
+    a concrete-labelled leaf without attribute test or condition), the
+    emitting node is an ancestor-or-self of it and the lowest common
+    ancestor of it and the return node, and every node on the chain
+    between them is conjunctive (see the module docstring).
     """
-    if len(machine.value_nodes) != 1:
-        return None
-    value = machine.value_nodes[0]
-    if len(value.value_tests) != 1:
-        return None
+    if machine.value_nodes:
+        if len(machine.value_nodes) != 1:
+            return None
+        shaped = machine.value_nodes[0]
+        if len(shaped.value_tests) != 1:
+            return None
+    else:
+        trunk = set()
+        node = machine.return_node
+        while node is not None:
+            trunk.add(id(node))
+            node = node.parent
+        off = [node for node in machine.iter_nodes() if id(node) not in trunk]
+        if len(off) != 1:
+            return None
+        shaped = off[0]
+        if (shaped.children or shaped.label == "*" or shaped.attribute_tests
+                or shaped.compiled_condition is not None):
+            return None
     emitting = machine.return_node if machine.eager_return else machine.root
     chain = []
-    node = value
+    node = shaped
     while node is not emitting:
         if node is None:
-            return None  # the emitting node is not above the value node
+            return None  # the emitting node is not above the open node
         chain.append(node)
         node = node.parent
     chain.append(emitting)
     if any(node.compiled_condition is not None for node in chain):
         return None
-    if not machine.eager_return and value is not emitting:
+    if not machine.eager_return and shaped is not emitting:
         # The trunk must meet the chain at the root only.
-        trunk = machine.return_node
-        while trunk.parent is not emitting:
-            trunk = trunk.parent
-        if trunk is chain[-2]:
+        trunk_node = machine.return_node
+        while trunk_node.parent is not emitting:
+            trunk_node = trunk_node.parent
+        if trunk_node is chain[-2]:
             return None
-    return value, emitting
+    return shaped, emitting
 
 
 class ConstantIndex:
@@ -156,12 +190,14 @@ class ConstantIndex:
         return hit if self.op == "=" else self._all & ~hit
 
 
-class ValueShapeTwigM(TwigM):
-    """TwigM over one query shape whose members differ in one constant.
+class ShapeTwigM(TwigM):
+    """TwigM over one query shape whose members differ in one constant
+    or one label.
 
     Built from a representative query (any member's); members are added
     with :meth:`add_member` while no event has been delivered, each with
-    its constant and its own result sink, and removed at any time with
+    its constant (a value shape) or label (a label shape, :attr:`labels`)
+    and its own result sink, and removed at any time with
     :meth:`remove_member`.  ``sink`` receives only epoch ends (a
     :class:`~repro.multiq.registry.MultiplexSink` over the members'
     sinks); solutions go straight to the member sinks.  Raises
@@ -175,36 +211,52 @@ class ValueShapeTwigM(TwigM):
         scope = shape_scope(machine)
         if scope is None:
             raise UnsupportedQueryError(
-                "value-shape sharing needs one value test whose chain to the "
-                "emitting node is conjunctive"
+                "shape sharing needs one value test or one branch leaf whose "
+                "chain to the emitting node is conjunctive"
             )
         super().__init__(machine, sink)
-        self._value, self._emitting = scope
-        self._op = self._value.value_tests[0].op
+        self._open, self._emitting = scope
+        #: True when the members differ in the open node's label.
+        self.labels = not self._open.value_tests
         chain = [self._emitting]
-        node = self._value
+        node = self._open
         while node is not self._emitting:
             chain.append(node)
             node = node.parent
-        self._chain_ids = {id(node) for node in chain}
+        self._chain = frozenset(chain)  # machine nodes hash by identity
         self._chain_stacks = [self._stacks[id(node)] for node in chain]
-        self._constants: list = []
+        self._nodes = list(machine.iter_nodes())  # pre-order, as dispatch lists are
+        #: The concrete labels of the nodes the shape keeps.
+        self._fixed = frozenset(
+            node.label for node in self._nodes
+            if node.label != "*" and not (self.labels and node is self._open)
+        )
+        self._keys: list = []
         self._sinks: list[ResultSink] = []
-        self._index = ConstantIndex(self._op, [])
+        self._index: "ConstantIndex | dict[str, int]" = {}
         self._mask_sinks: dict[int, tuple] = {}
+        if self.labels:
+            # The representative's own label does not dispatch the open node.
+            self._replan([self._open.label])
+        self._reindex()
 
     # -- members ----------------------------------------------------------
 
     @property
-    def constants(self) -> list:
-        """Member constants in slot order."""
-        return list(self._constants)
+    def keys(self) -> list:
+        """Member constants (or labels) in slot order."""
+        return list(self._keys)
 
-    def add_member(self, constant: "str | float", sink: ResultSink) -> None:
+    def alphabet(self) -> frozenset[str]:
+        """The concrete tags the machine dispatches on: a label shape's
+        open node counts with its members' labels, not its own."""
+        return self._fixed.union(self._index) if self.labels else self._fixed
+
+    def add_member(self, key: "str | float", sink: ResultSink) -> None:
         """Append a member; only while no chain entry is live."""
         if any(self._chain_stacks):
-            raise RuntimeError("members join a value-shape machine only while cold")
-        self._constants.append(constant)
+            raise RuntimeError("members join a shape machine only while cold")
+        self._keys.append(key)
         self._sinks.append(sink)
         self._reindex()
 
@@ -212,7 +264,7 @@ class ValueShapeTwigM(TwigM):
         """Drop the member emitting into ``sink``; later slots move down
         one, and every live chain entry's mask with them."""
         slot = next(i for i, s in enumerate(self._sinks) if s is sink)
-        del self._constants[slot]
+        del self._keys[slot]
         del self._sinks[slot]
         low = (1 << slot) - 1
         for stack in self._chain_stacks:
@@ -222,8 +274,31 @@ class ValueShapeTwigM(TwigM):
         self._reindex()
 
     def _reindex(self) -> None:
-        self._index = ConstantIndex(self._op, self._constants)
         self._mask_sinks = {}
+        if not self.labels:
+            self._index = ConstantIndex(self._open.value_tests[0].op, self._keys)
+            return
+        index: dict[str, int] = {}
+        for slot, label in enumerate(self._keys):
+            index[label] = index.get(label, 0) | (1 << slot)
+        changed = self._index.keys() ^ index.keys()
+        self._index = index
+        self._replan(changed)
+
+    def _replan(self, tags) -> None:
+        """Rebuild the plans of ``tags``: the open node joins the plan of
+        each member label where that member's own TwigM would place it
+        (pre-order); a tag no node dispatches on falls to the wildcard
+        plan."""
+        shaped, index = self._open, self._index
+        for tag in tags:
+            nodes = [node for node in self._nodes
+                     if (node is shaped and tag in index)
+                     or (node is not shaped and node.label == tag)]
+            if nodes:
+                self._plans[tag] = self._compile_plan(nodes + self.machine.wildcards)
+            else:
+                self._plans.pop(tag, None)
 
     def _sinks_of(self, mask: int) -> tuple:
         sinks = self._mask_sinks.get(mask)
@@ -238,17 +313,22 @@ class ValueShapeTwigM(TwigM):
     # -- transition functions --------------------------------------------
 
     def end_element(self, tag: str, level: int) -> None:
-        """δe of Algorithm 1, with member masks on the value chain."""
+        """δe of Algorithm 1, with member masks on the open node's chain."""
         plan = self._plans.get(tag)
         if plan is None:
             plan = self._miss_plan(tag)
             if not plan:
                 return
         epoch_over = False
-        chain_ids = self._chain_ids
+        chain = self._chain
+        shaped = self._open
         for node, stack, parent_stack in plan:
-            if not stack or stack[-1].level != level:
+            if not stack:
                 continue
+            if stack[-1].level != level:
+                # Only the open node's stack can hold deeper entries.
+                if stack[-1].level < level or not self._drop_closed(stack, level):
+                    continue
             entry = stack.pop()
             self._live -= 1
             if parent_stack is None:
@@ -257,16 +337,24 @@ class ValueShapeTwigM(TwigM):
                 self._open_value_entries -= 1
             if entry.candidates:
                 self._candidate_count -= len(entry.candidates)
-            if id(node) not in chain_ids:
-                # Off the chain, TwigM's own test; a root off the chain
-                # sits above an eager return node and holds no candidate.
-                if parent_stack is not None and self._satisfied(node, entry):
+            if node not in chain:
+                # Off the chain, TwigM's own test (no value test there); a
+                # root off the chain sits above an eager return node and
+                # holds no candidate.
+                if parent_stack is None:
+                    continue
+                condition = node.compiled_condition
+                if (entry.flags == node.complete_mask if condition is None
+                        else condition.satisfied(entry.flags, entry.attr_bits, "")):
                     self._propagate(node, entry, level, parent_stack)
                 continue
             if entry.flags != node.complete_mask:
                 continue
-            if node is self._value:
-                members = self._index.mask(entry.string_value())
+            if node is shaped:
+                if self.labels:
+                    members = self._index.get(tag, 0)
+                else:
+                    members = self._index.mask(entry.string_value())
             else:
                 members = entry.attr_bits
             if not members:
@@ -279,13 +367,15 @@ class ValueShapeTwigM(TwigM):
         if epoch_over and not self._eager:
             self.sink.end_epoch()
 
-    @staticmethod
-    def _satisfied(node: MachineNode, entry: StackEntry) -> bool:
-        """A node off the value chain: TwigM's test (it has no value test)."""
-        condition = node.compiled_condition
-        if condition is None:
-            return entry.flags == node.complete_mask
-        return condition.satisfied(entry.flags, entry.attr_bits, "")
+    def _drop_closed(self, stack: list, level: int) -> bool:
+        """Drop the open node's entries deeper than ``level``: elements
+        that closed while their label was not dispatched (their member
+        left, see the module docstring).  True when the top entry is then
+        ``level``'s."""
+        while stack and stack[-1].level > level:
+            stack.pop()
+            self._live -= 1
+        return bool(stack) and stack[-1].level == level
 
     def _propagate_members(
         self, node: MachineNode, members: int, level: int, parent_stack: list

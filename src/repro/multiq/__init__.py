@@ -8,7 +8,8 @@ react to it, in four layers:
 1. **Canonicalization + dedup** (:mod:`repro.multiq.canon`) —
    structurally identical queries share one machine with multiplexed
    result sinks, and queries that differ only in the constant of one
-   value test share one value-shape machine.
+   value test, or in the label of one branch leaf, share one shape
+   machine.
 2. **Alphabet router** (:mod:`repro.multiq.router`) — an inverted index
    tag → interested machines built from static query analysis, narrowed
    per event to the machines whose gate label has an open element;

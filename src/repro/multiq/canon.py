@@ -13,18 +13,25 @@ behaviour, which additionally requires identical
 :class:`~repro.stream.recovery.ResourceLimits` (limits are enforced
 inside the machine); :func:`dedup_key` folds both into one hashable key.
 
-Queries that differ only in the constant of their one value test share
-a *shape*: ``//person[initial < 660]`` and ``//person[initial < 151]``
-are one structure evaluated against two constants.  :func:`shape_key`
-keys them with the constant left out, so the registry can run them as
-the members of one value-shape machine
-(:class:`~repro.core.valueshape.ValueShapeTwigM`).
+Queries that differ only in one node share a *shape*, in two kinds:
+
+* a *value shape* leaves out the constant of the one value test:
+  ``//person[initial < 660]`` and ``//person[initial < 151]`` are one
+  structure evaluated against two constants;
+* a *label shape* leaves out the label of the one branch leaf:
+  ``//open_auction[bidder]`` and ``//open_auction[reserve]`` are one
+  structure evaluated against two labels.
+
+:func:`shape_key` keys both with that part left out, so the registry
+can run them as the members of one shape machine
+(:class:`~repro.core.valueshape.ShapeTwigM`).
 """
 
 from __future__ import annotations
 
 from repro.stream.recovery import ResourceLimits
 from repro.xpath.querytree import (
+    QueryNode,
     QueryTree,
     ValueRef,
     compile_query,
@@ -64,32 +71,29 @@ def dedup_key(tree: QueryTree, limits: ResourceLimits | None = None) -> DedupKey
     return (tree.structure(), limits)
 
 
-#: How :func:`shape_text` spells the constant a shape leaves out.
+#: How :func:`shape_text` spells the constant a value shape leaves out.
 SHAPE_CONSTANT = "$c"
+
+#: How :func:`shape_text` spells the label a label shape leaves out.
+SHAPE_LABEL = "$l"
 
 
 def shape_text(tree: QueryTree) -> str:
-    """The canonical spelling of ``tree``'s value shape: its canonical
-    text with the value-test literal printed as :data:`SHAPE_CONSTANT`."""
+    """The canonical spelling of ``tree``'s shape: its canonical text
+    with the value-test literal printed as :data:`SHAPE_CONSTANT`, or
+    the left-out label as :data:`SHAPE_LABEL`."""
     from repro.xpath.unparse import unparse_query
 
+    node = _shape_node(tree)
+    if node is not None and not node.value_tests:
+        return unparse_query(tree, rename=(node, SHAPE_LABEL))
     return unparse_query(tree, SHAPE_CONSTANT)
 
 
-def shape_key(
-    tree: QueryTree, limits: ResourceLimits | None = None
-) -> "tuple[DedupKey, str | float] | None":
-    """The value-shape key of ``tree`` and the constant it leaves out.
-
-    Defined when exactly one query node carries value tests, it carries
-    exactly one, and no boolean condition compares a string value: the
-    key is ``(structure without the constant, op, literal kind,
-    limits)``.  Otherwise ``None``.  Equal keys mean equal machines up
-    to that one constant; whether the registry may share one machine
-    among them is the machine's scope rule
-    (:func:`~repro.core.valueshape.shape_scope`).
-    """
+def _shape_node(tree: QueryTree) -> "QueryNode | None":
+    """The node ``tree``'s shape leaves open (see :func:`shape_key`)."""
     tested = None
+    off_trunk = []
     pending = [tree.root]
     while pending:
         node = pending.pop()
@@ -102,8 +106,41 @@ def shape_key(
             if tested is not None or len(node.value_tests) > 1:
                 return None
             tested = node
-    if tested is None:
+        if not node.on_trunk:
+            off_trunk.append(node)
+    if tested is not None:
+        return tested
+    if len(off_trunk) != 1:
         return None
-    test = tested.value_tests[0]
-    key = (tree.root.structure(tested), test.op, type(test.literal).__name__, limits)
+    leaf = off_trunk[0]
+    if (leaf.children or leaf.is_wildcard or leaf.attribute_tests
+            or leaf.condition is not None):
+        return None
+    return leaf
+
+
+def shape_key(
+    tree: QueryTree, limits: ResourceLimits | None = None
+) -> "tuple[DedupKey, str | float] | None":
+    """The shape key of ``tree`` and the constant or label it leaves out.
+
+    A *value key* is defined when exactly one query node carries value
+    tests, it carries exactly one, and no boolean condition compares a
+    string value: ``(structure without the constant, op, literal kind,
+    limits)``, with the constant.  A *label key* is defined when no node
+    carries a value test and exactly one node is off the trunk, a leaf
+    with a concrete label and no attribute test or condition:
+    ``(structure without that label, limits)``, with the label.
+    Otherwise ``None``.  Equal keys mean equal machines up to that one
+    constant or label; whether the registry may share one machine among
+    them is the machine's scope rule
+    (:func:`~repro.core.valueshape.shape_scope`).
+    """
+    node = _shape_node(tree)
+    if node is None:
+        return None
+    if not node.value_tests:
+        return (tree.root.structure(node), limits), node.name
+    test = node.value_tests[0]
+    key = (tree.root.structure(node), test.op, type(test.literal).__name__, limits)
     return key, test.literal

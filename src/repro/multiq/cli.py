@@ -24,9 +24,9 @@ import argparse
 import sys
 
 from repro.errors import ReproError
-from repro.multiq.canon import SHAPE_CONSTANT, shape_text
+from repro.multiq.canon import SHAPE_CONSTANT, SHAPE_LABEL, shape_text
 from repro.multiq.engine import MultiQueryEngine
-from repro.multiq.registry import ValueShapeUnit
+from repro.multiq.registry import ShapeUnit
 from repro.stream.tokenizer import parse_file, parse_string
 from repro.xpath.unparse import literal_text
 
@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--explain",
         action="store_true",
         help="print each query's canonical form and machine to stderr "
-        "(a value-shape machine once, with each member's constant)",
+        "(a shape machine once, with each member's constant or label)",
     )
     return parser
 
@@ -114,15 +114,15 @@ def _events(source: str):
 def _explain(engine: MultiQueryEngine) -> None:
     """Each query's canonical form and machine, to stderr.
 
-    A value-shape unit prints once, where its first member registered:
-    the shape's canonical form, then each member with its constant.
+    A shape unit prints once, where its first member registered: the
+    shape's canonical form, then each member with its constant or label.
     """
     canonical = engine.canonical_queries()
     machines = engine.engine_names()
     shown: set[int] = set()
     for name in engine.names:
         unit = engine.registration(name).unit
-        if not isinstance(unit, ValueShapeUnit):
+        if not isinstance(unit, ShapeUnit):
             print(f"{name}: {canonical[name]}  [{machines[name]}]", file=sys.stderr)
             continue
         if id(unit) in shown:
@@ -131,9 +131,12 @@ def _explain(engine: MultiQueryEngine) -> None:
         count = len(unit.names)
         print(f"shape: {shape_text(unit.tree)}  [{machines[name]}, {count} "
               f"member{'' if count == 1 else 's'}]", file=sys.stderr)
-        for member, constant in unit.members():
-            print(f"  {member}: {SHAPE_CONSTANT} = {literal_text(constant)}",
-                  file=sys.stderr)
+        for member, key in unit.members():
+            if unit.engine.labels:
+                print(f"  {member}: {SHAPE_LABEL} = {key}", file=sys.stderr)
+            else:
+                print(f"  {member}: {SHAPE_CONSTANT} = {literal_text(key)}",
+                      file=sys.stderr)
     print(f"{len(engine)} queries -> {engine.unit_count()} machines", file=sys.stderr)
 
 

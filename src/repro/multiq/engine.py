@@ -59,7 +59,7 @@ from repro.multiq.registry import (
     QueryRegistry,
     Registration,
     SharedPathUnit,
-    ValueShapeUnit,
+    ShapeUnit,
 )
 from repro.multiq.router import AlphabetRouter
 from repro.stream.events import EndElement, Event, EventHandler, StartElement
@@ -603,7 +603,7 @@ class MultiQueryEngine(TextFeed):
         instead (``open_labels``), unless the engine itself counts every
         label open (it was restored from a capture without them and the
         document element has not closed), in which case so does the
-        restored one.  A value-shape unit's entry adds
+        restored one.  A shape unit's entry adds
         ``"shape": true``; its ``queries`` list the members in slot
         order, which the member masks in its machine state index.  Each
         unit's entry counts the ``events`` delivered to it, and the
@@ -689,9 +689,7 @@ class MultiQueryEngine(TextFeed):
                                 required=("events", "dispatched", "broadcast"),
                                 optional={"retired": {}})
             engine._retired = {
-                # Earlier releases also retired ``dfa_fallbacks`` (PathM swaps).
-                str(kind): {str(field): int(value) for field, value in figures.items()
-                            if field != "dfa_fallbacks"}
+                str(kind): _retired_figures(figures)
                 for kind, figures in stats["retired"].items()
             }
             engine._events = engine._settled_events = int(stats["events"])
@@ -731,10 +729,10 @@ class MultiQueryEngine(TextFeed):
         :class:`~repro.multiq.registry.SharedPathUnit` (a ``pathm`` unit
         from a release that ran path queries on PathM stays one), and an
         entry marked ``shape`` as a
-        :class:`~repro.multiq.registry.ValueShapeUnit` (members joined in
-        the listed order, so the captured member masks keep their
-        slots).  Captures from
-        the release that ran one DFA unit per path query have no member
+        :class:`~repro.multiq.registry.ShapeUnit` of the first member's
+        kind of shape (members joined in the listed order, so the
+        captured member masks keep their slots).  Captures from the
+        release that ran one DFA unit per path query have no member
         lists; their units at one open tag path fold into one shared
         unit, and fallen ones (:func:`~repro.compile.dfa.fallen_pathm_states`)
         resume as one PathM unit per member.
@@ -785,16 +783,19 @@ class MultiQueryEngine(TextFeed):
                 for member in joining:
                     unit.join(member, trees[member], sinks[member])
             elif unit_payload["shape"]:
-                if (unit_payload["engine"] != "twigm" or limits is not None
-                        or any(payloads[member]["tracked"]
-                               or payloads[member]["emission"] != "default"
-                               for member in members)):
+                if unit_payload["engine"] != "twigm" or limits is not None:
                     raise CheckpointError(
-                        "multiq snapshot shape unit is not an unlimited, "
-                        "untracked default-mode TwigM"
+                        "multiq snapshot shape unit is not an unlimited TwigM"
                     )
+                for member in members:
+                    if (payloads[member]["tracked"]
+                            or payloads[member]["emission"] != "default"):
+                        raise CheckpointError(
+                            f"multiq snapshot groups {member!r} with a shape "
+                            f"machine, which runs untracked in default mode"
+                        )
                 try:
-                    unit = ValueShapeUnit(tree)
+                    unit = ShapeUnit(tree)
                 except UnsupportedQueryError as exc:
                     raise CheckpointError(
                         f"multiq snapshot shape unit: {exc}"
@@ -862,6 +863,20 @@ class MultiQueryEngine(TextFeed):
         return self._make_sink(name, None) if callback else CollectingSink()
 
 
+def _retired_figures(figures: dict) -> dict[str, int]:
+    """One engine kind's retired figures from a capture: only
+    :data:`~repro.core.machine.CUMULATIVE_FIGURES` (earlier releases also
+    retired ``dfa_fallbacks``, PathM swaps, which is dropped)."""
+    retired = {}
+    for field, value in figures.items():
+        if field == "dfa_fallbacks":
+            continue
+        if field not in CUMULATIVE_FIGURES:
+            raise CheckpointError(f"multiq snapshot retires unknown figure {field!r}")
+        retired[field] = int(value)
+    return retired
+
+
 def _unit_payloads(units) -> Iterable[dict]:
     """A capture's unit entries, read; a fallen DFA unit reads as one
     PathM unit per member."""
@@ -891,7 +906,7 @@ def _unit_payload(unit: EvalUnit) -> dict:
         "machine": unit.engine.snapshot_state(),
         "sinks": unit.sink.snapshot_state(),
     }
-    if isinstance(unit, ValueShapeUnit):
+    if isinstance(unit, ShapeUnit):
         payload["shape"] = True
     return payload
 

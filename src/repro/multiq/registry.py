@@ -24,14 +24,15 @@ while it is virgin, for the same reason; a path query added later opens
 a fresh one.
 
 TwigM registrations that are equal once the constant of their one value
-test is left out (:func:`~repro.multiq.canon.shape_key`) are members of
-one :class:`ValueShapeUnit` (one
-:class:`~repro.core.valueshape.ValueShapeTwigM` evaluating every
-constant with one lookup), when the machine's scope rule admits the
-shape (:func:`~repro.core.valueshape.shape_scope`) and the query runs in
-default emission mode without limits, tracker or lag probe.
-Members join while the unit is virgin and leave at any time, like the
-shared path unit's.
+test, or the label of their one branch leaf, is left out
+(:func:`~repro.multiq.canon.shape_key`) are members of one
+:class:`ShapeUnit` (one :class:`~repro.core.valueshape.ShapeTwigM`
+evaluating every constant or label with one lookup), when the machine's
+scope rule admits the shape (:func:`~repro.core.valueshape.shape_scope`)
+and the query runs in default emission mode without limits, tracker or
+lag probe.  Members join while the unit is virgin and leave at any
+time, like the shared path unit's; a label-shape join returns the
+labels the unit's interest gained, which the router routes it on.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from repro.core.machine import engine_figures
 from repro.core.processor import build_engine, select_engine_class
 from repro.core.results import ResultSink
 from repro.core.twigm import TwigM
-from repro.core.valueshape import ValueShapeTwigM
+from repro.core.valueshape import ShapeTwigM
 from repro.errors import UnsupportedQueryError
 from repro.multiq.canon import (
     DedupKey,
@@ -233,13 +234,14 @@ class SharedPathUnit(EvalUnit):
         return gained
 
 
-class ValueShapeUnit(EvalUnit):
-    """Queries equal up to one value-test constant, as members of one
-    :class:`~repro.core.valueshape.ValueShapeTwigM`.
+class ShapeUnit(EvalUnit):
+    """Queries equal up to one value-test constant or one branch label,
+    as members of one :class:`~repro.core.valueshape.ShapeTwigM`.
 
     ``key`` is the members' :func:`~repro.multiq.canon.shape_key`; each
     member's machine slot is its position in :attr:`names` (registration
-    order, closed up when a member leaves).  Raises
+    order, closed up when a member leaves).  The unit's interest is the
+    machine's alphabet, which a label shape's joins grow.  Raises
     :class:`~repro.errors.UnsupportedQueryError` for a shape outside the
     machine's scope.
     """
@@ -247,28 +249,34 @@ class ValueShapeUnit(EvalUnit):
     __slots__ = ("key",)
     members = True
 
-    def __init__(self, tree: QueryTree):
-        found = shape_key(tree)
+    def __init__(self, tree: QueryTree, found: "tuple | None" = None):
+        found = found or shape_key(tree)
         if found is None:
-            raise UnsupportedQueryError("the query has no single value test")
+            raise UnsupportedQueryError("the query has no shape")
         self.key = found[0]
         super().__init__(tree)
+        self.interest = self.engine.alphabet()
 
     @staticmethod
     def _build_engine(tree: QueryTree, sink: ResultSink, **_options):
-        return ValueShapeTwigM(tree, sink)
+        return ShapeTwigM(tree, sink)
 
     def members(self) -> "list[tuple[str, str | float]]":
-        """``(name, constant)`` per member, in slot order."""
-        return list(zip(self.sink.sinks, self.engine.constants))
+        """``(name, constant or label)`` per member, in slot order."""
+        return list(zip(self.sink.sinks, self.engine.keys))
 
-    def join(self, name: str, tree: QueryTree, sink: ResultSink) -> frozenset[str]:
-        found = shape_key(tree)
+    def join(self, name: str, tree: QueryTree, sink: ResultSink,
+             found: "tuple | None" = None) -> frozenset[str]:
+        """Add a member (``found``: its :func:`shape_key`, if computed);
+        returns the tags the unit's interest gained."""
+        found = found or shape_key(tree)
         if found is None or found[0] != self.key:
             raise ValueError(f"query {name!r} does not have this unit's shape")
         self.engine.add_member(found[1], sink)
         self.sink.add(name, sink)
-        return frozenset()
+        gained = self.engine.alphabet() - self.interest
+        self.interest |= gained
+        return gained
 
 
 @dataclass(slots=True)
@@ -302,8 +310,8 @@ class QueryRegistry:
         self._units: dict[tuple[DedupKey, str], list[EvalUnit]] = {}
         #: The shared path unit new path queries join while it is virgin.
         self._shared: SharedPathUnit | None = None
-        #: Value-shape units by shape key, in creation order.
-        self._shapes: dict[DedupKey, list[ValueShapeUnit]] = {}
+        #: Shape units by shape key, in creation order.
+        self._shapes: dict[DedupKey, list[ShapeUnit]] = {}
 
     # -- introspection --------------------------------------------------
 
@@ -376,9 +384,9 @@ class QueryRegistry:
         :class:`SharedPathUnit`, in any emission mode (path engines emit
         at the start tag either way, and report nothing to a lag probe);
         a limited one runs a one-member lazy DFA of its own.  A shareable
-        default-mode TwigM query with one value test and no limits joins
-        the virgin :class:`ValueShapeUnit` of its shape, when the shape
-        is in scope.
+        default-mode TwigM query with a shape key and no limits joins the
+        virgin :class:`ShapeUnit` of its shape, when the shape is in
+        scope.
         """
         if name in self._registrations:
             raise ValueError(f"duplicate query name {name!r}")
@@ -398,10 +406,11 @@ class QueryRegistry:
                 if share:
                     self._shared = created
         elif (share and emission == "default" and limits is None
-              and (unit := self._shape_unit(tree)) is not None):
+              and (found := shape_key(tree)) is not None
+              and (unit := self._shape_unit(tree, found)) is not None):
             if not unit.sink.sinks:  # opened for this registration
                 created = unit
-            unit.join(name, tree, sink)
+            gained = unit.join(name, tree, sink, found)
         else:
             # Emission mode joins the sharing key: a default-mode sharer
             # must not receive a mixed-in earliest unit's early emissions.
@@ -430,18 +439,17 @@ class QueryRegistry:
         self._registrations[name] = registration
         return registration, created, gained
 
-    def _shape_unit(self, tree: QueryTree) -> "ValueShapeUnit | None":
-        """The virgin value-shape unit ``tree`` joins (opened if need be),
-        or ``None`` when the query has no shape, does not run on TwigM or
-        its shape is out of the machine's scope."""
-        found = shape_key(tree)
-        if found is None or select_engine_class(tree) is not TwigM:
+    def _shape_unit(self, tree: QueryTree, found: tuple) -> "ShapeUnit | None":
+        """The virgin shape unit ``tree`` (whose :func:`shape_key` is
+        ``found``) joins, opened if need be; ``None`` when the query does
+        not run on TwigM or its shape is out of the machine's scope."""
+        if select_engine_class(tree) is not TwigM:
             return None
         for candidate in self._shapes.get(found[0], ()):
             if candidate.virgin:
                 return candidate
         try:
-            unit = ValueShapeUnit(tree)
+            unit = ShapeUnit(tree, found)
         except UnsupportedQueryError:
             return None
         self._shapes.setdefault(unit.key, []).append(unit)
@@ -455,7 +463,7 @@ class QueryRegistry:
         if isinstance(unit, SharedPathUnit):
             if unit.virgin:
                 self._shared = unit
-        elif isinstance(unit, ValueShapeUnit):
+        elif isinstance(unit, ShapeUnit):
             if new_unit:
                 self._shapes.setdefault(unit.key, []).append(unit)
         elif new_unit:
@@ -473,7 +481,7 @@ class QueryRegistry:
             return registration, False
         if unit is self._shared:
             self._shared = None
-        if isinstance(unit, ValueShapeUnit):
+        if isinstance(unit, ShapeUnit):
             units, key = self._shapes, unit.key
         else:
             units = self._units

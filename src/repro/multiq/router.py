@@ -53,6 +53,10 @@ open value entry).  The gates are the engines' own lists, aliased (reset
 and restore refill them in place), so they track the live state with no
 bookkeeping.  Gated delivery is what the dispatch counters report.
 
+A unit whose interest grows as members join — a label shape
+(:class:`~repro.multiq.registry.ShapeUnit`) — is routed on each joining
+member's new tags by :meth:`AlphabetRouter.extend`, gated the same way.
+
 Units that are not PathM/TwigM stay ungated (both gates ``None``):
 BranchM, the shared lazy DFA of the path queries (routed on the union of
 its members' alphabets: it steps over the levels it is not shown, see
@@ -237,41 +241,47 @@ class AlphabetRouter:
             self._limited.append(unit)
             self.invalidate()
             return
-        root_label, root_gate, text_label, text_gate = unit_gates(unit)
-        records, default = self.records, self.default
+        records = self.records
         for tag in unit.interest:
             self._record(tag)
-        tag_bit = self._bit(root_label) if root_gate is not None else 0
-        opened = (None, root_gate, unit)
-        gated = (root_gate, root_gate, unit)
         if unit.wants_all:
-            self._append(default, tag_bit, opened if root_label == "*" else gated)
+            self._append(self.default, *self._route(unit, None))
         for tag in records if unit.wants_all else unit.interest:
-            route = opened if root_label == tag or root_label == "*" else gated
-            self._append(records[tag], tag_bit, route)
+            self._append(records[tag], *self._route(unit, tag))
         if unit.wants_text:
+            _root_label, _root_gate, text_label, text_gate = unit_gates(unit)
             text_bit = self._bit(text_label) if text_gate is not None else 0
             self._append(self.text, text_bit, (text_gate, None, unit))
         self._routable[unit] = unit.wants_all
         self.invalidate()
 
     def extend(self, unit: RoutableUnit, tags: frozenset[str]) -> None:
-        """Route a routed, ungated unit on ``tags`` too: the tags a
-        joining member added to its interest (on every tag, once the
-        unit wants all).  Only the new routes are added."""
-        route = (None, None, unit)
-        records, default = self.records, self.default
+        """Route a routed unit on ``tags`` too: the tags a joining member
+        added to its interest (on every tag, once the unit wants all).
+        Only the new routes are added, gated as :meth:`add` gates them."""
+        records = self.records
         if unit.wants_all:
             if not self._routable[unit]:
                 self._routable[unit] = True
                 routed = unit.interest - tags
-                self._append(default, 0, route)
+                self._append(self.default, *self._route(unit, None))
                 for tag, record in records.items():
                     if tag not in routed:
-                        self._append(record, 0, route)
+                        self._append(record, *self._route(unit, tag))
             return
         for tag in tags:
-            self._append(self._record(tag), 0, route)
+            self._append(self._record(tag), *self._route(unit, tag))
+
+    def _route(self, unit: RoutableUnit, tag: str | None) -> tuple[int, tuple]:
+        """The gate bit and ``(start_gate, end_gate, unit)`` route of
+        ``unit`` in the record of ``tag`` (``None``: the default record).
+        Start tags pass ungated when ``tag`` (or ``'*'``) labels the
+        machine root; the route's bit is the root label's."""
+        root_label, root_gate, _text_label, _text_gate = unit_gates(unit)
+        if root_gate is None:
+            return 0, (None, None, unit)
+        start_gate = None if root_label in (tag, "*") else root_gate
+        return self._bit(root_label), (start_gate, root_gate, unit)
 
     def _record(self, tag: str) -> TagRecord:
         """The record of ``tag``, made from the default routes on first
@@ -303,9 +313,9 @@ class AlphabetRouter:
         """Tell :attr:`on_change` that the routed units changed.
 
         A registration joining or leaving a live unit changes no routed
-        unit (a :class:`~repro.multiq.registry.SharedPathUnit` that grows
-        its alphabet when joined gains routes through :meth:`extend`), so
-        it needs no call.
+        unit (a :class:`~repro.multiq.registry.SharedPathUnit` or label
+        shape that grows its alphabet when joined gains routes through
+        :meth:`extend`), so it needs no call.
         """
         if self.on_change is not None:
             self.on_change()

@@ -293,18 +293,22 @@ class QueryNode:
     def structure(self, abstract: "QueryNode | None" = None) -> tuple:
         """Hashable structural fingerprint of this subtree.
 
-        ``abstract`` names one node whose value-test constants are left
-        out (each test keeps its op and literal kind): the fingerprint
-        of a query *shape* (:func:`repro.multiq.canon.shape_key`).
+        ``abstract`` names the one node a query *shape* leaves open
+        (:func:`repro.multiq.canon.shape_key`): its value-test constants
+        are left out (each test keeps its op and literal kind), or, when
+        it has no value test, its name.
         """
+        name = self.name
         if self is abstract:
             value_tests = tuple(
                 (test.op, type(test.literal).__name__) for test in self.value_tests
             )
+            if not value_tests:
+                name = None
         else:
             value_tests = tuple(self.value_tests)
         return (
-            self.name,
+            name,
             self.axis,
             self.is_return,
             self.on_trunk,

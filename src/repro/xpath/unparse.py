@@ -63,21 +63,29 @@ def _attribute_test(test: AttributeTest) -> str:
     return f"@{test.name} {_value_test(test.value_test)}"
 
 
-def _branch_step(node: QueryNode, constant: "str | None" = None) -> str:
+#: One branch node whose name prints as other text: ``(node, text)``.
+Rename = "tuple[QueryNode, str] | None"
+
+
+def _branch_step(node: QueryNode, constant: "str | None" = None,
+                 rename: Rename = None) -> str:
     """One branch node as it appears inside a bracket: ``.//name[...]``."""
     prefix = ".//" if node.axis == DESCENDANT_EDGE else ""
-    return f"{prefix}{node.name}{_suffix(node, constant)}"
+    name = node.name if rename is None or node is not rename[0] else rename[1]
+    return f"{prefix}{name}{_suffix(node, constant, rename)}"
 
 
-def _suffix(node: QueryNode, constant: "str | None" = None) -> str:
+def _suffix(node: QueryNode, constant: "str | None" = None,
+            rename: Rename = None) -> str:
     """Everything bracketed onto a node: children, tests, or condition.
 
-    ``constant`` replaces the literal of every string-value test.
+    ``constant`` replaces the literal of every string-value test, and
+    ``rename`` one branch node's name.
     """
     if node.condition is not None:
         return f"[{_condition_text(node.condition, top=True)}]"
     parts = [
-        f"[{_branch_step(child, constant)}]"
+        f"[{_branch_step(child, constant, rename)}]"
         for child in node.children
         if not child.on_trunk
     ]
@@ -103,19 +111,22 @@ def _condition_text(condition: Condition, top: bool = False) -> str:
     return f". {_value_test(condition.test)}"
 
 
-def unparse_query(tree: "QueryTree | QueryNode", constant: "str | None" = None) -> str:
+def unparse_query(tree: "QueryTree | QueryNode", constant: "str | None" = None,
+                  rename: Rename = None) -> str:
     """Render a compiled query (sub)tree as canonical XPath text.
 
     With ``constant`` (say ``"$c"``) the literals of string-value tests
     outside boolean conditions print as that text instead: the spelling
-    of a value shape (:func:`repro.multiq.canon.shape_text`).
+    of a value shape (:func:`repro.multiq.canon.shape_text`).  With
+    ``rename`` (say ``(node, "$l")``) that branch node's name prints as
+    the text: the spelling of a label shape.
     """
     node: QueryNode | None = tree.root if isinstance(tree, QueryTree) else tree
     parts: list[str] = []
     while node is not None:
         parts.append("//" if node.axis == DESCENDANT_EDGE else "/")
         parts.append(node.name)
-        parts.append(_suffix(node, constant))
+        parts.append(_suffix(node, constant, rename))
         trunk = [child for child in node.children if child.on_trunk]
         node = trunk[0] if trunk else None
     return "".join(parts)

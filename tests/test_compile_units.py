@@ -21,7 +21,7 @@ from repro.core.pathm import PathM
 from repro.core.processor import XPathStream
 from repro.core.results import CollectingSink
 from repro.core.twigm import TwigM
-from repro.errors import UnsupportedQueryError
+from repro.errors import CheckpointError, UnsupportedQueryError
 from repro.multiq import MultiQueryEngine
 from repro.obs.metrics import MetricsRegistry
 from repro.compile.nfa import GAP
@@ -326,6 +326,15 @@ class TestCompileMetrics:
         starts = resumed.registration("p").unit.engine._starts
         assert registry.get("repro_compile_dfa_starts_total").get(engine="dfa") == 3 + starts
         assert "repro_compile_fallbacks_total" not in registry.render_prometheus()
+
+    def test_retired_figures_outside_the_catalogue_are_rejected(self):
+        # A figure no metric family publishes would break the next scrape.
+        engine = MultiQueryEngine({"p": "//a/b"})
+        engine.feed_text("<r><a>")
+        snap = engine.snapshot()
+        snap["stats"]["retired"] = {"dfa": {"bogus": 1}}
+        with pytest.raises(CheckpointError, match="bogus"):
+            MultiQueryEngine.restore(snap, metrics=MetricsRegistry())
 
     def test_streams_sharing_a_registry_add_up(self):
         registry = MetricsRegistry()

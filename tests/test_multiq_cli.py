@@ -61,7 +61,8 @@ def test_explain_reports_canonical_and_machine(xml_file, capsys):
     assert code == 0
     err = capsys.readouterr().err
     assert "[dfa]" in err
-    assert "//book[title]" in err  # canonical spelling, not the input
+    # A one-member label shape, in canonical spelling, not the input's.
+    assert "shape: //book[$l]  [twigm, 1 member]\n  b: $l = title\n" in err
     assert "2 queries -> 2 machines" in err
 
 

@@ -1,8 +1,8 @@
 """Value-shape units ≡ one machine per query.
 
 Queries equal up to the constant of their one value test run as the
-members of one :class:`~repro.multiq.registry.ValueShapeUnit`
-(:class:`~repro.core.valueshape.ValueShapeTwigM`).  Every case compares
+members of one :class:`~repro.multiq.registry.ShapeUnit`
+(:class:`~repro.core.valueshape.ShapeTwigM`).  Every case compares
 each member's result list — ids and order — with a dedicated
 :class:`XPathStream`, and its id set with the navigational DOM oracle,
 across random constant vectors (duplicates, negative and positive ints
@@ -25,12 +25,12 @@ from hypothesis import given, settings, strategies as st
 from repro.baselines.navigational import NavigationalDomEngine
 from repro.core.processor import XPathStream
 from repro.core.twigm import CandidateTracker
-from repro.core.valueshape import ConstantIndex, ValueShapeTwigM
+from repro.core.valueshape import ConstantIndex, ShapeTwigM
 from repro.errors import CheckpointError, UnsupportedQueryError
 from repro.latency import DecisionLagProbe, LatencyClock
 from repro.multiq import MultiQueryEngine
 from repro.multiq.cli import main as multiq_main
-from repro.multiq.registry import MultiplexSink, ValueShapeUnit
+from repro.multiq.registry import MultiplexSink, ShapeUnit
 from repro.obs.metrics import MetricsRegistry
 from repro.stream.recovery import ResourceLimits
 from repro.stream.tokenizer import parse_string
@@ -98,7 +98,7 @@ def assert_matches_oracles(queries: dict, events: list, results: dict) -> None:
 
 def shape_units(engine: MultiQueryEngine) -> list:
     return [unit for unit in engine._registry.units()
-            if isinstance(unit, ValueShapeUnit)]
+            if isinstance(unit, ShapeUnit)]
 
 
 # -- the constant index --------------------------------------------------------
@@ -279,7 +279,7 @@ def test_mid_stream_add_gets_its_own_unit():
         late = engine.registration("late").unit
         assert (late is shared) == (cut < 2)
         assert engine.unit_count() == before + (cut >= 2)
-        assert isinstance(late, ValueShapeUnit)
+        assert isinstance(late, ShapeUnit)
         assert engine.registration("late_twin").unit is late
         engine.feed_events(SMALL_EVENTS[cut:])
         results = engine.results()
@@ -413,9 +413,10 @@ def test_instrumented_engines_run_shape_units():
 
 
 def test_the_machine_rejects_out_of_scope_queries():
-    for query in ("//a[b < 3][c < 9]", "//a[c]/b[. < 3]", "//a[b < 3 or c]", "//a[b]"):
+    for query in ("//a[b < 3][c < 9]", "//a[c]/b[. < 3]", "//a[b < 3 or c]",
+                  "//a[b][c]", "//a[*]", "//a"):
         with pytest.raises(UnsupportedQueryError):
-            ValueShapeTwigM(compile_query(query), MultiplexSink())
+            ShapeTwigM(compile_query(query), MultiplexSink())
 
 
 # -- the CLI ------------------------------------------------------------------------

@@ -11,9 +11,9 @@ from repro.core.pathm import PathM
 from repro.core.processor import XPathStream
 from repro.core.results import CollectingSink
 from repro.core.twigm import TwigM
-from repro.core.valueshape import ValueShapeTwigM
+from repro.core.valueshape import ShapeTwigM
 from repro.multiq import MultiQueryEngine
-from repro.multiq.registry import ValueShapeUnit
+from repro.multiq.registry import ShapeUnit
 from repro.obs.metrics import MetricsRegistry
 from repro.stream.tokenizer import parse_string
 from repro.xpath.querytree import compile_query
@@ -128,8 +128,8 @@ def test_value_shape_members_share_one_machine():
     registry = MetricsRegistry()
     engine = MultiQueryEngine(queries, metrics=registry)
     units = engine._registry.units()
-    assert len(units) == 1 and isinstance(units[0], ValueShapeUnit)
-    assert isinstance(units[0].engine, ValueShapeTwigM)
+    assert len(units) == 1 and isinstance(units[0], ShapeUnit)
+    assert isinstance(units[0].engine, ShapeTwigM)
     assert engine.evaluate(doc) == {"low": [2], "high": [2, 4]}
     values = machine_values(registry)
     assert values["repro_machine_emitted_total"] == {"twigm": 3}
