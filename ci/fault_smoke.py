@@ -3,15 +3,17 @@
 Runs seeded corruption campaigns through XPathStream with a
 deliberately tight ResourceLimits profile — through **both** of:
 
-* the reference path (``ReferenceTokenizer.feed``: the tokenizer with
-  its regex fast path off → event objects → ``feed_events``);
-* the fused path (``feed_text``: regex scanner → direct machine
-  dispatch, no event objects) — the path serving sessions ride.
+* the reference path (``ReferenceTokenizer.feed``: the Python scanner
+  alone → event objects → ``feed_events``);
+* the fused path (``feed_text``: Expat, falling back to the scanner on
+  damaged input → direct machine dispatch, no event objects) — the path
+  serving sessions ride.
 
 Three outcomes are acceptable per seed: a clean result, a clean result
 after recovery (with diagnostics), or a ResourceLimitError.  Anything
 else — any other exception, a hang, unbounded growth, or the two paths
-disagreeing on a clean parse — fails the build.
+disagreeing on the outcome (result ids or the limit error) or on any
+diagnostic (message, line, column, action) — fails the build.
 
 Usage: PYTHONPATH=src python ci/fault_smoke.py [seeds]
 """
@@ -46,13 +48,10 @@ TIGHT = ResourceLimits(
     max_total_events=10_000,
 )
 
-#: Sentinel result meaning "this campaign tripped a resource limit".
-_LIMITED = object()
-
-
-def _campaign(seed: int, push: bool, diagnostics: list):
-    """One seeded corruption campaign; returns ids, _LIMITED, or raises."""
+def _campaign(seed: int, push: bool) -> tuple:
+    """One seeded corruption campaign: (ids or the limit error, diagnostics)."""
     wrapped = FaultyChunks(DOCUMENT, seed=seed, faults=1 + seed % 5)
+    diagnostics: list = []
     options = dict(policy="repair", on_diagnostic=diagnostics.append, limits=TIGHT)
     stream = XPathStream(QUERY, **options)
     try:
@@ -64,54 +63,45 @@ def _campaign(seed: int, push: bool, diagnostics: list):
             for chunk in wrapped:
                 stream.feed_events(tokenizer.feed(chunk))
             stream.feed_events(tokenizer.close())
-        return stream.close(), wrapped
-    except ResourceLimitError:
-        return _LIMITED, wrapped
+        outcome = stream.close()
+        assert all(isinstance(i, int) for i in outcome), (seed, push)
+    except ResourceLimitError as exc:
+        outcome = exc
+    return outcome, [(d.message, d.line, d.column, d.action) for d in diagnostics]
 
 
 def main(seeds: int) -> int:
     limited = 0
     recovered = 0
-    diverged = 0
     for seed in range(seeds):
         outcomes = {}
         for push in (False, True):
             label = "push" if push else "reference"
-            diagnostics: list = []
             try:
-                ids, wrapped = _campaign(seed, push, diagnostics)
+                outcome, diagnostics = _campaign(seed, push)
             except Exception as exc:  # noqa: BLE001 - the point of the smoke
                 print(
                     f"FAIL seed={seed} path={label}: "
                     f"{type(exc).__name__}: {exc}"
                 )
                 return 1
-            if ids is _LIMITED:
+            if isinstance(outcome, ResourceLimitError):
                 limited += 1
-                continue
-            if diagnostics:
+                outcome = str(outcome)
+            elif diagnostics:
                 recovered += 1
-            assert all(isinstance(i, int) for i in ids), (seed, label)
-            outcomes[label] = (ids, bool(diagnostics))
-        # When neither path needed repair, they saw the same bytes and
-        # must agree exactly.  (Repair-path divergences are counted and
-        # reported, not failed.)
-        if len(outcomes) == 2:
-            (reference_ids, reference_repaired) = outcomes["reference"]
-            (push_ids, push_repaired) = outcomes["push"]
-            if not reference_repaired and not push_repaired:
-                if reference_ids != push_ids:
-                    print(
-                        f"FAIL seed={seed}: clean reference/push divergence "
-                        f"{reference_ids} != {push_ids}"
-                    )
-                    return 1
-            elif reference_ids != push_ids:
-                diverged += 1
+            outcomes[label] = (outcome, diagnostics)
+        if outcomes["reference"] != outcomes["push"]:
+            print(
+                f"FAIL seed={seed}: reference/push divergence\n"
+                f"  reference: {outcomes['reference']}\n"
+                f"  push:      {outcomes['push']}"
+            )
+            return 1
     print(
         f"ok: {seeds} corruption campaigns x 2 paths "
         f"({recovered} recovered, {limited} resource-limited, "
-        f"{diverged} repair-path divergences, 0 crashes)"
+        f"0 divergences, 0 crashes)"
     )
     return 0
 

@@ -2,12 +2,11 @@
 
 The reference ("pull" in the report) is
 :class:`~repro.bench.hotpath.ReferenceTokenizer` — the tokenizer's
-Python scanner with its regex fast path switched off — whose pull
-view's event objects feed the event-stream loop of the paper's machine
+Python scanner alone — whose pull view's event objects feed the event-stream loop of the paper's machine
 for the query's fragment (PathM for predicate-free queries).  Checks the
 acceptance properties of the hot path:
 
-1. **Exactness** — the strict tokenizer (Expat) emits an event stream
+1. **Exactness** — the tokenizer (Expat) emits an event stream
    byte-identical to the reference over the XMark corpus, and every
    benchmark query returns identical solution ids through the
    reference and push (also asserted inside the benchmark itself).
@@ -56,7 +55,7 @@ REPORT = "BENCH_core.json"
 
 
 def scanner_identical(path) -> bool:
-    """Event-level differential: fast-path scan == reference over ``path``."""
+    """Event-level differential: the tokenizer == the reference over ``path``."""
     push_tokenizer = XmlTokenizer()
     collector = EventCollector()
     for chunk in iter_text_chunks(path):
@@ -70,9 +69,9 @@ def main() -> int:
     print(f"perf smoke: scanner differential over {corpus.name} "
           f"({corpus.size_bytes()} bytes)")
     if not scanner_identical(corpus.path):
-        print("FAIL: fast-path scanner diverges from the reference", file=sys.stderr)
+        print("FAIL: the tokenizer diverges from the reference", file=sys.stderr)
         return 1
-    print("  fast-path event stream identical to the reference")
+    print("  tokenizer event stream identical to the reference")
 
     # The benchmark asserts reference/push solution-id equality per query.
     gate = run_benchmark(profile=GATE_PROFILE, repeats=2)

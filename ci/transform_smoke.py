@@ -5,7 +5,7 @@ Four gates over one XMark document, each a hard failure:
 1. **Reference ≡ fused fragments.**  Substream extraction of several
    queries (immediate and predicate-gated) must produce byte-identical
    fragment lists from reference events (``ReferenceTokenizer``, the
-   scanner with its fast path off, into ``feed_events``), the fused
+   Python scanner alone, into ``feed_events``), the fused
    text path, and a chunked text feed.
 
 2. **Snapshot resume.**  An extractor snapshotted mid-document (inside

@@ -1,11 +1,10 @@
 """Core-throughput benchmark: reference vs push pipeline, MB/s and events/s.
 
-The tokenizer parses strict input with Expat; it is checked against
-:class:`ReferenceTokenizer`, its Python scanner with the regex fast path
-switched off, so every tag takes the char-level slow path.  The reference feeds
-event objects from its pull view (:meth:`XmlTokenizer.feed`) into the
-event-stream loop of the paper's machine for the query's fragment (PathM
-for predicate-free queries) — the shape the pipeline had before the
+The tokenizer parses with Expat; it is checked against
+:class:`ReferenceTokenizer`, its Python scanner alone.  The reference
+feeds event objects from its pull view (:meth:`XmlTokenizer.feed`) into
+the event-stream loop of the paper's machine for the query's fragment
+(PathM for predicate-free queries) — the shape the pipeline had before the
 fused path and the lazy DFA existed — and is reported in the ``pull``
 columns.  The benchmark measures these layers of the hot path
 separately so a regression can be attributed:
@@ -42,7 +41,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import re
 import time
 
 from repro.bench.corpora import DEFAULT_PROFILE, Corpus, benchmark_corpus, cache_dir
@@ -52,22 +50,15 @@ from repro.stream.events import CountingHandler
 from repro.stream.tokenizer import XmlTokenizer, iter_text_chunks
 from repro.xpath.querytree import compile_query
 
-#: A pattern that matches nowhere: it switches the fast path off.
-_NEVER = re.compile(r"(?!)")
-
-
 class ReferenceTokenizer(XmlTokenizer):
-    """The tokenizer's Python scanner, with its regex fast path switched off.
+    """The tokenizer's Python scanner alone: Expat is not used.
 
-    Expat is not used.  Every tag takes the char-level slow path (``_find_tag_end`` →
-    ``_handle_tag`` → ``_parse_tag_body``), which the fast-path patterns
-    only shortcut.  Differential tests and the perf gate compare the
-    fast path against this class: same scanner loop, independent tag
-    recognition.
+    Every tag goes through ``_find_tag_end`` → ``_handle_tag`` →
+    ``_parse_tag_body``.  Differential tests and the perf gate compare
+    the tokenizer, which parses with Expat and falls back to the same
+    scanner, against this class.
     """
 
-    _fast_start_re = _NEVER
-    _fast_end_re = _NEVER
     _expat = False
 
 

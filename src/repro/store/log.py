@@ -103,7 +103,8 @@ DEFAULT_SEGMENT_EVENTS = 4096
 #: short record however large the caller's chunks are.
 RECORD_CHARS = 4096
 
-_NEVER = sys.maxsize
+#: The ``due`` position of a tee with no checkpoint pending.
+_NOT_DUE = sys.maxsize
 
 
 class StoreError(ReproError):
@@ -341,7 +342,7 @@ class _Tee:
         self._level = self.levels.add
         self.has_text = False
         self.count = 0
-        self.due = _NEVER
+        self.due = _NOT_DUE
         self.on_due = on_due
         self.bind(None)
 
@@ -686,7 +687,7 @@ class EventLogWriter(EventHandler):
         if self._held is not None:
             raise StoreError("appended character data awaits its next tag")
         interval = self.checkpoint_interval
-        self._tee.due = (self.position // interval + 1) * interval if interval else _NEVER
+        self._tee.due = (self.position // interval + 1) * interval if interval else _NOT_DUE
         step = self._record_chars
         for start in range(0, len(chunk), step):
             self._log(self._tokenizer.feed_into, chunk[start:start + step])
@@ -732,7 +733,7 @@ class EventLogWriter(EventHandler):
         """Log ``text`` (after any held character data); it must
         re-tokenise to exactly the appended events."""
         self._begin(self._retokenised)
-        self._tee.due = _NEVER
+        self._tee.due = _NOT_DUE
         expected = [event]
         if self._held is not None:
             expected.insert(0, self._held[0])

@@ -142,8 +142,7 @@ class EventCollector(EventHandler):
     The inverse of :func:`events_to_handler`: the tokenizer's pull view
     (:meth:`~repro.stream.tokenizer.XmlTokenizer.feed`) collects each
     batch with one, and differential tests use it to check that the
-    fast-path scanner emits byte-identical streams to the reference
-    tokenizer.
+    tokenizer emits byte-identical streams to the reference tokenizer.
     """
 
     def __init__(self) -> None:

@@ -5,26 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.stream.document import build_document
-from repro.stream.tokenizer import XmlTokenizer, parse_string
-
-
-class PythonScanner(XmlTokenizer):
-    """The tokenizer with Expat switched off: the Python scanner alone,
-    regex fast path included.  The strict tokenizer must match it event
-    for event, error for error, snapshot for snapshot."""
-
-    _expat = False
-
-
-def python_events(chunks, **options) -> list:
-    """Every event of ``chunks`` (a string or chunk list) through
-    :class:`PythonScanner`'s pull view."""
-    tokenizer = PythonScanner(**options)
-    events = []
-    for chunk in [chunks] if isinstance(chunks, str) else chunks:
-        events.extend(tokenizer.feed(chunk))
-    events.extend(tokenizer.close())
-    return events
+from repro.stream.tokenizer import parse_string
 
 
 def chain_xml(n: int, with_predicates: bool = True) -> str:

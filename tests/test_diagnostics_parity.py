@@ -3,8 +3,8 @@
 The repaired-event path was audited for double counting — a diagnostic
 synthesized during recovery must be reported exactly once whether the
 stream runs through the reference tokenizer
-(:class:`~repro.bench.hotpath.ReferenceTokenizer`, fast path off, its
-pull view's events fed to ``feed_events``) or the fused path
+(:class:`~repro.bench.hotpath.ReferenceTokenizer`, the Python scanner
+alone, its pull view's events fed to ``feed_events``) or the fused path
 (``feed_text`` → ``feed_into``), in one shot or chunked, with or without
 a mid-stream checkpoint.  These tests pin that audit as executable truth:
 any future change that re-feeds repaired events through the scanner (or

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import XPathStream
+from repro.bench.hotpath import reference_events
 from repro.errors import ResourceLimitError, XmlSyntaxError
 from repro.stream.events import (
     Characters,
@@ -22,7 +23,7 @@ from repro.stream.faults import (
 from repro.stream.recovery import RecoveryPolicy, ResourceLimits, StreamDiagnostic
 from repro.stream.tokenizer import parse_chunks, parse_string
 
-from tests.conftest import chain_xml, python_events
+from tests.conftest import chain_xml
 
 BASE_DOCUMENT = (
     "<catalog>"
@@ -67,7 +68,7 @@ class TestByteSplitLossless:
 
     def test_multibyte_boundaries_survive_expat(self):
         """The strict tokenizer (Expat) against the Python scanner."""
-        expected = python_events(BASE_DOCUMENT)
+        expected = reference_events(BASE_DOCUMENT)
         for seed in range(25):
             chunks = byte_split_chunks(BASE_DOCUMENT, seed=seed, max_chunk=3)
             assert list(parse_chunks(chunks)) == expected
@@ -96,7 +97,7 @@ class TestChunkBoundaryHazards:
     def test_expat_handles_split(self, head, tail, texts):
         """The strict tokenizer (Expat) against the Python scanner."""
         events = list(parse_chunks([head, tail]))
-        assert events == python_events([head, tail])
+        assert events == reference_events([head, tail])
         assert [e.text for e in events if isinstance(e, Characters)] == texts
 
     def test_every_split_point_of_document(self):

@@ -1,11 +1,10 @@
 """Differential suite: the fused pipeline must be byte-identical to the reference.
 
 The reference is :class:`~repro.bench.hotpath.ReferenceTokenizer` — the
-tokenizer with its regex fast path switched off, so every tag takes the
-char-level slow path — whose pull view's event objects are fed through
-the machines' event-stream loop (``feed_events``).  The subject is the
-fused pipeline (regex scan → direct machine callbacks) and the pull view
-over it.  Every behaviour — emitted events, solution ids, recovery
+tokenizer's Python scanner alone — whose pull view's event objects are
+fed through the machines' event-stream loop (``feed_events``).  The
+subject is the fused pipeline (Expat, the scanner on damaged input →
+direct machine callbacks) and the pull view over it.  Every behaviour — emitted events, solution ids, recovery
 diagnostics, resource-limit errors, checkpoint round-trips — is compared
 over the seed corpora and a few hundred seeded random documents.
 """
@@ -84,7 +83,7 @@ def reference_side(text: str, chunks=None, **options) -> tuple:
 
 
 def view_events(text: str, chunks=None, **options) -> tuple:
-    """(events, diagnostics) from the fast tokenizer's pull view."""
+    """(events, diagnostics) from the tokenizer's pull view."""
     tokenizer = XmlTokenizer(**options)
     events = []
     for chunk in chunks if chunks is not None else [text]:

@@ -6,10 +6,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.hotpath import ReferenceTokenizer, reference_events
 from repro.errors import XmlSyntaxError
 from repro.stream.tokenizer import XmlTokenizer, parse_string
 
-from tests.conftest import PythonScanner, python_events
 
 #: Malformed documents both scanners must reject, at the same position.
 MALFORMED_CORPUS = [
@@ -27,6 +27,10 @@ MALFORMED_CORPUS = [
     "<a",
 ]
 
+def scanner_events(text: str) -> list:
+    return reference_events([text])
+
+
 def failure_of(parse, text: str) -> XmlSyntaxError:
     with pytest.raises(XmlSyntaxError) as info:
         list(parse(text))
@@ -36,7 +40,7 @@ def failure_of(parse, text: str) -> XmlSyntaxError:
 @pytest.mark.parametrize("text", MALFORMED_CORPUS)
 def test_both_sources_reject(text):
     expat = failure_of(parse_string, text)
-    python = failure_of(python_events, text)
+    python = failure_of(scanner_events, text)
     assert (expat.raw_message, expat.line, expat.column) == (
         python.raw_message, python.line, python.column)
 
@@ -45,7 +49,7 @@ def test_both_sources_reject(text):
 def test_error_shape_is_uniform(text):
     """Both sources raise XmlSyntaxError with int line/column (1-based)
     and a location-free ``raw_message`` for diagnostics."""
-    for parse in (parse_string, python_events):
+    for parse in (parse_string, scanner_events):
         exc = failure_of(parse, text)
         assert isinstance(exc.line, int) and exc.line >= 1
         assert isinstance(exc.column, int) and exc.column >= 1
@@ -57,7 +61,7 @@ def test_error_shape_is_uniform(text):
 def test_multiline_position_parity():
     text = "<a>\n  <b>\n</a>"
     expat = failure_of(parse_string, text)
-    python = failure_of(python_events, text)
+    python = failure_of(scanner_events, text)
     assert (expat.line, expat.column) == (python.line, python.column) == (3, 5)
 
 
@@ -65,7 +69,7 @@ class TestLifecycleParity:
     """feed()-after-close() and double-close() behave alike."""
 
     def make_sources(self):
-        return XmlTokenizer(), PythonScanner()
+        return XmlTokenizer(), ReferenceTokenizer()
 
     def test_feed_after_close_raises_in_both(self):
         for source in self.make_sources():
@@ -96,4 +100,4 @@ def test_well_formed_corpus_produces_identical_events():
         "<u>café ☃</u>",
     ]
     for text in corpus:
-        assert list(parse_string(text)) == python_events(text), text
+        assert list(parse_string(text)) == scanner_events(text), text

@@ -12,10 +12,10 @@ Three classes of property:
 
 from hypothesis import example, given, settings, strategies as st
 
+from repro.bench.hotpath import reference_events
 from repro.errors import XmlSyntaxError
 from repro.stream.tokenizer import parse_chunks, parse_string
 
-from tests.conftest import python_events
 
 # -- generated well-formed documents ----------------------------------------
 
@@ -56,7 +56,7 @@ def test_chunked_parsing_equals_whole(xml, chunk_size):
 @given(xml=xml_documents())
 def test_expat_adapter_agrees(xml):
     expat = list(parse_string(xml, skip_whitespace=False))
-    assert expat == python_events(xml, skip_whitespace=False)
+    assert expat == reference_events(xml, skip_whitespace=False)
 
 
 # -- robustness on junk -------------------------------------------------------
