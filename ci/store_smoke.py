@@ -9,7 +9,7 @@
    start and from every checkpoint — to the document's events and to
    live evaluation's results.
 
-Then three gates over one XMark recording, each a hard failure:
+Then four gates over one XMark recording, each a hard failure:
 
 1. **Crash recovery.**  Feed 60% of the document with an engine
    attached, then simulate a SIGKILL by truncating the active segment at
@@ -31,8 +31,15 @@ Then three gates over one XMark recording, each a hard failure:
    the sealed segments while returning results identical to an
    unskipped replay.
 
+4. **Extraction skipping.**  ``replay_into`` of a
+   :class:`~repro.transform.extract.SubstreamExtractor` over perfbench's
+   three archive-xmark extraction queries must give fragments
+   byte-identical to live extraction of the text, and the index's gate
+   rule must let it skip >= 40% of the segments (the alphabet rule
+   skips none: ``name`` occurs in every segment).
+
 The run is recorded as ``BENCH_store.json`` (events/s for ingest and
-replay, log bytes per event, skip ratio, recovery accounting) for
+replay, log bytes per event, skip ratios, recovery accounting) for
 trajectory tracking, at the XMark scale of a
 :data:`repro.bench.corpora.PROFILES` profile (default ``small``).
 
@@ -59,6 +66,7 @@ from repro.store.replay import replay_into
 from repro.stream.events import EventCollector
 from repro.stream.tokenizer import parse_string
 from repro.stream.writer import events_to_string
+from repro.transform.extract import SubstreamExtractor
 
 QUERIES = {
     "names": "//item/name",
@@ -73,6 +81,15 @@ QUERIES = {
 SELECTIVE = "//person/emailaddress"
 
 SKIP_FLOOR = 0.50
+
+#: The extraction queries of perfbench's archive-xmark workload.
+EXTRACT_QUERIES = {
+    "names": "//person/name",
+    "prices": "//closed_auction/price",
+    "bidders": "//open_auction/bidder",
+}
+
+EXTRACT_SKIP_FLOOR = 0.40
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests", "data")
 GOLDEN_XML = os.path.join(DATA, "golden_xmark.xml")
@@ -251,6 +268,38 @@ def skip_gate(store: str, text: str, bench: dict) -> "int | None":
     return None
 
 
+def extract_gate(store: str, text: str, bench: dict) -> "int | None":
+    expected = SubstreamExtractor(EXTRACT_QUERIES).evaluate(text)
+    stats = ReplayStats()
+    started = time.perf_counter()
+    fragments = replay_into(SubstreamExtractor(EXTRACT_QUERIES), store, stats=stats)
+    skip_elapsed = time.perf_counter() - started
+    unskipped = SubstreamExtractor(EXTRACT_QUERIES)
+    started = time.perf_counter()
+    EventLogReader(store).events_into(unskipped)
+    full_elapsed = time.perf_counter() - started
+    if fragments != expected or unskipped.close() != expected:
+        return fail("extraction over the log diverges from live extraction")
+    if stats.skip_ratio < EXTRACT_SKIP_FLOOR:
+        return fail(
+            f"extraction skip ratio {stats.skip_ratio:.2f} below the "
+            f"{EXTRACT_SKIP_FLOOR:.2f} floor "
+            f"({stats.segments_skipped}/{stats.segments_total} skipped)"
+        )
+    bench["extract_skip"] = {
+        "queries": sorted(EXTRACT_QUERIES.values()),
+        "fragments": len(fragments),
+        "ratio": round(stats.skip_ratio, 4),
+        "segments_total": stats.segments_total,
+        "segments_skipped": stats.segments_skipped,
+        "events_delivered": stats.events_emitted,
+        "replay_s": round(skip_elapsed, 4),
+        "full_replay_s": round(full_elapsed, 4),
+        "speedup": round(full_elapsed / skip_elapsed, 2) if skip_elapsed else None,
+    }
+    return None
+
+
 def main(profile: str) -> int:
     scale = PROFILES[profile][1]
     text = events_to_string(xmark_events(scale))
@@ -326,6 +375,17 @@ def main(profile: str) -> int:
             f"skip gate ok: {skip['segments_skipped']}/{skip['segments_total']} "
             f"segments skipped (ratio {skip['ratio']:.2f} >= {SKIP_FLOOR:.2f}), "
             f"results identical"
+        )
+
+        code = extract_gate(store, text, bench)
+        if code is not None:
+            return code
+        extract = bench["extract_skip"]
+        print(
+            f"extract gate ok: {extract['segments_skipped']}/"
+            f"{extract['segments_total']} segments skipped (ratio "
+            f"{extract['ratio']:.2f} >= {EXTRACT_SKIP_FLOOR:.2f}), "
+            f"{extract['fragments']} fragments identical"
         )
     finally:
         shutil.rmtree(workdir, ignore_errors=True)

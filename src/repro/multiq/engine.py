@@ -61,7 +61,7 @@ from repro.multiq.registry import (
     SharedPathUnit,
     ShapeUnit,
 )
-from repro.multiq.router import AlphabetRouter
+from repro.multiq.router import AlphabetRouter, Interest, fold_interest
 from repro.stream.events import EndElement, Event, EventHandler, StartElement
 from repro.stream.recovery import RecoveryPolicy, ResourceLimits, StreamDiagnostic
 from repro.xpath.querytree import QueryTree
@@ -225,26 +225,18 @@ class MultiQueryEngine(TextFeed):
         """Look up one standing query's registration by name."""
         return self._registry.get(name)
 
-    def interest(self) -> tuple[frozenset[str], bool, bool]:
-        """Union alphabet of every registered query, router-shaped.
+    def interest(self) -> Interest:
+        """What the registered units can react to: the
+        :class:`~repro.multiq.router.Interest` of every unit
+        (:func:`~repro.multiq.router.fold_interest`).
 
-        Returns ``(tags, wants_all, wants_text)`` folded over all units,
-        exactly the analysis :func:`~repro.multiq.router.machine_alphabet`
-        computes per machine.  Units with per-query
-        :class:`~repro.stream.recovery.ResourceLimits` force
-        ``wants_all`` (their accounting needs every event), mirroring
-        the router's unfiltered path.  The durable log's replay uses
-        this to decide which segments provably cannot matter
+        Units with per-query :class:`~repro.stream.recovery.ResourceLimits`
+        force ``wants_all`` (their accounting needs every event),
+        mirroring the router's unfiltered path.  The durable log's replay
+        uses this to decide which segments provably cannot matter
         (:mod:`repro.store.index`).
         """
-        tags: set[str] = set()
-        wants_all = False
-        wants_text = False
-        for unit in self._registry.units():
-            tags |= unit.interest
-            wants_all = wants_all or unit.wants_all or not unit.routable
-            wants_text = wants_text or unit.wants_text
-        return frozenset(tags), wants_all, wants_text
+        return fold_interest(self._registry.units())
 
     def dispatch_stats(self) -> DispatchStats:
         """Routing counters accumulated since construction (or reset)."""

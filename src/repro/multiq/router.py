@@ -115,7 +115,7 @@ and are built when a unit is added.
 
 from __future__ import annotations
 
-from typing import Callable, Protocol
+from typing import Callable, Iterable, NamedTuple, Protocol
 
 from repro.core.machine import Machine
 
@@ -165,6 +165,64 @@ def unit_gates(
     values = machine.value_nodes
     text_label = values[0].label if len(values) == 1 else root_label
     return root_label, root_gate, text_label, engine.text_stack
+
+
+def gate_labels(unit: "RoutableUnit") -> frozenset[str]:
+    """The labels that gate ``unit``: exactly those the open-label index
+    gives a bit for it, its root label and its text label.
+
+    The unit can change state only while an element with one of them is
+    open, and that element's start tag opens it.  Empty for an ungated
+    unit (no root stack, or a ``'*'`` root).
+    """
+    root_label, root_gate, text_label, _text_gate = unit_gates(unit)
+    if root_gate is None or root_label == "*":
+        return frozenset()
+    return frozenset((root_label, text_label)) - {None, "*"}
+
+
+class Interest(NamedTuple):
+    """What a handler's units can react to: the input of segment skipping
+    (:func:`repro.store.index.segment_skippable`).
+
+    ``tags``, ``wants_all`` and ``wants_text`` fold
+    :func:`machine_alphabet` over every unit (the per-event alphabet
+    filter of :class:`~repro.transform.combinators.Tee`).  ``gates``
+    holds the gated units' :func:`gate_labels`; ``free_tags`` and
+    ``free_text`` fold the alphabet over the ungated units, which can
+    react whatever is open.  ``inside`` marks a handler that reads every
+    event while a gate label is open (an extractor records its matches'
+    subtrees), so only the gate labels can prove a segment dead.
+    """
+
+    tags: frozenset[str]
+    wants_all: bool
+    wants_text: bool
+    gates: frozenset[str]
+    free_tags: frozenset[str]
+    free_text: bool
+    inside: bool = False
+
+
+def fold_interest(units: "Iterable[RoutableUnit]") -> Interest:
+    """The :class:`Interest` of ``units``.  A limited unit (not routable)
+    wants every event: its accounting counts them all."""
+    tags: set[str] = set()
+    free_tags: set[str] = set()
+    gates: set[str] = set()
+    wants_all = wants_text = free_text = False
+    for unit in units:
+        tags |= unit.interest
+        wants_all = wants_all or unit.wants_all or not unit.routable
+        wants_text = wants_text or unit.wants_text
+        labels = gate_labels(unit)
+        if labels:
+            gates |= labels
+        else:
+            free_tags |= unit.interest
+            free_text = free_text or unit.wants_text
+    return Interest(frozenset(tags), wants_all, wants_text, frozenset(gates),
+                    frozenset(free_tags), free_text)
 
 
 class RoutableUnit(Protocol):

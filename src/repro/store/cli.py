@@ -227,10 +227,13 @@ def _cmd_index(args) -> int:
             mark = "  SKIP" if segment["skippable"] else "  read"
         state = "sealed" if segment["sealed"] else "active"
         tags = ",".join(segment["tags"])
+        labels = segment["open_labels"]
+        opened = "?" if labels is None else "/".join(labels)
         print(
             f"{segment['file']}  [{state}]  events {segment['base_event']}"
             f"..{segment['base_event'] + segment['events']}  "
             f"levels {segment['min_level']}-{segment['max_level']}  "
+            f"open={opened}  "
             f"text={'y' if segment['has_text'] else 'n'}  tags={{{tags}}}{mark}"
         )
     if "skip_ratio" in report:

@@ -39,7 +39,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from repro.errors import ReproError
 from repro.serve.framing import (
@@ -64,6 +64,9 @@ from repro.stream.recovery import RecoveryPolicy, ResourceLimits
 from repro.stream.tokenizer import XmlTokenizer
 from repro.stream.writer import escape_attribute, escape_text
 from repro.store.sync import SyncPolicy
+
+if TYPE_CHECKING:
+    from repro.multiq.router import Interest
 
 __all__ = [
     "StoreError",
@@ -1076,6 +1079,33 @@ class EventLogReader:
             "not present (corrupt store?)"
         )
 
+    def open_labels(self, segment: SegmentInfo) -> "list[str] | None":
+        """The labels of the elements open at ``segment``'s start,
+        outermost first: the ``stack`` of the tokenizer snapshot in its
+        header, read alone.  ``None`` in a version-1 store, whose
+        segments carry no snapshot."""
+        if self._manifest.version < 2:
+            return None
+        path = os.path.join(self.path, segment.file)
+        try:
+            with open(path, "rb") as handle:
+                head = handle.read(FRAME_HEADER.size)
+                if len(head) == FRAME_HEADER.size:
+                    length = FRAME_HEADER.unpack(head)[0]
+                    head += handle.read(min(length, self.max_frame))
+            frames = FrameDecoder(self.max_frame).feed(head)
+        except FrameError as exc:
+            raise StoreError(f"corrupt segment header in {segment.file!r}: {exc}") from exc
+        if not frames or frames[0].type != REC_SEGMENT:
+            raise StoreError(f"segment {segment.file!r} has no header")
+        state = _record_json(REC_SEGMENT, frames[0].payload, "segment header").get("tokenizer")
+        stack = state.get("stack") if isinstance(state, dict) else None
+        if not isinstance(stack, list) or not all(isinstance(label, str) for label in stack):
+            raise StoreError(
+                f"corrupt segment header in {segment.file!r}: "
+                "its tokenizer stack is not a list of labels")
+        return stack
+
     def _records(self, segment: SegmentInfo) -> Iterator[tuple]:
         """The segment's frames; sealed corruption raises, torn tails stop."""
         try:
@@ -1108,13 +1138,14 @@ class EventLogReader:
         sealed segment raises :class:`StoreError`; a torn active tail ends
         the replay.
 
-        ``interest`` is ``(tags, wants_all, wants_text)``, the alphabet
-        analysis of :mod:`repro.store.index`: a segment is skipped when
-        *every one of its events* would be dropped by the multi-query
-        alphabet router — no tag overlap, no wildcard machine, and no
-        character data if a query tests values — which makes skipping
-        exact.  ``on_checkpoint`` receives each checkpoint record at or
-        after ``start_event``, after the record that delivers its event.
+        ``interest`` is the handler's
+        :class:`~repro.multiq.router.Interest`: a segment is skipped when
+        :func:`segment_skippable` proves that none of its events can
+        touch the handler's units, reading the labels open at its start
+        from its header only when the verdict depends on them
+        (:meth:`open_labels`), which makes skipping exact.
+        ``on_checkpoint`` receives each checkpoint record at or after
+        ``start_event``, after the record that delivers its event.
         """
         for _ in self._replay(handler, start_event, interest, stats, on_checkpoint):
             pass
@@ -1174,7 +1205,8 @@ class EventLogReader:
                     stats.segments_skipped += 1
                     stats.bytes_skipped += segment.size
                 continue
-            if interest is not None and segment_skippable(segment, interest):
+            if interest is not None and segment_skippable(
+                    segment, interest, partial(self.open_labels, segment)):
                 if stats is not None:
                     stats.segments_skipped += 1
                     stats.bytes_skipped += segment.size
@@ -1212,14 +1244,37 @@ class EventLogReader:
             self._m_replayed.inc(delivered)
 
 
-def segment_skippable(segment: SegmentInfo, interest: tuple) -> bool:
-    """True when no event in ``segment`` can touch a machine with ``interest``."""
-    tags, wants_all, wants_text = interest
-    if wants_all:
+def segment_skippable(
+    segment: SegmentInfo,
+    interest: "Interest",
+    open_labels: "Callable[[], Iterable[str] | None] | None" = None,
+) -> bool:
+    """True when no event in ``segment`` can touch a handler with ``interest``.
+
+    Two exact rules (:mod:`repro.store.index`).  The alphabet rule: no
+    unit's alphabet meets the segment's tags, and no unit wants its text;
+    it does not hold for a handler that reads inside its matches
+    (``interest.inside``).  The gate rule: no ungated unit's alphabet or
+    text wish meets the segment, and no gate label occurs in its tags or
+    is open at its start.  Neither holds when a unit wants every event.
+
+    ``open_labels`` returns the labels open at the segment's start, or
+    ``None`` when they are unknown (a version-1 segment); it is called
+    only when the verdict depends on them.
+    """
+    if interest.wants_all:
         return False
-    if wants_text and segment.has_text:
+    tags = segment.tags
+    text = segment.has_text
+    if not interest.inside and not (tags & interest.tags or interest.wants_text and text):
+        return True
+    gates = interest.gates
+    if tags & interest.free_tags or interest.free_text and text or tags & gates:
         return False
-    return not (segment.tags & tags)
+    if not gates:
+        return True
+    labels = None if open_labels is None else open_labels()
+    return labels is not None and gates.isdisjoint(labels)
 
 
 def compact(

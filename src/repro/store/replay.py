@@ -22,8 +22,8 @@ Replay equivalence holds because evaluation depends only on the event
 sequence: the log holds the text ingest tokenised, each segment header
 holds the tokenizer state its text starts from, re-tokenising the same
 text from the same state yields the same events, and segment skipping
-only ever drops events the alphabet router proves no registered machine
-can react to.
+only ever drops segments :mod:`repro.store.index` proves no registered
+unit can react to.
 """
 
 from __future__ import annotations
@@ -222,14 +222,17 @@ def replay_into(
     """Drive any push :class:`~repro.stream.events.EventHandler` from
     recorded history — the transform-over-replay hook.
 
-    Unlike :func:`replay`, no alphabet-driven segment skipping is
-    applied: a stream *consumer* (a
-    :class:`~repro.transform.extract.SubstreamExtractor`, a
-    :class:`~repro.transform.rewrite.RewriteEngine`, a serializer) needs
-    the content of matched subtrees, not just the events its machines
-    dispatch on, so skipping segments by query alphabet would drop
-    fragment content.  The text is re-tokenised under ``limits`` exactly
-    as in :func:`replay`.
+    A :class:`~repro.transform.extract.SubstreamExtractor` is fed only the
+    segments its :meth:`~repro.transform.extract.SubstreamExtractor.interest`
+    can touch: the gate rule of :mod:`repro.store.index` skips a segment
+    when no query's root (or text) label occurs in it or is open at its
+    start, which is exact because a fragment lies inside its match and
+    the match inside an element with the query's root label.  Version-1
+    segments carry no open labels, so an extractor reads them all.  Any
+    other handler — a :class:`~repro.transform.rewrite.RewriteEngine`, a
+    :class:`~repro.transform.combinators.Tee`, a serializer, a collector
+    — receives every event.  The text is re-tokenised under ``limits``
+    exactly as in :func:`replay`.
 
     ``from_checkpoint`` positions the replay at that checkpoint's event
     offset (the handler must already carry matching state — e.g. a
@@ -237,12 +240,15 @@ def replay_into(
     ``start_event`` positions it explicitly.  With ``close`` (default)
     the handler's ``close()`` result is returned after the last event.
     """
+    from repro.transform.extract import SubstreamExtractor
+
     reader = EventLogReader(path, limits=limits, metrics=metrics)
     start = start_event
     if from_checkpoint is not None:
         record = reader.load_checkpoint(from_checkpoint)
         start = int(record["event"])
-    reader.events_into(handler, start, stats=stats)
+    interest = handler.interest() if isinstance(handler, SubstreamExtractor) else None
+    reader.events_into(handler, start, interest=interest, stats=stats)
     if close:
         close_handler = getattr(handler, "close", None)
         if close_handler is not None:

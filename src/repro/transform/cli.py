@@ -21,7 +21,10 @@ Rules files hold one rule per line, tab-separated (``#`` comments)::
 Input is an XML file, ``-`` for stdin, or ``--store DIR`` to replay a
 durable event log (:mod:`repro.store`) through the transform instead of
 parsing text.  ``--stats`` prints a JSON summary (fragments/rules fired,
-bytes, events, MB/s) to stderr.
+bytes, events, MB/s) to stderr; ``events`` counts the events the
+transform was delivered, and a replay also reports the segments and
+events it skipped (an extractor reads only the segments its queries can
+touch, :func:`~repro.store.replay.replay_into`).
 """
 
 from __future__ import annotations
@@ -169,14 +172,27 @@ def _load_queries(args) -> dict:
     return queries
 
 
-def _drive(transform, args) -> int:
-    """Feed ``transform`` from the chosen input; return event count."""
+def _drive(transform, args) -> dict:
+    """Feed ``transform`` from the chosen input; return its input
+    accounting: the events it was delivered, and from a store the
+    segments and events replay skipped."""
     if args.store:
+        from repro.store.log import EventLogReader, ReplayStats
         from repro.store.replay import replay_into
 
-        replay_into(transform, args.store,
-                    from_checkpoint=args.from_checkpoint, close=True)
-    elif args.source == "-":
+        stats = ReplayStats()
+        replay_into(transform, args.store, from_checkpoint=args.from_checkpoint,
+                    stats=stats, close=True)
+        reader = EventLogReader(args.store)
+        start = 0
+        if args.from_checkpoint is not None:
+            start = int(reader.load_checkpoint(args.from_checkpoint)["event"])
+        return {
+            "events": transform.events_in,
+            "segments_skipped": stats.segments_skipped,
+            "events_skipped": reader.position - start - stats.events_emitted,
+        }
+    if args.source == "-":
         transform.feed_text(sys.stdin.read())
         transform.close()
     else:
@@ -187,7 +203,7 @@ def _drive(transform, args) -> int:
                     break
                 transform.feed_text(chunk)
         transform.close()
-    return transform.events_in
+    return {"events": transform.events_in}
 
 
 def _run_select(args, out) -> dict:
@@ -204,14 +220,14 @@ def _run_select(args, out) -> dict:
         queries, on_fragment=on_fragment, chunk_size=args.chunk_size
     )
     started = time.perf_counter()
-    events = _drive(extractor, args)
+    accounting = _drive(extractor, args)
     elapsed = time.perf_counter() - started
     return {
         "command": "select",
         "queries": len(queries),
         "fragments": dict(extractor.fragment_counts),
         "fragment_bytes": extractor.fragment_bytes,
-        "events": events,
+        **accounting,
         "seconds": round(elapsed, 6),
         "fragments_per_s": round(
             sum(extractor.fragment_counts.values()) / elapsed, 1
@@ -228,7 +244,7 @@ def _run_rewrite(args, out) -> dict:
         rules, on_chunk=out.write, chunk_size=args.chunk_size
     )
     started = time.perf_counter()
-    events = _drive(engine, args)
+    accounting = _drive(engine, args)
     elapsed = time.perf_counter() - started
     out.write("\n")
     return {
@@ -238,7 +254,7 @@ def _run_rewrite(args, out) -> dict:
             rule.source: count
             for rule, count in zip(rules, engine.rules_fired)
         },
-        "events": events,
+        **accounting,
         "events_out": engine.events_out,
         "bytes_out": (engine._writer.bytes_written
                       if engine._writer is not None else None),

@@ -43,7 +43,7 @@ class _Branch:
         if interest is None:
             self.tags, self.wants_all, self.wants_text = frozenset(), True, True
         else:
-            self.tags, self.wants_all, self.wants_text = interest()
+            self.tags, self.wants_all, self.wants_text = interest()[:3]
         self._active = None if not hasattr(type(handler), "active") else True
 
     def active(self) -> bool:
@@ -56,7 +56,8 @@ class Tee(EventHandler):
     """Fan one event stream out to several branches, skipping dead ones.
 
     A branch is any :class:`EventHandler`; branches exposing
-    ``interest()`` (router-shaped ``(tags, wants_all, wants_text)``) and
+    ``interest()`` (a :class:`~repro.multiq.router.Interest`, whose
+    ``tags``, ``wants_all`` and ``wants_text`` the tee reads) and
     ``active`` (currently buffering a candidate subtree) — both transform
     classes do — receive only the events they can observe:
 

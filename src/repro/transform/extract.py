@@ -26,7 +26,7 @@ a half-serialized streaming fragment resumes exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.checkpoint import read_envelope, read_fields, restoring
 from repro.stream.events import Characters, EndElement, StartElement
@@ -39,6 +39,9 @@ from repro.transform.base import (
     pack_events,
     unpack_events,
 )
+
+if TYPE_CHECKING:
+    from repro.multiq.router import Interest
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,9 +181,12 @@ class SubstreamExtractor(StreamTransform):
 
     # -- interest (combinator support) ------------------------------------
 
-    def interest(self) -> tuple[frozenset, bool, bool]:
-        """Union alphabet of the select queries (router-shaped)."""
-        return self._engine.interest()
+    def interest(self) -> "Interest":
+        """What the select queries can react to, marked ``inside``: a
+        fragment lies inside its match, which lies inside an element with
+        the query's root label, so the extractor reads every event while
+        a gate label is open (see :mod:`repro.store.index`)."""
+        return self._engine.interest()._replace(inside=True)
 
     @property
     def active(self) -> bool:

@@ -37,6 +37,7 @@ from typing import Callable, Iterable, Sequence
 
 from repro.checkpoint import read_envelope, restoring
 from repro.errors import CheckpointError, TransformError
+from repro.multiq.router import Interest
 from repro.stream.events import (
     Characters,
     EndElement,
@@ -332,9 +333,9 @@ class RewriteEngine(StreamTransform):
             self._m_rewritten.set(self._writer.bytes_written)
         self._m_events.set(self.events_in)
 
-    def interest(self) -> tuple[frozenset, bool, bool]:
+    def interest(self) -> Interest:
         """A rewrite passes unmatched events through: it needs them all."""
-        return frozenset(), True, True
+        return Interest(frozenset(), True, True, frozenset(), frozenset(), True)
 
     @property
     def active(self) -> bool:

@@ -157,7 +157,27 @@ class TestIndexAndCompact:
         # segments of their own, which the rare query skips.
         assert any(seg["skippable"] and seg["events"] for seg in report["segments"])
         for segment in report["segments"]:
-            assert {"file", "tags", "has_text", "skippable"} <= set(segment)
+            assert {"file", "tags", "has_text", "skippable", "open_labels"} <= set(segment)
+        assert report["segments"][0]["open_labels"] == []
+        assert all(seg["open_labels"][:1] == ["catalog"] for seg in report["segments"][1:]
+                   if seg["base_event"] < report["total_events"])
+
+    def test_index_reports_gate_verdicts(self, tmp_path, capsys):
+        from repro.store.replay import ingest
+
+        text = ("<r>" + "<x>i</x>" * 40 + "<a><c/>" + "<x>i</x>" * 40 + "</a>"
+                + "<x>i</x>" * 40 + "</r>")
+        store = str(tmp_path / "g")
+        ingest([text[i:i + 32] for i in range(0, len(text), 32)], store,
+               segment_events=8, sync="none")
+        code, out, _ = run(capsys, "index", store, "--query", "//a[c]/x", "--json")
+        report = json.loads(out)
+        assert report["interest"]["gates"] == ["a"]
+        for segment in report["segments"]:
+            inside = "a" in segment["tags"] or "a" in segment["open_labels"]
+            assert segment["skippable"] is not inside, segment
+        code, out, _ = run(capsys, "index", store, "--query", "//a[c]/x")
+        assert "open=r/a" in out
 
     def test_compact_then_replay(self, store, capsys):
         _, out, _ = run(capsys, "index", store, "--json")

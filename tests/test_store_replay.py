@@ -35,6 +35,8 @@ from repro.stream.recovery import ResourceLimits
 from repro.stream.writer import events_to_string
 
 from tests.conftest import chain_xml
+
+GOLDEN_DATA = os.path.join(os.path.dirname(__file__), "data")
 from tests.test_push_equivalence import QUERIES, random_document
 
 QUERY_SET = {
@@ -183,8 +185,7 @@ class TestIndexSkipping:
         ingest(self._two_zone_doc(), store, segment_events=64, sync="none")
         engine = MultiQueryEngine()
         engine.add_query("q", "//x/y", limits=ResourceLimits(max_total_events=10**6))
-        tags, wants_all, wants_text = engine.interest()
-        assert wants_all  # per-query limits force the unfiltered path
+        assert engine.interest().wants_all  # per-query limits force the unfiltered path
         stats = ReplayStats()
         replay(engine, store, stats=stats)
         assert stats.segments_skipped == 0
@@ -202,15 +203,120 @@ class TestIndexSkipping:
         (tmp_path / "s").rename(tmp_path / f"s-{seed}")
 
     def test_interest_for_shapes(self):
-        tags, wants_all, wants_text = interest_for("//book/title")
-        assert tags == frozenset({"book", "title"})
-        assert not wants_all and not wants_text
-        _, wants_all, _ = interest_for("//book//*")
-        assert wants_all
-        _, _, wants_text = interest_for("//book[price < 30]/title")
-        assert wants_text
-        tags, _, _ = interest_for({"a": "//x/y", "b": "//p/q"})
-        assert tags == frozenset({"x", "y", "p", "q"})
+        interest = interest_for("//book/title")
+        assert interest.tags == frozenset({"book", "title"})
+        assert not interest.wants_all and not interest.wants_text
+        assert interest_for("//book//*").wants_all
+        assert interest_for("//book[price < 30]/title").wants_text
+        assert interest_for({"a": "//x/y", "b": "//p/q"}).tags == frozenset(
+            {"x", "y", "p", "q"})
+
+
+def gate_doc() -> str:
+    """``<a>`` stays open across many segments whose only tags are
+    ``<x>``; ``<y>`` filler outside it carries no query label."""
+    outer = "".join(f"<y>o{i}</y>" for i in range(30))
+    inner = "".join(f"<x>i{i}</x>" for i in range(60))
+    return f"<r>{outer}<a>{inner}<c>k</c>{inner}</a>{outer}</r>"
+
+
+def ingest_small(text: str, store: str, **options) -> None:
+    """Ingest in 32-character chunks, eight events to a segment."""
+    chunks = [text[i:i + 32] for i in range(0, len(text), 32)]
+    ingest(chunks, store, segment_events=8, sync="none", **options)
+
+
+class TestGateSkipping:
+    """The gate rule: a gated unit cannot react while none of its gate
+    labels is open, so a segment with none in its tags or open at its
+    start is dead; one inside an open gate element is read."""
+
+    def test_open_gate_label_keeps_inner_segments(self, tmp_path):
+        from repro.store.replay import replay_into
+        from repro.transform.extract import SubstreamExtractor
+
+        text = gate_doc()
+        store = str(tmp_path / "s")
+        ingest_small(text, store)
+        reader = EventLogReader(store)
+        inner = [segment for segment in reader.segments()
+                 if segment.tags == {"x"} and reader.open_labels(segment) == ["r", "a"]]
+        assert len(inner) > 3  # gate label open, only inner tags
+        queries = {"whole": "//a", "tail": "//a[c]/x"}
+        for query in queries.values():
+            stats = ReplayStats()
+            assert replay(query, store, stats=stats) == XPathStream(query).evaluate(text)
+            assert stats.segments_skipped > 0
+        # ``//a`` alone: the inner segments miss its alphabet, but they
+        # hold its fragment's content.
+        for select in ({"whole": "//a"}, queries):
+            stats = ReplayStats()
+            extractor = SubstreamExtractor(select)
+            fragments = replay_into(extractor, store, stats=stats)
+            assert fragments == SubstreamExtractor(select).evaluate(text)
+            assert stats.segments_skipped > 0
+            assert stats.segments_skipped + len(inner) <= stats.segments_total
+            assert extractor.events_in == stats.events_emitted
+
+    def test_gate_rule_beats_the_alphabet_rule(self, tmp_path):
+        text = gate_doc().replace("<y>", "<x>").replace("</y>", "</x>")
+        store = str(tmp_path / "s")
+        ingest_small(text, store)
+        stats = ReplayStats()
+        assert replay("//a[c]/x", store, stats=stats) == XPathStream(
+            "//a[c]/x").evaluate(text)
+        # Every segment holds an ``x``: only the closed gate label skips.
+        assert stats.segments_skipped > 0
+
+    def test_open_labels_of_a_version_one_store_are_unknown(self):
+        reader = EventLogReader(os.path.join(GOLDEN_DATA, "golden_store"))
+        assert [reader.open_labels(s) for s in reader.segments()] == [None] * 3
+
+    def test_version_one_accounting_is_the_alphabet_rule(self):
+        """Gated queries on the version-1 golden store skip what the
+        alphabet rule skipped; an extractor skips nothing there."""
+        from repro.store.replay import replay_into
+        from repro.transform.extract import SubstreamExtractor
+
+        store = os.path.join(GOLDEN_DATA, "golden_store")
+        for query, skipped, emitted in (
+                ("//person[name]/emailaddress", 1, 1024),
+                ("//open_auction[bidder]/seller", 1, 794),
+                ("//item[payment]/name", 1, 1024)):
+            stats = ReplayStats()
+            replay(query, store, stats=stats)
+            assert (stats.segments_skipped, stats.events_emitted) == (skipped, emitted)
+        stats = ReplayStats()
+        replay_into(SubstreamExtractor({"names": "//person/name",
+                                        "people": "//person[name]/emailaddress"}),
+                    store, stats=stats)
+        assert (stats.segments_skipped, stats.events_emitted) == (0, 1306)
+
+    @pytest.mark.parametrize("stack", ['"ra"', "[1, 2]", "null", '["r", 3]'])
+    def test_header_stack_must_be_a_list_of_labels(self, tmp_path, stack):
+        import json
+
+        from repro.serve.framing import encode_frame
+        from repro.store.index import index_report
+        from repro.store.log import REC_SEGMENT, _frames
+
+        store = str(tmp_path / "s")
+        ingest_small(gate_doc(), store)
+        reader = EventLogReader(store)
+        segment = reader.segments()[1]
+        path = os.path.join(store, segment.file)
+        (record, payload, end), *_ = _frames(path, 1 << 20)
+        assert record == REC_SEGMENT
+        header = json.loads(payload)
+        header["tokenizer"]["stack"] = json.loads(stack)
+        with open(path, "rb") as handle:
+            rest = handle.read()[end:]
+        with open(path, "wb") as handle:
+            handle.write(encode_frame(REC_SEGMENT, json.dumps(header).encode()) + rest)
+        with pytest.raises(StoreError, match="stack"):
+            reader.open_labels(segment)
+        with pytest.raises(StoreError, match="stack"):
+            index_report(reader)
 
 
 class TestLateQueryCatchUp:
@@ -395,6 +501,19 @@ ORACLE_QUERIES = {
 }
 
 
+#: The extraction oracle's select queries: a gated twig, a query whose
+#: first step is ``*`` (gated by its return label), a value test, a
+#: predicate above the return node, and a wildcard machine (``//*[price]``,
+#: which turns skipping off for any set it is in).
+SELECT_QUERIES = {
+    "twig": "//section[title]/p",
+    "star": "//*/title",
+    "value": "//book[price < 30]/title",
+    "above": "//a[d]//b",
+    "wild": "//*[price]",
+}
+
+
 def oracle_case(seed: int):
     """A seeded document, policy, chunking and log geometry.
 
@@ -459,6 +578,26 @@ class TestRandomizedLog:
         compact(compacted, target, sync="none")
         assert replay(None, compacted, from_checkpoint=target) == live
         assert replay(None, compacted, from_checkpoint=result.checkpoints[-1]) == live
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_extraction_replay_matches_live_extraction(self, tmp_path, seed):
+        """``replay_into`` of a select set (and of each of its queries
+        alone, where the gate rule skips most) ≡ live
+        ``SubstreamExtractor.evaluate(text)``, in both emission modes."""
+        from repro.store.replay import replay_into
+        from repro.transform.extract import SubstreamExtractor
+
+        text, policy, chunks, segment_events, interval, _rng = oracle_case(seed)
+        store = str(tmp_path / "store")
+        ingest(chunks, store, policy=policy, checkpoint_interval=interval,
+               segment_events=segment_events, sync="none")
+        selects = [SELECT_QUERIES, *({name: query} for name, query in SELECT_QUERIES.items())]
+        for queries in selects:
+            for emission in ("default", "earliest"):
+                live = SubstreamExtractor(queries, policy=policy,
+                                          emission=emission).evaluate(text)
+                replayed = replay_into(SubstreamExtractor(queries, emission=emission), store)
+                assert replayed == live, (sorted(queries), emission)
 
     @pytest.mark.parametrize("seed", range(0, 40, 3))
     def test_torn_tail_at_every_byte_of_the_last_record(self, tmp_path, seed):

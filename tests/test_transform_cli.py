@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import main as top_main
 from repro.errors import ReproError
+from repro.stream.tokenizer import parse_string
 from repro.transform.cli import main, parse_rules
 
 DOC = (
@@ -74,6 +75,22 @@ class TestSelectCommand:
         ingest(DOC, store)
         assert main(["select", "-q", "//note", "--store", store]) == 0
         assert capsys.readouterr().out == "<note>keep</note>\n"
+
+    def test_store_stats_report_skipping(self, tmp_path, capsys):
+        from repro.store.replay import ingest
+
+        text = "<r>" + "<x>i</x>" * 40 + "<note>keep</note>" + "<x>i</x>" * 40 + "</r>"
+        store = str(tmp_path / "log")
+        ingest([text[i:i + 32] for i in range(0, len(text), 32)], store,
+               segment_events=8, sync="none")
+        assert main(["select", "-q", "//note", "--store", store, "--stats"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "<note>keep</note>\n"
+        summary = json.loads(captured.err)
+        total = len(list(parse_string(text)))
+        assert summary["segments_skipped"] > 0
+        assert summary["events"] + summary["events_skipped"] == total
+        assert 0 < summary["events"] < total
 
 
 class TestRewriteCommand:

@@ -173,6 +173,57 @@ class TestStoreReplay:
         assert extractor.close() == direct
 
 
+def gated_store(tmp_path) -> "tuple[str, str]":
+    """A store whose ``<book>`` elements sit in a few of its segments."""
+    from repro.store.replay import ingest
+
+    filler = "".join(f"<note>n{i}</note>" for i in range(60))
+    text = f"<catalog>{filler}{DOC[9:-10]}{filler}</catalog>"
+    path = str(tmp_path / "log")
+    chunks = [text[i:i + 32] for i in range(0, len(text), 32)]
+    ingest(chunks, path, segment_events=8, sync="none")
+    return text, path
+
+
+class TestReplaySkipping:
+    """``replay_into`` skips segments for an extractor (the index's gate
+    rule) and for no other handler."""
+
+    def test_extractor_skips_exactly(self, tmp_path):
+        from repro.store import ReplayStats
+        from repro.store.replay import replay_into
+
+        text, path = gated_store(tmp_path)
+        stats = ReplayStats()
+        extractor = SubstreamExtractor({"books": "//book", "cheap": "//book[price < 30]/title"})
+        fragments = replay_into(extractor, path, stats=stats)
+        assert fragments == SubstreamExtractor(
+            {"books": "//book", "cheap": "//book[price < 30]/title"}).evaluate(text)
+        assert stats.segments_skipped > stats.segments_total // 2
+        assert extractor.events_in == stats.events_emitted
+
+    def test_other_handlers_never_skip(self, tmp_path):
+        from repro.store import ReplayStats
+        from repro.store.replay import replay_into
+        from repro.stream.events import EventCollector
+        from repro.transform.combinators import Tee
+        from repro.transform.rewrite import RewriteEngine, rename
+
+        text, path = gated_store(tmp_path)
+        events = list(parse_string(text))
+        collector = EventCollector()
+        rewrite = RewriteEngine([rename("//book", "entry")])
+        tee = Tee(SubstreamExtractor("//book"), EventCollector())
+        for handler in (collector, rewrite, tee):
+            stats = ReplayStats()
+            replay_into(handler, path, stats=stats, close=False)
+            assert stats.segments_skipped == 0, handler
+            assert stats.events_emitted == len(events), handler
+        assert collector.events == events
+        assert rewrite.events_in == len(events)
+        assert tee.branches[1].events == events
+
+
 class TestCoerceQueries:
     def test_single_string(self):
         assert coerce_queries("//a") == {"select": "//a"}
