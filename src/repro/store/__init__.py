@@ -11,8 +11,9 @@ checkpoints embed the evaluating engine's versioned snapshot, so:
 * **replay** (:func:`~repro.store.replay.replay`) re-evaluates recorded
   history — from document start or from any checkpoint — with results
   byte-identical to live evaluation, skipping every segment the
-  alphabet-router argument proves irrelevant
-  (:mod:`repro.store.index`);
+  router's alphabet or gate-label argument proves irrelevant
+  (:mod:`repro.store.index`); extraction over the log
+  (:func:`~repro.store.replay.replay_into`) skips by gate labels too;
 * **late queries catch up** (:func:`~repro.store.replay.catch_up`):
   a query added to a live :class:`~repro.multiq.engine.MultiQueryEngine`
   backfills over the log and splices into the live stream at the exact
