@@ -17,13 +17,15 @@ path query a member of one shared lazy-DFA unit):
    256 events, never holds more de-duplication ids (the ``seen`` lists
    of its snapshots, summed) than 1% of the results it has emitted:
    sinks remember ids only for their machine's open root match.
-5. **Shared units** — the engine runs the 1000 queries on at most 235
-   machine units (230 measured): the 517 path queries are the members of
-   one shared lazy DFA (288 PathM units without it), value-tested
-   queries that differ only in their constant share one value-shape
-   unit, and the 316 plain ``//X[Y]`` / ``//X[Y]//Z`` queries that differ
-   only in their branch label share 205 label-shape units (326 units
-   without label shapes, 743 without any of the three).
+5. **Shared units** — the engine runs the 1000 queries on at most 145
+   machine units (141 measured): the 517 path queries are the members of
+   one shared lazy DFA (288 PathM units without it), the 167
+   value-tested queries that differ only in their constant share 24
+   value-shape units, and the 316 plain ``//X[Y]`` / ``//X[Y]//Z``
+   queries that differ only in their labels share 116 label-shape units:
+   59 with the branch label left out and 57 ``//X[Y]//Z`` units with the
+   return label left out too (230 units when the return label is kept,
+   326 without label shapes, 743 without any of the three).
 
 It then runs the full 10/100/1000 scaling benchmark and writes
 ``BENCH_multiq.json`` so the perf trajectory is recorded per commit.
@@ -48,7 +50,7 @@ MIN_REDUCTION = 50.0
 MAX_GATE_TESTS_PER_DELIVERY = 1.25
 SLICE_EVENTS = 256
 MAX_SEEN_SHARE = 0.01
-MAX_UNITS = 235
+MAX_UNITS = 145
 REPORT = "BENCH_multiq.json"
 
 

@@ -4,7 +4,7 @@ Gates the acceptance properties of the ``repro.obs`` layer:
 
 1. **The engine that runs is observed** — metrics on and off build the
    same engine classes for an ``XPathStream`` and the same units for a
-   ``MultiQueryEngine`` over the 1000-query standing set (230 today),
+   ``MultiQueryEngine`` over the 1000-query standing set (141 today),
    and metrics on run that set within ``MAX_METRICS_SLOWDOWN`` (1.25x)
    of metrics off over pre-tokenised events, as the median of
    ``REPEATS`` alternating pairs (a final scrape included).

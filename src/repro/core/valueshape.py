@@ -1,14 +1,16 @@
-"""Shape TwigM: one machine for queries that differ in one constant or label.
+"""Shape TwigM: one machine for queries that differ in one constant or in labels.
 
 Standing-query fleets repeat one pattern with many constants —
 ``//person[initial < 660]``, ``//person[initial < 151]``, … — and with
-many branch labels — ``//open_auction[bidder]``,
-``//open_auction[reserve]``, …  Each such query run alone is a TwigM
-whose machines are identical except for one node, the *open node*: the
-literal of its one value test (a *value shape*), or the label of a
-branch leaf (a *label shape*).  :class:`ShapeTwigM` runs them all as
-*members* of one machine (YFilter's shared predicate and tree-pattern
-evaluation, Diao et al., TODS 2003):
+many labels — ``//open_auction[bidder]``, ``//open_auction[reserve]``,
+``//open_auction[seller]//date``, ``//open_auction[bidder]/current``, …
+Each such query run alone is a TwigM whose machines are identical except
+for one node, the *open node*: the literal of its one value test (a
+*value shape*), or the label of a branch leaf (a *label shape*) — and,
+in a label shape whose return node is a plain leaf child of the root,
+the return node's label too (the *open return node*).
+:class:`ShapeTwigM` runs them all as *members* of one machine (YFilter's
+shared predicate and tree-pattern evaluation, Diao et al., TODS 2003):
 
 * when an entry of the open node pops, it is turned into a **member
   bitmask** with one lookup.  A value shape coerces the entry's string
@@ -17,13 +19,18 @@ evaluation, Diao et al., TODS 2003):
   a bisect over the sorted constants for ``<``/``<=``/``>``/``>=``, a
   dict for ``=``, its complement for ``!=``); a label shape looks the
   end tag up in a dict from member label to member mask;
-* a label shape's open node dispatches on the member labels, never on
-  the representative query's own label for it: each member label's plan
-  holds it where that member's own TwigM would.  When a member leaves
-  mid-element, its label's open entries are no longer popped at their
-  end tags; any later pop of the open node first drops entries deeper
-  than the closing element (their elements have closed), so they never
-  shadow a live entry and propagate nothing;
+* a label shape's open node (and open return node) dispatches on the
+  member labels, never on the representative query's own label for it:
+  each member label's plan holds it where that member's own TwigM
+  would.  When a member leaves mid-element, its label's open entries
+  are no longer popped at their end tags; any later pop of the node
+  first drops entries deeper than the closing element (their elements
+  have closed), so they never shadow a live entry and propagate nothing;
+* with an open return node, a root entry keeps its candidates per return
+  label (a dict from label to id set): a return entry's pop adds its id
+  under the end tag's label, and the root's pop gives each satisfied
+  member the sorted ids of its own return label — the ids, in the
+  order, of that member's own TwigM;
 * on the chain from the open node up to the *emitting node*, an entry's
   ``attr_bits`` word holds the OR of the masks its chain child
   delivered — the members for which that entry's match holds.  Chain
@@ -44,7 +51,11 @@ else the machine root — is the lowest common ancestor of the open node
 and the return node; every node on the chain between them is
 conjunctive.  The candidates then live only on the trunk, which meets
 the chain at the emitting node alone, so one candidate set serves every
-member.  The registry keeps everything else on per-query machines.
+member.  In a label shape, the return node is open too when it is a
+leaf child of the emitting root over a ``/`` or ``//`` edge, with a
+concrete label and no attribute test or condition (``//X[Y]//Z``); the
+root's candidate sets are then kept per return label.  The registry
+keeps everything else on per-query machines.
 """
 
 from __future__ import annotations
@@ -59,7 +70,7 @@ from repro.core.machine import (
 )
 from repro.core.results import ResultSink
 from repro.core.twigm import TwigM
-from repro.errors import UnsupportedQueryError
+from repro.errors import CheckpointError, UnsupportedQueryError
 from repro.xpath.querytree import QueryTree
 
 #: Memoised member-sink tuples per emitted mask (cleared on every
@@ -68,15 +79,23 @@ from repro.xpath.querytree import QueryTree
 MASK_CACHE_LIMIT = 4096
 
 
-def shape_scope(machine: Machine) -> "tuple[MachineNode, MachineNode] | None":
-    """``(open node, emitting node)`` when ``machine`` may run members.
+def shape_scope(
+    machine: Machine,
+) -> "tuple[MachineNode, MachineNode, MachineNode | None] | None":
+    """``(open node, emitting node, open return node)`` when ``machine``
+    may run members.
 
     ``None`` unless the machine has an open node (its one value-tested
     node, with one test, or with no value test its one off-trunk node,
     a concrete-labelled leaf without attribute test or condition), the
     emitting node is an ancestor-or-self of it and the lowest common
     ancestor of it and the return node, and every node on the chain
-    between them is conjunctive (see the module docstring).
+    between them is conjunctive (see the module docstring).  The open
+    return node is the return node of a label shape when it is a
+    concrete-labelled leaf child of the emitting node over a ``/`` or
+    ``//`` edge, with no attribute test or condition, and the emitting
+    node is the query's root step; else ``None``.  It is open exactly
+    when :func:`~repro.multiq.canon.shape_key` leaves its label out.
     """
     if machine.value_nodes:
         if len(machine.value_nodes) != 1:
@@ -115,7 +134,13 @@ def shape_scope(machine: Machine) -> "tuple[MachineNode, MachineNode] | None":
             trunk_node = trunk_node.parent
         if trunk_node is chain[-2]:
             return None
-    return shaped, emitting
+    tail = machine.return_node
+    if (machine.value_nodes or tail.parent is not emitting or tail.edge_dist != 1
+            or emitting.edge_dist != 1  # a root '*' step folded into the edge
+            or tail.children or tail.label == "*" or tail.attribute_tests
+            or tail.compiled_condition is not None):
+        tail = None
+    return shaped, emitting, tail
 
 
 class ConstantIndex:
@@ -192,15 +217,16 @@ class ConstantIndex:
 
 class ShapeTwigM(TwigM):
     """TwigM over one query shape whose members differ in one constant
-    or one label.
+    or in labels.
 
     Built from a representative query (any member's); members are added
     with :meth:`add_member` while no event has been delivered, each with
-    its constant (a value shape) or label (a label shape, :attr:`labels`)
-    and its own result sink, and removed at any time with
-    :meth:`remove_member`.  ``sink`` receives only epoch ends (a
-    :class:`~repro.multiq.registry.MultiplexSink` over the members'
-    sinks); solutions go straight to the member sinks.  Raises
+    its constant (a value shape), label (a label shape, :attr:`labels`)
+    or ``(branch label, return label)`` pair (a label shape with an open
+    return node, :attr:`tails`) and its own result sink, and removed at
+    any time with :meth:`remove_member`.  ``sink`` receives only epoch
+    ends (a :class:`~repro.multiq.registry.MultiplexSink` over the
+    members' sinks); solutions go straight to the member sinks.  Raises
     :class:`~repro.errors.UnsupportedQueryError` outside
     :func:`shape_scope`.  Runs in default emission mode only, without
     limits, tracker or lag probe.
@@ -215,9 +241,11 @@ class ShapeTwigM(TwigM):
                 "chain to the emitting node is conjunctive"
             )
         super().__init__(machine, sink)
-        self._open, self._emitting = scope
+        self._open, self._emitting, self._tail = scope
         #: True when the members differ in the open node's label.
         self.labels = not self._open.value_tests
+        #: True when they also differ in the return node's label.
+        self.tails = self._tail is not None
         chain = [self._emitting]
         node = self._open
         while node is not self._emitting:
@@ -226,35 +254,43 @@ class ShapeTwigM(TwigM):
         self._chain = frozenset(chain)  # machine nodes hash by identity
         self._chain_stacks = [self._stacks[id(node)] for node in chain]
         self._nodes = list(machine.iter_nodes())  # pre-order, as dispatch lists are
+        #: The nodes whose labels come from the members.
+        self._shaped = tuple(
+            node for node in (self._open, self._tail) if node is not None
+        ) if self.labels else ()
         #: The concrete labels of the nodes the shape keeps.
         self._fixed = frozenset(
             node.label for node in self._nodes
-            if node.label != "*" and not (self.labels and node is self._open)
+            if node.label != "*" and node not in self._shaped
         )
         self._keys: list = []
         self._sinks: list[ResultSink] = []
         self._index: "ConstantIndex | dict[str, int]" = {}
+        #: Return label -> member mask (an open return node only).
+        self._returns: dict[str, int] = {}
         self._mask_sinks: dict[int, tuple] = {}
         if self.labels:
-            # The representative's own label does not dispatch the open node.
-            self._replan([self._open.label])
+            # The representative's own labels do not dispatch the open nodes.
+            self._replan([node.label for node in self._shaped])
         self._reindex()
 
     # -- members ----------------------------------------------------------
 
     @property
     def keys(self) -> list:
-        """Member constants (or labels) in slot order."""
+        """Member constants, labels or label pairs, in slot order."""
         return list(self._keys)
 
     def alphabet(self) -> frozenset[str]:
         """The concrete tags the machine dispatches on: a label shape's
-        open node counts with its members' labels, not its own."""
-        return self._fixed.union(self._index) if self.labels else self._fixed
+        open nodes count with their members' labels, not their own."""
+        if not self.labels:
+            return self._fixed
+        return self._fixed.union(self._index, self._returns)
 
-    def add_member(self, key: "str | float", sink: ResultSink) -> None:
-        """Append a member; only while no chain entry is live."""
-        if any(self._chain_stacks):
+    def add_member(self, key: "str | float | tuple[str, str]", sink: ResultSink) -> None:
+        """Append a member; only while no chain or return entry is live."""
+        if any(self._chain_stacks) or (self.tails and self.stack_of(self._tail)):
             raise RuntimeError("members join a shape machine only while cold")
         self._keys.append(key)
         self._sinks.append(sink)
@@ -279,36 +315,88 @@ class ShapeTwigM(TwigM):
             self._index = ConstantIndex(self._open.value_tests[0].op, self._keys)
             return
         index: dict[str, int] = {}
-        for slot, label in enumerate(self._keys):
-            index[label] = index.get(label, 0) | (1 << slot)
-        changed = self._index.keys() ^ index.keys()
+        returns: dict[str, int] = {}
+        for slot, key in enumerate(self._keys):
+            if self.tails:
+                key, tail = key
+                returns[tail] = returns.get(tail, 0) | (1 << slot)
+            index[key] = index.get(key, 0) | (1 << slot)
+        changed = (self._index.keys() ^ index.keys()) | (self._returns.keys() ^ returns.keys())
         self._index = index
+        self._returns = returns
         self._replan(changed)
 
     def _replan(self, tags) -> None:
-        """Rebuild the plans of ``tags``: the open node joins the plan of
-        each member label where that member's own TwigM would place it
-        (pre-order); a tag no node dispatches on falls to the wildcard
-        plan."""
-        shaped, index = self._open, self._index
+        """Rebuild the plans of ``tags``: each open node joins the plan of
+        each of its member labels where that member's own TwigM would
+        place it (pre-order); a tag no node dispatches on falls to the
+        wildcard plan."""
+        shaped, tail = self._open, self._tail
+        index, returns = self._index, self._returns
         for tag in tags:
             nodes = [node for node in self._nodes
-                     if (node is shaped and tag in index)
-                     or (node is not shaped and node.label == tag)]
+                     if (tag in index if node is shaped
+                         else tag in returns if node is tail
+                         else node.label == tag)]
             if nodes:
                 self._plans[tag] = self._compile_plan(nodes + self.machine.wildcards)
             else:
                 self._plans.pop(tag, None)
 
     def _sinks_of(self, mask: int) -> tuple:
+        """The sinks of ``mask``'s members in slot order; with an open
+        return node, ``(return label, sink)`` pairs."""
         sinks = self._mask_sinks.get(mask)
         if sinks is None:
             sinks = tuple(
-                sink for slot, sink in enumerate(self._sinks) if mask >> slot & 1
+                (key[1], sink) if self.tails else sink
+                for slot, (key, sink) in enumerate(zip(self._keys, self._sinks))
+                if mask >> slot & 1
             )
             if len(self._mask_sinks) < MASK_CACHE_LIMIT:
                 self._mask_sinks[mask] = sinks
         return sinks
+
+    # -- checkpointing ---------------------------------------------------
+
+    def snapshot_state(self) -> dict:
+        """TwigM's capture; with an open return node, a root entry's
+        candidates are a dict from return label to sorted ids."""
+        state = super().snapshot_state()
+        if self.tails:
+            for raw, entry in zip(state["stacks"][0], self.root_stack):
+                raw[2] = {
+                    label: sorted(ids) for label, ids in sorted(entry.candidates.items())
+                } if entry.candidates else None
+        return state
+
+    def restore_state(self, state: dict) -> None:
+        """Load a :meth:`snapshot_state` capture.  A root entry's plain
+        candidate list (a capture from the release that kept the return
+        label in the shape key) belongs to the members' one return label.
+        """
+        super().restore_state(state)
+        if not self.tails:
+            return
+        for raw, entry in zip(state["stacks"][0], self.root_stack):
+            candidates = raw[2]
+            if not candidates:
+                continue
+            if isinstance(candidates, dict):
+                entry.candidates = {}
+                for label, ids in candidates.items():
+                    if not isinstance(ids, list) or any(type(i) is not int for i in ids):
+                        raise CheckpointError(
+                            f"shape capture candidates of {label!r} are not ids")
+                    if ids:
+                        entry.candidates[str(label)] = set(ids)
+            elif len(self._returns) == 1:
+                entry.candidates = {next(iter(self._returns)): set(candidates)}
+            else:
+                raise CheckpointError(
+                    "a shape capture's candidate list needs members with one "
+                    "return label"
+                )
 
     # -- transition functions --------------------------------------------
 
@@ -322,11 +410,13 @@ class ShapeTwigM(TwigM):
         epoch_over = False
         chain = self._chain
         shaped = self._open
+        tail = self._tail
+        emitting = self._emitting
         for node, stack, parent_stack in plan:
             if not stack:
                 continue
             if stack[-1].level != level:
-                # Only the open node's stack can hold deeper entries.
+                # Only the open nodes' stacks can hold deeper entries.
                 if stack[-1].level < level or not self._drop_closed(stack, level):
                     continue
             entry = stack.pop()
@@ -335,8 +425,16 @@ class ShapeTwigM(TwigM):
                 epoch_over = not stack
             if entry.text_parts is not None:
                 self._open_value_entries -= 1
-            if entry.candidates:
-                self._candidate_count -= len(entry.candidates)
+            candidates = entry.candidates
+            if node is tail:
+                # A leaf: satisfied; its one id joins the root entries.
+                self._upload_tail(tag, candidates, level, parent_stack)
+                continue
+            if candidates:
+                self._candidate_count -= (
+                    sum(map(len, candidates.values())) if tail is not None
+                    and node is emitting else len(candidates)
+                )
             if node not in chain:
                 # Off the chain, TwigM's own test (no value test there); a
                 # root off the chain sits above an eager return node and
@@ -359,23 +457,75 @@ class ShapeTwigM(TwigM):
                 members = entry.attr_bits
             if not members:
                 continue
-            if node is self._emitting:
-                if entry.candidates:
-                    self._emit_members(members, entry.candidates)
+            if node is emitting:
+                if candidates:
+                    self._emit_members(members, candidates)
                 continue
             self._propagate_members(node, members, level, parent_stack)
-        if epoch_over and not self._eager:
-            self.sink.end_epoch()
+        if epoch_over:
+            if self._live:
+                self._drop_stale()
+            if not self._eager:
+                self.sink.end_epoch()
 
     def _drop_closed(self, stack: list, level: int) -> bool:
-        """Drop the open node's entries deeper than ``level``: elements
+        """Drop an open node's entries deeper than ``level``: elements
         that closed while their label was not dispatched (their member
         left, see the module docstring).  True when the top entry is then
         ``level``'s."""
         while stack and stack[-1].level > level:
-            stack.pop()
+            entry = stack.pop()
             self._live -= 1
+            if entry.candidates:
+                self._candidate_count -= len(entry.candidates)
         return bool(stack) and stack[-1].level == level
+
+    def _drop_stale(self) -> None:
+        """Drop what is left on the open nodes' stacks once the root stack
+        empties: entries nest, so these are departed members' entries
+        that :meth:`_drop_closed` found below a live one."""
+        for node in self._shaped:
+            stack = self._stacks[id(node)]
+            for entry in stack:
+                if entry.candidates:
+                    self._candidate_count -= len(entry.candidates)
+            self._live -= len(stack)
+            stack.clear()
+
+    def _upload_tail(self, tag: str, candidates: set, level: int,
+                     parent_stack: list) -> None:
+        """Set β(return node) on every qualifying root entry and add the
+        popped return entry's id to its ``tag`` candidates.
+
+        The root entries open at this end tag are the element's
+        ancestors' and, for a return label the root admits, the
+        element's own (still open when the root is a wildcard, whose
+        plan slot comes last), which never qualifies.  Over ``//`` every
+        ancestor's qualifies, over ``/`` the parent's.  The id is new to
+        each of them (an element pushes one return entry).  A return
+        entry popped for an element that pushed none (a departed
+        member's, see :meth:`_drop_closed`) finds no qualifying entry:
+        the element would have pushed against it.
+        """
+        if parent_stack and parent_stack[-1].level >= level:
+            parent_stack = parent_stack[:-1]
+        if self._tail.edge_op != EDGE_EQ:
+            qualifying = parent_stack
+        elif parent_stack and parent_stack[-1].level == level - 1:
+            qualifying = parent_stack[-1:]
+        else:
+            qualifying = ()
+        bit = 1 << self._tail.child_index
+        for parent_entry in qualifying:
+            parent_entry.flags |= bit
+            held = parent_entry.candidates
+            if held is None:
+                parent_entry.candidates = {tag: set(candidates)}
+            elif tag in held:
+                held[tag] |= candidates
+            else:
+                held[tag] = set(candidates)
+        self._candidate_count += len(candidates) * (len(qualifying) - 1)
 
     def _propagate_members(
         self, node: MachineNode, members: int, level: int, parent_stack: list
@@ -408,8 +558,19 @@ class ShapeTwigM(TwigM):
 
         An eager emitting entry holds only its own id (new: ``emit``);
         a root entry releases a candidate set (``emit_all``), exactly as
-        each member's own TwigM would.
+        each member's own TwigM would: with an open return node, the
+        sorted ids of the member's return label, if it holds any.
         """
+        if self.tails:
+            ordered: dict[str, list[int]] = {}
+            for label, sink in self._sinks_of(members):
+                ids = ordered.get(label)
+                if ids is None:
+                    held = candidates.get(label)
+                    ids = ordered[label] = sorted(held) if held else []
+                if ids:
+                    sink.emit_all(ids)
+            return
         ordered = sorted(candidates)
         if self._eager:
             for sink in self._sinks_of(members):

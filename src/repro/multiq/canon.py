@@ -20,7 +20,11 @@ Queries that differ only in one node share a *shape*, in two kinds:
   structure evaluated against two constants;
 * a *label shape* leaves out the label of the one branch leaf:
   ``//open_auction[bidder]`` and ``//open_auction[reserve]`` are one
-  structure evaluated against two labels.
+  structure evaluated against two labels.  When the return node is a
+  plain leaf child of the root (``//X[Y]//Z``, ``//X[Y]/Z``), its label
+  is left out too: ``//open_auction[bidder]//date`` and
+  ``//open_auction[seller]/current`` are one structure evaluated against
+  two ``(branch label, return label)`` pairs.
 
 :func:`shape_key` keys both with that part left out, so the registry
 can run them as the members of one shape machine
@@ -74,24 +78,31 @@ def dedup_key(tree: QueryTree, limits: ResourceLimits | None = None) -> DedupKey
 #: How :func:`shape_text` spells the constant a value shape leaves out.
 SHAPE_CONSTANT = "$c"
 
-#: How :func:`shape_text` spells the label a label shape leaves out.
+#: How :func:`shape_text` spells the branch label a label shape leaves out.
 SHAPE_LABEL = "$l"
+
+#: How :func:`shape_text` spells the return label a label shape leaves out.
+SHAPE_RETURN = "$r"
 
 
 def shape_text(tree: QueryTree) -> str:
     """The canonical spelling of ``tree``'s shape: its canonical text
     with the value-test literal printed as :data:`SHAPE_CONSTANT`, or
-    the left-out label as :data:`SHAPE_LABEL`."""
+    the left-out labels as :data:`SHAPE_LABEL` and :data:`SHAPE_RETURN`."""
     from repro.xpath.unparse import unparse_query
 
-    node = _shape_node(tree)
-    if node is not None and not node.value_tests:
-        return unparse_query(tree, rename=(node, SHAPE_LABEL))
-    return unparse_query(tree, SHAPE_CONSTANT)
+    found = _shape_node(tree)
+    if found is None or found[0].value_tests:
+        return unparse_query(tree, SHAPE_CONSTANT)
+    node, tail = found
+    rename = ((node, SHAPE_LABEL),) if tail is None else (
+        (node, SHAPE_LABEL), (tail, SHAPE_RETURN))
+    return unparse_query(tree, rename=rename)
 
 
-def _shape_node(tree: QueryTree) -> "QueryNode | None":
-    """The node ``tree``'s shape leaves open (see :func:`shape_key`)."""
+def _shape_node(tree: QueryTree) -> "tuple[QueryNode, QueryNode | None] | None":
+    """The node ``tree``'s shape leaves open, and its return node when a
+    label shape leaves that label open too (see :func:`shape_key`)."""
     tested = None
     off_trunk = []
     pending = [tree.root]
@@ -109,20 +120,24 @@ def _shape_node(tree: QueryTree) -> "QueryNode | None":
         if not node.on_trunk:
             off_trunk.append(node)
     if tested is not None:
-        return tested
+        return tested, None
     if len(off_trunk) != 1:
         return None
     leaf = off_trunk[0]
     if (leaf.children or leaf.is_wildcard or leaf.attribute_tests
             or leaf.condition is not None):
         return None
-    return leaf
+    tail = tree.return_node
+    if (tail.parent is not tree.root or tail.children or tail.is_wildcard
+            or tail.attribute_tests or tail.condition is not None):
+        tail = None
+    return leaf, tail
 
 
 def shape_key(
     tree: QueryTree, limits: ResourceLimits | None = None
-) -> "tuple[DedupKey, str | float] | None":
-    """The shape key of ``tree`` and the constant or label it leaves out.
+) -> "tuple[DedupKey, str | float | tuple[str, str]] | None":
+    """The shape key of ``tree`` and the constant or labels it leaves out.
 
     A *value key* is defined when exactly one query node carries value
     tests, it carries exactly one, and no boolean condition compares a
@@ -130,15 +145,20 @@ def shape_key(
     limits)``, with the constant.  A *label key* is defined when no node
     carries a value test and exactly one node is off the trunk, a leaf
     with a concrete label and no attribute test or condition:
-    ``(structure without that label, limits)``, with the label.
-    Otherwise ``None``.  Equal keys mean equal machines up to that one
-    constant or label; whether the registry may share one machine among
-    them is the machine's scope rule
-    (:func:`~repro.core.valueshape.shape_scope`).
+    ``(structure without that label, limits)``, with the label.  When
+    the return node is also such a leaf, a child of the root over a
+    ``/`` or ``//`` edge, the key leaves its label out as well and comes
+    with the pair ``(branch label, return label)``.  Otherwise ``None``.
+    Equal keys mean equal machines up to that constant or those labels;
+    whether the registry may share one machine among them is the
+    machine's scope rule (:func:`~repro.core.valueshape.shape_scope`).
     """
-    node = _shape_node(tree)
-    if node is None:
+    found = _shape_node(tree)
+    if found is None:
         return None
+    node, tail = found
+    if tail is not None:
+        return (tree.root.structure(node, tail), limits), (node.name, tail.name)
     if not node.value_tests:
         return (tree.root.structure(node), limits), node.name
     test = node.value_tests[0]

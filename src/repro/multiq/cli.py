@@ -24,7 +24,7 @@ import argparse
 import sys
 
 from repro.errors import ReproError
-from repro.multiq.canon import SHAPE_CONSTANT, SHAPE_LABEL, shape_text
+from repro.multiq.canon import SHAPE_CONSTANT, SHAPE_LABEL, SHAPE_RETURN, shape_text
 from repro.multiq.engine import MultiQueryEngine
 from repro.multiq.registry import ShapeUnit
 from repro.stream.tokenizer import parse_file, parse_string
@@ -115,7 +115,7 @@ def _explain(engine: MultiQueryEngine) -> None:
     """Each query's canonical form and machine, to stderr.
 
     A shape unit prints once, where its first member registered: the
-    shape's canonical form, then each member with its constant or label.
+    shape's canonical form, then each member with its constant or labels.
     """
     canonical = engine.canonical_queries()
     machines = engine.engine_names()
@@ -132,7 +132,10 @@ def _explain(engine: MultiQueryEngine) -> None:
         print(f"shape: {shape_text(unit.tree)}  [{machines[name]}, {count} "
               f"member{'' if count == 1 else 's'}]", file=sys.stderr)
         for member, key in unit.members():
-            if unit.engine.labels:
+            if unit.engine.tails:
+                print(f"  {member}: {SHAPE_LABEL} = {key[0]}, {SHAPE_RETURN} = {key[1]}",
+                      file=sys.stderr)
+            elif unit.engine.labels:
                 print(f"  {member}: {SHAPE_LABEL} = {key}", file=sys.stderr)
             else:
                 print(f"  {member}: {SHAPE_CONSTANT} = {literal_text(key)}",

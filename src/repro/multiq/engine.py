@@ -597,7 +597,9 @@ class MultiQueryEngine(TextFeed):
         document element has not closed), in which case so does the
         restored one.  A shape unit's entry adds
         ``"shape": true``; its ``queries`` list the members in slot
-        order, which the member masks in its machine state index.  Each
+        order, which the member masks in its machine state index (a
+        return-label shape's root entries hold their candidates per
+        return label, :meth:`~repro.core.valueshape.ShapeTwigM.snapshot_state`).  Each
         unit's entry counts the ``events`` delivered to it, and the
         ``stats`` carry the ``retired`` metric figures once there are
         any.
@@ -723,7 +725,9 @@ class MultiQueryEngine(TextFeed):
         entry marked ``shape`` as a
         :class:`~repro.multiq.registry.ShapeUnit` of the first member's
         kind of shape (members joined in the listed order, so the
-        captured member masks keep their slots).  Captures from the
+        captured member masks keep their slots; a unit captured while
+        the return label was part of the shape key resumes as a
+        return-label shape whose members share that label).  Captures from the
         release that ran one DFA unit per path query have no member
         lists; their units at one open tag path fold into one shared
         unit, and fallen ones (:func:`~repro.compile.dfa.fallen_pathm_states`)

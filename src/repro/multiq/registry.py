@@ -24,7 +24,8 @@ while it is virgin, for the same reason; a path query added later opens
 a fresh one.
 
 TwigM registrations that are equal once the constant of their one value
-test, or the label of their one branch leaf, is left out
+test, or the label of their one branch leaf (and of a leaf return node
+below the root: ``//X[Y]//Z``), is left out
 (:func:`~repro.multiq.canon.shape_key`) are members of one
 :class:`ShapeUnit` (one :class:`~repro.core.valueshape.ShapeTwigM`
 evaluating every constant or label with one lookup), when the machine's
@@ -235,8 +236,9 @@ class SharedPathUnit(EvalUnit):
 
 
 class ShapeUnit(EvalUnit):
-    """Queries equal up to one value-test constant or one branch label,
-    as members of one :class:`~repro.core.valueshape.ShapeTwigM`.
+    """Queries equal up to one value-test constant, one branch label or
+    one ``(branch label, return label)`` pair, as members of one
+    :class:`~repro.core.valueshape.ShapeTwigM`.
 
     ``key`` is the members' :func:`~repro.multiq.canon.shape_key`; each
     member's machine slot is its position in :attr:`names` (registration
@@ -261,8 +263,9 @@ class ShapeUnit(EvalUnit):
     def _build_engine(tree: QueryTree, sink: ResultSink, **_options):
         return ShapeTwigM(tree, sink)
 
-    def members(self) -> "list[tuple[str, str | float]]":
-        """``(name, constant or label)`` per member, in slot order."""
+    def members(self) -> "list[tuple[str, str | float | tuple[str, str]]]":
+        """``(name, constant, label or label pair)`` per member, in slot
+        order."""
         return list(zip(self.sink.sinks, self.engine.keys))
 
     def join(self, name: str, tree: QueryTree, sink: ResultSink,

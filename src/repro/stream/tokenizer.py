@@ -333,14 +333,18 @@ class XmlTokenizer:
         # open) and _cursor points at its start.
         self._parser = None  # built at the first feed Expat can read
         # Characters of _buffer up to and including the point where Expat
-        # last failed: while the scanner holds them, no parser is primed.
+        # last failed, or of a construct Expat held past
+        # DEFAULT_CHUNK_SIZE: while the scanner holds them, no parser is
+        # primed.
         self._damage = 0
-        # Where the last search for the end of a held tag or DOCTYPE
-        # stopped: ((line, column) of its start, characters searched, the
-        # open quote or the bracket depth there).  Keyed by the start, a
-        # search only resumes on the construct that left it.
+        # Where the last search for the end of a held tag, DOCTYPE,
+        # comment, CDATA section or PI stopped: ((line, column) of its
+        # start, characters searched, and for a tag or DOCTYPE the open
+        # quote or the bracket depth there).  Keyed by the start, a search
+        # only resumes on the construct that left it.
         self._tag_search = None
         self._doctype_search = None
+        self._markup_search = None
         # Set while the rest of a text run outside the document element,
         # already judged by its window, is dropped as it arrives.
         self._dropping_run = False
@@ -803,7 +807,13 @@ class XmlTokenizer:
                 names[name] = _intern(name)
             self._interned = len(names)
         self._advance_held(data)
-        if self._buffer and (not self._stack or self._limits is not None):
+        if len(self._buffer) > DEFAULT_CHUNK_SIZE:
+            # Expat parses a held construct again from its start at every
+            # piece: past one piece's worth, the scanner, which resumes
+            # its search, holds it until it is read.
+            self._damage = len(self._buffer)
+            self._leave_expat(handler)
+        elif self._buffer and (not self._stack or self._limits is not None):
             # Outside the document element Expat waits for a second byte
             # at the start (for a byte-order mark) and reads a quote as
             # the start of a literal, holding all later input; and it
@@ -1204,7 +1214,7 @@ class XmlTokenizer:
         """
         buffer = self._buffer
         if buffer.startswith("<!--", pos):
-            end = buffer.find("-->", pos + 4)
+            end = self._markup_end(pos, 4, "-->")
             if end == -1:
                 return _MISC_INCOMPLETE
             comment = buffer[pos + 4:end]
@@ -1217,7 +1227,7 @@ class XmlTokenizer:
             self._consume(end + 3 - pos)
             return _MISC_CONSUMED
         if buffer.startswith("<![CDATA[", pos):
-            end = buffer.find("]]>", pos + 9)
+            end = self._markup_end(pos, 9, "]]>")
             if end == -1:
                 return _MISC_INCOMPLETE
             text = buffer[pos + 9:end]
@@ -1228,7 +1238,7 @@ class XmlTokenizer:
                 self._push_text(text)
             return _MISC_CONSUMED
         if buffer.startswith("<?", pos):
-            end = buffer.find("?>", pos + 2)
+            end = self._markup_end(pos, 2, "?>")
             if end == -1:
                 return _MISC_INCOMPLETE
             if strict:
@@ -1266,6 +1276,25 @@ class XmlTokenizer:
             self._diagnose(f"dropped unrecognised markup {excerpt!r}", ACTION_SKIPPED)
             return _MISC_CONSUMED
         return _MISC_NOT
+
+    def _markup_end(self, pos: int, start: int, closer: str) -> int:
+        """Index of the ``closer`` ending the comment, CDATA section or PI
+        at ``pos``, searched from ``pos + start``; -1 while it is
+        incomplete.
+
+        Like :meth:`_find_tag_end` it resumes where the previous search
+        of the same held construct stopped (less a partial ``closer``),
+        so a construct arriving in many chunks is searched once.
+        """
+        cursor = self._cursor
+        held = self._markup_search
+        if held is not None and held[0] == (cursor.line, cursor.column):
+            start = max(start, held[1] - len(closer) + 1)
+        buffer = self._buffer
+        end = buffer.find(closer, pos + start)
+        if end == -1:
+            self._markup_search = ((cursor.line, cursor.column), len(buffer) - pos)
+        return end
 
     def _check_pi(self, body: str) -> None:
         """Reject a processing instruction Expat rejects (``strict``).

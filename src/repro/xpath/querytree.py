@@ -290,16 +290,16 @@ class QueryNode:
     # because β-indices follow it.  This is what lets the multi-query
     # engine share one machine among identical standing queries.
 
-    def structure(self, abstract: "QueryNode | None" = None) -> tuple:
+    def structure(self, *abstract: "QueryNode") -> tuple:
         """Hashable structural fingerprint of this subtree.
 
-        ``abstract`` names the one node a query *shape* leaves open
-        (:func:`repro.multiq.canon.shape_key`): its value-test constants
-        are left out (each test keeps its op and literal kind), or, when
-        it has no value test, its name.
+        ``abstract`` names the nodes a query *shape* leaves open
+        (:func:`repro.multiq.canon.shape_key`): a node's value-test
+        constants are left out (each test keeps its op and literal kind),
+        or, when it has no value test, its name.
         """
         name = self.name
-        if self is abstract:
+        if abstract and any(node is self for node in abstract):
             value_tests = tuple(
                 (test.op, type(test.literal).__name__) for test in self.value_tests
             )
@@ -315,7 +315,7 @@ class QueryNode:
             tuple(self.attribute_tests),
             value_tests,
             None if self.condition is None else condition_structure(self.condition),
-            tuple(child.structure(abstract) for child in self.children),
+            tuple(child.structure(*abstract) for child in self.children),
         )
 
     def __eq__(self, other: object) -> bool:

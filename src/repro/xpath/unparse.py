@@ -63,24 +63,30 @@ def _attribute_test(test: AttributeTest) -> str:
     return f"@{test.name} {_value_test(test.value_test)}"
 
 
-#: One branch node whose name prints as other text: ``(node, text)``.
-Rename = "tuple[QueryNode, str] | None"
+#: Nodes whose names print as other text: ``((node, text), ...)``.
+Rename = "tuple[tuple[QueryNode, str], ...]"
+
+
+def _name(node: QueryNode, rename: Rename) -> str:
+    for target, text in rename:
+        if target is node:
+            return text
+    return node.name
 
 
 def _branch_step(node: QueryNode, constant: "str | None" = None,
-                 rename: Rename = None) -> str:
+                 rename: Rename = ()) -> str:
     """One branch node as it appears inside a bracket: ``.//name[...]``."""
     prefix = ".//" if node.axis == DESCENDANT_EDGE else ""
-    name = node.name if rename is None or node is not rename[0] else rename[1]
-    return f"{prefix}{name}{_suffix(node, constant, rename)}"
+    return f"{prefix}{_name(node, rename)}{_suffix(node, constant, rename)}"
 
 
 def _suffix(node: QueryNode, constant: "str | None" = None,
-            rename: Rename = None) -> str:
+            rename: Rename = ()) -> str:
     """Everything bracketed onto a node: children, tests, or condition.
 
     ``constant`` replaces the literal of every string-value test, and
-    ``rename`` one branch node's name.
+    ``rename`` the names of the nodes it lists.
     """
     if node.condition is not None:
         return f"[{_condition_text(node.condition, top=True)}]"
@@ -112,20 +118,20 @@ def _condition_text(condition: Condition, top: bool = False) -> str:
 
 
 def unparse_query(tree: "QueryTree | QueryNode", constant: "str | None" = None,
-                  rename: Rename = None) -> str:
+                  rename: Rename = ()) -> str:
     """Render a compiled query (sub)tree as canonical XPath text.
 
     With ``constant`` (say ``"$c"``) the literals of string-value tests
     outside boolean conditions print as that text instead: the spelling
     of a value shape (:func:`repro.multiq.canon.shape_text`).  With
-    ``rename`` (say ``(node, "$l")``) that branch node's name prints as
-    the text: the spelling of a label shape.
+    ``rename`` (say ``((node, "$l"),)``) each listed node's name prints
+    as its text: the spelling of a label shape.
     """
     node: QueryNode | None = tree.root if isinstance(tree, QueryTree) else tree
     parts: list[str] = []
     while node is not None:
         parts.append("//" if node.axis == DESCENDANT_EDGE else "/")
-        parts.append(node.name)
+        parts.append(_name(node, rename))
         parts.append(_suffix(node, constant, rename))
         trunk = [child for child in node.children if child.on_trunk]
         node = trunk[0] if trunk else None

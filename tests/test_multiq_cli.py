@@ -56,14 +56,19 @@ def test_stats_on_stderr(xml_file, capsys):
 
 def test_explain_reports_canonical_and_machine(xml_file, capsys):
     code = multiq_main(
-        ["-e", "a=//title", "-e", "b=//book[./title]", "--explain", xml_file]
+        ["-e", "a=//title", "-e", "b=//book[./title]", "-e", "c=//book[price]//title",
+         "-e", "d=//book[title]//price", "--explain", xml_file]
     )
     assert code == 0
     err = capsys.readouterr().err
     assert "[dfa]" in err
     # A one-member label shape, in canonical spelling, not the input's.
     assert "shape: //book[$l]  [twigm, 1 member]\n  b: $l = title\n" in err
-    assert "2 queries -> 2 machines" in err
+    # A two-label shape prints once, then each member's two labels.
+    assert ("shape: //book[$l]//$r  [twigm, 2 members]\n"
+            "  c: $l = price, $r = title\n"
+            "  d: $l = title, $r = price\n") in err
+    assert "4 queries -> 3 machines" in err
 
 
 def test_dedup_visible_in_explain(xml_file, capsys):

@@ -1,16 +1,21 @@
 """Label-shape units ≡ one machine per query.
 
 Queries equal up to the label of their one branch leaf
-(``//a[b]``, ``//a[c]``, …) run as the members of one
-:class:`~repro.multiq.registry.ShapeUnit`
+(``//a[b]``, ``//a[c]``, …), and up to the label of a leaf return node
+below the root as well (``//a[b]//c``, ``//a[d]/b``, …), run as the
+members of one :class:`~repro.multiq.registry.ShapeUnit`
 (:class:`~repro.core.valueshape.ShapeTwigM`).  Every case compares each
 member's result list — ids and order — with a dedicated
 :class:`XPathStream`, and its id set with the navigational DOM oracle,
 across random label vectors (duplicates, and labels equal to the root,
-trunk or return label: ``//a[a]``, ``//a[b]//b``, ``//b[b]//b``), ``/``
-and ``//`` branch axes, random documents, snapshot/restore at every
-event boundary, mid-stream additions, member removal, value shapes
-beside them and the queries that stay per-query units.
+trunk or return label: ``//a[a]``, ``//a[b]//b``, ``//b[b]//b``), random
+``(branch, return)`` pair vectors (a return label equal to its own
+branch label, to another member's branch label or to the root label,
+and duplicate pairs), ``/`` and ``//`` branch and return axes, random
+documents, snapshot/restore at every event boundary, mid-stream
+additions, member removal (also while an element with the leaving
+member's return label is open), value shapes beside them and the
+queries that stay per-query units.
 """
 
 from __future__ import annotations
@@ -18,15 +23,17 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.core.machine import engine_figures
+from repro.baselines.navigational import NavigationalDomEngine
+from repro.core.machine import build_machine, engine_figures
 from repro.core.processor import XPathStream
 from repro.core.results import CollectingSink
-from repro.core.valueshape import ShapeTwigM
+from repro.core.valueshape import ShapeTwigM, shape_scope
 from repro.errors import CheckpointError
 from repro.latency import DecisionLagProbe, LatencyClock
 from repro.multiq import MultiQueryEngine
+from repro.multiq.canon import shape_key, shape_text
 from repro.multiq.cli import main as multiq_main
 from repro.multiq.registry import MultiplexSink, ShapeUnit
 from repro.stream.recovery import ResourceLimits
@@ -89,7 +96,10 @@ def test_members_equal_dedicated_streams(shape, labels, xml):
     assert engine.unit_count() == 1
     (unit,) = shape_units(engine)
     assert unit.engine.labels
-    assert [label for _name, label in unit.members()] == labels
+    keys = [key for _name, key in unit.members()]
+    if unit.engine.tails:
+        keys = [branch for branch, _return in keys]
+    assert keys == labels
     assert_matches_oracles(queries, events, engine.evaluate(iter(events)))
 
     fired: dict = {name: [] for name in queries}
@@ -281,12 +291,288 @@ def test_the_leaf_dispatches_on_member_labels_only():
     assert resumed.registration("y").unit.interest == {"a", "c"}
     assert resumed._router.units_for_tag("b") == []
     machine = ShapeTwigM(compile_query("//b[b]//b"), MultiplexSink())
-    machine.add_member("c", CollectingSink())
+    machine.add_member(("c", "b"), CollectingSink())
     assert machine.alphabet() == {"b", "c"}
     machine.run(parse_string("<r><b><b/><c/><b/></b></r>"))
     # The outer <b> pushes the root, each inner <b> the root and the
     # return node, and only <c> the leaf.
     assert engine_figures(machine)["pushes"] == 1 + 2 * 2 + 1
+
+
+# -- open return nodes ------------------------------------------------------------
+
+#: Shapes whose return node is open too; ``{r}`` takes the return label.
+RETURN_SHAPES = (
+    "//a[{l}]//{r}",
+    "//a[{l}]/{r}",
+    "//a[.//{l}]//{r}",
+    "//b[{l}]/{r}",
+    "//*[{l}]//{r}",
+    "//a[@k][{l}]//{r}",
+)
+
+#: Pair vectors with the coincidences the machine must keep apart.
+COINCIDENCES = (
+    [("b", "b")],  # the return label is the member's own branch label
+    [("b", "c"), ("c", "b")],  # one member's return label is another's branch
+    [("b", "a"), ("c", "a"), ("d", "c")],  # the return label is the root's
+    [("b", "c"), ("b", "c"), ("d", "c"), ("c", "d")],  # duplicate pairs
+)
+
+PAIRS = st.one_of(
+    st.sampled_from(COINCIDENCES),
+    st.lists(st.tuples(st.sampled_from(LABELS), st.sampled_from(LABELS)),
+             min_size=1, max_size=6),
+)
+
+
+def _queries(shape: str, pairs) -> dict:
+    return {f"q{i}": shape.format(l=branch, r=tail)
+            for i, (branch, tail) in enumerate(pairs)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.sampled_from(RETURN_SHAPES), pairs=PAIRS, xml=documents())
+def test_return_label_members_equal_dedicated_streams(shape, pairs, xml):
+    queries = _queries(shape, pairs)
+    events = list(parse_string(xml))
+    engine = MultiQueryEngine(queries)
+    assert engine.unit_count() == 1
+    (unit,) = shape_units(engine)
+    assert unit.engine.tails
+    assert [key for _name, key in unit.members()] == [tuple(pair) for pair in pairs]
+    assert_matches_oracles(queries, events, engine.evaluate(iter(events)))
+
+    fired: dict = {name: [] for name in queries}
+    callback = MultiQueryEngine(
+        queries, on_match=lambda name, node_id: fired[name].append(node_id))
+    callback.feed_events(events)
+    assert fired == dedicated(queries, events)
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=st.sampled_from(RETURN_SHAPES[:4]), pairs=PAIRS, xml=documents(3),
+       callback=st.booleans())
+def test_return_label_snapshot_at_every_event(shape, pairs, xml, callback):
+    queries = _queries(shape, pairs)
+    events = list(parse_string(xml))
+    expected = dedicated(queries, events)
+    for cut in range(len(events) + 1):
+        fired: dict = {name: [] for name in queries}
+
+        def on_match(name, node_id):
+            fired[name].append(node_id)
+
+        first = MultiQueryEngine(queries, on_match=on_match if callback else None)
+        first.feed_events(events[:cut])
+        blob = json.loads(json.dumps(first.snapshot()))
+        resumed = MultiQueryEngine.restore(blob, on_match=on_match if callback else None)
+        assert resumed.unit_count() == 1
+        resumed.feed_events(events[cut:])
+        assert (fired if callback else resumed.results()) == expected, cut
+
+
+@pytest.mark.parametrize("template, text, tail", [
+    ("//a[{l}]//{r}", "//a[$l]//$r", True),
+    ("//a[./{l}]/{r}", "//a[$l]/$r", True),
+    ("//a[.//{l}]//{r}", "//a[.//$l]//$r", True),
+    ("//a[{l}]", "//a[$l]", False),
+    ("//a[{l}]//*", "//a[$l]//*", False),
+    ("//a[{l}]//c[@k]", "//a[$l]//c[@k]", False),
+    ("//a[{l}]/c/d", "//a[$l]/c/d", False),
+    ("//a[{l}]/*/c", "//a[$l]/*/c", False),
+])
+def test_shape_keys_leave_out_a_leaf_return_label(template, text, tail):
+    """Only a plain leaf child of the root leaves its label out of the
+    key; the return axis stays in it."""
+    tree = compile_query(template.format(l="b", r="a"))
+    key, found = shape_key(tree)
+    assert found == (("b", "a") if tail else "b")
+    assert shape_text(tree) == text
+    assert shape_key(compile_query(template.format(l="y", r="z")))[0] == key
+    assert shape_key(compile_query("//a[b]//c"))[0] != shape_key(compile_query("//a[b]/c"))[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=st.lists(
+    st.tuples(st.sampled_from(("/", "//")), st.sampled_from(("a", "b", "*")),
+              st.sampled_from(("", "", "[b]", "[.//c]", "[@k]", "[*]"))),
+    min_size=1, max_size=4))
+@example(steps=[("//", "*", ""), ("//", "b", "[b]"), ("/", "a", "")])
+@example(steps=[("/", "*", ""), ("/", "*", "[.//c]"), ("//", "a", "")])
+def test_the_key_and_the_machine_agree_on_the_return_label(steps):
+    """The key leaves the return label out exactly when the machine
+    opens the return node (``//*//b[c]/a`` folds its root step away)."""
+    tree = compile_query("".join(axis + name + pred for axis, name, pred in steps))
+    found = shape_key(tree)
+    scope = shape_scope(build_machine(tree))
+    if found is not None and scope is not None:
+        assert (scope[2] is not None) == isinstance(found[1], tuple)
+
+
+RETURN_QUERIES = {
+    "ab_c": "//a[b]//c",
+    "ab_d": "//a[b]//d",
+    "ac_b": "//a[c]//b",
+    "ab_c_twin": "//a[b]//c",
+    "ad_a": "//a[d]//a",
+    "bb_b": "//a[b]//b",
+    "ac_child_c": "//a[c]/c",
+    "ab_child_b": "//a[b]/b",
+    "bb_d": "//b[b]/d",
+    "bc_c": "//b[c]/c",
+}
+
+
+def test_return_queries_share_one_unit_per_root():
+    engine = MultiQueryEngine(RETURN_QUERIES)
+    assert [unit.names for unit in shape_units(engine)] == [
+        ["ab_c", "ab_d", "ac_b", "ab_c_twin", "ad_a", "bb_b"],
+        ["ac_child_c", "ab_child_b"], ["bb_d", "bc_c"],
+    ]
+    assert engine.unit_count() == 3
+    assert_matches_oracles(RETURN_QUERIES, SMALL_EVENTS,
+                           engine.evaluate(iter(SMALL_EVENTS)))
+
+
+@pytest.mark.parametrize("callback", [False, True])
+def test_return_snapshot_restore_at_every_event_boundary(callback):
+    expected = dedicated(RETURN_QUERIES, SMALL_EVENTS)
+    straight = MultiQueryEngine(RETURN_QUERIES)
+    straight.feed_events(SMALL_EVENTS)
+    stats = straight.dispatch_stats()
+    two_labels = False
+    for cut in range(len(SMALL_EVENTS) + 1):
+        fired: dict = {name: [] for name in RETURN_QUERIES}
+
+        def on_match(name, node_id):
+            fired[name].append(node_id)
+
+        first = MultiQueryEngine(RETURN_QUERIES, on_match=on_match if callback else None)
+        first.feed_events(SMALL_EVENTS[:cut])
+        blob = json.loads(json.dumps(first.snapshot()))
+        (root, *_rest) = blob["units"][0]["machine"]["stacks"]
+        two_labels = two_labels or any(
+            candidates is not None and len(candidates) >= 2
+            for _level, _flags, candidates, _text, _bits in root)
+        resumed = MultiQueryEngine.restore(blob, on_match=on_match if callback else None)
+        resumed.feed_events(SMALL_EVENTS[cut:])
+        assert (fired if callback else resumed.results()) == expected, cut
+        assert resumed.dispatch_stats() == stats, cut
+        assert ([unit["machine"] for unit in resumed.snapshot()["units"]]
+                == [unit["machine"] for unit in straight.snapshot()["units"]]), cut
+    assert two_labels  # some cut holds candidates of two return labels
+
+
+def test_return_mid_stream_add_gets_its_own_unit():
+    for cut in range(len(SMALL_EVENTS) + 1):
+        engine = MultiQueryEngine({"ab_c": "//a[b]//c", "ac_b": "//a[c]//b"})
+        engine.feed_events(SMALL_EVENTS[:cut])
+        shared = engine.registration("ab_c").unit
+        engine.add_query("late", "//a[d]//d")
+        late = engine.registration("late").unit
+        assert isinstance(late, ShapeUnit) and late.engine.tails
+        assert (late is shared) == shared.virgin == (cut < 2)
+        engine.feed_events(SMALL_EVENTS[cut:])
+        results = engine.results()
+        assert results["late"] == XPathStream("//a[d]//d").evaluate(
+            iter(SMALL_EVENTS[cut:])), cut
+        assert results["ab_c"] == XPathStream("//a[b]//c").evaluate(iter(SMALL_EVENTS))
+        assert results["ac_b"] == XPathStream("//a[c]//b").evaluate(iter(SMALL_EVENTS))
+
+
+@pytest.mark.parametrize("leaving", [["ab_d"], ["ab_c"], ["ab_c", "ab_c_twin"],
+                                     ["ad_a", "ac_b"], ["bb_b", "ab_d"],
+                                     ["ac_child_c"], ["bb_d", "bc_c"]])
+def test_return_member_removal_at_every_boundary(leaving):
+    expected = dedicated(RETURN_QUERIES, SMALL_EVENTS)
+    kept = {name: ids for name, ids in expected.items() if name not in leaving}
+    for cut in range(len(SMALL_EVENTS) + 1):
+        engine = MultiQueryEngine(RETURN_QUERIES)
+        engine.feed_events(SMALL_EVENTS[:cut])
+        for name in leaving:
+            engine.remove_query(name)
+        blob = json.loads(json.dumps(engine.snapshot()))
+        engine.feed_events(SMALL_EVENTS[cut:])
+        resumed = MultiQueryEngine.restore(blob)
+        resumed.feed_events(SMALL_EVENTS[cut:])
+        assert engine.results() == kept, cut
+        assert resumed.results() == kept, cut
+
+
+def test_a_member_leaves_while_its_return_element_is_open():
+    """``ab_d`` is the only member returning ``d``: removed inside a
+    ``<d>``, its return entry is left open, dropped by a later pop."""
+    queries = {"ab_d": "//a[b]//d", "ab_c": "//a[b]//c", "ac_b": "//a[c]//b"}
+    xml = "<r><a><b/><a><d><c/><b/></d><c/></a><d/><c/></a><a><c/><b/></a></r>"
+    events = list(parse_string(xml))
+    cut = next(i for i, event in enumerate(events) if getattr(event, "tag", None) == "d") + 1
+    engine = MultiQueryEngine(queries)
+    engine.feed_events(events[:cut])
+    machine = engine.registration("ab_d").unit.engine
+    engine.remove_query("ab_d")
+    assert "d" not in machine.alphabet()
+    assert len(machine.stack_of(machine.machine.return_node)) == 1
+    engine.feed_events(events[cut:])
+    assert engine.results() == dedicated(
+        {"ab_c": "//a[b]//c", "ac_b": "//a[c]//b"}, events)
+    assert engine_figures(machine)["live_entries"] == 0
+    assert engine_figures(machine)["buffered_candidates"] == 0
+
+
+def test_a_return_shape_capture_checks_its_members():
+    engine = MultiQueryEngine({"x": "//a[b]//c", "y": "//a[c]//d"})
+    engine.feed_events(SMALL_EVENTS[:12])
+    blob = json.loads(json.dumps(engine.snapshot()))
+    (unit,) = blob["units"]
+    assert unit["shape"] is True and unit["queries"] == ["x", "y"]
+    for query in ("//b[c]//d", "//a[c]//d[@k]", "//a[c]", "//a[c]//*", "//a[c]/d/e"):
+        bad = json.loads(json.dumps(blob))
+        bad["queries"][1]["query"] = query
+        with pytest.raises(CheckpointError):
+            MultiQueryEngine.restore(bad)
+    # A plain candidate list is a capture whose members share one return
+    # label; with two, it cannot be split.
+    (root, *_rest) = unit["machine"]["stacks"]
+    assert root and isinstance(root[0][2], dict)
+    bad = json.loads(json.dumps(blob))
+    entry = bad["units"][0]["machine"]["stacks"][0][0]
+    entry[2] = sorted(node_id for ids in entry[2].values() for node_id in ids) or [1]
+    with pytest.raises(CheckpointError):
+        MultiQueryEngine.restore(bad)
+
+
+RETURN_OUT_OF_SCOPE = {
+    "a * return node": ("//a[{l}]//*", {}),
+    "an attribute-tested return node": ("//a[b]//{l}[@k]", {}),
+    "a return node with a child": ("//a[b]//{l}[c]", {}),
+    "a return node below the trunk": ("//a[b]/c/{l}", {}),
+    "a value shape with a return node": ("//a[b < 1]//{l}", {}),
+    "earliest": ("//a[b]//{l}", {"emission": "earliest"}),
+}
+
+
+@pytest.mark.parametrize("case", list(RETURN_OUT_OF_SCOPE))
+def test_return_out_of_scope_keeps_its_return_label(case):
+    """Queries that differ in a return label the key does not leave out
+    never share a machine; ``//a[$l]//*`` shares by branch label alone."""
+    template, options = RETURN_OUT_OF_SCOPE[case]
+    engine = MultiQueryEngine()
+    queries = {name: template.format(l=name) for name in "bcd"}
+    for name, query in queries.items():
+        engine.add_query(name, query, **options)
+    units = shape_units(engine)
+    assert not any(unit.engine.tails for unit in units)
+    assert engine.unit_count() == (1 if case == "a * return node" else 3)
+    results = engine.evaluate(iter(SMALL_EVENTS))
+    navigational = NavigationalDomEngine()
+    for name, query in queries.items():
+        emission = options.get("emission", "default")
+        alone = XPathStream(query, emission=emission).evaluate(iter(SMALL_EVENTS))
+        assert sorted(results[name]) == sorted(alone), name
+        if emission == "default":
+            assert results[name] == alone, name
+        assert sorted(results[name]) == navigational.run(query, iter(SMALL_EVENTS)), name
 
 
 # -- scope ----------------------------------------------------------------------------
@@ -362,7 +648,7 @@ def test_explain_prints_each_label_shape_once(tmp_path, capsys):
         "p: //a/c  [dfa]",
         "shape: //a[b[. < $c]]  [twigm, 1 member]",
         "  lt1: $c = 1",
-        "shape: //b[$l]//b  [twigm, 1 member]",
-        "  bb: $l = b",
+        "shape: //b[$l]//$r  [twigm, 1 member]",
+        "  bb: $l = b, $r = b",
         "5 queries -> 4 machines",
     ]

@@ -131,7 +131,7 @@ def test_malformed_snapshot_rejected():
 
 def test_mismatched_grouping_rejected():
     """A unit claiming a query with a different structure is refused."""
-    engine = MultiQueryEngine({"one": "//a[x]/b", "two": "//a[x]/c"})
+    engine = MultiQueryEngine({"one": "//a[x]/b", "two": "//a[x]/c/d"})
     snap = engine.snapshot()
     snap["units"][0]["queries"] = ["one", "two"]
     snap["units"] = snap["units"][:1]

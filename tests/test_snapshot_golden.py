@@ -30,6 +30,20 @@ with callbacks (``snapshots``).  Restore keeps the captured grouping,
 so its units stay per query; each must finish with the ids of an
 uninterrupted run.
 
+``multiq_return_shapes_snapshot.json`` was written by the release that
+kept the return label in a label shape's key: one unit per
+``//X[Y]//Z`` / ``//X[Y]/Z`` family with one ``(X, Z)``, ten queries
+over ``open_auction`` (return labels ``date``, ``increase``,
+``current``, ``bidder`` and ``personref``, one query twice) and
+``item`` roots, cut inside the second ``<bidder>`` of an
+``open_auction`` whose first bidder left ``date``, ``increase``,
+``personref`` and ``bidder`` candidates buffered, once with collecting
+sinks and once with callbacks (``snapshots``).  Today those queries key
+on ``X`` alone; each captured unit resumes as one such shape unit whose
+members share one return label (its root entries' plain candidate
+lists are that label's), and must finish with the ids of an
+uninterrupted run.
+
 ``tokenizer_snapshot.json``, the ``session_*_checkpoint.json`` blobs
 (one serve session of each kind: ``single``, ``multi`` and ``transform``)
 and ``rewrite_snapshot.json`` were written by the release in which every
@@ -477,10 +491,11 @@ FORMATS = [
            [(("units", 0, "machine"), DFA_MACHINE),
             (("units", 4, "machine"), FALLEN_MACHINE)]),
       )],
-    ("multiq_label_shapes_snapshot.json", ("snapshots", "collect"),
-     MultiQueryEngine.restore, {"compiled", "stats"},
-     [(("queries", 0), {"tracked", "emission"}), (("units", 0), {"virgin", "events"}),
-      (("stats",), set())]),
+    *[(name, ("snapshots", "collect"), MultiQueryEngine.restore, {"compiled", "stats"},
+       [(("queries", 0), {"tracked", "emission"}), (("units", 0), {"virgin", "events"}),
+        (("stats",), set())])
+      for name in ("multiq_label_shapes_snapshot.json",
+                   "multiq_return_shapes_snapshot.json")],
     ("tokenizer_snapshot.json", ("snapshot",), XmlTokenizer.restore,
      {"bytes_fed"}, []),
     *[(f"session_{kind}_checkpoint.json", ("blob",), _resume_session, set(), [])
@@ -574,6 +589,8 @@ BAD_VALUES = {
     "multiq_earliest_snapshot": (("queries", 0, "query"), None),
     "compiled_multiq_live_snapshot": (("policy",), 7),
     "multiq_label_shapes_snapshot/collect": (("units", 0, "machine", "stacks"), [[]]),
+    "multiq_return_shapes_snapshot/collect": (("units", 0, "machine", "stacks", 0),
+                                              [[3, 3, {"date": "x"}, None, 1]]),
     "tokenizer_snapshot": (("policy",), "bogus"),
     "session_single_checkpoint": (("priority",), "x"),
     "session_multi_checkpoint": (("counts",), []),
@@ -647,3 +664,40 @@ def test_label_shape_capture_restores(mode):
     resumed.feed_text(DOC[golden["cut"]:])
     finished = resumed.close()
     assert (fired if mode == "callback" else finished) == expected
+
+
+@pytest.mark.parametrize("mode", ["collect", "callback"])
+def test_return_shape_capture_restores(mode):
+    """``multiq_return_shapes_snapshot.json`` (see the module docstring)
+    resumes into return-label shape units and finishes with the ids of an
+    uninterrupted run, per query and in order."""
+    golden = _load("multiq_return_shapes_snapshot.json")
+    snapshot = golden["snapshots"][mode]
+    assert DOC[:golden["cut"]].endswith("<bidder>")
+    captured = [unit["queries"] for unit in snapshot["units"]]
+    assert captured == [
+        ["bidder_date", "reserve_date", "bidder_date_twin"],
+        ["bidder_increase", "seller_increase"], ["bidder_current"], ["bidder_bidder"],
+        ["author_personref"], ["mailbox_from"], ["payment_name"]]
+    buffered = {tuple(unit["queries"]): unit["machine"]["stacks"][0][0][2]
+                for unit in snapshot["units"][:2]}
+    assert all(buffered.values())  # date and increase candidates, both held
+    expected = MultiQueryEngine(golden["queries"]).evaluate(DOC)
+    assert expected == golden["expected"]
+    fired = {name: list(ids) for name, ids in golden["fired"].items()}
+    resumed = MultiQueryEngine.restore(
+        snapshot,
+        on_match=(lambda name, node_id: fired[name].append(node_id))
+        if mode == "callback" else None)
+    units = [resumed.registration(names[0]).unit for names in captured]
+    assert all(unit.engine.tails for unit in units)
+    assert [unit.names for unit in units] == captured
+    restored = resumed.snapshot()["units"]
+    assert [unit["machine"]["stacks"][0][0][2] for unit in restored[:2]] == [
+        {label: ids} for label, ids in zip(("date", "increase"), buffered.values())]
+    resumed.feed_text(DOC[golden["cut"]:])
+    finished = resumed.close()
+    assert (fired if mode == "callback" else finished) == expected
+    # Today the ten queries run on five units, one per root label, branch
+    # axis and return axis: six ``//open_auction[Y]//Z`` queries share one.
+    assert MultiQueryEngine(golden["queries"]).unit_count() == 5

@@ -296,6 +296,60 @@ class TestHeldInputIsReadOnce:
             list(tokenizer.feed(char))
         assert 0 < examined[0] <= 20 * len(held)
 
+    MARKUP = [("<!--", "-->"), ("<![CDATA[", "]]>"), ("<?pi ", "?>")]
+
+    @pytest.mark.parametrize("cls", [XmlTokenizer, ReferenceTokenizer],
+                             ids=["expat", "scanner"])
+    @pytest.mark.parametrize("opener, closer", MARKUP, ids=["comment", "cdata", "pi"])
+    def test_held_markup_is_searched_on(self, cls, opener, closer):
+        """The scanner's search for a comment's, CDATA section's or PI's
+        end resumes where the last feed stopped: the characters its
+        ``find`` calls pass over grow linearly with the held input (a
+        line count cannot see inside ``str.find``)."""
+        searched = [0]
+
+        class Counting(str):
+            def find(self, sub, start=0, end=sys.maxsize):
+                index = str.find(self, sub, start, end)
+                searched[0] += (len(self) if index < 0 else index + len(sub)) - start
+                return index
+
+            def __add__(self, other):
+                return Counting(str.__add__(self, other))
+
+        text = "<r>" + opener + "data " * 40_000 + closer + "</r>"
+        tokenizer = cls(policy="skip")
+        events = []
+        for start in range(0, len(text), 1024):
+            tokenizer._buffer = Counting(tokenizer._buffer)
+            events += tokenizer.feed(text[start:start + 1024])
+        events += tokenizer.close()
+        assert [type(event).__name__ for event in events][0] == "StartElement"
+        assert 0 < searched[0] <= 3 * len(text)
+
+    @pytest.mark.parametrize("opener, closer", MARKUP, ids=["comment", "cdata", "pi"])
+    def test_expat_holds_markup_for_one_piece(self, monkeypatch, opener, closer):
+        """Expat parses the input it holds again at every piece; past
+        one piece's worth the scanner takes a held construct over, so
+        the held input Expat is handed grows linearly too."""
+        held = [0]
+        parse_piece = XmlTokenizer._parse_piece
+
+        def counting(tokenizer, data, handler):
+            held[0] += len(tokenizer._buffer)
+            parse_piece(tokenizer, data, handler)
+
+        monkeypatch.setattr(XmlTokenizer, "_parse_piece", counting)
+        text = "<r>" + opener + "data " * 200_000 + closer + "<a/></r>"
+        tokenizer = XmlTokenizer(policy="skip")
+        events = []
+        for start in range(0, len(text), 4096):
+            events += tokenizer.feed(text[start:start + 4096])
+        events += tokenizer.close()
+        reference = ReferenceTokenizer(policy="skip")
+        assert events == list(reference.feed(text)) + reference.close()
+        assert 0 < held[0] <= len(text)
+
 
 class TestSourceDispatch:
     def test_events_from_xml_text(self):
