@@ -15,7 +15,8 @@ robustness:
 	$(PYTHON) -m pytest tests/test_recovery.py tests/test_fault_injection.py \
 		tests/test_checkpoint.py tests/test_resource_limits.py \
 		tests/test_source_parity.py tests/test_robustness.py \
-		tests/test_snapshot_golden.py tests/test_expat_source.py \
+		tests/test_snapshot_golden.py tests/test_multiq_snapshot.py \
+		tests/test_store_golden.py tests/test_expat_source.py \
 		tests/test_diagnostics_parity.py tests/test_push_equivalence.py
 
 bench:

@@ -44,7 +44,7 @@ not checkpointed state.
 
 from __future__ import annotations
 
-from repro.checkpoint import read_fields
+from repro.checkpoint import BOOL, IDS, LABELS, NAT, OBJECT, Fields, ListOf, Nullable, OneOf
 from repro.compile.nfa import GAP, PathTrie, trunk_steps
 from repro.core.machine import Machine, build_machine
 from repro.core.push import EventDriven
@@ -111,6 +111,30 @@ class _DfaState(_Fanout):
             self.emits, self.fire = emits, self
         else:
             self.emits, self.fire = (), emits[0] if emits else None
+
+
+#: A capture's NFA configuration: each open level's positions, and the
+#: open tags.
+_CONFIGURATION = Fields({"stack": ListOf(IDS), "tags": LABELS})
+#: Cache counters; ``fallbacks`` counted the PathM swaps of earlier releases.
+_COUNTERS = Fields(optional={
+    key: (NAT, 0) for key in ("starts", "misses", "clears", "fallbacks")})
+#: A lazy DFA's capture (:meth:`DfaPathM.snapshot_state`); one without
+#: ``members`` was written by a one-query engine.
+DFA_STATE = Fields({"dfa": _CONFIGURATION}, {
+    "members": (Nullable(LABELS), None),
+    "counters": (_COUNTERS, {"starts": 0, "misses": 0, "clears": 0, "fallbacks": 0}),
+    "event_count": (NAT, 0),
+    "fallen": (BOOL, False),
+})
+#: A capture an earlier release's DFA wrote after swapping to PathM: its
+#: ``fallback`` holds the PathM states (:func:`fallen_pathm_states`).
+FALLEN_STATE = Fields({"fallen": BOOL, "fallback": OneOf(OBJECT, ListOf(OBJECT))}, {
+    "members": (Nullable(LABELS), None),
+    "dfa": (Nullable(_CONFIGURATION), None),
+    "counters": (Nullable(_COUNTERS), None),
+    "event_count": (NAT, 0),
+})
 
 
 class DfaPathM(EventDriven):
@@ -408,12 +432,8 @@ class DfaPathM(EventDriven):
         A capture that says ``fallen`` holds PathM stacks, not the DFA's
         configuration (:func:`fallen_pathm_states`), and is refused.
         """
-        state = read_fields(
-            state, "DFA snapshot", required=("dfa",),
-            optional={"members": None, "counters": {}, "event_count": 0,
-                      "fallen": False},
-        )
-        if state["fallen"] is not False:
+        state = DFA_STATE(state, "DFA snapshot")
+        if state["fallen"]:
             raise CheckpointError("a fallen DFA snapshot resumes on PathM, not the DFA")
         members = state["members"]
         if members is not None and members != self._sources():
@@ -421,23 +441,16 @@ class DfaPathM(EventDriven):
                 f"DFA snapshot for members {members!r} restored onto "
                 f"{self._sources()!r}"
             )
-        dfa = read_fields(state["dfa"], "DFA snapshot configuration",
-                          required=("stack", "tags"))
-        # ``fallbacks`` counted the PathM swaps of earlier releases.
-        counters = read_fields(
-            state["counters"], "DFA snapshot counters",
-            optional={"starts": 0, "misses": 0, "clears": 0, "fallbacks": 0},
-        )
-        tags = list(dfa["tags"])
-        if len(dfa["stack"]) != len(tags) + 1:
+        stack, tags = state["dfa"]["stack"], state["dfa"]["tags"]
+        if len(stack) != len(tags) + 1:
             raise CheckpointError(
-                f"DFA snapshot has {len(dfa['stack'])} states for "
-                f"{len(tags)} open elements"
+                f"DFA snapshot has {len(stack)} states for {len(tags)} open elements"
             )
-        self._starts = int(counters["starts"])
-        self._misses = int(counters["misses"])
-        self._clears = int(counters["clears"])
-        self._event_count = int(state["event_count"])
+        counters = state["counters"]
+        self._starts = counters["starts"]
+        self._misses = counters["misses"]
+        self._clears = counters["clears"]
+        self._event_count = state["event_count"]
         # Replaying the open tags re-derives every member's positions,
         # whatever NFA layout the capture was written under.
         self._replay(tags)
@@ -473,15 +486,10 @@ def fallen_pathm_states(state, members: int) -> "list[dict] | None":
     """
     if not state.get("fallen"):
         return None
-    state = read_fields(
-        state, "fallen DFA snapshot", required=("fallen", "fallback"),
-        optional={"members": None, "dfa": None, "counters": None,
-                  "event_count": 0},
-    )
-    fallback = state["fallback"]
-    if isinstance(fallback, dict):
+    fallback = FALLEN_STATE(state, "fallen DFA snapshot")["fallback"]
+    if type(fallback) is dict:
         fallback = [fallback] * members
-    if not isinstance(fallback, list) or len(fallback) != members:
+    if len(fallback) != members:
         raise CheckpointError(
             f"fallen DFA snapshot has no PathM state for each of {members} members"
         )

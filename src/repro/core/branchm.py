@@ -26,10 +26,12 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.core.machine import Machine, MachineNode, build_machine, restore_counters
+from repro.checkpoint import IDS, INT, LABELS, NAT, Nullable, Tuple
+from repro.core.machine import (
+    Machine, MachineNode, build_machine, read_machine_state, restore_counters)
 from repro.core.push import EventDriven
 from repro.core.results import CollectingSink, ResultSink
-from repro.errors import CheckpointError, UnsupportedQueryError
+from repro.errors import UnsupportedQueryError
 from repro.stream.events import Event
 from repro.stream.recovery import ResourceLimits
 from repro.xpath.querytree import QueryTree, compile_query
@@ -56,6 +58,11 @@ class _Slot:
         self.candidates = None
         self.text_parts = None
         self.stable = False
+
+
+#: A captured slot: level (-1 when empty), flag word, candidate ids,
+#: value text parts.
+SLOT = Tuple(INT, NAT, Nullable(IDS), Nullable(LABELS))
 
 
 class BranchM(EventDriven):
@@ -191,20 +198,17 @@ class BranchM(EventDriven):
     def restore_state(self, state: dict) -> None:
         """Load a :meth:`snapshot_state` capture into this machine."""
         nodes = list(self.machine.iter_nodes())
+        state = read_machine_state(self, state, [SLOT] * len(nodes), key="slots",
+                                   optional={"candidate_count": (NAT, 0)})
         slots = state["slots"]
-        if len(slots) != len(nodes):
-            raise CheckpointError(
-                f"snapshot has {len(slots)} machine slots, machine has {len(nodes)}"
-            )
         for node, (level, flags, candidates, text_parts) in zip(nodes, slots):
             slot = self._slots[id(node)]
             slot.level = level
             slot.flags = flags
             slot.candidates = set(candidates) if candidates else None
-            slot.text_parts = list(text_parts) if text_parts is not None else None
+            slot.text_parts = text_parts
             slot.stable = False
-        self._candidate_count = state.get("candidate_count", 0)
-        self._event_count = state.get("event_count", 0)
+        self._candidate_count = state["candidate_count"]
         restore_counters(self, state, sum(1 for slot in slots if slot[0] != -1))
         self._open_value_slots = sum(
             1 for slot in self._value_slots if slot.text_parts is not None

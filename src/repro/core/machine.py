@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from sys import intern as _intern
 from typing import Iterator
 
+from repro.checkpoint import NAT, Fields, MapOf, Tuple
 from repro.xpath.querytree import (
     DESCENDANT_EDGE,
     AttributeTest,
@@ -387,14 +388,33 @@ def engine_figures(engine) -> dict[str, int]:
     }
 
 
-def restore_counters(engine, state: dict, live: int) -> None:
-    """Resume the entry counters of a ``snapshot_state`` capture.
+#: The counters closing every stack machine's capture, read by
+#: :func:`restore_counters`.  ``pushes`` and ``peak`` are optional: a
+#: capture without them counts its live entries as pushed.  Captures
+#: from the release that counted through an observing subclass hold
+#: them under ``"obs"``.
+COUNTERS = {
+    "event_count": (NAT, 0),
+    "pushes": (NAT, 0),
+    "peak": (NAT, 0),
+    "obs": (Fields(optional={"counts": (MapOf(NAT), {}), "live_entries": (NAT, 0)}),
+            {"counts": {}}),
+}
 
-    ``pushes`` and ``peak`` are optional: a capture without them counts
-    its ``live`` entries as pushed.  Captures from the release that
-    counted through an observing subclass hold them under ``"obs"``.
-    """
-    legacy = state.get("obs", {}).get("counts", {})
+
+def read_machine_state(engine, state, per_node: list, key: str = "stacks",
+                       optional: "dict | None" = None) -> dict:
+    """``state`` read as ``engine``'s capture: its ``key`` list holds one
+    entry per machine node, each read by its reader in ``per_node``."""
+    return Fields({key: Tuple(*per_node)}, {**(optional or {}), **COUNTERS})(
+        state, f"{engine.machine_name} state")
+
+
+def restore_counters(engine, state: dict, live: int) -> None:
+    """Resume the event and entry counters (:data:`COUNTERS`) of a
+    capture read by :func:`read_machine_state` with ``live`` entries."""
+    legacy = state["obs"]["counts"]
     engine._live = live
-    engine._pushes = max(state.get("pushes", legacy.get("pushes", 0)), live)
-    engine._peak = max(state.get("peak", legacy.get("peak_entries", 0)), live)
+    engine._event_count = state["event_count"]
+    engine._pushes = max(state["pushes"], legacy.get("pushes", 0), live)
+    engine._peak = max(state["peak"], legacy.get("peak_entries", 0), live)

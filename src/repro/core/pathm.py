@@ -21,17 +21,19 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from repro.checkpoint import IDS
 from repro.core.machine import (
     EDGE_EQ,
     Machine,
     MachineNode,
     StackPlans,
     build_machine,
+    read_machine_state,
     restore_counters,
 )
 from repro.core.push import EventDriven
 from repro.core.results import CollectingSink, ResultSink
-from repro.errors import CheckpointError, UnsupportedQueryError
+from repro.errors import UnsupportedQueryError
 from repro.stream.events import Event
 from repro.stream.recovery import ResourceLimits
 from repro.xpath.querytree import QueryTree, compile_query
@@ -131,17 +133,12 @@ class PathM(EventDriven, StackPlans):
     def restore_state(self, state: dict) -> None:
         """Load a :meth:`snapshot_state` capture into this machine."""
         nodes = list(self.machine.iter_nodes())
-        stacks = state["stacks"]
-        if len(stacks) != len(nodes):
-            raise CheckpointError(
-                f"snapshot has {len(stacks)} machine stacks, machine has {len(nodes)}"
-            )
-        for node, levels in zip(nodes, stacks):
+        state = read_machine_state(self, state, [IDS] * len(nodes))
+        for node, levels in zip(nodes, state["stacks"]):
             stack = self._stacks[id(node)]
             stack.clear()
             stack.extend(levels)
-        self._event_count = state.get("event_count", 0)
-        restore_counters(self, state, sum(len(levels) for levels in stacks))
+        restore_counters(self, state, sum(len(levels) for levels in state["stacks"]))
 
     # -- transitions ------------------------------------------------------
 

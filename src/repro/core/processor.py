@@ -45,7 +45,8 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from repro.checkpoint import read_envelope, read_fields, restoring
+from repro.checkpoint import (
+    BOOL, NAT, OBJECT, STR, Fields, Nullable, enum, read_envelope, restoring)
 from repro.compile.dfa import DEFAULT_STATE_CAP, DfaPathM, fallen_pathm_states
 from repro.core.branchm import BranchM
 from repro.core.machine import engine_figures
@@ -54,7 +55,7 @@ from repro.core.results import CallbackSink, CollectingSink, ResultSink
 from repro.core.textfeed import TextFeed
 from repro.core.twigm import TwigM
 from repro.stream.events import Event
-from repro.stream.recovery import RecoveryPolicy, ResourceLimits, StreamDiagnostic
+from repro.stream.recovery import POLICY, RecoveryPolicy, ResourceLimits, StreamDiagnostic
 from repro.xpath.querytree import QueryTree, compile_query
 
 #: The engine classes by fragment, in dispatch order.
@@ -67,8 +68,23 @@ _FRAGMENT_ENGINES = {
 _ENGINES_BY_NAME = {"pathm": PathM, "dfa": DfaPathM, "branchm": BranchM,
                     "twigm": TwigM}
 
+#: A captured emission mode.
+EMISSION = enum("default", "earliest")
+
 #: Version of the snapshot schema :meth:`XPathStream.snapshot` writes.
 SNAPSHOT_VERSION = 1
+#: Its fields: ``compiled`` is written by older releases and ignored;
+#: ``retired`` (the finished documents' events and emissions) is written
+#: once there are any, ``state_cap`` by a lazy-DFA stream.
+_SNAPSHOT = Fields({
+    "query": STR, "engine": enum(*_ENGINES_BY_NAME), "policy": POLICY,
+    "limits": Nullable(OBJECT), "tokenizer": Nullable(OBJECT),
+    "machine": OBJECT, "sink": OBJECT,
+}, {
+    "compiled": (BOOL, False), "emission": (EMISSION, "default"),
+    "state_cap": (NAT, DEFAULT_STATE_CAP),
+    "retired": (Fields({"events": NAT, "emitted": NAT}), {"events": 0, "emitted": 0}),
+})
 
 
 def select_engine_class(query: QueryTree):
@@ -343,15 +359,7 @@ class XPathStream(TextFeed):
         same totals as an uninterrupted run.  A fallen lazy-DFA capture
         resumes on PathM (:func:`~repro.compile.dfa.fallen_pathm_states`).
         """
-        snapshot = read_envelope(
-            snapshot, "snapshot", SNAPSHOT_VERSION,
-            required=("query", "engine", "policy", "limits", "tokenizer",
-                      "machine", "sink"),
-            # ``compiled`` is written by older releases and ignored.
-            optional={"compiled": False, "emission": "default",
-                      "state_cap": DEFAULT_STATE_CAP,
-                      "retired": {"events": 0, "emitted": 0}},
-        )
+        snapshot = read_envelope(snapshot, "snapshot", SNAPSHOT_VERSION, _SNAPSHOT)
         with restoring("snapshot"):
             engine, machine = snapshot["engine"], snapshot["machine"]
             if fallen := fallen_pathm_states(machine, 1):
@@ -373,9 +381,7 @@ class XPathStream(TextFeed):
                 # Older captures keep every id ever emitted in ``seen``.
                 stream._sink.end_epoch()
             stream._restore_tokenizer(snapshot["tokenizer"])
-            retired = read_fields(snapshot["retired"], "snapshot retired",
-                                  required=("events", "emitted"))
-            stream._retired = {key: int(value) for key, value in retired.items()}
+            stream._retired = snapshot["retired"]
         return stream
 
 

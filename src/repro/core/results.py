@@ -36,7 +36,12 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from repro.checkpoint import read_fields
+from repro.checkpoint import IDS, NAT, Fields
+
+#: A sink's capture: a collecting sink's ``results``, a callback sink's
+#: ``seen`` ids and ``emitted`` count.  Every sink reads every sink's
+#: capture: a stream may resume in the other delivery mode.
+SINK_STATE = Fields(optional={"seen": (IDS, []), "results": (IDS, []), "emitted": (NAT, None)})
 
 
 class ResultSink:
@@ -87,17 +92,6 @@ class _DistinctSink(ResultSink):
     def reset(self) -> None:
         self._seen.clear()
 
-    @staticmethod
-    def _read_state(state: dict) -> dict:
-        # Every sink reads every sink's capture: a stream may resume in
-        # the other delivery mode.  ``emitted`` is absent from captures
-        # that predate it; their ``seen`` held every id ever emitted.
-        state = read_fields(state, "sink state",
-                            optional={"seen": [], "results": [], "emitted": None})
-        if state["emitted"] is None:
-            state["emitted"] = len(state["seen"]) or len(state["results"])
-        return state
-
 
 class CollectingSink(_DistinctSink):
     """Collect distinct ids in first-confirmation order."""
@@ -130,7 +124,7 @@ class CollectingSink(_DistinctSink):
         return {"results": list(self.results)}
 
     def restore_state(self, state: dict) -> None:
-        self.results = list(self._read_state(state)["results"])
+        self.results = SINK_STATE(state, "sink state")["results"]
         self._seen = set(self.results)
 
 
@@ -157,9 +151,11 @@ class CallbackSink(_DistinctSink):
     def restore_state(self, state: dict) -> None:
         # Restoring from a collecting snapshot works too: ids emitted
         # before the checkpoint must not fire the callback again.
-        state = self._read_state(state)
+        # ``emitted`` is absent from captures that predate it; their
+        # ``seen`` held every id ever emitted.
+        state = SINK_STATE(state, "sink state")
         self._seen = set(state["seen"] or state["results"])
-        self.emitted = state["emitted"]
+        self.emitted = len(self._seen) if state["emitted"] is None else state["emitted"]
 
 
 class CountingSink(_DistinctSink):

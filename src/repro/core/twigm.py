@@ -32,17 +32,19 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from repro.checkpoint import IDS, LABELS, NAT, ListOf, Nullable, Tuple
 from repro.core.machine import (
     EDGE_EQ,
     Machine,
     MachineNode,
     StackPlans,
     build_machine,
+    read_machine_state,
     restore_counters,
 )
 from repro.core.push import EventDriven
 from repro.core.results import CollectingSink, ResultSink
-from repro.errors import CheckpointError, UnsupportedQueryError
+from repro.errors import UnsupportedQueryError
 from repro.stream.events import Event
 from repro.stream.recovery import ResourceLimits
 from repro.xpath.querytree import QueryTree, compile_query
@@ -119,6 +121,11 @@ class CandidateTracker:
         raise NotImplementedError
 
 
+#: A captured stack entry: level, flag word, candidate ids, value text
+#: parts, attribute bits.
+ENTRY = Tuple(NAT, NAT, Nullable(IDS), Nullable(LABELS), NAT)
+
+
 class TwigM(EventDriven, StackPlans):
     """The TwigM evaluator: feed it modified-SAX events, read solutions.
 
@@ -165,6 +172,8 @@ class TwigM(EventDriven, StackPlans):
     #: Stable engine identifier, used as the snapshot ``engine`` key and
     #: as the metrics ``engine`` label.
     machine_name = "twigm"
+    #: The reader of a root-stack entry in a capture.
+    _root_entry = ENTRY
 
     def __init__(
         self,
@@ -341,11 +350,10 @@ class TwigM(EventDriven, StackPlans):
     def restore_state(self, state: dict) -> None:
         """Load a :meth:`snapshot_state` capture into this machine."""
         nodes = list(self.machine.iter_nodes())
+        state = read_machine_state(
+            self, state, [ListOf(self._root_entry)] + [ListOf(ENTRY)] * (len(nodes) - 1),
+            optional={"candidate_count": (NAT, 0)})
         stacks = state["stacks"]
-        if len(stacks) != len(nodes):
-            raise CheckpointError(
-                f"snapshot has {len(stacks)} machine stacks, machine has {len(nodes)}"
-            )
         for node, entries in zip(nodes, stacks):
             stack = self._stacks[id(node)]
             stack.clear()  # in place: _value_stacks aliases these lists
@@ -353,11 +361,10 @@ class TwigM(EventDriven, StackPlans):
                 entry = StackEntry(level)
                 entry.flags = flags
                 entry.candidates = set(candidates) if candidates else None
-                entry.text_parts = list(text_parts) if text_parts is not None else None
+                entry.text_parts = text_parts
                 entry.attr_bits = attr_bits
                 stack.append(entry)
-        self._candidate_count = state.get("candidate_count", 0)
-        self._event_count = state.get("event_count", 0)
+        self._candidate_count = state["candidate_count"]
         restore_counters(self, state, sum(len(entries) for entries in stacks))
         self._open_value_entries = sum(
             1

@@ -62,6 +62,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 
+from repro.checkpoint import IDS, LABELS, NAT, ListOf, MapOf, Nullable, OneOf, Tuple
 from repro.core.machine import (
     EDGE_EQ,
     Machine,
@@ -69,7 +70,7 @@ from repro.core.machine import (
     build_machine,
 )
 from repro.core.results import ResultSink
-from repro.core.twigm import TwigM
+from repro.core.twigm import ENTRY, TwigM
 from repro.errors import CheckpointError, UnsupportedQueryError
 from repro.xpath.querytree import QueryTree
 
@@ -215,6 +216,14 @@ class ConstantIndex:
         return hit if self.op == "=" else self._all & ~hit
 
 
+#: A root-stack entry of a shape with an open return node: its
+#: candidates map return labels to ids (a plain list in captures from the
+#: release that kept the return label in the shape key); empty ones are
+#: captured as null.
+TAIL_ENTRY = Tuple(NAT, NAT, Nullable(OneOf(ListOf(NAT, least=1), MapOf(IDS, least=1))),
+                   Nullable(LABELS), NAT)
+
+
 class ShapeTwigM(TwigM):
     """TwigM over one query shape whose members differ in one constant
     or in labels.
@@ -246,6 +255,7 @@ class ShapeTwigM(TwigM):
         self.labels = not self._open.value_tests
         #: True when they also differ in the return node's label.
         self.tails = self._tail is not None
+        self._root_entry = TAIL_ENTRY if self.tails else ENTRY
         chain = [self._emitting]
         node = self._open
         while node is not self._emitting:
@@ -383,13 +393,8 @@ class ShapeTwigM(TwigM):
             if not candidates:
                 continue
             if isinstance(candidates, dict):
-                entry.candidates = {}
-                for label, ids in candidates.items():
-                    if not isinstance(ids, list) or any(type(i) is not int for i in ids):
-                        raise CheckpointError(
-                            f"shape capture candidates of {label!r} are not ids")
-                    if ids:
-                        entry.candidates[str(label)] = set(ids)
+                entry.candidates = {
+                    label: set(ids) for label, ids in candidates.items() if ids}
             elif len(self._returns) == 1:
                 entry.candidates = {next(iter(self._returns)): set(candidates)}
             else:

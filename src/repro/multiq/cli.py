@@ -131,7 +131,7 @@ def _explain(engine: MultiQueryEngine) -> None:
         count = len(unit.names)
         print(f"shape: {shape_text(unit.tree)}  [{machines[name]}, {count} "
               f"member{'' if count == 1 else 's'}]", file=sys.stderr)
-        for member, key in unit.members():
+        for member, key in unit.member_keys():
             if unit.engine.tails:
                 print(f"  {member}: {SHAPE_LABEL} = {key[0]}, {SHAPE_RETURN} = {key[1]}",
                       file=sys.stderr)

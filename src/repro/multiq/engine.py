@@ -47,12 +47,15 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
-from repro.checkpoint import read_envelope, read_fields, restoring
-from repro.compile.dfa import fallen_pathm_states
+from repro.checkpoint import (
+    BOOL, NAT, OBJECT, STR, Fields, ListOf, MapOf, Nullable, enum, read_envelope,
+    restoring)
+from repro.compile.dfa import DFA_STATE, fallen_pathm_states
 from repro.core.machine import CUMULATIVE_FIGURES
+from repro.core.processor import EMISSION
 from repro.core.results import CallbackSink, CollectingSink, ResultSink
 from repro.core.textfeed import TextFeed
-from repro.errors import CheckpointError, UnsupportedQueryError
+from repro.errors import CheckpointError
 from repro.multiq.canon import canonical_text
 from repro.multiq.registry import (
     EvalUnit,
@@ -63,11 +66,30 @@ from repro.multiq.registry import (
 )
 from repro.multiq.router import AlphabetRouter, Interest, fold_interest
 from repro.stream.events import EndElement, Event, EventHandler, StartElement
-from repro.stream.recovery import RecoveryPolicy, ResourceLimits, StreamDiagnostic
+from repro.stream.recovery import POLICY, RecoveryPolicy, ResourceLimits, StreamDiagnostic
 from repro.xpath.querytree import QueryTree
 
 #: Version of the dispatcher snapshot schema.
 MULTIQ_SNAPSHOT_VERSION = 1
+#: A query entry of a capture (``tracked`` and ``emission`` are absent
+#: from older releases').
+_QUERY = Fields({"name": STR, "query": STR, "limits": Nullable(OBJECT), "callback": BOOL},
+                {"tracked": (BOOL, False), "emission": (EMISSION, "default")})
+#: A unit entry: member names in slot order, engine, machine, member sinks.
+_UNIT = Fields(
+    {"queries": ListOf(STR, least=1), "engine": enum("pathm", "dfa", "branchm", "twigm"),
+     "machine": OBJECT, "sinks": MapOf(OBJECT)},
+    {"virgin": (BOOL, False), "shape": (BOOL, False), "events": (NAT, 0)})
+#: Dispatch counters, and the retired figures per engine kind (earlier
+#: releases also retired ``dfa_fallbacks``, PathM swaps, which is dropped).
+_STATS = Fields({"events": NAT, "dispatched": NAT, "broadcast": NAT}, {
+    "retired": (MapOf(MapOf(NAT, keys=(*CUMULATIVE_FIGURES, "dfa_fallbacks"))), {})})
+#: Its fields; ``compiled`` is written by older releases and ignored.
+_SNAPSHOT = Fields(
+    {"policy": POLICY, "limits": Nullable(OBJECT), "queries": ListOf(_QUERY),
+     "units": ListOf(_UNIT), "tokenizer": Nullable(OBJECT)},
+    {"compiled": (BOOL, False), "open_labels": (Nullable(MapOf(NAT)), None),
+     "stats": (_STATS, {"events": 0, "dispatched": 0, "broadcast": 0, "retired": {}})})
 
 
 @dataclass(frozen=True, slots=True)
@@ -456,7 +478,7 @@ class MultiQueryEngine(TextFeed):
             unit.sink.restore_state(sink_state)
             if not unit.engine.epoch_open:
                 unit.sink.end_epoch()
-        except (KeyError, TypeError, ValueError) as exc:
+        except (CheckpointError, KeyError, TypeError, ValueError) as exc:
             self._registry.remove(name)
             raise CheckpointError(
                 f"cannot attach warm state for query {name!r}: {exc}"
@@ -664,12 +686,8 @@ class MultiQueryEngine(TextFeed):
         snapshot-carried counters make the registry report the same
         totals as an uninterrupted run.
         """
-        snapshot = read_envelope(
-            snapshot, "multiq snapshot", MULTIQ_SNAPSHOT_VERSION,
-            required=("policy", "limits", "queries", "units", "tokenizer"),
-            optional={"compiled": False, "open_labels": None,
-                      "stats": {"events": 0, "dispatched": 0, "broadcast": 0}},
-        )
+        snapshot = read_envelope(snapshot, "multiq snapshot",
+                                 MULTIQ_SNAPSHOT_VERSION, _SNAPSHOT)
         with restoring("multiq snapshot"):
             engine = cls(
                 on_match=on_match,
@@ -679,21 +697,17 @@ class MultiQueryEngine(TextFeed):
                 metrics=metrics,
             )
             engine._restore_queries(snapshot, trackers or {})
-            stats = read_fields(snapshot["stats"], "multiq snapshot stats",
-                                required=("events", "dispatched", "broadcast"),
-                                optional={"retired": {}})
+            stats = snapshot["stats"]
             engine._retired = {
-                str(kind): _retired_figures(figures)
+                kind: {field: value for field, value in figures.items()
+                       if field != "dfa_fallbacks"}
                 for kind, figures in stats["retired"].items()
             }
-            engine._events = engine._settled_events = int(stats["events"])
-            engine._unrouted = int(stats["dispatched"])
-            engine._broadcast = int(stats["broadcast"])
+            engine._events = engine._settled_events = stats["events"]
+            engine._unrouted = stats["dispatched"]
+            engine._broadcast = stats["broadcast"]
             engine._restore_tokenizer(snapshot["tokenizer"])
-            labels = snapshot["open_labels"]
-            if labels is not None:
-                labels = {str(tag): int(count) for tag, count in labels.items()}
-            engine._reopen_labels(labels)
+            engine._reopen_labels(snapshot["open_labels"])
         return engine
 
     def _reopen_labels(self, labels: "Mapping[str, int] | None" = None) -> None:
@@ -736,21 +750,12 @@ class MultiQueryEngine(TextFeed):
         from repro.multiq.canon import canonicalize
         from repro.xpath.querytree import compile_query
 
-        payloads = {}
-        for payload in snapshot["queries"]:
-            payload = read_fields(
-                payload, "multiq query entry",
-                required=("name", "query", "limits", "callback"),
-                optional={"tracked": False, "emission": "default"},
-            )
-            payloads[payload["name"]] = payload
+        payloads = {payload["name"]: payload for payload in snapshot["queries"]}
         pending: dict[str, tuple[Registration, bool]] = {}
         # Legacy DFA units folded together, keyed by their open tag path.
         folded: dict[tuple[str, ...], SharedPathUnit] = {}
         for unit_payload in _unit_payloads(snapshot["units"]):
             members = unit_payload["queries"]
-            if not members:
-                raise CheckpointError("multiq snapshot unit with no queries")
             first = payloads[members[0]]
             limits = ResourceLimits.from_dict(first["limits"])
             for member in members[1:]:
@@ -761,7 +766,7 @@ class MultiQueryEngine(TextFeed):
                     )
             trees = {member: canonicalize(payloads[member]["query"]) for member in members}
             sinks = {
-                member: self._restored_sink(member, bool(payloads[member]["callback"]))
+                member: self._restored_sink(member, payloads[member]["callback"])
                 for member in members
             }
             tree = trees[members[0]]
@@ -769,7 +774,7 @@ class MultiQueryEngine(TextFeed):
             shared = unit_payload["engine"] == "dfa" and limits is None
             fold_key = None
             if shared and "members" not in machine:
-                fold_key = tuple(machine["dfa"]["tags"])
+                fold_key = tuple(DFA_STATE(machine, "DFA snapshot")["dfa"]["tags"])
             unit = folded.get(fold_key)
             new_unit = unit is None
             if shared:
@@ -790,16 +795,11 @@ class MultiQueryEngine(TextFeed):
                             f"multiq snapshot groups {member!r} with a shape "
                             f"machine, which runs untracked in default mode"
                         )
-                try:
-                    unit = ShapeUnit(tree)
-                except UnsupportedQueryError as exc:
-                    raise CheckpointError(
-                        f"multiq snapshot shape unit: {exc}"
-                    ) from exc
+                unit = ShapeUnit(tree)
                 for member in members:
                     unit.join(member, trees[member], sinks[member])
             else:
-                tracked = bool(first["tracked"])
+                tracked = first["tracked"]
                 unit = EvalUnit(tree, limits, engine_name=unit_payload["engine"],
                                 tracker=trackers.get(members[0]) if tracked else None,
                                 emission=first["emission"])
@@ -818,8 +818,8 @@ class MultiQueryEngine(TextFeed):
                 for member in members:
                     unit.join(member, tree, sinks[member])
             if new_unit:
-                unit.events = int(unit_payload["events"])
-                unit.virgin = bool(unit_payload["virgin"])
+                unit.events = unit_payload["events"]
+                unit.virgin = unit_payload["virgin"]
                 unit.engine.restore_state(machine)
                 if fold_key is not None:
                     folded[fold_key] = unit
@@ -837,8 +837,8 @@ class MultiQueryEngine(TextFeed):
                         tree=trees[member],
                         limits=limits,
                         unit=unit,
-                        callback=bool(payload["callback"]),
-                        tracked=bool(payload["tracked"]),
+                        callback=payload["callback"],
+                        tracked=payload["tracked"],
                         emission=payload["emission"],
                     ),
                     new_unit and member == members[0],
@@ -859,29 +859,10 @@ class MultiQueryEngine(TextFeed):
         return self._make_sink(name, None) if callback else CollectingSink()
 
 
-def _retired_figures(figures: dict) -> dict[str, int]:
-    """One engine kind's retired figures from a capture: only
-    :data:`~repro.core.machine.CUMULATIVE_FIGURES` (earlier releases also
-    retired ``dfa_fallbacks``, PathM swaps, which is dropped)."""
-    retired = {}
-    for field, value in figures.items():
-        if field == "dfa_fallbacks":
-            continue
-        if field not in CUMULATIVE_FIGURES:
-            raise CheckpointError(f"multiq snapshot retires unknown figure {field!r}")
-        retired[field] = int(value)
-    return retired
-
-
 def _unit_payloads(units) -> Iterable[dict]:
     """A capture's unit entries, read; a fallen DFA unit reads as one
     PathM unit per member."""
     for payload in units:
-        payload = read_fields(
-            payload, "multiq unit entry",
-            required=("queries", "engine", "machine", "sinks"),
-            optional={"virgin": False, "shape": False, "events": 0},
-        )
         members = payload["queries"]
         fallen = fallen_pathm_states(payload["machine"], len(members))
         if fallen is None:

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.checkpoint import OBJECT, MapOf
 from repro.core.machine import engine_figures
 from repro.core.processor import build_engine, select_engine_class
 from repro.core.results import ResultSink
@@ -92,7 +93,7 @@ class MultiplexSink(ResultSink):
         return {name: sink.snapshot_state() for name, sink in self.sinks.items()}
 
     def restore_state(self, state: dict) -> None:
-        for name, sink_state in state.items():
+        for name, sink_state in MapOf(OBJECT)(state, "multiplexed sink state").items():
             self.sinks[name].restore_state(sink_state)
 
 
@@ -263,7 +264,7 @@ class ShapeUnit(EvalUnit):
     def _build_engine(tree: QueryTree, sink: ResultSink, **_options):
         return ShapeTwigM(tree, sink)
 
-    def members(self) -> "list[tuple[str, str | float | tuple[str, str]]]":
+    def member_keys(self) -> "list[tuple[str, str | float | tuple[str, str]]]":
         """``(name, constant, label or label pair)`` per member, in slot
         order."""
         return list(zip(self.sink.sinks, self.engine.keys))

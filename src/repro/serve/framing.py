@@ -131,7 +131,7 @@ class Frame:
         """Decode the payload as a JSON object (control frames)."""
         try:
             value = json.loads(self.payload.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise FrameError(
                 f"{self.name} frame payload is not valid JSON: {exc}"
             ) from exc

@@ -41,7 +41,8 @@ from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-from repro.errors import ReproError
+from repro.checkpoint import BOOL, LABELS, NAT, OBJECT, STR, Fields, ListOf, Nullable, enum
+from repro.errors import CheckpointError, ReproError
 from repro.serve.framing import (
     DEFAULT_MAX_FRAME,
     FRAME_HEADER,
@@ -118,6 +119,22 @@ def _segment_name(sequence: int) -> str:
     return f"seg-{sequence:08d}.log"
 
 
+#: A manifest's segment summary (:meth:`SegmentInfo.to_dict`).
+_SEGMENT = Fields(
+    {"file": STR, "sequence": NAT, "base_event": NAT, "events": NAT, "size": NAT},
+    {"tags": (LABELS, []), "has_text": (BOOL, False), "min_level": (Nullable(NAT), None),
+     "max_level": (Nullable(NAT), None),
+     "checkpoints": (ListOf(Fields({"id": NAT, "event": NAT})), [])})
+
+
+#: A store manifest (:meth:`_Manifest.to_dict`); a version-1 one has no
+#: ``tokenizer``.
+_MANIFEST = Fields({"next_segment": NAT, "segments": ListOf(OBJECT)}, {
+    "tokenizer": (Nullable(OBJECT), None), "next_checkpoint": (NAT, 1),
+    "active": (Nullable(STR), None), "compacted_before_event": (NAT, 0),
+    "compacted_before_checkpoint": (NAT, 0)})
+
+
 @dataclass
 class SegmentInfo:
     """One segment's structural summary (the unit of index-driven skip)."""
@@ -143,19 +160,9 @@ class SegmentInfo:
 
     @classmethod
     def from_dict(cls, data: dict, sealed: bool = True) -> "SegmentInfo":
-        return cls(
-            file=data["file"],
-            sequence=int(data["sequence"]),
-            base_event=int(data["base_event"]),
-            events=int(data["events"]),
-            size=int(data["size"]),
-            tags=set(data.get("tags", ())),
-            has_text=bool(data.get("has_text", False)),
-            min_level=data.get("min_level"),
-            max_level=data.get("max_level"),
-            checkpoints=[dict(c) for c in data.get("checkpoints", ())],
-            sealed=sealed,
-        )
+        data = _SEGMENT(data, "segment summary")
+        tags = set(data.pop("tags"))
+        return cls(**data, tags=tags, sealed=sealed)
 
     def note_levels(self, levels: "Iterable[int]") -> None:
         """Widen the level range to cover ``levels`` (may be empty)."""
@@ -220,10 +227,22 @@ def _frames(path: str, max_frame: int) -> "Iterator[tuple[int, bytes, int]]":
                 decoder.feed(b"")  # raises the parked error
 
 
+#: The JSON records: a segment header (a version-2 one embeds the
+#: tokenizer's snapshot), and a checkpoint (the event it covers, and the
+#: engine's capture when the log had an engine).
+_RECORDS = {
+    REC_SEGMENT: Fields({"version": NAT, "segment": NAT, "base_event": NAT},
+                        {"tokenizer": (Nullable(OBJECT), None)}),
+    REC_CHECKPOINT: Fields({"id": NAT, "event": NAT}, {
+        "engine_kind": (Nullable(enum("multi", "xpath")), None),
+        "engine": (Nullable(OBJECT), None)}),
+}
+
+
 def _record_json(record: int, payload: bytes, what: str) -> dict:
     try:
-        return Frame(record, payload).json()
-    except FrameError as exc:
+        return _RECORDS[record](Frame(record, payload).json(), f"{what} record")
+    except (FrameError, CheckpointError) as exc:
         raise StoreError(f"corrupt {what} record: {exc}") from exc
 
 
@@ -236,8 +255,8 @@ def _record_text(payload: bytes) -> str:
 
 def _segment_tokenizer(header: dict, limits: "ResourceLimits | None") -> XmlTokenizer:
     """The tokenizer a version-2 segment header embeds."""
-    state = header.get("tokenizer")
-    if not isinstance(state, dict):
+    state = header["tokenizer"]
+    if state is None:
         raise StoreError("segment header carries no tokenizer snapshot")
     try:
         return XmlTokenizer.restore(state, limits=limits)
@@ -280,31 +299,26 @@ class _Manifest:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise StoreError(f"corrupt store manifest {path!r}: {exc}") from exc
-        version = data.get("version")
-        if version not in _READABLE_VERSIONS:
+        version = data.get("version") if type(data) is dict else None
+        if version not in _READABLE_VERSIONS or type(version) is not int:
             raise StoreError(
                 f"unsupported store manifest version {version!r} "
                 f"(expected one of {_READABLE_VERSIONS})"
             )
         manifest = cls()
-        manifest.version = version
+        what = f"store manifest {path!r}"
         try:
-            if version >= 2:
-                manifest.tokenizer = dict(data["tokenizer"])
-            manifest.next_segment = int(data["next_segment"])
-            manifest.next_checkpoint = int(data.get("next_checkpoint", 1))
-            manifest.active = data.get("active")
-            manifest.compacted_before_event = int(data.get("compacted_before_event", 0))
-            manifest.compacted_before_checkpoint = int(
-                data.get("compacted_before_checkpoint", 0)
-            )
-            manifest.segments = [
-                SegmentInfo.from_dict(entry) for entry in data["segments"]
-            ]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise StoreError(f"malformed store manifest {path!r}: {exc}") from exc
+            data = _MANIFEST(data, what, ("version",))
+            if version >= 2 and data["tokenizer"] is None:
+                raise CheckpointError(f"malformed {what}: version 2 holds a tokenizer")
+            data["segments"] = [SegmentInfo.from_dict(entry) for entry in data["segments"]]
+        except CheckpointError as exc:
+            raise StoreError(str(exc)) from exc
+        for key, value in data.items():
+            setattr(manifest, key, value)
+        manifest.version = version
         return manifest
 
     def dumps(self) -> str:
@@ -903,15 +917,13 @@ def _scan_segment(
                 if record != REC_SEGMENT:
                     return None, 0, True, None, False
                 header = _record_json(record, payload, "segment header")
-                segment.sequence = int(header["segment"])
-                segment.base_event = int(header["base_event"])
+                segment.sequence = header["segment"]
+                segment.base_event = header["base_event"]
                 if version >= 2:
                     scan.tokenizer = _segment_tokenizer(header, limits)
             elif record == REC_CHECKPOINT:
                 info = _record_json(record, payload, "checkpoint")
-                segment.checkpoints.append(
-                    {"id": int(info["id"]), "event": int(info["event"])}
-                )
+                segment.checkpoints.append({"id": info["id"], "event": info["event"]})
             else:
                 scan.feed(record, payload)
                 ended = not payload
@@ -1052,8 +1064,8 @@ class EventLogReader:
             for entry in segment.checkpoints:
                 found.append(
                     CheckpointInfo(
-                        id=int(entry["id"]),
-                        event=int(entry["event"]),
+                        id=entry["id"],
+                        event=entry["event"],
                         segment=segment.file,
                     )
                 )
@@ -1064,7 +1076,7 @@ class EventLogReader:
         """The full checkpoint record (embedded engine snapshot included)."""
         for segment in self.segments():
             for entry in segment.checkpoints:
-                if int(entry["id"]) == checkpoint_id:
+                if entry["id"] == checkpoint_id:
                     return self._read_checkpoint(segment, checkpoint_id)
         raise StoreError(f"no checkpoint {checkpoint_id} in store {self.path!r}")
 
@@ -1072,7 +1084,7 @@ class EventLogReader:
         for record, payload, _end in self._records(segment):
             if record == REC_CHECKPOINT:
                 info = _record_json(record, payload, "checkpoint")
-                if int(info.get("id", -1)) == checkpoint_id:
+                if info["id"] == checkpoint_id:
                     return info
         raise StoreError(
             f"checkpoint {checkpoint_id} indexed in {segment.file!r} but "
@@ -1098,13 +1110,11 @@ class EventLogReader:
             raise StoreError(f"corrupt segment header in {segment.file!r}: {exc}") from exc
         if not frames or frames[0].type != REC_SEGMENT:
             raise StoreError(f"segment {segment.file!r} has no header")
-        state = _record_json(REC_SEGMENT, frames[0].payload, "segment header").get("tokenizer")
-        stack = state.get("stack") if isinstance(state, dict) else None
-        if not isinstance(stack, list) or not all(isinstance(label, str) for label in stack):
-            raise StoreError(
-                f"corrupt segment header in {segment.file!r}: "
-                "its tokenizer stack is not a list of labels")
-        return stack
+        state = _record_json(REC_SEGMENT, frames[0].payload, "segment header")["tokenizer"]
+        try:
+            return LABELS((state or {}).get("stack"), "its tokenizer stack")
+        except CheckpointError as exc:
+            raise StoreError(f"corrupt segment header in {segment.file!r}: {exc}") from exc
 
     def _records(self, segment: SegmentInfo) -> Iterator[tuple]:
         """The segment's frames; sealed corruption raises, torn tails stop."""
@@ -1229,7 +1239,7 @@ class EventLogReader:
                         yield
                     elif on_checkpoint is not None:
                         info = _record_json(record, payload, "checkpoint")
-                        if int(info.get("event", -1)) >= start_event:
+                        if info["event"] >= start_event:
                             yield
                             on_checkpoint(info)
             finally:
@@ -1306,11 +1316,11 @@ def compact(
     target: "dict | None" = None
     for segment in manifest.segments:
         for entry in segment.checkpoints:
-            if int(entry["id"]) == before_checkpoint:
+            if entry["id"] == before_checkpoint:
                 target = entry
     if target is None:
         raise StoreError(f"no checkpoint {before_checkpoint} in store {path!r}")
-    floor = int(target["event"])
+    floor = target["event"]
     keep: list[SegmentInfo] = []
     dropped: list[SegmentInfo] = []
     for segment in manifest.segments:

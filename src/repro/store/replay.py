@@ -175,7 +175,7 @@ def replay(
     engine = target
     if from_checkpoint is not None:
         record = reader.load_checkpoint(from_checkpoint)
-        start_event = int(record["event"])
+        start_event = record["event"]
         if engine is None:
             snapshot = record.get("engine")
             if snapshot is None:
@@ -246,7 +246,7 @@ def replay_into(
     start = start_event
     if from_checkpoint is not None:
         record = reader.load_checkpoint(from_checkpoint)
-        start = int(record["event"])
+        start = record["event"]
     interest = handler.interest() if isinstance(handler, SubstreamExtractor) else None
     reader.events_into(handler, start, interest=interest, stats=stats)
     if close:

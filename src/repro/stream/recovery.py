@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
 
-from repro.checkpoint import read_fields
+from repro.checkpoint import NAT, Fields, Nullable, enum
 from repro.errors import ResourceLimitError
 
 
@@ -59,6 +59,9 @@ class RecoveryPolicy(str, Enum):
                 f"unknown recovery policy {value!r} (expected one of: {names})"
             ) from None
 
+
+#: A captured policy: one of the :class:`RecoveryPolicy` values.
+POLICY = enum(*(policy.value for policy in RecoveryPolicy))
 
 #: Diagnostic action: the malformed region was dropped.
 ACTION_SKIPPED = "skipped"
@@ -142,5 +145,5 @@ class ResourceLimits:
     def from_dict(cls, data: "dict | None") -> "ResourceLimits | None":
         if data is None:
             return None
-        return cls(**read_fields(data, "resource limits",
-                                 optional={f.name: None for f in fields(cls)}))
+        return cls(**Fields(optional={
+            f.name: (Nullable(NAT), None) for f in fields(cls)})(data, "resource limits"))

@@ -71,12 +71,13 @@ from sys import intern as _intern
 from typing import IO, Callable, Iterable, Iterator, NoReturn
 from xml.parsers import expat
 
-from repro.checkpoint import read_envelope, restoring
+from repro.checkpoint import BOOL, LABELS, NAT, STR, Fields, read_envelope
 from repro.errors import ReproError, XmlSyntaxError
 from repro.stream.events import Event, EventCollector
 from repro.stream.recovery import (
     ACTION_REPAIRED,
     ACTION_SKIPPED,
+    POLICY,
     RecoveryPolicy,
     ResourceLimits,
     StreamDiagnostic,
@@ -102,6 +103,14 @@ MAX_RETAINED_DIAGNOSTICS = 1000
 
 #: Snapshot schema version produced by :meth:`XmlTokenizer.snapshot`.
 TOKENIZER_SNAPSHOT_VERSION = 1
+#: Its fields: ``bytes_fed`` is absent from pre-observability captures;
+#: ``dropping_run`` is written only while it is set.
+_SNAPSHOT = Fields({
+    "buffer": STR, "text_parts": LABELS, "text_len": NAT, "stack": LABELS,
+    "next_id": NAT, "seen_root": BOOL, "closed": BOOL, "line": NAT, "column": NAT,
+    "skip_whitespace": BOOL, "policy": POLICY, "ignore_depth": NAT,
+    "event_count": NAT, "diagnostic_count": NAT,
+}, {"bytes_fed": (NAT, 0), "dropping_run": (BOOL, False)})
 
 #: Characters no XML text may hold literally (Expat rejects each): C0
 #: controls other than tab, LF and CR, and U+FFFE/U+FFFF.
@@ -555,39 +564,22 @@ class XmlTokenizer:
         metrics=None,
     ) -> "XmlTokenizer":
         """Rebuild a tokenizer from a :meth:`snapshot` capture."""
-        state = read_envelope(
-            state, "tokenizer snapshot", TOKENIZER_SNAPSHOT_VERSION,
-            required=(
-                "buffer", "text_parts", "text_len", "stack", "next_id",
-                "seen_root", "closed", "line", "column", "skip_whitespace",
-                "policy", "ignore_depth", "event_count", "diagnostic_count",
-            ),
-            # Absent in pre-observability snapshots; the flag is written
-            # only while it is set.
-            optional={"bytes_fed": 0, "dropping_run": False},
+        state = read_envelope(state, "tokenizer snapshot",
+                              TOKENIZER_SNAPSHOT_VERSION, _SNAPSHOT)
+        tokenizer = cls(
+            skip_whitespace=state["skip_whitespace"],
+            policy=state["policy"],
+            on_diagnostic=on_diagnostic,
+            limits=limits,
+            metrics=metrics,
         )
-        with restoring("tokenizer snapshot"):
-            tokenizer = cls(
-                skip_whitespace=state["skip_whitespace"],
-                policy=state["policy"],
-                on_diagnostic=on_diagnostic,
-                limits=limits,
-                metrics=metrics,
-            )
-            tokenizer._buffer = state["buffer"]
-            tokenizer._text_parts = list(state["text_parts"])
-            tokenizer._text_len = state["text_len"]
-            tokenizer._stack = list(state["stack"])
-            tokenizer._next_id = state["next_id"]
-            tokenizer._seen_root = state["seen_root"]
-            tokenizer._closed = state["closed"]
-            tokenizer._cursor.line = state["line"]
-            tokenizer._cursor.column = state["column"]
-            tokenizer._ignore_depth = state["ignore_depth"]
-            tokenizer._event_count = state["event_count"]
-            tokenizer.diagnostic_count = state["diagnostic_count"]
-            tokenizer.bytes_fed = state["bytes_fed"]
-            tokenizer._dropping_run = bool(state["dropping_run"])
+        for key in ("buffer", "text_parts", "text_len", "stack", "next_id", "seen_root",
+                    "closed", "ignore_depth", "event_count", "dropping_run"):
+            setattr(tokenizer, "_" + key, state[key])
+        for key in ("diagnostic_count", "bytes_fed"):
+            setattr(tokenizer, key, state[key])
+        tokenizer._cursor.line = state["line"]
+        tokenizer._cursor.column = state["column"]
         return tokenizer
 
     # -- recovery / accounting ----------------------------------------

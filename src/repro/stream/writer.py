@@ -19,7 +19,7 @@ from __future__ import annotations
 import io
 from typing import IO, Callable, Iterable
 
-from repro.checkpoint import read_envelope, restoring
+from repro.checkpoint import BOOL, NAT, STR, Fields, Leaf, ListOf, Nullable, read_envelope
 from repro.stream.document import Document, Element
 from repro.stream.events import Characters, EndElement, Event, StartElement
 
@@ -108,6 +108,12 @@ def events_to_string(events: Iterable[Event], indent: str | None = None) -> str:
 
 #: Version of the incremental-writer snapshot schema.
 WRITER_SNAPSHOT_VERSION = 1
+#: Its fields: per open element, whether it has children; the start tag
+#: not yet closed; the staged text; the characters written.
+_SNAPSHOT = Fields({
+    "open": ListOf(BOOL),
+    "pending": Nullable(Leaf("a start tag", lambda v: type(v) is str and v[:1] == "<")),
+    "buffer": STR, "bytes_written": NAT})
 
 #: Default flush threshold of :class:`IncrementalXmlWriter` (characters).
 DEFAULT_WRITER_CHUNK = 16384
@@ -273,20 +279,16 @@ class IncrementalXmlWriter:
         chunk_size: int = DEFAULT_WRITER_CHUNK,
     ) -> "IncrementalXmlWriter":
         """Rebuild a writer from a :meth:`snapshot` capture."""
-        snapshot = read_envelope(
-            snapshot, "writer snapshot", WRITER_SNAPSHOT_VERSION,
-            required=("open", "pending", "buffer", "bytes_written"),
-        )
-        with restoring("writer snapshot"):
-            writer = cls(on_chunk, chunk_size=chunk_size)
-            writer._open_has_children = [bool(flag) for flag in snapshot["open"]]
-            pending = snapshot["pending"]
-            writer._pending_open = str(pending) if pending is not None else None
-            buffer = snapshot["buffer"]
-            if buffer:
-                writer._parts.append(buffer)
-                writer._staged = len(buffer)
-            writer.bytes_written = int(snapshot["bytes_written"])
+        snapshot = read_envelope(snapshot, "writer snapshot",
+                                 WRITER_SNAPSHOT_VERSION, _SNAPSHOT)
+        writer = cls(on_chunk, chunk_size=chunk_size)
+        writer._open_has_children = snapshot["open"]
+        writer._pending_open = snapshot["pending"]
+        buffer = snapshot["buffer"]
+        if buffer:
+            writer._parts.append(buffer)
+            writer._staged = len(buffer)
+        writer.bytes_written = snapshot["bytes_written"]
         return writer
 
 

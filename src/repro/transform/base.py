@@ -35,10 +35,10 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Mapping
 
-from repro.checkpoint import read_fields
+from repro.checkpoint import (
+    IDS, NAT, OBJECT, STR, Fields, ListOf, MapOf, Nullable, OneOf, Tuple, enum)
 from repro.core.textfeed import TextFeed
 from repro.core.twigm import CandidateTracker
-from repro.errors import CheckpointError
 from repro.multiq.engine import MultiQueryEngine
 from repro.stream.events import (
     Characters,
@@ -141,11 +141,20 @@ class _FragmentTracker(CandidateTracker):
         }
 
     def restore_state(self, state: dict) -> None:
-        self.counts = {int(k): int(v) for k, v in state["counts"].items()}
-        self.emitted_live = set(int(v) for v in state["emitted_live"])
+        """Load a capture read by :data:`TRACKER`."""
+        self.counts = {int(k): v for k, v in state["counts"].items()}
+        self.emitted_live = set(state["emitted_live"])
 
 
-# -- event (de)serialization for snapshots --------------------------------
+#: A fragment tracker's capture: live reference counts by node id (the
+#: keys are the ids in decimal), and the emitted ids still referenced.
+TRACKER = Fields({"counts": MapOf(NAT), "emitted_live": IDS})
+#: The part of a transform capture this base class writes.
+BASE = Fields({"engine": OBJECT, "trackers": MapOf(TRACKER), "tokenizer": Nullable(OBJECT)},
+              {"events_in": (NAT, 0)})
+
+
+# -- event serialization for snapshots ------------------------------------
 
 
 def pack_event(event: Event) -> list:
@@ -159,25 +168,16 @@ def pack_event(event: Event) -> list:
     return ["e", event.tag, event.level]
 
 
-def unpack_event(payload: list) -> Event:
-    """Inverse of :func:`pack_event`."""
-    kind = payload[0]
-    if kind == "s":
-        return StartElement(payload[1], int(payload[2]), int(payload[3]),
-                            dict(payload[4]))
-    if kind == "t":
-        return Characters(payload[1], int(payload[2]))
-    if kind == "e":
-        return EndElement(payload[1], int(payload[2]))
-    raise CheckpointError(f"unknown packed event kind {kind!r}")
+#: A packed event (:func:`pack_event`), read as the event.
+EVENT = OneOf(
+    Tuple(enum("s"), STR, NAT, NAT, MapOf(STR), into=lambda _, *event: StartElement(*event)),
+    Tuple(enum("t"), STR, NAT, into=lambda _, *event: Characters(*event)),
+    Tuple(enum("e"), STR, NAT, into=lambda _, *event: EndElement(*event)))
+EVENTS = ListOf(EVENT)
 
 
 def pack_events(events: Iterable[Event]) -> list:
     return [pack_event(event) for event in events]
-
-
-def unpack_events(payloads: Iterable[list]) -> list[Event]:
-    return [unpack_event(payload) for payload in payloads]
 
 
 class StreamTransform(TextFeed, EventHandler):
@@ -304,11 +304,7 @@ class StreamTransform(TextFeed, EventHandler):
         }
 
     def _restore_base(self, payload: dict, names: Iterable[str]) -> None:
-        payload = read_fields(
-            payload, "transform snapshot base",
-            required=("engine", "trackers", "tokenizer"),
-            optional={"events_in": 0},
-        )
+        """Restore the base fields of a capture read by :data:`BASE`."""
         self._trackers = {}
         for name in names:
             tracker = _FragmentTracker(name, self)
@@ -316,7 +312,7 @@ class StreamTransform(TextFeed, EventHandler):
             self._trackers[name] = tracker
         self._rebuild_engine(payload["engine"])
         self._restore_tokenizer(payload["tokenizer"])
-        self.events_in = int(payload["events_in"])
+        self.events_in = payload["events_in"]
 
     def detach(self) -> None:
         """Unhook metrics collectors (long-lived registries)."""

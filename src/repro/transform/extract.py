@@ -28,16 +28,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from repro.checkpoint import read_envelope, read_fields, restoring
+from repro.checkpoint import (
+    BOOL, NAT, OBJECT, STR, Fields, ListOf, MapOf, Nullable, Tuple, enum, read_envelope,
+    restoring)
+from repro.core.processor import EMISSION
+from repro.errors import CheckpointError
 from repro.stream.events import Characters, EndElement, StartElement
 from repro.stream.recovery import RecoveryPolicy, ResourceLimits
 from repro.stream.writer import DEFAULT_WRITER_CHUNK, IncrementalXmlWriter
 from repro.transform.base import (
+    BASE,
+    EVENT,
     TRANSFORM_SNAPSHOT_VERSION,
     StreamTransform,
     coerce_queries,
     pack_events,
-    unpack_events,
 )
 
 if TYPE_CHECKING:
@@ -51,6 +56,23 @@ class Fragment:
     query: str
     node_id: int
     text: str
+
+
+#: A captured candidate subtree: streamed by its writer, or buffered in
+#: its events (its start tag first); ``verdict`` is absent from older
+#: releases' captures.
+_RECORD = Fields(
+    {"name": STR, "node_id": NAT, "base_level": NAT, "next_id": NAT, "open": BOOL,
+     "events": Nullable(ListOf(EVENT, least=1)), "writer": Nullable(OBJECT),
+     "parts": Nullable(STR)},
+    {"verdict": (Nullable(enum("emit", "dead")), None)})
+#: An extractor capture (:meth:`SubstreamExtractor.snapshot`).
+_SNAPSHOT = Fields(
+    {"queries": MapOf(STR), "base": BASE, "records": ListOf(_RECORD),
+     "open": ListOf(Tuple(STR, NAT)), "streaming": MapOf(NAT),
+     "fragments": ListOf(Tuple(STR, NAT, STR)), "fragment_counts": MapOf(NAT),
+     "fragment_bytes": NAT},
+    {"emission": (EMISSION, "default")})
 
 
 class _Record:
@@ -379,16 +401,11 @@ class SubstreamExtractor(StreamTransform):
         metrics=None,
     ) -> "SubstreamExtractor":
         """Rebuild an extractor from :meth:`snapshot`; callbacks anew."""
-        snapshot = read_envelope(
-            snapshot, "extractor snapshot", TRANSFORM_SNAPSHOT_VERSION,
-            kind="extract",
-            required=("queries", "base", "records", "open", "streaming",
-                      "fragments", "fragment_counts", "fragment_bytes"),
-            optional={"emission": "default"},
-        )
+        snapshot = read_envelope(snapshot, "extractor snapshot",
+                                 TRANSFORM_SNAPSHOT_VERSION, _SNAPSHOT, kind="extract")
         with restoring("extractor snapshot"):
             extractor = cls(
-                dict(snapshot["queries"]),
+                snapshot["queries"],
                 on_fragment=on_fragment,
                 on_chunk=on_chunk,
                 on_fragment_events=on_fragment_events,
@@ -404,19 +421,16 @@ class SubstreamExtractor(StreamTransform):
                                     list(extractor.queries))
             extractor._records = {}
             for payload in snapshot["records"]:
-                payload = read_fields(
-                    payload, "extractor record",
-                    required=("name", "node_id", "base_level", "next_id",
-                              "open", "events", "writer", "parts"),
-                    optional={"verdict": None},
-                )
-                record = _Record(payload["name"], int(payload["node_id"]),
-                                 int(payload["base_level"]))
-                record.next_id = int(payload["next_id"])
-                record.open = bool(payload["open"])
+                if payload["writer"] is None and (payload["events"] is None
+                                                  or payload["parts"] is not None):
+                    raise CheckpointError("a buffered extractor record holds "
+                                          "its events and no text")
+                record = _Record(payload["name"], payload["node_id"],
+                                 payload["base_level"])
+                record.next_id = payload["next_id"]
+                record.open = payload["open"]
                 record.verdict = payload["verdict"]
-                if payload["events"] is not None:
-                    record.events = unpack_events(payload["events"])
+                record.events = payload["events"]
                 if payload["writer"] is not None:
                     record.writer = IncrementalXmlWriter.restore(
                         payload["writer"],
@@ -427,23 +441,13 @@ class SubstreamExtractor(StreamTransform):
                     record.parts = [payload["parts"]] if payload["parts"] \
                         else []
                 extractor._records[(record.name, record.node_id)] = record
-            extractor._open = [
-                extractor._records[(name, int(node_id))]
-                for name, node_id in snapshot["open"]
-            ]
-            extractor._streaming = {
-                name: int(node_id)
-                for name, node_id in snapshot["streaming"].items()
-            }
-            extractor.fragments = [
-                Fragment(query, int(node_id), text)
-                for query, node_id, text in snapshot["fragments"]
-            ]
-            extractor.fragment_counts = {
-                name: int(count)
-                for name, count in snapshot["fragment_counts"].items()
-            }
-            extractor.fragment_bytes = int(snapshot["fragment_bytes"])
+            extractor._open = [extractor._records[tuple(key)]
+                               for key in snapshot["open"]]
+            extractor._streaming = snapshot["streaming"]
+            extractor.fragments = [Fragment(*fragment)
+                                   for fragment in snapshot["fragments"]]
+            extractor.fragment_counts.update(snapshot["fragment_counts"])
+            extractor.fragment_bytes = snapshot["fragment_bytes"]
         return extractor
 
 

@@ -35,7 +35,9 @@ import io
 from collections import deque
 from typing import Callable, Iterable, Sequence
 
-from repro.checkpoint import read_envelope, restoring
+from repro.checkpoint import (
+    BOOL, NAT, OBJECT, STR, Fields, ListOf, MapOf, Nullable, OneOf, Tuple, enum, read_envelope,
+    restoring)
 from repro.errors import CheckpointError, TransformError
 from repro.multiq.router import Interest
 from repro.stream.events import (
@@ -48,12 +50,13 @@ from repro.stream.events import (
 from repro.stream.recovery import RecoveryPolicy, ResourceLimits
 from repro.stream.writer import DEFAULT_WRITER_CHUNK, IncrementalXmlWriter
 from repro.transform.base import (
+    BASE,
+    EVENT,
+    EVENTS,
     TRANSFORM_SNAPSHOT_VERSION,
     StreamTransform,
     pack_event,
     pack_events,
-    unpack_event,
-    unpack_events,
 )
 
 _ACTIONS = frozenset({"drop", "replace", "rename", "wrap", "callback",
@@ -159,24 +162,20 @@ class RewriteRule:
 
     @classmethod
     def from_spec(cls, spec: dict, fn=None) -> "RewriteRule":
+        """The rule a :meth:`spec` describes (``fn``: its function)."""
+        spec = _RULE(spec, "rewrite rule")
         action = spec["action"]
         if action in ("callback", "extract") and fn is None:
             raise CheckpointError(
                 f"{action} rule for {spec['match']!r} needs its function "
                 "re-supplied via callbacks= on restore"
             )
-        rule = cls.__new__(cls)
-        rule.query = spec["match"]
-        rule.source = spec["match"]
-        rule.action = action
-        rule.to = spec.get("to")
-        rule.wrapper = spec.get("wrapper")
-        rule.wrapper_attrs = dict(spec.get("wrapper_attrs") or {})
-        rule.fn = fn
-        packed = spec.get("replacement")
-        rule.replacement = (tuple(unpack_events(packed))
-                           if packed is not None else None)
-        return rule
+        try:
+            return cls(spec["match"], action, to=spec["to"], wrapper=spec["wrapper"],
+                       wrapper_attrs=spec["wrapper_attrs"], fn=fn,
+                       replacement=spec["replacement"])
+        except TransformError as exc:
+            raise CheckpointError(f"malformed rewrite rule: {exc}") from exc
 
 
 def drop(match) -> RewriteRule:
@@ -244,6 +243,31 @@ class _Hole:
         #: A callback/extract winner waiting for inner holes to resolve.
         self.await_cb = False
         self.winner: int | None = None
+
+
+#: A rule's :meth:`RewriteRule.spec`.
+_RULE = Fields({"match": STR, "action": enum(*sorted(_ACTIONS))}, {
+    "to": (Nullable(STR), None), "wrapper": (Nullable(STR), None),
+    "wrapper_attrs": (MapOf(STR), {}), "replacement": (Nullable(EVENTS), None)})
+#: A captured :class:`_Hole`: verdict status by rule index, and its
+#: queued items (events and inner holes).
+_HOLE = Fields({
+    "pending": MapOf(enum("open", "yes", "no")), "fallback": Nullable(NAT),
+    "node_id": NAT, "level": NAT, "state": enum("recording", "closed", "resolved"),
+    "await_cb": BOOL, "winner": Nullable(NAT),
+    "resolution": Nullable(Tuple(enum("literal", "transparent"), EVENTS, EVENTS)),
+})
+_ITEM = OneOf(EVENT, Tuple(enum("h"), _HOLE))
+_HOLE.required["items"] = ListOf(_ITEM, least=1)  # its start tag first
+#: A rewrite capture (:meth:`RewriteEngine.snapshot`); a region's data is
+#: a tag, or a hole's index in the recording chain.
+_SNAPSHOT = Fields({
+    "rules": ListOf(OBJECT, least=1), "base": BASE, "queue": ListOf(_ITEM),
+    "regions": ListOf(OneOf(Tuple(enum("rename", "wrap"), NAT, STR),
+                            Tuple(enum("hole"), NAT, NAT))),
+    "skipping": Nullable(NAT), "out_depth": NAT, "out_id": NAT, "events_out": NAT,
+    "rules_fired": ListOf(NAT), "writer": Nullable(OBJECT),
+})
 
 
 class RewriteEngine(StreamTransform):
@@ -665,13 +689,8 @@ class RewriteEngine(StreamTransform):
         ``callbacks`` maps rule index → function/handler for
         ``callback``/``extract`` rules (functions do not serialize).
         """
-        snapshot = read_envelope(
-            snapshot, "rewrite snapshot", TRANSFORM_SNAPSHOT_VERSION,
-            kind="rewrite",
-            required=("rules", "base", "queue", "regions", "skipping",
-                      "out_depth", "out_id", "events_out", "rules_fired",
-                      "writer"),
-        )
+        snapshot = read_envelope(snapshot, "rewrite snapshot",
+                                 TRANSFORM_SNAPSHOT_VERSION, _SNAPSHOT, kind="rewrite")
         callbacks = callbacks or {}
         with restoring("rewrite snapshot"):
             rules = [
@@ -712,44 +731,48 @@ class RewriteEngine(StreamTransform):
             engine._regions = []
             for kind, level, data in snapshot["regions"]:
                 if kind == "hole":
-                    engine._regions.append(
-                        (kind, int(level), engine._stack[int(data)])
-                    )
-                else:
-                    engine._regions.append((kind, int(level), data))
+                    data = engine._stack[data]
+                engine._regions.append((kind, level, data))
             engine._skipping = snapshot["skipping"]
-            engine._out_depth = int(snapshot["out_depth"])
-            engine._out_id = int(snapshot["out_id"])
-            engine.events_out = int(snapshot["events_out"])
-            engine.rules_fired = [int(v) for v in snapshot["rules_fired"]]
+            engine._out_depth = snapshot["out_depth"]
+            engine._out_id = snapshot["out_id"]
+            engine.events_out = snapshot["events_out"]
+            engine.rules_fired = snapshot["rules_fired"]
             if snapshot["writer"] is not None and output is None:
                 engine._writer = IncrementalXmlWriter.restore(
                     snapshot["writer"], on_chunk, chunk_size=chunk_size
                 )
                 engine._terminal = engine._writer
+            tokenizer = engine._tokenizer
+            if (len(engine.rules_fired) != len(rules)
+                    or output is None and engine._writer.depth != engine._out_depth
+                    or tokenizer is not None and (engine._skipping or 0)
+                    > len(tokenizer.open_elements)):
+                raise CheckpointError(
+                    "rewrite snapshot counts, output depth or skipped level "
+                    "disagree with its rules, writer or open elements")
         return engine
 
     def _unpack_item(self, payload: list, parent: "_Hole | None"):
-        if payload[0] != "h":
-            return unpack_event(payload)
+        if not isinstance(payload, list):
+            return payload  # an event
         data = payload[1]
         hole = _Hole(
-            int(data["node_id"]),
-            int(data["level"]),
+            data["node_id"],
+            data["level"],
             {int(k): v for k, v in data["pending"].items()},
             data["fallback"],
             parent,
         )
+        if any(index is not None and not 0 <= index < len(self.rules)
+               for index in (*hole.pending, hole.fallback, data["winner"])):
+            raise CheckpointError("rewrite snapshot hole names a rule it does not have")
         hole.state = data["state"]
-        hole.await_cb = bool(data["await_cb"])
+        hole.await_cb = data["await_cb"]
         hole.winner = data["winner"]
         if data["resolution"] is not None:
             kind, first, second = data["resolution"]
-            hole.resolution = (
-                kind,
-                tuple(unpack_events(first)),
-                tuple(unpack_events(second)),
-            )
+            hole.resolution = (kind, tuple(first), tuple(second))
         hole.items = [self._unpack_item(item, hole)
                       for item in data["items"]]
         if hole.state != "resolved":

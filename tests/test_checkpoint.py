@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro import CheckpointError, XPathStream
+from repro import CheckpointError, ResourceLimits, XPathStream
 from repro.core.processor import SNAPSHOT_VERSION
 
 from tests.conftest import chain_xml
@@ -144,3 +144,84 @@ def test_checkpoint_with_lenient_recovery_mid_damage():
         stream.feed_text(ch)
         stream = XPathStream.restore(json.loads(json.dumps(stream.snapshot())))
     assert stream.close() == expected
+
+
+# -- typed capture fields: the reproduced wrong-value cases ----------------
+
+
+def _mid_stream(query: str = "//a[b]//c", text: str = "<r><a><c/>") -> dict:
+    """A capture with an open ``a`` whose ``c`` candidate is buffered."""
+    stream = XPathStream(query)
+    stream.feed_text(text)
+    return json.loads(json.dumps(stream.snapshot()))
+
+
+def _candidate_entry(snapshot: dict) -> list:
+    return next(entry for stack in snapshot["machine"]["stacks"]
+                for entry in stack if entry[2])
+
+
+def test_string_candidates_are_refused():
+    """``set("xyz")`` once read a string as the ids 'x', 'y' and 'z'."""
+    snapshot = _mid_stream()
+    _candidate_entry(snapshot)[2] = "xyz"
+    with pytest.raises(CheckpointError, match="list"):
+        XPathStream.restore(snapshot)
+
+
+def test_float_level_is_refused():
+    """A level of 2.5 never matched an end tag: the result was lost."""
+    snapshot = _mid_stream()
+    _candidate_entry(snapshot)[0] = 2.5
+    with pytest.raises(CheckpointError, match="non-negative int"):
+        XPathStream.restore(snapshot)
+
+
+def test_string_callback_flag_is_refused():
+    """``bool("no")`` once switched a query to callback delivery."""
+    from repro.multiq import MultiQueryEngine
+
+    engine = MultiQueryEngine({"q": "//a[b]//c"})
+    engine.feed_text("<r><a><c/>")
+    snapshot = json.loads(json.dumps(engine.snapshot()))
+    snapshot["queries"][0]["callback"] = "no"
+    with pytest.raises(CheckpointError, match="bool"):
+        MultiQueryEngine.restore(snapshot)
+
+
+def test_string_limit_is_refused():
+    """A limit of ``"x"`` once raised ``TypeError`` mid-resume."""
+    stream = XPathStream("//a[b]//c", limits=ResourceLimits(max_depth=8))
+    stream.feed_text("<r><a><c/>")
+    snapshot = json.loads(json.dumps(stream.snapshot()))
+    snapshot["limits"]["max_depth"] = "x"
+    with pytest.raises(CheckpointError, match="max_depth"):
+        XPathStream.restore(snapshot)
+
+
+def test_string_tokenizer_stack_is_refused():
+    """``list("ra")`` once read a string as the open elements r and a."""
+    snapshot = _mid_stream()
+    snapshot["tokenizer"]["stack"] = "ra"
+    with pytest.raises(CheckpointError, match="stack"):
+        XPathStream.restore(snapshot)
+
+
+@pytest.mark.parametrize("key", ["bogus", "stakcs"])
+def test_unknown_machine_key_is_refused(key):
+    snapshot = _mid_stream()
+    snapshot["machine"][key] = snapshot["machine"]["stacks"]
+    with pytest.raises(CheckpointError, match="unknown key"):
+        XPathStream.restore(snapshot)
+
+
+def test_negative_result_seq_is_refused():
+    from repro.serve.session import ServeConfig, Session
+
+    session = Session.open({"queries": {"q": "//a[b]//c"}}, ServeConfig(),
+                           lambda *result: None)
+    session.feed(0, "<r><a><b/><c/>")
+    blob = json.loads(json.dumps(session.checkpoint()))
+    blob["result_seq"] = -1
+    with pytest.raises(CheckpointError, match="result_seq"):
+        Session.resume(blob, ServeConfig(), lambda *result: None)

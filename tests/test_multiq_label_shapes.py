@@ -96,7 +96,7 @@ def test_members_equal_dedicated_streams(shape, labels, xml):
     assert engine.unit_count() == 1
     (unit,) = shape_units(engine)
     assert unit.engine.labels
-    keys = [key for _name, key in unit.members()]
+    keys = [key for _name, key in unit.member_keys()]
     if unit.engine.tails:
         keys = [branch for branch, _return in keys]
     assert keys == labels
@@ -340,7 +340,7 @@ def test_return_label_members_equal_dedicated_streams(shape, pairs, xml):
     assert engine.unit_count() == 1
     (unit,) = shape_units(engine)
     assert unit.engine.tails
-    assert [key for _name, key in unit.members()] == [tuple(pair) for pair in pairs]
+    assert [key for _name, key in unit.member_keys()] == [tuple(pair) for pair in pairs]
     assert_matches_oracles(queries, events, engine.evaluate(iter(events)))
 
     fired: dict = {name: [] for name in queries}

@@ -106,6 +106,11 @@ class TestCorruption:
         with pytest.raises(FrameError, match="not a JSON object"):
             frame.json()
 
+    def test_deeply_nested_json_payload(self):
+        """A client's HELLO nested past the recursion limit."""
+        with pytest.raises(FrameError, match="not valid JSON"):
+            Frame(FrameType.HELLO, b"[" * 200_000).json()
+
     def test_truncated_data_frame(self):
         (frame,) = FrameDecoder().feed(encode_frame(FrameType.DATA, b"\x00\x01"))
         with pytest.raises(FrameError, match="shorter than its offset"):

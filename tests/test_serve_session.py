@@ -420,6 +420,12 @@ class TestSessionStore:
         with pytest.raises(CheckpointError, match="not a JSON object"):
             store.get("abc123")
 
+    def test_deeply_nested_spool_file_is_corrupt(self, tmp_path):
+        (tmp_path / "abc123.ckpt").write_text("[" * 200_000)
+        store = SessionStore(ttl=60, spool_dir=str(tmp_path))
+        with pytest.raises(CheckpointError, match="corrupt session checkpoint"):
+            store.get("abc123")
+
     def test_session_checkpoint_resume_through_spool(self, tmp_path):
         """End-to-end: checkpoint a real session into the spool, 'crash'
         (new store instance), resume, results identical."""

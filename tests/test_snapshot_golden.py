@@ -63,10 +63,13 @@ the shared lazy DFA, and the flag is gone from dispatcher and stream
 captures alike.  And ``//X[Y]`` queries then ran on per-query TwigM
 units; they now run as one-member label shapes (:func:`_stated`).
 
-Every format is read through one strict codec (``repro.checkpoint``):
-each golden envelope, mutated every way a blob can be malformed, must
-raise ``CheckpointError`` and nothing else, and leaving out any of its
-optional keys must still resume to the recorded result.
+Every format is read through one typed schema (``repro.checkpoint``):
+every object in a golden is read by a ``Fields`` spec (:func:`_schema`
+finds which, by restoring the golden once), so each object mutated every
+way a blob can be malformed must raise ``CheckpointError`` and nothing
+else, and leaving out any of an envelope's optional keys must still
+resume to the recorded result.  The wrong-value sweep puts each of
+:data:`SWEEP_VALUES` in place of every node of every golden.
 """
 
 import json
@@ -74,8 +77,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.checkpoint import INT, NAT, OBJECT, STR, Fields, ListOf, MapOf, Nullable, OneOf, Tuple
 from repro.core.processor import XPathStream
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, ReproError
 from repro.multiq import MultiQueryEngine
 from repro.serve.session import ServeConfig, Session
 from repro.stream.tokenizer import XmlTokenizer
@@ -421,92 +425,83 @@ def test_legacy_seen_lists_resume_and_drain():
 
 # -- hostile blobs: every format is read by one strict codec -------------
 
-def _resume_golden(name: str, golden: dict):
-    """Resume ``golden`` from its cut; return (result, recorded result)."""
-    cut = golden["cut"]
+def _restore_golden(name: str, golden: dict, pristine: dict):
+    """Restore ``golden``'s capture; return a function that resumes it
+    from its cut and returns the result.  What the client knows — the
+    document, the cut, the results it holds — comes from ``pristine``."""
+    cut = pristine["cut"]
     if "query" in golden:
-        doc = golden.get("document", DOC)
         resumed = XPathStream.restore(golden["snapshot"])
-        resumed.feed_text(doc[cut:])
-        return resumed.close(), XPathStream(golden["query"]).evaluate(doc)
-    if name == "compiled_multiq_snapshot.json":
-        resumed = MultiQueryEngine.restore(golden["snapshot"])
-        resumed.feed_text(DOC[cut:])
-        return resumed.close(), MultiQueryEngine(golden["queries"]).evaluate(DOC)
+        return lambda: _finish(resumed, pristine.get("document", DOC)[cut:])
     if "snapshots" in golden:
         resumed = MultiQueryEngine.restore(golden["snapshots"]["collect"])
-        resumed.feed_text(DOC[cut:])
-        return resumed.close(), golden["expected"]
+        return lambda: _finish(resumed, DOC[cut:])
     if name.startswith(("multiq_", "compiled_multiq_")):
         resumed = MultiQueryEngine.restore(golden["snapshot"])
-        resumed.feed_text(DOC[cut:])
-        return resumed.close(), golden["expected"]
+        return lambda: _finish(resumed, DOC[cut:])
     if name == "tokenizer_snapshot.json":
         resumed = XmlTokenizer.restore(golden["snapshot"])
-        full = _tokenize(XmlTokenizer(), DOC)
-        return _tokenize(resumed, DOC[cut:]), full[golden["events_before"]:]
+        return lambda: _tokenize(resumed, DOC[cut:])
     if name.startswith("session_"):
-        blob = golden["blob"]
+        held = pristine["blob"]
         results: list = []
-        resumed = Session.resume(blob, ServeConfig(),
+        resumed = Session.resume(golden["blob"], ServeConfig(),
                                  lambda *r: results.append(list(r)),
-                                 last_result_seq=blob["result_seq"])
-        _feed_session(resumed, cut, len(DOC))
-        resumed.finish()
+                                 last_result_seq=held["result_seq"])
         sent = [[query, node_id, seq, *fragment]
-                for seq, query, node_id, *fragment in blob["result_log"]]
-        return sent + results, golden["expected"]
+                for seq, query, node_id, *fragment in held["result_log"]]
+
+        def finish():
+            _feed_session(resumed, cut, len(DOC))
+            resumed.finish()
+            return sent + results
+        return finish
     resumed = RewriteEngine.restore(golden["snapshot"])
-    resumed.feed_text(DOC[cut:])
-    return resumed.close(), golden["expected"]
+    return lambda: _finish(resumed, DOC[cut:])
+
+
+def _finish(resumed, text: str):
+    resumed.feed_text(text)
+    return resumed.close()
+
+
+def _recorded(name: str, golden: dict):
+    """What an uninterrupted run over the golden's document produces."""
+    if "query" in golden:
+        return XPathStream(golden["query"]).evaluate(golden.get("document", DOC))
+    if name == "compiled_multiq_snapshot.json":
+        return MultiQueryEngine(golden["queries"]).evaluate(DOC)
+    if name == "tokenizer_snapshot.json":
+        return _tokenize(XmlTokenizer(), DOC)[golden["events_before"]:]
+    return golden["expected"]
+
+
+def _resume_golden(name: str, golden: dict):
+    """Resume ``golden`` from its cut; return (result, recorded result)."""
+    return _restore_golden(name, golden, golden)(), _recorded(name, golden)
 
 
 def _resume_session(blob):
     return Session.resume(blob, ServeConfig(), lambda *r: None)
 
 
-#: The lazy DFA's nested state, read by ``DfaPathM.restore_state``, and a
-#: fallen one, read by ``fallen_pathm_states``, as (path, optional keys).
-DFA_MACHINE = {"members", "counters", "event_count", "fallen"}
-FALLEN_MACHINE = {"members", "dfa", "counters", "event_count"}
-
-#: (golden file, path to the envelope inside it, reader, optional keys,
-#: the plain dicts the reader checks itself as (path, optional keys)).
+#: (golden file, path to the envelope inside it, reader).
 FORMATS = [
-    *[(name, ("snapshot",), XPathStream.restore,
-       {"compiled", "emission", "state_cap"}, [(("sink",), {"results"})])
+    *[(name, ("snapshot",), XPathStream.restore)
       for name in ("compiled_branchm_snapshot.json", "compiled_twigm_snapshot.json",
-                   "pathm_stream_snapshot.json")],
-    ("dfa_fallen_stream_snapshot.json", ("snapshot",), XPathStream.restore,
-     {"emission", "state_cap"},
-     [(("sink",), {"results"}), (("machine",), FALLEN_MACHINE)]),
-    *[(name, ("snapshot",), MultiQueryEngine.restore, {"compiled", "stats"},
-       [(("queries", 0), {"tracked", "emission"}), (("units", 0), {"virgin"}),
-        (("stats",), set()), *machines])
-      for name, machines in (
-          ("compiled_multiq_snapshot.json", [(("units", 2, "machine"), DFA_MACHINE)]),
-          ("multiq_plain_snapshot.json", []),
-          ("multiq_earliest_snapshot.json", []),
-          ("compiled_multiq_live_snapshot.json",
-           [(("units", 0, "machine"), DFA_MACHINE),
-            (("units", 4, "machine"), FALLEN_MACHINE)]),
-      )],
-    *[(name, ("snapshots", "collect"), MultiQueryEngine.restore, {"compiled", "stats"},
-       [(("queries", 0), {"tracked", "emission"}), (("units", 0), {"virgin", "events"}),
-        (("stats",), set())])
+                   "pathm_stream_snapshot.json", "dfa_fallen_stream_snapshot.json")],
+    *[(name, ("snapshot",), MultiQueryEngine.restore)
+      for name in ("compiled_multiq_snapshot.json", "multiq_plain_snapshot.json",
+                   "multiq_earliest_snapshot.json", "compiled_multiq_live_snapshot.json")],
+    *[(name, ("snapshots", "collect"), MultiQueryEngine.restore)
       for name in ("multiq_label_shapes_snapshot.json",
                    "multiq_return_shapes_snapshot.json")],
-    ("tokenizer_snapshot.json", ("snapshot",), XmlTokenizer.restore,
-     {"bytes_fed"}, []),
-    *[(f"session_{kind}_checkpoint.json", ("blob",), _resume_session, set(), [])
+    ("tokenizer_snapshot.json", ("snapshot",), XmlTokenizer.restore),
+    *[(f"session_{kind}_checkpoint.json", ("blob",), _resume_session)
       for kind in ("single", "multi", "transform")],
-    ("session_transform_checkpoint.json", ("blob", "engine"),
-     SubstreamExtractor.restore, {"emission"},
-     [(("records", 0), {"verdict"}), (("base",), {"events_in"})]),
-    ("rewrite_snapshot.json", ("snapshot",), RewriteEngine.restore, set(),
-     [(("base",), {"events_in"})]),
-    ("rewrite_snapshot.json", ("snapshot", "writer"),
-     IncrementalXmlWriter.restore, set(), []),
+    ("session_transform_checkpoint.json", ("blob", "engine"), SubstreamExtractor.restore),
+    ("rewrite_snapshot.json", ("snapshot",), RewriteEngine.restore),
+    ("rewrite_snapshot.json", ("snapshot", "writer"), IncrementalXmlWriter.restore),
 ]
 
 
@@ -524,28 +519,83 @@ def _without(payload: dict, key: str) -> dict:
     return {k: v for k, v in payload.items() if k != key}
 
 
-def _hostile_variants(envelope: dict, optional: set, entries: list):
+def _schema(entry) -> "tuple[dict, dict]":
+    """For every node of the golden envelope, by key path: the reader its
+    parent's spec declares for it, and for every object, the
+    :class:`Fields` spec that reads it — the specs a restore of the
+    golden calls, followed down their fields."""
+    name, path, reader = entry
+    envelope = _at(_load(name), path)
+    specs: dict = {}
+    call = Fields.__call__
+
+    def recording(spec, payload, where, envelope=()):
+        specs.setdefault(id(payload), spec)
+        return call(spec, payload, where, envelope)
+
+    Fields.__call__ = recording
+    try:
+        reader(envelope)
+    finally:
+        Fields.__call__ = call
+    readers: dict = {}
+    objects: dict = {}
+
+    def walk(value, reader, at):
+        readers[at] = reader
+        if value is None:
+            return
+        inner = reader.inner if isinstance(reader, Nullable) else reader
+        if inner is None or inner is OBJECT:
+            inner = specs.get(id(value))
+        while isinstance(inner, OneOf):
+            inner = next(choice for choice in inner.choices if _accepts(choice, value))
+        if isinstance(inner, Fields):
+            objects[at] = inner
+            # ``read_envelope`` checks the version and kind itself.
+            fields = {"version": NAT, "kind": STR, **inner.required,
+                      **{key: read for key, (read, _default) in inner.optional.items()}}
+            for key, child in value.items():
+                walk(child, fields.get(key), at + (key,))
+        elif isinstance(inner, (ListOf, Tuple)):
+            items = inner.items if isinstance(inner, Tuple) else [inner.item] * len(value)
+            for index, (item, child) in enumerate(zip(items, value)):
+                walk(child, item, at + (index,))
+        elif isinstance(inner, MapOf):
+            for key, child in value.items():
+                walk(child, inner.item, at + (key,))
+
+    walk(envelope, OBJECT, ())
+    return readers, objects
+
+
+def _accepts(reader, value) -> bool:
+    try:
+        reader(value, "value")
+    except CheckpointError:
+        return False
+    return True
+
+
+def _hostile_variants(envelope: dict, entries: dict):
     """(label, mutated copy) for every way a blob may be malformed."""
     yield "none", None
     yield "list", []
     yield "version", {**envelope, "version": envelope["version"] + 1}
+    yield "version true", {**envelope, "version": True}
     if "kind" in envelope:
         yield "kind", {**envelope, "kind": "other"}
-    for key in envelope:
-        if key != "version" and key not in optional:
-            yield f"without {key}", _without(envelope, key)
-    yield "unknown key", {**envelope, "bogus": 1}
-    if "limits" in envelope:
-        yield "limits typo", {**envelope, "limits": {"max_depht": 3}}
-    for path, entry_optional in entries:
+    for path, spec in entries.items():
         entry = _at(envelope, path)
         for label, mutated in (
-            [(f"without {key}", _without(entry, key))
-             for key in entry if key not in entry_optional]
+            [(f"without {key}", _without(entry, key)) for key in spec.required]
             + [("unknown key", {**entry, "bogus": 1})]
             + ([("limits typo", {**entry, "limits": {"max_depht": 3}})]
                if "limits" in entry else [])
         ):
+            if not path:
+                yield label, mutated
+                continue
             copy = json.loads(json.dumps(envelope))
             *parent, last = path
             _at(copy, parent)[last] = mutated
@@ -553,22 +603,36 @@ def _hostile_variants(envelope: dict, optional: set, entries: list):
 
 
 @pytest.mark.parametrize("entry", FORMATS, ids=_format_id)
+def test_every_object_is_read_by_a_typed_spec(entry):
+    """Each object in a golden is read by a :class:`Fields` spec, and
+    every other node by a typed reader (no value is read by hand)."""
+    readers, objects = _schema(entry)
+    envelope = _at(_load(entry[0]), entry[1])
+    assert () in objects
+    untyped = [at for at, reader in readers.items()
+               if (reader.inner if isinstance(reader, Nullable) else reader) in (None, OBJECT)
+               and at not in objects and _at(envelope, at) is not None]
+    assert not untyped, f"{_format_id(entry)}: nodes read by hand: {untyped[:5]}"
+
+
+@pytest.mark.parametrize("entry", FORMATS, ids=_format_id)
 def test_hostile_blobs_raise_only_checkpoint_error(entry):
-    name, path, reader, optional, entries = entry
+    name, path, reader = entry
     envelope = _at(_load(name), path)
     reader(json.loads(json.dumps(envelope)))  # the untouched blob restores
-    for label, blob in _hostile_variants(envelope, optional, entries):
+    for label, blob in _hostile_variants(envelope, _schema(entry)[1]):
         with pytest.raises(CheckpointError):
             reader(blob)
             pytest.fail(f"{_format_id(entry)}: {label} was accepted")
 
 
-@pytest.mark.parametrize("entry", [e for e in FORMATS if e[3]], ids=_format_id)
+@pytest.mark.parametrize("entry", FORMATS, ids=_format_id)
 def test_optional_keys_may_be_left_out(entry):
     """Captures from releases that did not write a key yet resume to the
     recorded result."""
-    name, path, _reader, optional, _entries = entry
-    for key in sorted(optional):
+    name, path, _reader = entry
+    optional = _schema(entry)[1][()].optional
+    for key in sorted(optional.keys() & _at(_load(name), path).keys()):
         golden = _load(name)
         *parent, last = path
         holder = _at(golden, parent)
@@ -603,12 +667,103 @@ BAD_VALUES = {
 
 @pytest.mark.parametrize("entry", FORMATS, ids=_format_id)
 def test_bad_values_raise_only_checkpoint_error(entry):
-    name, path, reader, _optional, _entries = entry
+    name, path, reader = entry
     blob = json.loads(json.dumps(_at(_load(name), path)))
     (*parent, last), value = BAD_VALUES[_format_id(entry)]
     _at(blob, parent)[last] = value
     with pytest.raises(CheckpointError):
         reader(blob)
+
+
+# -- the wrong-value sweep ----------------------------------------------------
+
+#: What the sweep puts in place of each node of a golden envelope.
+SWEEP_VALUES = ("s", 7, -1, 2.5, True, None, [], ["x"], {})
+
+#: The envelopes the sweep mutates: every format but the two nested in
+#: another one's golden (their nodes are swept inside it).
+SWEPT = [entry for entry in FORMATS if entry[1] in (("snapshot",), ("blob",),
+                                                    ("snapshots", "collect"))]
+
+
+def _same_type(a, b) -> bool:
+    """JSON type equality: bool is not int, float is not int, and a
+    list's type includes its first element's (an empty list has any)."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is list and a and b:
+        return _same_type(a[0], b[0])
+    return True
+
+
+def _nodes(value, at=()):
+    """(key path, value) below ``value``: leaves and containers, the
+    first 3 entries of each list."""
+    children = (value.items() if isinstance(value, dict)
+                else enumerate(value[:3]) if isinstance(value, list) else ())
+    for key, child in children:
+        yield at + (key,), child
+        yield from _nodes(child, at + (key,))
+
+
+def _delivered_ids(name: str, result) -> list:
+    if isinstance(result, dict):
+        return [node_id for ids in result.values() for node_id in ids]
+    if name.startswith("session_"):
+        return [entry[1] for entry in result]
+    if name == "tokenizer_snapshot.json":
+        return [event.node_id for event in result if hasattr(event, "node_id")]
+    return result if isinstance(result, list) else []
+
+
+@pytest.mark.parametrize("entry", SWEPT, ids=_format_id)
+def test_wrong_values_raise_checkpoint_error_or_resume(entry):
+    """Every node of the golden envelope, replaced by each of
+    :data:`SWEEP_VALUES` (skipping the value itself), must (a) raise
+    nothing but ``CheckpointError`` at restore; once restored, (b) resume
+    raising nothing but ``ReproError``s and (c) deliver only int ids.
+    (d) A value of another JSON type than the one it replaces, and (e)
+    -1 in place of a non-negative int, must raise ``CheckpointError`` or
+    resume to the recorded result — except null in a nullable field and
+    -1 in a signed one (:data:`~repro.checkpoint.INT`)."""
+    name, path, _reader = entry
+    pristine = _load(name)
+    recorded = _recorded(name, pristine)
+    readers = _schema(entry)[0]
+    failures = []
+    for at, value in _nodes(_at(pristine, path)):
+        reader = readers[at]
+        for mutant in SWEEP_VALUES:
+            if mutant == value and _same_type(mutant, value):
+                continue
+            golden = json.loads(json.dumps(pristine))
+            *parent, last = path + at
+            _at(golden, parent)[last] = json.loads(json.dumps(mutant))
+            label = f"{'.'.join(map(str, at))} = {mutant!r}"
+            try:
+                resume = _restore_golden(name, golden, pristine)
+            except CheckpointError:
+                continue
+            except Exception as exc:  # (a)
+                failures.append(f"{label}: restore raised {exc!r}")
+                continue
+            try:
+                result = resume()
+            except ReproError:
+                result = None
+            except Exception as exc:  # (b)
+                failures.append(f"{label}: resume raised {exc!r}")
+                continue
+            ids = _delivered_ids(name, result) if result is not None else []
+            if any(type(node_id) is not int for node_id in ids):  # (c)
+                failures.append(f"{label}: delivered {ids[:5]}")
+            exempt = (mutant is None and isinstance(reader, Nullable)
+                      or mutant == -1 and reader is INT)
+            retyped = not _same_type(mutant, value)  # (d)
+            negated = mutant == -1 and type(value) is int and value >= 0  # (e)
+            if (retyped or negated) and not exempt and result != recorded:
+                failures.append(f"{label}: resumed to another result")
+    assert not failures, f"{len(failures)} mutants: " + "; ".join(failures[:8])
 
 
 # -- value-shape groups ---------------------------------------------------------

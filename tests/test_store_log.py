@@ -10,6 +10,7 @@ import pytest
 from repro.serve.framing import encode_frame
 from repro.store.log import (
     MANIFEST_NAME,
+    REC_CHECKPOINT,
     REC_EVENT,
     REC_TEXT,
     EventLogReader,
@@ -234,6 +235,23 @@ class TestRecovery:
         with pytest.raises(StoreError, match="corrupt store manifest"):
             EventLogReader(store)
 
+    @pytest.mark.parametrize("key, value", [
+        (None, []), ("active", 7), ("next_segment", "2"), ("tokenizer", [["r"]]),
+        ("segments", [{"file": "seg-00000001.log"}]),
+    ])
+    def test_wrong_manifest_values_raise_store_error(self, tmp_path, key, value):
+        """A manifest that is not an object, or holds a value of the wrong
+        type, is refused (it once raised ``AttributeError``/``TypeError``
+        or read ``"2"`` as 2)."""
+        store = str(tmp_path / "s")
+        write_document(store, "<r/>")
+        path = os.path.join(store, MANIFEST_NAME)
+        manifest = json.load(open(path))
+        with open(path, "w") as handle:
+            json.dump(value if key is None else {**manifest, key: value}, handle)
+        with pytest.raises(StoreError, match="store manifest|segment summary"):
+            EventLogReader(store)
+
 
 class TestCheckpointsAndCompaction:
     def test_checkpoint_positions(self, tmp_path):
@@ -330,6 +348,31 @@ class TestLimitsOnLogBytes:
         with pytest.raises(StoreError, match="record type 33 does not belong"):
             list(EventLogReader(store).events())
         writer.close()
+
+    def test_wrong_checkpoint_record_values_rejected(self, tmp_path):
+        """A CRC-valid checkpoint record with a string id once raised
+        ``ValueError`` out of the writer's reopen."""
+        store = str(tmp_path / "s")
+        writer = EventLogWriter(store, sync="none")
+        writer.append(StartElement("r", 1, 1, {}))
+        writer.flush()
+        with open(os.path.join(store, writer._manifest.active), "ab") as handle:
+            handle.write(encode_frame(REC_CHECKPOINT, b'{"id": "x", "event": 1}'))
+        writer.close()
+        with pytest.raises(StoreError, match="corrupt checkpoint record"):
+            EventLogWriter(store, sync="none")
+
+    def test_deeply_nested_checkpoint_record_rejected(self, tmp_path):
+        """JSON nested past the recursion limit is a corrupt record."""
+        store = str(tmp_path / "s")
+        writer = EventLogWriter(store, sync="none")
+        writer.append(StartElement("r", 1, 1, {}))
+        writer.flush()
+        with open(os.path.join(store, writer._manifest.active), "ab") as handle:
+            handle.write(encode_frame(REC_CHECKPOINT, b"[" * 200_000))
+        writer.close()
+        with pytest.raises(StoreError, match="corrupt checkpoint record"):
+            EventLogWriter(store, sync="none")
 
 
 class TestSyncPolicy:
