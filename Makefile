@@ -17,7 +17,8 @@ robustness:
 		tests/test_source_parity.py tests/test_robustness.py \
 		tests/test_snapshot_golden.py tests/test_multiq_snapshot.py \
 		tests/test_store_golden.py tests/test_expat_source.py \
-		tests/test_diagnostics_parity.py tests/test_push_equivalence.py
+		tests/test_diagnostics_parity.py tests/test_push_equivalence.py \
+		tests/test_store_log.py tests/test_serve_session.py tests/test_serve_framing.py
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

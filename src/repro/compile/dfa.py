@@ -116,9 +116,11 @@ class _DfaState(_Fanout):
 #: A capture's NFA configuration: each open level's positions, and the
 #: open tags.
 _CONFIGURATION = Fields({"stack": ListOf(IDS), "tags": LABELS})
-#: Cache counters; ``fallbacks`` counted the PathM swaps of earlier releases.
+#: Cache counters, bound to the DFA's; ``fallbacks`` counted the PathM
+#: swaps of earlier releases.
 _COUNTERS = Fields(optional={
-    key: (NAT, 0) for key in ("starts", "misses", "clears", "fallbacks")})
+    key: (NAT, 0) for key in ("starts", "misses", "clears", "fallbacks")},
+    attrs=("_starts", "_misses", "_clears"))
 #: A lazy DFA's capture (:meth:`DfaPathM.snapshot_state`); one without
 #: ``members`` was written by a one-query engine.
 DFA_STATE = Fields({"dfa": _CONFIGURATION}, {
@@ -416,11 +418,7 @@ class DfaPathM(EventDriven):
                 "tags": list(self._tags),
             },
             "event_count": self._event_count,
-            "counters": {
-                "starts": self._starts,
-                "misses": self._misses,
-                "clears": self._clears,
-            },
+            "counters": _COUNTERS.capture(self),
         }
 
     def restore_state(self, state: dict) -> None:
@@ -446,10 +444,7 @@ class DfaPathM(EventDriven):
             raise CheckpointError(
                 f"DFA snapshot has {len(stack)} states for {len(tags)} open elements"
             )
-        counters = state["counters"]
-        self._starts = counters["starts"]
-        self._misses = counters["misses"]
-        self._clears = counters["clears"]
+        _COUNTERS.apply(self, state["counters"])
         self._event_count = state["event_count"]
         # Replaying the open tags re-derives every member's positions,
         # whatever NFA layout the capture was written under.

@@ -28,7 +28,8 @@ from typing import Iterable
 
 from repro.checkpoint import IDS, INT, LABELS, NAT, Nullable, Tuple
 from repro.core.machine import (
-    Machine, MachineNode, build_machine, read_machine_state, restore_counters)
+    COUNTERS, Machine, MachineNode, build_machine, capture_entry, read_machine_state,
+    restore_counters, restore_entry)
 from repro.core.push import EventDriven
 from repro.core.results import CollectingSink, ResultSink
 from repro.errors import UnsupportedQueryError
@@ -176,24 +177,17 @@ class BranchM(EventDriven):
 
     def snapshot_state(self) -> dict:
         """JSON-serializable capture of the per-node slots."""
-        slots = []
-        for node in self.machine.iter_nodes():
-            slot = self._slots[id(node)]
-            slots.append(
-                [
-                    slot.level,
-                    slot.flags,
-                    sorted(slot.candidates) if slot.candidates else None,
-                    list(slot.text_parts) if slot.text_parts is not None else None,
-                ]
-            )
         return {
-            "slots": slots,
+            "slots": [capture_entry(self._slots[id(node)]) for node in self.machine.iter_nodes()],
             "candidate_count": self._candidate_count,
-            "event_count": self._event_count,
-            "pushes": self._pushes,
-            "peak": self._peak,
+            **COUNTERS.capture(self),
         }
+
+    def held_ids(self) -> Iterable[int]:
+        """The candidate ids the slots buffer."""
+        for slot in self._slots.values():
+            if slot.candidates:
+                yield from slot.candidates
 
     def restore_state(self, state: dict) -> None:
         """Load a :meth:`snapshot_state` capture into this machine."""
@@ -201,13 +195,8 @@ class BranchM(EventDriven):
         state = read_machine_state(self, state, [SLOT] * len(nodes), key="slots",
                                    optional={"candidate_count": (NAT, 0)})
         slots = state["slots"]
-        for node, (level, flags, candidates, text_parts) in zip(nodes, slots):
-            slot = self._slots[id(node)]
-            slot.level = level
-            slot.flags = flags
-            slot.candidates = set(candidates) if candidates else None
-            slot.text_parts = text_parts
-            slot.stable = False
+        for node, fields in zip(nodes, slots):
+            restore_entry(self._slots[id(node)], *fields).stable = False
         self._candidate_count = state["candidate_count"]
         restore_counters(self, state, sum(1 for slot in slots if slot[0] != -1))
         self._open_value_slots = sum(

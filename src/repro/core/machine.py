@@ -388,25 +388,53 @@ def engine_figures(engine) -> dict[str, int]:
     }
 
 
-#: The counters closing every stack machine's capture, read by
-#: :func:`restore_counters`.  ``pushes`` and ``peak`` are optional: a
-#: capture without them counts its live entries as pushed.  Captures
-#: from the release that counted through an observing subclass hold
-#: them under ``"obs"``.
-COUNTERS = {
+#: The counters closing every stack machine's capture, bound to the
+#: machine's attributes: written by ``**COUNTERS.capture(machine)``,
+#: read by :func:`restore_counters`.  ``pushes`` and ``peak`` are
+#: optional: a capture without them counts its live entries as pushed.
+#: Captures from the release that counted through an observing subclass
+#: hold them under ``"obs"``.
+COUNTERS = Fields(optional={
     "event_count": (NAT, 0),
     "pushes": (NAT, 0),
     "peak": (NAT, 0),
     "obs": (Fields(optional={"counts": (MapOf(NAT), {}), "live_entries": (NAT, 0)}),
             {"counts": {}}),
-}
+}, attrs=("_event_count", "_pushes", "_peak"))
+
+
+def capture_entry(entry) -> list:
+    """A stack entry's (or BranchM slot's) ``[level, flags, candidates,
+    text parts]``; a return-label shape's root entries hold candidates
+    per return label."""
+    candidates = entry.candidates
+    if not candidates:
+        candidates = None
+    elif type(candidates) is dict:
+        candidates = {label: sorted(ids) for label, ids in sorted(candidates.items())}
+    else:
+        candidates = sorted(candidates)
+    return [entry.level, entry.flags, candidates,
+            None if entry.text_parts is None else list(entry.text_parts)]
+
+
+def restore_entry(entry, level: int, flags: int, candidates, text_parts):
+    """``entry`` with the fields of a read :func:`capture_entry` list."""
+    entry.level, entry.flags, entry.text_parts = level, flags, text_parts
+    if not candidates:
+        entry.candidates = None
+    elif type(candidates) is dict:
+        entry.candidates = {label: set(ids) for label, ids in candidates.items() if ids}
+    else:
+        entry.candidates = set(candidates)
+    return entry
 
 
 def read_machine_state(engine, state, per_node: list, key: str = "stacks",
                        optional: "dict | None" = None) -> dict:
     """``state`` read as ``engine``'s capture: its ``key`` list holds one
     entry per machine node, each read by its reader in ``per_node``."""
-    return Fields({key: Tuple(*per_node)}, {**(optional or {}), **COUNTERS})(
+    return Fields({key: Tuple(*per_node)}, {**(optional or {}), **COUNTERS.optional})(
         state, f"{engine.machine_name} state")
 
 
@@ -414,7 +442,7 @@ def restore_counters(engine, state: dict, live: int) -> None:
     """Resume the event and entry counters (:data:`COUNTERS`) of a
     capture read by :func:`read_machine_state` with ``live`` entries."""
     legacy = state["obs"]["counts"]
+    COUNTERS.apply(engine, state)
     engine._live = live
-    engine._event_count = state["event_count"]
-    engine._pushes = max(state["pushes"], legacy.get("pushes", 0), live)
-    engine._peak = max(state["peak"], legacy.get("peak_entries", 0), live)
+    engine._pushes = max(engine._pushes, legacy.get("pushes", 0), live)
+    engine._peak = max(engine._peak, legacy.get("peak_entries", 0), live)

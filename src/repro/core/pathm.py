@@ -23,6 +23,7 @@ from typing import Iterable
 
 from repro.checkpoint import IDS
 from repro.core.machine import (
+    COUNTERS,
     EDGE_EQ,
     Machine,
     MachineNode,
@@ -125,9 +126,7 @@ class PathM(EventDriven, StackPlans):
             "stacks": [
                 list(self._stacks[id(node)]) for node in self.machine.iter_nodes()
             ],
-            "event_count": self._event_count,
-            "pushes": self._pushes,
-            "peak": self._peak,
+            **COUNTERS.capture(self),
         }
 
     def restore_state(self, state: dict) -> None:

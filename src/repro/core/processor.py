@@ -43,6 +43,7 @@ Example::
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Iterable
 
 from repro.checkpoint import (
@@ -340,6 +341,9 @@ class XPathStream(TextFeed):
         if any(self._retired.values()):
             snapshot["retired"] = dict(self._retired)
         return snapshot
+
+    def _held_ids(self) -> Iterable[int]:
+        return chain(self.engine.held_ids(), self._sink.held_ids())
 
     @classmethod
     def restore(

@@ -66,6 +66,10 @@ class EventDriven:
             elif reads_text:
                 self.characters(event.text)
 
+    def held_ids(self) -> Iterable[int]:
+        """The node ids the machine buffers (none by default)."""
+        return ()
+
     @property
     def results(self) -> list[int]:
         """Solutions confirmed so far (requires the default sink)."""

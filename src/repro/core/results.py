@@ -72,6 +72,11 @@ class ResultSink:
     def restore_state(self, state: dict) -> None:
         """Load a :meth:`snapshot_state` capture (default: nothing to load)."""
 
+    def held_ids(self) -> Iterable[int]:
+        """The ids the capture holds for the open root match (default:
+        none; a collecting sink's holds every document's results)."""
+        return ()
+
 
 class _DistinctSink(ResultSink):
     """De-duplicates released candidate sets within one root epoch."""
@@ -156,6 +161,9 @@ class CallbackSink(_DistinctSink):
         state = SINK_STATE(state, "sink state")
         self._seen = set(state["seen"] or state["results"])
         self.emitted = len(self._seen) if state["emitted"] is None else state["emitted"]
+
+    def held_ids(self) -> Iterable[int]:
+        return self._seen
 
 
 class CountingSink(_DistinctSink):

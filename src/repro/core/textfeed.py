@@ -12,7 +12,9 @@ written once.  It owns the incremental tokenizer:
 * feeding it chunks (:meth:`~repro.stream.tokenizer.XmlTokenizer.feed_into`);
 * closing it, which may synthesize end events under a lenient policy;
 * splitting :meth:`evaluate` sources into text and pre-built events;
-* carrying it through the face's snapshot under the ``"tokenizer"`` key.
+* carrying it through the face's snapshot under the ``"tokenizer"`` key,
+  and refusing a restored one whose next node id is not above every id
+  the face's current document holds (:meth:`_held_ids`).
 
 A face supplies only the handler the text drives (:meth:`_text_handler`),
 its events path (``feed_events``) and its results (``close``).
@@ -20,8 +22,9 @@ its events path (``feed_events``) and its results (``close``).
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterable
 
+from repro.errors import CheckpointError
 from repro.stream.recovery import RecoveryPolicy, ResourceLimits, StreamDiagnostic
 from repro.stream.tokenizer import XmlTokenizer, split_source
 
@@ -108,12 +111,23 @@ class TextFeed:
             return None
         return self._tokenizer.snapshot()
 
+    def _held_ids(self) -> Iterable[int]:
+        """The ids of the current document the face holds (buffered
+        candidates, sinks' open-epoch ids); none by default."""
+        return ()
+
     def _restore_tokenizer(self, state: dict | None) -> None:
-        """Resume the text feed from a ``"tokenizer"`` snapshot value."""
+        """Resume the text feed from a ``"tokenizer"`` snapshot value
+        (restored last: it numbers past :meth:`_held_ids`)."""
         if state is not None:
-            self._tokenizer = XmlTokenizer.restore(
+            tokenizer = XmlTokenizer.restore(
                 state,
                 on_diagnostic=self._on_diagnostic,
                 limits=self._limits,
                 metrics=self._metrics,
             )
+            held = max(self._held_ids(), default=0)
+            if held >= state["next_id"]:
+                raise CheckpointError(f"tokenizer next_id {state['next_id']} is not above "
+                                      f"id {held}, which the capture holds")
+            self._tokenizer = tokenizer

@@ -30,17 +30,21 @@ stand in for n² matches of ``c₁``.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable
 
 from repro.checkpoint import IDS, LABELS, NAT, ListOf, Nullable, Tuple
 from repro.core.machine import (
+    COUNTERS,
     EDGE_EQ,
     Machine,
     MachineNode,
     StackPlans,
     build_machine,
+    capture_entry,
     read_machine_state,
     restore_counters,
+    restore_entry,
 )
 from repro.core.push import EventDriven
 from repro.core.results import CollectingSink, ResultSink
@@ -325,27 +329,22 @@ class TwigM(EventDriven, StackPlans):
         deterministic pre-order traversal of :meth:`Machine.iter_nodes`,
         so a machine rebuilt from the same query accepts the capture.
         """
-        stacks = []
-        for node in self.machine.iter_nodes():
-            stacks.append(
-                [
-                    [
-                        entry.level,
-                        entry.flags,
-                        sorted(entry.candidates) if entry.candidates else None,
-                        list(entry.text_parts) if entry.text_parts is not None else None,
-                        entry.attr_bits,
-                    ]
-                    for entry in self._stacks[id(node)]
-                ]
-            )
         return {
-            "stacks": stacks,
+            "stacks": [[[*capture_entry(entry), entry.attr_bits]
+                        for entry in self._stacks[id(node)]]
+                       for node in self.machine.iter_nodes()],
             "candidate_count": self._candidate_count,
-            "event_count": self._event_count,
-            "pushes": self._pushes,
-            "peak": self._peak,
+            **COUNTERS.capture(self),
         }
+
+    def held_ids(self) -> Iterable[int]:
+        """The candidate ids the stacks buffer (a return-label shape's
+        root entries hold theirs per label)."""
+        for stack in self._stacks.values():
+            for entry in stack:
+                candidates = entry.candidates or ()
+                yield from (chain.from_iterable(candidates.values())
+                            if type(candidates) is dict else candidates)
 
     def restore_state(self, state: dict) -> None:
         """Load a :meth:`snapshot_state` capture into this machine."""
@@ -357,11 +356,8 @@ class TwigM(EventDriven, StackPlans):
         for node, entries in zip(nodes, stacks):
             stack = self._stacks[id(node)]
             stack.clear()  # in place: _value_stacks aliases these lists
-            for level, flags, candidates, text_parts, attr_bits in entries:
-                entry = StackEntry(level)
-                entry.flags = flags
-                entry.candidates = set(candidates) if candidates else None
-                entry.text_parts = text_parts
+            for *fields, attr_bits in entries:
+                entry = restore_entry(StackEntry(0), *fields)
                 entry.attr_bits = attr_bits
                 stack.append(entry)
         self._candidate_count = state["candidate_count"]

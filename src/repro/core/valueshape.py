@@ -369,39 +369,20 @@ class ShapeTwigM(TwigM):
 
     # -- checkpointing ---------------------------------------------------
 
-    def snapshot_state(self) -> dict:
-        """TwigM's capture; with an open return node, a root entry's
-        candidates are a dict from return label to sorted ids."""
-        state = super().snapshot_state()
-        if self.tails:
-            for raw, entry in zip(state["stacks"][0], self.root_stack):
-                raw[2] = {
-                    label: sorted(ids) for label, ids in sorted(entry.candidates.items())
-                } if entry.candidates else None
-        return state
-
     def restore_state(self, state: dict) -> None:
-        """Load a :meth:`snapshot_state` capture.  A root entry's plain
-        candidate list (a capture from the release that kept the return
-        label in the shape key) belongs to the members' one return label.
+        """Load a :meth:`snapshot_state` capture (with an open return
+        node, a root entry's candidates map return labels to ids).  A
+        root entry's plain candidate list (a capture from the release that
+        kept the return label in the shape key) belongs to the members'
+        one return label.
         """
         super().restore_state(state)
-        if not self.tails:
-            return
-        for raw, entry in zip(state["stacks"][0], self.root_stack):
-            candidates = raw[2]
-            if not candidates:
-                continue
-            if isinstance(candidates, dict):
-                entry.candidates = {
-                    label: set(ids) for label, ids in candidates.items() if ids}
-            elif len(self._returns) == 1:
-                entry.candidates = {next(iter(self._returns)): set(candidates)}
-            else:
-                raise CheckpointError(
-                    "a shape capture's candidate list needs members with one "
-                    "return label"
-                )
+        for entry in self.root_stack if self.tails else ():
+            if type(entry.candidates) is set:
+                if len(self._returns) != 1:
+                    raise CheckpointError("a shape capture's candidate list needs members "
+                                          "with one return label")
+                entry.candidates = {next(iter(self._returns)): entry.candidates}
 
     # -- transition functions --------------------------------------------
 

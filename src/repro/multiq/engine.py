@@ -71,15 +71,18 @@ from repro.xpath.querytree import QueryTree
 
 #: Version of the dispatcher snapshot schema.
 MULTIQ_SNAPSHOT_VERSION = 1
-#: A query entry of a capture (``tracked`` and ``emission`` are absent
-#: from older releases').
+#: A query entry of a capture, bound to a :class:`Registration`
+#: (``tracked`` and ``emission`` are absent from older releases').
 _QUERY = Fields({"name": STR, "query": STR, "limits": Nullable(OBJECT), "callback": BOOL},
-                {"tracked": (BOOL, False), "emission": (EMISSION, "default")})
-#: A unit entry: member names in slot order, engine, machine, member sinks.
+                {"tracked": (BOOL, False), "emission": (EMISSION, "default")},
+                ("callback", "tracked", "emission"))
+#: A unit entry: member names in slot order, engine, machine, member
+#: sinks, and the unit's bound ``virgin`` and ``events``.
 _UNIT = Fields(
     {"queries": ListOf(STR, least=1), "engine": enum("pathm", "dfa", "branchm", "twigm"),
      "machine": OBJECT, "sinks": MapOf(OBJECT)},
-    {"virgin": (BOOL, False), "shape": (BOOL, False), "events": (NAT, 0)})
+    {"virgin": (BOOL, False), "events": (NAT, 0), "shape": (BOOL, False)},
+    ("virgin", "events"))
 #: Dispatch counters, and the retired figures per engine kind (earlier
 #: releases also retired ``dfa_fallbacks``, PathM swaps, which is dropped).
 _STATS = Fields({"events": NAT, "dispatched": NAT, "broadcast": NAT}, {
@@ -621,7 +624,7 @@ class MultiQueryEngine(TextFeed):
         ``"shape": true``; its ``queries`` list the members in slot
         order, which the member masks in its machine state index (a
         return-label shape's root entries hold their candidates per
-        return label, :meth:`~repro.core.valueshape.ShapeTwigM.snapshot_state`).  Each
+        return label, :func:`~repro.core.machine.capture_entry`).  Each
         unit's entry counts the ``events`` delivered to it, and the
         ``stats`` carry the ``retired`` metric figures once there are
         any.
@@ -631,18 +634,9 @@ class MultiQueryEngine(TextFeed):
             "policy": self._policy.value,
             "limits": self._limits.to_dict() if self._limits is not None else None,
             "queries": [
-                {
-                    "name": registration.name,
-                    "query": registration.source,
-                    "limits": (
-                        registration.limits.to_dict()
-                        if registration.limits is not None
-                        else None
-                    ),
-                    "callback": registration.callback,
-                    "tracked": registration.tracked,
-                    "emission": registration.emission,
-                }
+                {"name": registration.name, "query": registration.source, "limits": (
+                    registration.limits.to_dict() if registration.limits is not None else None),
+                 **_QUERY.capture(registration)}
                 for registration in self._registry.registrations()
             ],
             "units": [_unit_payload(unit) for unit in self._registry.units()],
@@ -709,6 +703,11 @@ class MultiQueryEngine(TextFeed):
             engine._restore_tokenizer(snapshot["tokenizer"])
             engine._reopen_labels(snapshot["open_labels"])
         return engine
+
+    def _held_ids(self) -> Iterable[int]:
+        for unit in self._registry.units():
+            yield from unit.engine.held_ids()
+            yield from unit.sink.held_ids()
 
     def _reopen_labels(self, labels: "Mapping[str, int] | None" = None) -> None:
         """Rebuild the open-label index after a restore or warm attach.
@@ -818,8 +817,7 @@ class MultiQueryEngine(TextFeed):
                 for member in members:
                     unit.join(member, tree, sinks[member])
             if new_unit:
-                unit.events = unit_payload["events"]
-                unit.virgin = unit_payload["virgin"]
+                _UNIT.apply(unit, unit_payload)
                 unit.engine.restore_state(machine)
                 if fold_key is not None:
                     folded[fold_key] = unit
@@ -875,14 +873,8 @@ def _unit_payloads(units) -> Iterable[dict]:
 
 def _unit_payload(unit: EvalUnit) -> dict:
     """One unit's snapshot entry (see :meth:`MultiQueryEngine.snapshot`)."""
-    payload = {
-        "queries": unit.names,
-        "engine": unit.engine_name,
-        "virgin": unit.virgin,
-        "events": unit.events,
-        "machine": unit.engine.snapshot_state(),
-        "sinks": unit.sink.snapshot_state(),
-    }
+    payload = {"queries": unit.names, "engine": unit.engine_name, **_UNIT.capture(unit),
+               "machine": unit.engine.snapshot_state(), "sinks": unit.sink.snapshot_state()}
     if isinstance(unit, ShapeUnit):
         payload["shape"] = True
     return payload

@@ -39,6 +39,7 @@ labels the unit's interest gained, which the router routes it on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.checkpoint import OBJECT, MapOf
 from repro.core.machine import engine_figures
@@ -95,6 +96,10 @@ class MultiplexSink(ResultSink):
     def restore_state(self, state: dict) -> None:
         for name, sink_state in MapOf(OBJECT)(state, "multiplexed sink state").items():
             self.sinks[name].restore_state(sink_state)
+
+    def held_ids(self) -> Iterable[int]:
+        for sink in self.sinks.values():
+            yield from sink.held_ids()
 
 
 class EvalUnit:

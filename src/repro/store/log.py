@@ -127,12 +127,14 @@ _SEGMENT = Fields(
      "checkpoints": (ListOf(Fields({"id": NAT, "event": NAT})), [])})
 
 
-#: A store manifest (:meth:`_Manifest.to_dict`); a version-1 one has no
-#: ``tokenizer``.
+#: A store manifest (:meth:`_Manifest.to_dict`), its counters bound to
+#: the manifest's; a version-1 one has no ``tokenizer``.
 _MANIFEST = Fields({"next_segment": NAT, "segments": ListOf(OBJECT)}, {
     "tokenizer": (Nullable(OBJECT), None), "next_checkpoint": (NAT, 1),
     "active": (Nullable(STR), None), "compacted_before_event": (NAT, 0),
-    "compacted_before_checkpoint": (NAT, 0)})
+    "compacted_before_checkpoint": (NAT, 0)}, (
+    "next_segment", "next_checkpoint", "active", "compacted_before_event",
+    "compacted_before_checkpoint"))
 
 
 @dataclass
@@ -280,14 +282,7 @@ class _Manifest:
         self._encoded: list[str] = []
 
     def to_dict(self, segments: bool = True) -> dict:
-        data = {
-            "version": self.version,
-            "next_segment": self.next_segment,
-            "next_checkpoint": self.next_checkpoint,
-            "active": self.active,
-            "compacted_before_event": self.compacted_before_event,
-            "compacted_before_checkpoint": self.compacted_before_checkpoint,
-        }
+        data = {"version": self.version, **_MANIFEST.capture(self)}
         if self.tokenizer is not None:
             data["tokenizer"] = self.tokenizer
         if segments:
@@ -313,11 +308,11 @@ class _Manifest:
             data = _MANIFEST(data, what, ("version",))
             if version >= 2 and data["tokenizer"] is None:
                 raise CheckpointError(f"malformed {what}: version 2 holds a tokenizer")
-            data["segments"] = [SegmentInfo.from_dict(entry) for entry in data["segments"]]
+            manifest.segments = [SegmentInfo.from_dict(entry) for entry in data["segments"]]
         except CheckpointError as exc:
             raise StoreError(str(exc)) from exc
-        for key, value in data.items():
-            setattr(manifest, key, value)
+        _MANIFEST.apply(manifest, data)
+        manifest.tokenizer = data["tokenizer"]
         manifest.version = version
         return manifest
 

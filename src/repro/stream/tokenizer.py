@@ -103,14 +103,19 @@ MAX_RETAINED_DIAGNOSTICS = 1000
 
 #: Snapshot schema version produced by :meth:`XmlTokenizer.snapshot`.
 TOKENIZER_SNAPSHOT_VERSION = 1
-#: Its fields: ``bytes_fed`` is absent from pre-observability captures;
-#: ``dropping_run`` is written only while it is set.
+#: Its fields, most of them bound to the attributes they mirror (the
+#: ``buffer`` written is the unread rest of ``_buffer``): ``bytes_fed``
+#: is absent from pre-observability captures; ``dropping_run`` is
+#: written only while it is set.
 _SNAPSHOT = Fields({
     "buffer": STR, "text_parts": LABELS, "text_len": NAT, "stack": LABELS,
     "next_id": NAT, "seen_root": BOOL, "closed": BOOL, "line": NAT, "column": NAT,
     "skip_whitespace": BOOL, "policy": POLICY, "ignore_depth": NAT,
     "event_count": NAT, "diagnostic_count": NAT,
-}, {"bytes_fed": (NAT, 0), "dropping_run": (BOOL, False)})
+}, {"bytes_fed": (NAT, 0), "dropping_run": (BOOL, False)}, (
+    "_buffer", "_text_parts", "_text_len", "_stack", "_next_id", "_seen_root", "_closed",
+    "_skip_whitespace", "_ignore_depth", "_event_count", "diagnostic_count", "bytes_fed"),
+    writes=("buffer", "line", "column", "policy"))
 
 #: Characters no XML text may hold literally (Expat rejects each): C0
 #: controls other than tab, LF and CR, and U+FFFE/U+FFFF.
@@ -533,24 +538,9 @@ class XmlTokenizer:
         if self._parser is not None:
             return self._settled().snapshot()
         self._merge_pending()
-        state = {
-            "version": TOKENIZER_SNAPSHOT_VERSION,
-            "buffer": self._buffer[self._pos:],
-            "text_parts": list(self._text_parts),
-            "text_len": self._text_len,
-            "stack": list(self._stack),
-            "next_id": self._next_id,
-            "seen_root": self._seen_root,
-            "closed": self._closed,
-            "line": self._cursor.line,
-            "column": self._cursor.column,
-            "skip_whitespace": self._skip_whitespace,
-            "policy": self._policy.value,
-            "ignore_depth": self._ignore_depth,
-            "event_count": self._event_count,
-            "diagnostic_count": self.diagnostic_count,
-            "bytes_fed": self.bytes_fed,
-        }
+        state = {"version": TOKENIZER_SNAPSHOT_VERSION, **_SNAPSHOT.capture(
+            self, buffer=self._buffer[self._pos:], line=self._cursor.line,
+            column=self._cursor.column, policy=self._policy.value)}
         if self._dropping_run:
             state["dropping_run"] = True
         return state
@@ -567,17 +557,13 @@ class XmlTokenizer:
         state = read_envelope(state, "tokenizer snapshot",
                               TOKENIZER_SNAPSHOT_VERSION, _SNAPSHOT)
         tokenizer = cls(
-            skip_whitespace=state["skip_whitespace"],
             policy=state["policy"],
             on_diagnostic=on_diagnostic,
             limits=limits,
             metrics=metrics,
         )
-        for key in ("buffer", "text_parts", "text_len", "stack", "next_id", "seen_root",
-                    "closed", "ignore_depth", "event_count", "dropping_run"):
-            setattr(tokenizer, "_" + key, state[key])
-        for key in ("diagnostic_count", "bytes_fed"):
-            setattr(tokenizer, key, state[key])
+        _SNAPSHOT.apply(tokenizer, state)
+        tokenizer._dropping_run = state["dropping_run"]
         tokenizer._cursor.line = state["line"]
         tokenizer._cursor.column = state["column"]
         return tokenizer

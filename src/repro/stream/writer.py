@@ -113,7 +113,8 @@ WRITER_SNAPSHOT_VERSION = 1
 _SNAPSHOT = Fields({
     "open": ListOf(BOOL),
     "pending": Nullable(Leaf("a start tag", lambda v: type(v) is str and v[:1] == "<")),
-    "buffer": STR, "bytes_written": NAT})
+    "buffer": STR, "bytes_written": NAT,
+}, attrs=("_open", "_pending", "bytes_written"), writes=("buffer",))
 
 #: Default flush threshold of :class:`IncrementalXmlWriter` (characters).
 DEFAULT_WRITER_CHUNK = 16384
@@ -147,7 +148,7 @@ class IncrementalXmlWriter:
 
     __slots__ = (
         "_on_chunk", "_chunk_size", "_parts", "_staged",
-        "_open_has_children", "_pending_open", "bytes_written",
+        "_open", "_pending", "bytes_written",
     )
 
     def __init__(
@@ -160,8 +161,8 @@ class IncrementalXmlWriter:
         self._chunk_size = chunk_size
         self._parts: list[str] = []
         self._staged = 0
-        self._open_has_children: list[bool] = []
-        self._pending_open: str | None = None  # "<tag attrs", form undecided
+        self._open: list[bool] = []  # per open element: has it children?
+        self._pending: str | None = None  # "<tag attrs", form undecided
         #: Characters emitted so far (staged text included).
         self.bytes_written = 0
 
@@ -169,30 +170,30 @@ class IncrementalXmlWriter:
 
     def start_element(self, tag, level, node_id, attributes) -> None:
         self._commit_open()
-        if self._open_has_children:
-            self._open_has_children[-1] = True
-        self._open_has_children.append(False)
+        if self._open:
+            self._open[-1] = True
+        self._open.append(False)
         if attributes:
             attrs = "".join(
                 f' {name}="{escape_attribute(value)}"'
                 for name, value in attributes.items()
             )
-            self._pending_open = f"<{tag}{attrs}"
+            self._pending = f"<{tag}{attrs}"
         else:
-            self._pending_open = f"<{tag}"
+            self._pending = f"<{tag}"
 
     def characters(self, text, level) -> None:
         self._commit_open()
-        if self._open_has_children:
-            self._open_has_children[-1] = True
+        if self._open:
+            self._open[-1] = True
         self._write(escape_text(text))
 
     def end_element(self, tag, level) -> None:
-        had_children = self._open_has_children.pop()
-        if self._pending_open is not None and not had_children:
+        had_children = self._open.pop()
+        if self._pending is not None and not had_children:
             # The element held no content: self-close, skip the end tag.
-            self._write(self._pending_open + "/>")
-            self._pending_open = None
+            self._write(self._pending + "/>")
+            self._pending = None
             return
         self._commit_open()
         self._write(f"</{tag}>")
@@ -201,9 +202,9 @@ class IncrementalXmlWriter:
 
     def _commit_open(self) -> None:
         """Any new output proves the pending element has content."""
-        if self._pending_open is not None:
-            self._write(self._pending_open + ">")
-            self._pending_open = None
+        if self._pending is not None:
+            self._write(self._pending + ">")
+            self._pending = None
 
     def _write(self, text: str) -> None:
         self._parts.append(text)
@@ -248,27 +249,22 @@ class IncrementalXmlWriter:
     @property
     def depth(self) -> int:
         """Currently open elements (0 between documents/fragments)."""
-        return len(self._open_has_children)
+        return len(self._open)
 
     def reset(self) -> None:
         """Drop all state for a fresh document (collect buffer included)."""
         self._parts.clear()
         self._staged = 0
-        self._open_has_children.clear()
-        self._pending_open = None
+        self._open.clear()
+        self._pending = None
 
     # -- checkpointing ---------------------------------------------------
 
     def snapshot(self) -> dict:
         """Capture mid-document serializer state (flushes staged text)."""
         self.flush()
-        return {
-            "version": WRITER_SNAPSHOT_VERSION,
-            "open": list(self._open_has_children),
-            "pending": self._pending_open,
-            "buffer": "".join(self._parts) if self._on_chunk is None else "",
-            "bytes_written": self.bytes_written,
-        }
+        return {"version": WRITER_SNAPSHOT_VERSION, **_SNAPSHOT.capture(
+            self, buffer="".join(self._parts) if self._on_chunk is None else "")}
 
     @classmethod
     def restore(
@@ -282,13 +278,11 @@ class IncrementalXmlWriter:
         snapshot = read_envelope(snapshot, "writer snapshot",
                                  WRITER_SNAPSHOT_VERSION, _SNAPSHOT)
         writer = cls(on_chunk, chunk_size=chunk_size)
-        writer._open_has_children = snapshot["open"]
-        writer._pending_open = snapshot["pending"]
+        _SNAPSHOT.apply(writer, snapshot)
         buffer = snapshot["buffer"]
         if buffer:
             writer._parts.append(buffer)
             writer._staged = len(buffer)
-        writer.bytes_written = snapshot["bytes_written"]
         return writer
 
 

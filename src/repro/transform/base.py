@@ -303,6 +303,9 @@ class StreamTransform(TextFeed, EventHandler):
             "events_in": self.events_in,
         }
 
+    def _held_ids(self) -> Iterable[int]:
+        return self._engine._held_ids()
+
     def _restore_base(self, payload: dict, names: Iterable[str]) -> None:
         """Restore the base fields of a capture read by :data:`BASE`."""
         self._trackers = {}

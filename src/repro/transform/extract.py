@@ -26,7 +26,8 @@ a half-serialized streaming fragment resumes exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from itertools import chain
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.checkpoint import (
     BOOL, NAT, OBJECT, STR, Fields, ListOf, MapOf, Nullable, Tuple, enum, read_envelope,
@@ -58,21 +59,23 @@ class Fragment:
     text: str
 
 
-#: A captured candidate subtree: streamed by its writer, or buffered in
-#: its events (its start tag first); ``verdict`` is absent from older
-#: releases' captures.
+#: A captured candidate subtree (a :class:`_Record`): streamed by its
+#: writer, or buffered in its events (its start tag first); ``verdict``
+#: is absent from older releases' captures.
 _RECORD = Fields(
     {"name": STR, "node_id": NAT, "base_level": NAT, "next_id": NAT, "open": BOOL,
      "events": Nullable(ListOf(EVENT, least=1)), "writer": Nullable(OBJECT),
      "parts": Nullable(STR)},
-    {"verdict": (Nullable(enum("emit", "dead")), None)})
+    {"verdict": (Nullable(enum("emit", "dead")), None)},
+    ("name", "node_id", "base_level", "next_id", "open", "verdict"))
 #: An extractor capture (:meth:`SubstreamExtractor.snapshot`).
 _SNAPSHOT = Fields(
     {"queries": MapOf(STR), "base": BASE, "records": ListOf(_RECORD),
      "open": ListOf(Tuple(STR, NAT)), "streaming": MapOf(NAT),
      "fragments": ListOf(Tuple(STR, NAT, STR)), "fragment_counts": MapOf(NAT),
      "fragment_bytes": NAT},
-    {"emission": (EMISSION, "default")})
+    {"emission": (EMISSION, "default")}, ("_streaming", "fragment_bytes"),
+    ("queries", "base", "records", "open", "fragments", "fragment_counts"))
 
 
 class _Record:
@@ -350,40 +353,25 @@ class SubstreamExtractor(StreamTransform):
 
     def snapshot(self) -> dict:
         """Capture the extractor mid-stream (mid-fragment included)."""
-        order = [(record.name, record.node_id) for record in self._open]
-        records = []
-        for record in self._records.values():
-            records.append({
-                "name": record.name,
-                "node_id": record.node_id,
-                "base_level": record.base_level,
-                "next_id": record.next_id,
-                "open": record.open,
-                "verdict": record.verdict,
-                "events": (pack_events(record.events)
-                           if record.events is not None else None),
-                "writer": (record.writer.snapshot()
-                           if record.writer is not None else None),
-                "parts": ("".join(record.parts)
-                          if record.parts is not None else None),
-            })
-        return {
-            "version": TRANSFORM_SNAPSHOT_VERSION,
-            "kind": "extract",
-            "emission": self._emission,
-            "queries": {
-                name: (query.source if hasattr(query, "source") else query)
-                for name, query in self.queries.items()
-            },
-            "base": self._base_snapshot(),
-            "records": records,
-            "open": [list(key) for key in order],
-            "streaming": dict(self._streaming),
-            "fragments": [[f.query, f.node_id, f.text]
-                          for f in self.fragments],
-            "fragment_counts": dict(self.fragment_counts),
-            "fragment_bytes": self.fragment_bytes,
-        }
+        records = [{
+            **_RECORD.capture(record),
+            "events": pack_events(record.events) if record.events is not None else None,
+            "writer": record.writer.snapshot() if record.writer is not None else None,
+            "parts": "".join(record.parts) if record.parts is not None else None,
+        } for record in self._records.values()]
+        return {"version": TRANSFORM_SNAPSHOT_VERSION, "kind": "extract",
+                "emission": self._emission, **_SNAPSHOT.capture(
+                    self,
+                    queries={name: (query.source if hasattr(query, "source") else query)
+                             for name, query in self.queries.items()},
+                    base=self._base_snapshot(),
+                    records=records,
+                    open=[[record.name, record.node_id] for record in self._open],
+                    fragments=[[f.query, f.node_id, f.text] for f in self.fragments],
+                    fragment_counts=dict(self.fragment_counts))}
+
+    def _held_ids(self) -> Iterable[int]:
+        return chain(super()._held_ids(), (record.node_id for record in self._records.values()))
 
     @classmethod
     def restore(
@@ -417,8 +405,6 @@ class SubstreamExtractor(StreamTransform):
                 metrics=metrics,
                 emission=snapshot["emission"],
             )
-            extractor._restore_base(snapshot["base"],
-                                    list(extractor.queries))
             extractor._records = {}
             for payload in snapshot["records"]:
                 if payload["writer"] is None and (payload["events"] is None
@@ -427,9 +413,7 @@ class SubstreamExtractor(StreamTransform):
                                           "its events and no text")
                 record = _Record(payload["name"], payload["node_id"],
                                  payload["base_level"])
-                record.next_id = payload["next_id"]
-                record.open = payload["open"]
-                record.verdict = payload["verdict"]
+                _RECORD.apply(record, payload)
                 record.events = payload["events"]
                 if payload["writer"] is not None:
                     record.writer = IncrementalXmlWriter.restore(
@@ -443,11 +427,13 @@ class SubstreamExtractor(StreamTransform):
                 extractor._records[(record.name, record.node_id)] = record
             extractor._open = [extractor._records[tuple(key)]
                                for key in snapshot["open"]]
-            extractor._streaming = snapshot["streaming"]
+            _SNAPSHOT.apply(extractor, snapshot)
             extractor.fragments = [Fragment(*fragment)
                                    for fragment in snapshot["fragments"]]
             extractor.fragment_counts.update(snapshot["fragment_counts"])
-            extractor.fragment_bytes = snapshot["fragment_bytes"]
+            # Last: the tokenizer's next id is checked against the records'.
+            extractor._restore_base(snapshot["base"],
+                                    list(extractor.queries))
         return extractor
 
 

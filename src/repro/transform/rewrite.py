@@ -250,15 +250,17 @@ _RULE = Fields({"match": STR, "action": enum(*sorted(_ACTIONS))}, {
     "to": (Nullable(STR), None), "wrapper": (Nullable(STR), None),
     "wrapper_attrs": (MapOf(STR), {}), "replacement": (Nullable(EVENTS), None)})
 #: A captured :class:`_Hole`: verdict status by rule index, and its
-#: queued items (events and inner holes).
+#: queued items (events and inner holes, its start tag first; holes
+#: nest, so ``_ITEMS`` gets its item reader once ``_HOLE`` exists).
+_ITEMS = ListOf(None, least=1)
 _HOLE = Fields({
     "pending": MapOf(enum("open", "yes", "no")), "fallback": Nullable(NAT),
     "node_id": NAT, "level": NAT, "state": enum("recording", "closed", "resolved"),
     "await_cb": BOOL, "winner": Nullable(NAT),
     "resolution": Nullable(Tuple(enum("literal", "transparent"), EVENTS, EVENTS)),
-})
-_ITEM = OneOf(EVENT, Tuple(enum("h"), _HOLE))
-_HOLE.required["items"] = ListOf(_ITEM, least=1)  # its start tag first
+    "items": _ITEMS,
+}, attrs=("fallback", "node_id", "level", "state", "await_cb", "winner"))
+_ITEM = _ITEMS.item = OneOf(EVENT, Tuple(enum("h"), _HOLE))
 #: A rewrite capture (:meth:`RewriteEngine.snapshot`); a region's data is
 #: a tag, or a hole's index in the recording chain.
 _SNAPSHOT = Fields({
@@ -267,7 +269,7 @@ _SNAPSHOT = Fields({
                             Tuple(enum("hole"), NAT, NAT))),
     "skipping": Nullable(NAT), "out_depth": NAT, "out_id": NAT, "events_out": NAT,
     "rules_fired": ListOf(NAT), "writer": Nullable(OBJECT),
-})
+}, attrs=("_skipping", "_out_depth", "_out_id", "events_out", "rules_fired"))
 
 
 class RewriteEngine(StreamTransform):
@@ -624,14 +626,9 @@ class RewriteEngine(StreamTransform):
 
     def snapshot(self) -> dict:
         """Capture the rewrite mid-stream, holes and regions included."""
-        stack_ids = {id(hole): index
-                     for index, hole in enumerate(self._stack)}
-        regions = []
-        for kind, level, data in self._regions:
-            if kind == "hole":
-                regions.append([kind, level, stack_ids[id(data)]])
-            else:
-                regions.append([kind, level, data])
+        stack_ids = {id(hole): index for index, hole in enumerate(self._stack)}
+        regions = [[kind, level, stack_ids[id(data)] if kind == "hole" else data]
+                   for kind, level, data in self._regions]
         return {
             "version": TRANSFORM_SNAPSHOT_VERSION,
             "kind": "rewrite",
@@ -639,33 +636,19 @@ class RewriteEngine(StreamTransform):
             "base": self._base_snapshot(),
             "queue": [self._pack_item(item) for item in self._queue],
             "regions": regions,
-            "skipping": self._skipping,
-            "out_depth": self._out_depth,
-            "out_id": self._out_id,
-            "events_out": self.events_out,
-            "rules_fired": list(self.rules_fired),
-            "writer": (self._writer.snapshot()
-                       if self._writer is not None else None),
+            **_SNAPSHOT.capture(self),
+            "writer": self._writer.snapshot() if self._writer is not None else None,
         }
 
     def _pack_item(self, item) -> list:
         if not isinstance(item, _Hole):
             return pack_event(item)
+        resolution = item.resolution
         return ["h", {
             "pending": {str(k): v for k, v in item.pending.items()},
-            "fallback": item.fallback,
-            "node_id": item.node_id,
-            "level": item.level,
-            "state": item.state,
-            "await_cb": item.await_cb,
-            "winner": item.winner,
-            "resolution": (
-                None if item.resolution is None else [
-                    item.resolution[0],
-                    pack_events(item.resolution[1]),
-                    pack_events(item.resolution[2]),
-                ]
-            ),
+            **_HOLE.capture(item),
+            "resolution": None if resolution is None else [
+                resolution[0], pack_events(resolution[1]), pack_events(resolution[2])],
             "items": [self._pack_item(inner) for inner in item.items],
         }]
 
@@ -728,16 +711,9 @@ class RewriteEngine(StreamTransform):
                 if recording is None:
                     break
                 engine._stack.append(recording)
-            engine._regions = []
-            for kind, level, data in snapshot["regions"]:
-                if kind == "hole":
-                    data = engine._stack[data]
-                engine._regions.append((kind, level, data))
-            engine._skipping = snapshot["skipping"]
-            engine._out_depth = snapshot["out_depth"]
-            engine._out_id = snapshot["out_id"]
-            engine.events_out = snapshot["events_out"]
-            engine.rules_fired = snapshot["rules_fired"]
+            engine._regions = [(kind, level, engine._stack[data] if kind == "hole" else data)
+                               for kind, level, data in snapshot["regions"]]
+            _SNAPSHOT.apply(engine, snapshot)
             if snapshot["writer"] is not None and output is None:
                 engine._writer = IncrementalXmlWriter.restore(
                     snapshot["writer"], on_chunk, chunk_size=chunk_size
@@ -767,9 +743,7 @@ class RewriteEngine(StreamTransform):
         if any(index is not None and not 0 <= index < len(self.rules)
                for index in (*hole.pending, hole.fallback, data["winner"])):
             raise CheckpointError("rewrite snapshot hole names a rule it does not have")
-        hole.state = data["state"]
-        hole.await_cb = data["await_cb"]
-        hole.winner = data["winner"]
+        _HOLE.apply(hole, data)
         if data["resolution"] is not None:
             kind, first, second = data["resolution"]
             hole.resolution = (kind, tuple(first), tuple(second))

@@ -70,6 +70,12 @@ way a blob can be malformed must raise ``CheckpointError`` and nothing
 else, and leaving out any of an envelope's optional keys must still
 resume to the recorded result.  The wrong-value sweep puts each of
 :data:`SWEEP_VALUES` in place of every node of every golden.
+
+The same spec writes each format: :func:`test_capture_round_trip` takes
+fresh captures of every format at four cuts and restores each from JSON,
+which must capture again to the same value.  A restored tokenizer must
+number past every id its capture holds (:func:`test_next_id_below_a_held_candidate_is_refused`
+and the tests after it).
 """
 
 import json
@@ -82,6 +88,7 @@ from repro.core.processor import XPathStream
 from repro.errors import CheckpointError, ReproError
 from repro.multiq import MultiQueryEngine
 from repro.serve.session import ServeConfig, Session
+from repro.stream.events import events_to_handler
 from repro.stream.tokenizer import XmlTokenizer
 from repro.stream.writer import IncrementalXmlWriter
 from repro.transform.extract import SubstreamExtractor
@@ -856,3 +863,163 @@ def test_return_shape_capture_restores(mode):
     # Today the ten queries run on five units, one per root label, branch
     # axis and return axis: six ``//open_auction[Y]//Z`` queries share one.
     assert MultiQueryEngine(golden["queries"]).unit_count() == 5
+
+
+# -- capture round trips: one table writes and reads each format ----------------
+
+def _ignore(*_result) -> None:
+    pass
+
+
+def _fed(face, cut: int):
+    face.feed_text(DOC[:cut])
+    return face
+
+
+def _session(queries: dict, cut: int) -> Session:
+    session = Session.open({"queries": queries}, ServeConfig(), _ignore, token="trip")
+    _feed_session(session, 0, cut)
+    return session
+
+
+def _tokenized(cut: int) -> XmlTokenizer:
+    tokenizer = XmlTokenizer()
+    tokenizer.feed(DOC[:cut])
+    return tokenizer
+
+
+def _written(cut: int) -> IncrementalXmlWriter:
+    writer = IncrementalXmlWriter(chunk_size=64)
+    events_to_handler(XmlTokenizer().feed(DOC[:cut]), writer)
+    return writer
+
+
+TWIG = "//open_auction[bidder/personref]//reserve"
+#: Per format: the face fed to a cut, and how a capture restores.
+ROUND_TRIPS = {
+    "stream/twigm": (lambda cut: _fed(XPathStream(TWIG), cut), XPathStream.restore),
+    "stream/twigm-callback": (lambda cut: _fed(XPathStream(TWIG, on_match=_ignore), cut),
+                              lambda blob: XPathStream.restore(blob, on_match=_ignore)),
+    "stream/dfa": (lambda cut: _fed(XPathStream("//regions//item/name"), cut),
+                   XPathStream.restore),
+    "stream/branchm": (
+        lambda cut: _fed(XPathStream("/site/open_auctions/open_auction/bidder[increase]/date"),
+                         cut),
+        XPathStream.restore),
+    "multiq": (lambda cut: _fed(MultiQueryEngine({
+        **_load("multiq_plain_snapshot.json")["queries"],
+        **_load("multiq_return_shapes_snapshot.json")["queries"]}), cut),
+        MultiQueryEngine.restore),
+    "multiq-callback": (
+        lambda cut: _fed(MultiQueryEngine(_load("multiq_return_shapes_snapshot.json")["queries"],
+                                          on_match=_ignore), cut),
+        lambda blob: MultiQueryEngine.restore(blob, on_match=_ignore)),
+    "tokenizer": (_tokenized, XmlTokenizer.restore),
+    "writer": (_written, IncrementalXmlWriter.restore),
+    "extractor": (lambda cut: _fed(SubstreamExtractor(
+        {"auction": "//open_auction[bidder/personref]", "names": "//item/name"}), cut),
+        SubstreamExtractor.restore),
+    "rewrite": (lambda cut: _fed(RewriteEngine([
+        RewriteRule.from_spec(spec) for spec in _load("rewrite_snapshot.json")["snapshot"]["rules"]
+    ]), cut), RewriteEngine.restore),
+    **{f"session/{kind}": (
+        lambda cut, kind=kind: _session(_load(f"session_{kind}_checkpoint.json")["blob"]["queries"],
+                                        cut),
+        lambda blob: Session.resume(blob, ServeConfig(), _ignore))
+       for kind in ("single", "multi", "transform")},
+}
+
+
+def _capture(face) -> dict:
+    return json.loads(json.dumps(face.checkpoint() if isinstance(face, Session)
+                                 else face.snapshot()))
+
+
+@pytest.mark.parametrize("cut", [1225, 8544, 9543, 9993])
+@pytest.mark.parametrize("name", list(ROUND_TRIPS))
+def test_capture_round_trip(name, cut):
+    """A fresh capture, passed through JSON and restored, captures again
+    to itself: each format's table writes what it reads.  Nothing is
+    normalised at these cuts.  (A session's ``deadline_left`` counts down
+    and would differ; these sessions have no deadline.)"""
+    make, restore = ROUND_TRIPS[name]
+    first = _capture(make(cut))
+    assert _capture(restore(json.loads(json.dumps(first)))) == first
+
+
+def test_manifest_round_trip(tmp_path):
+    """A store manifest loads and writes back byte for byte."""
+    from repro.store.log import MANIFEST_NAME, EventLogWriter, _Manifest
+
+    writer = EventLogWriter(str(tmp_path), segment_events=200)
+    writer.feed(DOC[:9543])
+    writer.close()
+    path = tmp_path / MANIFEST_NAME
+    manifest = _Manifest.load(str(path))
+    assert len(manifest.segments) > 1
+    assert manifest.dumps() == path.read_text()
+
+
+# -- the tokenizer numbers past every id a capture holds -------------------------
+
+def test_next_id_below_a_held_candidate_is_refused():
+    """A tokenizer ``next_id`` of 7 once renumbered the rest of the
+    document from 8, and the restore finished with ``[283, 163]``
+    instead of ``[283, 440]``."""
+    golden = _load("compiled_twigm_snapshot.json")
+    snapshot = golden["snapshot"]
+    assert XPathStream.restore(json.loads(json.dumps(snapshot))) is not None
+    snapshot["tokenizer"]["next_id"] = 7
+    with pytest.raises(CheckpointError, match="next_id 7 is not above id 283"):
+        XPathStream.restore(snapshot)
+
+
+def test_next_id_below_an_open_record_is_refused():
+    """An extractor's open record holds its element's id (the lazy DFA
+    holds none)."""
+    extractor = SubstreamExtractor("//item/name")
+    extractor.feed_text(DOC[:DOC.index("<name>", DOC.index("<item")) + 8])
+    capture = _capture(extractor)
+    (record,) = capture["records"]
+    capture["base"]["tokenizer"]["next_id"] = record["node_id"]
+    with pytest.raises(CheckpointError, match=f"not above id {record['node_id']}"):
+        SubstreamExtractor.restore(capture)
+
+
+def test_next_id_below_a_sinks_open_epoch_is_refused():
+    """An earliest-mode callback sink holds the ids it delivered while the
+    root match is open; its machine holds none of them."""
+    stream = XPathStream("//a[b]//c", on_match=_ignore, emission="earliest")
+    stream.feed_text("<r><a><b/><c/><c/>")
+    capture = _capture(stream)
+    assert capture["sink"]["seen"] == [4, 5] and capture["tokenizer"]["next_id"] == 6
+    capture["tokenizer"]["next_id"] = 5
+    with pytest.raises(CheckpointError, match="next_id 5 is not above id 5"):
+        XPathStream.restore(capture, on_match=_ignore)
+
+
+@pytest.mark.parametrize("callback", [False, True])
+@pytest.mark.parametrize("query", [TWIG, "//regions//item/name",
+                                   "/site/open_auctions/open_auction/bidder[increase]/date"])
+def test_capture_after_a_finished_document_resumes(query, callback):
+    """A finished document's ids are not held: the next document is
+    numbered from 1 again, and a capture inside it resumes."""
+    second = DOC[:DOC.index("</site>")].replace("<site>", "<site><regions/>", 1) + "</site>"
+    fired: list = []
+
+    def stream(face=None):
+        kwargs = {"on_match": fired.append} if callback else {}
+        return XPathStream.restore(face, **kwargs) if face else XPathStream(query, **kwargs)
+
+    straight = stream()
+    straight.evaluate(DOC)
+    straight.feed_text(second)
+    expected = fired[:] if callback else straight.close()
+    fired.clear()
+    live = stream()
+    live.evaluate(DOC)
+    live.feed_text(second[:9543])
+    resumed = stream(json.loads(json.dumps(live.snapshot())))
+    resumed.feed_text(second[9543:])
+    result = resumed.close()
+    assert (fired if callback else result) == expected
